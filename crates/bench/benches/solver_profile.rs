@@ -12,24 +12,17 @@
 //! removes — and the seed accounting ([`PruneStats`]) shows how many
 //! multi-start seeds each configuration actually refined.
 //!
-//! Five configurations per dimension:
+//! Four configurations per dimension:
 //!
 //! * `analytic`  — the defaults: analytic Jacobian, pruned seed beam;
 //! * `numeric`   — numeric Jacobian, pruned seed beam;
 //! * `exhaustive` — analytic Jacobian, every seed refined (the pre-pruning
 //!   behaviour, bit-for-bit);
 //! * `warm`      — analytic defaults, warm-started from the previous
-//!   solve's estimate (the steady-state regime of a live deployment);
-//! * `tuned`     — the perf backends: the cached tridiagonal step solver
-//!   (O(P²) λ-resolves) plus, in 2-D, the padded row lanes with
-//!   polynomial trig. Pinned ≤1e-9 against the defaults by the
-//!   `step_solver` proptest suite.
+//!   solve's estimate (the steady-state regime of a live deployment).
 //!
-//! Each entry also carries the damped-step counters ([`StepStats`]):
-//! λ retries beyond each iteration's first attempt, Cholesky rejections
-//! and cached O(P²) resolves — the work the cached backend moves off the
-//! O(P³) path. A `step_micro` section times the step stage in isolation
-//! (full Cholesky refactor per λ vs cached resolve, P=5 and P=7).
+//! Each entry also carries the damped-step counters ([`StepStats`]): λ
+//! retries beyond each iteration's first attempt and Cholesky rejections.
 //!
 //! A fifth timing per dimension, `reference`, runs the frozen pre-lane
 //! oracle (`rfp_core::reference`) cold on the same observations in the
@@ -47,7 +40,7 @@ use rfp_core::model::{extract_observation, AntennaObservation, ExtractConfig};
 use rfp_core::reference::{
     solve_2d_reference, solve_3d_reference, Reference2DWorkspace, Reference3DWorkspace,
 };
-use rfp_core::lm::{damped_step_cholesky, CachedStep, LaneMode, StepSolver, StepStats};
+use rfp_core::lm::StepStats;
 use rfp_core::solver::{
     solve_2d_seeded_warm, JacobianMode, PruneStats, SolveSeeds, SolveStats, SolverConfig,
     SolverWorkspace, WarmStart,
@@ -237,79 +230,6 @@ fn profile_3d_reference(config: &Solver3DConfig) -> Profile {
     )
 }
 
-/// Times the damped-step stage in isolation for one parameter count: the
-/// full copy+damp+Cholesky path per λ attempt versus a cached O(P²)
-/// tridiagonal resolve, on a deterministic well-conditioned SPD system.
-/// These are the per-retry costs the cached backend changes; the one-off
-/// tridiagonalization is reported alongside (paid once per LM iteration,
-/// not once per λ attempt).
-fn step_micro<const P: usize>() -> JsonValue {
-    // Deterministic dense SPD system: MᵀM + P·I from an integer pattern.
-    let mut m = [[0.0f64; P]; P];
-    for (i, row) in m.iter_mut().enumerate() {
-        for (j, v) in row.iter_mut().enumerate() {
-            *v = ((i * P + j) % 7) as f64 * 0.3 - 0.8;
-        }
-    }
-    let mut jtj = [[0.0f64; P]; P];
-    for a in 0..P {
-        for b in 0..P {
-            let mut s = 0.0;
-            for row in &m {
-                s += row[a] * row[b];
-            }
-            jtj[a][b] = s + if a == b { P as f64 } else { 0.0 };
-        }
-    }
-    let mut jtr = [0.0f64; P];
-    for (i, v) in jtr.iter_mut().enumerate() {
-        *v = (i as f64) * 0.7 - 1.1;
-    }
-
-    let lambdas = [1e-3, 1e-2, 1e-1, 1.0];
-    let reps = if quick_mode() { 20_000 } else { 200_000 };
-    let mut scratch = [[0.0f64; P]; P];
-    let mut delta = [0.0f64; P];
-
-    let t0 = Instant::now();
-    for r in 0..reps {
-        let lambda = lambdas[r % lambdas.len()];
-        assert!(damped_step_cholesky(black_box(&jtj), &jtr, lambda, &mut scratch, &mut delta));
-        black_box(&delta);
-    }
-    let chol_ns = t0.elapsed().as_secs_f64() * 1e9 / reps as f64;
-
-    let mut cached = CachedStep::<P>::default();
-    let t0 = Instant::now();
-    for _ in 0..reps {
-        cached.factor(black_box(&jtj), &jtr);
-        black_box(&cached);
-    }
-    let factor_ns = t0.elapsed().as_secs_f64() * 1e9 / reps as f64;
-
-    cached.factor(&jtj, &jtr);
-    let t0 = Instant::now();
-    for r in 0..reps {
-        let lambda = lambdas[r % lambdas.len()];
-        assert!(cached.solve(lambda, &mut delta));
-        black_box(&delta);
-    }
-    let resolve_ns = t0.elapsed().as_secs_f64() * 1e9 / reps as f64;
-
-    println!(
-        "  P={P}: cholesky step {chol_ns:.1} ns/λ   cached resolve {resolve_ns:.1} ns/λ \
-         (×{:.2})   tridiagonal factor {factor_ns:.1} ns once per iteration",
-        chol_ns / resolve_ns
-    );
-    let round1 = |x: f64| (x * 10.0).round() / 10.0;
-    JsonValue::obj(vec![
-        ("cholesky_step_ns", JsonValue::Num(round1(chol_ns))),
-        ("cached_resolve_ns", JsonValue::Num(round1(resolve_ns))),
-        ("cached_factor_ns", JsonValue::Num(round1(factor_ns))),
-        ("resolve_speedup", JsonValue::Num((chol_ns / resolve_ns * 100.0).round() / 100.0)),
-    ])
-}
-
 fn print_rows(label: &str, rows: &[(&str, Profile)]) {
     report::section(label);
     for (name, p) in rows {
@@ -337,21 +257,18 @@ fn json_entry(p: Profile) -> JsonValue {
         ("warm_start_hits", JsonValue::Num(p.prune.warm_start_hits as f64)),
         ("lambda_retries", JsonValue::Num(p.steps.lambda_retries as f64)),
         ("chol_failures", JsonValue::Num(p.steps.chol_failures as f64)),
-        ("cached_solves", JsonValue::Num(p.steps.cached_solves as f64)),
     ])
 }
 
 /// One dimension's profiles: the pruned analytic defaults (`analytic`),
-/// the pruned numeric fallback, the exhaustive scan, the warm-started
-/// steady state and the tuned step/lane backends.
+/// the pruned numeric fallback, the exhaustive scan and the warm-started
+/// steady state.
 #[derive(Clone, Copy)]
 struct DimProfiles {
     analytic: Profile,
     numeric: Profile,
     exhaustive: Profile,
     warm: Profile,
-    /// Cached step solver (+ padded lanes in 2-D) — the perf backends.
-    tuned: Profile,
     /// The frozen pre-lane oracle, cold, same run — latencies only.
     reference: Profile,
 }
@@ -363,7 +280,6 @@ fn dim_json(d: DimProfiles) -> JsonValue {
         ("numeric", json_entry(d.numeric)),
         ("exhaustive", json_entry(d.exhaustive)),
         ("warm", json_entry(d.warm)),
-        ("tuned", json_entry(d.tuned)),
         (
             "reference",
             JsonValue::obj(vec![
@@ -378,14 +294,6 @@ fn dim_json(d: DimProfiles) -> JsonValue {
         (
             "lane_speedup_min",
             JsonValue::Num(round2(d.reference.min_us / d.analytic.min_us)),
-        ),
-        (
-            "tuned_speedup_p50",
-            JsonValue::Num(round2(d.analytic.p50_us / d.tuned.p50_us)),
-        ),
-        (
-            "tuned_speedup_min",
-            JsonValue::Num(round2(d.analytic.min_us / d.tuned.min_us)),
         ),
         ("p50_speedup", JsonValue::Num(round2(d.numeric.p50_us / d.analytic.p50_us))),
         (
@@ -402,7 +310,7 @@ fn dim_json(d: DimProfiles) -> JsonValue {
     ])
 }
 
-fn write_snapshot(d2: DimProfiles, d3: DimProfiles, micro5: JsonValue, micro7: JsonValue) {
+fn write_snapshot(d2: DimProfiles, d3: DimProfiles) {
     let default_path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_solver.json");
     let path = std::env::var("SOLVER_PROFILE_OUT").unwrap_or_else(|_| default_path.to_string());
     let value = rfp_obs::report::snapshot(
@@ -423,10 +331,6 @@ fn write_snapshot(d2: DimProfiles, d3: DimProfiles, micro5: JsonValue, micro7: J
             ),
             ("solve_2d", dim_json(d2)),
             ("solve_3d", dim_json(d3)),
-            (
-                "step_micro",
-                JsonValue::obj(vec![("p5", micro5), ("p7", micro7)]),
-            ),
         ],
     );
     match rfp_obs::report::write_json(std::path::Path::new(&path), &value) {
@@ -452,14 +356,6 @@ fn main() {
         ),
         exhaustive: profile_2d(SolverConfig::exhaustive(), false),
         warm: profile_2d(SolverConfig::default(), true),
-        tuned: profile_2d(
-            SolverConfig {
-                step_solver: StepSolver::Cached,
-                lane_mode: LaneMode::Padded4,
-                ..SolverConfig::default()
-            },
-            false,
-        ),
         reference: profile_2d_reference(&SolverConfig::default()),
     };
     print_rows(
@@ -469,7 +365,6 @@ fn main() {
             ("numeric", d2.numeric),
             ("exhaustive", d2.exhaustive),
             ("warm", d2.warm),
-            ("tuned", d2.tuned),
         ],
     );
 
@@ -481,12 +376,6 @@ fn main() {
         ),
         exhaustive: profile_3d(Solver3DConfig::exhaustive(), false),
         warm: profile_3d(Solver3DConfig::default(), true),
-        // Padded4 has no dedicated 3-D kernels (it runs the Wide4 path),
-        // so the tuned 3-D row is the cached step solver alone.
-        tuned: profile_3d(
-            Solver3DConfig { step_solver: StepSolver::Cached, ..Solver3DConfig::default() },
-            false,
-        ),
         reference: profile_3d_reference(&Solver3DConfig::default()),
     };
     print_rows(
@@ -496,7 +385,6 @@ fn main() {
             ("numeric", d3.numeric),
             ("exhaustive", d3.exhaustive),
             ("warm", d3.warm),
-            ("tuned", d3.tuned),
         ],
     );
 
@@ -514,22 +402,9 @@ fn main() {
             d.reference.p50_us / d.analytic.p50_us,
             d.reference.min_us / d.analytic.min_us,
         );
-        println!(
-            "  {dim} tuned backends vs defaults: {:.1} µs → {:.1} µs (×{:.2} p50), \
-             {} of {} λ retries resolved from the step cache per solve",
-            d.analytic.p50_us,
-            d.tuned.p50_us,
-            d.analytic.p50_us / d.tuned.p50_us,
-            d.tuned.steps.cached_solves,
-            d.tuned.steps.lambda_retries,
-        );
     }
 
-    report::section("damped-step stage in isolation (per λ attempt)");
-    let micro5 = step_micro::<5>();
-    let micro7 = step_micro::<7>();
-
-    write_snapshot(d2, d3, micro5, micro7);
+    write_snapshot(d2, d3);
 
     // The headline claim of the analytic path: at least 2× fewer residual
     // evaluations per solve, in both dimensions.
@@ -561,13 +436,6 @@ fn main() {
         assert!(
             d.warm.prune.warm_start_hits > 0,
             "{dim} warm profile never hit the warm-start gate"
-        );
-        // The cache is a retry-ladder device: the tuned row may
-        // legitimately never enter a ladder (0 cached solves), but the
-        // default backend must never touch the cache at all.
-        assert_eq!(
-            d.analytic.steps.cached_solves, 0,
-            "{dim} default profile must not touch the step cache"
         );
     }
 }

@@ -21,11 +21,9 @@
 //!   the recorded pre-lane baseline (the last pre-lane-core committed
 //!   BENCH_solver.json figure; an absolute latency, so the floor is
 //!   enforced only on the machine class it was recorded on). On that
-//!   same machine class the *tuned* configuration (cached tridiagonal
-//!   step solver + padded row lanes) must additionally beat the recorded
-//!   pre-step-cache cold 2-D p50 by ≥1.1×, and — on every machine class,
-//!   being a same-run ratio — the tuned 3-D solve must not be slower
-//!   than the default beyond the threshold. The
+//!   same machine class the default cold 2-D p50 must additionally beat
+//!   the recorded pre-step-cache cold 2-D p50 by ≥1.1× — the blocked
+//!   normal-equation assembly and native codegen floor. The
 //!   same-run oracle-vs-facade ratios (`<dim>.lane_speedup_p50`) are
 //!   reported alongside for a machine-independent read — they
 //!   *understate* the end-to-end win, because the frozen oracle also
@@ -89,9 +87,8 @@ const PRE_LANE_COLD_2D_P50_US: f64 = 101.4;
 /// recorded on. The baseline is an absolute latency, so the lane floor is
 /// only enforced when the current machine matches.
 const PRE_LANE_BASELINE_THREADS: u64 = 1;
-/// The tuned configuration (cached step solver + padded row lanes) must
-/// stay at least this much faster than the pre-step-cache baseline on a
-/// cold 2-D solve.
+/// The default configuration must stay at least this much faster than
+/// the pre-step-cache baseline on a cold 2-D solve.
 const SOLVER_STEP_SPEEDUP_FLOOR: f64 = 1.1;
 /// Cold 2-D p50 of the last pre-step-cache committed BENCH_solver.json —
 /// the fixed baseline the step floor divides by. Recorded on the same
@@ -201,25 +198,23 @@ fn check_solver(committed: &JsonValue, fresh: &JsonValue, threshold_pct: f64) ->
         );
         true
     };
-    // Step-solver floor: the *tuned* cold 2-D p50 (cached tridiagonal
-    // step solver + padded row lanes) against the recorded
-    // pre-step-cache baseline — same machine-class guard as the lane
-    // floor, since the baseline is an absolute latency. The floor's
+    // Blocked-assembly floor: the default cold 2-D p50 against the
+    // recorded pre-step-cache baseline — same machine-class guard as the
+    // lane floor, since the baseline is an absolute latency. The floor's
     // margin is a few percent while a shared box swings tens of percent
     // run-to-run, so take the better of the fresh measurement and the
     // committed snapshot: the snapshot is the calm-window record, and
     // the drift check above already bounds how far fresh may rot from
     // it.
-    let tuned_fresh = solver_p50_us(fresh, "solve_2d", "tuned")?;
-    let tuned = match solver_p50_us(committed, "solve_2d", "tuned") {
-        Ok(recorded) => tuned_fresh.min(recorded),
-        Err(_) => tuned_fresh,
+    let step_cold = match solver_p50_us(committed, "solve_2d", "analytic") {
+        Ok(recorded) => cold.min(recorded),
+        Err(_) => cold,
     };
-    let vs_step_baseline = PRE_STEP_COLD_2D_P50_US / tuned;
+    let vs_step_baseline = PRE_STEP_COLD_2D_P50_US / step_cold;
     let step_ok = if threads == PRE_LANE_BASELINE_THREADS {
         let pass = vs_step_baseline >= SOLVER_STEP_SPEEDUP_FLOOR;
         println!(
-            "  solver 2-D tuned cold p50 {tuned:.1} µs (fresh {tuned_fresh:.1} µs) vs \
+            "  solver 2-D cold p50 {step_cold:.1} µs (fresh {cold:.1} µs) vs \
              pre-step-cache baseline {PRE_STEP_COLD_2D_P50_US:.1} µs: ×{vs_step_baseline:.2} \
              (floor ×{SOLVER_STEP_SPEEDUP_FLOOR:.1}) — {}",
             if pass { "ok" } else { "BELOW FLOOR" }
@@ -232,18 +227,6 @@ fn check_solver(committed: &JsonValue, fresh: &JsonValue, threshold_pct: f64) ->
         );
         true
     };
-    // The tuned backends must never make 3-D slower than the defaults:
-    // a same-run ratio, so machine differences cancel and it is enforced
-    // on every machine class.
-    let tuned3 = solver_p50_us(fresh, "solve_3d", "tuned")?;
-    let base3 = solver_p50_us(fresh, "solve_3d", "analytic")?;
-    let drift3_pct = (tuned3 - base3) / base3 * 100.0;
-    let tuned3_ok = drift3_pct <= threshold_pct;
-    println!(
-        "  solver 3-D tuned vs default, same run: {base3:.1} µs → {tuned3:.1} µs \
-         ({drift3_pct:+.1}%) — {}",
-        if tuned3_ok { "ok" } else { "REGRESSED" }
-    );
     // Same-run oracle-vs-facade ratios: machine-independent, but an
     // *understatement* of the end-to-end win (the frozen oracle strips
     // the telemetry and warm-gate bookkeeping the facade carries).
@@ -262,7 +245,7 @@ fn check_solver(committed: &JsonValue, fresh: &JsonValue, threshold_pct: f64) ->
     {
         println!("  solver 3-D lane facade vs frozen oracle, same run: ×{lane3:.2} p50");
     }
-    Ok(ok & lane_ok & step_ok & tuned3_ok)
+    Ok(ok & lane_ok & step_ok)
 }
 
 fn check_frontend(
@@ -393,10 +376,8 @@ fn history_metrics(
     for (dim, config, field) in [
         ("solve_2d", "analytic", "solve_2d_cold_p50_us"),
         ("solve_2d", "warm", "solve_2d_warm_p50_us"),
-        ("solve_2d", "tuned", "solve_2d_tuned_p50_us"),
         ("solve_3d", "analytic", "solve_3d_cold_p50_us"),
         ("solve_3d", "warm", "solve_3d_warm_p50_us"),
-        ("solve_3d", "tuned", "solve_3d_tuned_p50_us"),
     ] {
         metrics.push((field.to_string(), solver_p50_us(solver_fresh, dim, config)?));
     }

@@ -34,56 +34,19 @@ enum Output {
 }
 
 fn run_sense(args: &[String]) -> Result<Output, commands::CommandError> {
-    // `--trace`, `--warm` and `--tuned` are bare switches; split them out
-    // before the strict `--key value` parser sees the remainder.
-    let mut trace = false;
-    let mut warm = false;
-    let mut tuned = false;
-    let rest: Vec<String> = args
-        .iter()
-        .filter(|a| match a.as_str() {
-            "--trace" => {
-                trace = true;
-                false
-            }
-            "--warm" => {
-                warm = true;
-                false
-            }
-            "--tuned" => {
-                tuned = true;
-                false
-            }
-            _ => true,
-        })
-        .cloned()
-        .collect();
-    let flags = commands::parse_flags(&rest)?;
-    let log_path = flags
-        .iter()
-        .find(|(k, _)| k == "log")
-        .map(|(_, v)| v.clone())
-        .ok_or_else(|| commands::CommandError::Usage("sense needs --log <file>".into()))?;
-    let log_text = std::fs::read_to_string(&log_path)?;
-    let calib_text = match flags.iter().find(|(k, _)| k == "calib") {
-        Some((_, path)) => Some(std::fs::read_to_string(path)?),
+    let opts = commands::parse_sense_args(args)?;
+    let log_text = std::fs::read_to_string(&opts.log)?;
+    let calib_text = match &opts.calib {
+        Some(path) => Some(std::fs::read_to_string(path)?),
         None => None,
     };
-    let jobs: usize = match flags.iter().find(|(k, _)| k == "jobs") {
-        Some((_, v)) => v.parse().map_err(|_| {
-            commands::CommandError::Usage(
-                "--jobs expects a worker count (0 = all CPUs)".into(),
-            )
-        })?,
-        None => 1,
-    };
-    let metrics_path = flags.iter().find(|(k, _)| k == "metrics").map(|(_, v)| v.clone());
-    let (text, run) = commands::sense_observed(&log_text, calib_text.as_deref(), jobs, warm, tuned)?;
-    let run = run.with_meta("log", &log_path);
-    if let Some(path) = metrics_path {
-        rfp_obs::report::write_json(std::path::Path::new(&path), &run.to_json())?;
+    let (text, run) =
+        commands::sense_observed(&log_text, calib_text.as_deref(), opts.jobs, opts.warm)?;
+    let run = run.with_meta("log", &opts.log);
+    if let Some(path) = &opts.metrics {
+        rfp_obs::report::write_json(std::path::Path::new(path), &run.to_json())?;
     }
-    if trace {
+    if opts.trace {
         eprint!("{}", run.summary());
     }
     Ok(Output::Stdout(text))

@@ -48,14 +48,26 @@ impl From<crate::log::LogError> for CommandError {
     }
 }
 
-/// Tiny flag parser: `--key value` pairs after the subcommand.
-pub fn parse_flags(args: &[String]) -> Result<Vec<(String, String)>, CommandError> {
+/// Tiny flag parser: `--key value` pairs after the subcommand. `accepted`
+/// lists the keys the subcommand reads; any other key is a usage error
+/// naming it, so a misspelled flag never silently falls back to a default.
+pub fn parse_flags(
+    args: &[String],
+    accepted: &[&str],
+) -> Result<Vec<(String, String)>, CommandError> {
     let mut out = Vec::new();
     let mut it = args.iter();
     while let Some(k) = it.next() {
         let Some(key) = k.strip_prefix("--") else {
             return Err(CommandError::Usage(format!("unexpected argument `{k}`")));
         };
+        if !accepted.contains(&key) {
+            let known: Vec<String> = accepted.iter().map(|a| format!("--{a}")).collect();
+            return Err(CommandError::Usage(format!(
+                "unknown flag `--{key}` (accepted: {})",
+                known.join(", ")
+            )));
+        }
         let Some(v) = it.next() else {
             return Err(CommandError::Usage(format!("flag `--{key}` needs a value")));
         };
@@ -75,7 +87,7 @@ fn flag<'a>(flags: &'a [(String, String)], key: &str) -> Option<&'a str> {
 /// `--material <label|mixed>` (default mixed), `--clutter <seed>`
 /// (default: clean room).
 pub fn simulate(args: &[String]) -> Result<String, CommandError> {
-    let flags = parse_flags(args)?;
+    let flags = parse_flags(args, &["tags", "seed", "material", "clutter"])?;
     let n_tags: usize = flag(&flags, "tags").unwrap_or("3").parse().map_err(|_| {
         CommandError::Usage("--tags expects an integer".into())
     })?;
@@ -134,6 +146,56 @@ pub fn simulate(args: &[String]) -> Result<String, CommandError> {
     Ok(log.to_text())
 }
 
+/// The parsed command line of `sense`.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct SenseArgs {
+    /// `--log FILE`: the survey log to replay.
+    pub log: String,
+    /// `--calib FILE`: optional calibration database.
+    pub calib: Option<String>,
+    /// `--jobs N`: worker threads for the batched solve (0 = all CPUs).
+    pub jobs: usize,
+    /// `--metrics FILE`: where to write the JSON run report.
+    pub metrics: Option<String>,
+    /// Bare `--trace`: span/counter summary on stderr.
+    pub trace: bool,
+    /// Bare `--warm`: sense twice, warm-starting the second pass.
+    pub warm: bool,
+}
+
+/// Parses the flags of `sense` (everything after the subcommand).
+///
+/// # Errors
+///
+/// [`CommandError::Usage`] on a missing `--log`, a bad `--jobs` value or
+/// any flag `sense` does not know.
+pub fn parse_sense_args(args: &[String]) -> Result<SenseArgs, CommandError> {
+    // `--trace` and `--warm` are bare switches; split them out before the
+    // strict `--key value` parser sees the remainder.
+    let trace = args.iter().any(|a| a == "--trace");
+    let warm = args.iter().any(|a| a == "--warm");
+    let rest: Vec<String> =
+        args.iter().filter(|a| *a != "--trace" && *a != "--warm").cloned().collect();
+    let flags = parse_flags(&rest, &["log", "calib", "jobs", "metrics"])?;
+    let log = flag(&flags, "log")
+        .ok_or_else(|| CommandError::Usage("sense needs --log <file>".into()))?
+        .to_string();
+    let jobs: usize = match flag(&flags, "jobs") {
+        Some(v) => v.parse().map_err(|_| {
+            CommandError::Usage("--jobs expects a worker count (0 = all CPUs)".into())
+        })?,
+        None => 1,
+    };
+    Ok(SenseArgs {
+        log,
+        calib: flag(&flags, "calib").map(str::to_string),
+        jobs,
+        metrics: flag(&flags, "metrics").map(str::to_string),
+        trace,
+        warm,
+    })
+}
+
 /// `sense`: replay a survey log through the pipeline; returns the report
 /// text.
 ///
@@ -149,20 +211,13 @@ pub fn simulate(args: &[String]) -> Result<String, CommandError> {
 /// deployment re-reading the same tags every round. The reported table
 /// comes from the warm pass; the run counters show the warm-start
 /// hit/miss split.
-///
-/// With `tuned` set the solver runs the perf backends
-/// ([`rfp_core::StepSolver::Cached`] λ-ladder resolves plus
-/// [`rfp_core::LaneMode::Padded4`] row lanes) — estimates stay within
-/// 1e-9 of the defaults but are not bit-identical, so reports may
-/// differ in the last printed digit.
 pub fn sense(
     log_text: &str,
     calibration_db: Option<&str>,
     jobs: usize,
     warm: bool,
-    tuned: bool,
 ) -> Result<String, CommandError> {
-    sense_observed(log_text, calibration_db, jobs, warm, tuned).map(|(text, _)| text)
+    sense_observed(log_text, calibration_db, jobs, warm).map(|(text, _)| text)
 }
 
 /// [`sense`] plus the machine-readable run report it was recorded under —
@@ -175,16 +230,14 @@ pub fn sense_observed(
     calibration_db: Option<&str>,
     jobs: usize,
     warm: bool,
-    tuned: bool,
 ) -> Result<(String, rfp_obs::RunReport), CommandError> {
     let (result, rec) = rfp_obs::recorder::observe(rfp_core::obs::METRICS, || {
-        sense_table(log_text, calibration_db, jobs, warm, tuned)
+        sense_table(log_text, calibration_db, jobs, warm)
     });
     let table = result?;
     let run = rfp_obs::RunReport::from_recorder("sense", &rec)
         .with_meta("jobs", &jobs.to_string())
-        .with_meta("warm", if warm { "true" } else { "false" })
-        .with_meta("tuned", if tuned { "true" } else { "false" });
+        .with_meta("warm", if warm { "true" } else { "false" });
     let text = format!("{table}{}", counters_footer(&run));
     Ok((text, run))
 }
@@ -248,10 +301,9 @@ fn counters_footer(run: &rfp_obs::RunReport) -> String {
     }
     let _ = writeln!(
         out,
-        "  lm steps: {} lambda retries, {} chol failures, {} cached solves",
+        "  lm steps: {} lambda retries, {} chol failures",
         c("solver.lambda_retries"),
         c("solver.chol_failures"),
-        c("solver.step_cached_solves"),
     );
     let (updates, downdates) = (c("streaming.updates"), c("streaming.downdates"));
     if updates + downdates > 0 {
@@ -275,8 +327,7 @@ fn counters_footer(run: &rfp_obs::RunReport) -> String {
 /// engine's update/downdate/fallback counters.
 ///
 /// Flags: `--rounds N` (default 5), `--seed S` (default 1),
-/// `--tag SEED` (default 1), bare `--tuned` for the cached-step +
-/// padded-lane solver backends (both modes honor it).
+/// `--tag SEED` (default 1).
 ///
 /// With `--log FILE` the command switches to **telemetry replay mode**
 /// ([`crate::telemetry::replay`]): the recorded round is streamed through
@@ -287,18 +338,15 @@ fn counters_footer(run: &rfp_obs::RunReport) -> String {
 /// switch folds the streaming health rules into each frame, and
 /// `--window SECONDS` bounds the sliding window (0 = keep every read).
 pub fn stream(args: &[String]) -> Result<String, CommandError> {
-    // `--health` and `--tuned` are bare switches; split them out before
-    // pair parsing.
+    // `--health` is a bare switch; split it out before pair parsing.
     let health = args.iter().any(|a| a == "--health");
-    let tuned = args.iter().any(|a| a == "--tuned");
-    let args: Vec<String> = args
-        .iter()
-        .filter(|a| *a != "--health" && *a != "--tuned")
-        .cloned()
-        .collect();
-    let flags = parse_flags(&args)?;
+    let args: Vec<String> = args.iter().filter(|a| *a != "--health").cloned().collect();
+    let flags = parse_flags(
+        &args,
+        &["rounds", "seed", "tag", "log", "jobs", "every", "window", "telemetry", "prom"],
+    )?;
     if flag(&flags, "log").is_some() {
-        return stream_telemetry(&flags, health, tuned);
+        return stream_telemetry(&flags, health);
     }
     for key in ["telemetry", "prom", "every", "window", "jobs"] {
         if flag(&flags, key).is_some() {
@@ -328,14 +376,8 @@ pub fn stream(args: &[String]) -> Result<String, CommandError> {
     let tag = SimTag::with_seeded_diversity(tag_seed)
         .with_motion(Motion::planar_static(position, alpha));
     let stream = rfp_sim::stream_rounds(&scene, &tag, rounds, seed);
-    let mut prism =
+    let prism =
         RfPrism::new(scene.antenna_poses(), scene.reader().plan).with_region(scene.region());
-    if tuned {
-        let mut config = rfp_core::RfPrismConfig::paper();
-        config.solver.step_solver = rfp_core::StepSolver::Cached;
-        config.solver.lane_mode = rfp_core::LaneMode::Padded4;
-        prism = prism.with_config(config);
-    }
 
     let (table, rec) = rfp_obs::recorder::observe(rfp_core::obs::METRICS, || {
         let mut session = prism.sense_streaming(scene.reader().round_duration_s());
@@ -389,11 +431,7 @@ pub fn stream(args: &[String]) -> Result<String, CommandError> {
 }
 
 /// The `--log` arm of [`stream`]: telemetry replay plus its file sinks.
-fn stream_telemetry(
-    flags: &[(String, String)],
-    health: bool,
-    tuned: bool,
-) -> Result<String, CommandError> {
+fn stream_telemetry(flags: &[(String, String)], health: bool) -> Result<String, CommandError> {
     let log_path = flag(flags, "log").expect("checked by caller");
     let jobs: usize = flag(flags, "jobs").unwrap_or("1").parse().map_err(|_| {
         CommandError::Usage("--jobs expects an integer (0 = all CPUs)".into())
@@ -404,7 +442,7 @@ fn stream_telemetry(
     let window_s: f64 = flag(flags, "window").unwrap_or("0").parse().map_err(|_| {
         CommandError::Usage("--window expects seconds (0 = unbounded)".into())
     })?;
-    let opts = crate::telemetry::TelemetryOptions { jobs, every, window_s, health, tuned };
+    let opts = crate::telemetry::TelemetryOptions { jobs, every, window_s, health };
 
     let log_text = std::fs::read_to_string(log_path)?;
     let run = crate::telemetry::replay(&log_text, &opts)?;
@@ -431,7 +469,6 @@ fn sense_table(
     calibration_db: Option<&str>,
     jobs: usize,
     warm: bool,
-    tuned: bool,
 ) -> Result<String, CommandError> {
     let log = SurveyLog::from_text(log_text)?;
     let db = match calibration_db {
@@ -439,13 +476,7 @@ fn sense_table(
         None => None,
     };
     let region = default_region(&log);
-    let mut prism = RfPrism::new(log.poses.clone(), log.plan).with_region(region);
-    if tuned {
-        let mut config = rfp_core::RfPrismConfig::paper();
-        config.solver.step_solver = rfp_core::StepSolver::Cached;
-        config.solver.lane_mode = rfp_core::LaneMode::Padded4;
-        prism = prism.with_config(config);
-    }
+    let prism = RfPrism::new(log.poses.clone(), log.plan).with_region(region);
 
     // Fan the per-tag solves across the worker pool; results come back in
     // log order, so the report below is byte-identical at any `jobs`.
@@ -521,7 +552,7 @@ fn sense_table(
 /// `calibrate`: simulate the §V-B bare-tag calibration for `tag_seed` and
 /// return the calibration-database text.
 pub fn calibrate(args: &[String]) -> Result<String, CommandError> {
-    let flags = parse_flags(args)?;
+    let flags = parse_flags(args, &["tag"])?;
     let tag_seed: u64 = flag(&flags, "tag").unwrap_or("1").parse().map_err(|_| {
         CommandError::Usage("--tag expects an integer id".into())
     })?;
@@ -560,15 +591,14 @@ pub fn usage() -> String {
      \n\
      USAGE:\n\
      \x20 rf-prism simulate [--tags N] [--seed S] [--material LABEL|mixed] [--clutter SEED] > round.log\n\
-     \x20 rf-prism sense --log round.log [--calib tags.cal] [--jobs N] [--metrics out.json] [--trace] [--warm] [--tuned]\n\
+     \x20 rf-prism sense --log round.log [--calib tags.cal] [--jobs N] [--metrics out.json] [--trace] [--warm]\n\
      \x20     (--jobs: worker threads for the batched solve; 0 = all CPUs, default 1)\n\
      \x20     (--metrics: write the versioned JSON run report; --trace: span/counter summary on stderr)\n\
      \x20     (--warm: sense twice, warm-starting the second pass from the first — steady-state timing)\n\
-     \x20     (--tuned: cached λ-step solver + padded poly lanes; estimates within 1e-9 of the defaults)\n\
-     \x20 rf-prism stream [--rounds N] [--seed S] [--tag SEED] [--tuned]\n\
+     \x20 rf-prism stream [--rounds N] [--seed S] [--tag SEED]\n\
      \x20     (incremental sliding-window mode: one warm estimate per round, O(new reads) per advance)\n\
      \x20 rf-prism stream --log round.log [--jobs N] [--every READS] [--window SECS]\n\
-     \x20     [--telemetry frames.jsonl] [--prom metrics.prom] [--health] [--tuned]\n\
+     \x20     [--telemetry frames.jsonl] [--prom metrics.prom] [--health]\n\
      \x20     (telemetry replay: one JSONL frame per --every reads per tag, byte-identical at any --jobs;\n\
      \x20      --health adds watchdog verdicts to each frame; --prom writes the merged exposition)\n\
      \x20 rf-prism calibrate --tag ID > tags.cal\n\
@@ -592,7 +622,7 @@ mod tests {
     #[test]
     fn simulate_then_sense_round_trip() {
         let log_text = simulate(&args(&["--tags", "2", "--seed", "3"])).unwrap();
-        let report = sense(&log_text, None, 1, false, false).unwrap();
+        let report = sense(&log_text, None, 1, false).unwrap();
         // Two tag rows with truth errors present.
         assert_eq!(report.matches(" cm").count(), 2, "report:\n{report}");
         assert!(report.contains("clean") || report.contains("multipath"));
@@ -634,44 +664,82 @@ mod tests {
     fn sense_with_calibration_prints_material_features() {
         let log_text = simulate(&args(&["--tags", "1", "--seed", "5"])).unwrap();
         let cal_text = calibrate(&args(&["--tag", "1"])).unwrap();
-        let report = sense(&log_text, Some(&cal_text), 1, false, false).unwrap();
+        let report = sense(&log_text, Some(&cal_text), 1, false).unwrap();
         assert!(report.contains("k_t_mat"), "report:\n{report}");
     }
 
     #[test]
     fn sense_report_identical_at_any_jobs() {
         let log_text = simulate(&args(&["--tags", "3", "--seed", "2"])).unwrap();
-        let sequential = sense(&log_text, None, 1, false, false).unwrap();
-        assert_eq!(sequential, sense(&log_text, None, 2, false, false).unwrap());
-        assert_eq!(sequential, sense(&log_text, None, 0, false, false).unwrap());
+        let sequential = sense(&log_text, None, 1, false).unwrap();
+        assert_eq!(sequential, sense(&log_text, None, 2, false).unwrap());
+        assert_eq!(sequential, sense(&log_text, None, 0, false).unwrap());
     }
 
     #[test]
-    fn tuned_sense_is_deterministic_and_tracks_the_default_table() {
-        let log_text = simulate(&args(&["--tags", "3", "--seed", "2"])).unwrap();
-        let tuned = sense(&log_text, None, 1, false, true).unwrap();
-        // Deterministic across worker counts, like every other mode.
-        assert_eq!(tuned, sense(&log_text, None, 2, false, true).unwrap());
-        assert_eq!(tuned, sense(&log_text, None, 0, false, true).unwrap());
-        // The tuned backends are pinned ≤1e-9 against the defaults, so the
-        // printed tag tables (3-decimal positions) must agree exactly.
-        let default = sense(&log_text, None, 1, false, false).unwrap();
-        let table = |s: &str| s.split("-- run counters --").next().unwrap().to_string();
-        assert_eq!(table(&default), table(&tuned), "tuned estimates drifted");
+    fn sense_args_parse_switches_and_values() {
+        let parsed = parse_sense_args(&args(&[
+            "--warm", "--log", "round.log", "--jobs", "4", "--trace", "--metrics", "m.json",
+        ]))
+        .unwrap();
+        assert_eq!(
+            parsed,
+            SenseArgs {
+                log: "round.log".into(),
+                calib: None,
+                jobs: 4,
+                metrics: Some("m.json".into()),
+                trace: true,
+                warm: true,
+            }
+        );
+        assert!(matches!(parse_sense_args(&args(&["--jobs", "2"])), Err(CommandError::Usage(_))));
+        assert!(matches!(
+            parse_sense_args(&args(&["--log", "round.log", "--jobs", "many"])),
+            Err(CommandError::Usage(_))
+        ));
+    }
+
+    /// Asserts `result` is the usage error that names the flag `--{key}`.
+    fn assert_rejects_flag<T: std::fmt::Debug>(result: Result<T, CommandError>, key: &str) {
+        match result {
+            Err(CommandError::Usage(msg)) => {
+                assert!(msg.contains(&format!("unknown flag `--{key}`")), "message: {msg}");
+            }
+            other => panic!("`--{key}` was not rejected: {other:?}"),
+        }
+    }
+
+    #[test]
+    fn misspelled_flags_are_rejected_by_name() {
+        assert_rejects_flag(simulate(&args(&["--tags", "2", "--sede", "7"])), "sede");
+        assert_rejects_flag(
+            parse_sense_args(&args(&["--log", "round.log", "--jbos", "2"])),
+            "jbos",
+        );
+        assert_rejects_flag(stream(&args(&["--rounds", "1", "--sed", "7"])), "sed");
+        assert_rejects_flag(calibrate(&args(&["--tga", "7"])), "tga");
+    }
+
+    #[test]
+    fn retired_tuned_switch_is_rejected() {
+        assert_rejects_flag(parse_sense_args(&args(&["--log", "round.log", "--tuned"])), "tuned");
+        assert_rejects_flag(stream(&args(&["--rounds", "1", "--tuned"])), "tuned");
+        assert_rejects_flag(stream(&args(&["--log", "round.log", "--tuned"])), "tuned");
     }
 
     #[test]
     fn warm_sense_matches_cold_table_at_any_jobs() {
         let log_text = simulate(&args(&["--tags", "3", "--seed", "4"])).unwrap();
-        let cold = sense(&log_text, None, 1, false, false).unwrap();
-        let warm = sense(&log_text, None, 1, true, false).unwrap();
+        let cold = sense(&log_text, None, 1, false).unwrap();
+        let warm = sense(&log_text, None, 1, true).unwrap();
         // A static log re-sensed warm must land on the same estimates: the
         // tag table (everything before the counter footer) is identical.
         let table = |s: &str| s.split("-- run counters --").next().unwrap().to_string();
         assert_eq!(table(&cold), table(&warm), "warm pass changed estimates");
         // And the warm report itself is deterministic across worker counts.
-        assert_eq!(warm, sense(&log_text, None, 2, true, false).unwrap());
-        assert_eq!(warm, sense(&log_text, None, 0, true, false).unwrap());
+        assert_eq!(warm, sense(&log_text, None, 2, true).unwrap());
+        assert_eq!(warm, sense(&log_text, None, 0, true).unwrap());
     }
 
     #[test]
@@ -759,7 +827,7 @@ mod tests {
 
     #[test]
     fn sense_propagates_log_errors() {
-        assert!(matches!(sense("garbage", None, 1, false, false), Err(CommandError::Log(_))));
+        assert!(matches!(sense("garbage", None, 1, false), Err(CommandError::Log(_))));
     }
 
     #[test]

@@ -38,14 +38,11 @@ pub struct TelemetryOptions {
     pub window_s: f64,
     /// Fold the streaming health rules over each merged delta.
     pub health: bool,
-    /// Run the tuned solver backends (cached step solver + padded row
-    /// lanes) — estimates within 1e-9 of the defaults, not bit-identical.
-    pub tuned: bool,
 }
 
 impl Default for TelemetryOptions {
     fn default() -> Self {
-        TelemetryOptions { jobs: 1, every: 64, window_s: 0.0, health: false, tuned: false }
+        TelemetryOptions { jobs: 1, every: 64, window_s: 0.0, health: false }
     }
 }
 
@@ -85,13 +82,7 @@ pub fn replay(log_text: &str, opts: &TelemetryOptions) -> Result<TelemetryRun, C
         return Err(CommandError::Usage("--every must be at least 1".into()));
     }
     let log = SurveyLog::from_text(log_text)?;
-    let mut prism = RfPrism::new(log.poses.clone(), log.plan);
-    if opts.tuned {
-        let mut config = rfp_core::RfPrismConfig::paper();
-        config.solver.step_solver = rfp_core::StepSolver::Cached;
-        config.solver.lane_mode = rfp_core::LaneMode::Padded4;
-        prism = prism.with_config(config);
-    }
+    let prism = RfPrism::new(log.poses.clone(), log.plan);
     let window_s = if opts.window_s > 0.0 { opts.window_s } else { f64::INFINITY };
 
     // Merge each tag's per-antenna reads back into arrival order. The sort

@@ -74,7 +74,7 @@ pub use batch::{BatchCache, BatchCache3D, TagReads, TagRounds};
 pub use calibration::{CalibrationDb, DeviceCalibration};
 pub use detector::{DetectorConfig, MobilityVerdict};
 pub use inventory::{InventorySensor, ItemOutcome, ItemReport};
-pub use lm::{LaneMode, LaneStats, LmCore, ResidualModel, StepSolver, StepStats};
+pub use lm::{LaneStats, LmCore, ResidualModel, StepStats};
 pub use material::{MaterialFeatures, MaterialIdentifier};
 pub use model::AntennaObservation;
 pub use pipeline::{RfPrism, RfPrismConfig, SenseError, SenseWorkspace, SensingResult};

@@ -10,11 +10,11 @@
 //! P-parameter sensing head gets the whole refinement stack by
 //! implementing one trait method.
 //!
-//! Compared with the dynamic [`LmWorkspace`](crate::solver::LmWorkspace)
-//! cores (kept public, frozen — they are the oracle the facades are tested
-//! against), the const-generic core keeps the parameter vector, the `P×P`
-//! normal equations, the factorization scratch and the step/trial buffers
-//! in fixed-size arrays: no bounds checks in the `P`-indexed kernels, no
+//! Compared with the dynamic `LmWorkspace` cores frozen in
+//! [`crate::reference`] (the oracle the facades are tested against), the
+//! const-generic core keeps the parameter vector, the `P×P` normal
+//! equations, the factorization scratch and the step/trial buffers in
+//! fixed-size arrays: no bounds checks in the `P`-indexed kernels, no
 //! `clear`/`resize` churn per refinement, and loop trip counts the
 //! compiler can fully unroll. Every floating-point operation runs in the
 //! same order as the dynamic cores, so results are **bit-identical**.
@@ -24,69 +24,24 @@
 //! The residual models evaluate antenna rows in explicit 4-wide lanes
 //! (each lane computes one independent row; rows are written in antenna
 //! order, so the reduction order — and therefore every bit of the result —
-//! matches the scalar loop). The normal-equation assembly (`JᵀJ`/`Jᵀr`)
+//! matches a plain row loop). The normal-equation assembly (`JᵀJ`/`Jᵀr`)
 //! runs the same discipline: 4 residual rows per pass, one independent
 //! accumulator per matrix entry, lane products reduced in row order — so
 //! the blocked assembly is bit-identical to the scalar `m×P` loop. The
 //! core counts full 4-row blocks and leftover scalar rows per evaluation
 //! into [`LaneStats`]; the solvers surface the tallies through the
-//! `solver.lane_*` observability counters. [`LaneMode::Scalar`] is the
-//! config escape hatch back to the plain loops.
+//! `solver.lane_*` observability counters.
 //!
-//! # Step solvers
+//! # Damped steps
 //!
 //! Each LM iteration solves the damped normal equations
 //! `(JᵀJ + λ·diag(JᵀJ))δ = −Jᵀr`, and the λ retry policy may re-solve the
-//! same system at several λ before a step is accepted. [`StepSolver`]
-//! picks the linear-algebra backend: [`StepSolver::Cholesky`] re-factors
-//! the damped matrix per attempt (O(P³), the bit-identity default) while
-//! [`StepSolver::Cached`] keeps the first two attempts on the Cholesky
-//! fast path and, once an iteration enters a λ ladder (a second retry
-//! against the same normal equations), tridiagonalizes the *undamped*
-//! scaled normal matrix once and resolves every remaining λ attempt in
-//! O(P²) — same math, different factorization, pinned ≤1e-9 against the
-//! default (DESIGN.md §6 derives it).
+//! same system at several λ before a step is accepted. Every attempt
+//! copies, damps and Cholesky-factors the `P×P` system afresh (the
+//! numeric fallback uses pivoted Gaussian elimination instead) — exactly
+//! the frozen cores' operations, in their order.
 
 use crate::solver::SolveStats;
-
-/// How the residual models traverse their antenna/channel rows.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum LaneMode {
-    /// Process rows in explicit 4-wide unrolled lanes (independent rows,
-    /// antenna-order writes — bit-identical to the scalar loop). The
-    /// default.
-    #[default]
-    Wide4,
-    /// The plain scalar loop — the escape hatch, and the reference the
-    /// lane path is pinned against in the equivalence suite.
-    Scalar,
-    /// Like [`LaneMode::Wide4`], but residual models with fewer rows than
-    /// a full block *pad* the trailing antenna block up to 4 lanes
-    /// (duplicating the last antenna, discarding the padded outputs) and
-    /// evaluate the block's transcendentals through bounded-error
-    /// polynomial lanes instead of one libm call per row. Results are
-    /// pinned ≤1e-9 against the default on full solves — the padding
-    /// itself is exact; only the polynomial trig differs, by ≲1e-13.
-    Padded4,
-}
-
-/// The linear-algebra backend of the damped LM step
-/// `(JᵀJ + λ·diag(JᵀJ))δ = −Jᵀr`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum StepSolver {
-    /// Copy, damp and Cholesky-factor the P×P system on every λ attempt —
-    /// the bit-identity default (identical to the frozen dynamic cores).
-    #[default]
-    Cholesky,
-    /// Cholesky for the first two attempts (so retry-free iterations cost
-    /// exactly the default), then — once an iteration enters a λ ladder —
-    /// factor once (scaled Householder tridiagonalization of `JᵀJ`) and
-    /// resolve every remaining λ attempt in O(P²) through the cached
-    /// [`CachedStep`] factor. Same step to ~1e-12 relative; full solves
-    /// are pinned ≤1e-9 against the default. Applies to the analytic
-    /// refinement path; the numeric fallback keeps Gaussian elimination.
-    Cached,
-}
 
 /// Lane-utilization counters of the 4-wide hot paths, accumulated
 /// monotonically (snapshot and diff with [`LaneStats::since`]).
@@ -96,8 +51,8 @@ pub struct LaneStats {
     pub seed_blocks: u64,
     /// Full 4-row blocks evaluated by residual/Jacobian passes.
     pub row_blocks: u64,
-    /// Rows (or seeds) processed outside a full 4-wide block — loop
-    /// remainders, plus everything when [`LaneMode::Scalar`] is selected.
+    /// Rows (or seeds) processed outside a full 4-wide block — the loop
+    /// remainders, plus every seed of a table-free coarse ranking.
     pub scalar_rows: u64,
 }
 
@@ -126,23 +81,17 @@ impl LaneStats {
 
 /// Work counters of the λ-retry step machinery, accumulated monotonically
 /// (snapshot and diff with [`StepStats::since`]). These feed the
-/// `solver.lambda_retries` / `solver.chol_failures` /
-/// `solver.step_cached_solves` observability counters.
+/// `solver.lambda_retries` / `solver.chol_failures` observability
+/// counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StepStats {
     /// Damped-step attempts beyond the first of each iteration — every λ
     /// escalation, whether from a factorization failure or a rejected
     /// (cost-increasing) trial step.
     pub lambda_retries: u64,
-    /// Damped systems the backend refused to solve (Cholesky pivot
-    /// failure, singular elimination, or a non-positive cached pivot) —
-    /// each one escalates λ ×10 and retries.
+    /// Damped systems that could not be solved (Cholesky pivot failure
+    /// or singular elimination) — each one escalates λ ×10 and retries.
     pub chol_failures: u64,
-    /// Once-per-iteration tridiagonal factorizations built by
-    /// [`StepSolver::Cached`].
-    pub cached_factors: u64,
-    /// O(P²) λ-resolves served from a cached factor.
-    pub cached_solves: u64,
 }
 
 impl StepStats {
@@ -152,8 +101,6 @@ impl StepStats {
         StepStats {
             lambda_retries: self.lambda_retries - earlier.lambda_retries,
             chol_failures: self.chol_failures - earlier.chol_failures,
-            cached_factors: self.cached_factors - earlier.cached_factors,
-            cached_solves: self.cached_solves - earlier.cached_solves,
         }
     }
 
@@ -163,8 +110,6 @@ impl StepStats {
         StepStats {
             lambda_retries: self.lambda_retries + other.lambda_retries,
             chol_failures: self.chol_failures + other.chol_failures,
-            cached_factors: self.cached_factors + other.cached_factors,
-            cached_solves: self.cached_solves + other.cached_solves,
         }
     }
 }
@@ -185,12 +130,6 @@ pub trait ResidualModel<const P: usize> {
     /// `None` only the residuals are needed (trial-point evaluations and
     /// the numeric fallback's difference sweeps).
     fn eval(&self, p: &[f64; P], r: &mut Vec<f64>, jac: Option<&mut Vec<f64>>);
-
-    /// The lane mode this model's row loops run under — used by the core's
-    /// lane accounting. Defaults to [`LaneMode::Wide4`].
-    fn lane_mode(&self) -> LaneMode {
-        LaneMode::Wide4
-    }
 }
 
 /// The dimension-generic LM engine: scratch buffers plus the analytic and
@@ -214,8 +153,6 @@ pub struct LmCore<const P: usize> {
     jtr: [f64; P],
     delta: [f64; P],
     candidate: [f64; P],
-    /// Per-iteration factor cache of [`StepSolver::Cached`].
-    cached: CachedStep<P>,
     stats: SolveStats,
     lanes: LaneStats,
     steps: StepStats,
@@ -233,7 +170,6 @@ impl<const P: usize> Default for LmCore<P> {
             jtr: [0.0; P],
             delta: [0.0; P],
             candidate: [0.0; P],
-            cached: CachedStep::default(),
             stats: SolveStats::default(),
             lanes: LaneStats::default(),
             steps: StepStats::default(),
@@ -261,59 +197,48 @@ impl<const P: usize> LmCore<P> {
         self.steps
     }
 
-    /// Charges one model evaluation of `rows` residual rows to the lane
-    /// tallies under the model's lane mode.
-    fn charge_lanes(&mut self, mode: LaneMode, rows: usize) {
-        match mode {
-            LaneMode::Wide4 => {
-                self.lanes.row_blocks += (rows / 4) as u64;
-                self.lanes.scalar_rows += (rows % 4) as u64;
-            }
-            LaneMode::Scalar => self.lanes.scalar_rows += rows as u64,
-            // Padded blocks run every row inside a (possibly part-filled)
-            // 4-wide block; nothing falls through to a scalar remainder.
-            LaneMode::Padded4 => self.lanes.row_blocks += rows.div_ceil(4) as u64,
-        }
+    /// Charges one pass over `rows` residual rows to the lane tallies:
+    /// full 4-row blocks plus the scalar remainder.
+    fn charge_lanes(&mut self, rows: usize) {
+        self.lanes.row_blocks += (rows / 4) as u64;
+        self.lanes.scalar_rows += (rows % 4) as u64;
     }
 
     /// Assembles the normal equations `JᵀJ` / `Jᵀr` from the current
-    /// residual and Jacobian buffers. Under the wide modes the `m`
-    /// residual rows are consumed 4 per pass; every `JᵀJ`/`Jᵀr` entry
-    /// keeps its own independent accumulator and the four lane products
-    /// are reduced in row order, so each partial sum — and therefore
-    /// every bit of the result — matches the scalar loop. Assembly rows
-    /// are charged to the lane tallies like model-evaluation rows.
+    /// residual and Jacobian buffers. The `m` residual rows are consumed
+    /// 4 per pass; every `JᵀJ`/`Jᵀr` entry keeps its own independent
+    /// accumulator and the four lane products are reduced in row order,
+    /// so each partial sum — and therefore every bit of the result —
+    /// matches the scalar loop. Assembly rows are charged to the lane
+    /// tallies like model-evaluation rows.
     #[allow(clippy::needless_range_loop)] // index loops mirror the frozen core verbatim
-    fn assemble_normal_equations(&mut self, m: usize, mode: LaneMode) {
+    fn assemble_normal_equations(&mut self, m: usize) {
         self.jtj = [[0.0; P]; P];
         self.jtr = [0.0; P];
         let mut i = 0usize;
-        if mode != LaneMode::Scalar {
-            while i + 4 <= m {
-                let j0 = &self.jac[i * P..(i + 1) * P];
-                let j1 = &self.jac[(i + 1) * P..(i + 2) * P];
-                let j2 = &self.jac[(i + 2) * P..(i + 3) * P];
-                let j3 = &self.jac[(i + 3) * P..(i + 4) * P];
-                let (y0, y1, y2, y3) =
-                    (self.r[i], self.r[i + 1], self.r[i + 2], self.r[i + 3]);
-                for a in 0..P {
-                    let mut g = self.jtr[a];
-                    g += j0[a] * y0;
-                    g += j1[a] * y1;
-                    g += j2[a] * y2;
-                    g += j3[a] * y3;
-                    self.jtr[a] = g;
-                    for b in a..P {
-                        let mut s = self.jtj[a][b];
-                        s += j0[a] * j0[b];
-                        s += j1[a] * j1[b];
-                        s += j2[a] * j2[b];
-                        s += j3[a] * j3[b];
-                        self.jtj[a][b] = s;
-                    }
+        while i + 4 <= m {
+            let j0 = &self.jac[i * P..(i + 1) * P];
+            let j1 = &self.jac[(i + 1) * P..(i + 2) * P];
+            let j2 = &self.jac[(i + 2) * P..(i + 3) * P];
+            let j3 = &self.jac[(i + 3) * P..(i + 4) * P];
+            let (y0, y1, y2, y3) = (self.r[i], self.r[i + 1], self.r[i + 2], self.r[i + 3]);
+            for a in 0..P {
+                let mut g = self.jtr[a];
+                g += j0[a] * y0;
+                g += j1[a] * y1;
+                g += j2[a] * y2;
+                g += j3[a] * y3;
+                self.jtr[a] = g;
+                for b in a..P {
+                    let mut s = self.jtj[a][b];
+                    s += j0[a] * j0[b];
+                    s += j1[a] * j1[b];
+                    s += j2[a] * j2[b];
+                    s += j3[a] * j3[b];
+                    self.jtj[a][b] = s;
                 }
-                i += 4;
             }
+            i += 4;
         }
         for i in i..m {
             let row = &self.jac[i * P..(i + 1) * P];
@@ -330,7 +255,7 @@ impl<const P: usize> LmCore<P> {
                 self.jtj[a][b] = self.jtj[b][a];
             }
         }
-        self.charge_lanes(mode, m);
+        self.charge_lanes(m);
     }
 
     /// The λ damping/retry policy shared by the analytic and numeric
@@ -338,13 +263,11 @@ impl<const P: usize> LmCore<P> {
     /// damped-step attempts, λ ×10 on a factorization failure, λ ×4 on a
     /// rejected (cost-increasing) trial, λ/3 (floored at 1e-12) on an
     /// accepted step. Identical floating-point behaviour to the frozen
-    /// dynamic cores for the [`StepSolver::Cholesky`] and Gaussian
-    /// backends.
+    /// dynamic cores.
     #[allow(clippy::too_many_arguments)]
     fn lambda_retry<M: ResidualModel<P>>(
         &mut self,
         model: &M,
-        mode: LaneMode,
         m: usize,
         backend: StepBackend,
         p: &mut [f64; P],
@@ -352,15 +275,6 @@ impl<const P: usize> LmCore<P> {
         lambda: &mut f64,
         tolerance: f64,
     ) -> RetryOutcome {
-        // The cached backend factors *lazily*: the first attempt — and
-        // the first retry — run the plain Cholesky fast path, so an
-        // iteration that accepts within two attempts costs exactly what
-        // the default backend costs. Only a second retry against the
-        // same normal equations (a λ ladder: consecutive rejections or a
-        // ×10 factorization-failure escalation) tridiagonalizes once and
-        // serves every remaining attempt as an O(P²) resolve — the
-        // regime where the per-retry O(P³) rebuild+refactor tax lived.
-        let mut factored = false;
         for attempt in 0..8 {
             if attempt > 0 {
                 self.steps.lambda_retries += 1;
@@ -380,22 +294,6 @@ impl<const P: usize> LmCore<P> {
                     &mut self.chol,
                     &mut self.delta,
                 ),
-                StepBackend::Cached if attempt < 2 => damped_step_cholesky(
-                    &self.jtj,
-                    &self.jtr,
-                    *lambda,
-                    &mut self.chol,
-                    &mut self.delta,
-                ),
-                StepBackend::Cached => {
-                    if !factored {
-                        self.cached.factor(&self.jtj, &self.jtr);
-                        self.steps.cached_factors += 1;
-                        factored = true;
-                    }
-                    self.steps.cached_solves += 1;
-                    self.cached.solve(*lambda, &mut self.delta)
-                }
             };
             if !solved {
                 self.steps.chol_failures += 1;
@@ -407,7 +305,7 @@ impl<const P: usize> LmCore<P> {
             }
             model.eval(&self.candidate, &mut self.r_plus, None);
             self.stats.residual_evals += 1;
-            self.charge_lanes(mode, m);
+            self.charge_lanes(m);
             let new_cost: f64 = self.r_plus.iter().map(|v| v * v).sum();
             if new_cost < *cost {
                 let rel_drop = (*cost - new_cost) / (*cost).max(1e-300);
@@ -428,42 +326,21 @@ impl<const P: usize> LmCore<P> {
     /// Levenberg–Marquardt with the model's fused analytic
     /// residual+Jacobian — the hot path. The damping/retry policy and
     /// every floating-point operation match
-    /// [`levenberg_marquardt_analytic_with`](crate::solver::levenberg_marquardt_analytic_with)
+    /// [`levenberg_marquardt_analytic_with`](crate::reference::levenberg_marquardt_analytic_with)
     /// exactly, so results are bit-identical to the dynamic core.
     pub fn refine<M: ResidualModel<P>>(
-        &mut self,
-        model: &M,
-        p: [f64; P],
-        max_iterations: usize,
-        tolerance: f64,
-    ) -> ([f64; P], f64) {
-        self.refine_with(model, p, max_iterations, tolerance, StepSolver::Cholesky)
-    }
-
-    /// [`refine`](LmCore::refine) with an explicit damped-step backend.
-    /// [`StepSolver::Cholesky`] is bit-identical to the frozen dynamic
-    /// core; [`StepSolver::Cached`] factors lazily on an iteration's
-    /// second λ retry and resolves the rest of the ladder in O(P²),
-    /// within ≤1e-9 of the default on full solves.
-    pub fn refine_with<M: ResidualModel<P>>(
         &mut self,
         model: &M,
         mut p: [f64; P],
         max_iterations: usize,
         tolerance: f64,
-        step: StepSolver,
     ) -> ([f64; P], f64) {
-        let mode = model.lane_mode();
-        let backend = match step {
-            StepSolver::Cholesky => StepBackend::Cholesky,
-            StepSolver::Cached => StepBackend::Cached,
-        };
         model.eval(&p, &mut self.r, Some(&mut self.jac));
         self.stats.residual_evals += 1;
         self.stats.jacobian_evals += 1;
         let mut cost: f64 = self.r.iter().map(|v| v * v).sum();
         let m = self.r.len();
-        self.charge_lanes(mode, m);
+        self.charge_lanes(m);
         debug_assert_eq!(self.jac.len(), m * P);
 
         let mut lambda = 1e-3;
@@ -477,14 +354,20 @@ impl<const P: usize> LmCore<P> {
                 model.eval(&p, &mut self.r, Some(&mut self.jac));
                 self.stats.residual_evals += 1;
                 self.stats.jacobian_evals += 1;
-                self.charge_lanes(mode, m);
+                self.charge_lanes(m);
             }
             // Assemble the normal equations once; the λ retries below
-            // reuse them and only re-damp (or re-shift) the diagonal.
-            self.assemble_normal_equations(m, mode);
+            // reuse them and only re-damp the diagonal.
+            self.assemble_normal_equations(m);
 
             match self.lambda_retry(
-                model, mode, m, backend, &mut p, &mut cost, &mut lambda, tolerance,
+                model,
+                m,
+                StepBackend::Cholesky,
+                &mut p,
+                &mut cost,
+                &mut lambda,
+                tolerance,
             ) {
                 RetryOutcome::Converged => return (p, cost),
                 RetryOutcome::Improved => jac_fresh = false,
@@ -497,7 +380,7 @@ impl<const P: usize> LmCore<P> {
     /// Levenberg–Marquardt with a central-difference Jacobian and
     /// per-parameter step scales — the numeric fallback. The policy and
     /// operation order match
-    /// [`levenberg_marquardt_with`](crate::solver::levenberg_marquardt_with)
+    /// [`levenberg_marquardt_with`](crate::reference::levenberg_marquardt_with)
     /// exactly (bit-identical results); only residual evaluations
     /// (`jac: None`) are requested from the model.
     #[allow(clippy::needless_range_loop)] // index loops mirror the frozen core verbatim
@@ -509,12 +392,11 @@ impl<const P: usize> LmCore<P> {
         max_iterations: usize,
         tolerance: f64,
     ) -> ([f64; P], f64) {
-        let mode = model.lane_mode();
         model.eval(&p, &mut self.r, None);
         self.stats.residual_evals += 1;
         let mut cost: f64 = self.r.iter().map(|v| v * v).sum();
         let m = self.r.len();
-        self.charge_lanes(mode, m);
+        self.charge_lanes(m);
 
         let mut lambda = 1e-3;
         self.jac.clear();
@@ -537,17 +419,16 @@ impl<const P: usize> LmCore<P> {
             }
             self.stats.residual_evals += 2 * P as u64;
             self.stats.jacobian_evals += 1;
-            self.charge_lanes(mode, 2 * P * m);
+            self.charge_lanes(2 * P * m);
             // Normal equations — same accumulation order as the dynamic
             // numeric core (bit-identical results).
-            self.assemble_normal_equations(m, mode);
+            self.assemble_normal_equations(m);
 
             // Damped solve with retry on cost increase; the difference
             // Jacobian is less trustworthy than the analytic one, so this
             // path keeps pivoted Gaussian elimination as its backend.
             match self.lambda_retry(
                 model,
-                mode,
                 m,
                 StepBackend::Gauss,
                 &mut p,
@@ -564,13 +445,12 @@ impl<const P: usize> LmCore<P> {
     }
 }
 
-/// The internal dispatch of [`LmCore::lambda_retry`]: the two public
-/// [`StepSolver`] backends plus the numeric path's pivoted elimination.
+/// The damped-step backend of [`LmCore::lambda_retry`]: Cholesky on the
+/// analytic path, pivoted elimination on the numeric fallback.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum StepBackend {
     Cholesky,
     Gauss,
-    Cached,
 }
 
 /// What one pass of the λ retry loop did to the running iterate.
@@ -586,11 +466,11 @@ enum RetryOutcome {
 
 /// One damped normal-equation step
 /// `(JᵀJ + λ·diag(JᵀJ)₊)δ = −Jᵀr` by copy + damp + Cholesky — the
-/// bit-identity reference backend (exactly the frozen dynamic cores'
-/// operations, in their order). `scratch` receives the damped factor;
-/// `delta` the step. Returns `false` when the damped matrix is not
-/// numerically SPD — the caller escalates λ and retries.
-pub fn damped_step_cholesky<const P: usize>(
+/// analytic path's backend (exactly the frozen dynamic cores' operations,
+/// in their order). `scratch` receives the damped factor; `delta` the
+/// step. Returns `false` when the damped matrix is not numerically SPD —
+/// the caller escalates λ and retries.
+fn damped_step_cholesky<const P: usize>(
     jtj: &[[f64; P]; P],
     jtr: &[f64; P],
     lambda: f64,
@@ -630,206 +510,9 @@ fn damped_step_gauss<const P: usize>(
     gauss_solve(scratch, delta)
 }
 
-/// The cached damped-step factor of [`StepSolver::Cached`] (DESIGN.md §6).
-///
-/// The λ retry loop re-solves `(JᵀJ + λD)δ = −Jᵀr` with `D =
-/// max(diag(JᵀJ), 1e-12)` at escalating λ. Write `S = D^{1/2}`; then
-///
-/// ```text
-/// JᵀJ + λD = S (B + λI) S    with    B = S⁻¹ JᵀJ S⁻¹.
-/// ```
-///
-/// [`CachedStep::factor`] tridiagonalizes the symmetric scaled matrix
-/// once per λ ladder — `B = Q T Qᵀ` by Householder reflections, `T`
-/// tridiagonal — and transforms the (λ-independent) right-hand side into
-/// `u = Qᵀ S⁻¹ (−Jᵀr)`. Each [`CachedStep::solve`] then costs O(P²):
-/// an O(P) LDLᵀ solve of `(T + λI) y = u` plus one multiply by `Q` and a
-/// diagonal rescale, `δ = S⁻¹ Q y`. A non-positive LDLᵀ pivot plays the
-/// role of the Cholesky failure (the damped matrix is not SPD at this λ).
-#[derive(Debug, Clone)]
-pub struct CachedStep<const P: usize> {
-    /// `S⁻¹ = D^{-1/2}` of the diagonal scaling.
-    dinv: [f64; P],
-    /// Accumulated orthogonal factor of the tridiagonalization.
-    q: [[f64; P]; P],
-    /// Diagonal of `T`.
-    tdiag: [f64; P],
-    /// Sub-diagonal of `T` (`P − 1` entries used).
-    toff: [f64; P],
-    /// Transformed right-hand side `Qᵀ S⁻¹ (−Jᵀr)`.
-    u: [f64; P],
-    /// False until [`CachedStep::factor`] has run (or when the inputs
-    /// were non-finite); [`CachedStep::solve`] fails closed.
-    valid: bool,
-}
-
-impl<const P: usize> Default for CachedStep<P> {
-    fn default() -> Self {
-        CachedStep {
-            dinv: [0.0; P],
-            q: [[0.0; P]; P],
-            tdiag: [0.0; P],
-            toff: [0.0; P],
-            u: [0.0; P],
-            valid: false,
-        }
-    }
-}
-
-impl<const P: usize> CachedStep<P> {
-    /// Builds the λ-independent factor for one LM iteration: the scaled
-    /// Householder tridiagonalization of `JᵀJ` plus the transformed
-    /// right-hand side. O(P³), paid once; every λ retry of the iteration
-    /// then resolves through [`CachedStep::solve`] in O(P²).
-    #[allow(clippy::needless_range_loop)] // P-indexed kernels, same idiom as the Cholesky core
-    pub fn factor(&mut self, jtj: &[[f64; P]; P], jtr: &[f64; P]) {
-        // Diagonal scaling: B = S⁻¹ JᵀJ S⁻¹ has a ~unit diagonal, which
-        // keeps the Householder norms well-conditioned and makes the
-        // LDLᵀ pivot threshold scale-free.
-        for d in 0..P {
-            self.dinv[d] = 1.0 / jtj[d][d].max(1e-12).sqrt();
-        }
-        let mut b = [[0.0; P]; P];
-        for i in 0..P {
-            for j in 0..P {
-                b[i][j] = self.dinv[i] * jtj[i][j] * self.dinv[j];
-            }
-        }
-        // Householder tridiagonalization, accumulating Q (B = Q T Qᵀ).
-        self.q = [[0.0; P]; P];
-        for i in 0..P {
-            self.q[i][i] = 1.0;
-        }
-        for k in 0..P.saturating_sub(2) {
-            let mut xnorm2 = 0.0;
-            for i in (k + 1)..P {
-                xnorm2 += b[i][k] * b[i][k];
-            }
-            if xnorm2 <= 0.0 {
-                continue; // column already tridiagonal
-            }
-            // v = x − α e₁ with α = −sign(x₁)‖x‖ (the stable choice).
-            let alpha = -b[k + 1][k].signum() * xnorm2.sqrt();
-            let mut v = [0.0; P];
-            for i in (k + 1)..P {
-                v[i] = b[i][k];
-            }
-            v[k + 1] -= alpha;
-            let vnorm2: f64 = v.iter().map(|t| t * t).sum();
-            if vnorm2 <= 0.0 {
-                continue;
-            }
-            let beta = 2.0 / vnorm2;
-            // Symmetric update B ← H B H with H = I − β v vᵀ:
-            // w = β B v − (β² (vᵀ B v) / 2) v, then B ← B − v wᵀ − w vᵀ.
-            let mut w = [0.0; P];
-            let mut vw = 0.0;
-            for i in 0..P {
-                let mut s = 0.0;
-                for j in (k + 1)..P {
-                    s += b[i][j] * v[j];
-                }
-                w[i] = beta * s;
-            }
-            for i in (k + 1)..P {
-                vw += v[i] * w[i];
-            }
-            let kappa = 0.5 * beta * vw;
-            for i in 0..P {
-                w[i] -= kappa * v[i];
-            }
-            for i in 0..P {
-                for j in 0..P {
-                    b[i][j] -= v[i] * w[j] + w[i] * v[j];
-                }
-            }
-            // Q ← Q H (post-multiplying accumulates the product of
-            // reflections so that B_original = Q T Qᵀ).
-            for i in 0..P {
-                let mut s = 0.0;
-                for j in (k + 1)..P {
-                    s += self.q[i][j] * v[j];
-                }
-                s *= beta;
-                for j in (k + 1)..P {
-                    self.q[i][j] -= s * v[j];
-                }
-            }
-        }
-        let mut finite = true;
-        for i in 0..P {
-            self.tdiag[i] = b[i][i];
-            self.toff[i] = if i + 1 < P { b[i + 1][i] } else { 0.0 };
-            finite &= self.tdiag[i].is_finite() && self.toff[i].is_finite();
-        }
-        // u = Qᵀ S⁻¹ (−Jᵀr): λ-independent, so transformed once here.
-        for i in 0..P {
-            let mut s = 0.0;
-            for j in 0..P {
-                s += self.q[j][i] * (self.dinv[j] * -jtr[j]);
-            }
-            self.u[i] = s;
-            finite &= s.is_finite();
-        }
-        self.valid = finite;
-    }
-
-    /// Resolves the damped system at `lambda` from the cached factor:
-    /// LDLᵀ of the shifted tridiagonal `T + λI` (O(P)), then
-    /// `δ = S⁻¹ Q y` (O(P²)). Returns `false` when a pivot is not
-    /// strictly positive — the damped matrix is not SPD at this λ, the
-    /// same condition that fails the Cholesky backend.
-    #[allow(clippy::needless_range_loop)] // P-indexed kernels, same idiom as the Cholesky core
-    pub fn solve(&self, lambda: f64, delta: &mut [f64; P]) -> bool {
-        if !self.valid {
-            return false;
-        }
-        // LDLᵀ forward sweep over the shifted tridiagonal: piv holds the
-        // D pivots, y the partially substituted right-hand side.
-        let mut piv = [0.0; P];
-        let mut y = [0.0; P];
-        let mut prev_piv = 0.0;
-        let mut prev_y = 0.0;
-        for i in 0..P {
-            let mut d = self.tdiag[i] + lambda;
-            let mut rhs = self.u[i];
-            if i > 0 {
-                let l = self.toff[i - 1] / prev_piv;
-                d -= l * self.toff[i - 1];
-                rhs -= l * prev_y;
-            }
-            // B is scaled to a ~unit diagonal, so a healthy pivot is
-            // O(1); the guard mirrors the Cholesky `s < 1e-300` check.
-            if !d.is_finite() || d < 1e-300 {
-                return false;
-            }
-            piv[i] = d;
-            y[i] = rhs;
-            prev_piv = d;
-            prev_y = rhs;
-        }
-        // Diagonal + backward sweeps.
-        for i in 0..P {
-            y[i] /= piv[i];
-        }
-        for i in (0..P.saturating_sub(1)).rev() {
-            y[i] -= (self.toff[i] / piv[i]) * y[i + 1];
-        }
-        // δ = S⁻¹ Q y.
-        for a in 0..P {
-            let mut s = 0.0;
-            for j in 0..P {
-                s += self.q[a][j] * y[j];
-            }
-            delta[a] = self.dinv[a] * s;
-        }
-        true
-    }
-}
-
 /// In-place Cholesky factorization `A = LLᵀ`; on success the lower
 /// triangle holds `L`. Same expressions (and failure guard) as the
-/// dynamic [`solver`](crate::solver) routine, over fixed-size storage —
+/// frozen [`reference`](crate::reference) routine, over fixed-size storage —
 /// bit-identical factors.
 #[allow(clippy::needless_range_loop)] // index loops mirror the frozen core verbatim
 fn cholesky_factor<const P: usize>(a: &mut [[f64; P]; P]) -> bool {
@@ -911,7 +594,7 @@ fn gauss_solve<const P: usize>(a: &mut [[f64; P]; P], b: &mut [f64; P]) -> bool 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::solver::{
+    use crate::reference::{
         levenberg_marquardt_analytic_with, levenberg_marquardt_with, LmWorkspace,
     };
 
@@ -919,7 +602,6 @@ mod tests {
     /// analytic Jacobian is exact.
     struct Line {
         data: Vec<(f64, f64)>,
-        mode: LaneMode,
     }
 
     impl ResidualModel<2> for Line {
@@ -937,22 +619,15 @@ mod tests {
                 }
             }
         }
-
-        fn lane_mode(&self) -> LaneMode {
-            self.mode
-        }
     }
 
-    fn line_model(mode: LaneMode) -> Line {
-        Line {
-            data: (0..10).map(|i| (i as f64, 2.0 * i as f64 - 3.0)).collect(),
-            mode,
-        }
+    fn line_model() -> Line {
+        Line { data: (0..10).map(|i| (i as f64, 2.0 * i as f64 - 3.0)).collect() }
     }
 
     #[test]
     fn analytic_refine_matches_dynamic_core_bitwise() {
-        let model = line_model(LaneMode::Wide4);
+        let model = line_model();
         let mut core = LmCore::<2>::default();
         let (p, cost) = core.refine(&model, [0.0, 0.0], 100, 1e-14);
 
@@ -973,7 +648,7 @@ mod tests {
 
     #[test]
     fn numeric_refine_matches_dynamic_core_bitwise() {
-        let model = line_model(LaneMode::Scalar);
+        let model = line_model();
         let mut core = LmCore::<2>::default();
         let steps = [1e-5, 1e-5];
         let (p, cost) = core.refine_numeric(&model, [0.0, 0.0], &steps, 100, 1e-14);
@@ -998,23 +673,19 @@ mod tests {
     }
 
     #[test]
-    fn lane_tallies_follow_the_mode() {
-        let wide = line_model(LaneMode::Wide4);
+    fn lane_tallies_count_blocks_and_remainders() {
+        let model = line_model();
         let mut core = LmCore::<2>::default();
-        core.refine(&wide, [0.0, 0.0], 100, 1e-14);
+        core.refine(&model, [0.0, 0.0], 100, 1e-14);
         let lanes = core.lane_stats();
-        // 10 rows per evaluation → 2 full blocks + 2 scalar rows each.
+        // 10 rows per pass → 2 full blocks + 2 scalar rows each.
         assert!(lanes.row_blocks > 0);
         assert_eq!(lanes.scalar_rows, lanes.row_blocks);
-
-        let scalar = line_model(LaneMode::Scalar);
-        let mut core2 = LmCore::<2>::default();
-        core2.refine(&scalar, [0.0, 0.0], 100, 1e-14);
-        let lanes2 = core2.lane_stats();
-        assert_eq!(lanes2.row_blocks, 0);
-        assert!(lanes2.scalar_rows > 0);
-        // Same evaluations either way: 4·blocks + scalar is conserved.
-        assert_eq!(4 * lanes.row_blocks + lanes.scalar_rows, lanes2.scalar_rows);
+        // Every model evaluation and every normal-equation assembly (one
+        // per iteration) is one 10-row pass.
+        let stats = core.stats();
+        let passes = stats.residual_evals + stats.iterations;
+        assert_eq!(4 * lanes.row_blocks + lanes.scalar_rows, 10 * passes);
     }
 
     #[test]

@@ -140,18 +140,14 @@ pub mod id {
     /// wide residual/Jacobian lanes of the LM cores.
     pub const SOLVER_LANE_ROW_BLOCKS: usize = 44;
     /// `solver.lane_scalar_rows` — seeds/rows that fell through to the
-    /// scalar remainder or the scalar escape hatch.
+    /// scalar remainder or the table-free seed loop.
     pub const SOLVER_LANE_SCALAR_ROWS: usize = 45;
     /// `solver.lambda_retries` — damped-step λ retries beyond the first
-    /// attempt of each LM iteration (the re-solve tax the cached step
-    /// solver cuts to O(P²)).
+    /// attempt of each LM iteration.
     pub const SOLVER_LAMBDA_RETRIES: usize = 46;
     /// `solver.chol_failures` — damped normal equations rejected as
     /// non-positive-definite (factorization failures that escalate λ).
     pub const SOLVER_CHOL_FAILURES: usize = 47;
-    /// `solver.step_cached_solves` — O(P²) λ-resolves served from the
-    /// tridiagonal step cache (`StepSolver::Cached` only).
-    pub const SOLVER_STEP_CACHED_SOLVES: usize = 48;
 }
 
 #[cfg(feature = "obs")]
@@ -278,7 +274,7 @@ mod enabled {
         ),
         MetricDef::counter(
             "solver.lane_scalar_rows",
-            "seeds/rows handled by the scalar remainder or escape hatch",
+            "seeds/rows handled by the scalar remainder or table-free seed loop",
         ),
         MetricDef::counter(
             "solver.lambda_retries",
@@ -287,10 +283,6 @@ mod enabled {
         MetricDef::counter(
             "solver.chol_failures",
             "damped normal equations rejected as non-positive-definite",
-        ),
-        MetricDef::counter(
-            "solver.step_cached_solves",
-            "O(P^2) lambda-resolves served from the tridiagonal step cache",
         ),
     ];
 
@@ -486,7 +478,6 @@ mod enabled {
                 (SOLVER_LANE_SCALAR_ROWS, "solver.lane_scalar_rows"),
                 (SOLVER_LAMBDA_RETRIES, "solver.lambda_retries"),
                 (SOLVER_CHOL_FAILURES, "solver.chol_failures"),
-                (SOLVER_STEP_CACHED_SOLVES, "solver.step_cached_solves"),
             ];
             assert_eq!(by_idx.len(), METRICS.len());
             for (idx, name) in by_idx {

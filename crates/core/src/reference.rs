@@ -2,15 +2,16 @@
 //!
 //! These are the 2-D and 3-D disentangling solvers exactly as they stood
 //! before the [`LmCore`](crate::lm::LmCore) refactor: dynamically-sized
-//! parameter vectors recycled through a free-list, the shared
-//! [`LmWorkspace`] cores, scalar residual
-//! loops and non-hoisted `log10` RSSI penalties. They are kept for two
-//! reasons:
+//! parameter vectors recycled through a free-list, the shared dynamic
+//! [`LmWorkspace`] cores ([`levenberg_marquardt_analytic_with`],
+//! [`levenberg_marquardt_with`]), scalar residual loops and non-hoisted
+//! `log10` RSSI penalties. They are kept for two reasons:
 //!
 //! * the `solver_profile` bench measures the lane-parallel facades against
 //!   this baseline, so the speedup claim is reproducible on any machine;
 //! * the `lm_equivalence` suite uses them as an independent bit-exact
-//!   oracle for the const-generic facades.
+//!   oracle for the const-generic facades, and the `lm` unit tests pin
+//!   [`LmCore`](crate::lm::LmCore) against the dynamic cores directly.
 //!
 //! The only deliberate differences from the historical entry points are
 //! that the observability spans/counters and the pruning tallies are
@@ -23,8 +24,8 @@
 
 use crate::model::AntennaObservation;
 use crate::solver::{
-    levenberg_marquardt_analytic_with, levenberg_marquardt_with, JacobianMode, LmWorkspace,
-    SeedGeometry, SolveError, SolveSeeds, SolverConfig, TagEstimate2D, WarmStart,
+    JacobianMode, SeedGeometry, SolveError, SolveSeeds, SolveStats, SolverConfig, TagEstimate2D,
+    WarmStart,
 };
 use crate::solver3d::{
     SeedGeometry3D, Solve3DError, Solve3DSeeds, Solver3DConfig, TagEstimate3D, WarmStart3D,
@@ -32,6 +33,334 @@ use crate::solver3d::{
 use rfp_geom::{angle, Vec2, Vec3};
 use rfp_phys::polarization::{orientation_phase, planar_dipole, projection_magnitude};
 use rfp_phys::propagation;
+
+// ---------------------------------------------------------------------------
+// Dynamic LM cores
+// ---------------------------------------------------------------------------
+
+/// Reusable buffers for the dynamic LM cores: the residual, Jacobian and
+/// normal-equation storage whose allocation otherwise dominates small
+/// repeated solves. Contents are fully overwritten by every call — after
+/// the first solve sized the buffers, the steady state performs **zero**
+/// heap allocations in either core. The [`SolveStats`] counters accumulate
+/// monotonically; snapshot with [`LmWorkspace::stats`] and diff with
+/// [`SolveStats::since`].
+#[derive(Debug, Default)]
+pub struct LmWorkspace {
+    r: Vec<f64>,
+    r_plus: Vec<f64>,
+    r_minus: Vec<f64>,
+    /// Row-major `m × n` Jacobian.
+    jac: Vec<f64>,
+    /// Flat `n × n` normal matrix `JᵀJ`.
+    jtj: Vec<f64>,
+    /// Gradient `Jᵀr`.
+    jtr: Vec<f64>,
+    /// Damped-matrix / factorization buffer (Cholesky in the analytic
+    /// core, Gaussian elimination in the numeric core), recycled across
+    /// the λ retries of one iteration.
+    chol: Vec<f64>,
+    /// Step and trial-point buffers.
+    delta: Vec<f64>,
+    candidate: Vec<f64>,
+    stats: SolveStats,
+}
+
+impl LmWorkspace {
+    /// Snapshot of the work counters accumulated by every solve run
+    /// against this workspace; diff two snapshots with
+    /// [`SolveStats::since`] for per-solve counts.
+    pub fn stats(&self) -> SolveStats {
+        self.stats
+    }
+}
+
+/// Small dense Levenberg–Marquardt with numeric Jacobian and per-parameter
+/// step scales (MINPACK-style diagonal damping), over caller-owned
+/// scratch buffers. Returns the refined parameters and the final cost
+/// (sum of squared residuals).
+///
+/// `residual` fills its output vector with the residuals at the supplied
+/// parameters; `steps` gives the finite-difference step per parameter and
+/// must have the same length as `p`. This is the frozen numeric core the
+/// reference solvers run under [`JacobianMode::Numeric`], and the oracle
+/// [`LmCore::refine_numeric`](crate::lm::LmCore::refine_numeric) is
+/// pinned against bit for bit.
+#[allow(clippy::needless_range_loop)]
+pub fn levenberg_marquardt_with<F>(
+    workspace: &mut LmWorkspace,
+    residual: &F,
+    mut p: Vec<f64>,
+    steps: &[f64],
+    max_iterations: usize,
+    tolerance: f64,
+) -> (Vec<f64>, f64)
+where
+    F: Fn(&[f64], &mut Vec<f64>),
+{
+    let n = p.len();
+    debug_assert_eq!(steps.len(), n);
+    let LmWorkspace { r, r_plus, r_minus, jac, jtj, jtr, chol, delta, candidate, stats } =
+        workspace;
+    residual(&p, r);
+    stats.residual_evals += 1;
+    let mut cost: f64 = r.iter().map(|v| v * v).sum();
+    let m = r.len();
+
+    let mut lambda = 1e-3;
+    jac.clear();
+    jac.resize(m * n, 0.0);
+    jtj.clear();
+    jtj.resize(n * n, 0.0);
+    jtr.clear();
+    jtr.resize(n, 0.0);
+    chol.clear();
+    chol.resize(n * n, 0.0);
+    delta.clear();
+    delta.resize(n, 0.0);
+    candidate.clear();
+    candidate.resize(n, 0.0);
+
+    for _ in 0..max_iterations {
+        stats.iterations += 1;
+        // Numeric Jacobian (central differences with per-parameter steps).
+        for j in 0..n {
+            let h = steps[j];
+            let saved = p[j];
+            p[j] = saved + h;
+            residual(&p, r_plus);
+            p[j] = saved - h;
+            residual(&p, r_minus);
+            p[j] = saved;
+            for i in 0..m {
+                jac[i * n + j] = (r_plus[i] - r_minus[i]) / (2.0 * h);
+            }
+        }
+        stats.residual_evals += 2 * n as u64;
+        stats.jacobian_evals += 1;
+        // Normal equations (flat row-major, same accumulation order as the
+        // historical nested-Vec form — bit-identical results).
+        jtj.fill(0.0);
+        jtr.fill(0.0);
+        for i in 0..m {
+            for a in 0..n {
+                jtr[a] += jac[i * n + a] * r[i];
+                for b in a..n {
+                    jtj[a * n + b] += jac[i * n + a] * jac[i * n + b];
+                }
+            }
+        }
+        for a in 0..n {
+            for b in 0..a {
+                jtj[a * n + b] = jtj[b * n + a];
+            }
+        }
+
+        // Damped solve with retry on cost increase.
+        let mut improved = false;
+        for _ in 0..8 {
+            chol.copy_from_slice(jtj);
+            for d in 0..n {
+                chol[d * n + d] += lambda * jtj[d * n + d].max(1e-12);
+            }
+            for a in 0..n {
+                delta[a] = -jtr[a];
+            }
+            if !solve_linear_in_place(chol, n, delta) {
+                lambda *= 10.0;
+                continue;
+            }
+            for a in 0..n {
+                candidate[a] = p[a] + delta[a];
+            }
+            residual(candidate, r_plus);
+            stats.residual_evals += 1;
+            let new_cost: f64 = r_plus.iter().map(|v| v * v).sum();
+            if new_cost < cost {
+                let rel_drop = (cost - new_cost) / cost.max(1e-300);
+                p.copy_from_slice(candidate);
+                std::mem::swap(r, r_plus);
+                cost = new_cost;
+                lambda = (lambda / 3.0).max(1e-12);
+                improved = true;
+                if rel_drop < tolerance {
+                    return (p, cost);
+                }
+                break;
+            }
+            lambda *= 4.0;
+        }
+        if !improved {
+            break;
+        }
+    }
+    (p, cost)
+}
+
+/// Levenberg–Marquardt with an analytic Jacobian, over caller-owned
+/// scratch buffers — the frozen analytic core.
+///
+/// `resjac(p, r, jac)` fills `r` with the residuals at `p` and, when
+/// `jac` is `Some`, the row-major `m × n` Jacobian `∂r/∂p` in the same
+/// pass (the fused evaluation is why this core needs roughly one residual
+/// sweep per iteration where the numeric core needs `2n + 1`). The damping
+/// and retry policy matches [`levenberg_marquardt_with`]; the normal
+/// equations `(JᵀJ + λ·diag(JᵀJ))δ = −Jᵀr` are assembled once per
+/// iteration and solved by Cholesky, with only the damped diagonal
+/// rewritten across the λ-adaptation retries. The oracle
+/// [`LmCore::refine`](crate::lm::LmCore::refine) is pinned against.
+#[allow(clippy::needless_range_loop)]
+pub fn levenberg_marquardt_analytic_with<F>(
+    workspace: &mut LmWorkspace,
+    resjac: &F,
+    mut p: Vec<f64>,
+    max_iterations: usize,
+    tolerance: f64,
+) -> (Vec<f64>, f64)
+where
+    F: Fn(&[f64], &mut Vec<f64>, Option<&mut Vec<f64>>),
+{
+    let n = p.len();
+    let LmWorkspace { r, r_plus, jac, jtj, jtr, chol, delta, candidate, stats, .. } =
+        workspace;
+    resjac(&p, r, Some(jac));
+    stats.residual_evals += 1;
+    stats.jacobian_evals += 1;
+    let mut cost: f64 = r.iter().map(|v| v * v).sum();
+    let m = r.len();
+    debug_assert_eq!(jac.len(), m * n);
+
+    jtj.clear();
+    jtj.resize(n * n, 0.0);
+    jtr.clear();
+    jtr.resize(n, 0.0);
+    chol.clear();
+    chol.resize(n * n, 0.0);
+    delta.clear();
+    delta.resize(n, 0.0);
+    candidate.clear();
+    candidate.resize(n, 0.0);
+
+    let mut lambda = 1e-3;
+    // The Jacobian from the initial fused evaluation is current; after an
+    // accepted step it goes stale and the next iteration re-fuses.
+    let mut jac_fresh = true;
+
+    for _ in 0..max_iterations {
+        stats.iterations += 1;
+        if !jac_fresh {
+            resjac(&p, r, Some(jac));
+            stats.residual_evals += 1;
+            stats.jacobian_evals += 1;
+            jac_fresh = true;
+        }
+        // Assemble the normal equations once; the λ retries below reuse
+        // them and only re-damp the diagonal.
+        jtj.fill(0.0);
+        jtr.fill(0.0);
+        for i in 0..m {
+            let row = &jac[i * n..(i + 1) * n];
+            for a in 0..n {
+                jtr[a] += row[a] * r[i];
+                for b in a..n {
+                    jtj[a * n + b] += row[a] * row[b];
+                }
+            }
+        }
+        for a in 0..n {
+            for b in 0..a {
+                jtj[a * n + b] = jtj[b * n + a];
+            }
+        }
+
+        let mut improved = false;
+        for _ in 0..8 {
+            chol.copy_from_slice(jtj);
+            for d in 0..n {
+                chol[d * n + d] += lambda * jtj[d * n + d].max(1e-12);
+            }
+            if !cholesky_factor(chol, n) {
+                lambda *= 10.0;
+                continue;
+            }
+            for a in 0..n {
+                delta[a] = -jtr[a];
+            }
+            cholesky_solve(chol, n, delta);
+            for a in 0..n {
+                candidate[a] = p[a] + delta[a];
+            }
+            resjac(candidate, r_plus, None);
+            stats.residual_evals += 1;
+            let new_cost: f64 = r_plus.iter().map(|v| v * v).sum();
+            if new_cost < cost {
+                let rel_drop = (cost - new_cost) / cost.max(1e-300);
+                p.copy_from_slice(candidate);
+                std::mem::swap(r, r_plus);
+                cost = new_cost;
+                lambda = (lambda / 3.0).max(1e-12);
+                improved = true;
+                jac_fresh = false;
+                if rel_drop < tolerance {
+                    return (p, cost);
+                }
+                break;
+            }
+            lambda *= 4.0;
+        }
+        if !improved {
+            break;
+        }
+    }
+    (p, cost)
+}
+
+/// In-place Gaussian elimination with partial pivoting over a flat
+/// row-major `n × n` matrix; on success the solution overwrites `b`.
+/// Returns `false` when singular (contents of `a`/`b` are then
+/// unspecified). Allocation-free — the numeric LM core calls this once
+/// per λ retry against workspace scratch. Pivot selection, elimination
+/// order and back-substitution match the historical nested-`Vec` routine
+/// exactly, so the numeric core stays the bit-exact oracle it was.
+#[allow(clippy::needless_range_loop)]
+fn solve_linear_in_place(a: &mut [f64], n: usize, b: &mut [f64]) -> bool {
+    for col in 0..n {
+        // Pivot.
+        let mut pivot = col;
+        for row in (col + 1)..n {
+            if a[row * n + col].abs() > a[pivot * n + col].abs() {
+                pivot = row;
+            }
+        }
+        if a[pivot * n + col].abs() < 1e-300 {
+            return false;
+        }
+        if pivot != col {
+            for k in 0..n {
+                a.swap(col * n + k, pivot * n + k);
+            }
+            b.swap(col, pivot);
+        }
+        // Eliminate below.
+        for row in (col + 1)..n {
+            let factor = a[row * n + col] / a[col * n + col];
+            for k in col..n {
+                a[row * n + k] -= factor * a[col * n + k];
+            }
+            b[row] -= factor * b[col];
+        }
+    }
+    // Back substitution, in place: step `col` only reads `b[k]` for
+    // `k > col`, which already hold solution entries.
+    for col in (0..n).rev() {
+        let mut s = b[col];
+        for k in (col + 1)..n {
+            s -= a[col * n + k] * b[k];
+        }
+        b[col] = s / a[col * n + col];
+    }
+    true
+}
 
 // ---------------------------------------------------------------------------
 // 2-D reference solver
@@ -1345,6 +1674,77 @@ mod tests {
 
     fn region() -> Region2 {
         Scene::standard_2d().region()
+    }
+
+    #[test]
+    fn lm_minimizes_quadratic() {
+        // Sanity-check the numeric LM core on a known problem:
+        // fit y = a·x + b.
+        let data: Vec<(f64, f64)> = (0..10).map(|i| (i as f64, 2.0 * i as f64 - 3.0)).collect();
+        let residual = |p: &[f64], out: &mut Vec<f64>| {
+            out.clear();
+            for (x, y) in &data {
+                out.push(y - (p[0] * x + p[1]));
+            }
+        };
+        let mut ws = LmWorkspace::default();
+        let (p, cost) =
+            levenberg_marquardt_with(&mut ws, &residual, vec![0.0, 0.0], &[1e-5, 1e-5], 100, 1e-14);
+        assert!((p[0] - 2.0).abs() < 1e-6);
+        assert!((p[1] + 3.0).abs() < 1e-6);
+        assert!(cost < 1e-10);
+    }
+
+    #[test]
+    fn analytic_lm_minimizes_quadratic() {
+        // Same fit through the analytic core: r = y − (a·x + b),
+        // ∂r/∂a = −x, ∂r/∂b = −1.
+        let data: Vec<(f64, f64)> = (0..10).map(|i| (i as f64, 2.0 * i as f64 - 3.0)).collect();
+        let resjac = |p: &[f64], r: &mut Vec<f64>, jac: Option<&mut Vec<f64>>| {
+            r.clear();
+            let mut jac = jac;
+            if let Some(j) = jac.as_deref_mut() {
+                j.clear();
+            }
+            for (x, y) in &data {
+                r.push(y - (p[0] * x + p[1]));
+                if let Some(j) = jac.as_deref_mut() {
+                    j.push(-x);
+                    j.push(-1.0);
+                }
+            }
+        };
+        let mut ws = LmWorkspace::default();
+        let (p, cost) =
+            levenberg_marquardt_analytic_with(&mut ws, &resjac, vec![0.0, 0.0], 100, 1e-14);
+        assert!((p[0] - 2.0).abs() < 1e-6);
+        assert!((p[1] + 3.0).abs() < 1e-6);
+        assert!(cost < 1e-10);
+    }
+
+    #[test]
+    fn solve_linear_rejects_singular() {
+        let mut a = [1.0, 2.0, 2.0, 4.0];
+        let mut b = [1.0, 2.0];
+        assert!(!solve_linear_in_place(&mut a, 2, &mut b));
+        let mut a = [2.0, 0.0, 0.0, 0.5];
+        let mut x = [4.0, 1.0];
+        assert!(solve_linear_in_place(&mut a, 2, &mut x));
+        assert!((x[0] - 2.0).abs() < 1e-12 && (x[1] - 2.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn solve_linear_pivots_correctly() {
+        // Requires a row swap (zero leading pivot); check A·x = b.
+        let a0 = [0.0, 2.0, 1.0, 1.0, 1.0, 0.5, 3.0, 0.1, 2.0];
+        let b0 = [1.0, 2.0, 3.0];
+        let mut a = a0;
+        let mut x = b0;
+        assert!(solve_linear_in_place(&mut a, 3, &mut x));
+        for i in 0..3 {
+            let ax: f64 = (0..3).map(|j| a0[i * 3 + j] * x[j]).sum();
+            assert!((ax - b0[i]).abs() < 1e-10, "row {i}: {ax} vs {}", b0[i]);
+        }
     }
 
     #[test]

@@ -13,15 +13,16 @@
 //! multi-start over the working region × orientation grid followed by
 //! Levenberg–Marquardt refinement finds the global optimum reliably.
 //!
-//! Two LM cores share the damping/retry policy:
+//! One LM engine, [`LmCore`], refines every start, along one of two
+//! Jacobian paths that share its damping/retry policy:
 //!
-//! * [`levenberg_marquardt_analytic_with`] — the default hot path. The
-//!   residuals of Eq. 6 are closed-form differentiable, so each iteration
-//!   evaluates the residuals *and* the exact Jacobian in one fused pass
-//!   (DESIGN.md §6 derives ∂r/∂p) and solves the SPD normal equations
+//! * [`LmCore::refine`] — the default hot path. The residuals of Eq. 6
+//!   are closed-form differentiable, so each iteration evaluates the
+//!   residuals *and* the exact Jacobian in one fused pass (DESIGN.md §6
+//!   derives ∂r/∂p) and solves the SPD normal equations
 //!   `(JᵀJ + λD)δ = −Jᵀr` by Cholesky, re-damping only the diagonal across
 //!   the λ-adaptation retries of an iteration.
-//! * [`levenberg_marquardt_with`] — the numeric fallback and test oracle:
+//! * [`LmCore::refine_numeric`] — the numeric fallback and test oracle:
 //!   central-difference Jacobian (2 residual sweeps per parameter per
 //!   iteration) with per-parameter step scales, MINPACK style, selected
 //!   with [`JacobianMode::Numeric`]. Parameter magnitudes differ wildly
@@ -49,17 +50,14 @@
 //! [`LmCore`] (`LmCore<5>` for the joint problem,
 //! `LmCore<3>` for stage 1), the problem physics sits behind
 //! [`ResidualModel`] implementations, and the
-//! residual/seed-ranking hot loops run in explicit 4-wide lanes
-//! ([`LaneMode`], escape hatch
-//! [`SolverConfig::lane_mode`]). The pre-refactor solver is frozen
-//! verbatim in [`crate::reference`] as the bit-exact oracle the facade is
-//! pinned against (see DESIGN.md §6).
+//! residual/seed-ranking hot loops run in explicit 4-wide lanes. The
+//! pre-refactor solver is frozen verbatim in [`crate::reference`] as the
+//! bit-exact oracle the facade is pinned against (see DESIGN.md §6).
 
-use crate::lm::{LaneMode, LaneStats, LmCore, ResidualModel, StepSolver, StepStats};
+use crate::lm::{LaneStats, LmCore, ResidualModel, StepStats};
 use crate::model::AntennaObservation;
 use crate::obs;
 use rfp_geom::{angle, AntennaPose, Region2, Vec2, Vec3};
-use rfp_dsp::trig::{poly_atan2x4, poly_sin_cos};
 use rfp_phys::polarization::{orientation_phase, planar_dipole, projection_magnitude};
 use rfp_phys::propagation;
 
@@ -70,15 +68,15 @@ pub enum JacobianMode {
     /// residuals, normal equations solved by Cholesky — the default.
     #[default]
     Analytic,
-    /// Central-difference Jacobian through the numeric
-    /// [`levenberg_marquardt_with`] core — the config-selectable fallback
-    /// and the oracle the analytic path is verified against in tests.
+    /// Central-difference Jacobian through [`LmCore::refine_numeric`] —
+    /// the config-selectable fallback and the oracle the analytic path is
+    /// verified against in tests.
     Numeric,
 }
 
 /// Work counters of the LM cores, for profiling (see the `solver_profile`
 /// bench). Counters accumulate monotonically per workspace; snapshot them
-/// with [`LmWorkspace::stats`] (or the workspace-level `stats`) before and
+/// with [`LmCore::stats`] (or the workspace-level `stats`) before and
 /// after a solve and diff with [`SolveStats::since`] for per-solve counts.
 ///
 /// The numeric core charges each finite-difference sweep as one residual
@@ -405,18 +403,6 @@ pub struct SolverConfig {
     /// refinement and an α scan — a value the scan itself could reach).
     /// Teleporting tags fail the gate and fall back to the full scan.
     pub warm_gate_rel_tol: f64,
-    /// How the hot loops (coarse seed ranking, residual/Jacobian rows)
-    /// traverse their data: explicit 4-wide lanes (default) or the plain
-    /// scalar loop. Both produce bit-identical results — rows are
-    /// independent and written in a fixed order — so this is purely an
-    /// escape hatch / A-B switch (see [`LaneMode`]).
-    pub lane_mode: LaneMode,
-    /// How each damped LM step `(JᵀJ + λD)δ = −Jᵀr` is solved: a fresh
-    /// Cholesky factorization per λ attempt (default, the frozen
-    /// bit-identity reference) or the tridiagonal cache that factors
-    /// `JᵀJ` once per λ ladder and resolves further retries in O(P²)
-    /// (see [`StepSolver`], pinned ≤1e-9 against the default).
-    pub step_solver: StepSolver,
 }
 
 impl Default for SolverConfig {
@@ -433,8 +419,6 @@ impl Default for SolverConfig {
             refine_top_k: Some(8),
             early_exit_rel_tol: 0.5,
             warm_gate_rel_tol: 0.25,
-            lane_mode: LaneMode::Wide4,
-            step_solver: StepSolver::Cholesky,
         }
     }
 }
@@ -706,12 +690,12 @@ pub fn solve_2d_tracking_warm(
 /// (cost, index) key makes the ordering total, so the unstable
 /// (allocation-free) sort is deterministic.
 ///
-/// With geometry tables and [`LaneMode::Wide4`] the ranking evaluates 4
-/// seeds per pass over the slope table: the two per-seed accumulations
-/// (`k_t` seed mean, then the cost) run in 4 independent lanes whose
-/// per-seed operation order over the antennas is exactly the scalar
-/// loop's, so the lane path is bit-identical to
-/// [`coarse_seed_cost_2d`].
+/// With geometry tables the ranking evaluates 4 seeds per pass over the
+/// slope table: the two per-seed accumulations (`k_t` seed mean, then the
+/// cost) run in 4 independent lanes whose per-seed operation order over
+/// the antennas is exactly the scalar loop's, so the lane path is
+/// bit-identical to [`coarse_seed_cost_2d`]. Without tables every seed
+/// takes the scalar loop.
 fn rank_coarse_2d(
     observations: &[AntennaObservation],
     geometry: Option<&SeedGeometry>,
@@ -722,8 +706,8 @@ fn rank_coarse_2d(
 ) {
     let _rank_span = obs::span("seed_rank");
     coarse.clear();
-    match (geometry, config.lane_mode) {
-        (Some(g), LaneMode::Wide4 | LaneMode::Padded4) => {
+    match geometry {
+        Some(g) => {
             let n = observations.len();
             let total = seeds.position_starts.len();
             let mut s = 0usize;
@@ -757,7 +741,7 @@ fn rank_coarse_2d(
                 lanes.scalar_rows += 1;
             }
         }
-        _ => {
+        None => {
             for (s, &seed_pos) in seeds.position_starts.iter().enumerate() {
                 let (kt0, cost) =
                     coarse_seed_cost_2d(observations, geometry, s, seed_pos, config);
@@ -1338,7 +1322,6 @@ fn flush_obs_2d(
     obs::counter_add(obs::id::SOLVER_LANE_SCALAR_ROWS, lane_work.scalar_rows);
     obs::counter_add(obs::id::SOLVER_LAMBDA_RETRIES, step_work.lambda_retries);
     obs::counter_add(obs::id::SOLVER_CHOL_FAILURES, step_work.chol_failures);
-    obs::counter_add(obs::id::SOLVER_STEP_CACHED_SOLVES, step_work.cached_solves);
     if warm_hit {
         obs::counter_add(obs::id::SOLVER_WARM_HITS, 1);
     }
@@ -1365,10 +1348,6 @@ impl ResidualModel<5> for Joint2<'_> {
     fn eval(&self, p: &[f64; 5], r: &mut Vec<f64>, jac: Option<&mut Vec<f64>>) {
         residuals_and_jacobian_2d(self.observations, p, self.config, r, jac);
     }
-
-    fn lane_mode(&self) -> LaneMode {
-        self.config.lane_mode
-    }
 }
 
 /// The stage-1 slope-only `(x, y, k_t)` problem as a [`ResidualModel`].
@@ -1380,10 +1359,6 @@ struct Slope2<'a> {
 impl ResidualModel<3> for Slope2<'_> {
     fn eval(&self, p: &[f64; 3], r: &mut Vec<f64>, jac: Option<&mut Vec<f64>>) {
         slope_residuals_and_jacobian_2d(self.observations, p, self.config, r, jac);
-    }
-
-    fn lane_mode(&self) -> LaneMode {
-        self.config.lane_mode
     }
 }
 
@@ -1397,13 +1372,9 @@ fn refine_joint_2d(
 ) -> ([f64; 5], f64) {
     let model = Joint2 { observations, config };
     match config.jacobian {
-        JacobianMode::Analytic => core.refine_with(
-            &model,
-            p0,
-            config.max_iterations,
-            config.tolerance,
-            config.step_solver,
-        ),
+        JacobianMode::Analytic => {
+            core.refine(&model, p0, config.max_iterations, config.tolerance)
+        }
         JacobianMode::Numeric => core.refine_numeric(
             &model,
             p0,
@@ -1424,13 +1395,9 @@ fn refine_slope_2d(
 ) -> ([f64; 3], f64) {
     let model = Slope2 { observations, config };
     match config.jacobian {
-        JacobianMode::Analytic => core.refine_with(
-            &model,
-            p0,
-            config.max_iterations,
-            config.tolerance,
-            config.step_solver,
-        ),
+        JacobianMode::Analytic => {
+            core.refine(&model, p0, config.max_iterations, config.tolerance)
+        }
         JacobianMode::Numeric => core.refine_numeric(
             &model,
             p0,
@@ -1704,16 +1671,7 @@ pub fn residuals_and_jacobian_2d(
 ) {
     let pos = Vec2::new(p[0], p[1]).with_z(0.0);
     let alpha = p[2];
-    // The padded polynomial mode also evaluates the dipole preamble with
-    // the polynomial (sin, cos) — one pair per residual evaluation, paid
-    // on every λ attempt, so it rides the same ≲1e-12 trig budget as the
-    // per-row polynomial atan2 (pinned ≤1e-9 on full solves).
-    let w = if config.lane_mode == LaneMode::Padded4 {
-        let (s, c) = poly_sin_cos(alpha);
-        Vec3::new(c, 0.0, s)
-    } else {
-        planar_dipole(alpha)
-    };
+    let w = planar_dipole(alpha);
     // d/dα of the planar dipole (a rotation in the x–z plane): the same
     // sine/cosine pair as `w`, so the derivative costs no further trig —
     // `-w.z` and `w.x` are bit-identical to `-alpha.sin()` / `alpha.cos()`.
@@ -1727,69 +1685,28 @@ pub fn residuals_and_jacobian_2d(
     }
     let mut jac: Option<&mut [f64]> = jac.map(Vec::as_mut_slice);
     let k1 = propagation::slope_from_distance(1.0); // 4π/c
-    match config.lane_mode {
-        LaneMode::Wide4 => {
-            // Four independent antenna rows per pass. Each lane writes its
-            // own residual/Jacobian rows and rows are emitted in antenna
-            // order, so the unrolled path is bit-identical to the scalar
-            // loop — there is no cross-lane reduction to reorder.
-            let mut chunks = observations.chunks_exact(4);
-            let mut i = 0usize;
-            for c in chunks.by_ref() {
-                joint_row_2d(&c[0], i, pos, w, dw, kt, bt, k1, config, r, jac.as_deref_mut());
-                joint_row_2d(&c[1], i + 1, pos, w, dw, kt, bt, k1, config, r, jac.as_deref_mut());
-                joint_row_2d(&c[2], i + 2, pos, w, dw, kt, bt, k1, config, r, jac.as_deref_mut());
-                joint_row_2d(&c[3], i + 3, pos, w, dw, kt, bt, k1, config, r, jac.as_deref_mut());
-                i += 4;
-            }
-            for o in chunks.remainder() {
-                joint_row_2d(o, i, pos, w, dw, kt, bt, k1, config, r, jac.as_deref_mut());
-                i += 1;
-            }
-        }
-        LaneMode::Padded4 => {
-            // Every pass works on a full 4-lane block: the trailing block
-            // is padded by repeating the last antenna and the padded
-            // lanes' outputs discarded, so a 6-row 2-D scene fills two
-            // wide passes instead of one wide + two scalar rows. The
-            // orientation phase runs through the polynomial `atan2`
-            // lanes — the one place this mode differs numerically from
-            // the bit-identity modes (≲1e-13 per row, pinned ≤1e-9 on
-            // full solves).
-            let n = observations.len();
-            let mut i = 0usize;
-            while i < n {
-                let live = (n - i).min(4);
-                let at = |l: usize| &observations[i + l.min(live - 1)];
-                let obs4 = [at(0), at(1), at(2), at(3)];
-                joint_rows_padded_2d(
-                    &obs4,
-                    live,
-                    i,
-                    pos,
-                    w,
-                    dw,
-                    kt,
-                    bt,
-                    k1,
-                    config,
-                    r,
-                    jac.as_deref_mut(),
-                );
-                i += live;
-            }
-        }
-        LaneMode::Scalar => {
-            for (i, o) in observations.iter().enumerate() {
-                joint_row_2d(o, i, pos, w, dw, kt, bt, k1, config, r, jac.as_deref_mut());
-            }
-        }
+    // Four independent antenna rows per pass. Each lane writes its own
+    // residual/Jacobian rows and rows are emitted in antenna order, so the
+    // unrolled path is bit-identical to a scalar loop — there is no
+    // cross-lane reduction to reorder.
+    let mut chunks = observations.chunks_exact(4);
+    let mut i = 0usize;
+    for c in chunks.by_ref() {
+        joint_row_2d(&c[0], i, pos, w, dw, kt, bt, k1, config, r, jac.as_deref_mut());
+        joint_row_2d(&c[1], i + 1, pos, w, dw, kt, bt, k1, config, r, jac.as_deref_mut());
+        joint_row_2d(&c[2], i + 2, pos, w, dw, kt, bt, k1, config, r, jac.as_deref_mut());
+        joint_row_2d(&c[3], i + 3, pos, w, dw, kt, bt, k1, config, r, jac.as_deref_mut());
+        i += 4;
+    }
+    for o in chunks.remainder() {
+        joint_row_2d(o, i, pos, w, dw, kt, bt, k1, config, r, jac.as_deref_mut());
+        i += 1;
     }
 }
 
 /// One antenna's slope + wrapped-intercept rows (and, when `jac` is given,
 /// their Jacobian rows) of the joint 2-D problem — the body shared by the
-/// 4-wide lanes and the scalar loop of [`residuals_and_jacobian_2d`].
+/// 4-wide lanes and the remainder loop of [`residuals_and_jacobian_2d`].
 #[allow(clippy::too_many_arguments)]
 #[inline(always)]
 fn joint_row_2d(
@@ -1840,77 +1757,6 @@ fn joint_row_2d(
     }
 }
 
-/// The [`LaneMode::Padded4`] block kernel of
-/// [`residuals_and_jacobian_2d`]: four antennas' scalars gathered into
-/// lane arrays, the orientation phase evaluated through the 4-lane
-/// polynomial [`poly_atan2x4`], and the `live` real rows emitted in
-/// antenna order (padded lanes compute and are discarded). All row
-/// expressions besides `θ = atan2(2·uw·vw, uw² − vw²)` are the exact
-/// scalar ones, so only the polynomial `atan2` separates this mode from
-/// the bit-identity paths.
-#[allow(clippy::too_many_arguments)]
-#[inline(always)]
-fn joint_rows_padded_2d(
-    obs4: &[&AntennaObservation; 4],
-    live: usize,
-    base: usize,
-    pos: Vec3,
-    w: Vec3,
-    dw: Vec3,
-    kt: f64,
-    bt: f64,
-    k1: f64,
-    config: &SolverConfig,
-    r: &mut Vec<f64>,
-    jac: Option<&mut [f64]>,
-) {
-    let mut d = [0.0f64; 4];
-    let mut uw = [0.0f64; 4];
-    let mut vw = [0.0f64; 4];
-    let mut ty = [0.0f64; 4];
-    let mut tx = [0.0f64; 4];
-    for l in 0..4 {
-        let o = obs4[l];
-        d[l] = o.pose.position().distance(pos);
-        uw[l] = o.pose.u().dot(w);
-        vw[l] = o.pose.v().dot(w);
-        ty[l] = 2.0 * uw[l] * vw[l];
-        tx[l] = uw[l] * uw[l] - vw[l] * vw[l];
-    }
-    let th = poly_atan2x4(ty, tx);
-    for l in 0..live {
-        let o = obs4[l];
-        let k_model = propagation::slope_from_distance(d[l]) + kt;
-        r.push((o.slope - k_model) / config.slope_sigma);
-        let denom = uw[l] * uw[l] + vw[l] * vw[l];
-        // Same degenerate-dipole guard as the scalar row.
-        let theta = if denom < 1e-24 { 0.0 } else { th[l] };
-        r.push(angle::wrap_pi(o.intercept - (theta + bt)) / config.intercept_sigma);
-    }
-    if let Some(j) = jac {
-        for l in 0..live {
-            let o = obs4[l];
-            let ap = o.pose.position();
-            let rs = 2 * (base + l) * 5;
-            let g = if d[l] > 1e-12 { -k1 / (d[l] * config.slope_sigma) } else { 0.0 };
-            j[rs] = g * (pos.x - ap.x);
-            j[rs + 1] = g * (pos.y - ap.y);
-            j[rs + 3] = -1.0 / config.slope_sigma;
-            let rb = rs + 5;
-            let denom = uw[l] * uw[l] + vw[l] * vw[l];
-            let dtheta = if denom < 1e-24 {
-                0.0
-            } else {
-                let uwp = o.pose.u().dot(dw);
-                let vwp = o.pose.v().dot(dw);
-                2.0 * (uw[l] * vwp - vw[l] * uwp) / denom
-            };
-            j[rb + 2] = -dtheta / config.intercept_sigma;
-            j[rb + 4] = -1.0 / config.intercept_sigma;
-        }
-    }
-}
-
 /// The N sigma-normalized slope residuals at `p = (x, y, k_t)` and,
 /// when `jac` is given, their row-major `N × 3` analytic Jacobian — the
 /// stage-1 seeding problem.
@@ -1931,87 +1777,25 @@ fn slope_residuals_and_jacobian_2d(
     }
     let mut jac: Option<&mut [f64]> = jac.map(Vec::as_mut_slice);
     let k1 = propagation::slope_from_distance(1.0);
-    match config.lane_mode {
-        LaneMode::Wide4 => {
-            // See `residuals_and_jacobian_2d`: independent rows in antenna
-            // order, bit-identical to the scalar loop.
-            let mut chunks = observations.chunks_exact(4);
-            let mut i = 0usize;
-            for c in chunks.by_ref() {
-                slope_row_2d(&c[0], i, pos, kt, k1, config, r, jac.as_deref_mut());
-                slope_row_2d(&c[1], i + 1, pos, kt, k1, config, r, jac.as_deref_mut());
-                slope_row_2d(&c[2], i + 2, pos, kt, k1, config, r, jac.as_deref_mut());
-                slope_row_2d(&c[3], i + 3, pos, kt, k1, config, r, jac.as_deref_mut());
-                i += 4;
-            }
-            for o in chunks.remainder() {
-                slope_row_2d(o, i, pos, kt, k1, config, r, jac.as_deref_mut());
-                i += 1;
-            }
-        }
-        LaneMode::Padded4 => {
-            // Padded full blocks, as in `residuals_and_jacobian_2d`. The
-            // slope rows involve no trig, so this arm is bit-identical to
-            // the scalar loop — padding only changes which lanes are
-            // discarded.
-            let n = observations.len();
-            let mut i = 0usize;
-            while i < n {
-                let live = (n - i).min(4);
-                let at = |l: usize| &observations[i + l.min(live - 1)];
-                let obs4 = [at(0), at(1), at(2), at(3)];
-                slope_rows_padded_2d(&obs4, live, i, pos, kt, k1, config, r, jac.as_deref_mut());
-                i += live;
-            }
-        }
-        LaneMode::Scalar => {
-            for (i, o) in observations.iter().enumerate() {
-                slope_row_2d(o, i, pos, kt, k1, config, r, jac.as_deref_mut());
-            }
-        }
+    // See `residuals_and_jacobian_2d`: independent rows in antenna order,
+    // bit-identical to a scalar loop.
+    let mut chunks = observations.chunks_exact(4);
+    let mut i = 0usize;
+    for c in chunks.by_ref() {
+        slope_row_2d(&c[0], i, pos, kt, k1, config, r, jac.as_deref_mut());
+        slope_row_2d(&c[1], i + 1, pos, kt, k1, config, r, jac.as_deref_mut());
+        slope_row_2d(&c[2], i + 2, pos, kt, k1, config, r, jac.as_deref_mut());
+        slope_row_2d(&c[3], i + 3, pos, kt, k1, config, r, jac.as_deref_mut());
+        i += 4;
     }
-}
-
-/// The [`LaneMode::Padded4`] block kernel of
-/// [`slope_residuals_and_jacobian_2d`]: four antenna distances per pass
-/// (trailing block padded with the last antenna), `live` real rows
-/// emitted in antenna order. Expressions are exactly the scalar row's,
-/// so the padded slope path is bit-identical.
-#[allow(clippy::too_many_arguments)]
-#[inline(always)]
-fn slope_rows_padded_2d(
-    obs4: &[&AntennaObservation; 4],
-    live: usize,
-    base: usize,
-    pos: Vec3,
-    kt: f64,
-    k1: f64,
-    config: &SolverConfig,
-    r: &mut Vec<f64>,
-    jac: Option<&mut [f64]>,
-) {
-    let mut d = [0.0f64; 4];
-    for l in 0..4 {
-        d[l] = obs4[l].pose.position().distance(pos);
-    }
-    for l in 0..live {
-        let o = obs4[l];
-        r.push((o.slope - propagation::slope_from_distance(d[l]) - kt) / config.slope_sigma);
-    }
-    if let Some(j) = jac {
-        for l in 0..live {
-            let ap = obs4[l].pose.position();
-            let i = base + l;
-            let g = if d[l] > 1e-12 { -k1 / (d[l] * config.slope_sigma) } else { 0.0 };
-            j[i * 3] = g * (pos.x - ap.x);
-            j[i * 3 + 1] = g * (pos.y - ap.y);
-            j[i * 3 + 2] = -1.0 / config.slope_sigma;
-        }
+    for o in chunks.remainder() {
+        slope_row_2d(o, i, pos, kt, k1, config, r, jac.as_deref_mut());
+        i += 1;
     }
 }
 
 /// One antenna's slope row (and Jacobian row) of the stage-1 problem —
-/// the body shared by the 4-wide lanes and the scalar loop of
+/// the body shared by the 4-wide lanes and the remainder loop of
 /// [`slope_residuals_and_jacobian_2d`].
 #[allow(clippy::too_many_arguments)]
 #[inline(always)]
@@ -2034,347 +1818,6 @@ fn slope_row_2d(
         j[i * 3 + 1] = g * (pos.y - ap.y);
         j[i * 3 + 2] = -1.0 / config.slope_sigma;
     }
-}
-
-/// Small dense Levenberg–Marquardt with numeric Jacobian and per-parameter
-/// step scales (MINPACK-style diagonal damping). Returns the refined
-/// parameters and the final cost (sum of squared residuals).
-///
-/// `residual` fills its output vector with the residuals at the supplied
-/// parameters; `steps` gives the finite-difference step per parameter and
-/// must have the same length as `p`. Exposed publicly because the
-/// baselines reuse it for their own small least-squares problems.
-///
-/// # Example
-///
-/// ```
-/// use rfp_core::solver::levenberg_marquardt;
-/// // Fit y = a·x to the points (1, 2), (2, 4).
-/// let residual = |p: &[f64], out: &mut Vec<f64>| {
-///     out.clear();
-///     out.push(2.0 - p[0] * 1.0);
-///     out.push(4.0 - p[0] * 2.0);
-/// };
-/// let (p, cost) = levenberg_marquardt(&residual, vec![0.0], &[1e-6], 50, 1e-14);
-/// assert!((p[0] - 2.0).abs() < 1e-8);
-/// assert!(cost < 1e-12);
-/// ```
-pub fn levenberg_marquardt<F>(
-    residual: &F,
-    p: Vec<f64>,
-    steps: &[f64],
-    max_iterations: usize,
-    tolerance: f64,
-) -> (Vec<f64>, f64)
-where
-    F: Fn(&[f64], &mut Vec<f64>),
-{
-    let mut workspace = LmWorkspace::default();
-    levenberg_marquardt_with(&mut workspace, residual, p, steps, max_iterations, tolerance)
-}
-
-/// Reusable buffers for the LM cores: the residual, Jacobian and
-/// normal-equation storage whose allocation otherwise dominates small
-/// repeated solves. Contents are fully overwritten by every call — after
-/// the first solve sized the buffers, the steady state performs **zero**
-/// heap allocations in either core. The [`SolveStats`] counters accumulate
-/// monotonically; snapshot with [`LmWorkspace::stats`] and diff with
-/// [`SolveStats::since`].
-#[derive(Debug, Default)]
-pub struct LmWorkspace {
-    r: Vec<f64>,
-    r_plus: Vec<f64>,
-    r_minus: Vec<f64>,
-    /// Row-major `m × n` Jacobian.
-    jac: Vec<f64>,
-    /// Flat `n × n` normal matrix `JᵀJ`.
-    jtj: Vec<f64>,
-    /// Gradient `Jᵀr`.
-    jtr: Vec<f64>,
-    /// Damped-matrix / factorization buffer (Cholesky in the analytic
-    /// core, Gaussian elimination in the numeric core), recycled across
-    /// the λ retries of one iteration.
-    chol: Vec<f64>,
-    /// Step and trial-point buffers.
-    delta: Vec<f64>,
-    candidate: Vec<f64>,
-    stats: SolveStats,
-}
-
-impl LmWorkspace {
-    /// Snapshot of the work counters accumulated by every solve run
-    /// against this workspace; diff two snapshots with
-    /// [`SolveStats::since`] for per-solve counts.
-    pub fn stats(&self) -> SolveStats {
-        self.stats
-    }
-}
-
-/// [`levenberg_marquardt`] with caller-owned scratch buffers; produces
-/// bit-identical results. This is the numeric-fallback core
-/// ([`JacobianMode::Numeric`]) and the oracle the analytic core is tested
-/// against; the batch engine reuses one [`LmWorkspace`] per worker thread
-/// across every solve that worker performs.
-#[allow(clippy::needless_range_loop)]
-pub fn levenberg_marquardt_with<F>(
-    workspace: &mut LmWorkspace,
-    residual: &F,
-    mut p: Vec<f64>,
-    steps: &[f64],
-    max_iterations: usize,
-    tolerance: f64,
-) -> (Vec<f64>, f64)
-where
-    F: Fn(&[f64], &mut Vec<f64>),
-{
-    let n = p.len();
-    debug_assert_eq!(steps.len(), n);
-    let LmWorkspace { r, r_plus, r_minus, jac, jtj, jtr, chol, delta, candidate, stats } =
-        workspace;
-    residual(&p, r);
-    stats.residual_evals += 1;
-    let mut cost: f64 = r.iter().map(|v| v * v).sum();
-    let m = r.len();
-
-    let mut lambda = 1e-3;
-    jac.clear();
-    jac.resize(m * n, 0.0);
-    jtj.clear();
-    jtj.resize(n * n, 0.0);
-    jtr.clear();
-    jtr.resize(n, 0.0);
-    chol.clear();
-    chol.resize(n * n, 0.0);
-    delta.clear();
-    delta.resize(n, 0.0);
-    candidate.clear();
-    candidate.resize(n, 0.0);
-
-    for _ in 0..max_iterations {
-        stats.iterations += 1;
-        // Numeric Jacobian (central differences with per-parameter steps).
-        for j in 0..n {
-            let h = steps[j];
-            let saved = p[j];
-            p[j] = saved + h;
-            residual(&p, r_plus);
-            p[j] = saved - h;
-            residual(&p, r_minus);
-            p[j] = saved;
-            for i in 0..m {
-                jac[i * n + j] = (r_plus[i] - r_minus[i]) / (2.0 * h);
-            }
-        }
-        stats.residual_evals += 2 * n as u64;
-        stats.jacobian_evals += 1;
-        // Normal equations (flat row-major, same accumulation order as the
-        // historical nested-Vec form — bit-identical results).
-        jtj.fill(0.0);
-        jtr.fill(0.0);
-        for i in 0..m {
-            for a in 0..n {
-                jtr[a] += jac[i * n + a] * r[i];
-                for b in a..n {
-                    jtj[a * n + b] += jac[i * n + a] * jac[i * n + b];
-                }
-            }
-        }
-        for a in 0..n {
-            for b in 0..a {
-                jtj[a * n + b] = jtj[b * n + a];
-            }
-        }
-
-        // Damped solve with retry on cost increase.
-        let mut improved = false;
-        for _ in 0..8 {
-            chol.copy_from_slice(jtj);
-            for d in 0..n {
-                chol[d * n + d] += lambda * jtj[d * n + d].max(1e-12);
-            }
-            for a in 0..n {
-                delta[a] = -jtr[a];
-            }
-            if !solve_linear_in_place(chol, n, delta) {
-                lambda *= 10.0;
-                continue;
-            }
-            for a in 0..n {
-                candidate[a] = p[a] + delta[a];
-            }
-            residual(candidate, r_plus);
-            stats.residual_evals += 1;
-            let new_cost: f64 = r_plus.iter().map(|v| v * v).sum();
-            if new_cost < cost {
-                let rel_drop = (cost - new_cost) / cost.max(1e-300);
-                p.copy_from_slice(candidate);
-                std::mem::swap(r, r_plus);
-                cost = new_cost;
-                lambda = (lambda / 3.0).max(1e-12);
-                improved = true;
-                if rel_drop < tolerance {
-                    return (p, cost);
-                }
-                break;
-            }
-            lambda *= 4.0;
-        }
-        if !improved {
-            break;
-        }
-    }
-    (p, cost)
-}
-
-/// Levenberg–Marquardt with an analytic Jacobian — the hot-path core.
-///
-/// `resjac(p, r, jac)` fills `r` with the residuals at `p` and, when
-/// `jac` is `Some`, the row-major `m × n` Jacobian `∂r/∂p` in the same
-/// pass (the fused evaluation is why this core needs roughly one residual
-/// sweep per iteration where the numeric core needs `2n + 1`). The damping
-/// and retry policy matches [`levenberg_marquardt_with`]; the normal
-/// equations `(JᵀJ + λ·diag(JᵀJ))δ = −Jᵀr` are assembled once per
-/// iteration and solved by Cholesky, with only the damped diagonal
-/// rewritten across the λ-adaptation retries.
-///
-/// # Example
-///
-/// ```
-/// use rfp_core::solver::levenberg_marquardt_analytic;
-/// // Fit y = a·x to the points (1, 2), (2, 4): r_i = y_i − a·x_i, ∂r_i/∂a = −x_i.
-/// let resjac = |p: &[f64], r: &mut Vec<f64>, jac: Option<&mut Vec<f64>>| {
-///     r.clear();
-///     r.push(2.0 - p[0] * 1.0);
-///     r.push(4.0 - p[0] * 2.0);
-///     if let Some(j) = jac {
-///         j.clear();
-///         j.extend_from_slice(&[-1.0, -2.0]);
-///     }
-/// };
-/// let (p, cost) = levenberg_marquardt_analytic(&resjac, vec![0.0], 50, 1e-14);
-/// assert!((p[0] - 2.0).abs() < 1e-8);
-/// assert!(cost < 1e-12);
-/// ```
-pub fn levenberg_marquardt_analytic<F>(
-    resjac: &F,
-    p: Vec<f64>,
-    max_iterations: usize,
-    tolerance: f64,
-) -> (Vec<f64>, f64)
-where
-    F: Fn(&[f64], &mut Vec<f64>, Option<&mut Vec<f64>>),
-{
-    let mut workspace = LmWorkspace::default();
-    levenberg_marquardt_analytic_with(&mut workspace, resjac, p, max_iterations, tolerance)
-}
-
-/// [`levenberg_marquardt_analytic`] with caller-owned scratch buffers
-/// (bit-identical results) — the entry the solver stages and the batch
-/// engine's per-worker workspaces use.
-#[allow(clippy::needless_range_loop)]
-pub fn levenberg_marquardt_analytic_with<F>(
-    workspace: &mut LmWorkspace,
-    resjac: &F,
-    mut p: Vec<f64>,
-    max_iterations: usize,
-    tolerance: f64,
-) -> (Vec<f64>, f64)
-where
-    F: Fn(&[f64], &mut Vec<f64>, Option<&mut Vec<f64>>),
-{
-    let n = p.len();
-    let LmWorkspace { r, r_plus, jac, jtj, jtr, chol, delta, candidate, stats, .. } =
-        workspace;
-    resjac(&p, r, Some(jac));
-    stats.residual_evals += 1;
-    stats.jacobian_evals += 1;
-    let mut cost: f64 = r.iter().map(|v| v * v).sum();
-    let m = r.len();
-    debug_assert_eq!(jac.len(), m * n);
-
-    jtj.clear();
-    jtj.resize(n * n, 0.0);
-    jtr.clear();
-    jtr.resize(n, 0.0);
-    chol.clear();
-    chol.resize(n * n, 0.0);
-    delta.clear();
-    delta.resize(n, 0.0);
-    candidate.clear();
-    candidate.resize(n, 0.0);
-
-    let mut lambda = 1e-3;
-    // The Jacobian from the initial fused evaluation is current; after an
-    // accepted step it goes stale and the next iteration re-fuses.
-    let mut jac_fresh = true;
-
-    for _ in 0..max_iterations {
-        stats.iterations += 1;
-        if !jac_fresh {
-            resjac(&p, r, Some(jac));
-            stats.residual_evals += 1;
-            stats.jacobian_evals += 1;
-            jac_fresh = true;
-        }
-        // Assemble the normal equations once; the λ retries below reuse
-        // them and only re-damp the diagonal.
-        jtj.fill(0.0);
-        jtr.fill(0.0);
-        for i in 0..m {
-            let row = &jac[i * n..(i + 1) * n];
-            for a in 0..n {
-                jtr[a] += row[a] * r[i];
-                for b in a..n {
-                    jtj[a * n + b] += row[a] * row[b];
-                }
-            }
-        }
-        for a in 0..n {
-            for b in 0..a {
-                jtj[a * n + b] = jtj[b * n + a];
-            }
-        }
-
-        let mut improved = false;
-        for _ in 0..8 {
-            chol.copy_from_slice(jtj);
-            for d in 0..n {
-                chol[d * n + d] += lambda * jtj[d * n + d].max(1e-12);
-            }
-            if !cholesky_factor(chol, n) {
-                lambda *= 10.0;
-                continue;
-            }
-            for a in 0..n {
-                delta[a] = -jtr[a];
-            }
-            cholesky_solve(chol, n, delta);
-            for a in 0..n {
-                candidate[a] = p[a] + delta[a];
-            }
-            resjac(candidate, r_plus, None);
-            stats.residual_evals += 1;
-            let new_cost: f64 = r_plus.iter().map(|v| v * v).sum();
-            if new_cost < cost {
-                let rel_drop = (cost - new_cost) / cost.max(1e-300);
-                p.copy_from_slice(candidate);
-                std::mem::swap(r, r_plus);
-                cost = new_cost;
-                lambda = (lambda / 3.0).max(1e-12);
-                improved = true;
-                jac_fresh = false;
-                if rel_drop < tolerance {
-                    return (p, cost);
-                }
-                break;
-            }
-            lambda *= 4.0;
-        }
-        if !improved {
-            break;
-        }
-    }
-    (p, cost)
 }
 
 /// In-place Cholesky factorization `A = LLᵀ` of the flat row-major `n × n`
@@ -2419,53 +1862,6 @@ fn cholesky_solve(l: &[f64], n: usize, b: &mut [f64]) {
         }
         b[i] = s / l[i * n + i];
     }
-}
-
-/// In-place Gaussian elimination with partial pivoting over a flat
-/// row-major `n × n` matrix; on success the solution overwrites `b`.
-/// Returns `false` when singular (contents of `a`/`b` are then
-/// unspecified). Allocation-free — the numeric LM core calls this once
-/// per λ retry against workspace scratch. Pivot selection, elimination
-/// order and back-substitution match the historical nested-`Vec` routine
-/// exactly, so the numeric core stays the bit-exact oracle it was.
-#[allow(clippy::needless_range_loop)]
-fn solve_linear_in_place(a: &mut [f64], n: usize, b: &mut [f64]) -> bool {
-    for col in 0..n {
-        // Pivot.
-        let mut pivot = col;
-        for row in (col + 1)..n {
-            if a[row * n + col].abs() > a[pivot * n + col].abs() {
-                pivot = row;
-            }
-        }
-        if a[pivot * n + col].abs() < 1e-300 {
-            return false;
-        }
-        if pivot != col {
-            for k in 0..n {
-                a.swap(col * n + k, pivot * n + k);
-            }
-            b.swap(col, pivot);
-        }
-        // Eliminate below.
-        for row in (col + 1)..n {
-            let factor = a[row * n + col] / a[col * n + col];
-            for k in col..n {
-                a[row * n + k] -= factor * a[col * n + k];
-            }
-            b[row] -= factor * b[col];
-        }
-    }
-    // Back substitution, in place: step `col` only reads `b[k]` for
-    // `k > col`, which already hold solution entries.
-    for col in (0..n).rev() {
-        let mut s = b[col];
-        for k in (col + 1)..n {
-            s -= a[col * n + k] * b[k];
-        }
-        b[col] = s / a[col * n + col];
-    }
-    true
 }
 
 #[cfg(test)]
@@ -2581,49 +1977,6 @@ mod tests {
     }
 
     #[test]
-    fn lm_minimizes_quadratic() {
-        // Sanity-check the numeric LM core on a known problem:
-        // fit y = a·x + b.
-        let data: Vec<(f64, f64)> = (0..10).map(|i| (i as f64, 2.0 * i as f64 - 3.0)).collect();
-        let residual = |p: &[f64], out: &mut Vec<f64>| {
-            out.clear();
-            for (x, y) in &data {
-                out.push(y - (p[0] * x + p[1]));
-            }
-        };
-        let (p, cost) =
-            levenberg_marquardt(&residual, vec![0.0, 0.0], &[1e-5, 1e-5], 100, 1e-14);
-        assert!((p[0] - 2.0).abs() < 1e-6);
-        assert!((p[1] + 3.0).abs() < 1e-6);
-        assert!(cost < 1e-10);
-    }
-
-    #[test]
-    fn analytic_lm_minimizes_quadratic() {
-        // Same fit through the analytic core: r = y − (a·x + b),
-        // ∂r/∂a = −x, ∂r/∂b = −1.
-        let data: Vec<(f64, f64)> = (0..10).map(|i| (i as f64, 2.0 * i as f64 - 3.0)).collect();
-        let resjac = |p: &[f64], r: &mut Vec<f64>, jac: Option<&mut Vec<f64>>| {
-            r.clear();
-            let mut jac = jac;
-            if let Some(j) = jac.as_deref_mut() {
-                j.clear();
-            }
-            for (x, y) in &data {
-                r.push(y - (p[0] * x + p[1]));
-                if let Some(j) = jac.as_deref_mut() {
-                    j.push(-x);
-                    j.push(-1.0);
-                }
-            }
-        };
-        let (p, cost) = levenberg_marquardt_analytic(&resjac, vec![0.0, 0.0], 100, 1e-14);
-        assert!((p[0] - 2.0).abs() < 1e-6);
-        assert!((p[1] + 3.0).abs() < 1e-6);
-        assert!(cost < 1e-10);
-    }
-
-    #[test]
     fn uncertainty_reported_and_meaningful() {
         let scene = Scene::standard_2d();
         let truth = Vec2::new(0.5, 1.4);
@@ -2651,31 +2004,6 @@ mod tests {
         // Consistency with the scalar summary.
         let trace = (e.semi_major * e.semi_major + e.semi_minor * e.semi_minor).sqrt();
         assert!((trace - est.position_std_m).abs() < 1e-9);
-    }
-
-    #[test]
-    fn solve_linear_rejects_singular() {
-        let mut a = [1.0, 2.0, 2.0, 4.0];
-        let mut b = [1.0, 2.0];
-        assert!(!solve_linear_in_place(&mut a, 2, &mut b));
-        let mut a = [2.0, 0.0, 0.0, 0.5];
-        let mut x = [4.0, 1.0];
-        assert!(solve_linear_in_place(&mut a, 2, &mut x));
-        assert!((x[0] - 2.0).abs() < 1e-12 && (x[1] - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn solve_linear_pivots_correctly() {
-        // Requires a row swap (zero leading pivot); check A·x = b.
-        let a0 = [0.0, 2.0, 1.0, 1.0, 1.0, 0.5, 3.0, 0.1, 2.0];
-        let b0 = [1.0, 2.0, 3.0];
-        let mut a = a0;
-        let mut x = b0;
-        assert!(solve_linear_in_place(&mut a, 3, &mut x));
-        for i in 0..3 {
-            let ax: f64 = (0..3).map(|j| a0[i * 3 + j] * x[j]).sum();
-            assert!((ax - b0[i]).abs() < 1e-10, "row {i}: {ax} vs {}", b0[i]);
-        }
     }
 
     #[test]

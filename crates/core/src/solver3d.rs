@@ -15,11 +15,10 @@
 //! dimension-generic [`LmCore`]: the joint 7-parameter
 //! and stage-1 4-parameter problems are [`ResidualModel`] implementations
 //! refined by `LmCore<7>` / `LmCore<4>`, the residual kernels run 4-wide
-//! antenna-row lanes (see [`LaneMode`] and
-//! [`Solver3DConfig::lane_mode`]), and the pre-refactor solver is frozen
-//! verbatim in [`crate::reference`] as the bit-identity oracle.
+//! antenna-row lanes, and the pre-refactor solver is frozen verbatim in
+//! [`crate::reference`] as the bit-identity oracle.
 
-use crate::lm::{LaneMode, LaneStats, LmCore, ResidualModel, StepSolver, StepStats};
+use crate::lm::{LaneStats, LmCore, ResidualModel, StepStats};
 use crate::model::AntennaObservation;
 use crate::obs;
 use crate::solver::{
@@ -66,19 +65,6 @@ pub struct Solver3DConfig {
     /// (see
     /// [`SolverConfig::warm_gate_rel_tol`](crate::solver::SolverConfig)).
     pub warm_gate_rel_tol: f64,
-    /// Lane width of the hot loops: [`LaneMode::Wide4`] (default) runs the
-    /// coarse seed ranking and the residual/Jacobian kernels in explicit
-    /// 4-wide lanes; [`LaneMode::Scalar`] is the escape hatch back to the
-    /// plain loops. Both orders are bit-identical (see
-    /// [`SolverConfig::lane_mode`](crate::solver::SolverConfig)).
-    /// [`LaneMode::Padded4`] has no dedicated 3-D kernels (six antennas
-    /// already fill wide blocks plus a cheap remainder) and runs the
-    /// `Wide4` path.
-    pub lane_mode: LaneMode,
-    /// Damped-step backend of the LM refinements (see
-    /// [`SolverConfig::step_solver`](crate::solver::SolverConfig)):
-    /// per-attempt Cholesky (default) or the O(P²) λ-retry cache.
-    pub step_solver: StepSolver,
 }
 
 impl Default for Solver3DConfig {
@@ -96,8 +82,6 @@ impl Default for Solver3DConfig {
             refine_top_k: Some(16),
             early_exit_rel_tol: 0.5,
             warm_gate_rel_tol: 0.25,
-            lane_mode: LaneMode::Wide4,
-            step_solver: StepSolver::Cholesky,
         }
     }
 }
@@ -451,39 +435,27 @@ pub fn residuals_and_jacobian_3d(
     }
     let mut jac: Option<&mut [f64]> = jac.map(Vec::as_mut_slice);
     let k1 = propagation::slope_from_distance(1.0); // 4π/c
-    match config.lane_mode {
-        // `Padded4` keeps the wide path in 3-D: six antennas already fill
-        // one wide block and the remainder is cheap, so there is no padded
-        // kernel to win with (documented on `Solver3DConfig::lane_mode`).
-        LaneMode::Wide4 | LaneMode::Padded4 => {
-            // Four independent antenna rows per pass; rows are emitted in
-            // antenna order with no cross-lane reduction, so the unrolled
-            // path is bit-identical to the scalar loop.
-            let mut chunks = observations.chunks_exact(4);
-            let mut i = 0usize;
-            for c in chunks.by_ref() {
-                joint_row_3d(&c[0], i, pos, w, wt, wp, kt, bt, k1, config, r, jac.as_deref_mut());
-                joint_row_3d(&c[1], i + 1, pos, w, wt, wp, kt, bt, k1, config, r, jac.as_deref_mut());
-                joint_row_3d(&c[2], i + 2, pos, w, wt, wp, kt, bt, k1, config, r, jac.as_deref_mut());
-                joint_row_3d(&c[3], i + 3, pos, w, wt, wp, kt, bt, k1, config, r, jac.as_deref_mut());
-                i += 4;
-            }
-            for o in chunks.remainder() {
-                joint_row_3d(o, i, pos, w, wt, wp, kt, bt, k1, config, r, jac.as_deref_mut());
-                i += 1;
-            }
-        }
-        LaneMode::Scalar => {
-            for (i, o) in observations.iter().enumerate() {
-                joint_row_3d(o, i, pos, w, wt, wp, kt, bt, k1, config, r, jac.as_deref_mut());
-            }
-        }
+    // Four independent antenna rows per pass; rows are emitted in antenna
+    // order with no cross-lane reduction, so the unrolled path is
+    // bit-identical to a scalar loop.
+    let mut chunks = observations.chunks_exact(4);
+    let mut i = 0usize;
+    for c in chunks.by_ref() {
+        joint_row_3d(&c[0], i, pos, w, wt, wp, kt, bt, k1, config, r, jac.as_deref_mut());
+        joint_row_3d(&c[1], i + 1, pos, w, wt, wp, kt, bt, k1, config, r, jac.as_deref_mut());
+        joint_row_3d(&c[2], i + 2, pos, w, wt, wp, kt, bt, k1, config, r, jac.as_deref_mut());
+        joint_row_3d(&c[3], i + 3, pos, w, wt, wp, kt, bt, k1, config, r, jac.as_deref_mut());
+        i += 4;
+    }
+    for o in chunks.remainder() {
+        joint_row_3d(o, i, pos, w, wt, wp, kt, bt, k1, config, r, jac.as_deref_mut());
+        i += 1;
     }
 }
 
 /// One antenna's slope + wrapped-intercept rows (and, when `jac` is given,
 /// their Jacobian rows) of the joint 3-D problem — the body shared by the
-/// 4-wide lanes and the scalar loop of [`residuals_and_jacobian_3d`].
+/// 4-wide lanes and the remainder loop of [`residuals_and_jacobian_3d`].
 #[allow(clippy::too_many_arguments)]
 #[inline(always)]
 fn joint_row_3d(
@@ -559,35 +531,25 @@ fn slope_residuals_and_jacobian_3d(
     }
     let mut jac: Option<&mut [f64]> = jac.map(Vec::as_mut_slice);
     let k1 = propagation::slope_from_distance(1.0);
-    match config.lane_mode {
-        // As in `residuals_and_jacobian_3d`, `Padded4` runs the wide path.
-        LaneMode::Wide4 | LaneMode::Padded4 => {
-            // See `residuals_and_jacobian_3d`: independent rows in antenna
-            // order, bit-identical to the scalar loop.
-            let mut chunks = observations.chunks_exact(4);
-            let mut i = 0usize;
-            for c in chunks.by_ref() {
-                slope_row_3d(&c[0], i, pos, kt, k1, config, r, jac.as_deref_mut());
-                slope_row_3d(&c[1], i + 1, pos, kt, k1, config, r, jac.as_deref_mut());
-                slope_row_3d(&c[2], i + 2, pos, kt, k1, config, r, jac.as_deref_mut());
-                slope_row_3d(&c[3], i + 3, pos, kt, k1, config, r, jac.as_deref_mut());
-                i += 4;
-            }
-            for o in chunks.remainder() {
-                slope_row_3d(o, i, pos, kt, k1, config, r, jac.as_deref_mut());
-                i += 1;
-            }
-        }
-        LaneMode::Scalar => {
-            for (i, o) in observations.iter().enumerate() {
-                slope_row_3d(o, i, pos, kt, k1, config, r, jac.as_deref_mut());
-            }
-        }
+    // See `residuals_and_jacobian_3d`: independent rows in antenna order,
+    // bit-identical to a scalar loop.
+    let mut chunks = observations.chunks_exact(4);
+    let mut i = 0usize;
+    for c in chunks.by_ref() {
+        slope_row_3d(&c[0], i, pos, kt, k1, config, r, jac.as_deref_mut());
+        slope_row_3d(&c[1], i + 1, pos, kt, k1, config, r, jac.as_deref_mut());
+        slope_row_3d(&c[2], i + 2, pos, kt, k1, config, r, jac.as_deref_mut());
+        slope_row_3d(&c[3], i + 3, pos, kt, k1, config, r, jac.as_deref_mut());
+        i += 4;
+    }
+    for o in chunks.remainder() {
+        slope_row_3d(o, i, pos, kt, k1, config, r, jac.as_deref_mut());
+        i += 1;
     }
 }
 
 /// One antenna's slope row (and Jacobian row) of the 3-D stage-1 problem —
-/// the body shared by the 4-wide lanes and the scalar loop of
+/// the body shared by the 4-wide lanes and the remainder loop of
 /// [`slope_residuals_and_jacobian_3d`].
 #[allow(clippy::too_many_arguments)]
 #[inline(always)]
@@ -631,10 +593,6 @@ impl ResidualModel<7> for Joint3<'_> {
     fn eval(&self, p: &[f64; 7], r: &mut Vec<f64>, jac: Option<&mut Vec<f64>>) {
         residuals_and_jacobian_3d(self.observations, p, self.config, r, jac);
     }
-
-    fn lane_mode(&self) -> LaneMode {
-        self.config.lane_mode
-    }
 }
 
 /// The stage-1 slope-only `(x, y, z, k_t)` problem as a [`ResidualModel`].
@@ -646,10 +604,6 @@ struct Slope3<'a> {
 impl ResidualModel<4> for Slope3<'_> {
     fn eval(&self, p: &[f64; 4], r: &mut Vec<f64>, jac: Option<&mut Vec<f64>>) {
         slope_residuals_and_jacobian_3d(self.observations, p, self.config, r, jac);
-    }
-
-    fn lane_mode(&self) -> LaneMode {
-        self.config.lane_mode
     }
 }
 
@@ -663,13 +617,9 @@ fn refine_joint_3d(
 ) -> ([f64; 7], f64) {
     let model = Joint3 { observations, config };
     match config.jacobian {
-        JacobianMode::Analytic => core.refine_with(
-            &model,
-            p0,
-            config.max_iterations,
-            config.tolerance,
-            config.step_solver,
-        ),
+        JacobianMode::Analytic => {
+            core.refine(&model, p0, config.max_iterations, config.tolerance)
+        }
         JacobianMode::Numeric => core.refine_numeric(
             &model,
             p0,
@@ -690,13 +640,9 @@ fn refine_slope_3d(
 ) -> ([f64; 4], f64) {
     let model = Slope3 { observations, config };
     match config.jacobian {
-        JacobianMode::Analytic => core.refine_with(
-            &model,
-            p0,
-            config.max_iterations,
-            config.tolerance,
-            config.step_solver,
-        ),
+        JacobianMode::Analytic => {
+            core.refine(&model, p0, config.max_iterations, config.tolerance)
+        }
         JacobianMode::Numeric => core.refine_numeric(
             &model,
             p0,
@@ -1021,9 +967,9 @@ pub fn solve_3d_seeded_warm(
 
 /// Coarse ranking of every `(x, y, z)` seed by its unrefined slope cost —
 /// the 3-D analogue of the 2-D solver's coarse rank, with the same 4-wide
-/// lane layout: with geometry tables and [`LaneMode::Wide4`], 4 seeds are
-/// scored per pass over the slope table with the per-seed accumulation
-/// order of [`coarse_seed_cost_3d`] preserved exactly (bit-identical).
+/// lane layout: with geometry tables, 4 seeds are scored per pass over the
+/// slope table with the per-seed accumulation order of
+/// [`coarse_seed_cost_3d`] preserved exactly (bit-identical).
 /// Ties break towards grid order via the explicit (cost, index) key, which
 /// makes the allocation-free unstable sort deterministic and equal to the
 /// frozen stable sort.
@@ -1037,8 +983,8 @@ fn rank_coarse_3d(
 ) {
     let _rank_span = obs::span("seed_rank");
     coarse.clear();
-    match (geometry, config.lane_mode) {
-        (Some(g), LaneMode::Wide4 | LaneMode::Padded4) => {
+    match geometry {
+        Some(g) => {
             let n = observations.len();
             let total = seeds.position_starts.len();
             let mut s = 0usize;
@@ -1072,7 +1018,7 @@ fn rank_coarse_3d(
                 lanes.scalar_rows += 1;
             }
         }
-        _ => {
+        None => {
             for (s, &seed_pos) in seeds.position_starts.iter().enumerate() {
                 let (kt0, cost) =
                     coarse_seed_cost_3d(observations, geometry, s, seed_pos, config);
@@ -1300,7 +1246,6 @@ fn flush_obs_3d(
     obs::counter_add(obs::id::SOLVER_LANE_SCALAR_ROWS, lane_work.scalar_rows);
     obs::counter_add(obs::id::SOLVER_LAMBDA_RETRIES, step_work.lambda_retries);
     obs::counter_add(obs::id::SOLVER_CHOL_FAILURES, step_work.chol_failures);
-    obs::counter_add(obs::id::SOLVER_STEP_CACHED_SOLVES, step_work.cached_solves);
     if warm_hit {
         obs::counter_add(obs::id::SOLVER_WARM_HITS, 1);
     }
@@ -1476,35 +1421,6 @@ mod tests {
         assert_eq!(a.kt.to_bits(), b.kt.to_bits());
         assert_eq!(a.bt.to_bits(), b.bt.to_bits());
         assert_eq!(a.cost.to_bits(), b.cost.to_bits());
-    }
-
-    #[test]
-    fn lane_modes_are_bit_identical_3d() {
-        let scene = Scene::six_antenna_3d();
-        let truth = Vec3::new(0.7, 1.1, 0.5);
-        let dipole = Vec3::new(0.4, 0.6, 0.9).normalized();
-        let obs = observations_3d(&scene, truth, dipole, 21);
-        let wide = Solver3DConfig::default();
-        let scalar = Solver3DConfig { lane_mode: LaneMode::Scalar, ..wide };
-        let seeds_w =
-            Solve3DSeeds::for_scene(scene.region(), (0.0, 1.5), &wide, &scene.antenna_poses());
-        let seeds_s =
-            Solve3DSeeds::for_scene(scene.region(), (0.0, 1.5), &scalar, &scene.antenna_poses());
-        let mut ws_w = Solver3DWorkspace::default();
-        let mut ws_s = Solver3DWorkspace::default();
-        let a = solve_3d_seeded(&obs, &seeds_w, &wide, &mut ws_w).unwrap();
-        let b = solve_3d_seeded(&obs, &seeds_s, &scalar, &mut ws_s).unwrap();
-        assert_eq!(a.position.x.to_bits(), b.position.x.to_bits());
-        assert_eq!(a.position.y.to_bits(), b.position.y.to_bits());
-        assert_eq!(a.position.z.to_bits(), b.position.z.to_bits());
-        assert_eq!(a.dipole.x.to_bits(), b.dipole.x.to_bits());
-        assert_eq!(a.kt.to_bits(), b.kt.to_bits());
-        assert_eq!(a.bt.to_bits(), b.bt.to_bits());
-        assert_eq!(a.cost.to_bits(), b.cost.to_bits());
-        // The wide path actually ran in lanes and the scalar one did not.
-        assert!(ws_w.lane_stats().seed_blocks > 0 || ws_w.lane_stats().row_blocks > 0);
-        assert_eq!(ws_s.lane_stats().seed_blocks, 0);
-        assert_eq!(ws_s.lane_stats().row_blocks, 0);
     }
 
     #[test]

@@ -11,27 +11,40 @@
 use rfp_core::model::{extract_observation, AntennaObservation, ExtractConfig};
 use rfp_dsp::preprocess::{preprocess_reads_with, PreprocessConfig};
 use rfp_dsp::{FrontEndWorkspace, TrigProvider};
-use rfp_core::solver::{
-    levenberg_marquardt_analytic_with, levenberg_marquardt_with, residuals_2d,
-    residuals_and_jacobian_2d, LmWorkspace, SolverConfig,
+use rfp_core::reference::{
+    levenberg_marquardt_analytic_with, levenberg_marquardt_with, LmWorkspace,
 };
+use rfp_core::solver::{residuals_2d, residuals_and_jacobian_2d, SolverConfig};
 use rfp_core::{RfPrism, SenseWorkspace, WarmStart};
 use rfp_geom::Vec2;
 use rfp_sim::{Motion, Scene, SimTag};
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::cell::Cell;
 
 /// Pass-through allocator that counts alloc/realloc events while armed.
 struct CountingAlloc;
 
-static ARMED: AtomicBool = AtomicBool::new(false);
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// `(armed, events)` of the calling thread. Per-thread, so tests that
+    /// run in parallel never count (or reset) each other's allocations.
+    static COUNTER: Cell<(bool, u64)> = const { Cell::new((false, 0)) };
+}
+
+/// Counts one alloc/realloc event when the calling thread is armed.
+fn count_event() {
+    // `try_with` instead of `with`: the allocator must never panic, even
+    // while thread-local storage is being torn down.
+    let _ = COUNTER.try_with(|c| {
+        let (armed, events) = c.get();
+        if armed {
+            c.set((true, events + 1));
+        }
+    });
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        if ARMED.load(Ordering::Relaxed) {
-            ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        }
+        count_event();
         unsafe { System.alloc(layout) }
     }
 
@@ -40,9 +53,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        if ARMED.load(Ordering::Relaxed) {
-            ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        }
+        count_event();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -50,13 +61,12 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static ALLOCATOR: CountingAlloc = CountingAlloc;
 
-/// Counts heap allocations performed by `f`.
+/// Counts heap allocations performed by `f` on the calling thread.
 fn allocations_during<R>(f: impl FnOnce() -> R) -> (R, u64) {
-    ALLOCATIONS.store(0, Ordering::SeqCst);
-    ARMED.store(true, Ordering::SeqCst);
+    COUNTER.with(|c| c.set((true, 0)));
     let out = f();
-    ARMED.store(false, Ordering::SeqCst);
-    (out, ALLOCATIONS.load(Ordering::SeqCst))
+    let (_, events) = COUNTER.with(|c| c.replace((false, 0)));
+    (out, events)
 }
 
 /// Real solver observations so the kernels run against the production
@@ -301,52 +311,6 @@ fn lane_solve_2d_is_allocation_free_cold_and_warm() {
     });
     result.expect("solvable");
     assert_eq!(allocs, 0, "warm 2-D lane solve allocated {allocs} times in steady state");
-}
-
-/// The tuned backends hold the same contract: the cached step solver's
-/// per-iteration factor lives in fixed-size arrays inside the core, and
-/// the lane-padded eval gathers into stack arrays — so a `Cached` +
-/// `Padded4` solve is zero-alloc cold and warm once the workspace pools
-/// are sized, exactly like the bit-identity default.
-#[test]
-fn cached_padded_solve_2d_is_allocation_free_cold_and_warm() {
-    let scene = Scene::standard_2d();
-    let tag = SimTag::with_seeded_diversity(9)
-        .with_motion(Motion::planar_static(Vec2::new(0.5, 1.5), 0.8));
-    let survey = scene.survey(&tag, 17);
-    let obs: Vec<AntennaObservation> = scene
-        .antenna_poses()
-        .iter()
-        .zip(&survey.per_antenna)
-        .map(|(&p, r)| extract_observation(p, r, &ExtractConfig::paper()).expect("usable"))
-        .collect();
-    let config = SolverConfig {
-        step_solver: rfp_core::StepSolver::Cached,
-        lane_mode: rfp_core::LaneMode::Padded4,
-        ..SolverConfig::default()
-    };
-    let seeds =
-        rfp_core::solver::SolveSeeds::for_scene(scene.region(), &config, &scene.antenna_poses());
-    let mut ws = rfp_core::solver::SolverWorkspace::default();
-
-    // Sizing pass.
-    rfp_core::solver::solve_2d_seeded_warm(&obs, &seeds, &config, &mut ws, None)
-        .expect("solvable");
-
-    let (cold, allocs) = allocations_during(|| {
-        rfp_core::solver::solve_2d_seeded_warm(&obs, &seeds, &config, &mut ws, None)
-    });
-    let cold = cold.expect("solvable");
-    assert_eq!(allocs, 0, "cold cached+padded solve allocated {allocs} times in steady state");
-
-    let warm = WarmStart::from_estimate(&cold);
-    rfp_core::solver::solve_2d_seeded_warm(&obs, &seeds, &config, &mut ws, Some(&warm))
-        .expect("solvable");
-    let (result, allocs) = allocations_during(|| {
-        rfp_core::solver::solve_2d_seeded_warm(&obs, &seeds, &config, &mut ws, Some(&warm))
-    });
-    result.expect("solvable");
-    assert_eq!(allocs, 0, "warm cached+padded solve allocated {allocs} times in steady state");
 }
 
 /// Same contract for the 7-parameter 3-D facade (`LmCore<7>`): cold

@@ -4,11 +4,10 @@
 //! solver facades must reproduce the frozen pre-refactor solvers in
 //! `rfp_core::reference` bit-for-bit — same refinements, same sort
 //! orders, same warm-gate decisions, same final estimate down to the last
-//! ulp. Every configuration axis gets a pin: lane mode (4-wide vs the
-//! scalar escape hatch), exhaustive vs pruned scans, analytic vs numeric
-//! Jacobians, RSSI penalty on/off, geometry tables vs direct evaluation,
-//! and warm starts both fresh (gate hit) and teleported-stale (gate miss
-//! fallback).
+//! ulp. Every configuration axis gets a pin: exhaustive vs pruned scans,
+//! analytic vs numeric Jacobians, RSSI penalty on/off, geometry tables vs
+//! direct evaluation, and warm starts both fresh (gate hit) and
+//! teleported-stale (gate miss fallback).
 
 use proptest::prelude::*;
 use rfp_core::model::{extract_observation, AntennaObservation, ExtractConfig};
@@ -23,7 +22,6 @@ use rfp_core::solver3d::{
     solve_3d_seeded_warm, Solve3DSeeds, Solver3DConfig, Solver3DWorkspace, TagEstimate3D,
     WarmStart3D,
 };
-use rfp_core::LaneMode;
 use rfp_geom::{Vec2, Vec3};
 use rfp_phys::Material;
 use rfp_sim::{Motion, MultipathEnvironment, Scene, SimTag};
@@ -196,13 +194,6 @@ fn default_wide4_matches_reference_2d() {
 }
 
 #[test]
-fn scalar_escape_hatch_matches_reference_2d() {
-    let (scene, obs) = scene_2d();
-    let config = SolverConfig { lane_mode: LaneMode::Scalar, ..SolverConfig::default() };
-    pin_2d(&obs, &scene, &config, None, true, "scalar lane mode");
-}
-
-#[test]
 fn exhaustive_matches_reference_2d() {
     let (scene, obs) = scene_2d();
     pin_2d(&obs, &scene, &SolverConfig::exhaustive(), None, true, "exhaustive");
@@ -326,13 +317,6 @@ fn default_wide4_matches_reference_3d() {
 }
 
 #[test]
-fn scalar_escape_hatch_matches_reference_3d() {
-    let (scene, obs) = scene_3d();
-    let config = Solver3DConfig { lane_mode: LaneMode::Scalar, ..Solver3DConfig::default() };
-    pin_3d(&obs, &scene, &config, None, true, "scalar lane mode 3-D");
-}
-
-#[test]
 fn exhaustive_matches_reference_3d() {
     let (scene, obs) = scene_3d();
     pin_3d(&obs, &scene, &Solver3DConfig::exhaustive(), None, true, "exhaustive 3-D");
@@ -383,8 +367,8 @@ fn teleported_warm_start_matches_reference_3d() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Randomized scenes, both lane modes, pruned and exhaustive scans:
-    /// the facade is the oracle bit-for-bit.
+    /// Randomized scenes, pruned and exhaustive scans: the facade is the
+    /// oracle bit-for-bit.
     #[test]
     fn facade_matches_reference_2d(
         x in -1.2f64..1.2,
@@ -393,14 +377,11 @@ proptest! {
         material_idx in 0usize..8,
         seed in 0u64..1000,
         clutter in proptest::bool::ANY,
-        scalar in proptest::bool::ANY,
         exhaustive in proptest::bool::ANY,
     ) {
         let Some((scene, obs)) = observations_2d(x, y, alpha, material_idx, seed, clutter)
         else { return Ok(()) };
-        let base = if exhaustive { SolverConfig::exhaustive() } else { SolverConfig::default() };
-        let lane = if scalar { LaneMode::Scalar } else { LaneMode::Wide4 };
-        let config = SolverConfig { lane_mode: lane, ..base };
+        let config = if exhaustive { SolverConfig::exhaustive() } else { SolverConfig::default() };
         pin_2d(&obs, &scene, &config, None, true, "randomized 2-D");
     }
 }
@@ -418,13 +399,10 @@ proptest! {
         dy in -1.0f64..1.0,
         dz in 0.1f64..1.0,
         seed in 0u64..1000,
-        scalar in proptest::bool::ANY,
     ) {
         let Some((scene, obs)) =
             observations_3d(Vec3::new(x, y, z), Vec3::new(dx, dy, dz), seed)
         else { return Ok(()) };
-        let lane = if scalar { LaneMode::Scalar } else { LaneMode::Wide4 };
-        let config = Solver3DConfig { lane_mode: lane, ..Solver3DConfig::default() };
-        pin_3d(&obs, &scene, &config, None, true, "randomized 3-D");
+        pin_3d(&obs, &scene, &Solver3DConfig::default(), None, true, "randomized 3-D");
     }
 }

@@ -258,131 +258,6 @@ pub fn poly_sin_cos(x: f64) -> (f64, f64) {
     }
 }
 
-/// Documented maximum absolute error of [`poly_atan2`] (and the 4-lane
-/// [`poly_atan2x4`]) against libm, full plane.
-///
-/// Budget: after the octant fold the kernel argument satisfies
-/// `|u| ≤ tan(π/8)`, so the alternating Taylor truncation is bounded by
-/// the first omitted term, `u³³/33 ≈ 7e-15`, leaving Horner/fold rounding
-/// (a few 1e-16 ulps) as the dominant error. Pinned by the dense sweep
-/// test. The consumers' ≤1e-9 full-solve pins leave ~4 orders of
-/// magnitude of headroom for amplification through σ-normalization.
-pub const POLY_ATAN2_MAX_ABS_ERROR: f64 = 1e-13;
-
-/// `tan(π/8) = √2 − 1`: the octant-fold threshold of the atan kernel.
-const TAN_PI_8: f64 = 0.414_213_562_373_095_15;
-
-// Odd Taylor coefficients of atan on the folded range |u| ≤ tan(π/8):
-// (−1)ᵏ/(2k+1) through the u³¹ term (truncation ≤ u³³/33 ≈ 7e-15).
-const ATAN_COEFFS: [f64; 16] = [
-    1.0,
-    -1.0 / 3.0,
-    1.0 / 5.0,
-    -1.0 / 7.0,
-    1.0 / 9.0,
-    -1.0 / 11.0,
-    1.0 / 13.0,
-    -1.0 / 15.0,
-    1.0 / 17.0,
-    -1.0 / 19.0,
-    1.0 / 21.0,
-    -1.0 / 23.0,
-    1.0 / 25.0,
-    -1.0 / 27.0,
-    1.0 / 29.0,
-    -1.0 / 31.0,
-];
-
-/// The atan kernel on the folded range: Horner over `u²`, odd in `u`.
-#[inline(always)]
-fn kernel_atan(u: f64) -> f64 {
-    let u2 = u * u;
-    let mut s = ATAN_COEFFS[15];
-    s = ATAN_COEFFS[14] + u2 * s;
-    s = ATAN_COEFFS[13] + u2 * s;
-    s = ATAN_COEFFS[12] + u2 * s;
-    s = ATAN_COEFFS[11] + u2 * s;
-    s = ATAN_COEFFS[10] + u2 * s;
-    s = ATAN_COEFFS[9] + u2 * s;
-    s = ATAN_COEFFS[8] + u2 * s;
-    s = ATAN_COEFFS[7] + u2 * s;
-    s = ATAN_COEFFS[6] + u2 * s;
-    s = ATAN_COEFFS[5] + u2 * s;
-    s = ATAN_COEFFS[4] + u2 * s;
-    s = ATAN_COEFFS[3] + u2 * s;
-    s = ATAN_COEFFS[2] + u2 * s;
-    s = ATAN_COEFFS[1] + u2 * s;
-    s = ATAN_COEFFS[0] + u2 * s;
-    u * s
-}
-
-/// Branch-light polynomial `atan2(y, x)` with max absolute error
-/// ≤ [`POLY_ATAN2_MAX_ABS_ERROR`] against libm over the full plane.
-///
-/// Reduction: fold to the first octant by `t = min/max` of `|y|, |x|`
-/// (so `t ∈ [0, 1]`), then once more through the half-angle identity
-/// `atan t = π/4 + atan((t−1)/(t+1))` whenever `t > tan(π/8)` — after
-/// which the Taylor kernel argument is `≤ tan(π/8)` and 12 odd terms
-/// reach ~1e-11. Every fold is a select, not a branch, so the 4-lane
-/// variant autovectorizes. Finite inputs only (the solver's dot products
-/// are finite by construction); `poly_atan2(0, 0) = 0` like libm.
-#[inline(always)]
-pub fn poly_atan2(y: f64, x: f64) -> f64 {
-    let (ax, ay) = (x.abs(), y.abs());
-    let swap = ay > ax;
-    let big = if swap { ay } else { ax };
-    let small = if swap { ax } else { ay };
-    // 0/0 → 0 keeps the libm convention for the origin.
-    let t = if big > 0.0 { small / big } else { 0.0 };
-    let fold = t > TAN_PI_8;
-    let u = if fold { (t - 1.0) / (t + 1.0) } else { t };
-    let mut a = kernel_atan(u);
-    if fold {
-        a += std::f64::consts::FRAC_PI_4;
-    }
-    if swap {
-        a = std::f64::consts::FRAC_PI_2 - a;
-    }
-    if x.is_sign_negative() {
-        a = std::f64::consts::PI - a;
-    }
-    if y.is_sign_negative() {
-        -a
-    } else {
-        a
-    }
-}
-
-/// Four independent [`poly_atan2`] evaluations — the lane kernel the
-/// padded residual rows feed (straight-line selects over `[f64; 4]`
-/// arrays, written for the autovectorizer).
-#[inline(always)]
-pub fn poly_atan2x4(y: [f64; 4], x: [f64; 4]) -> [f64; 4] {
-    let mut out = [0.0; 4];
-    for l in 0..4 {
-        let (ax, ay) = (x[l].abs(), y[l].abs());
-        let swap = ay > ax;
-        let big = if swap { ay } else { ax };
-        let small = if swap { ax } else { ay };
-        // 0/0 → 0 keeps the libm convention for the origin.
-        let t = if big > 0.0 { small / big } else { 0.0 };
-        let fold = t > TAN_PI_8;
-        let u = if fold { (t - 1.0) / (t + 1.0) } else { t };
-        let mut a = kernel_atan(u);
-        if fold {
-            a += std::f64::consts::FRAC_PI_4;
-        }
-        if swap {
-            a = std::f64::consts::FRAC_PI_2 - a;
-        }
-        if x[l].is_sign_negative() {
-            a = std::f64::consts::PI - a;
-        }
-        out[l] = if y[l].is_sign_negative() { -a } else { a };
-    }
-    out
-}
-
 /// Documented maximum absolute error of a [`PhasorRecurrence`] stream
 /// against libm, any input sequence.
 ///
@@ -625,56 +500,6 @@ mod tests {
                 (c - x.cos()).abs() <= POLY_MAX_ABS_ERROR,
                 "poly cos({x}) = {c}, libm {}",
                 x.cos()
-            );
-        }
-    }
-
-    /// Dense sweep of the full plane: the polynomial `atan2` must stay
-    /// inside its documented bound against libm in every octant,
-    /// including points straddling both fold thresholds.
-    #[test]
-    fn poly_atan2_tracks_libm_over_the_plane() {
-        let mut worst = 0.0f64;
-        for i in 0..720 {
-            let ang = i as f64 * TAU / 720.0 - PI;
-            for &r in &[1e-12, 1e-3, 0.41421356, 0.5, 1.0, 7.3, 1e9] {
-                let (y, x) = (r * ang.sin(), r * ang.cos());
-                let got = poly_atan2(y, x);
-                let want = y.atan2(x);
-                worst = worst.max((got - want).abs());
-            }
-        }
-        assert!(
-            worst <= POLY_ATAN2_MAX_ABS_ERROR,
-            "poly atan2 error {worst:e} exceeds bound {POLY_ATAN2_MAX_ABS_ERROR:e}"
-        );
-    }
-
-    /// Axis and origin conventions match libm exactly where the result
-    /// is representable without rounding (0, ±π/2, ±π are reconstructed
-    /// from constants, not the kernel).
-    #[test]
-    fn poly_atan2_axis_conventions() {
-        assert_eq!(poly_atan2(0.0, 0.0), 0.0);
-        assert_eq!(poly_atan2(0.0, 1.0), 0.0);
-        assert_eq!(poly_atan2(0.0, -1.0), PI);
-        assert_eq!(poly_atan2(-0.0, 1.0), -0.0);
-        assert_eq!(poly_atan2(1.0, 0.0), std::f64::consts::FRAC_PI_2);
-        assert_eq!(poly_atan2(-1.0, 0.0), -std::f64::consts::FRAC_PI_2);
-    }
-
-    /// The 4-lane variant is bit-identical to four scalar calls — same
-    /// straight-line select sequence, just vectorized.
-    #[test]
-    fn poly_atan2x4_matches_scalar_lanes() {
-        let ys = [0.3, -1.7, 0.0, 4.2e3];
-        let xs = [1.1, -0.2, -5.0, 4.2e3];
-        let lanes = poly_atan2x4(ys, xs);
-        for l in 0..4 {
-            assert_eq!(
-                lanes[l].to_bits(),
-                poly_atan2(ys[l], xs[l]).to_bits(),
-                "lane {l} diverges from the scalar kernel"
             );
         }
     }

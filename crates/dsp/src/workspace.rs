@@ -7,7 +7,7 @@
 //! short-lived `Vec`s and a `BTreeMap` per antenna per window. At batch
 //! rates (hundreds of tags × several antennas × many windows per second)
 //! the allocator traffic dominates the arithmetic. The fix mirrors the
-//! solver's `LmWorkspace` pattern: every intermediate lives in a
+//! solver's workspace pattern: every intermediate lives in a
 //! caller-owned workspace whose buffers are sized once and then reused
 //! verbatim.
 //!
@@ -236,7 +236,7 @@ impl FitWorkspace {
 
 /// Per-channel accumulator columns plus fit scratch for the whole
 /// pre-processing front end. One instance per worker thread (or per
-/// sequential pipeline), mirroring the solver's `LmWorkspace`.
+/// sequential pipeline), mirroring the solver's `SolverWorkspace`.
 ///
 /// Layout is struct-of-arrays: each per-channel quantity is one flat
 /// column indexed by *slot* (dense channel index in first-appearance
