@@ -349,6 +349,13 @@ fn fresh_warm_start_matches_reference_3d() {
 }
 
 #[test]
+fn rssi_disabled_matches_reference_3d() {
+    let (scene, obs) = scene_3d();
+    let config = Solver3DConfig { rssi_sigma_db: f64::INFINITY, ..Solver3DConfig::default() };
+    pin_3d(&obs, &scene, &config, None, true, "rssi disabled 3-D");
+}
+
+#[test]
 fn teleported_warm_start_matches_reference_3d() {
     let (scene, obs) = scene_3d();
     let stale = WarmStart3D {
@@ -358,6 +365,48 @@ fn teleported_warm_start_matches_reference_3d() {
         bt: 1.1,
     };
     pin_3d(&obs, &scene, &Solver3DConfig::default(), Some(&stale), true, "stale warm 3-D");
+}
+
+/// Four of the six antennas against tables built for all six: the
+/// geometry tables do not match the observation set, so both solvers take
+/// the direct-evaluation fallback — the path a cluttered 3-D scene takes
+/// whenever extraction drops an antenna.
+#[test]
+fn four_antenna_fallback_matches_reference_3d() {
+    let (scene, obs) = scene_3d();
+    let obs4 = &obs[..4];
+    for config in [Solver3DConfig::default(), Solver3DConfig::exhaustive()] {
+        let seeds =
+            Solve3DSeeds::for_scene(scene.region(), (0.0, 1.0), &config, &scene.antenna_poses());
+        let mut ws = Solver3DWorkspace::default();
+        let facade =
+            solve_3d_seeded_warm(obs4, &seeds, &config, &mut ws, None).expect("4 antennas");
+        let mut oracle_ws = Reference3DWorkspace::default();
+        let oracle =
+            solve_3d_reference(obs4, &seeds, &config, &mut oracle_ws, None).expect("4 antennas");
+        assert_bits_3d(&facade, &oracle, "4 of 6 antennas");
+    }
+}
+
+/// Workspace reuse across 3-D solves must not perturb results: nothing
+/// ranked or cached by the previous solve may leak into the next one.
+#[test]
+fn dirty_workspace_reuse_is_bit_identical_3d() {
+    let (scene, obs) = scene_3d();
+    let (_, obs_other) =
+        observations_3d(Vec3::new(0.3, 1.7, 0.8), Vec3::new(-0.7, 0.2, 0.4), 58)
+            .expect("3-D scene extracts");
+    let config = Solver3DConfig::default();
+    let seeds =
+        Solve3DSeeds::for_scene(scene.region(), (0.0, 1.0), &config, &scene.antenna_poses());
+
+    let mut fresh = Solver3DWorkspace::default();
+    let clean = solve_3d_seeded_warm(&obs, &seeds, &config, &mut fresh, None).expect("solvable");
+
+    let mut dirty = Solver3DWorkspace::default();
+    solve_3d_seeded_warm(&obs_other, &seeds, &config, &mut dirty, None).expect("solvable");
+    let reused = solve_3d_seeded_warm(&obs, &seeds, &config, &mut dirty, None).expect("solvable");
+    assert_bits_3d(&reused, &clean, "dirty workspace reuse 3-D");
 }
 
 // ---------------------------------------------------------------------------
@@ -389,7 +438,8 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// Randomized 3-D scenes: the facade is the oracle bit-for-bit.
+    /// Randomized 3-D scenes, pruned and exhaustive scans: the facade is the
+    /// oracle bit-for-bit.
     #[test]
     fn facade_matches_reference_3d(
         x in 0.2f64..1.0,
@@ -399,10 +449,13 @@ proptest! {
         dy in -1.0f64..1.0,
         dz in 0.1f64..1.0,
         seed in 0u64..1000,
+        exhaustive in proptest::bool::ANY,
     ) {
         let Some((scene, obs)) =
             observations_3d(Vec3::new(x, y, z), Vec3::new(dx, dy, dz), seed)
         else { return Ok(()) };
-        pin_3d(&obs, &scene, &Solver3DConfig::default(), None, true, "randomized 3-D");
+        let config =
+            if exhaustive { Solver3DConfig::exhaustive() } else { Solver3DConfig::default() };
+        pin_3d(&obs, &scene, &config, None, true, "randomized 3-D");
     }
 }
