@@ -830,6 +830,36 @@ mod tests {
         assert!(matches!(sense("garbage", None, 1, false), Err(CommandError::Log(_))));
     }
 
+    /// A non-finite number in one `read` line is a malformed record, for
+    /// `sense` and `stream --log` alike — never a panic in the pipeline.
+    #[test]
+    fn non_finite_read_is_a_malformed_record() {
+        let log_text = simulate(&args(&["--tags", "2", "--seed", "3"])).unwrap();
+        let (line, read) = log_text
+            .lines()
+            .enumerate()
+            .find(|(_, l)| l.starts_with("read "))
+            .expect("a read line");
+        let fields: Vec<&str> = read.split_whitespace().collect();
+        let path = std::env::temp_dir().join("rfp-cli-non-finite-test.log");
+        // Columns: read <tag> <antenna> <channel> <freq> <phase> <rssi> <t>.
+        for (column, value) in [(5, "NaN"), (4, "inf")] {
+            let mut bad = fields.clone();
+            bad[column] = value;
+            let text = log_text.replace(read, &bad.join(" "));
+            let expected = crate::log::LogError::Malformed { line: line + 1 };
+            match sense(&text, None, 1, false) {
+                Err(CommandError::Log(e)) => assert_eq!(e, expected),
+                other => panic!("`{value}` in column {column}: {other:?}"),
+            }
+            std::fs::write(&path, &text).unwrap();
+            match stream(&args(&["--log", path.to_str().unwrap()])) {
+                Err(CommandError::Log(e)) => assert_eq!(e, expected),
+                other => panic!("stream, `{value}` in column {column}: {other:?}"),
+            }
+        }
+    }
+
     #[test]
     fn usage_mentions_all_subcommands() {
         let u = usage();

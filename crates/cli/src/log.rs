@@ -231,8 +231,13 @@ impl SurveyLog {
                     }
                     let channel: usize =
                         parts.next().and_then(|v| v.parse().ok()).ok_or(malformed.clone())?;
-                    let nums: Vec<f64> =
-                        parts.by_ref().take(4).filter_map(|v| v.parse().ok()).collect();
+                    // `"NaN".parse()` succeeds: a read holding a non-finite
+                    // number is as malformed as one holding no number.
+                    let nums: Vec<f64> = parts
+                        .by_ref()
+                        .take(4)
+                        .filter_map(|v| v.parse().ok().filter(|x: &f64| x.is_finite()))
+                        .collect();
                     if nums.len() != 4 {
                         return Err(malformed);
                     }
@@ -348,6 +353,13 @@ mod tests {
             SurveyLog::from_text("plan 9e8\n").unwrap_err(),
             LogError::Malformed { line: 1 }
         ));
+        for bad in ["9e8 NaN -50 0", "inf 1 -50 0", "9e8 1 -inf 0", "9e8 1 -50 nan"] {
+            let text = format!("plan 9e8 5e5 50\nantenna 0 0 0 0 0 1 0 0\nread 1 0 0 {bad}\n");
+            assert!(
+                matches!(SurveyLog::from_text(&text).unwrap_err(), LogError::Malformed { line: 3 }),
+                "read `{bad}` must be rejected"
+            );
+        }
     }
 
     #[test]

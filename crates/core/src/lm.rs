@@ -6,9 +6,9 @@
 //! fallback), the λ damping/retry policy — is byte-for-byte the same
 //! algorithm. [`LmCore`] is that algorithm, const-generic over the
 //! parameter count `P`, with the problem physics abstracted behind
-//! [`ResidualModel`]. Both solvers are thin facades over it, and a new
-//! P-parameter sensing head gets the whole refinement stack by
-//! implementing one trait method.
+//! [`ResidualModel`]. The one solver facade of [`crate::solver`] drives
+//! it for both dimensions, and a new P-parameter sensing head gets the
+//! whole refinement stack by implementing one trait method.
 //!
 //! Compared with the dynamic `LmWorkspace` cores frozen in
 //! [`crate::reference`] (the oracle the facades are tested against), the

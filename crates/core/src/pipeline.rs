@@ -5,10 +5,14 @@
 //! the algorithm configuration. One call to [`RfPrism::sense`] runs
 //! pre-processing → per-antenna line fitting (with multipath suppression) →
 //! error detection → the joint disentangling solve, and returns the tag's
-//! position, orientation and material parameters simultaneously. The
-//! solve runs on the dimension-generic lane core (`rfp_core::lm`,
-//! [`LmCore<5>`](crate::LmCore) behind the [`solve_2d_seeded_warm`]
-//! facade), so pipeline, batch and streaming all share one LM engine.
+//! position, orientation and material parameters simultaneously.
+//!
+//! That sequence, its configuration, result and error shapes and the
+//! recycled observation pools are generic over the solver, so the 3-D
+//! pipeline ([`crate::pipeline3d`]) runs the same code with the 3-D solve
+//! plugged in. Both solves run through the one solver facade of
+//! [`crate::solver`] on the dimension-generic lane core (`rfp_core::lm`),
+//! so pipeline, batch and streaming all share one LM engine.
 
 use crate::batch::BatchCache;
 use crate::detector::{assess, DetectorConfig, MobilityVerdict};
@@ -25,33 +29,41 @@ use rfp_dsp::workspace::FrontEndWorkspace;
 use rfp_geom::{AntennaPose, Region2, Vec2};
 use rfp_phys::FrequencyPlan;
 
-/// Algorithm configuration for the pipeline.
+/// Algorithm configuration of a sensing pipeline; `C` is the solver's
+/// configuration — [`SolverConfig`] for [`RfPrismConfig`],
+/// [`Solver3DConfig`](crate::solver3d::Solver3DConfig) for
+/// [`RfPrism3DConfig`](crate::RfPrism3DConfig).
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct RfPrismConfig {
+pub struct PipelineConfig<C> {
     /// Pre-processing + robust fitting options.
     pub extract: ExtractConfig,
     /// Joint solver options.
-    pub solver: SolverConfig,
+    pub solver: C,
     /// Error-detector thresholds.
     pub detector: DetectorConfig,
     /// When true (default), a `Moving` verdict aborts the solve and
-    /// [`RfPrism::sense`] returns [`SenseError::TagMoving`] — the paper
-    /// filters such windows out. Set false to solve anyway (used by the
-    /// ablation that quantifies how much the detector saves).
+    /// sensing returns a `TagMoving` error — the paper filters such
+    /// windows out. Set false to solve anyway (used by the ablation that
+    /// quantifies how much the detector saves).
     pub reject_moving: bool,
 }
 
-impl RfPrismConfig {
+/// Algorithm configuration for the 2-D pipeline.
+pub type RfPrismConfig = PipelineConfig<SolverConfig>;
+
+impl<C: Default> PipelineConfig<C> {
     /// Paper defaults.
     pub fn paper() -> Self {
-        RfPrismConfig {
+        PipelineConfig {
             extract: ExtractConfig::paper(),
-            solver: SolverConfig::default(),
+            solver: C::default(),
             detector: DetectorConfig::default(),
             reject_moving: true,
         }
     }
+}
 
+impl RfPrismConfig {
     /// Returns a copy using the given front-end trigonometry backend
     /// (builder style). The provider threads through every extraction
     /// this config drives — the 2-D/3-D pipelines, material-feature
@@ -65,16 +77,19 @@ impl RfPrismConfig {
     }
 }
 
-/// The result of one sensing pass.
+/// The result of one sensing pass; `E` is the disentangled tag state.
 #[derive(Debug, Clone)]
-pub struct SensingResult {
+pub struct Sensing<E> {
     /// Disentangled tag state (position, orientation, `k_t`, `b_t`).
-    pub estimate: TagEstimate2D,
+    pub estimate: E,
     /// The per-antenna observations that produced it.
     pub observations: Vec<AntennaObservation>,
     /// Error-detector verdict for this window.
     pub verdict: MobilityVerdict,
 }
+
+/// The result of one 2-D sensing pass.
+pub type SensingResult = Sensing<TagEstimate2D>;
 
 impl SensingResult {
     /// Extracts the material feature vector, given the tag's one-time
@@ -88,9 +103,9 @@ impl SensingResult {
     }
 }
 
-/// Errors from [`RfPrism::sense`].
+/// Errors from a sensing pass; `S` is the solver's error.
 #[derive(Debug, Clone, PartialEq)]
-pub enum SenseError {
+pub enum SensingError<S> {
     /// The reads slice length differs from the configured antenna count.
     AntennaCountMismatch {
         /// Antennas the pipeline was built with.
@@ -111,8 +126,11 @@ pub enum SenseError {
         worst_residual_std: f64,
     },
     /// The joint solver failed.
-    Solve(SolveError),
+    Solve(S),
 }
+
+/// Errors from [`RfPrism::sense`].
+pub type SenseError = SensingError<SolveError>;
 
 impl std::fmt::Display for SenseError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -132,38 +150,41 @@ impl std::fmt::Display for SenseError {
     }
 }
 
-impl std::error::Error for SenseError {}
+impl<S: std::fmt::Debug> std::error::Error for SensingError<S> where Self: std::fmt::Display {}
 
-impl From<SolveError> for SenseError {
-    fn from(e: SolveError) -> Self {
-        SenseError::Solve(e)
+impl<S> From<S> for SensingError<S> {
+    fn from(e: S) -> Self {
+        SensingError::Solve(e)
     }
 }
 
 /// Reusable scratch for a full sensing pass: the DSP front-end columns
-/// ([`FrontEndWorkspace`]), the solver scratch ([`SolverWorkspace`]) and
-/// free-lists of recycled [`AntennaObservation`]s and observation vectors.
+/// ([`FrontEndWorkspace`]), the solver scratch `W` ([`SolverWorkspace`] in
+/// 2-D) and free-lists of recycled [`AntennaObservation`]s and observation
+/// vectors.
 ///
-/// One `SenseWorkspace` per worker thread makes the whole
-/// raw-reads → estimate path allocation-free in steady state: feed results
-/// back with [`SenseWorkspace::recycle`] once you are done with them and
-/// every buffer — channel columns, inlier masks, observation vectors,
-/// solver candidates — is reused on the next call. Reuse never changes
-/// results; `tests/alloc_free.rs` pins both properties.
+/// One workspace per worker thread makes the whole raw-reads → estimate
+/// path allocation-free in steady state: feed results back with
+/// [`SensingWorkspace::recycle`] once you are done with them and every
+/// buffer — channel columns, inlier masks, observation vectors, solver
+/// candidates — is reused on the next call. Reuse never changes results;
+/// `tests/alloc_free.rs` pins both properties.
 #[derive(Debug, Default)]
-pub struct SenseWorkspace {
-    pub(crate) solver: SolverWorkspace,
+pub struct SensingWorkspace<W> {
+    pub(crate) solver: W,
     pub(crate) frontend: FrontEndWorkspace,
     obs_free: Vec<AntennaObservation>,
     vec_free: Vec<Vec<AntennaObservation>>,
 }
 
-impl SenseWorkspace {
+/// Reusable scratch for a full 2-D sensing pass (see [`SensingWorkspace`]).
+pub type SenseWorkspace = SensingWorkspace<SolverWorkspace>;
+
+impl<W> SensingWorkspace<W> {
     /// Returns a result's buffers to the workspace pools so the next
-    /// [`RfPrism::sense_reusing`] call can reuse them instead of
-    /// allocating. Purely an optimization — dropping the result instead is
-    /// always correct.
-    pub fn recycle(&mut self, result: SensingResult) {
+    /// sensing call can reuse them instead of allocating. Purely an
+    /// optimization — dropping the result instead is always correct.
+    pub fn recycle<E>(&mut self, result: Sensing<E>) {
         self.recycle_observations(result.observations);
     }
 
@@ -184,6 +205,81 @@ impl SenseWorkspace {
     pub(crate) fn recycle_observations(&mut self, mut v: Vec<AntennaObservation>) {
         self.obs_free.append(&mut v);
         self.vec_free.push(v);
+    }
+
+    /// One sensing pass of the pipeline with antennas at `poses`, under
+    /// span `span`: extract every antenna's observation, require at least
+    /// `min_antennas` usable ones, run the error detector and hand the
+    /// observations to `solve` (with the solver config and scratch).
+    pub(crate) fn sense<C, E, S>(
+        &mut self,
+        span: &'static str,
+        poses: &[AntennaPose],
+        config: &PipelineConfig<C>,
+        min_antennas: usize,
+        reads_per_antenna: &[Vec<RawRead>],
+        solve: impl FnOnce(&[AntennaObservation], &C, &mut W) -> Result<E, S>,
+    ) -> Result<Sensing<E>, SensingError<S>> {
+        let _sense_span = obs::span(span);
+        let _sense_timer = obs::time_histogram(obs::id::SENSE_LATENCY_US);
+        obs::counter_add(obs::id::PIPELINE_WINDOWS_TOTAL, 1);
+        if reads_per_antenna.len() != poses.len() {
+            return Err(SensingError::AntennaCountMismatch {
+                expected: poses.len(),
+                got: reads_per_antenna.len(),
+            });
+        }
+        let mut observations = self.take_observations();
+        let mut first_error = None;
+        {
+            let _extract_span = obs::span("extract");
+            for (pose, reads) in poses.iter().zip(reads_per_antenna) {
+                let mut slot = self.take_slot(*pose);
+                match extract_observation_into(
+                    *pose,
+                    reads,
+                    &config.extract,
+                    &mut self.frontend,
+                    &mut slot,
+                ) {
+                    Ok(()) => observations.push(slot),
+                    Err(e) => {
+                        self.recycle_slot(slot);
+                        obs::counter_add(obs::id::PIPELINE_EXTRACT_FAILURES, 1);
+                        if first_error.is_none() {
+                            first_error = Some(e);
+                        }
+                    }
+                }
+            }
+        }
+        if observations.len() < min_antennas {
+            obs::counter_add(obs::id::PIPELINE_WINDOWS_TOO_FEW_OBS, 1);
+            let usable = observations.len();
+            self.recycle_observations(observations);
+            return Err(SensingError::TooFewObservations { usable, first_error });
+        }
+
+        let verdict = assess(&observations, &config.detector);
+        obs::verdict(&verdict);
+        if config.reject_moving {
+            if let MobilityVerdict::Moving { worst_residual_std } = verdict {
+                obs::counter_add(obs::id::PIPELINE_WINDOWS_MOVING_REJECTED, 1);
+                self.recycle_observations(observations);
+                return Err(SensingError::TagMoving { worst_residual_std });
+            }
+        }
+
+        match solve(&observations, &config.solver, &mut self.solver) {
+            Ok(estimate) => {
+                obs::counter_add(obs::id::PIPELINE_WINDOWS_OK, 1);
+                Ok(Sensing { estimate, observations, verdict })
+            }
+            Err(e) => {
+                self.recycle_observations(observations);
+                Err(SensingError::Solve(e))
+            }
+        }
     }
 }
 
@@ -358,71 +454,9 @@ impl RfPrism {
         workspace: &mut SenseWorkspace,
         warm: Option<&WarmStart>,
     ) -> Result<SensingResult, SenseError> {
-        let _sense_span = obs::span("sense");
-        let _sense_timer = obs::time_histogram(obs::id::SENSE_LATENCY_US);
-        obs::counter_add(obs::id::PIPELINE_WINDOWS_TOTAL, 1);
-        if reads_per_antenna.len() != self.poses.len() {
-            return Err(SenseError::AntennaCountMismatch {
-                expected: self.poses.len(),
-                got: reads_per_antenna.len(),
-            });
-        }
-        let mut observations = workspace.take_observations();
-        let mut first_error = None;
-        {
-            let _extract_span = obs::span("extract");
-            for (pose, reads) in self.poses.iter().zip(reads_per_antenna) {
-                let mut slot = workspace.take_slot(*pose);
-                match extract_observation_into(
-                    *pose,
-                    reads,
-                    &self.config.extract,
-                    &mut workspace.frontend,
-                    &mut slot,
-                ) {
-                    Ok(()) => observations.push(slot),
-                    Err(e) => {
-                        workspace.recycle_slot(slot);
-                        obs::counter_add(obs::id::PIPELINE_EXTRACT_FAILURES, 1);
-                        if first_error.is_none() {
-                            first_error = Some(e);
-                        }
-                    }
-                }
-            }
-        }
-        if observations.len() < 3 {
-            obs::counter_add(obs::id::PIPELINE_WINDOWS_TOO_FEW_OBS, 1);
-            let usable = observations.len();
-            workspace.recycle_observations(observations);
-            return Err(SenseError::TooFewObservations { usable, first_error });
-        }
-
-        let verdict = assess(&observations, &self.config.detector);
-        obs::verdict(&verdict);
-        if self.config.reject_moving {
-            if let MobilityVerdict::Moving { worst_residual_std } = verdict {
-                obs::counter_add(obs::id::PIPELINE_WINDOWS_MOVING_REJECTED, 1);
-                workspace.recycle_observations(observations);
-                return Err(SenseError::TagMoving { worst_residual_std });
-            }
-        }
-
-        let estimate = match solve_2d_seeded_warm(
-            &observations,
-            seeds,
-            &self.config.solver,
-            &mut workspace.solver,
-            warm,
-        ) {
-            Ok(e) => e,
-            Err(e) => {
-                workspace.recycle_observations(observations);
-                return Err(e.into());
-            }
-        };
-        obs::counter_add(obs::id::PIPELINE_WINDOWS_OK, 1);
-        Ok(SensingResult { estimate, observations, verdict })
+        workspace.sense("sense", &self.poses, &self.config, 3, reads_per_antenna, |o, c, ws| {
+            solve_2d_seeded_warm(o, seeds, c, ws, warm)
+        })
     }
 }
 

@@ -2,86 +2,32 @@
 //! [`crate::RfPrism`]).
 //!
 //! With four antennas the 8 fitted line parameters over-determine the 7
-//! unknowns `(x, y, z, dipole axis, k_t, b_t)`; everything else (raw-read
-//! pre-processing, multipath suppression, the error detector) is shared
-//! with the 2-D pipeline — including the LM engine itself: the 3-D solve
-//! is [`LmCore<7>`](crate::LmCore) behind the [`solve_3d_seeded_warm`]
-//! facade, the same dimension-generic lane core the 2-D path runs on.
+//! unknowns `(x, y, z, dipole axis, k_t, b_t)`. Everything but the solve
+//! is the 2-D pipeline's own code: raw-read pre-processing, multipath
+//! suppression, the error detector, the sensing sequence and its
+//! observation pools ([`SensingWorkspace`]), with [`solve_3d_seeded_warm`]
+//! plugged in — the one solver facade of [`crate::solver`] on
+//! [`LmCore<7>`](crate::LmCore).
 
 use crate::batch::BatchCache3D;
-use crate::detector::{assess, DetectorConfig, MobilityVerdict};
-use crate::model::{extract_observation_into, AntennaObservation, ExtractConfig, ExtractError};
-use crate::obs;
+use crate::pipeline::{PipelineConfig, Sensing, SensingError, SensingWorkspace};
 use crate::solver3d::{
     solve_3d_seeded_warm, Solve3DError, Solve3DSeeds, Solver3DConfig, Solver3DWorkspace,
     TagEstimate3D, WarmStart3D,
 };
 use rfp_dsp::preprocess::RawRead;
-use rfp_dsp::workspace::FrontEndWorkspace;
 use rfp_geom::{AntennaPose, Region2};
 use rfp_phys::FrequencyPlan;
 
-/// Configuration of the 3-D pipeline.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct RfPrism3DConfig {
-    /// Pre-processing + robust fitting options.
-    pub extract: ExtractConfig,
-    /// 3-D solver options.
-    pub solver: Solver3DConfig,
-    /// Error-detector thresholds.
-    pub detector: DetectorConfig,
-    /// Whether a `Moving` verdict aborts the solve (default true).
-    pub reject_moving: bool,
-}
+/// Configuration of the 3-D pipeline (see [`PipelineConfig`]).
+pub type RfPrism3DConfig = PipelineConfig<Solver3DConfig>;
 
-impl RfPrism3DConfig {
-    /// Paper-style defaults.
-    pub fn paper() -> Self {
-        RfPrism3DConfig {
-            extract: ExtractConfig::paper(),
-            solver: Solver3DConfig::default(),
-            detector: DetectorConfig::default(),
-            reject_moving: true,
-        }
-    }
-}
+/// Result of one 3-D sensing pass (see [`Sensing`]).
+pub type Sensing3DResult = Sensing<TagEstimate3D>;
 
-/// Result of one 3-D sensing pass.
-#[derive(Debug, Clone)]
-pub struct Sensing3DResult {
-    /// Disentangled 3-D tag state.
-    pub estimate: TagEstimate3D,
-    /// The per-antenna observations that produced it.
-    pub observations: Vec<AntennaObservation>,
-    /// Error-detector verdict.
-    pub verdict: MobilityVerdict,
-}
-
-/// Errors from [`RfPrism3D::sense`].
-#[derive(Debug, Clone, PartialEq)]
-pub enum Sense3DError {
-    /// Wrong number of read groups.
-    AntennaCountMismatch {
-        /// Configured antennas.
-        expected: usize,
-        /// Supplied groups.
-        got: usize,
-    },
-    /// Too few usable observations (need ≥ 4).
-    TooFewObservations {
-        /// Usable observations.
-        usable: usize,
-        /// First extraction error, if any.
-        first_error: Option<ExtractError>,
-    },
-    /// The error detector rejected the window.
-    TagMoving {
-        /// Worst post-rejection residual std, radians.
-        worst_residual_std: f64,
-    },
-    /// Solver failure.
-    Solve(Solve3DError),
-}
+/// Errors from [`RfPrism3D::sense`] (see [`SensingError`]); at least 4
+/// usable observations are needed.
+pub type Sense3DError = SensingError<Solve3DError>;
 
 impl std::fmt::Display for Sense3DError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -101,51 +47,10 @@ impl std::fmt::Display for Sense3DError {
     }
 }
 
-impl std::error::Error for Sense3DError {}
-
-impl From<Solve3DError> for Sense3DError {
-    fn from(e: Solve3DError) -> Self {
-        Sense3DError::Solve(e)
-    }
-}
-
-/// Reusable scratch for a full 3-D sensing pass — the 3-D analogue of
-/// [`crate::SenseWorkspace`]: DSP front-end columns, 3-D solver scratch and
+/// Reusable scratch for a full 3-D sensing pass (see
+/// [`SensingWorkspace`]): DSP front-end columns, 3-D solver scratch and
 /// recycled observation buffers, one per worker thread.
-#[derive(Debug, Default)]
-pub struct Sense3DWorkspace {
-    pub(crate) solver: Solver3DWorkspace,
-    pub(crate) frontend: FrontEndWorkspace,
-    obs_free: Vec<AntennaObservation>,
-    vec_free: Vec<Vec<AntennaObservation>>,
-}
-
-impl Sense3DWorkspace {
-    /// Returns a result's buffers to the workspace pools (see
-    /// [`crate::SenseWorkspace::recycle`]).
-    pub fn recycle(&mut self, result: Sensing3DResult) {
-        self.recycle_observations(result.observations);
-    }
-
-    fn take_observations(&mut self) -> Vec<AntennaObservation> {
-        let mut v = self.vec_free.pop().unwrap_or_default();
-        v.clear();
-        v
-    }
-
-    fn take_slot(&mut self, pose: AntennaPose) -> AntennaObservation {
-        self.obs_free.pop().unwrap_or_else(|| AntennaObservation::new_empty(pose))
-    }
-
-    fn recycle_slot(&mut self, slot: AntennaObservation) {
-        self.obs_free.push(slot);
-    }
-
-    fn recycle_observations(&mut self, mut v: Vec<AntennaObservation>) {
-        self.obs_free.append(&mut v);
-        self.vec_free.push(v);
-    }
-}
+pub type Sense3DWorkspace = SensingWorkspace<Solver3DWorkspace>;
 
 /// The 3-D RF-Prism pipeline.
 #[derive(Debug, Clone)]
@@ -247,69 +152,9 @@ impl RfPrism3D {
         workspace: &mut Sense3DWorkspace,
         warm: Option<&WarmStart3D>,
     ) -> Result<Sensing3DResult, Sense3DError> {
-        let _sense_span = obs::span("sense_3d");
-        let _sense_timer = obs::time_histogram(obs::id::SENSE_LATENCY_US);
-        obs::counter_add(obs::id::PIPELINE_WINDOWS_TOTAL, 1);
-        if reads_per_antenna.len() != self.poses.len() {
-            return Err(Sense3DError::AntennaCountMismatch {
-                expected: self.poses.len(),
-                got: reads_per_antenna.len(),
-            });
-        }
-        let mut observations = workspace.take_observations();
-        let mut first_error = None;
-        {
-            let _extract_span = obs::span("extract");
-            for (pose, reads) in self.poses.iter().zip(reads_per_antenna) {
-                let mut slot = workspace.take_slot(*pose);
-                match extract_observation_into(
-                    *pose,
-                    reads,
-                    &self.config.extract,
-                    &mut workspace.frontend,
-                    &mut slot,
-                ) {
-                    Ok(()) => observations.push(slot),
-                    Err(e) => {
-                        workspace.recycle_slot(slot);
-                        obs::counter_add(obs::id::PIPELINE_EXTRACT_FAILURES, 1);
-                        if first_error.is_none() {
-                            first_error = Some(e);
-                        }
-                    }
-                }
-            }
-        }
-        if observations.len() < 4 {
-            obs::counter_add(obs::id::PIPELINE_WINDOWS_TOO_FEW_OBS, 1);
-            let usable = observations.len();
-            workspace.recycle_observations(observations);
-            return Err(Sense3DError::TooFewObservations { usable, first_error });
-        }
-        let verdict = assess(&observations, &self.config.detector);
-        obs::verdict(&verdict);
-        if self.config.reject_moving {
-            if let MobilityVerdict::Moving { worst_residual_std } = verdict {
-                obs::counter_add(obs::id::PIPELINE_WINDOWS_MOVING_REJECTED, 1);
-                workspace.recycle_observations(observations);
-                return Err(Sense3DError::TagMoving { worst_residual_std });
-            }
-        }
-        let estimate = match solve_3d_seeded_warm(
-            &observations,
-            seeds,
-            &self.config.solver,
-            &mut workspace.solver,
-            warm,
-        ) {
-            Ok(e) => e,
-            Err(e) => {
-                workspace.recycle_observations(observations);
-                return Err(e.into());
-            }
-        };
-        obs::counter_add(obs::id::PIPELINE_WINDOWS_OK, 1);
-        Ok(Sensing3DResult { estimate, observations, verdict })
+        workspace.sense("sense_3d", &self.poses, &self.config, 4, reads_per_antenna, |o, c, ws| {
+            solve_3d_seeded_warm(o, seeds, c, ws, warm)
+        })
     }
 
     /// The (x, y) search region.

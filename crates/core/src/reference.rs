@@ -27,9 +27,7 @@ use crate::solver::{
     JacobianMode, SeedGeometry, SolveError, SolveSeeds, SolveStats, SolverConfig, TagEstimate2D,
     WarmStart,
 };
-use crate::solver3d::{
-    SeedGeometry3D, Solve3DError, Solve3DSeeds, Solver3DConfig, TagEstimate3D, WarmStart3D,
-};
+use crate::solver3d::{Solve3DError, Solve3DSeeds, Solver3DConfig, TagEstimate3D, WarmStart3D};
 use rfp_geom::{angle, Vec2, Vec3};
 use rfp_phys::polarization::{orientation_phase, planar_dipole, projection_magnitude};
 use rfp_phys::propagation;
@@ -450,7 +448,7 @@ pub fn solve_2d_reference(
     // floor.
     coarse.clear();
     if warm.is_some() || !is_exhaustive_2d(config) {
-        for (s, &seed_pos) in seeds.position_starts.iter().enumerate() {
+        for (s, seed_pos) in seeds.position_starts.iter().map(|p| p.xy()).enumerate() {
             let (kt0, cost) = coarse_seed_cost_2d(observations, geometry, s, seed_pos, config);
             coarse.push((cost, s, kt0));
         }
@@ -474,7 +472,7 @@ pub fn solve_2d_reference(
             );
         let in_region = admissible.contains(Vec2::new(p[0], p[1]));
         let (_, best_seed, best_kt) = coarse[0];
-        let seed_pos = seeds.position_starts[best_seed];
+        let seed_pos = seeds.position_starts[best_seed].xy();
         let mut sp0 = pooled(params_pool);
         sp0.extend_from_slice(&[seed_pos.x, seed_pos.y, best_kt]);
         let (sp, _) = refine_slope_2d(lm, observations, config, sp0);
@@ -482,7 +480,7 @@ pub fn solve_2d_reference(
             observations,
             geometry,
             config,
-            seeds.alpha_steps,
+            seeds.dim.alpha_steps,
             (sp[0], sp[1], sp[2]),
             dists,
             orient_row,
@@ -501,7 +499,7 @@ pub fn solve_2d_reference(
 
     // Stage 1: slope-only position solve.
     if is_exhaustive_2d(config) {
-        for (s, &seed_pos) in seeds.position_starts.iter().enumerate() {
+        for (s, seed_pos) in seeds.position_starts.iter().map(|p| p.xy()).enumerate() {
             let kt0 = match geometry {
                 Some(g) => {
                     let base = s * n_obs;
@@ -535,7 +533,7 @@ pub fn solve_2d_reference(
             {
                 break;
             }
-            let seed_pos = seeds.position_starts[s];
+            let seed_pos = seeds.position_starts[s].xy();
             let mut p0 = pooled(params_pool);
             p0.extend_from_slice(&[seed_pos.x, seed_pos.y, kt0]);
             let (p, cost) = refine_slope_2d(lm, observations, config, p0);
@@ -576,7 +574,7 @@ pub fn solve_2d_reference(
             observations,
             geometry,
             config,
-            seeds.alpha_steps,
+            seeds.dim.alpha_steps,
             (cx, cy, ckt),
             dists,
             orient_row,
@@ -1161,8 +1159,8 @@ pub fn solve_3d_reference(
         refined,
     } = workspace;
 
-    let admissible_xy = seeds.admissible_xy;
-    let (z_lo_adm, z_hi_adm) = seeds.z_bounds;
+    let admissible_xy = seeds.admissible;
+    let (z_lo_adm, z_hi_adm) = seeds.dim.z_bounds;
     let inside = |p: &[f64]| {
         admissible_xy.contains(Vec2::new(p[0], p[1]))
             && p[2] >= z_lo_adm
@@ -1219,7 +1217,7 @@ pub fn solve_3d_reference(
             observations,
             geometry,
             config,
-            seeds.rings,
+            seeds.dim.rings,
             (sp[0], sp[1], sp[2], sp[3]),
             dists,
             orient_row,
@@ -1327,7 +1325,7 @@ pub fn solve_3d_reference(
             observations,
             geometry,
             config,
-            seeds.rings,
+            seeds.dim.rings,
             (cx, cy, cz, ckt),
             dists,
             orient_row,
@@ -1371,7 +1369,7 @@ pub fn solve_3d_reference(
 /// unrefined slope cost.
 fn coarse_seed_cost_3d(
     observations: &[AntennaObservation],
-    geometry: Option<&SeedGeometry3D>,
+    geometry: Option<&SeedGeometry>,
     s: usize,
     pos: Vec3,
     config: &Solver3DConfig,
@@ -1420,7 +1418,7 @@ fn coarse_seed_cost_3d(
 #[allow(clippy::too_many_arguments)]
 fn scan_dipoles_3d(
     observations: &[AntennaObservation],
-    geometry: Option<&SeedGeometry3D>,
+    geometry: Option<&SeedGeometry>,
     config: &Solver3DConfig,
     rings: usize,
     candidate: (f64, f64, f64, f64),

@@ -45,14 +45,19 @@
 //! floor, falling back to the full scan otherwise so a stale prior never
 //! captures the solve (see [`solve_2d_seeded_warm`]).
 //!
-//! Since the lane-core refactor this module is a thin *facade*: the LM
-//! refinement engine lives in the dimension-generic
-//! [`LmCore`] (`LmCore<5>` for the joint problem,
-//! `LmCore<3>` for stage 1), the problem physics sits behind
-//! [`ResidualModel`] implementations, and the
-//! residual/seed-ranking hot loops run in explicit 4-wide lanes. The
-//! pre-refactor solver is frozen verbatim in [`crate::reference`] as the
-//! bit-exact oracle the facade is pinned against (see DESIGN.md §6).
+//! This module also holds the one solver facade the 2-D solve and the
+//! 3-D solve of [`crate::solver3d`] share: multi-start seeds
+//! ([`Seeds`]), the workspace ([`Workspace`]), the coarse seed ranking,
+//! the warm-start gate, the stage-1 slope solve, the orientation scan and
+//! the joint short-list. It is generic over a crate-private
+//! scene-dimension trait whose two implementations ([`Planar`] here,
+//! [`Spatial`](crate::solver3d::Spatial) in 3-D) supply only the residual
+//! kernels, the scan directions, the admissibility test and the estimate
+//! assembly. Every refinement runs on [`LmCore`] (`LmCore<5>`/`LmCore<3>`
+//! in 2-D, `LmCore<7>`/`LmCore<4>` in 3-D) through a [`ResidualModel`];
+//! the pre-refactor solvers are frozen verbatim in [`crate::reference`]
+//! as the bit-exact oracle the facade is pinned against (see DESIGN.md
+//! §6).
 
 use crate::lm::{LaneStats, LmCore, ResidualModel, StepStats};
 use crate::model::AntennaObservation;
@@ -107,8 +112,8 @@ impl SolveStats {
 }
 
 /// Seed-pruning and warm-start effectiveness counters, accumulated
-/// monotonically per workspace (snapshot with
-/// [`SolverWorkspace::prune_stats`] and diff with [`PruneStats::since`]).
+/// monotonically per workspace (snapshot with [`Workspace::prune_stats`]
+/// and diff with [`PruneStats::since`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PruneStats {
     /// Multi-start position seeds considered across all solves.
@@ -142,30 +147,144 @@ impl PruneStats {
     }
 }
 
-/// Per-scene constants of the 2-D solve, computed once and shared
-/// read-only by every solve against the same `(region, config)` pair —
-/// the batch engine builds one of these per scene and hands it to all
-/// workers (see `crate::batch`).
+/// One scene dimension of the disentangling solve: everything that differs
+/// between the 2-D ([`Planar`]) and 3-D
+/// ([`Spatial`](crate::solver3d::Spatial)) problems, as seen by the shared
+/// facade. `J` is the joint parameter count and `S` the stage-1 count;
+/// stage-1 parameters are the position coordinates followed by `k_t`, and
+/// joint parameters lead with the same coordinates. The implementing type
+/// is the scene's scan description, stored in its [`Seeds`].
+pub(crate) trait SceneDim<const J: usize, const S: usize> {
+    /// The solver configuration of this dimension.
+    type Config;
+    /// The cross-round warm-start prior.
+    type Warm;
+    /// The disentangled tag state.
+    type Estimate;
+    /// The error of a solve with too few antennas.
+    type Error;
+    /// Fewest antennas whose 2N equations over-determine the J unknowns.
+    const MIN_ANTENNAS: usize;
+    /// How many distinct admissible stage-1 candidates reach the scan.
+    const STAGE1_KEEP: usize;
+    /// Stage-1 candidates closer than this (metres) to a kept one are
+    /// duplicates; `0` keeps every candidate, as distances are never
+    /// negative.
+    const STAGE1_DEDUP_M: f64;
+    /// Scan directions per stage-1 candidate that receive a joint
+    /// refinement.
+    const SHORTLIST: usize;
+    /// Central-difference steps of the numeric joint refinement.
+    const JOINT_STEPS: [f64; J];
+    /// Central-difference steps of the numeric stage-1 refinement.
+    const SLOPE_STEPS: [f64; S];
+    /// Span names of the solve and of its orientation scan.
+    const SPANS: (&'static str, &'static str);
+    /// Obs counter ids of (solves, iterations, residual evals, Jacobian
+    /// evals).
+    const COUNTERS: [usize; 4];
+
+    /// The knobs of `config` the facade reads.
+    fn knobs(config: &Self::Config) -> Knobs;
+    /// The error for a solve given `provided` observations.
+    fn too_few(provided: usize) -> Self::Error;
+    /// The 2N joint residuals at `p` and, when `jac` is given, their
+    /// row-major `2N × J` analytic Jacobian.
+    fn joint_rows(
+        observations: &[AntennaObservation],
+        p: &[f64],
+        config: &Self::Config,
+        r: &mut Vec<f64>,
+        jac: Option<&mut Vec<f64>>,
+    );
+    /// The N stage-1 slope residuals at `p` and their `N × S` Jacobian.
+    fn slope_rows(
+        observations: &[AntennaObservation],
+        p: &[f64],
+        config: &Self::Config,
+        r: &mut Vec<f64>,
+        jac: Option<&mut Vec<f64>>,
+    );
+    /// Number of orientation-scan directions.
+    fn scan_len(&self) -> usize;
+    /// The unit dipole of scan direction `dir`.
+    fn scan_dipole(&self, dir: usize) -> Vec3;
+    /// The joint seed from stage-1 candidate `c`, scan direction `dir` and
+    /// its closed-form `b_t` seed.
+    fn joint_seed(&self, c: &[f64; S], dir: usize, bt0: f64) -> [f64; J];
+    /// Whether `position` lies in the admissible scene around `region`.
+    fn admissible(&self, region: Region2, position: Vec3) -> bool;
+    /// The dipole axis of joint parameters `p`.
+    fn dipole(p: &[f64; J]) -> Vec3;
+    /// The joint parameters of a warm-start prior.
+    fn warm_params(warm: &Self::Warm) -> [f64; J];
+    /// The estimate of refined joint parameters `p` with weighted `cost`.
+    fn estimate(
+        observations: &[AntennaObservation],
+        p: &[f64; J],
+        cost: f64,
+        config: &Self::Config,
+        scratch: &mut UncertScratch,
+    ) -> Self::Estimate;
+}
+
+/// The configuration knobs both scene dimensions share, copied out of
+/// [`SolverConfig`] or [`Solver3DConfig`](crate::solver3d::Solver3DConfig)
+/// once per solve.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Knobs {
+    pub(crate) slope_sigma: f64,
+    pub(crate) intercept_sigma: f64,
+    pub(crate) max_iterations: usize,
+    pub(crate) tolerance: f64,
+    pub(crate) rssi_sigma_db: f64,
+    pub(crate) jacobian: JacobianMode,
+    pub(crate) refine_top_k: Option<usize>,
+    pub(crate) early_exit_rel_tol: f64,
+    pub(crate) warm_gate_rel_tol: f64,
+}
+
+impl Knobs {
+    /// True when the multi-start scan runs the legacy exhaustive loop
+    /// (every seed refined, grid order, no early exit).
+    fn is_exhaustive(&self) -> bool {
+        self.refine_top_k.is_none() && self.early_exit_rel_tol <= 0.0
+    }
+
+    fn rssi_active(&self) -> bool {
+        self.rssi_sigma_db.is_finite() && self.rssi_sigma_db > 0.0
+    }
+}
+
+/// Per-scene constants of a solve, computed once and shared read-only by
+/// every solve against the same scene and configuration — the batch
+/// engine builds one per scene and hands it to all workers (see
+/// `crate::batch`). `D` is the scene dimension: [`Planar`] for
+/// [`SolveSeeds`], [`Spatial`](crate::solver3d::Spatial) for
+/// [`Solve3DSeeds`](crate::solver3d::Solve3DSeeds).
 ///
-/// [`SolveSeeds::for_scene`] additionally precomputes the per-seed
-/// per-antenna slope table and the α-seed orientation/projection tables
+/// The `for_scene` constructors additionally precompute the per-seed
+/// per-antenna slope table and the scan's orientation/projection tables
 /// for a known antenna deployment, hoisting that geometry out of the
 /// per-tag loop entirely. Solves against observations whose poses differ
 /// from the cached deployment (an antenna dropped by extraction, say)
 /// transparently fall back to direct evaluation with bit-identical
 /// results.
 #[derive(Debug, Clone)]
-pub struct SolveSeeds {
-    /// Multi-start position grid over the working region.
-    pub(crate) position_starts: Vec<Vec2>,
-    /// Number of α seeds scanned per position candidate.
-    pub(crate) alpha_steps: usize,
-    /// Region candidates must refine into to be preferred.
+pub struct Seeds<D> {
+    /// Multi-start positions over the working region (`z = 0` in 2-D, so
+    /// every distance matches the planar expression bit for bit).
+    pub(crate) position_starts: Vec<Vec3>,
+    /// Horizontal region candidates must refine into to be preferred.
     pub(crate) admissible: Region2,
-    /// Precomputed per-antenna geometry tables (only with
-    /// [`SolveSeeds::for_scene`]).
+    /// The scene dimension's scan description.
+    pub(crate) dim: D,
+    /// Precomputed per-antenna geometry tables (only with `for_scene`).
     pub(crate) geometry: Option<SeedGeometry>,
 }
+
+/// The 2-D solver's multi-start seeds (see [`Seeds`]).
+pub type SolveSeeds = Seeds<Planar>;
 
 /// The hoisted per-scene geometry: everything in the stage-1/stage-2
 /// seeding that depends only on `(antenna poses, seed grids)`, not on the
@@ -179,15 +298,17 @@ pub(crate) struct SeedGeometry {
     /// `seed_slopes[s·n + i]` = `4π·dist(Aᵢ, seedₛ)/c` — the model slope
     /// of antenna *i* for grid seed *s*.
     pub(crate) seed_slopes: Vec<f64>,
-    /// `orient[a·n + i]` = `θ_orient(Aᵢ, α₀(a))` for α-seed index *a*.
+    /// `orient[dir·n + i]` = `θ_orient(Aᵢ, w(dir))` for scan direction
+    /// `dir`.
     pub(crate) orient: Vec<f64>,
-    /// `proj[a·n + i]` = dipole projection magnitude at antenna *i* for
-    /// α-seed index *a* (feeds the RSSI mode penalty).
+    /// `proj[dir·n + i]` = dipole projection magnitude at antenna *i* for
+    /// scan direction `dir` (feeds the RSSI mode penalty).
     pub(crate) proj: Vec<f64>,
-    /// `proj_db[a·n + i]` = `20·log10(proj[a·n + i])` — the RSSI penalty's
-    /// projection term, hoisted so the α scan stops paying a `log10` per
-    /// antenna per α step. `proj` stays alongside it because the penalty's
-    /// readability guard tests the *linear* projection.
+    /// `proj_db[dir·n + i]` = `20·log10(proj[dir·n + i])` — the RSSI
+    /// penalty's projection term, hoisted so the scan stops paying a
+    /// `log10` per antenna per direction. `proj` stays alongside it
+    /// because the penalty's readability guard tests the *linear*
+    /// projection.
     pub(crate) proj_db: Vec<f64>,
 }
 
@@ -200,16 +321,82 @@ impl SeedGeometry {
     }
 }
 
+impl<D> Seeds<D> {
+    /// Number of position seeds in the multi-start grid — the beam width
+    /// (`refine_top_k`) at which pruning degenerates to the full scan.
+    pub fn seed_count(&self) -> usize {
+        self.position_starts.len()
+    }
+}
+
+/// Adds the per-antenna geometry tables of deployment `poses` to `seeds`.
+pub(crate) fn with_geometry<D: SceneDim<J, S>, const J: usize, const S: usize>(
+    mut seeds: Seeds<D>,
+    poses: &[AntennaPose],
+) -> Seeds<D> {
+    let n = poses.len();
+    let mut seed_slopes = Vec::with_capacity(seeds.position_starts.len() * n);
+    for &seed in &seeds.position_starts {
+        for pose in poses {
+            let d = pose.position().distance(seed);
+            seed_slopes.push(propagation::slope_from_distance(d));
+        }
+    }
+    let dirs = seeds.dim.scan_len();
+    let mut orient = Vec::with_capacity(dirs * n);
+    let mut proj = Vec::with_capacity(dirs * n);
+    let mut proj_db = Vec::with_capacity(dirs * n);
+    for dir in 0..dirs {
+        push_dipole_rows(poses, seeds.dim.scan_dipole(dir), &mut orient, &mut proj, &mut proj_db);
+    }
+    let poses = poses.to_vec();
+    seeds.geometry = Some(SeedGeometry { poses, seed_slopes, orient, proj, proj_db });
+    seeds
+}
+
+/// Appends each pose's `θ_orient`, projection magnitude and its `20·log10`
+/// under dipole `w` — the one expression behind both the geometry tables
+/// and the scan's table-free rows.
+fn push_dipole_rows<'a>(
+    poses: impl IntoIterator<Item = &'a AntennaPose>,
+    w: Vec3,
+    orient: &mut Vec<f64>,
+    proj: &mut Vec<f64>,
+    proj_db: &mut Vec<f64>,
+) {
+    for pose in poses {
+        orient.push(orientation_phase(pose, w));
+        let p = projection_magnitude(pose, w);
+        proj.push(p);
+        proj_db.push(20.0 * p.log10());
+    }
+}
+
+/// The 2-D scene dimension: the tag on the plane `z = 0`, its dipole an
+/// orientation `α` in that plane, scanned over `[0, π)`.
+#[derive(Debug, Clone, Copy)]
+pub struct Planar {
+    /// Number of α seeds scanned per position candidate.
+    pub(crate) alpha_steps: usize,
+}
+
+impl Planar {
+    /// Orientation seed `α₀` of scan direction `dir`.
+    fn alpha(&self, dir: usize) -> f64 {
+        std::f64::consts::PI * dir as f64 / self.alpha_steps as f64
+    }
+}
+
 impl SolveSeeds {
     /// Precomputes the multi-start seeds for `region` under `config`
     /// without geometry tables (no antenna deployment known yet); the
     /// solver evaluates seed geometry directly.
     pub fn new(region: Region2, config: &SolverConfig) -> Self {
         let (nx, ny) = config.position_starts;
-        SolveSeeds {
-            position_starts: region.grid(nx.max(1), ny.max(1)).collect(),
-            alpha_steps: (config.orientation_starts.max(1) * 8).max(24),
+        Seeds {
+            position_starts: region.grid(nx.max(1), ny.max(1)).map(|p| p.with_z(0.0)).collect(),
             admissible: region.expanded(0.3),
+            dim: Planar { alpha_steps: (config.orientation_starts.max(1) * 8).max(24) },
             geometry: None,
         }
     }
@@ -219,89 +406,41 @@ impl SolveSeeds {
     /// the batch engine use. Results are bit-identical to the table-free
     /// seeds; only the per-tag seeding cost changes.
     pub fn for_scene(region: Region2, config: &SolverConfig, poses: &[AntennaPose]) -> Self {
-        let mut seeds = Self::new(region, config);
-        let n = poses.len();
-        let mut seed_slopes = Vec::with_capacity(seeds.position_starts.len() * n);
-        for &seed in &seeds.position_starts {
-            for pose in poses {
-                let d = pose.position().distance(seed.with_z(0.0));
-                seed_slopes.push(propagation::slope_from_distance(d));
-            }
-        }
-        let mut orient = Vec::with_capacity(seeds.alpha_steps * n);
-        let mut proj = Vec::with_capacity(seeds.alpha_steps * n);
-        let mut proj_db = Vec::with_capacity(seeds.alpha_steps * n);
-        for a in 0..seeds.alpha_steps {
-            let alpha0 = std::f64::consts::PI * a as f64 / seeds.alpha_steps as f64;
-            let w = planar_dipole(alpha0);
-            for pose in poses {
-                orient.push(orientation_phase(pose, w));
-                let p = projection_magnitude(pose, w);
-                proj.push(p);
-                proj_db.push(20.0 * p.log10());
-            }
-        }
-        seeds.geometry = Some(SeedGeometry {
-            poses: poses.to_vec(),
-            seed_slopes,
-            orient,
-            proj,
-            proj_db,
-        });
-        seeds
-    }
-
-    /// Number of position seeds in the multi-start grid — the beam width
-    /// (`refine_top_k`) at which pruning degenerates to the full scan.
-    pub fn seed_count(&self) -> usize {
-        self.position_starts.len()
+        with_geometry(Self::new(region, config), poses)
     }
 }
 
-/// Reusable scratch buffers for repeated 2-D solves. All contents are
-/// overwritten by each solve; reusing one workspace across calls only
-/// avoids reallocation, it never changes results.
+/// Reusable scratch buffers for repeated solves, with `J` joint and `S`
+/// stage-1 parameters. All contents are overwritten by each solve; reusing
+/// one workspace across calls only avoids reallocation, it never changes
+/// results.
 ///
-/// Since the lane-core refactor the parameter vectors are fixed-size
-/// arrays (`[f64; 5]` joint, `[f64; 3]` slope-only) living inline in the
-/// candidate lists, so no per-candidate heap storage (and no recycling
-/// pool) exists at all: cold and warm solves are allocation-free once the
-/// buffers are sized (pinned by the counting-allocator suite).
+/// The parameter vectors are fixed-size arrays living inline in the
+/// candidate lists, so no per-candidate heap storage exists at all: cold
+/// and warm solves are allocation-free once the buffers are sized (pinned
+/// by the counting-allocator suite).
 #[derive(Debug, Default)]
-pub struct SolverWorkspace {
-    /// The joint 5-parameter LM engine.
-    joint: LmCore<5>,
-    /// The stage-1 slope-only 3-parameter LM engine.
-    slope: LmCore<3>,
+pub struct Workspace<const J: usize, const S: usize> {
+    /// The joint LM engine.
+    joint: LmCore<J>,
+    /// The stage-1 slope-only LM engine.
+    slope: LmCore<S>,
     /// Stage-1 refined candidates `(params, cost, seed index)`.
-    position_candidates: Vec<([f64; 3], f64, usize)>,
+    position_candidates: Vec<([f64; S], f64, usize)>,
     /// `(coarse cost, seed index, k_t seed)` ranking of the coarse-to-fine
     /// scan.
     coarse: Vec<(f64, usize, f64)>,
-    /// `(α₀, b_t seed, ranking cost)` per α scan step.
-    alpha_ranked: Vec<(f64, f64, f64)>,
-    /// Per-antenna distances of the current stage-2 candidate.
-    dists: Vec<f64>,
-    /// Per-antenna `rssiᵢ + 40·log10(dᵢ)` of the current stage-2
-    /// candidate — the α-independent half of the RSSI penalty, hoisted
-    /// out of the α scan.
-    rssi_base: Vec<f64>,
-    /// Per-antenna `θ_orient` / projection rows when no geometry table
-    /// applies.
-    orient_row: Vec<f64>,
-    proj_row: Vec<f64>,
-    proj_db_row: Vec<f64>,
-    /// Per-α closed-form `b_t` seeds and squared intercept residuals,
-    /// cached by the first α scan of a solve. Both depend only on the
-    /// observations and the α geometry — not on the position candidate —
-    /// so the second and later scans of the same solve replay them
-    /// instead of recomputing the circular means. Cleared at every solve
-    /// entry (`alpha_bt0.is_empty()` marks the cache cold).
-    alpha_bt0: Vec<f64>,
-    alpha_rb2: Vec<f64>,
+    /// `(direction index, b_t seed, ranking cost)` per scan direction,
+    /// sorted best-first. The `b_t` seeds depend only on the observations
+    /// and the direction, so the first scan of a solve computes them and
+    /// later scans of the same solve keep them; emptied at every solve
+    /// entry.
+    ranked: Vec<(usize, f64, f64)>,
+    /// Per-antenna rows of the current scan candidate.
+    rows: ScanRows,
     /// Stage-3 refined candidates; the winner is extracted by index.
-    refined: Vec<([f64; 5], f64)>,
-    /// Scratch of the Gauss–Newton covariance propagation.
+    refined: Vec<([f64; J], f64)>,
+    /// Scratch of the 2-D Gauss–Newton covariance propagation.
     uncert: UncertScratch,
     /// Pruning / warm-start effectiveness tallies.
     prune: PruneStats,
@@ -310,10 +449,27 @@ pub struct SolverWorkspace {
     lanes: LaneStats,
 }
 
+/// The 2-D solver's workspace (see [`Workspace`]).
+pub type SolverWorkspace = Workspace<5, 3>;
+
+/// Per-antenna rows of the orientation scan at one candidate.
+#[derive(Debug, Default)]
+struct ScanRows {
+    /// Distances to the candidate position.
+    dists: Vec<f64>,
+    /// `rssiᵢ + 40·log10(dᵢ)` — the direction-independent half of the RSSI
+    /// penalty, hoisted out of the scan.
+    rssi_base: Vec<f64>,
+    /// `θ_orient` / projection rows when no geometry table applies.
+    orient: Vec<f64>,
+    proj: Vec<f64>,
+    proj_db: Vec<f64>,
+}
+
 /// Scratch buffers of [`estimate_uncertainty`]: residuals, Jacobian and
 /// the normal-equation/covariance matrices, reused across solves.
 #[derive(Debug, Default)]
-struct UncertScratch {
+pub(crate) struct UncertScratch {
     r: Vec<f64>,
     r_minus: Vec<f64>,
     work: Vec<f64>,
@@ -323,7 +479,7 @@ struct UncertScratch {
     e: Vec<f64>,
 }
 
-impl SolverWorkspace {
+impl<const J: usize, const S: usize> Workspace<J, S> {
     /// Snapshot of the LM work counters accumulated by solves run against
     /// this workspace (diff two snapshots with [`SolveStats::since`] for
     /// per-solve counts). Sums the joint and slope cores, so totals match
@@ -353,8 +509,8 @@ impl SolverWorkspace {
             .merged(self.slope.lane_stats())
     }
 
-    /// Snapshot of the damped-step tallies — λ retries, factorization
-    /// failures, cached λ-resolves — summed over both LM cores (diff with
+    /// Snapshot of the damped-step tallies — λ retries and factorization
+    /// failures — summed over both LM cores (diff with
     /// [`StepStats::since`]).
     pub fn step_stats(&self) -> StepStats {
         self.joint.step_stats().merged(self.slope.step_stats())
@@ -370,7 +526,9 @@ pub struct SolverConfig {
     pub intercept_sigma: f64,
     /// Multi-start position grid (nx, ny) over the working region.
     pub position_starts: (usize, usize),
-    /// Multi-start orientation count over `[0, π)`.
+    /// Sets the orientation scan: each position candidate is scanned over
+    /// `max(8 · orientation_starts, 24)` evenly spaced α seeds in
+    /// `[0, π)` — 48 at the default of 6.
     pub orientation_starts: usize,
     /// Maximum LM iterations per start.
     pub max_iterations: usize,
@@ -434,12 +592,6 @@ impl SolverConfig {
             ..SolverConfig::default()
         }
     }
-
-    /// True when the multi-start scan runs the legacy exhaustive loop
-    /// (every seed refined, grid order, no early exit).
-    pub(crate) fn is_exhaustive(&self) -> bool {
-        self.refine_top_k.is_none() && self.early_exit_rel_tol <= 0.0
-    }
 }
 
 /// A cross-round warm-start prior for the 2-D solve: the previous round's
@@ -476,10 +628,6 @@ impl WarmStart {
     pub fn with_position(mut self, position: Vec2) -> Self {
         self.position = position;
         self
-    }
-
-    pub(crate) fn params(&self) -> [f64; 5] {
-        [self.position.x, self.position.y, self.orientation, self.kt, self.bt]
     }
 }
 
@@ -617,8 +765,7 @@ pub fn solve_2d(
 ) -> Result<TagEstimate2D, SolveError> {
     let poses: Vec<AntennaPose> = observations.iter().map(|o| o.pose).collect();
     let seeds = SolveSeeds::for_scene(region, config, &poses);
-    let mut workspace = SolverWorkspace::default();
-    solve_2d_seeded(observations, &seeds, config, &mut workspace)
+    solve_2d_seeded(observations, &seeds, config, &mut SolverWorkspace::default())
 }
 
 /// [`solve_2d`] against precomputed [`SolveSeeds`] and a reusable
@@ -658,7 +805,7 @@ pub fn solve_2d_seeded_warm(
     workspace: &mut SolverWorkspace,
     warm: Option<&WarmStart>,
 ) -> Result<TagEstimate2D, SolveError> {
-    solve_2d_gated(observations, seeds, config, workspace, warm, None)
+    solve(observations, seeds, config, workspace, warm, None)
 }
 
 /// [`solve_2d_seeded_warm`] for tracking callers that solve the same
@@ -680,148 +827,122 @@ pub fn solve_2d_tracking_warm(
     warm: Option<&WarmStart>,
     gate: &mut WarmGate,
 ) -> Result<TagEstimate2D, SolveError> {
-    solve_2d_gated(observations, seeds, config, workspace, warm, Some(gate))
+    solve(observations, seeds, config, workspace, warm, Some(gate))
 }
 
-/// Coarse ranking shared by the pruned stage-1 beam and the warm-start
-/// floor: every position seed scored by its *unrefined* slope cost — an
-/// O(N) table lookup per seed. Ties break towards grid order, which is
-/// exactly how the exhaustive path's cost sort breaks them; the explicit
-/// (cost, index) key makes the ordering total, so the unstable
-/// (allocation-free) sort is deterministic.
-///
-/// With geometry tables the ranking evaluates 4 seeds per pass over the
-/// slope table: the two per-seed accumulations (`k_t` seed mean, then the
-/// cost) run in 4 independent lanes whose per-seed operation order over
-/// the antennas is exactly the scalar loop's, so the lane path is
-/// bit-identical to [`coarse_seed_cost_2d`]. Without tables every seed
-/// takes the scalar loop.
-fn rank_coarse_2d(
+/// The facade both scene dimensions solve through. Warm solves refine the
+/// prior first and return it when it passes the gate; everything else runs
+/// the staged multi-start of [`search`]. `gate` caches the gate's floor
+/// across solves (2-D tracking only).
+pub(crate) fn solve<D: SceneDim<J, S>, const J: usize, const S: usize>(
     observations: &[AntennaObservation],
-    geometry: Option<&SeedGeometry>,
-    seeds: &SolveSeeds,
-    config: &SolverConfig,
-    coarse: &mut Vec<(f64, usize, f64)>,
-    lanes: &mut LaneStats,
-) {
-    let _rank_span = obs::span("seed_rank");
-    coarse.clear();
-    match geometry {
-        Some(g) => {
-            let n = observations.len();
-            let total = seeds.position_starts.len();
-            let mut s = 0usize;
-            while s + 4 <= total {
-                let bases = [s * n, (s + 1) * n, (s + 2) * n, (s + 3) * n];
-                let mut sum = [0.0f64; 4];
-                for (i, o) in observations.iter().enumerate() {
-                    for l in 0..4 {
-                        sum[l] += o.slope - g.seed_slopes[bases[l] + i];
-                    }
-                }
-                let kt0 = sum.map(|v| v / n as f64);
-                let mut cost = [0.0f64; 4];
-                for (i, o) in observations.iter().enumerate() {
-                    for l in 0..4 {
-                        let rs =
-                            (o.slope - g.seed_slopes[bases[l] + i] - kt0[l]) / config.slope_sigma;
-                        cost[l] += rs * rs;
-                    }
-                }
-                for l in 0..4 {
-                    coarse.push((cost[l], s + l, kt0[l]));
-                }
-                lanes.seed_blocks += 1;
-                s += 4;
-            }
-            for (idx, &seed_pos) in seeds.position_starts.iter().enumerate().skip(s) {
-                let (kt0, cost) =
-                    coarse_seed_cost_2d(observations, geometry, idx, seed_pos, config);
-                coarse.push((cost, idx, kt0));
-                lanes.scalar_rows += 1;
-            }
-        }
-        None => {
-            for (s, &seed_pos) in seeds.position_starts.iter().enumerate() {
-                let (kt0, cost) =
-                    coarse_seed_cost_2d(observations, geometry, s, seed_pos, config);
-                coarse.push((cost, s, kt0));
-            }
-            lanes.scalar_rows += seeds.position_starts.len() as u64;
-        }
+    seeds: &Seeds<D>,
+    config: &D::Config,
+    workspace: &mut Workspace<J, S>,
+    warm: Option<&D::Warm>,
+    gate: Option<&mut WarmGate>,
+) -> Result<D::Estimate, D::Error> {
+    if observations.len() < D::MIN_ANTENNAS {
+        return Err(D::too_few(observations.len()));
     }
-    coarse.sort_unstable_by(|a, b| {
-        a.0.partial_cmp(&b.0).expect("finite costs").then_with(|| a.1.cmp(&b.1))
-    });
-}
-
-fn solve_2d_gated(
-    observations: &[AntennaObservation],
-    seeds: &SolveSeeds,
-    config: &SolverConfig,
-    workspace: &mut SolverWorkspace,
-    warm: Option<&WarmStart>,
-    mut gate: Option<&mut WarmGate>,
-) -> Result<TagEstimate2D, SolveError> {
-    if observations.len() < 3 {
-        return Err(SolveError::TooFewAntennas { provided: observations.len() });
-    }
-    let _solve_span = obs::span("solve_2d");
+    let _solve_span = obs::span(D::SPANS.0);
     let _solve_timer = obs::time_histogram(obs::id::SOLVE_LATENCY_US);
-    let before = if obs::active() {
-        Some((workspace.stats(), workspace.lane_stats(), workspace.step_stats()))
-    } else {
-        None
-    };
-    let n_obs = observations.len();
+    let before = obs::active()
+        .then(|| (workspace.stats(), workspace.lane_stats(), workspace.step_stats()));
+    let (p, cost, seeds_refined, warm_hit) =
+        search(observations, seeds, config, workspace, warm, gate);
+    let seeds_total = seeds.position_starts.len() as u64;
+    let warm_miss = warm.is_some() && !warm_hit;
+    let prune = &mut workspace.prune;
+    prune.seeds_total += seeds_total;
+    prune.seeds_refined += seeds_refined;
+    prune.warm_start_hits += u64::from(warm_hit);
+    prune.warm_start_misses += u64::from(warm_miss);
+    if let Some((stats, lanes, steps)) = before {
+        let work = workspace.stats().since(stats);
+        let lane_work = workspace.lane_stats().since(lanes);
+        let step_work = workspace.step_stats().since(steps);
+        let [solves, iterations, residual_evals, jacobian_evals] = D::COUNTERS;
+        obs::counter_add(solves, 1);
+        obs::counter_add(iterations, work.iterations);
+        obs::counter_add(residual_evals, work.residual_evals);
+        obs::counter_add(jacobian_evals, work.jacobian_evals);
+        obs::counter_add(obs::id::SOLVER_SEEDS_TOTAL, seeds_total);
+        obs::counter_add(obs::id::SOLVER_SEEDS_REFINED, seeds_refined);
+        obs::counter_add(
+            obs::id::SOLVER_SEEDS_PRUNED,
+            seeds_total.saturating_sub(seeds_refined),
+        );
+        obs::counter_add(obs::id::SOLVER_LANE_SEED_BLOCKS, lane_work.seed_blocks);
+        obs::counter_add(obs::id::SOLVER_LANE_ROW_BLOCKS, lane_work.row_blocks);
+        obs::counter_add(obs::id::SOLVER_LANE_SCALAR_ROWS, lane_work.scalar_rows);
+        obs::counter_add(obs::id::SOLVER_LAMBDA_RETRIES, step_work.lambda_retries);
+        obs::counter_add(obs::id::SOLVER_CHOL_FAILURES, step_work.chol_failures);
+        if warm_hit {
+            obs::counter_add(obs::id::SOLVER_WARM_HITS, 1);
+        }
+        if warm_miss {
+            obs::counter_add(obs::id::SOLVER_WARM_MISSES, 1);
+        }
+    }
+    Ok(D::estimate(observations, &p, cost, config, &mut workspace.uncert))
+}
+
+/// The warm-start gate and the staged multi-start behind [`solve`]:
+/// returns the winning joint parameters, their cost, the number of seeds
+/// stage 1 refined and whether the warm-start gate accepted the prior.
+fn search<D: SceneDim<J, S>, const J: usize, const S: usize>(
+    observations: &[AntennaObservation],
+    seeds: &Seeds<D>,
+    config: &D::Config,
+    workspace: &mut Workspace<J, S>,
+    warm: Option<&D::Warm>,
+    mut gate: Option<&mut WarmGate>,
+) -> ([f64; J], f64, u64, bool) {
+    let knobs = D::knobs(config);
     let geometry = seeds.geometry.as_ref().filter(|g| g.matches(observations));
-    let SolverWorkspace {
+    let Workspace {
         joint,
         slope,
         position_candidates,
         coarse,
-        alpha_ranked,
-        dists,
-        rssi_base,
-        orient_row,
-        proj_row,
-        proj_db_row,
-        alpha_bt0,
-        alpha_rb2,
+        ranked,
+        rows,
         refined,
-        uncert,
-        prune,
         lanes,
+        ..
     } = workspace;
     position_candidates.clear();
     refined.clear();
-    // The α-scan cache is keyed by the observations of *this* solve.
-    alpha_bt0.clear();
-    alpha_rb2.clear();
+    // The scan's b_t seeds are keyed by the observations of *this* solve.
+    ranked.clear();
+    let joint_model = JointRows::<D, J, S> { observations, config };
+    let slope_model = SlopeRows::<D, J, S> { observations, config };
 
     // The problem separates naturally, which both speeds the solve up and
     // avoids local minima:
     //
     // 1. Position + k_t depend only on the slope equations — a smooth
-    //    3-parameter least-squares problem seeded from a coarse grid.
-    // 2. Given a position candidate, orientation is found by scanning α
-    //    over [0, π) with the closed-form circular-mean b_t — the wrapped
-    //    intercept residuals are multimodal in α, so a scan is the robust
-    //    way in.
-    // 3. A full joint 5-parameter LM refinement from the combined seeds
-    //    lets the two halves inform each other.
+    //    least-squares problem seeded from a coarse grid.
+    // 2. Given a position candidate, the dipole is found by scanning the
+    //    scene's directions with the closed-form circular-mean b_t — the
+    //    wrapped intercept residuals are multimodal in the dipole angles,
+    //    so a scan is the robust way in.
+    // 3. A full joint refinement from the combined seeds lets the two
+    //    halves inform each other.
     //
     // Candidates refining to a point outside the (slightly expanded)
     // working region are physically impossible deployments — when the
     // per-antenna observations are inconsistent (multipath bias), the
     // near-degenerate range direction otherwise lets the unconstrained
-    // optimum drift metres away. Prefer in-region candidates; fall back to
-    // the overall best only if no start stayed inside.
-    let admissible = seeds.admissible;
-    let total_seeds = seeds.position_starts.len() as u64;
+    // optimum drift metres away (in 3-D, distances are also
+    // mirror-symmetric about the antenna plane). Prefer in-region
+    // candidates; fall back to the overall best only if no start stayed
+    // inside.
+    let admissible = |p: &[f64]| seeds.dim.admissible(seeds.admissible, position::<S>(p));
     let mut seeds_refined: u64 = 0;
 
-    // Coarse ranking (see `rank_coarse_2d`), shared by the pruned stage-1
+    // Coarse ranking (see `rank_coarse`), shared by the pruned stage-1
     // beam and the warm-start floor. A tracking caller with a fresh cached
     // floor defers it: when the warm gate accepts — the steady state — the
     // ranking is never needed at all, and a gate miss ranks lazily below.
@@ -831,29 +952,22 @@ fn solve_2d_gated(
     };
     coarse.clear();
     let mut coarse_ready = false;
-    if cached_floor.is_none() && (warm.is_some() || !config.is_exhaustive()) {
-        rank_coarse_2d(observations, geometry, seeds, config, coarse, lanes);
+    if cached_floor.is_none() && (warm.is_some() || !knobs.is_exhaustive()) {
+        rank_coarse(observations, geometry, &seeds.position_starts, &knobs, coarse, lanes);
         coarse_ready = true;
     }
 
     // Warm start: refine the prior first and gate the result against the
     // coarse-scan floor — the cost the scan itself would reach from its
-    // best coarse seed (stage-1 refined, best α at it). A prior still in
-    // the true basin refines to a key at or below that floor; a stale
-    // basin's key is far above it and falls through to the scan.
-    let warm_attempted = warm.is_some();
+    // best coarse seed (stage-1 refined, best direction at it). A prior
+    // still in the true basin refines to a key at or below that floor; a
+    // stale basin's key is far above it and falls through to the scan.
     if let Some(w) = warm {
         let _warm_span = obs::span("warm_start");
-        let (p, cost) = refine_joint_2d(joint, observations, config, w.params());
-        let key = cost
-            + rssi_mode_penalty(
-                observations,
-                Vec2::new(p[0], p[1]),
-                p[2],
-                config.rssi_sigma_db,
-            );
-        let in_region = admissible.contains(Vec2::new(p[0], p[1]));
-        let gate_ok = |floor: f64| key <= floor * (1.0 + config.warm_gate_rel_tol) + 1e-9;
+        let (p, cost) = refine(joint, &joint_model, D::warm_params(w), &D::JOINT_STEPS, &knobs);
+        let key = cost + mode_penalty::<D, J, S>(observations, &p, knobs.rssi_sigma_db);
+        let in_region = admissible(&p);
+        let gate_ok = |floor: f64| key <= floor * (1.0 + knobs.warm_gate_rel_tol) + 1e-9;
         // Fast pre-test against the cached floor, then — only when that
         // rejects — a fresh re-anchor and the definitive retest. A cached
         // miss is therefore always confirmed against exactly the floor the
@@ -869,42 +983,22 @@ fn solve_2d_gated(
         };
         if !accept {
             if !coarse_ready {
-                rank_coarse_2d(observations, geometry, seeds, config, coarse, lanes);
+                rank_coarse(observations, geometry, &seeds.position_starts, &knobs, coarse, lanes);
                 coarse_ready = true;
             }
             let (_, best_seed, best_kt) = coarse[0];
-            let seed_pos = seeds.position_starts[best_seed];
-            let (sp, _) =
-                refine_slope_2d(slope, observations, config, [seed_pos.x, seed_pos.y, best_kt]);
+            let p0 = slope_seed(seeds.position_starts[best_seed], best_kt);
+            let (sp, _) = refine(slope, &slope_model, p0, &D::SLOPE_STEPS, &knobs);
             seeds_refined += 1;
-            scan_alphas_2d(
-                observations,
-                geometry,
-                config,
-                seeds.alpha_steps,
-                (sp[0], sp[1], sp[2]),
-                dists,
-                rssi_base,
-                orient_row,
-                proj_row,
-                proj_db_row,
-                alpha_bt0,
-                alpha_rb2,
-                alpha_ranked,
-            );
-            let floor = alpha_ranked.first().map_or(f64::INFINITY, |&(_, _, c)| c);
+            scan(observations, geometry, &seeds.dim, &knobs, &sp, rows, ranked);
+            let floor = ranked.first().map_or(f64::INFINITY, |&(_, _, c)| c);
             if let Some(g) = gate.as_deref_mut() {
                 g.anchor(floor);
             }
             accept = in_region && gate_ok(floor);
         }
         if accept {
-            prune.seeds_total += total_seeds;
-            prune.seeds_refined += seeds_refined;
-            prune.warm_start_hits += 1;
-            flush_obs_2d(joint, slope, *lanes, before, total_seeds, seeds_refined, true, false);
-            let estimate = build_estimate_2d(observations, &p, cost, config, uncert);
-            return Ok(estimate);
+            return (p, cost, seeds_refined, true);
         }
         // Confirmed gate miss: the scan below recomputes the optimum from
         // scratch, so drop the cached floor and re-anchor next warm solve.
@@ -915,8 +1009,8 @@ fn solve_2d_gated(
 
     // A deferred coarse ranking is needed after all (warm gate missed, or
     // the prior was absent) for the pruned stage-1 beam.
-    if !coarse_ready && !config.is_exhaustive() {
-        rank_coarse_2d(observations, geometry, seeds, config, coarse, lanes);
+    if !coarse_ready && !knobs.is_exhaustive() {
+        rank_coarse(observations, geometry, &seeds.position_starts, &knobs, coarse, lanes);
     }
 
     // Stage 1: slope-only position solve. Exhaustive mode refines every
@@ -924,33 +1018,15 @@ fn solve_2d_gated(
     // coarse-to-fine mode refines only the top-K coarse-ranked seeds with
     // a cost-plateau early exit.
     let stage1_span = obs::span("stage1_slope");
-    if config.is_exhaustive() {
+    if knobs.is_exhaustive() {
         for (s, &seed_pos) in seeds.position_starts.iter().enumerate() {
-            let kt0 = match geometry {
-                Some(g) => {
-                    let base = s * n_obs;
-                    let sum: f64 = observations
-                        .iter()
-                        .enumerate()
-                        .map(|(i, o)| o.slope - g.seed_slopes[base + i])
-                        .sum();
-                    sum / n_obs as f64
-                }
-                None => seed_kt(observations, seed_pos),
-            };
-            let (p, cost) =
-                refine_slope_2d(slope, observations, config, [seed_pos.x, seed_pos.y, kt0]);
+            let kt0 = seed_kt(observations, geometry, s, seed_pos);
+            let p0 = slope_seed(seed_pos, kt0);
+            let (p, cost) = refine(slope, &slope_model, p0, &D::SLOPE_STEPS, &knobs);
             position_candidates.push((p, cost, s));
         }
-        // Ties on cost keep grid (push) order via the explicit seed-index
-        // key — candidates were pushed in ascending `s`, so this matches
-        // what a stable cost-only sort would produce, while the unstable
-        // sort stays allocation-free.
-        position_candidates.sort_unstable_by(|a, b| {
-            a.1.partial_cmp(&b.1).expect("finite costs").then_with(|| a.2.cmp(&b.2))
-        });
     } else {
-        let beam = config.refine_top_k.unwrap_or(usize::MAX).max(1);
+        let beam = knobs.refine_top_k.unwrap_or(usize::MAX).max(1);
         let mut best_refined = f64::INFINITY;
         for (rank, &(coarse_cost, s, kt0)) in coarse.iter().enumerate() {
             if rank >= beam {
@@ -959,95 +1035,79 @@ fn solve_2d_gated(
             // Plateau exit: once two seeds are refined, a seed whose
             // *unrefined* cost already exceeds the best refined cost by
             // the margin cannot plausibly overtake it.
-            if config.early_exit_rel_tol > 0.0
+            if knobs.early_exit_rel_tol > 0.0
                 && rank >= 2
-                && coarse_cost > best_refined * (1.0 + config.early_exit_rel_tol)
+                && coarse_cost > best_refined * (1.0 + knobs.early_exit_rel_tol)
             {
                 break;
             }
-            let seed_pos = seeds.position_starts[s];
-            let (p, cost) =
-                refine_slope_2d(slope, observations, config, [seed_pos.x, seed_pos.y, kt0]);
+            let p0 = slope_seed(seeds.position_starts[s], kt0);
+            let (p, cost) = refine(slope, &slope_model, p0, &D::SLOPE_STEPS, &knobs);
             best_refined = best_refined.min(cost);
             position_candidates.push((p, cost, s));
         }
-        position_candidates.sort_unstable_by(|a, b| {
-            a.1.partial_cmp(&b.1).expect("finite costs").then_with(|| a.2.cmp(&b.2))
-        });
     }
+    // Ties on cost keep grid order via the explicit seed-index key, which
+    // makes the allocation-free unstable sort equal to a stable cost sort
+    // of the exhaustive path's grid-order pushes.
+    position_candidates.sort_unstable_by(|a, b| {
+        a.1.partial_cmp(&b.1).expect("finite costs").then_with(|| a.2.cmp(&b.2))
+    });
     seeds_refined += position_candidates.len() as u64;
     #[allow(clippy::drop_non_drop)] // ends the span early; inert unit guard without `obs`
     drop(stage1_span);
-    // Keep the best in-region candidates by index (the overall best, at
-    // index 0 after the sort, is the backup if none stayed inside).
-    let mut stage1 = [0usize; 2];
-    let mut stage1_len = 0usize;
-    for (i, (p, _, _)) in position_candidates.iter().enumerate() {
-        if admissible.contains(Vec2::new(p[0], p[1])) {
-            stage1[stage1_len] = i;
-            stage1_len += 1;
-            if stage1_len == stage1.len() {
+    // Move the best distinct admissible candidates to the front, in cost
+    // order. With exactly 4 antennas in 3-D the slope system is exactly
+    // determined, so several zero-cost candidates can exist (mirror
+    // images, spurious intersections) that only the intercept equations
+    // tell apart — hence a wide, deduplicated keep there. The overall
+    // best, still at index 0 when nothing was kept, is the backup.
+    let mut kept = 0usize;
+    for i in 0..position_candidates.len() {
+        let p = position_candidates[i].0;
+        if !admissible(&p) {
+            continue;
+        }
+        let pos = position::<S>(&p);
+        let duplicate = position_candidates[..kept]
+            .iter()
+            .any(|(q, _, _)| position::<S>(q).distance(pos) < D::STAGE1_DEDUP_M);
+        if !duplicate {
+            position_candidates.swap(kept, i);
+            kept += 1;
+            if kept == D::STAGE1_KEEP {
                 break;
             }
         }
     }
-    if stage1_len == 0 {
-        stage1_len = 1;
-    }
 
-    // Stages 2 + 3: α scan then joint refinement. Final candidates are
-    // ranked by phase cost *plus* the RSSI mode penalty: the wrapped
-    // intercept system admits near-twin α solutions (3 antennas, 2
-    // intercept unknowns), and the per-antenna polarization-mismatch
-    // pattern in the RSSI is the physical tie-breaker.
+    // Stages 2 + 3: orientation scan then joint refinement. Final
+    // candidates are ranked by phase cost *plus* the RSSI mode penalty:
+    // the wrapped intercept system admits near-twin dipole solutions, and
+    // the per-antenna polarization-mismatch pattern in the RSSI is the
+    // physical tie-breaker.
     let mut best_inside: Option<(usize, f64)> = None;
     let mut best_any: Option<(usize, f64)> = None;
-    for &ci in &stage1[..stage1_len] {
-        let (cx, cy, ckt) = {
-            let p = &position_candidates[ci].0;
-            (p[0], p[1], p[2])
-        };
-        scan_alphas_2d(
-            observations,
-            geometry,
-            config,
-            seeds.alpha_steps,
-            (cx, cy, ckt),
-            dists,
-            rssi_base,
-            orient_row,
-            proj_row,
-            proj_db_row,
-            alpha_bt0,
-            alpha_rb2,
-            alpha_ranked,
-        );
+    for &(c, _, _) in &position_candidates[..kept.max(1)] {
+        scan(observations, geometry, &seeds.dim, &knobs, &c, rows, ranked);
         let _refine_span = obs::span("joint_refine");
-        for (rank, &(alpha0, bt0, scan_cost)) in alpha_ranked.iter().take(4).enumerate() {
+        for (rank, &(dir, bt0, scan_cost)) in ranked.iter().take(D::SHORTLIST).enumerate() {
             // Plateau exit across the joint short-list — but always refine
-            // at least two α modes per candidate, so the twin-α
+            // at least two directions per candidate, so the twin-mode
             // disambiguation (truth vs its RSSI-implausible mirror) never
             // degenerates to a single basin.
-            if config.early_exit_rel_tol > 0.0 && rank >= 2 {
+            if knobs.early_exit_rel_tol > 0.0 && rank >= 2 {
                 if let Some((_, k)) = best_any {
-                    if scan_cost > k * (1.0 + config.early_exit_rel_tol) {
+                    if scan_cost > k * (1.0 + knobs.early_exit_rel_tol) {
                         break;
                     }
                 }
             }
-            let (p, cost) =
-                refine_joint_2d(joint, observations, config, [cx, cy, alpha0, ckt, bt0]);
-            let key = cost
-                + rssi_mode_penalty(
-                    observations,
-                    Vec2::new(p[0], p[1]),
-                    p[2],
-                    config.rssi_sigma_db,
-                );
+            let p0 = seeds.dim.joint_seed(&c, dir, bt0);
+            let (p, cost) = refine(joint, &joint_model, p0, &D::JOINT_STEPS, &knobs);
+            let key = cost + mode_penalty::<D, J, S>(observations, &p, knobs.rssi_sigma_db);
             let idx = refined.len();
-            if admissible.contains(Vec2::new(p[0], p[1]))
-                && best_inside.is_none_or(|(_, k)| key < k)
-            {
+            if admissible(&p) && best_inside.is_none_or(|(_, k)| key < k) {
                 best_inside = Some((idx, key));
             }
             if best_any.is_none_or(|(_, k)| key < k) {
@@ -1059,23 +1119,113 @@ fn solve_2d_gated(
 
     let (best_idx, _) = best_inside.or(best_any).expect("at least one start");
     let (p, cost) = refined.swap_remove(best_idx);
-    prune.seeds_total += total_seeds;
-    prune.seeds_refined += seeds_refined;
-    if warm_attempted {
-        prune.warm_start_misses += 1;
+    (p, cost, seeds_refined, false)
+}
+
+/// The position coordinates leading a parameter vector whose dimension
+/// has `S` stage-1 parameters (`S − 1` coordinates, then `k_t`); a 2-D
+/// position sits on `z = 0`.
+fn position<const S: usize>(p: &[f64]) -> Vec3 {
+    let mut c = [0.0; 3];
+    c[..S - 1].copy_from_slice(&p[..S - 1]);
+    Vec3::new(c[0], c[1], c[2])
+}
+
+/// The stage-1 parameters at grid seed `seed` with `k_t` seed `kt`.
+fn slope_seed<const S: usize>(seed: Vec3, kt: f64) -> [f64; S] {
+    let mut p = [0.0; S];
+    p[..S - 1].copy_from_slice(&[seed.x, seed.y, seed.z][..S - 1]);
+    p[S - 1] = kt;
+    p
+}
+
+/// Coarse ranking shared by the pruned stage-1 beam and the warm-start
+/// floor: every position seed scored by its *unrefined* slope cost — an
+/// O(N) table lookup per seed. Ties break towards grid order, which is
+/// exactly how the exhaustive path's cost sort breaks them; the explicit
+/// (cost, index) key makes the ordering total, so the unstable
+/// (allocation-free) sort is deterministic.
+///
+/// With geometry tables the ranking evaluates 4 seeds per pass over the
+/// slope table: the two per-seed accumulations (`k_t` seed mean, then the
+/// cost) run in 4 independent lanes whose per-seed operation order over
+/// the antennas is exactly the scalar loop's, so the lane path is
+/// bit-identical to [`coarse_seed_cost`]. Without tables every seed takes
+/// the scalar loop.
+fn rank_coarse(
+    observations: &[AntennaObservation],
+    geometry: Option<&SeedGeometry>,
+    starts: &[Vec3],
+    knobs: &Knobs,
+    coarse: &mut Vec<(f64, usize, f64)>,
+    lanes: &mut LaneStats,
+) {
+    let _rank_span = obs::span("seed_rank");
+    coarse.clear();
+    let mut s = 0usize;
+    if let Some(g) = geometry {
+        let n = observations.len();
+        while s + 4 <= starts.len() {
+            let bases = [s * n, (s + 1) * n, (s + 2) * n, (s + 3) * n];
+            let mut sum = [0.0f64; 4];
+            for (i, o) in observations.iter().enumerate() {
+                for l in 0..4 {
+                    sum[l] += o.slope - g.seed_slopes[bases[l] + i];
+                }
+            }
+            let kt0 = sum.map(|v| v / n as f64);
+            let mut cost = [0.0f64; 4];
+            for (i, o) in observations.iter().enumerate() {
+                for l in 0..4 {
+                    let rs = (o.slope - g.seed_slopes[bases[l] + i] - kt0[l]) / knobs.slope_sigma;
+                    cost[l] += rs * rs;
+                }
+            }
+            for l in 0..4 {
+                coarse.push((cost[l], s + l, kt0[l]));
+            }
+            lanes.seed_blocks += 1;
+            s += 4;
+        }
     }
-    flush_obs_2d(
-        joint,
-        slope,
-        *lanes,
-        before,
-        total_seeds,
-        seeds_refined,
-        false,
-        warm_attempted,
-    );
-    let estimate = build_estimate_2d(observations, &p, cost, config, uncert);
-    Ok(estimate)
+    for (idx, &seed) in starts.iter().enumerate().skip(s) {
+        let (kt0, cost) = coarse_seed_cost(observations, geometry, idx, seed, knobs.slope_sigma);
+        coarse.push((cost, idx, kt0));
+    }
+    lanes.scalar_rows += (starts.len() - s) as u64;
+    coarse.sort_unstable_by(|a, b| {
+        a.0.partial_cmp(&b.0).expect("finite costs").then_with(|| a.1.cmp(&b.1))
+    });
+}
+
+/// Mean `kᵢ − 4π·dist(Aᵢ, seed)/c` over antennas — the closed-form `k_t`
+/// seed at grid seed `s` (position `seed`), from the geometry table when
+/// one applies.
+fn seed_kt(
+    observations: &[AntennaObservation],
+    geometry: Option<&SeedGeometry>,
+    s: usize,
+    seed: Vec3,
+) -> f64 {
+    let n_obs = observations.len();
+    let sum: f64 = match geometry {
+        Some(g) => {
+            let base = s * n_obs;
+            observations
+                .iter()
+                .enumerate()
+                .map(|(i, o)| o.slope - g.seed_slopes[base + i])
+                .sum()
+        }
+        None => observations
+            .iter()
+            .map(|o| {
+                let d = o.pose.position().distance(seed);
+                o.slope - propagation::slope_from_distance(d)
+            })
+            .sum(),
+    };
+    sum / n_obs as f64
 }
 
 /// The cheap stage-1 score of one grid seed: the closed-form `k_t` seed
@@ -1083,328 +1233,373 @@ fn solve_2d_gated(
 /// geometry table when one applies, by exactly the expressions the
 /// refinement path uses (so pruned-with-full-beam stays bit-identical to
 /// exhaustive).
-fn coarse_seed_cost_2d(
+fn coarse_seed_cost(
     observations: &[AntennaObservation],
     geometry: Option<&SeedGeometry>,
     s: usize,
-    seed_pos: Vec2,
-    config: &SolverConfig,
+    seed: Vec3,
+    slope_sigma: f64,
 ) -> (f64, f64) {
-    let n_obs = observations.len();
+    let kt0 = seed_kt(observations, geometry, s, seed);
     let mut cost = 0.0;
-    let kt0 = match geometry {
-        Some(g) => {
-            let base = s * n_obs;
-            let sum: f64 = observations
-                .iter()
-                .enumerate()
-                .map(|(i, o)| o.slope - g.seed_slopes[base + i])
-                .sum();
-            let kt0 = sum / n_obs as f64;
-            for (i, o) in observations.iter().enumerate() {
-                let rs = (o.slope - g.seed_slopes[base + i] - kt0) / config.slope_sigma;
-                cost += rs * rs;
-            }
-            kt0
-        }
-        None => {
-            let kt0 = seed_kt(observations, seed_pos);
-            let p3 = seed_pos.with_z(0.0);
-            for o in observations {
-                let d = o.pose.position().distance(p3);
-                let rs =
-                    (o.slope - propagation::slope_from_distance(d) - kt0) / config.slope_sigma;
-                cost += rs * rs;
-            }
-            kt0
-        }
-    };
+    for (i, o) in observations.iter().enumerate() {
+        let model = match geometry {
+            Some(g) => g.seed_slopes[s * observations.len() + i],
+            None => propagation::slope_from_distance(o.pose.position().distance(seed)),
+        };
+        let rs = (o.slope - model - kt0) / slope_sigma;
+        cost += rs * rs;
+    }
     (kt0, cost)
 }
 
-/// Stage 2 at one position candidate `(x, y, k_t)`: ranks every α seed by
-/// the full cost (slope + wrapped intercept + RSSI mode penalty) and
-/// leaves `alpha_ranked` sorted best-first. Everything α-independent — the
-/// per-antenna distances, the slope half of the cost and the RSSI
-/// penalty's `rssiᵢ + 40·log10(dᵢ)` base — is hoisted out of the scan,
-/// and the projection `log10` comes from the geometry table
-/// ([`SeedGeometry::proj_db`]) when one applies. Everything
-/// *candidate*-independent — the per-α circular-mean `b_t` seed and the
-/// squared intercept residuals — is computed once per solve and replayed
-/// from `bt0_cache`/`rb2_cache` on later scans. The hoisted penalty
-/// groups the dB terms exactly as the original left-associative
-/// expression and the replayed residuals re-sum in push order, so the
-/// scan stays bit-identical to the frozen reference.
-#[allow(clippy::too_many_arguments)]
-fn scan_alphas_2d(
+/// Stage 2 at one stage-1 candidate `c` (position + `k_t`): ranks every
+/// scan direction by the full cost (slope + wrapped intercept + RSSI mode
+/// penalty) and leaves `ranked` sorted best-first. Everything
+/// direction-independent — the per-antenna distances, the slope half of
+/// the cost and the RSSI penalty's `rssiᵢ + 40·log10(dᵢ)` base — is
+/// hoisted out of the scan, and the orientation/projection rows come from
+/// the geometry table when one applies.
+///
+/// The first scan of a solve (`ranked` empty) computes each direction's
+/// closed-form `b_t` seed, the circular mean of `bᵢ − θ_orient`; it
+/// depends on the observations and the direction only, so later scans of
+/// the same solve keep the seeds already in `ranked` and only re-cost
+/// them. Each cost is computed independently and the (cost, direction)
+/// sort key is a total order, so a re-costed scan ranks exactly as a fresh
+/// one would, bit for bit.
+fn scan<D: SceneDim<J, S>, const J: usize, const S: usize>(
     observations: &[AntennaObservation],
     geometry: Option<&SeedGeometry>,
-    config: &SolverConfig,
-    alpha_steps: usize,
-    candidate: (f64, f64, f64),
-    dists: &mut Vec<f64>,
-    rssi_base: &mut Vec<f64>,
-    orient_row: &mut Vec<f64>,
-    proj_row: &mut Vec<f64>,
-    proj_db_row: &mut Vec<f64>,
-    bt0_cache: &mut Vec<f64>,
-    rb2_cache: &mut Vec<f64>,
-    alpha_ranked: &mut Vec<(f64, f64, f64)>,
+    dim: &D,
+    knobs: &Knobs,
+    c: &[f64; S],
+    rows: &mut ScanRows,
+    ranked: &mut Vec<(usize, f64, f64)>,
 ) {
     let n_obs = observations.len();
-    let (cx, cy, ckt) = candidate;
-    let cand_pos = Vec2::new(cx, cy).with_z(0.0);
+    let (pos, kt) = (position::<S>(c), c[S - 1]);
+    let ScanRows { dists, rssi_base, orient, proj, proj_db } = rows;
     dists.clear();
     let mut slope_cost = 0.0;
     for o in observations {
-        let d = o.pose.position().distance(cand_pos);
-        let rs = (o.slope - propagation::slope_from_distance(d) - ckt) / config.slope_sigma;
+        let d = o.pose.position().distance(pos);
+        let rs = (o.slope - propagation::slope_from_distance(d) - kt) / knobs.slope_sigma;
         slope_cost += rs * rs;
         dists.push(d);
     }
-    // The α-independent half of the RSSI penalty. Entries for unreadable
-    // distances may be NaN/−∞, but the penalty's guards return before
-    // reading them — exactly as the unhoisted kernel returned before
-    // computing the term at all.
-    let rssi_active = config.rssi_sigma_db.is_finite() && config.rssi_sigma_db > 0.0;
+    // The direction-independent half of the RSSI penalty. Entries for
+    // unreadable distances may be NaN/−∞, but the penalty's guards return
+    // before reading them — exactly as the unhoisted kernel returned
+    // before computing the term at all.
+    let rssi_active = knobs.rssi_active();
     rssi_base.clear();
     if rssi_active {
         for (o, &d) in observations.iter().zip(dists.iter()) {
             rssi_base.push(o.mean_rssi_dbm + 40.0 * d.log10());
         }
     }
-    // Rank α seeds by full cost at this position; spurious twin-α basins
-    // often fit the phases *better* than the true mode under noise, so the
-    // RSSI mode penalty is applied already in the ranking — otherwise they
-    // crowd truth out of the refinement short-list entirely.
-    alpha_ranked.clear();
-    let _alpha_span = obs::span("alpha_scan");
-    let cached = !bt0_cache.is_empty();
-    for a in 0..alpha_steps {
-        let alpha0 = std::f64::consts::PI * a as f64 / alpha_steps as f64;
-        if !cached {
-            // First scan of the solve: compute the closed-form b_t seed
-            // (circular mean of `bᵢ − θ_orient`) and the squared
-            // intercept residuals, and stash both for replay.
-            let orow: &[f64] = match geometry {
-                Some(g) => &g.orient[a * n_obs..(a + 1) * n_obs],
-                None => {
-                    let w = planar_dipole(alpha0);
-                    orient_row.clear();
-                    for o in observations {
-                        orient_row.push(orientation_phase(&o.pose, w));
-                    }
-                    orient_row.as_slice()
-                }
-            };
-            let bt0 = angle::circular_mean(
+    // Rank directions by full cost at this position; spurious twin-mode
+    // basins often fit the phases *better* than the true mode under noise,
+    // so the RSSI mode penalty is applied already in the ranking —
+    // otherwise they crowd truth out of the refinement short-list entirely.
+    let _scan_span = obs::span(D::SPANS.1);
+    let seeded = !ranked.is_empty();
+    if !seeded {
+        ranked.extend((0..dim.scan_len()).map(|dir| (dir, 0.0, 0.0)));
+    }
+    for entry in ranked.iter_mut() {
+        let dir = entry.0;
+        let (orow, prow, pdbrow): (&[f64], &[f64], &[f64]) = match geometry {
+            Some(g) => {
+                let row = dir * n_obs..(dir + 1) * n_obs;
+                (&g.orient[row.clone()], &g.proj[row.clone()], &g.proj_db[row])
+            }
+            None => {
+                orient.clear();
+                proj.clear();
+                proj_db.clear();
+                let poses = observations.iter().map(|o| &o.pose);
+                push_dipole_rows(poses, dim.scan_dipole(dir), orient, proj, proj_db);
+                (orient, proj, proj_db)
+            }
+        };
+        if !seeded {
+            entry.1 = angle::circular_mean(
                 observations.iter().zip(orow).map(|(o, &th)| o.intercept - th),
             )
             .unwrap_or(0.0);
-            bt0_cache.push(bt0);
-            for (o, &th) in observations.iter().zip(orow) {
-                let rb = angle::wrap_pi(o.intercept - th - bt0) / config.intercept_sigma;
-                rb2_cache.push(rb * rb);
-            }
         }
-        let bt0 = bt0_cache[a];
-        // Replaying the squared residuals in push order re-associates the
-        // sum exactly as the uncached expression did — bit-identical on
-        // the first scan and every replay.
+        let bt0 = entry.1;
         let mut cost = slope_cost;
-        for &rb2 in &rb2_cache[a * n_obs..(a + 1) * n_obs] {
-            cost += rb2;
+        for (o, &th) in observations.iter().zip(orow) {
+            let rb = angle::wrap_pi(o.intercept - th - bt0) / knobs.intercept_sigma;
+            cost += rb * rb;
         }
         if rssi_active {
-            let (prow, pdbrow): (&[f64], &[f64]) = match geometry {
-                Some(g) => (
-                    &g.proj[a * n_obs..(a + 1) * n_obs],
-                    &g.proj_db[a * n_obs..(a + 1) * n_obs],
-                ),
-                None => {
-                    let w = planar_dipole(alpha0);
-                    proj_row.clear();
-                    proj_db_row.clear();
-                    for o in observations {
-                        let p = projection_magnitude(&o.pose, w);
-                        proj_row.push(p);
-                        proj_db_row.push(20.0 * p.log10());
-                    }
-                    (proj_row.as_slice(), proj_db_row.as_slice())
-                }
-            };
-            cost += rssi_penalty_hoisted(
-                observations,
-                rssi_base,
-                dists,
-                prow,
-                pdbrow,
-                config.rssi_sigma_db,
-            );
+            let sigma_db = knobs.rssi_sigma_db;
+            cost += rssi_penalty_hoisted(observations, rssi_base, dists, prow, pdbrow, sigma_db);
         }
-        alpha_ranked.push((alpha0, bt0, cost));
+        entry.2 = cost;
     }
-    // α seeds were pushed in strictly ascending α, so breaking cost ties
-    // on α reproduces the stable push order while keeping the unstable
-    // sort allocation-free.
-    alpha_ranked.sort_unstable_by(|a, b| {
-        a.2.partial_cmp(&b.2).expect("finite costs").then_with(|| {
-            a.0.partial_cmp(&b.0).expect("finite alphas")
-        })
+    // Directions were first pushed in ascending index order, so breaking
+    // cost ties on the index reproduces a stable sort of a fresh scan
+    // while keeping the unstable sort allocation-free.
+    ranked.sort_unstable_by(|a, b| {
+        a.2.partial_cmp(&b.2).expect("finite costs").then_with(|| a.0.cmp(&b.0))
     });
 }
 
-/// Final-estimate assembly shared by the warm-start fast path and the
-/// full scan: uncertainty propagation plus canonical wrapping of the
-/// angular parameters.
-fn build_estimate_2d(
-    observations: &[AntennaObservation],
-    p: &[f64],
-    cost: f64,
-    config: &SolverConfig,
-    scratch: &mut UncertScratch,
-) -> TagEstimate2D {
-    let n_res = 2 * observations.len();
-    let (position_std_m, orientation_std_rad, position_cov) =
-        estimate_uncertainty(observations, p, config, scratch);
-    TagEstimate2D {
-        position: Vec2::new(p[0], p[1]),
-        orientation: p[2].rem_euclid(std::f64::consts::PI),
-        kt: p[3],
-        bt: angle::wrap_tau(p[4]),
-        cost,
-        residual_rms: (cost / n_res as f64).sqrt(),
-        position_std_m,
-        orientation_std_rad,
-        position_cov,
+/// One LM refinement through the dimension-generic core, dispatched on the
+/// configured [`JacobianMode`]; `steps` are the numeric path's
+/// central-difference steps.
+fn refine<const P: usize>(
+    core: &mut LmCore<P>,
+    model: &impl ResidualModel<P>,
+    p0: [f64; P],
+    steps: &[f64; P],
+    knobs: &Knobs,
+) -> ([f64; P], f64) {
+    match knobs.jacobian {
+        JacobianMode::Analytic => core.refine(model, p0, knobs.max_iterations, knobs.tolerance),
+        JacobianMode::Numeric => {
+            core.refine_numeric(model, p0, steps, knobs.max_iterations, knobs.tolerance)
+        }
     }
 }
 
-/// Per-solve counter flush of the 2-D solve (active only when the obs
-/// layer is recording; `before` is `None` otherwise).
-#[allow(clippy::too_many_arguments)]
-fn flush_obs_2d(
-    joint: &LmCore<5>,
-    slope: &LmCore<3>,
-    rank_lanes: LaneStats,
-    before: Option<(SolveStats, LaneStats, StepStats)>,
-    seeds_total: u64,
-    seeds_refined: u64,
-    warm_hit: bool,
-    warm_miss: bool,
-) {
-    let Some((stats_before, lanes_before, steps_before)) = before else { return };
-    let j = joint.stats();
-    let s = slope.stats();
-    let work = SolveStats {
-        residual_evals: j.residual_evals + s.residual_evals,
-        jacobian_evals: j.jacobian_evals + s.jacobian_evals,
-        iterations: j.iterations + s.iterations,
+/// The joint disentangling problem of scene dimension `D` as a
+/// [`ResidualModel`].
+struct JointRows<'a, D: SceneDim<J, S>, const J: usize, const S: usize> {
+    observations: &'a [AntennaObservation],
+    config: &'a D::Config,
+}
+
+impl<D: SceneDim<J, S>, const J: usize, const S: usize> ResidualModel<J>
+    for JointRows<'_, D, J, S>
+{
+    fn eval(&self, p: &[f64; J], r: &mut Vec<f64>, jac: Option<&mut Vec<f64>>) {
+        D::joint_rows(self.observations, p, self.config, r, jac);
     }
-    .since(stats_before);
-    let lane_work = rank_lanes
-        .merged(joint.lane_stats())
-        .merged(slope.lane_stats())
-        .since(lanes_before);
-    let step_work = joint.step_stats().merged(slope.step_stats()).since(steps_before);
-    obs::counter_add(obs::id::SOLVER2D_SOLVES, 1);
-    obs::counter_add(obs::id::SOLVER2D_ITERATIONS, work.iterations);
-    obs::counter_add(obs::id::SOLVER2D_RESIDUAL_EVALS, work.residual_evals);
-    obs::counter_add(obs::id::SOLVER2D_JACOBIAN_EVALS, work.jacobian_evals);
-    obs::counter_add(obs::id::SOLVER_SEEDS_TOTAL, seeds_total);
-    obs::counter_add(obs::id::SOLVER_SEEDS_REFINED, seeds_refined);
-    obs::counter_add(
-        obs::id::SOLVER_SEEDS_PRUNED,
-        seeds_total.saturating_sub(seeds_refined),
-    );
-    obs::counter_add(obs::id::SOLVER_LANE_SEED_BLOCKS, lane_work.seed_blocks);
-    obs::counter_add(obs::id::SOLVER_LANE_ROW_BLOCKS, lane_work.row_blocks);
-    obs::counter_add(obs::id::SOLVER_LANE_SCALAR_ROWS, lane_work.scalar_rows);
-    obs::counter_add(obs::id::SOLVER_LAMBDA_RETRIES, step_work.lambda_retries);
-    obs::counter_add(obs::id::SOLVER_CHOL_FAILURES, step_work.chol_failures);
-    if warm_hit {
-        obs::counter_add(obs::id::SOLVER_WARM_HITS, 1);
+}
+
+/// The stage-1 slope-only problem of scene dimension `D` as a
+/// [`ResidualModel`].
+struct SlopeRows<'a, D: SceneDim<J, S>, const J: usize, const S: usize> {
+    observations: &'a [AntennaObservation],
+    config: &'a D::Config,
+}
+
+impl<D: SceneDim<J, S>, const J: usize, const S: usize> ResidualModel<S>
+    for SlopeRows<'_, D, J, S>
+{
+    fn eval(&self, p: &[f64; S], r: &mut Vec<f64>, jac: Option<&mut Vec<f64>>) {
+        D::slope_rows(self.observations, p, self.config, r, jac);
     }
-    if warm_miss {
-        obs::counter_add(obs::id::SOLVER_WARM_MISSES, 1);
+}
+
+/// The RSSI mode penalty of joint parameters `p` (see
+/// [`rssi_mode_penalty`]).
+fn mode_penalty<D: SceneDim<J, S>, const J: usize, const S: usize>(
+    observations: &[AntennaObservation],
+    p: &[f64; J],
+    sigma_db: f64,
+) -> f64 {
+    rssi_mode_penalty(observations, position::<S>(p), D::dipole(p), sigma_db)
+}
+
+/// RSSI-consistency penalty of a candidate mode (position `pos`, dipole
+/// `w`): the weighted variance of `rssiᵢ + 40·log10(dᵢ) − 20·log10(pᵢ)`
+/// across antennas, with `dᵢ` the distance to `pos` and `pᵢ` the dipole's
+/// projection magnitude at antenna *i*.
+///
+/// The backscatter link budget (`rfp_phys::rssi`) says that quantity is a
+/// per-tag constant (transmit power + material loss) plus noise, so modes
+/// whose predicted polarization projections `pᵢ` disagree with the
+/// measured RSSI pattern score high. Returns 0 when disabled
+/// (`sigma_db = ∞`) or when any observation lacks a finite RSSI.
+fn rssi_mode_penalty(
+    observations: &[AntennaObservation],
+    pos: Vec3,
+    w: Vec3,
+    sigma_db: f64,
+) -> f64 {
+    if !sigma_db.is_finite() || sigma_db <= 0.0 {
+        return 0.0;
     }
+    let mut sum = 0.0;
+    let mut sum_sq = 0.0;
+    let mut n = 0usize;
+    for o in observations {
+        if !o.mean_rssi_dbm.is_finite() {
+            return 0.0;
+        }
+        let d = o.pose.position().distance(pos);
+        let proj = projection_magnitude(&o.pose, w);
+        if proj < 1e-3 || d <= 0.0 {
+            // The mode predicts an unreadable antenna that in fact read the
+            // tag: strongly implausible.
+            return 1e6;
+        }
+        let m = o.mean_rssi_dbm + 40.0 * d.log10() - 20.0 * proj.log10();
+        sum += m;
+        sum_sq += m * m;
+        n += 1;
+    }
+    if n == 0 {
+        return 0.0;
+    }
+    let variance = (sum_sq - sum * sum / n as f64).max(0.0);
+    variance / (sigma_db * sigma_db)
+}
+
+/// The RSSI mode penalty with both dB terms precomputed: `rssi_base[i]` =
+/// `rssiᵢ + 40·log10(dᵢ)` (hoisted out of the scan) and `proj_dbs[i]` =
+/// `20·log10(projs[i])` (a geometry-table lookup). The caller has already
+/// checked `sigma_db` is active. Guard order and the grouping of the dB
+/// sum match [`rssi_mode_penalty`]'s left-associative
+/// `rssi + 40·log10(d) − 20·log10(proj)` exactly, so the hoisted form is
+/// bit-identical — `rssi_base`/`proj_dbs` entries behind a triggered
+/// guard are never read.
+fn rssi_penalty_hoisted(
+    observations: &[AntennaObservation],
+    rssi_base: &[f64],
+    dists: &[f64],
+    projs: &[f64],
+    proj_dbs: &[f64],
+    sigma_db: f64,
+) -> f64 {
+    let mut sum = 0.0;
+    let mut sum_sq = 0.0;
+    let mut n = 0usize;
+    for (i, o) in observations.iter().enumerate() {
+        if !o.mean_rssi_dbm.is_finite() {
+            return 0.0;
+        }
+        if projs[i] < 1e-3 || dists[i] <= 0.0 {
+            return 1e6;
+        }
+        let m = rssi_base[i] - proj_dbs[i];
+        sum += m;
+        sum_sq += m * m;
+        n += 1;
+    }
+    if n == 0 {
+        return 0.0;
+    }
+    let variance = (sum_sq - sum * sum / n as f64).max(0.0);
+    variance / (sigma_db * sigma_db)
 }
 
 /// Finite-difference steps of the numeric-fallback joint solve:
 /// x (m), y (m), α (rad), k_t (rad/Hz), b_t (rad).
 const JOINT_STEPS_2D: [f64; 5] = [1e-4, 1e-4, 1e-4, 1e-13, 1e-4];
-/// Steps of the numeric-fallback slope-only (stage-1) solve: x, y, k_t.
-const SLOPE_STEPS_2D: [f64; 3] = [1e-4, 1e-4, 1e-13];
 
-/// The joint 5-parameter disentangling problem as a [`ResidualModel`]:
-/// Eq. 6's slope + wrapped-intercept residuals with the fused analytic
-/// Jacobian of [`residuals_and_jacobian_2d`].
-struct Joint2<'a> {
-    observations: &'a [AntennaObservation],
-    config: &'a SolverConfig,
-}
+impl SceneDim<5, 3> for Planar {
+    type Config = SolverConfig;
+    type Warm = WarmStart;
+    type Estimate = TagEstimate2D;
+    type Error = SolveError;
+    const MIN_ANTENNAS: usize = 3;
+    const STAGE1_KEEP: usize = 2;
+    const STAGE1_DEDUP_M: f64 = 0.0;
+    const SHORTLIST: usize = 4;
+    const JOINT_STEPS: [f64; 5] = JOINT_STEPS_2D;
+    /// x (m), y (m), k_t (rad/Hz).
+    const SLOPE_STEPS: [f64; 3] = [1e-4, 1e-4, 1e-13];
+    const SPANS: (&'static str, &'static str) = ("solve_2d", "alpha_scan");
+    const COUNTERS: [usize; 4] = [
+        obs::id::SOLVER2D_SOLVES,
+        obs::id::SOLVER2D_ITERATIONS,
+        obs::id::SOLVER2D_RESIDUAL_EVALS,
+        obs::id::SOLVER2D_JACOBIAN_EVALS,
+    ];
 
-impl ResidualModel<5> for Joint2<'_> {
-    fn eval(&self, p: &[f64; 5], r: &mut Vec<f64>, jac: Option<&mut Vec<f64>>) {
-        residuals_and_jacobian_2d(self.observations, p, self.config, r, jac);
-    }
-}
-
-/// The stage-1 slope-only `(x, y, k_t)` problem as a [`ResidualModel`].
-struct Slope2<'a> {
-    observations: &'a [AntennaObservation],
-    config: &'a SolverConfig,
-}
-
-impl ResidualModel<3> for Slope2<'_> {
-    fn eval(&self, p: &[f64; 3], r: &mut Vec<f64>, jac: Option<&mut Vec<f64>>) {
-        slope_residuals_and_jacobian_2d(self.observations, p, self.config, r, jac);
-    }
-}
-
-/// Joint 5-parameter LM refinement through the dimension-generic core,
-/// dispatched on the configured [`JacobianMode`].
-fn refine_joint_2d(
-    core: &mut LmCore<5>,
-    observations: &[AntennaObservation],
-    config: &SolverConfig,
-    p0: [f64; 5],
-) -> ([f64; 5], f64) {
-    let model = Joint2 { observations, config };
-    match config.jacobian {
-        JacobianMode::Analytic => {
-            core.refine(&model, p0, config.max_iterations, config.tolerance)
+    fn knobs(c: &SolverConfig) -> Knobs {
+        Knobs {
+            slope_sigma: c.slope_sigma,
+            intercept_sigma: c.intercept_sigma,
+            max_iterations: c.max_iterations,
+            tolerance: c.tolerance,
+            rssi_sigma_db: c.rssi_sigma_db,
+            jacobian: c.jacobian,
+            refine_top_k: c.refine_top_k,
+            early_exit_rel_tol: c.early_exit_rel_tol,
+            warm_gate_rel_tol: c.warm_gate_rel_tol,
         }
-        JacobianMode::Numeric => core.refine_numeric(
-            &model,
-            p0,
-            &JOINT_STEPS_2D,
-            config.max_iterations,
-            config.tolerance,
-        ),
     }
-}
 
-/// Stage-1 slope-only LM refinement over `(x, y, k_t)` through the
-/// dimension-generic core, dispatched on the configured [`JacobianMode`].
-fn refine_slope_2d(
-    core: &mut LmCore<3>,
-    observations: &[AntennaObservation],
-    config: &SolverConfig,
-    p0: [f64; 3],
-) -> ([f64; 3], f64) {
-    let model = Slope2 { observations, config };
-    match config.jacobian {
-        JacobianMode::Analytic => {
-            core.refine(&model, p0, config.max_iterations, config.tolerance)
+    fn too_few(provided: usize) -> SolveError {
+        SolveError::TooFewAntennas { provided }
+    }
+
+    fn joint_rows(
+        observations: &[AntennaObservation],
+        p: &[f64],
+        config: &SolverConfig,
+        r: &mut Vec<f64>,
+        jac: Option<&mut Vec<f64>>,
+    ) {
+        residuals_and_jacobian_2d(observations, p, config, r, jac);
+    }
+
+    fn slope_rows(
+        observations: &[AntennaObservation],
+        p: &[f64],
+        config: &SolverConfig,
+        r: &mut Vec<f64>,
+        jac: Option<&mut Vec<f64>>,
+    ) {
+        slope_residuals_and_jacobian_2d(observations, p, config, r, jac);
+    }
+
+    fn scan_len(&self) -> usize {
+        self.alpha_steps
+    }
+
+    fn scan_dipole(&self, dir: usize) -> Vec3 {
+        planar_dipole(self.alpha(dir))
+    }
+
+    fn joint_seed(&self, c: &[f64; 3], dir: usize, bt0: f64) -> [f64; 5] {
+        [c[0], c[1], self.alpha(dir), c[2], bt0]
+    }
+
+    fn admissible(&self, region: Region2, position: Vec3) -> bool {
+        region.contains(position.xy())
+    }
+
+    fn dipole(p: &[f64; 5]) -> Vec3 {
+        planar_dipole(p[2])
+    }
+
+    fn warm_params(w: &WarmStart) -> [f64; 5] {
+        [w.position.x, w.position.y, w.orientation, w.kt, w.bt]
+    }
+
+    /// Uncertainty propagation plus canonical wrapping of the angular
+    /// parameters.
+    fn estimate(
+        observations: &[AntennaObservation],
+        p: &[f64; 5],
+        cost: f64,
+        config: &SolverConfig,
+        scratch: &mut UncertScratch,
+    ) -> TagEstimate2D {
+        let n_res = 2 * observations.len();
+        let (position_std_m, orientation_std_rad, position_cov) =
+            estimate_uncertainty(observations, p, config, scratch);
+        TagEstimate2D {
+            position: Vec2::new(p[0], p[1]),
+            orientation: p[2].rem_euclid(std::f64::consts::PI),
+            kt: p[3],
+            bt: angle::wrap_tau(p[4]),
+            cost,
+            residual_rms: (cost / n_res as f64).sqrt(),
+            position_std_m,
+            orientation_std_rad,
+            position_cov,
         }
-        JacobianMode::Numeric => core.refine_numeric(
-            &model,
-            p0,
-            &SLOPE_STEPS_2D,
-            config.max_iterations,
-            config.tolerance,
-        ),
     }
 }
 
@@ -1488,140 +1683,6 @@ fn estimate_uncertainty(
     let position_std = (cov[0] + cov[n + 1]).sqrt();
     let orientation_std = cov[2 * n + 2].sqrt();
     (position_std, orientation_std, position_cov)
-}
-
-/// Mean `kᵢ − 4π dᵢ(pos)/c` over antennas — the closed-form `k_t` seed for
-/// a hypothesised position.
-fn seed_kt(observations: &[AntennaObservation], pos: Vec2) -> f64 {
-    let sum: f64 = observations
-        .iter()
-        .map(|o| {
-            let d = o.pose.position().distance(pos.with_z(0.0));
-            o.slope - propagation::slope_from_distance(d)
-        })
-        .sum();
-    sum / observations.len() as f64
-}
-
-/// RSSI-consistency penalty of a candidate mode `(pos, α)`: the weighted
-/// variance of `rssiᵢ + 40·log10(dᵢ) − 20·log10(pᵢ(α))` across antennas.
-///
-/// The backscatter link budget (`rfp_phys::rssi`) says that quantity is a
-/// per-tag constant (transmit power + material loss) plus noise, so modes
-/// whose predicted polarization projections `pᵢ(α)` disagree with the
-/// measured RSSI pattern score high. Returns 0 when disabled
-/// (`sigma_db = ∞`) or when any observation lacks a finite RSSI.
-pub(crate) fn rssi_mode_penalty(
-    observations: &[AntennaObservation],
-    pos: Vec2,
-    alpha: f64,
-    sigma_db: f64,
-) -> f64 {
-    if !sigma_db.is_finite() || sigma_db <= 0.0 {
-        return 0.0;
-    }
-    let w = planar_dipole(alpha);
-    rssi_pattern_penalty(
-        observations,
-        |o| {
-            let d = o.pose.position().distance(pos.with_z(0.0));
-            (d, projection_magnitude(&o.pose, w))
-        },
-        sigma_db,
-    )
-}
-
-/// Shared core of the 2-D and 3-D RSSI mode penalties: `predict` returns
-/// each observation's `(distance, projection magnitude)` under the
-/// candidate mode.
-pub(crate) fn rssi_pattern_penalty<F>(
-    observations: &[AntennaObservation],
-    predict: F,
-    sigma_db: f64,
-) -> f64
-where
-    F: Fn(&AntennaObservation) -> (f64, f64),
-{
-    rssi_penalty_core(
-        observations.iter().map(|o| {
-            let (d, proj) = predict(o);
-            (o.mean_rssi_dbm, d, proj)
-        }),
-        sigma_db,
-    )
-}
-
-/// The RSSI mode penalty with both dB terms precomputed: `rssi_base[i]` =
-/// `rssiᵢ + 40·log10(dᵢ)` (hoisted out of the α scan) and `proj_dbs[i]` =
-/// `20·log10(projs[i])` (a geometry-table lookup). The caller has already
-/// checked `sigma_db` is active. Guard order and the grouping of the dB
-/// sum match [`rssi_penalty_core`]'s left-associative
-/// `rssi + 40·log10(d) − 20·log10(proj)` exactly, so the hoisted form is
-/// bit-identical — `rssi_base`/`proj_dbs` entries behind a triggered
-/// guard are never read.
-pub(crate) fn rssi_penalty_hoisted(
-    observations: &[AntennaObservation],
-    rssi_base: &[f64],
-    dists: &[f64],
-    projs: &[f64],
-    proj_dbs: &[f64],
-    sigma_db: f64,
-) -> f64 {
-    let mut sum = 0.0;
-    let mut sum_sq = 0.0;
-    let mut n = 0usize;
-    for (i, o) in observations.iter().enumerate() {
-        if !o.mean_rssi_dbm.is_finite() {
-            return 0.0;
-        }
-        if projs[i] < 1e-3 || dists[i] <= 0.0 {
-            // The mode predicts an unreadable antenna that in fact read the
-            // tag: strongly implausible.
-            return 1e6;
-        }
-        let m = rssi_base[i] - proj_dbs[i];
-        sum += m;
-        sum_sq += m * m;
-        n += 1;
-    }
-    if n == 0 {
-        return 0.0;
-    }
-    let variance = (sum_sq - sum * sum / n as f64).max(0.0);
-    variance / (sigma_db * sigma_db)
-}
-
-/// The penalty kernel over `(rssi dBm, distance, projection)` triples; see
-/// [`rssi_mode_penalty`] for the physics.
-fn rssi_penalty_core<I>(items: I, sigma_db: f64) -> f64
-where
-    I: Iterator<Item = (f64, f64, f64)>,
-{
-    if !sigma_db.is_finite() || sigma_db <= 0.0 {
-        return 0.0;
-    }
-    let mut sum = 0.0;
-    let mut sum_sq = 0.0;
-    let mut n = 0usize;
-    for (rssi, d, proj) in items {
-        if !rssi.is_finite() {
-            return 0.0;
-        }
-        if proj < 1e-3 || d <= 0.0 {
-            // The mode predicts an unreadable antenna that in fact read the
-            // tag: strongly implausible.
-            return 1e6;
-        }
-        let m = rssi + 40.0 * d.log10() - 20.0 * proj.log10();
-        sum += m;
-        sum_sq += m * m;
-        n += 1;
-    }
-    if n == 0 {
-        return 0.0;
-    }
-    let variance = (sum_sq - sum * sum / n as f64).max(0.0);
-    variance / (sigma_db * sigma_db)
 }
 
 /// Circular mean of `bᵢ − θ_orient(Aᵢ, α₀)` — the closed-form `b_t` seed

@@ -58,6 +58,16 @@ pub struct RawRead {
     pub phase_code: Option<u16>,
 }
 
+impl RawRead {
+    /// Whether the read carries a usable sample: a finite phase and a
+    /// finite frequency. The front end, batch and streaming alike, skips
+    /// any other read as if the reader had never reported it.
+    #[inline]
+    pub(crate) fn is_usable(&self) -> bool {
+        self.phase.is_finite() && self.frequency_hz.is_finite()
+    }
+}
+
 /// Aggregated, corrected observation for one channel.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ChannelObservation {
@@ -121,7 +131,8 @@ impl std::error::Error for PreprocessError {}
 
 /// Runs the full pre-processing pipeline on one antenna's raw reads and
 /// returns per-channel observations sorted by frequency, with phases
-/// unwrapped across channels.
+/// unwrapped across channels. Reads whose phase or frequency is not finite
+/// are skipped.
 ///
 /// # Errors
 ///
@@ -174,6 +185,27 @@ pub fn preprocess_reads(
 ///
 /// As [`preprocess_reads`].
 pub fn preprocess_reads_with(
+    ws: &mut FrontEndWorkspace,
+    reads: &[RawRead],
+    config: &PreprocessConfig,
+    out: &mut Vec<ChannelObservation>,
+) -> Result<(), PreprocessError> {
+    if reads.iter().all(RawRead::is_usable) {
+        return preprocess_usable(ws, reads, config, out);
+    }
+    // An unusable read would poison every statistic of its channel: run on
+    // a copy without it. Such reads are rare, so only a window holding one
+    // pays for the copy.
+    let mut usable = std::mem::take(&mut ws.usable_reads);
+    usable.clear();
+    usable.extend(reads.iter().filter(|r| r.is_usable()).copied());
+    let result = preprocess_usable(ws, &usable, config, out);
+    ws.usable_reads = usable;
+    result
+}
+
+/// [`preprocess_reads_with`] on reads that are all usable.
+fn preprocess_usable(
     ws: &mut FrontEndWorkspace,
     reads: &[RawRead],
     config: &PreprocessConfig,

@@ -567,8 +567,13 @@ impl StreamingWindow {
     /// Pushes one read into the window, updating its channel's running
     /// sums in O(1). Reads must arrive in nondecreasing timestamp order
     /// (the order a reader stream delivers them), which keeps every
-    /// per-channel sum in the batch summation order.
+    /// per-channel sum in the batch summation order. A read whose phase or
+    /// frequency is not finite is skipped, as the batch front end skips
+    /// it.
     pub fn push(&mut self, read: &RawRead) {
+        if !read.is_usable() {
+            return;
+        }
         let doubled = self.config.preprocess.correct_pi_jumps;
         let mut stored = self.compute_phasors(read, doubled);
         let s = self.slot(read.channel);

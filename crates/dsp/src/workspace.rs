@@ -35,6 +35,7 @@
 //! benchmark baseline.
 
 use crate::linfit::{FitError, LineFit};
+use crate::preprocess::RawRead;
 
 /// Raw running sums for an ordinary least-squares line fit, accumulated
 /// against a fixed abscissa shift `x0` (the first point's x) to keep the
@@ -287,6 +288,8 @@ pub struct FrontEndWorkspace {
     pub(crate) read_sin: Vec<f64>,
     /// Per-read phasor lane, cos component.
     pub(crate) read_cos: Vec<f64>,
+    /// The usable reads of a call whose input held an unusable one.
+    pub(crate) usable_reads: Vec<RawRead>,
     /// Per-call trig-backend evaluation tallies:
     /// `[table, poly, libm, recurrence]`.
     pub(crate) trig_hits: [u64; 4],

@@ -132,6 +132,7 @@ proptest! {
         depth in 1usize..3,
         slope_m in -40.0f64..40.0,
         noise in 0.0f64..0.08,
+        bad_kind in 0usize..3,
     ) {
         let slope = slope_m * 1e-8; // rad/Hz over the ~5 MHz band
         let mut rng = Rng(seed);
@@ -142,7 +143,16 @@ proptest! {
         let mut expired_any = false;
 
         for r in 0..rounds {
-            let reads = round_reads(&mut rng, r, chans, per_chan, slope, noise);
+            let mut reads = round_reads(&mut rng, r, chans, per_chan, slope, noise);
+            // One unusable read per round: window and batch must both skip
+            // it (it counts as no update either).
+            let at = (rng.next() % reads.len() as u64) as usize;
+            let good = reads[at];
+            reads.insert(at, match bad_kind {
+                0 => RawRead { phase: f64::NAN, ..good },
+                1 => RawRead { phase: f64::NEG_INFINITY, ..good },
+                _ => RawRead { frequency_hz: f64::INFINITY, ..good },
+            });
             for read in &reads {
                 window.push(read);
             }
