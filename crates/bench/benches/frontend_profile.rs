@@ -15,15 +15,12 @@
 //!
 //! The `preprocess` stage used to be trig-floor-bound on both paths (four
 //! libm calls per read, bit-identity pinning the exact same evaluations).
-//! The [`rfp_dsp::TrigProvider`] rework breaks that bound: the default
-//! `Table` backend replaces the per-read libm calls with quantized
-//! phase-code lookups (still bit-identical on code-carrying reads —
-//! exactly what the R420 windows here produce), and the `Polynomial`
-//! backend evaluates a bounded-error kernel in 4-wide lanes. Each window
-//! therefore also reports per-backend `preprocess` rows (Table /
-//! Polynomial / Libm vs the frozen reference), and the standard window's
-//! table-backend ratio is exported as `standard_preprocess_speedup_p50`
-//! for the perf gate's ≥2× floor. The fit chain — the fused unwrap+OLS
+//! The phase-code tables of [`rfp_dsp::trig`] break that bound: reads that
+//! carry their reader code — exactly what the R420 windows here produce —
+//! replace the per-read libm calls with bit-identical lookups. The
+//! standard window's `preprocess` ratio against the frozen reference is
+//! exported as `standard_preprocess_speedup_p50` for the perf gate's ≥2×
+//! floor. The fit chain — the fused unwrap+OLS
 //! fit plus the robust multipath rejection, the "front end" of Eq. 5 —
 //! carries the earlier rework's algorithmic wins and keeps its own floor.
 //!
@@ -104,35 +101,9 @@ impl Stage {
     }
 }
 
-/// Times `preprocess_reads_with` under one trig backend.
-fn time_preprocess_backend(
-    trig: rfp_dsp::TrigProvider,
-    reads: &[RawRead],
-    ws: &mut FrontEndWorkspace,
-    out: &mut Vec<rfp_dsp::preprocess::ChannelObservation>,
-    warmup: usize,
-    repeats: usize,
-) -> (f64, f64) {
-    let config = PreprocessConfig { trig, ..PreprocessConfig::default() };
-    time_us(
-        || {
-            preprocess_reads_with(ws, black_box(reads), &config, out).expect("usable");
-            black_box(&out);
-        },
-        warmup,
-        repeats,
-    )
-}
-
 /// Measures the three front-end stages plus the end-to-end window for one
-/// read density. The second return value holds one `preprocess` row per
-/// trig backend (p50/p90 and the p50 ratio against the frozen reference);
-/// the `Table` row's ratio is also returned for the gate metric.
-fn profile_window(
-    reads: &[RawRead],
-    warmup: usize,
-    repeats: usize,
-) -> (Vec<Stage>, Vec<JsonValue>, f64) {
+/// read density.
+fn profile_window(reads: &[RawRead], warmup: usize, repeats: usize) -> Vec<Stage> {
     let pre = PreprocessConfig::default();
     let robust = RobustFitConfig::default();
 
@@ -146,10 +117,7 @@ fn profile_window(
 
     let mut stages = Vec::new();
 
-    // Pre-processing: group + circular-average + π-fold + unwrap, once
-    // per trig backend against the (libm-only) frozen reference. The
-    // canonical "preprocess" stage row carries the default backend
-    // (`Table`); the per-backend rows land next to it in the snapshot.
+    // Pre-processing: group + circular-average + π-fold + unwrap.
     rfp_dsp::trig::warm_tables();
     let (rp50, rp90) = time_us(
         || {
@@ -158,31 +126,21 @@ fn profile_window(
         warmup,
         repeats,
     );
-    let mut backend_rows = Vec::new();
-    let mut table_speedup = 0.0f64;
-    for trig in
-        [rfp_dsp::TrigProvider::Table, rfp_dsp::TrigProvider::Polynomial, rfp_dsp::TrigProvider::Libm]
-    {
-        let (fp50, fp90) =
-            time_preprocess_backend(trig, reads, &mut ws, &mut out, warmup, repeats);
-        let round2 = |x: f64| (x * 100.0).round() / 100.0;
-        backend_rows.push(JsonValue::obj(vec![
-            ("backend", JsonValue::Str(format!("{trig:?}").to_lowercase())),
-            ("fused_p50_us", JsonValue::Num(round2(fp50))),
-            ("fused_p90_us", JsonValue::Num(round2(fp90))),
-            ("speedup_p50", JsonValue::Num(round2(rp50 / fp50))),
-        ]));
-        if trig == rfp_dsp::TrigProvider::Table {
-            table_speedup = rp50 / fp50;
-            stages.push(Stage {
-                name: "preprocess",
-                ref_p50: rp50,
-                ref_p90: rp90,
-                fused_p50: fp50,
-                fused_p90: fp90,
-            });
-        }
-    }
+    let (fp50, fp90) = time_us(
+        || {
+            preprocess_reads_with(&mut ws, black_box(reads), &pre, &mut out).expect("usable");
+            black_box(&out);
+        },
+        warmup,
+        repeats,
+    );
+    stages.push(Stage {
+        name: "preprocess",
+        ref_p50: rp50,
+        ref_p90: rp90,
+        fused_p50: fp50,
+        fused_p90: fp90,
+    });
 
     // Raw fit: column materialization + OLS versus the sums already
     // accumulated during the unwrap.
@@ -267,7 +225,7 @@ fn profile_window(
         fused_p50: fp50,
         fused_p90: fp90,
     });
-    (stages, backend_rows, table_speedup)
+    stages
 }
 
 fn main() {
@@ -289,16 +247,7 @@ fn main() {
     for (label, reads_per_channel) in [("sparse", 2usize), ("standard", 8), ("dense", 24)] {
         let reads = window_reads(reads_per_channel);
         report::section(&format!("{label} window ({} reads)", reads.len()));
-        let (stages, backend_rows, table_speedup) = profile_window(&reads, warmup, repeats);
-        for row in &backend_rows {
-            println!(
-                "  preprocess[{}] fused p50 {:>7.2} p90 {:>7.2}   speedup ×{:.2}",
-                row.get("backend").and_then(JsonValue::as_str).unwrap_or("?"),
-                row.get("fused_p50_us").and_then(JsonValue::as_f64).unwrap_or(f64::NAN),
-                row.get("fused_p90_us").and_then(JsonValue::as_f64).unwrap_or(f64::NAN),
-                row.get("speedup_p50").and_then(JsonValue::as_f64).unwrap_or(f64::NAN),
-            );
-        }
+        let stages = profile_window(&reads, warmup, repeats);
         for s in &stages {
             println!(
                 "  {:<13} reference p50 {:>7.2} p90 {:>7.2}   fused p50 {:>7.2} p90 {:>7.2}   speedup ×{:.2}",
@@ -311,7 +260,7 @@ fn main() {
             );
         }
         // The fit chain (unwrap+OLS fit → robust reject) is the rework's
-        // algorithmic target; preprocess is trig-floor-bound on both paths.
+        // algorithmic target; preprocess carries its own floor.
         let chain: Vec<&Stage> =
             stages.iter().filter(|s| s.name == "unwrap_fit" || s.name == "robust_reject").collect();
         let fit_speedup = chain.iter().map(|s| s.ref_p50).sum::<f64>()
@@ -321,18 +270,18 @@ fn main() {
         if label == "standard" {
             standard_window_speedup = window_stage.speedup();
             standard_fit_speedup = fit_speedup;
-            standard_preprocess_speedup = table_speedup;
+            standard_preprocess_speedup =
+                stages.iter().find(|s| s.name == "preprocess").expect("preprocess").speedup();
         }
         windows.push(JsonValue::obj(vec![
             ("window", JsonValue::Str(label.into())),
             ("reads", JsonValue::Num(reads.len() as f64)),
             ("fit_chain_speedup_p50", JsonValue::Num((fit_speedup * 100.0).round() / 100.0)),
-            ("preprocess_backends", JsonValue::Arr(backend_rows)),
             ("stages", JsonValue::Arr(stages.iter().map(Stage::json).collect())),
         ]));
     }
     println!(
-        "\n  standard window: preprocess (table) ×{standard_preprocess_speedup:.2}, \
+        "\n  standard window: preprocess ×{standard_preprocess_speedup:.2}, \
          fit chain ×{standard_fit_speedup:.2}, end-to-end ×{standard_window_speedup:.2}"
     );
 
@@ -347,7 +296,7 @@ fn main() {
                 )]),
             ),
             ("windows", JsonValue::Arr(windows)),
-            // Gate metrics: the fit-chain and table-preprocess ratios are
+            // Gate metrics: the fit-chain and preprocess ratios are
             // floored at ≥2× by scripts/bench_gate; the end-to-end window
             // p50 is regression-checked against the committed snapshot.
             (

@@ -14,10 +14,8 @@
 //! emit an estimate at the same cadence — so the ratio isolates exactly
 //! what the incremental accumulators save.
 //!
-//! Two scenario rows: the paper's standard quantized reader (`Table` trig
-//! backend — phasors resolved by exact code lookups at push time) and an
-//! ideal continuous-phase reader driven through the `Recurrence` backend
-//! (phasors advanced by complex rotation with periodic renormalization).
+//! The scenario is the paper's standard quantized reader: push-time
+//! phasors are resolved by exact phase-code lookups (the `"table"` row).
 //!
 //! Built with `--features obs` the bench also measures the cost of
 //! *continuous telemetry*: the same steady-state advance loop with the
@@ -49,10 +47,9 @@ fn percentile(sorted: &[f64], q: f64) -> f64 {
     sorted[((sorted.len() as f64 * q) as usize).min(sorted.len() - 1)]
 }
 
-/// One scenario row: a reader/trig-backend pairing measured over the same
-/// replayed stream through both engines.
+/// The standard scenario's row: the same replayed stream measured
+/// through both engines.
 struct Row {
-    backend: &'static str,
     advance_p50: f64,
     advance_p90: f64,
     batch_p50: f64,
@@ -65,7 +62,8 @@ impl Row {
     fn json(&self) -> JsonValue {
         let round2 = |x: f64| (x * 100.0).round() / 100.0;
         JsonValue::obj(vec![
-            ("backend", JsonValue::Str(self.backend.into())),
+            // Push-time phasors come from the phase-code tables.
+            ("backend", JsonValue::Str("table".into())),
             ("advance_p50_us", JsonValue::Num(round2(self.advance_p50))),
             ("advance_p90_us", JsonValue::Num(round2(self.advance_p90))),
             ("batch_recompute_p50_us", JsonValue::Num(round2(self.batch_p50))),
@@ -196,16 +194,10 @@ fn profile_obs_overhead(
 /// Replays `rounds` through a streaming session (one timed sample per
 /// dwell advance) and through the warm batch path on the same retained
 /// windows, both in steady state after `warmup` rounds.
-fn profile_stream(
-    backend: &'static str,
-    scene: &Scene,
-    config: RfPrismConfig,
-    rounds: &[StreamRound],
-    warmup: usize,
-) -> Row {
+fn profile_stream(scene: &Scene, rounds: &[StreamRound], warmup: usize) -> Row {
     let prism = RfPrism::new(scene.antenna_poses(), scene.reader().plan)
         .with_region(scene.region())
-        .with_config(config);
+        .with_config(RfPrismConfig::paper());
     let antennas = scene.antenna_poses().len();
     let span = DEPTH as f64 * scene.reader().round_duration_s();
 
@@ -289,7 +281,6 @@ fn profile_stream(
     let advance_p50 = percentile(&advance_us, 0.5);
     let batch_p50 = percentile(&batch_us, 0.5);
     Row {
-        backend,
         advance_p50,
         advance_p90: percentile(&advance_us, 0.9),
         batch_p50,
@@ -313,13 +304,11 @@ fn main() {
     let tag = SimTag::with_seeded_diversity(3)
         .with_motion(Motion::planar_static(Vec2::new(0.4, 1.5), 0.9));
 
-    let mut rows: Vec<Row> = Vec::new();
-
     // Standard scenario: the paper's quantized R420 reader; push-time
     // phasors come from the exact phase-code tables.
     let scene = Scene::standard_2d();
     let rounds = stream_rounds(&scene, &tag, n_rounds, 31);
-    rows.push(profile_stream("table", &scene, RfPrismConfig::paper(), &rounds, warmup));
+    let standard = profile_stream(&scene, &rounds, warmup);
 
     // Telemetry overhead on the standard scenario: obs probes inert vs a
     // live recorder, same binary, same stream (feature-gated — without
@@ -349,28 +338,17 @@ fn main() {
         ))
     };
 
-    // Continuous-phase scenario: ideal reader, phasor-recurrence backend
-    // (complex rotation with periodic renormalization, no per-read libm).
-    let scene = Scene::standard_2d().with_reader(rfp_sim::ReaderConfig::ideal());
-    let rounds = stream_rounds(&scene, &tag, n_rounds, 31);
-    let config = RfPrismConfig::paper().with_trig(rfp_dsp::TrigProvider::Recurrence);
-    rows.push(profile_stream("recurrence", &scene, config, &rounds, warmup));
+    println!(
+        "  table      advance p50 {:>7.2} p90 {:>7.2}   batch p50 {:>7.2}   speedup ×{:.2}   \
+         fallback rate {:.2}%   ({} retained reads)",
+        standard.advance_p50,
+        standard.advance_p90,
+        standard.batch_p50,
+        standard.speedup,
+        standard.fallback_rate * 100.0,
+        standard.retained_reads,
+    );
 
-    for row in &rows {
-        println!(
-            "  {:<10} advance p50 {:>7.2} p90 {:>7.2}   batch p50 {:>7.2}   speedup ×{:.2}   \
-             fallback rate {:.2}%   ({} retained reads)",
-            row.backend,
-            row.advance_p50,
-            row.advance_p90,
-            row.batch_p50,
-            row.speedup,
-            row.fallback_rate * 100.0,
-            row.retained_reads,
-        );
-    }
-
-    let standard = &rows[0];
     let mut fields = vec![
         (
             "units",
@@ -395,7 +373,7 @@ fn main() {
         fields.push(("obs_overhead_p50", JsonValue::Num(overhead_p50)));
         fields.push(("obs", detail));
     }
-    fields.push(("rows", JsonValue::Arr(rows.iter().map(Row::json).collect())));
+    fields.push(("rows", JsonValue::Arr(vec![standard.json()])));
     let value = rfp_obs::report::snapshot("streaming_profile", fields);
     let default_path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_streaming.json");
     let path =

@@ -5,7 +5,7 @@ use crate::log::{SurveyLog, TagTruth};
 use rfp_core::calibration::{CalibrationDb, DeviceCalibration};
 use rfp_core::model::{extract_observation, ExtractConfig};
 use rfp_core::{RfPrism, SenseError, WarmStart};
-use rfp_geom::{angle, Region2, Vec2};
+use rfp_geom::{angle, Vec2};
 use rfp_phys::Material;
 use rfp_sim::{Motion, Scene, SimTag};
 use std::fmt::Write as _;
@@ -475,8 +475,7 @@ fn sense_table(
         Some(text) => Some(CalibrationDb::from_text(text).map_err(CommandError::Calibration)?),
         None => None,
     };
-    let region = default_region(&log);
-    let prism = RfPrism::new(log.poses.clone(), log.plan).with_region(region);
+    let prism = RfPrism::new(log.poses.clone(), log.plan);
 
     // Fan the per-tag solves across the worker pool; results come back in
     // log order, so the report below is byte-identical at any `jobs`.
@@ -574,15 +573,6 @@ pub fn calibrate(args: &[String]) -> Result<String, CommandError> {
     let mut db = CalibrationDb::new();
     db.insert(tag_seed, cal);
     Ok(db.to_text())
-}
-
-/// Derives the sensing search region from a log: the antennas' bounding
-/// box expanded toward the hemisphere they face (same rule as
-/// `RfPrism::new`, but reproduced here so a log is self-contained).
-fn default_region(log: &SurveyLog) -> Region2 {
-    let _ = &log.poses;
-    // RfPrism::new already computes a sensible default; reuse it.
-    RfPrism::new(log.poses.clone(), log.plan).region()
 }
 
 /// Top-level usage text.
@@ -858,6 +848,34 @@ mod tests {
                 other => panic!("stream, `{value}` in column {column}: {other:?}"),
             }
         }
+    }
+
+    /// A log with fewer antennas than 2-D sensing needs is a log error for
+    /// `sense` and `stream --log` alike — never a panic in the pipeline.
+    #[test]
+    fn two_antenna_log_is_a_log_error() {
+        let log_text = simulate(&args(&["--tags", "2", "--seed", "3"])).unwrap();
+        let text: String = log_text
+            .lines()
+            .filter(|l| {
+                // Drop antenna 2 and every read on it.
+                let f: Vec<&str> = l.split_whitespace().collect();
+                !matches!(f.as_slice(), ["antenna", "2", ..] | ["read", _, "2", ..])
+            })
+            .map(|l| format!("{l}\n"))
+            .collect();
+        let expected = crate::log::LogError::TooFewAntennas { found: 2 };
+        match sense(&text, None, 1, false) {
+            Err(CommandError::Log(e)) => assert_eq!(e, expected),
+            other => panic!("sense: {other:?}"),
+        }
+        let path = std::env::temp_dir().join("rfp-cli-two-antenna-test.log");
+        std::fs::write(&path, &text).unwrap();
+        match stream(&args(&["--log", path.to_str().unwrap()])) {
+            Err(CommandError::Log(e)) => assert_eq!(e, expected),
+            other => panic!("stream: {other:?}"),
+        }
+        let _ = std::fs::remove_file(&path);
     }
 
     #[test]

@@ -9,14 +9,31 @@
 //! ```
 //!
 //! Everything after `#` on a line is a comment. Lines may appear in any
-//! order except that `read` lines must follow the `antenna`/`plan` lines
-//! they reference.
+//! order except that `read` lines must follow the `antenna` lines they
+//! reference.
+//!
+//! Every header is validated before anything is built from it: the plan
+//! needs a finite, positive start and spacing and 1 to 65,536 channels
+//! (LLRP channel indices are 16-bit); an antenna needs an integer index,
+//! coordinates within ±1,000 km, a finite roll and a non-zero boresight;
+//! the antennas must be numbered `0..n` with `n ≥ 3`, as 2-D sensing
+//! needs; and a read must name a channel of the plan. A hostile log is a
+//! [`LogError`], never a panic or an allocation sized by an unchecked
+//! index.
 
 use rfp_dsp::preprocess::RawRead;
 use rfp_geom::{AntennaPose, Vec2, Vec3};
 use rfp_phys::{FrequencyPlan, Material};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
+
+/// Most channels a plan may declare: LLRP channel indices are 16-bit.
+const MAX_CHANNELS: usize = 1 << 16;
+
+/// Largest antenna coordinate magnitude accepted, metres. A reader's
+/// antennas sit metres apart; the bound keeps every squared distance the
+/// solver forms finite.
+const MAX_COORD_M: f64 = 1e6;
 
 /// Optional ground truth recorded alongside a tag (simulation only).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -69,8 +86,13 @@ pub enum LogError {
     },
     /// No `plan` line was found.
     MissingPlan,
-    /// No `antenna` lines were found.
+    /// No `antenna` lines were found, or their indices skip a number.
     MissingAntennas,
+    /// Fewer antennas than the three 2-D sensing needs.
+    TooFewAntennas {
+        /// Antennas declared.
+        found: usize,
+    },
 }
 
 impl std::fmt::Display for LogError {
@@ -82,7 +104,12 @@ impl std::fmt::Display for LogError {
                 write!(f, "read references undeclared antenna at line {line}")
             }
             LogError::MissingPlan => write!(f, "log has no `plan` line"),
-            LogError::MissingAntennas => write!(f, "log has no `antenna` lines"),
+            LogError::MissingAntennas => {
+                write!(f, "log has no `antenna` lines, or their indices are not 0..n")
+            }
+            LogError::TooFewAntennas { found } => {
+                write!(f, "log declares {found} antennas; sensing needs at least 3")
+            }
         }
     }
 }
@@ -169,6 +196,12 @@ impl SurveyLog {
         let mut plan: Option<FrequencyPlan> = None;
         let mut poses: BTreeMap<usize, AntennaPose> = BTreeMap::new();
         let mut tags: BTreeMap<u64, TagRecord> = BTreeMap::new();
+        // (line, tag, antenna, read), grouped once the antenna set is known
+        // to be valid, so no allocation is sized by an unchecked index.
+        let mut reads: Vec<(usize, u64, usize, RawRead)> = Vec::new();
+        // `"NaN".parse()` succeeds: a field holding a non-finite number is
+        // as malformed as one holding no number.
+        let finite = |v: &str| v.parse::<f64>().ok().filter(|x| x.is_finite());
 
         for (ln0, raw_line) in text.lines().enumerate() {
             let line = raw_line.split('#').next().unwrap_or("").trim();
@@ -180,25 +213,38 @@ impl SurveyLog {
             let malformed = LogError::Malformed { line: ln };
             match parts.next() {
                 Some("plan") => {
-                    let nums: Vec<f64> =
-                        parts.by_ref().take(3).filter_map(|v| v.parse().ok()).collect();
-                    if nums.len() != 3 {
+                    let nums: Vec<f64> = parts.by_ref().take(2).filter_map(finite).collect();
+                    let count: usize =
+                        parts.next().and_then(|v| v.parse().ok()).ok_or(malformed.clone())?;
+                    if nums.len() != 2
+                        || nums.iter().any(|&x| x <= 0.0)
+                        || !(1..=MAX_CHANNELS).contains(&count)
+                    {
                         return Err(malformed);
                     }
-                    plan = Some(FrequencyPlan::new(nums[0], nums[1], nums[2] as usize));
+                    plan = Some(FrequencyPlan::new(nums[0], nums[1], count));
                 }
                 Some("antenna") => {
-                    let nums: Vec<f64> =
-                        parts.by_ref().take(8).filter_map(|v| v.parse().ok()).collect();
-                    if nums.len() != 8 {
+                    let index: usize =
+                        parts.next().and_then(|v| v.parse().ok()).ok_or(malformed.clone())?;
+                    let nums: Vec<f64> = parts.by_ref().take(7).filter_map(finite).collect();
+                    if nums.len() != 7 || nums[..3].iter().any(|x| x.abs() > MAX_COORD_M) {
+                        return Err(malformed);
+                    }
+                    // A zero, underflowing or overflowing boresight has no
+                    // unit direction.
+                    let boresight = Vec3::new(nums[3], nums[4], nums[5]);
+                    if boresight.norm() == 0.0
+                        || (boresight.normalized().norm() - 1.0).abs() >= 1e-6
+                    {
                         return Err(malformed);
                     }
                     let pose = AntennaPose::with_boresight(
-                        Vec3::new(nums[1], nums[2], nums[3]),
-                        Vec3::new(nums[4], nums[5], nums[6]).normalized(),
-                        nums[7],
+                        Vec3::new(nums[0], nums[1], nums[2]),
+                        boresight.normalized(),
+                        nums[6],
                     );
-                    poses.insert(nums[0] as usize, pose);
+                    poses.insert(index, pose);
                 }
                 Some("tag") => {
                     let id: u64 =
@@ -231,31 +277,27 @@ impl SurveyLog {
                     }
                     let channel: usize =
                         parts.next().and_then(|v| v.parse().ok()).ok_or(malformed.clone())?;
-                    // `"NaN".parse()` succeeds: a read holding a non-finite
-                    // number is as malformed as one holding no number.
-                    let nums: Vec<f64> = parts
-                        .by_ref()
-                        .take(4)
-                        .filter_map(|v| v.parse().ok().filter(|x: &f64| x.is_finite()))
-                        .collect();
+                    let nums: Vec<f64> = parts.by_ref().take(4).filter_map(finite).collect();
                     if nums.len() != 4 {
                         return Err(malformed);
                     }
-                    let record = tags.entry(id).or_default();
-                    if record.per_antenna.len() <= ai {
-                        record.per_antenna.resize(ai + 1, Vec::new());
-                    }
-                    record.per_antenna[ai].push(RawRead {
-                        channel,
-                        frequency_hz: nums[0],
-                        phase: nums[1],
-                        rssi_dbm: nums[2],
-                        timestamp_s: nums[3],
-                        // The text format stores phases with exact f64
-                        // round-trip ({:e}), so quantized phases land
-                        // back on the grid and recover their code.
-                        phase_code: rfp_dsp::trig::code_for_phase(nums[1]),
-                    });
+                    tags.entry(id).or_default();
+                    reads.push((
+                        ln,
+                        id,
+                        ai,
+                        RawRead {
+                            channel,
+                            frequency_hz: nums[0],
+                            phase: nums[1],
+                            rssi_dbm: nums[2],
+                            timestamp_s: nums[3],
+                            // The text format stores phases with exact f64
+                            // round-trip ({:e}), so quantized phases land
+                            // back on the grid and recover their code.
+                            phase_code: rfp_dsp::trig::code_for_phase(nums[1]),
+                        },
+                    ));
                 }
                 Some(_) => return Err(LogError::UnknownDirective { line: ln }),
                 None => {}
@@ -263,16 +305,21 @@ impl SurveyLog {
         }
 
         let plan = plan.ok_or(LogError::MissingPlan)?;
-        if poses.is_empty() {
+        if poses.is_empty() || poses.keys().enumerate().any(|(i, &k)| i != k) {
             return Err(LogError::MissingAntennas);
         }
-        let n_ant = poses.keys().max().unwrap() + 1;
-        let poses: Vec<AntennaPose> = (0..n_ant)
-            .map(|i| poses.get(&i).copied().ok_or(LogError::MissingAntennas))
-            .collect::<Result<_, _>>()?;
-        // Normalize every tag's grouping to the full antenna count.
+        if poses.len() < 3 {
+            return Err(LogError::TooFewAntennas { found: poses.len() });
+        }
+        let poses: Vec<AntennaPose> = poses.into_values().collect();
         for record in tags.values_mut() {
-            record.per_antenna.resize(n_ant, Vec::new());
+            record.per_antenna = vec![Vec::new(); poses.len()];
+        }
+        for (line, id, ai, read) in reads {
+            if read.channel >= plan.channel_count() {
+                return Err(LogError::Malformed { line });
+            }
+            tags.get_mut(&id).expect("entry made at parse").per_antenna[ai].push(read);
         }
         Ok(SurveyLog { plan, poses, tags })
     }
@@ -333,6 +380,10 @@ mod tests {
         assert!(SurveyLog::from_text(&text).is_ok());
     }
 
+    /// Three valid antenna lines, for logs whose other lines are under test.
+    const ANTENNAS: &str = "antenna 0 0 0 0 0 1 0 0\nantenna 1 1 0 0 0 1 0 0\n\
+                            antenna 2 2 0 0 0 1 0 0\n";
+
     #[test]
     fn error_cases() {
         assert_eq!(SurveyLog::from_text("").unwrap_err(), LogError::MissingPlan);
@@ -360,12 +411,66 @@ mod tests {
                 "read `{bad}` must be rejected"
             );
         }
+        // Plan lines: finite positive start and spacing, 1..=65536 channels.
+        for bad in [
+            "NaN 5e5 50",
+            "9e8 inf 50",
+            "-9e8 5e5 50",
+            "9e8 0 50",
+            "9e8 5e5 0",
+            "9e8 5e5 5.5e1",
+            "9e8 5e5 65537",
+        ] {
+            let text = format!("plan {bad}\n{ANTENNAS}");
+            assert_eq!(
+                SurveyLog::from_text(&text).unwrap_err(),
+                LogError::Malformed { line: 1 },
+                "plan `{bad}` must be rejected"
+            );
+        }
+        // Antenna lines: integer index, bounded finite coordinates, finite
+        // roll, non-zero boresight.
+        for bad in [
+            "-1 0 0 0 0 1 0 0",
+            "1.5 0 0 0 0 1 0 0",
+            "3 NaN 0 0 0 1 0 0",
+            "3 0 0 1e200 0 1 0 0",
+            "3 0 0 0 0 0 0 0",
+            "3 0 0 0 1e-320 0 0 0",
+            "3 0 0 0 1e300 1e300 1e300 0",
+            "3 0 0 0 0 1 0 inf",
+        ] {
+            let text = format!("plan 9e8 5e5 50\n{ANTENNAS}antenna {bad}\n");
+            assert_eq!(
+                SurveyLog::from_text(&text).unwrap_err(),
+                LogError::Malformed { line: 5 },
+                "antenna `{bad}` must be rejected"
+            );
+        }
+        // Fewer than three antennas, and a gap in the antenna indices.
+        let two = "plan 9e8 5e5 50\nantenna 0 0 0 0 0 1 0 0\nantenna 1 1 0 0 0 1 0 0\n";
+        assert_eq!(SurveyLog::from_text(two).unwrap_err(), LogError::TooFewAntennas { found: 2 });
+        let gap = format!(
+            "plan 9e8 5e5 50\n{ANTENNAS}antenna 100000000000 0 0 0 0 1 0 0\n\
+             read 1 100000000000 0 9e8 1 -50 0\n"
+        );
+        assert_eq!(SurveyLog::from_text(&gap).unwrap_err(), LogError::MissingAntennas);
+        // A read's channel must be one of the plan's.
+        for channel in ["50", "100000000000"] {
+            let text = format!("plan 9e8 5e5 50\n{ANTENNAS}read 1 0 {channel} 9e8 1 -50 0\n");
+            assert_eq!(
+                SurveyLog::from_text(&text).unwrap_err(),
+                LogError::Malformed { line: 5 },
+                "channel {channel} must be rejected"
+            );
+        }
     }
 
     #[test]
     fn tag_without_truth() {
-        let text = "plan 902.75e6 5e5 50\nantenna 0 0 0 0 0 1 0 0\ntag 9\n";
-        let log = SurveyLog::from_text(text).unwrap();
+        let text = format!("plan 902.75e6 5e5 50\n{ANTENNAS}tag 9\n");
+        let log = SurveyLog::from_text(&text).unwrap();
         assert!(log.tags[&9].truth.is_none());
+        assert_eq!(log.tags[&9].per_antenna.len(), 3);
     }
 }

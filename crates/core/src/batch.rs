@@ -29,13 +29,12 @@
 //! suite in `tests/batch_equivalence.rs` pins this down to
 //! `f64::to_bits`).
 //!
-//! The front-end trig backend (`RfPrismConfig::with_trig`) is part of the
-//! shared read-only pipeline state, so every worker uses the same
-//! provider. The quantized-code tables behind `TrigProvider::Table` live
-//! in a process-wide inline static (`OnceLock`): the first worker to need
-//! them publishes them once, with no heap traffic and no per-worker copy,
-//! and table-backed batches stay bit-identical to sequential libm runs
-//! (also pinned in `tests/batch_equivalence.rs`).
+//! The front end's quantized-code trig tables live in a process-wide
+//! inline static (`OnceLock`): the first worker to need them publishes
+//! them once, with no heap traffic and no per-worker copy, and batches
+//! over coded reads stay bit-identical to sequential runs over the same
+//! reads with their codes stripped (also pinned in
+//! `tests/batch_equivalence.rs`).
 
 use crate::obs;
 use crate::pipeline::{RfPrism, SenseError, SenseWorkspace, SensingResult};

@@ -12,12 +12,11 @@
 //! paper's three classifiers (KNN / SVM / Decision Tree, Fig. 13) or the
 //! future-work MLP, and maps predicted class indices back to [`Material`].
 //!
-//! The front-end trig backend (`rfp_dsp::TrigProvider`, selected via
-//! `ExtractConfig::preprocess.trig` or `RfPrismConfig::with_trig`) rides
-//! upstream of this module: material features only see the resulting
-//! [`AntennaObservation`]s. The default `Table` backend is bit-identical
-//! to libm, so feature vectors — and therefore trained classifiers — are
-//! unchanged by the faster path (pinned by a test below).
+//! The front end's phase-code trig tables ride upstream of this module:
+//! material features only see the resulting [`AntennaObservation`]s. A
+//! table lookup is bit-identical to libm, so feature vectors — and
+//! therefore trained classifiers — are unchanged by the faster path
+//! (pinned by a test below).
 
 use crate::calibration::DeviceCalibration;
 use crate::model::AntennaObservation;
@@ -289,6 +288,7 @@ mod tests {
     use super::*;
     use crate::model::{extract_observation, ExtractConfig};
     use crate::solver::{solve_2d, SolverConfig};
+    use rfp_dsp::preprocess::RawRead;
     use rfp_geom::Vec2;
     use rfp_sim::{Motion, NoiseModel, ReaderConfig, Scene, SimTag};
 
@@ -367,12 +367,12 @@ mod tests {
         assert!(mean_theta < 0.3, "mean |θ_material| {mean_theta}");
     }
 
-    /// Quantized (R420) surveys carry phase codes, so the table backend
-    /// kicks in — and must leave the material feature vector bitwise
-    /// unchanged relative to the libm oracle all the way through
-    /// calibration, solving and de-lining.
+    /// Quantized (R420) surveys carry phase codes, so the table lookups
+    /// kick in — and must leave the material feature vector bitwise
+    /// unchanged relative to the same surveys with their codes stripped
+    /// (libm) all the way through calibration, solving and de-lining.
     #[test]
-    fn features_are_invariant_across_trig_backends() {
+    fn features_are_invariant_to_phase_codes() {
         let scene = Scene::standard_2d().with_noise(NoiseModel::clean());
         let calib_pos = Vec2::new(0.5, 1.0);
         let bare = SimTag::with_seeded_diversity(7)
@@ -381,16 +381,24 @@ mod tests {
             .attached_to(Material::Glass)
             .with_motion(Motion::planar_static(Vec2::new(0.8, 1.8), 0.7));
 
-        let features_with = |trig: rfp_dsp::TrigProvider| {
-            let mut config = ExtractConfig::paper();
-            config.preprocess.trig = trig;
+        let features_with = |strip_codes: bool| {
+            let config = ExtractConfig::paper();
             let obs_for = |tag: &SimTag, seed: u64| -> Vec<AntennaObservation> {
                 let survey = scene.survey(tag, seed);
                 scene
                     .antenna_poses()
                     .iter()
                     .zip(&survey.per_antenna)
-                    .map(|(&p, r)| extract_observation(p, r, &config).unwrap())
+                    .map(|(&p, reads)| {
+                        let reads: Vec<RawRead> = reads
+                            .iter()
+                            .map(|r| RawRead {
+                                phase_code: if strip_codes { None } else { r.phase_code },
+                                ..*r
+                            })
+                            .collect();
+                        extract_observation(p, &reads, &config).unwrap()
+                    })
                     .collect()
             };
             let calib = crate::calibration::DeviceCalibration::from_observations(
@@ -403,9 +411,9 @@ mod tests {
             MaterialFeatures::extract(&obs, &est, &calib, 50)
         };
 
-        let table = features_with(rfp_dsp::TrigProvider::Table);
-        let libm = features_with(rfp_dsp::TrigProvider::Libm);
-        assert_eq!(table, libm, "table backend must not perturb features");
+        let coded = features_with(false);
+        let stripped = features_with(true);
+        assert_eq!(coded, stripped, "table lookups must not perturb features");
     }
 
     #[test]

@@ -8,8 +8,8 @@
 
 use crate::obs::counter_add;
 use crate::obs::id::{
-    FRONTEND_CHANNELS, FRONTEND_READS, FRONTEND_TRIG_LIBM_READS, FRONTEND_TRIG_POLY_READS,
-    FRONTEND_TRIG_RECURRENCE_READS, FRONTEND_TRIG_TABLE_READS, FRONTEND_WINDOWS,
+    FRONTEND_CHANNELS, FRONTEND_READS, FRONTEND_TRIG_LIBM_READS, FRONTEND_TRIG_TABLE_READS,
+    FRONTEND_WINDOWS,
 };
 use rfp_dsp::preprocess::{preprocess_reads_with, ChannelObservation, PreprocessConfig, RawRead};
 use rfp_dsp::robust::{robust_line_fit_with, RobustFitConfig};
@@ -204,12 +204,10 @@ pub fn extract_observation_into(
     counter_add(FRONTEND_WINDOWS, 1);
     counter_add(FRONTEND_READS, reads.len() as u64);
     let preprocessed = preprocess_reads_with(ws, reads, &config.preprocess, &mut out.channels);
-    // Per-backend trig tallies are valid even on error windows.
-    let [table, poly, libm, recurrence] = ws.trig_hits();
+    // The trig tallies are valid even on error windows.
+    let [table, libm] = ws.trig_hits();
     counter_add(FRONTEND_TRIG_TABLE_READS, table);
-    counter_add(FRONTEND_TRIG_POLY_READS, poly);
     counter_add(FRONTEND_TRIG_LIBM_READS, libm);
-    counter_add(FRONTEND_TRIG_RECURRENCE_READS, recurrence);
     preprocessed?;
     if out.channels.len() < 5 {
         return Err(ExtractError::TooFewChannels { available: out.channels.len() });

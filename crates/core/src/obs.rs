@@ -101,53 +101,47 @@ pub mod id {
     /// `frontend.trig_table_reads` — per-read phasors served by the
     /// quantized phase-code tables.
     pub const FRONTEND_TRIG_TABLE_READS: usize = 31;
-    /// `frontend.trig_poly_reads` — per-read phasors served by the
-    /// bounded-error polynomial backend.
-    pub const FRONTEND_TRIG_POLY_READS: usize = 32;
     /// `frontend.trig_libm_reads` — per-read phasors served by libm
-    /// (explicit backend or codeless-read fallback).
-    pub const FRONTEND_TRIG_LIBM_READS: usize = 33;
-    /// `frontend.trig_recurrence_reads` — per-read phasors served by the
-    /// streaming phasor-recurrence backend (complex rotations).
-    pub const FRONTEND_TRIG_RECURRENCE_READS: usize = 34;
+    /// (reads without a phase code that reproduces their phase).
+    pub const FRONTEND_TRIG_LIBM_READS: usize = 32;
     /// `streaming.updates` — reads pushed into streaming windows
     /// (accumulator updates).
-    pub const STREAMING_UPDATES: usize = 35;
+    pub const STREAMING_UPDATES: usize = 33;
     /// `streaming.downdates` — reads expired out of streaming windows
     /// (accumulator downdates).
-    pub const STREAMING_DOWNDATES: usize = 36;
+    pub const STREAMING_DOWNDATES: usize = 34;
     /// `streaming.refit_fallbacks` — streaming advances that took the
     /// full batch recompute because downdating would lose precision.
-    pub const STREAMING_REFIT_FALLBACKS: usize = 37;
+    pub const STREAMING_REFIT_FALLBACKS: usize = 35;
     /// `streaming.drift_ops` — update/downdate operations absorbed by
     /// drifted channels (pressure against the drift budget).
-    pub const STREAMING_DRIFT_OPS: usize = 38;
+    pub const STREAMING_DRIFT_OPS: usize = 36;
     /// `streaming.rebuilds` — exact per-channel sum re-accumulations.
-    pub const STREAMING_REBUILDS: usize = 39;
+    pub const STREAMING_REBUILDS: usize = 37;
     /// `streaming.advance_latency_us` — `StreamingSession::advance`
     /// latency histogram, µs.
-    pub const STREAMING_ADVANCE_LATENCY_US: usize = 40;
+    pub const STREAMING_ADVANCE_LATENCY_US: usize = 38;
     /// `streaming.extract_latency_us` — per-antenna streaming-window
     /// extraction latency histogram, µs.
-    pub const STREAMING_EXTRACT_LATENCY_US: usize = 41;
+    pub const STREAMING_EXTRACT_LATENCY_US: usize = 39;
     /// `streaming.stale_tags` — tags whose last telemetry window produced
     /// no estimate (gauge; set by the replay/serve driver).
-    pub const STREAMING_STALE_TAGS: usize = 42;
+    pub const STREAMING_STALE_TAGS: usize = 40;
     /// `solver.lane_seed_blocks` — 4-seed blocks scored by the wide
     /// coarse-ranking lanes (2-D and 3-D).
-    pub const SOLVER_LANE_SEED_BLOCKS: usize = 43;
+    pub const SOLVER_LANE_SEED_BLOCKS: usize = 41;
     /// `solver.lane_row_blocks` — 4-row antenna blocks evaluated by the
     /// wide residual/Jacobian lanes of the LM cores.
-    pub const SOLVER_LANE_ROW_BLOCKS: usize = 44;
+    pub const SOLVER_LANE_ROW_BLOCKS: usize = 42;
     /// `solver.lane_scalar_rows` — seeds/rows that fell through to the
     /// scalar remainder or the table-free seed loop.
-    pub const SOLVER_LANE_SCALAR_ROWS: usize = 45;
+    pub const SOLVER_LANE_SCALAR_ROWS: usize = 43;
     /// `solver.lambda_retries` — damped-step λ retries beyond the first
     /// attempt of each LM iteration.
-    pub const SOLVER_LAMBDA_RETRIES: usize = 46;
+    pub const SOLVER_LAMBDA_RETRIES: usize = 44;
     /// `solver.chol_failures` — damped normal equations rejected as
     /// non-positive-definite (factorization failures that escalate λ).
-    pub const SOLVER_CHOL_FAILURES: usize = 47;
+    pub const SOLVER_CHOL_FAILURES: usize = 45;
 }
 
 #[cfg(feature = "obs")]
@@ -231,16 +225,8 @@ mod enabled {
             "per-read phasors served by the quantized phase-code tables",
         ),
         MetricDef::counter(
-            "frontend.trig_poly_reads",
-            "per-read phasors served by the bounded-error polynomial",
-        ),
-        MetricDef::counter(
             "frontend.trig_libm_reads",
-            "per-read phasors served by libm (oracle backend or fallback)",
-        ),
-        MetricDef::counter(
-            "frontend.trig_recurrence_reads",
-            "per-read phasors served by the streaming phasor recurrence",
+            "per-read phasors served by libm (reads without a usable phase code)",
         ),
         MetricDef::counter("streaming.updates", "reads pushed into streaming windows"),
         MetricDef::counter("streaming.downdates", "reads expired out of streaming windows"),
@@ -462,9 +448,7 @@ mod enabled {
                 (FRONTEND_READS, "frontend.reads"),
                 (FRONTEND_CHANNELS, "frontend.channels"),
                 (FRONTEND_TRIG_TABLE_READS, "frontend.trig_table_reads"),
-                (FRONTEND_TRIG_POLY_READS, "frontend.trig_poly_reads"),
                 (FRONTEND_TRIG_LIBM_READS, "frontend.trig_libm_reads"),
-                (FRONTEND_TRIG_RECURRENCE_READS, "frontend.trig_recurrence_reads"),
                 (STREAMING_UPDATES, "streaming.updates"),
                 (STREAMING_DOWNDATES, "streaming.downdates"),
                 (STREAMING_REFIT_FALLBACKS, "streaming.refit_fallbacks"),

@@ -63,20 +63,6 @@ impl<C: Default> PipelineConfig<C> {
     }
 }
 
-impl RfPrismConfig {
-    /// Returns a copy using the given front-end trigonometry backend
-    /// (builder style). The provider threads through every extraction
-    /// this config drives — the 2-D/3-D pipelines, material-feature
-    /// inputs and the batch engine's per-worker front ends. The default
-    /// ([`rfp_dsp::TrigProvider::Table`]) is bit-identical to libm;
-    /// [`rfp_dsp::TrigProvider::Polynomial`] suits continuous synthetic
-    /// phases, [`rfp_dsp::TrigProvider::Libm`] is the oracle.
-    pub fn with_trig(mut self, trig: rfp_dsp::TrigProvider) -> Self {
-        self.extract.preprocess.trig = trig;
-        self
-    }
-}
-
 /// The result of one sensing pass; `E` is the disentangled tag state.
 #[derive(Debug, Clone)]
 pub struct Sensing<E> {

@@ -48,8 +48,8 @@ use crate::detector::{assess, MobilityVerdict};
 use crate::model::{finish_observation, AntennaObservation, ExtractError};
 use crate::obs;
 use crate::obs::id::{
-    FRONTEND_CHANNELS, FRONTEND_READS, FRONTEND_TRIG_LIBM_READS, FRONTEND_TRIG_POLY_READS,
-    FRONTEND_TRIG_RECURRENCE_READS, FRONTEND_TRIG_TABLE_READS, FRONTEND_WINDOWS,
+    FRONTEND_CHANNELS, FRONTEND_READS, FRONTEND_TRIG_LIBM_READS, FRONTEND_TRIG_TABLE_READS,
+    FRONTEND_WINDOWS,
     STREAMING_DOWNDATES, STREAMING_DRIFT_OPS, STREAMING_REBUILDS, STREAMING_REFIT_FALLBACKS,
     STREAMING_UPDATES,
 };
@@ -93,8 +93,8 @@ impl RfPrism {
     /// seconds per antenna, and every [`StreamingSession::advance`] pays
     /// only for the reads that arrived or expired since the previous one.
     ///
-    /// The per-window front-end configuration (π-jump handling, robust fit,
-    /// trig backend) mirrors this prism's [`ExtractConfig`]
+    /// The per-window front-end configuration (π-jump handling, robust fit)
+    /// mirrors this prism's [`ExtractConfig`]
     /// (`config().extract`), so a streaming extract agrees with the batch
     /// [`sense`](RfPrism::sense) on the same retained reads.
     ///
@@ -305,11 +305,9 @@ impl<'a> StreamingSession<'a> {
             self.stats.drift_ops += drift_ops;
             self.stats.rebuilds += rebuilds;
             self.fallbacks_window += refit_fallbacks;
-            let [table, poly, libm, recurrence] = window.take_trig_hits();
+            let [table, libm] = window.take_trig_hits();
             obs::counter_add(FRONTEND_TRIG_TABLE_READS, table);
-            obs::counter_add(FRONTEND_TRIG_POLY_READS, poly);
             obs::counter_add(FRONTEND_TRIG_LIBM_READS, libm);
-            obs::counter_add(FRONTEND_TRIG_RECURRENCE_READS, recurrence);
         }
     }
 }

@@ -10,7 +10,7 @@
 
 use rfp_core::model::{extract_observation, AntennaObservation, ExtractConfig};
 use rfp_dsp::preprocess::{preprocess_reads_with, PreprocessConfig};
-use rfp_dsp::{FrontEndWorkspace, TrigProvider};
+use rfp_dsp::FrontEndWorkspace;
 use rfp_core::reference::{
     levenberg_marquardt_analytic_with, levenberg_marquardt_with, LmWorkspace,
 };
@@ -363,27 +363,23 @@ fn trig_table_construction_never_allocates() {
     assert_eq!(allocs, 0, "table build allocated {allocs} times");
 }
 
-/// Steady-state allocation contract of the new trig backends: after a
-/// sizing pass, `preprocess_reads_with` is zero-alloc through the table
-/// path (quantized, code-carrying reads) exactly as it is through libm.
+/// Steady-state allocation contract of the front end's trig path: after
+/// a sizing pass, `preprocess_reads_with` is zero-alloc through the table
+/// lookups (quantized, code-carrying R420 reads) and through libm
+/// (continuous, codeless ideal-reader reads) alike.
 #[test]
 fn table_preprocess_is_allocation_free_in_steady_state() {
-    assert_preprocess_steady_state_zero_alloc(Scene::standard_2d(), TrigProvider::Table);
+    assert_preprocess_steady_state_zero_alloc(Scene::standard_2d(), "coded");
+    let ideal = Scene::standard_2d().with_reader(rfp_sim::ReaderConfig::ideal());
+    assert_preprocess_steady_state_zero_alloc(ideal, "codeless");
 }
 
-/// ... and through the polynomial path (continuous, codeless reads).
-#[test]
-fn polynomial_preprocess_is_allocation_free_in_steady_state() {
-    let scene = Scene::standard_2d().with_reader(rfp_sim::ReaderConfig::ideal());
-    assert_preprocess_steady_state_zero_alloc(scene, TrigProvider::Polynomial);
-}
-
-fn assert_preprocess_steady_state_zero_alloc(scene: Scene, trig: TrigProvider) {
+fn assert_preprocess_steady_state_zero_alloc(scene: Scene, label: &str) {
     let tag = SimTag::with_seeded_diversity(9)
         .with_motion(Motion::planar_static(Vec2::new(0.5, 1.5), 0.8));
     let survey = scene.survey(&tag, 17);
     let reads = &survey.per_antenna[0];
-    let config = PreprocessConfig { trig, ..Default::default() };
+    let config = PreprocessConfig::default();
     let mut ws = FrontEndWorkspace::default();
     let mut out = Vec::new();
     // Sizing passes: workspace columns, output buffer, trig tables.
@@ -396,6 +392,6 @@ fn assert_preprocess_steady_state_zero_alloc(scene: Scene, trig: TrigProvider) {
     assert!(!out.is_empty());
     assert_eq!(
         allocs, 0,
-        "{trig:?} preprocess allocated {allocs} times in steady state"
+        "{label} preprocess allocated {allocs} times in steady state"
     );
 }

@@ -217,27 +217,32 @@ fn numeric_fallback_batch_matches_sequential() {
     }
 }
 
-/// The trig provider rides inside the pipeline config, so the batch
-/// engine threads it to every worker for free — and because the `Table`
-/// backend is bit-identical to libm on quantized (code-carrying) reads,
-/// a table-backed *batch* must reproduce the libm *sequential* results
-/// exactly. This crosses the two equivalence axes (backend × engine) in
-/// one assertion.
+/// Quantized (R420) reads carry phase codes, so the batch engine's
+/// workers take the table lookups — and because a lookup is
+/// bit-identical to libm, a batch over coded reads must reproduce the
+/// *sequential* results over the same reads with their codes stripped
+/// exactly. This crosses the two equivalence axes (trig path × engine)
+/// in one assertion.
 #[test]
-fn table_backed_batch_matches_libm_sequential() {
-    use rfp_core::RfPrismConfig;
-    use rfp_dsp::TrigProvider;
+fn coded_batch_matches_stripped_sequential() {
+    use rfp_dsp::preprocess::RawRead;
     let scene = Scene::standard_2d(); // default R420 reader: quantized phases
-    let base = RfPrism::new(scene.antenna_poses(), scene.reader().plan)
+    let prism = RfPrism::new(scene.antenna_poses(), scene.reader().plan)
         .with_region(scene.region());
-    let libm_prism =
-        base.clone().with_config(RfPrismConfig::paper().with_trig(TrigProvider::Libm));
-    let table_prism =
-        base.with_config(RfPrismConfig::paper().with_trig(TrigProvider::Table));
     let tags = random_tag_reads(&scene, 12, 23);
-    let sequential: Vec<_> = tags.iter().map(|reads| libm_prism.sense(reads)).collect();
+    let stripped: Vec<Vec<Vec<RawRead>>> = tags
+        .iter()
+        .map(|per_antenna| {
+            per_antenna
+                .iter()
+                .map(|reads| reads.iter().map(|r| RawRead { phase_code: None, ..*r }).collect())
+                .collect()
+        })
+        .collect();
+    assert_ne!(tags, stripped, "the survey must carry phase codes");
+    let sequential: Vec<_> = stripped.iter().map(|reads| prism.sense(reads)).collect();
     for jobs in [1, 4] {
-        let batch = table_prism.sense_batch(&tags, jobs);
+        let batch = prism.sense_batch(&tags, jobs);
         for (i, (b, s)) in batch.iter().zip(&sequential).enumerate() {
             assert_identical(b, s, i);
         }

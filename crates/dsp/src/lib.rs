@@ -24,10 +24,9 @@
 //! * [`stats`] — small statistics helpers (mean, std, median, MAD,
 //!   percentiles, empirical CDFs) shared by the solver and the experiment
 //!   harness.
-//! * [`trig`] — the pre-processing trigonometry backends
-//!   ([`TrigProvider`]): quantized phase-code tables (bit-identical to
-//!   libm, proven exhaustively over all 4096 codes), a bounded-error
-//!   polynomial for continuous phases, and the libm oracle.
+//! * [`trig`] — the pre-processing trigonometry tables: exact sin/cos
+//!   lookups by 12-bit reader phase code (bit-identical to libm, proven
+//!   exhaustively over all 4096 codes); codeless reads call libm.
 //! * [`workspace`] — reusable flat scratch buffers
 //!   ([`FrontEndWorkspace`], [`FitWorkspace`]) that make the whole front
 //!   end allocation-free in steady state; the `*_with` kernel variants in
@@ -72,5 +71,4 @@ pub use robust::{
 pub use streaming::{
     StreamExtract, StreamingConfig, StreamingError, StreamingStats, StreamingWindow,
 };
-pub use trig::TrigProvider;
 pub use workspace::{FitWorkspace, FrontEndWorkspace, OlsSums};

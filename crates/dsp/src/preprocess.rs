@@ -21,17 +21,14 @@
 //!    unwrapping restores a continuous line (channel spacing is 500 kHz, so
 //!    the true inter-channel increment is ≪ π for any realistic geometry).
 //!
-//! All per-read trigonometry goes through a pluggable backend
-//! ([`TrigProvider`], selected per call via [`PreprocessConfig::trig`]):
-//! quantized phase-**code tables** when the reads carry their 12-bit
-//! reader codes (bit-identical to libm by construction), a bounded-error
-//! **polynomial** for continuous synthetic phases, or plain **libm**. The
-//! per-read phasors are computed in flat lane columns (4-wide unrolled)
-//! before a scalar in-order scatter into the per-channel accumulators, so
-//! the trig work autovectorizes while every per-channel sum keeps the
-//! reference summation order — and hence its bits.
+//! Per-read trigonometry has one path: reads that carry their 12-bit
+//! reader phase code are looked up in the exact phase-code tables of
+//! [`crate::trig`] (bit-identical to libm by construction), and every
+//! other read calls libm. The lookups are fused into the per-channel
+//! accumulation passes, so every per-channel sum keeps the reference
+//! summation order — and hence its bits.
 
-use crate::trig::{self, hit, TrigProvider};
+use crate::trig::{self, hit, PHASE_CODES, PHASE_LSB_RAD};
 use crate::workspace::FrontEndWorkspace;
 use rfp_geom::angle;
 
@@ -51,10 +48,10 @@ pub struct RawRead {
     /// The reader's 12-bit phase code when `phase` sits exactly on the
     /// LLRP quantization grid (`phase == code · 2π/4096` bitwise), `None`
     /// for continuous/synthetic phases. Attach via
-    /// [`crate::trig::code_for_phase`]; codes ≥ 4096
-    /// are treated modulo 4096 by the table backend. Carrying the code
-    /// lets [`TrigProvider::Table`] replace every per-read libm call with
-    /// an exact table lookup.
+    /// [`crate::trig::code_for_phase`]. Carrying the code lets the front
+    /// end replace every per-read libm call with an exact table lookup; a
+    /// code that does not reproduce `phase` is ignored, and the read takes
+    /// libm.
     pub phase_code: Option<u16>,
 }
 
@@ -65,6 +62,18 @@ impl RawRead {
     #[inline]
     pub(crate) fn is_usable(&self) -> bool {
         self.phase.is_finite() && self.frequency_hz.is_finite()
+    }
+
+    /// The code to look the read up by in the trig tables: `phase_code`
+    /// when its grid point is bitwise equal to `phase` (the test
+    /// [`crate::trig::code_for_phase`] applies), `None` otherwise. A code
+    /// left stale by an edit of `phase` therefore never shifts a channel.
+    #[inline]
+    pub(crate) fn table_code(&self) -> Option<u16> {
+        self.phase_code.filter(|&c| {
+            (c as usize) < PHASE_CODES
+                && (c as f64 * PHASE_LSB_RAD).to_bits() == self.phase.to_bits()
+        })
     }
 }
 
@@ -93,20 +102,11 @@ pub struct PreprocessConfig {
     pub correct_pi_jumps: bool,
     /// Channels with fewer reads than this are dropped.
     pub min_reads_per_channel: usize,
-    /// Trigonometry backend for the per-read phasor computations. The
-    /// default, [`TrigProvider::Table`], is bit-identical to
-    /// [`TrigProvider::Libm`] on every input (table hits for reads with
-    /// phase codes, libm otherwise) and fastest on quantized reader data.
-    pub trig: TrigProvider,
 }
 
 impl Default for PreprocessConfig {
     fn default() -> Self {
-        PreprocessConfig {
-            correct_pi_jumps: true,
-            min_reads_per_channel: 1,
-            trig: TrigProvider::default(),
-        }
+        PreprocessConfig { correct_pi_jumps: true, min_reads_per_channel: 1 }
     }
 }
 
@@ -226,78 +226,36 @@ fn preprocess_usable(
     // summation order as the per-channel vectors of the reference
     // implementation, hence bit-identical sums. The slot of each read is
     // recorded so the fold and vote passes skip the branchy slot lookup.
-    //
-    // The table backend fuses lookup and scatter into this single pass
-    // (a table hit is two loads — staging it through lane columns would
-    // cost more memory traffic than it saves); the polynomial and libm
-    // backends compute the phasors into the flat `read_sin`/`read_cos`
-    // lane columns first (4-wide unrolled chunks the compiler can
-    // autovectorize, and libm calls pipeline better without the
-    // bookkeeping interleaved), then scatter in a scalar pass.
-    if config.trig == TrigProvider::Table {
-        let scale = if config.correct_pi_jumps { 2.0 } else { 1.0 };
-        for r in reads.iter() {
-            let s = ws.slot(r.channel);
-            ws.read_slot.push(s as u32);
-            if ws.count[s] == 0 {
-                ws.first_freq[s] = r.frequency_hz;
-                ws.first_phase[s] = r.phase;
+    // A table hit is two loads, fused straight into the scatter.
+    let scale = if config.correct_pi_jumps { 2.0 } else { 1.0 };
+    for r in reads.iter() {
+        let s = ws.slot(r.channel);
+        ws.read_slot.push(s as u32);
+        if ws.count[s] == 0 {
+            ws.first_freq[s] = r.frequency_hz;
+            ws.first_phase[s] = r.phase;
+        }
+        ws.count[s] += 1;
+        ws.sum_rssi[s] += r.rssi_dbm;
+        let (sin, cos) = match r.table_code() {
+            Some(code) => {
+                ws.trig_hits[hit::TABLE] += 1;
+                if config.correct_pi_jumps {
+                    trig::table_double_sin_cos(code)
+                } else {
+                    trig::table_sin_cos(code)
+                }
             }
-            ws.count[s] += 1;
-            ws.sum_rssi[s] += r.rssi_dbm;
-            let (sin, cos) = match r.phase_code {
-                Some(code) => {
-                    ws.trig_hits[hit::TABLE] += 1;
-                    if config.correct_pi_jumps {
-                        trig::table_double_sin_cos(code)
-                    } else {
-                        trig::table_sin_cos(code)
-                    }
-                }
-                None => {
-                    // `1.0 · p` is exactly `p`, so one scaled expression
-                    // serves both modes without perturbing bit-identity.
-                    ws.trig_hits[hit::LIBM] += 1;
-                    let x = scale * r.phase;
-                    (x.sin(), x.cos())
-                }
-            };
-            ws.acc_sin[s] += sin;
-            ws.acc_cos[s] += cos;
-        }
-    } else {
-        fill_phasors(
-            config.trig,
-            reads,
-            config.correct_pi_jumps,
-            &mut ws.read_sin,
-            &mut ws.read_cos,
-            &mut ws.trig_hits,
-        );
-        // Explicit 4-wide lane unroll over the accumulator scatter: the
-        // phasor lanes are loaded four at a time into named registers
-        // before the per-read bookkeeping, matching the lane width of the
-        // fill above. The four element bodies stay *sequential in index
-        // order*, so per-slot sums accumulate in exactly the scalar
-        // order — bit-identical even when a 4-block hits one slot twice.
-        let n = reads.len();
-        let mut i = 0;
-        while i + 4 <= n {
-            let (s0, s1, s2, s3) =
-                (ws.read_sin[i], ws.read_sin[i + 1], ws.read_sin[i + 2], ws.read_sin[i + 3]);
-            let (c0, c1, c2, c3) =
-                (ws.read_cos[i], ws.read_cos[i + 1], ws.read_cos[i + 2], ws.read_cos[i + 3]);
-            scatter_read(ws, &reads[i], s0, c0);
-            scatter_read(ws, &reads[i + 1], s1, c1);
-            scatter_read(ws, &reads[i + 2], s2, c2);
-            scatter_read(ws, &reads[i + 3], s3, c3);
-            i += 4;
-        }
-        while i < n {
-            let (sin, cos) = (ws.read_sin[i], ws.read_cos[i]);
-            scatter_read(ws, &reads[i], sin, cos);
-            i += 1;
-        }
+            None => {
+                // `1.0 · p` is exactly `p`, so one scaled expression
+                // serves both modes without perturbing bit-identity.
+                ws.trig_hits[hit::LIBM] += 1;
+                let x = scale * r.phase;
+                (x.sin(), x.cos())
+            }
+        };
+        ws.acc_sin[s] += sin;
+        ws.acc_cos[s] += cos;
     }
 
     // Per-slot axis (and, without π correction, the spread too — it comes
@@ -327,89 +285,34 @@ fn preprocess_usable(
 
     // Pass 2 (π-jump mode): fold every read onto its channel axis and
     // accumulate the folded resultant for the per-channel spread. Table
-    // hits resolve to the base or π-shifted table by the fold decision,
-    // fused into the scatter; the polynomial and libm backends compute
-    // the folded phasors into the lane columns first, then scatter in
-    // read order (reads of dropped channels contribute `(0, 0)` lanes
-    // into slots whose fold sums are never read, keeping that scatter
-    // branch-free).
+    // hits resolve to the base or π-shifted table by the fold decision;
+    // decision, lookup and accumulation run in one pass, in input order
+    // (bit-identical sums, as in pass 1).
     if config.correct_pi_jumps {
-        if config.trig == TrigProvider::Table {
-            // Fused fold for the table backend: decision, lookup and
-            // accumulation in one pass, in input order (bit-identical
-            // sums, as in pass 1).
-            for (i, r) in reads.iter().enumerate() {
-                let s = ws.read_slot[i] as usize;
-                if !ws.keep[s] {
-                    continue;
+        for (i, r) in reads.iter().enumerate() {
+            let s = ws.read_slot[i] as usize;
+            if !ws.keep[s] {
+                continue;
+            }
+            let p = r.phase;
+            let shift = wrapped_distance(p, ws.axis[s]) > FRAC_PI_2;
+            let (sin, cos) = match r.table_code() {
+                Some(code) => {
+                    ws.trig_hits[hit::TABLE] += 1;
+                    if shift {
+                        trig::table_shift_sin_cos(code)
+                    } else {
+                        trig::table_sin_cos(code)
+                    }
                 }
-                let p = r.phase;
-                let shift = wrapped_distance(p, ws.axis[s]) > FRAC_PI_2;
-                let (sin, cos) = match r.phase_code {
-                    Some(code) => {
-                        ws.trig_hits[hit::TABLE] += 1;
-                        if shift {
-                            trig::table_shift_sin_cos(code)
-                        } else {
-                            trig::table_sin_cos(code)
-                        }
-                    }
-                    None => {
-                        ws.trig_hits[hit::LIBM] += 1;
-                        let folded = if shift { p + PI } else { p };
-                        (folded.sin(), folded.cos())
-                    }
-                };
-                ws.fold_sin[s] += sin;
-                ws.fold_cos[s] += cos;
-            }
-        } else {
-            fill_fold_phasors(
-                config.trig,
-                reads,
-                &ws.read_slot,
-                &ws.axis,
-                &ws.keep,
-                &mut ws.read_sin,
-                &mut ws.read_cos,
-                &mut ws.trig_hits,
-            );
-            // Same 4-wide lane unroll as the pass-1 scatter: load four
-            // slot indices and four phasor lanes, then accumulate the
-            // four element bodies sequentially in index order (bit-
-            // identical per-slot sums under intra-block slot collisions).
-            let FrontEndWorkspace {
-                read_slot, read_sin, read_cos, fold_sin, fold_cos, ..
-            } = &mut *ws;
-            let n = reads.len();
-            let mut i = 0;
-            while i + 4 <= n {
-                let (t0, t1, t2, t3) = (
-                    read_slot[i] as usize,
-                    read_slot[i + 1] as usize,
-                    read_slot[i + 2] as usize,
-                    read_slot[i + 3] as usize,
-                );
-                let (s0, s1, s2, s3) =
-                    (read_sin[i], read_sin[i + 1], read_sin[i + 2], read_sin[i + 3]);
-                let (c0, c1, c2, c3) =
-                    (read_cos[i], read_cos[i + 1], read_cos[i + 2], read_cos[i + 3]);
-                fold_sin[t0] += s0;
-                fold_cos[t0] += c0;
-                fold_sin[t1] += s1;
-                fold_cos[t1] += c1;
-                fold_sin[t2] += s2;
-                fold_cos[t2] += c2;
-                fold_sin[t3] += s3;
-                fold_cos[t3] += c3;
-                i += 4;
-            }
-            while i < n {
-                let s = read_slot[i] as usize;
-                fold_sin[s] += read_sin[i];
-                fold_cos[s] += read_cos[i];
-                i += 1;
-            }
+                None => {
+                    ws.trig_hits[hit::LIBM] += 1;
+                    let folded = if shift { p + PI } else { p };
+                    (folded.sin(), folded.cos())
+                }
+            };
+            ws.fold_sin[s] += sin;
+            ws.fold_cos[s] += cos;
         }
         for s in 0..ws.slots() {
             if !ws.keep[s] {
@@ -531,200 +434,6 @@ pub(crate) fn wrapped_distance(a: f64, b: f64) -> f64 {
     }
 }
 
-/// One element body of the pass-1 accumulator scatter: slot bookkeeping
-/// plus the circular-sum accumulation of one read's phasor. Kept as a
-/// named `#[inline(always)]` body so the 4-wide unrolled scatter and its
-/// scalar remainder loop are the same code by construction (bit-identity
-/// of the lane-unrolled pass is pinned against
-/// [`crate::reference::preprocess_reads`]).
-#[inline(always)]
-fn scatter_read(ws: &mut FrontEndWorkspace, r: &RawRead, sin: f64, cos: f64) {
-    let s = ws.slot(r.channel);
-    ws.read_slot.push(s as u32);
-    if ws.count[s] == 0 {
-        ws.first_freq[s] = r.frequency_hz;
-        ws.first_phase[s] = r.phase;
-    }
-    ws.count[s] += 1;
-    ws.sum_rssi[s] += r.rssi_dbm;
-    ws.acc_sin[s] += sin;
-    ws.acc_cos[s] += cos;
-}
-
-/// Fills the per-read phasor lanes: `(sin_out[i], cos_out[i])` becomes
-/// `sin/cos` of `reads[i].phase` (or of the doubled angle
-/// `2.0 · phase` when `doubled`), computed by the selected backend.
-/// `hits` tallies per-backend evaluations. [`TrigProvider::Table`] never
-/// reaches here — its lookups are fused directly into the caller's
-/// scatter pass (a table hit is two loads; staging it through the lanes
-/// would cost more memory traffic than it saves).
-fn fill_phasors(
-    trig: TrigProvider,
-    reads: &[RawRead],
-    doubled: bool,
-    sin_out: &mut Vec<f64>,
-    cos_out: &mut Vec<f64>,
-    hits: &mut [u64; 4],
-) {
-    let n = reads.len();
-    sin_out.clear();
-    sin_out.resize(n, 0.0);
-    cos_out.clear();
-    cos_out.resize(n, 0.0);
-    // `1.0 · p` is exactly `p`, so one scaled expression serves both the
-    // doubled and plain lanes without perturbing libm bit-identity.
-    let scale = if doubled { 2.0 } else { 1.0 };
-    match trig {
-        TrigProvider::Table => unreachable!("table lookups are fused into the caller"),
-        TrigProvider::Polynomial => {
-            hits[hit::POLY] += n as u64;
-            let mut rs = reads.chunks_exact(4);
-            let mut ss = sin_out.chunks_exact_mut(4);
-            let mut cs = cos_out.chunks_exact_mut(4);
-            for ((r, s), c) in (&mut rs).zip(&mut ss).zip(&mut cs) {
-                let (s0, c0) = trig::poly_sin_cos(scale * r[0].phase);
-                let (s1, c1) = trig::poly_sin_cos(scale * r[1].phase);
-                let (s2, c2) = trig::poly_sin_cos(scale * r[2].phase);
-                let (s3, c3) = trig::poly_sin_cos(scale * r[3].phase);
-                s[0] = s0;
-                s[1] = s1;
-                s[2] = s2;
-                s[3] = s3;
-                c[0] = c0;
-                c[1] = c1;
-                c[2] = c2;
-                c[3] = c3;
-            }
-            let rem = rs.remainder();
-            for ((r, s), c) in rem.iter().zip(ss.into_remainder()).zip(cs.into_remainder()) {
-                let (ps, pc) = trig::poly_sin_cos(scale * r.phase);
-                *s = ps;
-                *c = pc;
-            }
-        }
-        TrigProvider::Libm => {
-            hits[hit::LIBM] += n as u64;
-            for ((r, s), c) in reads.iter().zip(sin_out.iter_mut()).zip(cos_out.iter_mut()) {
-                let x = scale * r.phase;
-                *s = x.sin();
-                *c = x.cos();
-            }
-        }
-        TrigProvider::Recurrence => {
-            // Sequential by construction: each phasor rotates from the
-            // previous read's angle (reads inside one dwell are near-
-            // constant in phase, so most advances are one complex
-            // rotation; dwell hops re-anchor through the polynomial).
-            hits[hit::RECURRENCE] += n as u64;
-            let mut rec = trig::PhasorRecurrence::new();
-            for ((r, s), c) in reads.iter().zip(sin_out.iter_mut()).zip(cos_out.iter_mut()) {
-                let (rs, rc) = rec.advance(scale * r.phase);
-                *s = rs;
-                *c = rc;
-            }
-        }
-    }
-}
-
-/// Fills the fold-pass phasor lanes: for each read of a kept channel,
-/// `(sin_out[i], cos_out[i])` becomes `sin/cos` of the phase folded onto
-/// its channel axis (`p` when within π/2 of the axis, `p + π`
-/// otherwise). Reads of dropped channels get inert `(0, 0)` lanes (their
-/// slots' fold sums are never read). The polynomial and libm backends
-/// stage the folded angles in the cos lane, then transform it;
-/// [`TrigProvider::Table`] never reaches here (fused into the caller's
-/// fold scatter, as in pass 1).
-#[allow(clippy::too_many_arguments)]
-fn fill_fold_phasors(
-    trig: TrigProvider,
-    reads: &[RawRead],
-    read_slot: &[u32],
-    axis: &[f64],
-    keep: &[bool],
-    sin_out: &mut Vec<f64>,
-    cos_out: &mut Vec<f64>,
-    hits: &mut [u64; 4],
-) {
-    use std::f64::consts::{FRAC_PI_2, PI};
-
-    let n = reads.len();
-    sin_out.clear();
-    sin_out.resize(n, 0.0);
-    cos_out.clear();
-    cos_out.resize(n, 0.0);
-    match trig {
-        TrigProvider::Table => unreachable!("table lookups are fused into the caller"),
-        TrigProvider::Recurrence => {
-            // The recurrence tracks the *base* phase trajectory and
-            // resolves a fold by negation — `sin/cos(p + π) = −sin/cos p`
-            // exactly — so a π-jumped read costs a sign flip instead of
-            // breaking the rotation chain with a π-sized re-anchor.
-            hits[hit::RECURRENCE] += n as u64;
-            let mut rec = trig::PhasorRecurrence::new();
-            for i in 0..n {
-                let s = read_slot[i] as usize;
-                let p = reads[i].phase;
-                let (bs, bc) = rec.advance(p);
-                if !keep[s] {
-                    continue;
-                }
-                if wrapped_distance(p, axis[s]) <= FRAC_PI_2 {
-                    sin_out[i] = bs;
-                    cos_out[i] = bc;
-                } else {
-                    sin_out[i] = -bs;
-                    cos_out[i] = -bc;
-                }
-            }
-        }
-        TrigProvider::Polynomial | TrigProvider::Libm => {
-            for i in 0..n {
-                let s = read_slot[i] as usize;
-                let p = reads[i].phase;
-                cos_out[i] = if !keep[s] {
-                    0.0
-                } else if wrapped_distance(p, axis[s]) <= FRAC_PI_2 {
-                    p
-                } else {
-                    p + PI
-                };
-            }
-            if trig == TrigProvider::Polynomial {
-                hits[hit::POLY] += n as u64;
-                let mut i = 0;
-                while i + 4 <= n {
-                    let (s0, c0) = trig::poly_sin_cos(cos_out[i]);
-                    let (s1, c1) = trig::poly_sin_cos(cos_out[i + 1]);
-                    let (s2, c2) = trig::poly_sin_cos(cos_out[i + 2]);
-                    let (s3, c3) = trig::poly_sin_cos(cos_out[i + 3]);
-                    sin_out[i] = s0;
-                    sin_out[i + 1] = s1;
-                    sin_out[i + 2] = s2;
-                    sin_out[i + 3] = s3;
-                    cos_out[i] = c0;
-                    cos_out[i + 1] = c1;
-                    cos_out[i + 2] = c2;
-                    cos_out[i + 3] = c3;
-                    i += 4;
-                }
-                while i < n {
-                    let (ps, pc) = trig::poly_sin_cos(cos_out[i]);
-                    sin_out[i] = ps;
-                    cos_out[i] = pc;
-                    i += 1;
-                }
-            } else {
-                hits[hit::LIBM] += n as u64;
-                for i in 0..n {
-                    let x = cos_out[i];
-                    sin_out[i] = x.sin();
-                    cos_out[i] = x.cos();
-                }
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -843,9 +552,10 @@ mod tests {
     }
 
     /// Window mixing quantized (coded) and continuous reads across both
-    /// π-jump modes: the table backend must be bit-identical to libm.
+    /// π-jump modes: table lookups must be bit-identical to libm on the
+    /// same reads with their codes stripped.
     #[test]
-    fn table_backend_is_bit_identical_to_libm() {
+    fn coded_reads_are_bit_identical_to_stripped() {
         let mut reads = Vec::new();
         for c in 0..12usize {
             for k in 0..5usize {
@@ -855,23 +565,17 @@ mod tests {
                 reads.push(read(c, p + 0.005));
             }
         }
+        let stripped: Vec<RawRead> =
+            reads.iter().map(|r| RawRead { phase_code: None, ..*r }).collect();
         for &pi_jumps in &[true, false] {
-            let libm_cfg = PreprocessConfig {
-                correct_pi_jumps: pi_jumps,
-                trig: crate::trig::TrigProvider::Libm,
-                ..Default::default()
-            };
-            let table_cfg = PreprocessConfig {
-                trig: crate::trig::TrigProvider::Table,
-                ..libm_cfg
-            };
-            let libm_obs = preprocess_reads(&reads, &libm_cfg).unwrap();
-            let table_obs = preprocess_reads(&reads, &table_cfg).unwrap();
-            assert_eq!(libm_obs, table_obs, "pi_jumps={pi_jumps}");
+            let cfg = PreprocessConfig { correct_pi_jumps: pi_jumps, ..Default::default() };
+            let coded_obs = preprocess_reads(&reads, &cfg).unwrap();
+            let stripped_obs = preprocess_reads(&stripped, &cfg).unwrap();
+            assert_eq!(coded_obs, stripped_obs, "pi_jumps={pi_jumps}");
         }
     }
 
-    /// The workspace tallies which backend served each per-read phasor.
+    /// The workspace tallies which source served each per-read phasor.
     #[test]
     fn trig_hit_counters_split_table_and_libm_fallback() {
         // 3 coded + 2 continuous reads on one channel, π-jump mode: two
@@ -887,103 +591,20 @@ mod tests {
         let mut out = Vec::new();
         preprocess_reads_with(&mut ws, &reads, &PreprocessConfig::default(), &mut out)
             .unwrap();
-        assert_eq!(ws.trig_hits(), [6, 0, 4, 0]);
+        assert_eq!(ws.trig_hits(), [6, 4]);
 
-        let poly_cfg = PreprocessConfig {
-            trig: crate::trig::TrigProvider::Polynomial,
-            ..Default::default()
-        };
-        preprocess_reads_with(&mut ws, &reads, &poly_cfg, &mut out).unwrap();
-        assert_eq!(ws.trig_hits(), [0, 10, 0, 0]);
-
-        let rec_cfg = PreprocessConfig {
-            trig: crate::trig::TrigProvider::Recurrence,
-            ..Default::default()
-        };
-        preprocess_reads_with(&mut ws, &reads, &rec_cfg, &mut out).unwrap();
-        assert_eq!(ws.trig_hits(), [0, 0, 0, 10]);
+        // A code that no longer reproduces its read's phase is ignored.
+        let stale = RawRead { phase: angle::wrap_tau(reads[0].phase + 0.3), ..reads[0] };
+        preprocess_reads_with(&mut ws, &[stale, reads[1]], &PreprocessConfig::default(), &mut out)
+            .unwrap();
+        assert_eq!(ws.trig_hits(), [2, 2]);
     }
 
-    /// Polynomial backend stays within its documented error bound end to
-    /// end (continuous phases, steep line, π jumps).
+    /// Reads of three channels interleaved so consecutive reads keep
+    /// revisiting the same slot, with an odd read count: bit-identical
+    /// to the frozen reference in both π-jump modes.
     #[test]
-    fn polynomial_backend_tracks_libm_closely() {
-        let reads: Vec<RawRead> = (0..20)
-            .flat_map(|c| {
-                (0..4).map(move |k| {
-                    read(c, 0.3 + 1.1 * c as f64 + if k % 2 == 0 { 0.0 } else { PI })
-                })
-            })
-            .collect();
-        let libm_obs = preprocess_reads(
-            &reads,
-            &PreprocessConfig { trig: crate::trig::TrigProvider::Libm, ..Default::default() },
-        )
-        .unwrap();
-        let poly_obs = preprocess_reads(
-            &reads,
-            &PreprocessConfig {
-                trig: crate::trig::TrigProvider::Polynomial,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        assert_eq!(libm_obs.len(), poly_obs.len());
-        for (l, p) in libm_obs.iter().zip(&poly_obs) {
-            assert_eq!(l.channel, p.channel);
-            assert!((l.phase - p.phase).abs() < 1e-9, "{} vs {}", l.phase, p.phase);
-            // spread = √(−2 ln r) has unbounded derivative at r → 1, so a
-            // ~1e-14 phasor error can move a near-zero spread by ~1e-7.
-            assert!((l.phase_spread - p.phase_spread).abs() < 1e-6);
-        }
-    }
-
-    /// The stateful phasor-recurrence backend stays within its documented
-    /// error bound end to end on a dwell-like stream (near-constant phase
-    /// within a channel, hops between channels, random π jumps).
-    #[test]
-    fn recurrence_backend_tracks_libm_closely() {
-        let reads: Vec<RawRead> = (0..20)
-            .flat_map(|c| {
-                (0..8).map(move |k| {
-                    read(
-                        c,
-                        0.3 + 1.1 * c as f64
-                            + 0.004 * k as f64
-                            + if (c * 7 + k) % 3 == 0 { PI } else { 0.0 },
-                    )
-                })
-            })
-            .collect();
-        let libm_obs = preprocess_reads(
-            &reads,
-            &PreprocessConfig { trig: crate::trig::TrigProvider::Libm, ..Default::default() },
-        )
-        .unwrap();
-        let rec_obs = preprocess_reads(
-            &reads,
-            &PreprocessConfig {
-                trig: crate::trig::TrigProvider::Recurrence,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        assert_eq!(libm_obs.len(), rec_obs.len());
-        for (l, r) in libm_obs.iter().zip(&rec_obs) {
-            assert_eq!(l.channel, r.channel);
-            assert!((l.phase - r.phase).abs() < 1e-9, "{} vs {}", l.phase, r.phase);
-            assert!((l.phase_spread - r.phase_spread).abs() < 1e-6);
-        }
-    }
-
-    /// The 4-wide lane-unrolled scatter passes are bit-identical to the
-    /// frozen reference: odd read counts (remainder loop) and repeated
-    /// same-channel reads *inside* one 4-block (intra-block slot
-    /// collisions) must not perturb a single bit.
-    #[test]
-    fn lane_unrolled_scatter_is_bit_identical_to_reference() {
-        // 3 channels × 7 reads interleaved so most 4-blocks hit the same
-        // slot at least twice; 21 reads total exercises the remainder.
+    fn interleaved_channels_are_bit_identical_to_reference() {
         let mut reads = Vec::new();
         for k in 0..7usize {
             for c in 0..3usize {
@@ -992,11 +613,7 @@ mod tests {
             }
         }
         for &pi_jumps in &[true, false] {
-            let cfg = PreprocessConfig {
-                correct_pi_jumps: pi_jumps,
-                trig: crate::trig::TrigProvider::Libm,
-                ..Default::default()
-            };
+            let cfg = PreprocessConfig { correct_pi_jumps: pi_jumps, ..Default::default() };
             let fused = preprocess_reads(&reads, &cfg).unwrap();
             let reference = crate::reference::preprocess_reads(&reads, &cfg).unwrap();
             assert_eq!(fused.len(), reference.len(), "pi_jumps={pi_jumps}");

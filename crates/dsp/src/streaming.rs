@@ -58,7 +58,7 @@ use crate::preprocess::{
     PreprocessError, RawRead,
 };
 use crate::robust::{robust_line_fit_seeded, RobustFitConfig, RobustSummary};
-use crate::trig::{self, hit, PhasorRecurrence, TrigProvider};
+use crate::trig::{self, hit};
 use crate::workspace::FrontEndWorkspace;
 use rfp_geom::angle;
 
@@ -66,8 +66,8 @@ use rfp_geom::angle;
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StreamingConfig {
     /// Batch front-end options mirrored by the incremental path (π-jump
-    /// correction, minimum reads per channel, trig backend). The fallback
-    /// path runs the batch front end with exactly this configuration.
+    /// correction, minimum reads per channel). The fallback path runs the
+    /// batch front end with exactly this configuration.
     pub preprocess: PreprocessConfig,
     /// Robust-fit (multipath suppression) options for the per-window line
     /// fit.
@@ -158,9 +158,9 @@ pub struct StreamExtract {
     pub robust: Option<RobustSummary>,
 }
 
-/// One retained read plus the phasors the trig backend computed for it at
-/// push time, so no per-read trigonometry runs on the incremental extract
-/// path. `acc` is the pass-1 phasor (doubled angle in π-jump mode);
+/// One retained read plus the phasors computed for it at push time, so
+/// no per-read trigonometry runs on the incremental extract path. `acc`
+/// is the pass-1 phasor (doubled angle in π-jump mode);
 /// `base`/`shift` are the fold-pass phasors for the unshifted and
 /// π-shifted classification (π-jump mode only).
 #[derive(Debug, Clone, Copy)]
@@ -271,10 +271,6 @@ pub struct StreamingWindow {
     ws: FrontEndWorkspace,
     /// Fallback gather scratch.
     scratch_reads: Vec<RawRead>,
-    /// Persistent phasor recurrences for [`TrigProvider::Recurrence`]:
-    /// pass-1 (doubled/plain) angle and fold-pass base angle.
-    acc_rec: PhasorRecurrence,
-    base_rec: PhasorRecurrence,
     /// Robust inlier mask of the previous advance (mask-flip guard).
     last_mask: Vec<bool>,
     had_mask: bool,
@@ -282,9 +278,8 @@ pub struct StreamingWindow {
     slope_cache: SlopeCache,
     /// Work tallies since the last [`take_stats`](Self::take_stats).
     stats: StreamingStats,
-    /// Per-backend trig evaluation tallies
-    /// (`[table, poly, libm, recurrence]`).
-    trig_hits: [u64; 4],
+    /// Trig tallies (`[table lookups, libm calls]`).
+    trig_hits: [u64; 2],
 }
 
 /// Incrementally maintained Theil–Sen pairwise-slope state over the
@@ -550,10 +545,10 @@ impl StreamingWindow {
         std::mem::take(&mut self.stats)
     }
 
-    /// Returns and resets the per-backend trig evaluation tallies
-    /// (`[table, poly, libm, recurrence]`), counting every phasor
-    /// evaluated at push time plus any fallback recompute's work.
-    pub fn take_trig_hits(&mut self) -> [u64; 4] {
+    /// Returns and resets the trig tallies (`[table lookups, libm
+    /// calls]`), counting every phasor evaluated at push time plus any
+    /// fallback recompute's work.
+    pub fn take_trig_hits(&mut self) -> [u64; 2] {
         std::mem::take(&mut self.trig_hits)
     }
 
@@ -1065,9 +1060,9 @@ impl StreamingWindow {
         slot
     }
 
-    /// Computes the stored phasors for one read with the configured
-    /// backend, replicating the batch per-read expressions bit for bit
-    /// (stateless backends) or within the recurrence error bound.
+    /// Computes the stored phasors for one read, replicating the batch
+    /// per-read expressions bit for bit: table lookups when the read's
+    /// code reproduces its phase, libm otherwise.
     fn compute_phasors(&mut self, read: &RawRead, doubled: bool) -> StoredRead {
         // `1.0 · p` is exactly `p`: one scaled expression serves both
         // modes, as in the batch passes.
@@ -1084,32 +1079,20 @@ impl StreamingWindow {
             fold_base: false,
             vote_in: false,
         };
-        match self.config.preprocess.trig {
-            TrigProvider::Table => match read.phase_code {
-                Some(code) => {
-                    self.trig_hits[hit::TABLE] += if doubled { 3 } else { 1 };
-                    (stored.acc_sin, stored.acc_cos) = if doubled {
-                        trig::table_double_sin_cos(code)
-                    } else {
-                        trig::table_sin_cos(code)
-                    };
-                    if doubled {
-                        (stored.base_sin, stored.base_cos) = trig::table_sin_cos(code);
-                        (stored.shift_sin, stored.shift_cos) = trig::table_shift_sin_cos(code);
-                    }
+        match read.table_code() {
+            Some(code) => {
+                self.trig_hits[hit::TABLE] += if doubled { 3 } else { 1 };
+                (stored.acc_sin, stored.acc_cos) = if doubled {
+                    trig::table_double_sin_cos(code)
+                } else {
+                    trig::table_sin_cos(code)
+                };
+                if doubled {
+                    (stored.base_sin, stored.base_cos) = trig::table_sin_cos(code);
+                    (stored.shift_sin, stored.shift_cos) = trig::table_shift_sin_cos(code);
                 }
-                None => {
-                    self.trig_hits[hit::LIBM] += if doubled { 3 } else { 1 };
-                    let x = scale * p;
-                    (stored.acc_sin, stored.acc_cos) = (x.sin(), x.cos());
-                    if doubled {
-                        (stored.base_sin, stored.base_cos) = (p.sin(), p.cos());
-                        let folded = p + PI;
-                        (stored.shift_sin, stored.shift_cos) = (folded.sin(), folded.cos());
-                    }
-                }
-            },
-            TrigProvider::Libm => {
+            }
+            None => {
                 self.trig_hits[hit::LIBM] += if doubled { 3 } else { 1 };
                 let x = scale * p;
                 (stored.acc_sin, stored.acc_cos) = (x.sin(), x.cos());
@@ -1117,26 +1100,6 @@ impl StreamingWindow {
                     (stored.base_sin, stored.base_cos) = (p.sin(), p.cos());
                     let folded = p + PI;
                     (stored.shift_sin, stored.shift_cos) = (folded.sin(), folded.cos());
-                }
-            }
-            TrigProvider::Polynomial => {
-                self.trig_hits[hit::POLY] += if doubled { 3 } else { 1 };
-                (stored.acc_sin, stored.acc_cos) = trig::poly_sin_cos(scale * p);
-                if doubled {
-                    (stored.base_sin, stored.base_cos) = trig::poly_sin_cos(p);
-                    (stored.shift_sin, stored.shift_cos) = trig::poly_sin_cos(p + PI);
-                }
-            }
-            TrigProvider::Recurrence => {
-                // Two persistent rotation chains — the doubled-angle
-                // accumulator phasor and the fold-pass base phasor; the
-                // π-shifted phasor is the exact negation of the base.
-                self.trig_hits[hit::RECURRENCE] += if doubled { 2 } else { 1 };
-                (stored.acc_sin, stored.acc_cos) = self.acc_rec.advance(scale * p);
-                if doubled {
-                    (stored.base_sin, stored.base_cos) = self.base_rec.advance(p);
-                    (stored.shift_sin, stored.shift_cos) =
-                        (-stored.base_sin, -stored.base_cos);
                 }
             }
         }
@@ -1199,10 +1162,7 @@ mod tests {
     #[test]
     fn append_only_window_is_bit_identical_to_batch() {
         let reads = stream(1, 12, 8);
-        let cfg = StreamingConfig {
-            preprocess: PreprocessConfig { trig: TrigProvider::Libm, ..Default::default() },
-            ..Default::default()
-        };
+        let cfg = StreamingConfig::default();
         let mut win = StreamingWindow::new(cfg);
         for r in &reads {
             win.push(r);
@@ -1235,10 +1195,7 @@ mod tests {
         let reads = stream(4, chans, per);
         let round_len = chans * per;
         let span = chans as f64 * 0.2;
-        let cfg = StreamingConfig {
-            preprocess: PreprocessConfig { trig: TrigProvider::Libm, ..Default::default() },
-            ..Default::default()
-        };
+        let cfg = StreamingConfig::default();
         let mut win = StreamingWindow::new(cfg);
         for r in &reads[..round_len] {
             win.push(r);
@@ -1303,7 +1260,6 @@ mod tests {
         let per = 6;
         let reads = stream(2, chans, per);
         let cfg = StreamingConfig {
-            preprocess: PreprocessConfig { trig: TrigProvider::Libm, ..Default::default() },
             // Every fold decision sits "within margin" → guaranteed
             // fallback whenever the window has drifted.
             decision_margin: 10.0,
@@ -1365,27 +1321,29 @@ mod tests {
         ));
     }
 
-    /// The quantized (table) and recurrence backends ride the same
-    /// incremental machinery: table stays bit-identical to a libm batch
-    /// on coded reads; the recurrence stays within its error bound.
+    /// Quantized, code-carrying reads ride the same incremental
+    /// machinery through the table lookups and track a batch recompute on
+    /// the same reads with their codes stripped. Stale codes — phases
+    /// shifted after quantizing, codes kept — take libm and track it too.
     #[test]
-    fn alternate_backends_stay_equivalent() {
+    fn coded_windows_track_stripped_batch() {
         let chans = 10;
         let per = 6;
-        let mut reads = stream(3, chans, per);
         let span = chans as f64 * 0.2;
-        // Table variant: quantize phases and attach codes.
         let lsb = crate::trig::PHASE_LSB_RAD;
-        for r in &mut reads {
-            let snapped = angle::wrap_tau((r.phase / lsb).round() * lsb);
-            r.phase = snapped;
-            r.phase_code = crate::trig::code_for_phase(snapped);
-        }
-        for trig in [TrigProvider::Table, TrigProvider::Recurrence] {
-            let cfg = StreamingConfig {
-                preprocess: PreprocessConfig { trig, ..Default::default() },
-                ..Default::default()
-            };
+        let quantized: Vec<RawRead> = stream(3, chans, per)
+            .iter()
+            .map(|r| {
+                let phase = angle::wrap_tau((r.phase / lsb).round() * lsb);
+                RawRead { phase, phase_code: crate::trig::code_for_phase(phase), ..*r }
+            })
+            .collect();
+        let stale: Vec<RawRead> = quantized
+            .iter()
+            .map(|r| RawRead { phase: angle::wrap_tau(r.phase + 0.3), ..*r })
+            .collect();
+        for (label, reads) in [("coded", &quantized), ("stale", &stale)] {
+            let cfg = StreamingConfig::default();
             let mut win = StreamingWindow::new(cfg);
             let round_len = chans * per;
             for r in &reads[..round_len] {
@@ -1404,33 +1362,25 @@ mod tests {
                 let retained: Vec<RawRead> = reads[..next + per]
                     .iter()
                     .filter(|r| r.timestamp_s >= cutoff)
-                    .copied()
+                    .map(|r| RawRead { phase_code: None, ..*r })
                     .collect();
-                let libm_cfg = StreamingConfig {
-                    preprocess: PreprocessConfig {
-                        trig: TrigProvider::Libm,
-                        ..Default::default()
-                    },
-                    ..Default::default()
-                };
-                let (batch, _, _) = batch_oracle(&retained, &libm_cfg);
+                let (batch, _, _) = batch_oracle(&retained, &cfg);
                 assert_eq!(out.len(), batch.len());
                 for (s, b) in out.iter().zip(&batch) {
                     assert!(
                         (s.phase - b.phase).abs() < 1e-9,
-                        "{trig:?}: {} vs {}",
+                        "{label}: {} vs {}",
                         s.phase,
                         b.phase
                     );
-                    assert!((s.phase_spread - b.phase_spread).abs() < 1e-6, "{trig:?}");
+                    assert!((s.phase_spread - b.phase_spread).abs() < 1e-6, "{label}");
                 }
                 next += per;
             }
             let hits = win.take_trig_hits();
-            match trig {
-                TrigProvider::Table => assert!(hits[hit::TABLE] > 0),
-                TrigProvider::Recurrence => assert!(hits[hit::RECURRENCE] > 0),
-                _ => unreachable!(),
+            match label {
+                "coded" => assert_eq!(hits[hit::LIBM], 0, "{label}: {hits:?}"),
+                _ => assert_eq!(hits[hit::TABLE], 0, "{label}: {hits:?}"),
             }
         }
     }

@@ -1,47 +1,25 @@
-//! Trigonometry backends for the pre-processing hot path.
+//! Phase-code trigonometry tables for the pre-processing hot path.
 //!
 //! Profiling after the SoA rework (PR 5) showed the front end's
 //! `preprocess` stage is *trig-bound*: the π-jump correction evaluates a
 //! libm `sin`/`cos` pair per raw read in the double-angle pass and again
 //! in the fold pass, and those calls dominate the stage. This module
 //! breaks that bound without giving up a single bit of accuracy on real
-//! reader data, by exploiting the structure of the input:
+//! reader data, by exploiting the structure of the input.
 //!
-//! * **Quantized-code tables** ([`TrigProvider::Table`]) — an EPC Gen2 /
-//!   LLRP reader reports phase on a 12-bit grid: every reported phase is
-//!   exactly `c · 2π/4096` for a code `c ∈ 0..4096` (the LSB is
-//!   `2π · 2⁻¹²`, whose mantissa is exact, so the grid points are exact
-//!   f64 products). When a [`RawRead`](crate::preprocess::RawRead)
-//!   carries its code, every trig value the front end needs —
-//!   `sin/cos(p)`, `sin/cos(2·p)` for the double-angle trick and
-//!   `sin/cos(p + π)` for the fold pass — is one of `3 × 4096`
-//!   precomputed values. The tables are filled by calling libm **on the
-//!   exact expressions the scalar code would evaluate**, so the table
-//!   path is bit-identical to the libm path *by construction*; the
-//!   `table_matches_libm_for_every_code` test proves it exhaustively for
-//!   all 4096 codes rather than by sampling. Reads without a code fall
-//!   back to libm, so `Table` is always bit-identical to [`Libm`] and is
-//!   therefore the default.
-//! * **Bounded-error polynomial** ([`TrigProvider::Polynomial`]) — for
-//!   continuous (non-quantized) phases, e.g. the ideal simulator, a
-//!   Cody–Waite range reduction plus degree-13/14 Taylor kernels give a
-//!   fused `sin`+`cos` with max absolute error ≤ [`POLY_MAX_ABS_ERROR`]
-//!   over the front end's whole input domain. Unlike libm it is
-//!   straight-line branch-light code, so the 4-wide unrolled lane fills
-//!   in `preprocess` autovectorize.
-//! * **libm** ([`TrigProvider::Libm`]) — the previous behaviour, kept as
-//!   the oracle the other two backends are tested against and as the
-//!   fallback for codeless reads.
-//! * **Phasor recurrence** ([`TrigProvider::Recurrence`]) — for
-//!   continuous phases arriving at a fixed sample cadence (the streaming
-//!   front end): successive angles within one dwell differ by a small
-//!   step, so `sin/cos` advance by one complex rotation
-//!   (`z ← z · e^{iδ}`) instead of a fresh table/polynomial evaluation,
-//!   with periodic renormalization and re-anchoring bounding the
-//!   accumulated error at [`RECURRENCE_MAX_ABS_ERROR`]. See
-//!   [`PhasorRecurrence`].
-//!
-//! [`Libm`]: TrigProvider::Libm
+//! An EPC Gen2 / LLRP reader reports phase on a 12-bit grid: every
+//! reported phase is exactly `c · 2π/4096` for a code `c ∈ 0..4096` (the
+//! LSB is `2π · 2⁻¹²`, whose mantissa is exact, so the grid points are
+//! exact f64 products). When a [`RawRead`](crate::preprocess::RawRead)
+//! carries its code, every trig value the front end needs — `sin/cos(p)`,
+//! `sin/cos(2·p)` for the double-angle trick and `sin/cos(p + π)` for the
+//! fold pass — is one of `3 × 4096` precomputed values. The tables are
+//! filled by calling libm **on the exact expressions the front end would
+//! otherwise evaluate**, so a table lookup is bit-identical to libm *by
+//! construction*; the `table_matches_libm_for_every_code` test proves it
+//! exhaustively for all 4096 codes rather than by sampling. Reads without
+//! a code, or whose code does not reproduce their phase, call libm, so
+//! the front end is bit-identical to libm on every input.
 
 use std::f64::consts::{PI, TAU};
 use std::sync::OnceLock;
@@ -57,44 +35,12 @@ pub const PHASE_CODES: usize = 4096;
 /// LSB — and every grid point `c · LSB` — is computed exactly.
 pub const PHASE_LSB_RAD: f64 = TAU / PHASE_CODES as f64;
 
-/// Documented maximum absolute error of [`poly_sin_cos`] against libm
-/// over the front end's input domain (|x| ≤ 16, which covers doubled
-/// angles in `[0, 4π)` and π-shifted folds in `[0, 3π)` with margin).
-///
-/// The actual error is ~2e-14 (Taylor truncation ≈ (π/4)¹⁵/15! for sin,
-/// ≈ (π/4)¹⁶/16! for cos, plus ~6e-15 of range-reduction rounding); the
-/// bound is deliberately loose and pinned by the `trig_provider`
-/// property suite.
-pub const POLY_MAX_ABS_ERROR: f64 = 1e-12;
-
-/// Which trigonometry backend the pre-processing front end uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum TrigProvider {
-    /// Quantized-code tables for reads that carry a phase code, libm for
-    /// the rest. Bit-identical to [`TrigProvider::Libm`] on every input,
-    /// and the fastest backend on real (quantized) reader data — hence
-    /// the default.
-    #[default]
-    Table,
-    /// Bounded-error polynomial `sin`/`cos` (max abs error
-    /// ≤ [`POLY_MAX_ABS_ERROR`]) for continuous synthetic phases.
-    Polynomial,
-    /// Plain libm `sin`/`cos` — the oracle and historical behaviour.
-    Libm,
-    /// Phasor recurrence for continuous phases at a fixed sample cadence
-    /// (streaming): one complex rotation per read instead of a fresh
-    /// evaluation, max abs error ≤ [`RECURRENCE_MAX_ABS_ERROR`].
-    Recurrence,
-}
-
-/// Index of a backend's hit counter in the per-call
-/// `[table, poly, libm, recurrence]` tallies kept by the workspace (and
-/// exported as `frontend.trig_*` observability counters).
+/// Index of a source's hit counter in the per-call `[table, libm]`
+/// tallies kept by the front end (and exported as `frontend.trig_*`
+/// observability counters).
 pub(crate) mod hit {
     pub const TABLE: usize = 0;
-    pub const POLY: usize = 1;
-    pub const LIBM: usize = 2;
-    pub const RECURRENCE: usize = 3;
+    pub const LIBM: usize = 1;
 }
 
 /// The three table families, one entry per phase code `c`:
@@ -154,8 +100,7 @@ pub fn warm_tables() {
 /// This is the safe way to attach codes at ingest: it never guesses. A
 /// phase produced by the reader model's quantizer (round to the grid,
 /// then wrap into `[0, 2π)`) always round-trips; an arbitrary continuous
-/// phase almost never does and gets `None`, routing those reads to the
-/// libm/polynomial paths.
+/// phase almost never does and gets `None`, routing those reads to libm.
 #[inline]
 pub fn code_for_phase(phase: f64) -> Option<u16> {
     let c = (phase / PHASE_LSB_RAD).round();
@@ -200,173 +145,6 @@ pub fn table_shift_sin_cos(code: u16) -> (f64, f64) {
     let t = tables();
     let i = code as usize % PHASE_CODES;
     (t.shift_sin[i], t.shift_cos[i])
-}
-
-// Cody–Waite two-part split of π/2: PIO2_HI is π/2 rounded to f64,
-// PIO2_LO the residual, so `x − k·PIO2_HI − k·PIO2_LO` recovers the
-// reduced argument to well under an ulp of the working precision for the
-// small quotients (|k| ≤ 11) this domain produces.
-const PIO2_HI: f64 = std::f64::consts::FRAC_PI_2;
-const PIO2_LO: f64 = 6.123_233_995_736_766e-17;
-
-// Taylor coefficients on the reduced interval |r| ≤ π/4.
-const S3: f64 = -1.0 / 6.0;
-const S5: f64 = 1.0 / 120.0;
-const S7: f64 = -1.0 / 5040.0;
-const S9: f64 = 1.0 / 362_880.0;
-const S11: f64 = -1.0 / 39_916_800.0;
-const S13: f64 = 1.0 / 6_227_020_800.0;
-const C2: f64 = -0.5;
-const C4: f64 = 1.0 / 24.0;
-const C6: f64 = -1.0 / 720.0;
-const C8: f64 = 1.0 / 40_320.0;
-const C10: f64 = -1.0 / 3_628_800.0;
-const C12: f64 = 1.0 / 479_001_600.0;
-const C14: f64 = -1.0 / 87_178_291_200.0;
-
-/// `sin` and `cos` of `r` for `|r| ≤ π/4`, by Horner-evaluated Taylor
-/// polynomials (degree 13 / 14).
-#[inline(always)]
-fn kernel_sin_cos(r: f64) -> (f64, f64) {
-    let r2 = r * r;
-    let s = r * (1.0
-        + r2 * (S3 + r2 * (S5 + r2 * (S7 + r2 * (S9 + r2 * (S11 + r2 * S13))))));
-    let c = 1.0
-        + r2 * (C2 + r2 * (C4 + r2 * (C6 + r2 * (C8 + r2 * (C10 + r2 * (C12 + r2 * C14))))));
-    (s, c)
-}
-
-/// Fused polynomial `(sin x, cos x)` with max absolute error
-/// ≤ [`POLY_MAX_ABS_ERROR`] against libm for `|x| ≤ 16` (the front end
-/// feeds it phases in `[0, 2π)`, doubled angles in `[0, 4π)` and
-/// π-shifted folds in `[0, 3π)`).
-///
-/// Range reduction uses `k = ⌊x·2/π + ½⌋` (a vectorizable floor instead
-/// of libm's round-half-away — any `k` with `|x − k·π/2| ≤ π/4 + ε` is
-/// valid) and the two-part Cody–Waite π/2 split; the kernel then picks
-/// the quadrant by `k mod 4`.
-#[inline(always)]
-pub fn poly_sin_cos(x: f64) -> (f64, f64) {
-    let k = (x * std::f64::consts::FRAC_2_PI + 0.5).floor();
-    let r = (x - k * PIO2_HI) - k * PIO2_LO;
-    let (s, c) = kernel_sin_cos(r);
-    match (k as i64).rem_euclid(4) {
-        0 => (s, c),
-        1 => (c, -s),
-        2 => (-s, -c),
-        _ => (-c, s),
-    }
-}
-
-/// Documented maximum absolute error of a [`PhasorRecurrence`] stream
-/// against libm, any input sequence.
-///
-/// Budget: each small-step rotation adds one degree-9/10 kernel
-/// truncation (≤ 3e-18 at the [`RECURRENCE_MAX_STEP_RAD`] cap) plus a few
-/// rounding ulps (~5e-16); renormalization every
-/// [`RECURRENCE_RENORM_PERIOD`] steps pins the amplitude, and a full
-/// re-anchor through [`poly_sin_cos`] every [`RECURRENCE_ANCHOR_PERIOD`]
-/// rotations caps the phase random walk at ≈ 4096 · 5e-16 ≈ 2e-12
-/// worst-case, plus the polynomial anchor's own ≤ 1e-12. The bound is
-/// deliberately loose and pinned by the recurrence drift tests.
-pub const RECURRENCE_MAX_ABS_ERROR: f64 = 1e-11;
-
-/// Largest angle step a [`PhasorRecurrence`] advances by rotation; larger
-/// jumps (channel hops, π folds) re-anchor through [`poly_sin_cos`].
-pub const RECURRENCE_MAX_STEP_RAD: f64 = 0.125;
-
-/// A [`PhasorRecurrence`] renormalizes its phasor (`z ← z/|z|`) every
-/// this many rotations, keeping the amplitude at 1 to within a few ulps.
-pub const RECURRENCE_RENORM_PERIOD: u32 = 64;
-
-/// A [`PhasorRecurrence`] re-anchors through [`poly_sin_cos`] after this
-/// many consecutive rotations, bounding the accumulated phase error.
-pub const RECURRENCE_ANCHOR_PERIOD: u32 = 4096;
-
-// Degree-9 sin / degree-10 cos Taylor kernels on |δ| ≤ RECURRENCE_MAX_STEP_RAD:
-// truncation ≤ δ¹¹/11! ≈ 3e-18 (sin), ≤ δ¹²/12! ≈ 3e-20 (cos).
-#[inline(always)]
-fn small_step_sin_cos(d: f64) -> (f64, f64) {
-    let d2 = d * d;
-    let s = d * (1.0 + d2 * (S3 + d2 * (S5 + d2 * (S7 + d2 * S9))));
-    let c = 1.0 + d2 * (C2 + d2 * (C4 + d2 * (C6 + d2 * (C8 + d2 * C10))));
-    (s, c)
-}
-
-/// Streaming `sin`/`cos` generator by complex rotation
-/// ([`TrigProvider::Recurrence`]).
-///
-/// Holds the phasor `z = cos θ + i·sin θ` of the last angle served. For
-/// the next angle, if the step `δ = θ' − θ` is within
-/// [`RECURRENCE_MAX_STEP_RAD`], the phasor advances by one complex
-/// rotation `z ← z · (cos δ + i·sin δ)` with the rotator from a short
-/// Taylor kernel — two multiplies and an add per component instead of a
-/// full range-reduced evaluation. Rotations compound rounding error, so
-/// the phasor is renormalized every [`RECURRENCE_RENORM_PERIOD`] steps
-/// and fully re-anchored through [`poly_sin_cos`] every
-/// [`RECURRENCE_ANCHOR_PERIOD`] rotations — or immediately whenever the
-/// step is too large (a channel hop or π fold). Total error against libm
-/// stays ≤ [`RECURRENCE_MAX_ABS_ERROR`] on any input sequence.
-///
-/// Unlike the other backends this one is *stateful*: the value served
-/// for an angle depends on the angles served before it (within the error
-/// bound). Batch and streaming evaluations of the same window therefore
-/// agree to the bound, not bitwise.
-#[derive(Debug, Clone, Default)]
-pub struct PhasorRecurrence {
-    /// Last angle served (`valid` gates staleness).
-    angle: f64,
-    sin: f64,
-    cos: f64,
-    /// Rotations since the last full re-anchor.
-    rotations: u32,
-    valid: bool,
-}
-
-impl PhasorRecurrence {
-    /// A fresh generator; the first [`advance`](Self::advance) re-anchors.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Forgets the held phasor; the next advance re-anchors.
-    pub fn reset(&mut self) {
-        self.valid = false;
-        self.rotations = 0;
-    }
-
-    /// `(sin, cos)` of `angle`, by rotation from the previous angle when
-    /// the step allows, re-anchoring through [`poly_sin_cos`] otherwise.
-    #[inline]
-    pub fn advance(&mut self, angle: f64) -> (f64, f64) {
-        if self.valid {
-            let delta = angle - self.angle;
-            if delta.abs() <= RECURRENCE_MAX_STEP_RAD
-                && self.rotations < RECURRENCE_ANCHOR_PERIOD
-            {
-                let (ds, dc) = small_step_sin_cos(delta);
-                let mut s = self.sin * dc + self.cos * ds;
-                let mut c = self.cos * dc - self.sin * ds;
-                self.rotations += 1;
-                if self.rotations.is_multiple_of(RECURRENCE_RENORM_PERIOD) {
-                    let inv = 1.0 / (s * s + c * c).sqrt();
-                    s *= inv;
-                    c *= inv;
-                }
-                self.sin = s;
-                self.cos = c;
-                self.angle = angle;
-                return (s, c);
-            }
-        }
-        let (s, c) = poly_sin_cos(angle);
-        self.sin = s;
-        self.cos = c;
-        self.angle = angle;
-        self.rotations = 0;
-        self.valid = true;
-        (s, c)
-    }
 }
 
 #[cfg(test)]
@@ -474,98 +252,10 @@ mod tests {
     }
 
     #[test]
-    fn poly_error_spot_checks() {
-        // The property suite sweeps the domain; keep a few deterministic
-        // anchors (quadrant boundaries, where reduction is touchiest) in
-        // the unit tests.
-        for &x in &[
-            0.0,
-            1e-9,
-            std::f64::consts::FRAC_PI_4,
-            std::f64::consts::FRAC_PI_2,
-            PI,
-            TAU,
-            2.0 * TAU,
-            -1.25,
-            12.566,
-            15.999,
-        ] {
-            let (s, c) = poly_sin_cos(x);
-            assert!(
-                (s - x.sin()).abs() <= POLY_MAX_ABS_ERROR,
-                "poly sin({x}) = {s}, libm {}",
-                x.sin()
-            );
-            assert!(
-                (c - x.cos()).abs() <= POLY_MAX_ABS_ERROR,
-                "poly cos({x}) = {c}, libm {}",
-                x.cos()
-            );
-        }
-    }
-
-    #[test]
     fn warm_tables_is_idempotent() {
         warm_tables();
         warm_tables();
         let (s, _) = table_sin_cos(1024);
         assert_eq!(s.to_bits(), (1024.0 * PHASE_LSB_RAD).sin().to_bits());
-    }
-
-    /// A long smooth stream — tiny cadence steps, no re-anchor except the
-    /// periodic one — must stay within the documented recurrence bound
-    /// against libm even after tens of thousands of rotations.
-    #[test]
-    fn recurrence_tracks_libm_over_long_smooth_streams() {
-        let mut rec = PhasorRecurrence::new();
-        let mut worst = 0.0f64;
-        let mut angle = 0.37;
-        for i in 0..50_000 {
-            // Drift + jitter, always below the rotation step cap.
-            angle += 0.003 + 0.002 * ((i % 17) as f64 - 8.0) / 8.0;
-            let wrapped = angle % TAU;
-            let (s, c) = rec.advance(wrapped.abs());
-            let x = wrapped.abs();
-            worst = worst.max((s - x.sin()).abs()).max((c - x.cos()).abs());
-        }
-        assert!(
-            worst <= RECURRENCE_MAX_ABS_ERROR,
-            "recurrence drift {worst:e} exceeds bound {RECURRENCE_MAX_ABS_ERROR:e}"
-        );
-    }
-
-    /// Dwell-like streams — near-constant phase within a dwell, big hops
-    /// between dwells — exercise the re-anchor path on every hop.
-    #[test]
-    fn recurrence_handles_channel_hops_and_folds() {
-        let mut rec = PhasorRecurrence::new();
-        let mut worst = 0.0f64;
-        for dwell in 0..500 {
-            let base = (dwell as f64 * 2.13) % TAU;
-            for k in 0..8 {
-                // Within-dwell jitter plus alternating π folds (always a
-                // re-anchor: π exceeds the step cap).
-                let x = base + 0.01 * k as f64 + if k % 2 == 1 { PI } else { 0.0 };
-                let (s, c) = rec.advance(x);
-                worst = worst.max((s - x.sin()).abs()).max((c - x.cos()).abs());
-            }
-        }
-        assert!(
-            worst <= RECURRENCE_MAX_ABS_ERROR,
-            "recurrence hop error {worst:e} exceeds bound {RECURRENCE_MAX_ABS_ERROR:e}"
-        );
-    }
-
-    /// `reset` forgets the held phasor, so the next angle re-anchors and
-    /// the generator never serves a stale rotation after a stream break.
-    #[test]
-    fn recurrence_reset_reanchors() {
-        let mut rec = PhasorRecurrence::new();
-        rec.advance(1.0);
-        rec.reset();
-        let (s, c) = rec.advance(1.05);
-        let (ps, pc) = poly_sin_cos(1.05);
-        assert_eq!(s.to_bits(), ps.to_bits(), "post-reset advance must be a fresh anchor");
-        assert_eq!(c.to_bits(), pc.to_bits());
     }
 }

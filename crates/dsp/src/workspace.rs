@@ -283,16 +283,10 @@ pub struct FrontEndWorkspace {
     /// read index → slot (recorded in pass 1, reused by the fold and
     /// vote passes instead of re-looking channels up).
     pub(crate) read_slot: Vec<u32>,
-    /// Per-read phasor lane, sin component (filled by the trig backend,
-    /// then scattered into the per-slot accumulators).
-    pub(crate) read_sin: Vec<f64>,
-    /// Per-read phasor lane, cos component.
-    pub(crate) read_cos: Vec<f64>,
     /// The usable reads of a call whose input held an unusable one.
     pub(crate) usable_reads: Vec<RawRead>,
-    /// Per-call trig-backend evaluation tallies:
-    /// `[table, poly, libm, recurrence]`.
-    pub(crate) trig_hits: [u64; 4],
+    /// Per-call trig tallies: `[table lookups, libm calls]`.
+    pub(crate) trig_hits: [u64; 2],
     /// Fused unwrap+OLS running sums over the final (freq, phase) points.
     raw: OlsSums,
     /// Frequency column of the final observations (fit abscissa).
@@ -319,13 +313,12 @@ impl FrontEndWorkspace {
         self.raw
     }
 
-    /// Trig-backend evaluation tallies of the last pre-processing call:
-    /// `[table lookups, polynomial evaluations, libm calls, recurrence
-    /// rotations]`, one per per-read phasor computed (the π-jump path
+    /// Trig tallies of the last pre-processing call: `[table lookups,
+    /// libm calls]`, one per per-read phasor computed (the π-jump path
     /// computes two phasors per read: double-angle and fold). Feeds the
     /// `frontend.trig_*` observability counters.
     #[inline]
-    pub fn trig_hits(&self) -> [u64; 4] {
+    pub fn trig_hits(&self) -> [u64; 2] {
         self.trig_hits
     }
 
@@ -367,7 +360,7 @@ impl FrontEndWorkspace {
         self.order.clear();
         self.phase_col.clear();
         self.read_slot.clear();
-        self.trig_hits = [0; 4];
+        self.trig_hits = [0; 2];
         self.fit_x.clear();
         self.fit_y.clear();
         self.raw = OlsSums::default();

@@ -15,7 +15,7 @@ use rfp_dsp::linfit::{ols, theil_sen, weighted_ols};
 use rfp_dsp::preprocess::{preprocess_reads, PreprocessConfig, RawRead};
 use rfp_dsp::reference;
 use rfp_dsp::robust::{huber_line_fit, robust_line_fit, RobustFitConfig};
-use rfp_dsp::trig::{self, TrigProvider};
+use rfp_dsp::trig;
 use rfp_dsp::FrontEndWorkspace;
 
 /// Read sets covering the degenerate shapes the front end must survive:
@@ -63,6 +63,15 @@ fn quantized(reads: &[RawRead]) -> Vec<RawRead> {
         .collect()
 }
 
+/// Shifts every phase of `reads` by `delta`, keeping each read's phase
+/// code — the struct-update idiom that leaves quantized codes stale.
+fn shifted(reads: &[RawRead], delta: f64) -> Vec<RawRead> {
+    reads
+        .iter()
+        .map(|r| RawRead { phase: rfp_geom::angle::wrap_tau(r.phase + delta), ..*r })
+        .collect()
+}
+
 /// Arbitrary fit data with occasional duplicate x values (zero-dx slope
 /// pairs) and occasional exactly-repeated y values.
 fn arb_fit_data() -> impl Strategy<Value = (Vec<f64>, Vec<f64>)> {
@@ -80,17 +89,16 @@ proptest! {
         pi_jumps in proptest::bool::ANY,
         min_reads in 0usize..3,
         quantize in proptest::bool::ANY,
-        use_libm in proptest::bool::ANY,
+        stale in proptest::bool::ANY,
     ) {
-        // Table (the default) must be bit-identical to the reference on
-        // both codeless reads (libm fallback) and quantized, code-carrying
-        // reads (exact table lookups); Libm trivially so.
+        // Bit-identical to the reference on codeless reads (libm),
+        // quantized, code-carrying reads (exact table lookups) and reads
+        // whose phase was shifted after quantizing while the code was
+        // kept (a stale code must fall back to libm, never be trusted).
         let reads = if quantize { quantized(&reads) } else { reads };
-        let config = PreprocessConfig {
-            correct_pi_jumps: pi_jumps,
-            min_reads_per_channel: min_reads,
-            trig: if use_libm { TrigProvider::Libm } else { TrigProvider::Table },
-        };
+        let reads = if stale { shifted(&reads, 0.3) } else { reads };
+        let config =
+            PreprocessConfig { correct_pi_jumps: pi_jumps, min_reads_per_channel: min_reads };
         let expected = reference::preprocess_reads(&reads, &config);
         let actual = preprocess_reads(&reads, &config);
         // Bit-identical including the error case: `==` on f64 fields.
@@ -159,17 +167,16 @@ proptest! {
     }
 
     #[test]
-    fn degenerate_channels_match_reference_for_every_backend(
+    fn degenerate_channels_match_reference(
         quantize in proptest::bool::ANY,
         pi_jumps in proptest::bool::ANY,
     ) {
         // The fixed degenerate shapes below (dropped slots, single-read
-        // channels, identical phases, vanishing double-angle resultant)
-        // run through each backend; proptest just sweeps the four
-        // (quantize, π-jump) corners.
+        // channels, identical phases, vanishing double-angle resultant);
+        // proptest just sweeps the four (quantize, π-jump) corners.
         for reads in degenerate_windows() {
             let reads = if quantize { quantized(&reads) } else { reads };
-            check_backends_against_reference(&reads, pi_jumps);
+            check_against_reference(&reads, pi_jumps);
         }
     }
 
@@ -208,12 +215,11 @@ fn plain_read(channel: usize, phase: f64) -> RawRead {
     }
 }
 
-/// The degenerate channel shapes the reference oracle pins for every
-/// trig backend: a dropped (below-min-reads) channel slot next to kept
-/// ones, single-read channels, a channel whose reads all share one
-/// identical phase (zero spread, unit resultant), and a channel whose
-/// double-angle resultant vanishes (phases π/2 apart — the
-/// `first_phase` fallback axis).
+/// The degenerate channel shapes the reference oracle pins: a dropped
+/// (below-min-reads) channel slot next to kept ones, single-read
+/// channels, a channel whose reads all share one identical phase (zero
+/// spread, unit resultant), and a channel whose double-angle resultant
+/// vanishes (phases π/2 apart — the `first_phase` fallback axis).
 fn degenerate_windows() -> Vec<Vec<RawRead>> {
     vec![
         // Single-read channels only.
@@ -245,47 +251,16 @@ fn degenerate_windows() -> Vec<Vec<RawRead>> {
     ]
 }
 
-/// Runs one window through all three backends and both min-read settings,
-/// pinning Table and Libm bitwise to the reference and Polynomial to its
-/// documented tolerance with identical channel structure.
-fn check_backends_against_reference(reads: &[RawRead], pi_jumps: bool) {
+/// Runs one window under both min-read settings, pinning the front end
+/// bitwise to the reference.
+fn check_against_reference(reads: &[RawRead], pi_jumps: bool) {
     for min_reads in [1usize, 2] {
-        let base = PreprocessConfig {
-            correct_pi_jumps: pi_jumps,
-            min_reads_per_channel: min_reads,
-            trig: TrigProvider::Libm,
-        };
-        let expected = reference::preprocess_reads(reads, &base);
-        for trig_backend in [TrigProvider::Libm, TrigProvider::Table] {
-            let actual =
-                preprocess_reads(reads, &PreprocessConfig { trig: trig_backend, ..base });
-            assert_eq!(
-                actual, expected,
-                "backend {trig_backend:?}, pi_jumps={pi_jumps}, min_reads={min_reads}"
-            );
-        }
-        let poly = preprocess_reads(
-            reads,
-            &PreprocessConfig { trig: TrigProvider::Polynomial, ..base },
+        let config =
+            PreprocessConfig { correct_pi_jumps: pi_jumps, min_reads_per_channel: min_reads };
+        assert_eq!(
+            preprocess_reads(reads, &config),
+            reference::preprocess_reads(reads, &config),
+            "pi_jumps={pi_jumps}, min_reads={min_reads}"
         );
-        match (&poly, &expected) {
-            (Ok(p), Ok(e)) => {
-                assert_eq!(p.len(), e.len(), "polynomial channel mask diverged");
-                for (a, b) in p.iter().zip(e) {
-                    assert_eq!(a.channel, b.channel);
-                    assert_eq!(a.read_count, b.read_count);
-                    assert!(
-                        (a.phase - b.phase).abs() < 1e-9,
-                        "polynomial phase {} vs libm {} (pi_jumps={pi_jumps})",
-                        a.phase,
-                        b.phase
-                    );
-                    // spread = √(−2 ln r) is ill-conditioned at r → 1
-                    // (identical-phase channels), hence the looser bound.
-                    assert!((a.phase_spread - b.phase_spread).abs() < 1e-6);
-                }
-            }
-            (p, e) => assert_eq!(p.is_err(), e.is_err()),
-        }
     }
 }

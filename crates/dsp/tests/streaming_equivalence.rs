@@ -10,7 +10,10 @@
 //!   again **bit-identical** to batch.
 //!
 //! Schedules (round sizes, expiry depths, noise, π jumps) are randomized
-//! by proptest; the oracle is the production batch front end itself.
+//! by proptest, and so is whether the reads arrive snapped to the reader's
+//! 12-bit phase grid with their codes attached (the push-time table
+//! lookups every R420 stream takes) or codeless (libm); the oracle is the
+//! production batch front end itself.
 
 use proptest::prelude::*;
 use rfp_dsp::linfit::LineFit;
@@ -67,6 +70,19 @@ fn round_reads(
         }
     }
     reads
+}
+
+/// Snaps every read onto the reader's 12-bit phase grid and attaches its
+/// code, as reads from a quantizing reader arrive.
+fn quantized(reads: Vec<RawRead>) -> Vec<RawRead> {
+    let lsb = rfp_dsp::trig::PHASE_LSB_RAD;
+    reads
+        .into_iter()
+        .map(|r| {
+            let phase = angle::wrap_tau((r.phase / lsb).round() * lsb);
+            RawRead { phase, phase_code: rfp_dsp::trig::code_for_phase(phase), ..r }
+        })
+        .collect()
 }
 
 /// Batch oracle over the retained reads in arrival order: the production
@@ -133,6 +149,7 @@ proptest! {
         slope_m in -40.0f64..40.0,
         noise in 0.0f64..0.08,
         bad_kind in 0usize..3,
+        quantize in proptest::bool::ANY,
     ) {
         let slope = slope_m * 1e-8; // rad/Hz over the ~5 MHz band
         let mut rng = Rng(seed);
@@ -144,6 +161,9 @@ proptest! {
 
         for r in 0..rounds {
             let mut reads = round_reads(&mut rng, r, chans, per_chan, slope, noise);
+            if quantize {
+                reads = quantized(reads);
+            }
             // One unusable read per round: window and batch must both skip
             // it (it counts as no update either).
             let at = (rng.next() % reads.len() as u64) as usize;
@@ -201,6 +221,7 @@ proptest! {
         rounds in 1usize..4,
         chans in 8usize..13,
         noise in 0.0f64..0.08,
+        quantize in proptest::bool::ANY,
     ) {
         let mut rng = Rng(seed);
         let config = StreamingConfig::default();
@@ -208,7 +229,10 @@ proptest! {
         let mut all: Vec<RawRead> = Vec::new();
         let mut channels = Vec::new();
         for r in 0..rounds {
-            let reads = round_reads(&mut rng, r, chans, 3, 2.0e-7, noise);
+            let mut reads = round_reads(&mut rng, r, chans, 3, 2.0e-7, noise);
+            if quantize {
+                reads = quantized(reads);
+            }
             for read in &reads {
                 window.push(read);
             }
