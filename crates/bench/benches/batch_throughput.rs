@@ -60,10 +60,9 @@ fn main() {
             scene.survey(&tag, i.wrapping_mul(0x9e37_79b9)).per_antenna
         })
         .collect();
-    let cache = prism.batch_cache();
 
     // One unrecorded pass to warm caches and fault in the seed tables.
-    black_box(prism.sense_batch_with(&cache, &tags, 1));
+    black_box(prism.sense_batch(&tags, 1));
 
     report::section("tags/second (best of 3 passes)");
     let mut rows: Vec<JsonValue> = Vec::new();
@@ -72,7 +71,7 @@ fn main() {
         let mut best_secs = f64::INFINITY;
         for _ in 0..repeats {
             let t0 = Instant::now();
-            black_box(prism.sense_batch_with(&cache, &tags, jobs));
+            black_box(prism.sense_batch(&tags, jobs));
             best_secs = best_secs.min(t0.elapsed().as_secs_f64());
         }
         let rate = tags_n as f64 / best_secs;
@@ -97,10 +96,11 @@ fn main() {
     // the regime of a deployment re-reading the same inventory each round.
     report::section("warm-started steady state (tags/second, best of 3 passes)");
     let warms: Vec<Option<WarmStart>> = prism
-        .sense_batch_with(&cache, &tags, 1)
+        .sense_batch(&tags, 1)
         .iter()
         .map(|r| r.as_ref().ok().map(|res| WarmStart::from_estimate(&res.estimate)))
         .collect();
+    let cache = prism.batch_cache();
     let mut warm_rows: Vec<JsonValue> = Vec::new();
     for jobs in JOB_LEVELS {
         let mut best_secs = f64::INFINITY;

@@ -481,19 +481,16 @@ fn sense_table(
     // log order, so the report below is byte-identical at any `jobs`.
     let reads: Vec<&Vec<Vec<rfp_dsp::preprocess::RawRead>>> =
         log.tags.values().map(|record| &record.per_antenna).collect();
-    let cache = prism.batch_cache();
-    let results = if warm {
+    let mut results = prism.sense_batch(&reads, jobs);
+    if warm {
         // Two passes: cold, then re-sense seeded from the cold estimates —
         // the steady-state regime of a deployment re-reading its tags.
-        let cold = prism.sense_batch_with(&cache, &reads, jobs);
-        let warms: Vec<Option<WarmStart>> = cold
+        let warms: Vec<Option<WarmStart>> = results
             .iter()
             .map(|r| r.as_ref().ok().map(|res| WarmStart::from_estimate(&res.estimate)))
             .collect();
-        prism.sense_batch_warm(&cache, &reads, &warms, jobs)
-    } else {
-        prism.sense_batch_with(&cache, &reads, jobs)
-    };
+        results = prism.sense_batch_warm(&prism.batch_cache(), &reads, &warms, jobs);
+    }
 
     let mut out = String::new();
     let _ = writeln!(
@@ -848,6 +845,20 @@ mod tests {
                 other => panic!("stream, `{value}` in column {column}: {other:?}"),
             }
         }
+    }
+
+    /// A channel's first read at 1e300 Hz passes the log but overflows its
+    /// antenna's line fit: `sense` reports the tag failed, no panic.
+    #[test]
+    fn far_frequency_read_fails_its_tag() {
+        let log_text = simulate(&args(&["--tags", "2", "--seed", "3"])).unwrap();
+        let read = log_text.lines().find(|l| l.starts_with("read ")).expect("a read line");
+        let mut fields: Vec<&str> = read.split_whitespace().collect();
+        let tag = fields[1];
+        fields[4] = "1e300";
+        let report = sense(&log_text.replacen(read, &fields.join(" "), 1), None, 1, false).unwrap();
+        let row = report.lines().find(|l| l.split_whitespace().next() == Some(tag)).unwrap();
+        assert!(row.contains("failed: only 2 usable antenna observations"), "{report}");
     }
 
     /// A log with fewer antennas than 2-D sensing needs is a log error for

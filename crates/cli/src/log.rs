@@ -21,14 +21,11 @@
 //! [`LogError`], never a panic or an allocation sized by an unchecked
 //! index.
 
-use rfp_dsp::preprocess::RawRead;
+use rfp_dsp::preprocess::{RawRead, MAX_CHANNELS};
 use rfp_geom::{AntennaPose, Vec2, Vec3};
 use rfp_phys::{FrequencyPlan, Material};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-
-/// Most channels a plan may declare: LLRP channel indices are 16-bit.
-const MAX_CHANNELS: usize = 1 << 16;
 
 /// Largest antenna coordinate magnitude accepted, metres. A reader's
 /// antennas sit metres apart; the bound keeps every squared distance the

@@ -11,9 +11,10 @@
 //! * **Per scene** — antenna poses, the frequency plan and the multi-start
 //!   solver seeds ([`SolveSeeds`]), including the precomputed per-seed
 //!   per-antenna geometry tables (grid-point distances, α-seed trig — see
-//!   [`SolveSeeds::for_scene`]). Built once, shared *read-only* by all
-//!   workers; this is the [`BatchCache`]. The pipeline itself (`&RfPrism`)
-//!   is part of this tier — workers borrow it, nothing is cloned.
+//!   [`SolveSeeds::for_scene`]). The prism owns them, built once when its
+//!   region or configuration is set, and workers borrow the prism
+//!   (`&RfPrism`) — nothing is rebuilt or cloned per batch. A
+//!   [`BatchCache`] is a shared handle to the same seeds.
 //! * **Per worker** — the full sensing scratch ([`SenseWorkspace`]: DSP
 //!   front-end columns, the solver facade's [`LmCore`](crate::LmCore)
 //!   engines and scratch, recycled observation pools), reused across
@@ -40,10 +41,10 @@ use crate::obs;
 use crate::pipeline::{RfPrism, SenseError, SenseWorkspace, SensingResult};
 use crate::pipeline3d::{RfPrism3D, Sense3DError, Sense3DWorkspace, Sensing3DResult};
 use crate::solver::{SolveSeeds, WarmStart};
-use crate::solver3d::{Solve3DSeeds, WarmStart3D};
+use crate::solver3d::Solve3DSeeds;
 use rfp_dsp::preprocess::RawRead;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc;
+use std::sync::{mpsc, Arc};
 
 /// Raw reads for one tag: `reads[i]` is antenna *i*'s reads, exactly as
 /// [`RfPrism::sense`] takes them.
@@ -53,39 +54,26 @@ pub type TagReads = Vec<Vec<RawRead>>;
 /// them: `rounds[r][i]` is antenna *i*'s reads during round *r*.
 pub type TagRounds = Vec<Vec<Vec<RawRead>>>;
 
-/// Per-scene precomputation for batched 2-D sensing: the multi-start
-/// solver seeds with their per-antenna geometry tables, built once from
-/// the pipeline's `(region, solver config, poses)` and shared read-only
-/// by every worker. Reusable across any number of
-/// [`RfPrism::sense_batch_with`] calls as long as the pipeline's region
-/// and configuration are unchanged.
+/// A shared handle to an [`RfPrism`]'s solver seeds, for
+/// [`RfPrism::sense_reusing`] and [`RfPrism::sense_batch_warm`]: taking
+/// one costs a reference-count increment, and it keeps the seeds of the
+/// scene the prism had when it was taken.
 #[derive(Debug, Clone)]
 pub struct BatchCache {
-    seeds: SolveSeeds,
+    pub(crate) seeds: Arc<SolveSeeds>,
 }
 
-impl BatchCache {
-    pub(crate) fn seeds(&self) -> &SolveSeeds {
-        &self.seeds
-    }
-}
-
-/// Per-scene precomputation for batched 3-D sensing (see [`BatchCache`]).
+/// A shared handle to an [`RfPrism3D`]'s solver seeds (see
+/// [`BatchCache`]).
 #[derive(Debug, Clone)]
 pub struct BatchCache3D {
-    seeds: Solve3DSeeds,
-}
-
-impl BatchCache3D {
-    pub(crate) fn seeds(&self) -> &Solve3DSeeds {
-        &self.seeds
-    }
+    pub(crate) seeds: Arc<Solve3DSeeds>,
 }
 
 impl RfPrism {
-    /// Builds the per-scene cache for [`RfPrism::sense_batch_with`].
+    /// A shared handle to this pipeline's solver seeds.
     pub fn batch_cache(&self) -> BatchCache {
-        BatchCache { seeds: self.solve_seeds() }
+        BatchCache { seeds: Arc::clone(&self.seeds) }
     }
 
     /// Senses many tags' hop rounds in parallel: `tags[t]` holds tag *t*'s
@@ -104,34 +92,16 @@ impl RfPrism {
     where
         T: AsRef<[Vec<RawRead>]> + Sync,
     {
-        self.sense_batch_with(&self.batch_cache(), tags, jobs)
-    }
-
-    /// [`RfPrism::sense_batch`] against a prebuilt [`BatchCache`] — use
-    /// when sensing repeatedly against the same scene to skip rebuilding
-    /// the seed grid each call.
-    pub fn sense_batch_with<T>(
-        &self,
-        cache: &BatchCache,
-        tags: &[T],
-        jobs: usize,
-    ) -> Vec<Result<SensingResult, SenseError>>
-    where
-        T: AsRef<[Vec<RawRead>]> + Sync,
-    {
-        let _batch_span = obs::span("sense_batch");
-        obs::counter_add(obs::id::BATCH_TAGS, tags.len() as u64);
-        obs::gauge_set(obs::id::BATCH_WORKERS, effective_jobs(jobs, tags.len()) as f64);
-        fan_out(tags, jobs, SenseWorkspace::default, |reads, workspace| {
-            self.sense_with(reads.as_ref(), &cache.seeds, workspace, None)
+        fan_out("sense_batch", tags, jobs, SenseWorkspace::default, |reads, workspace| {
+            self.sense_with(reads.as_ref(), &self.seeds, workspace, None)
         })
     }
 
-    /// [`RfPrism::sense_batch_with`] with one optional warm-start prior
-    /// per tag (`warms[t]` seeds tag *t*; see [`RfPrism::sense_warm`]).
-    /// Input order is preserved and every output is bit-identical at any
-    /// `jobs`, because each tag's solve depends only on its own reads and
-    /// its own prior.
+    /// [`RfPrism::sense_batch`] against the seeds of `cache`, with one
+    /// optional warm-start prior per tag (`warms[t]` seeds tag *t*; see
+    /// [`RfPrism::sense_warm`]). Input order is preserved and every output
+    /// is bit-identical at any `jobs`, because each tag's solve depends
+    /// only on its own reads and its own prior.
     ///
     /// # Panics
     ///
@@ -151,12 +121,9 @@ impl RfPrism {
             warms.len(),
             "sense_batch_warm needs one (possibly None) warm start per tag"
         );
-        let _batch_span = obs::span("sense_batch");
-        obs::counter_add(obs::id::BATCH_TAGS, tags.len() as u64);
-        obs::gauge_set(obs::id::BATCH_WORKERS, effective_jobs(jobs, tags.len()) as f64);
         let items: Vec<(&T, Option<&WarmStart>)> =
             tags.iter().zip(warms.iter().map(Option::as_ref)).collect();
-        fan_out(&items, jobs, SenseWorkspace::default, |(reads, warm), workspace| {
+        fan_out("sense_batch", &items, jobs, SenseWorkspace::default, |(reads, warm), workspace| {
             self.sense_with(reads.as_ref(), &cache.seeds, workspace, *warm)
         })
     }
@@ -174,51 +141,16 @@ impl RfPrism {
     where
         T: AsRef<[Vec<Vec<RawRead>>]> + Sync,
     {
-        let cache = self.batch_cache();
-        let _batch_span = obs::span("sense_rounds_batch");
-        obs::counter_add(obs::id::BATCH_TAGS, tags.len() as u64);
-        obs::gauge_set(obs::id::BATCH_WORKERS, effective_jobs(jobs, tags.len()) as f64);
-        fan_out(tags, jobs, SenseWorkspace::default, |rounds, workspace| {
-            self.sense_rounds_with(rounds.as_ref(), &cache.seeds, workspace, None)
-        })
-    }
-
-    /// [`RfPrism::sense_rounds_batch`] with one optional warm-start prior
-    /// per tag (see [`RfPrism::sense_batch_warm`] for the contract).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `tags.len() != warms.len()`.
-    pub fn sense_rounds_batch_warm<T>(
-        &self,
-        cache: &BatchCache,
-        tags: &[T],
-        warms: &[Option<WarmStart>],
-        jobs: usize,
-    ) -> Vec<Result<SensingResult, SenseError>>
-    where
-        T: AsRef<[Vec<Vec<RawRead>>]> + Sync,
-    {
-        assert_eq!(
-            tags.len(),
-            warms.len(),
-            "sense_rounds_batch_warm needs one (possibly None) warm start per tag"
-        );
-        let _batch_span = obs::span("sense_rounds_batch");
-        obs::counter_add(obs::id::BATCH_TAGS, tags.len() as u64);
-        obs::gauge_set(obs::id::BATCH_WORKERS, effective_jobs(jobs, tags.len()) as f64);
-        let items: Vec<(&T, Option<&WarmStart>)> =
-            tags.iter().zip(warms.iter().map(Option::as_ref)).collect();
-        fan_out(&items, jobs, SenseWorkspace::default, |(rounds, warm), workspace| {
-            self.sense_rounds_with(rounds.as_ref(), &cache.seeds, workspace, *warm)
+        fan_out("sense_rounds_batch", tags, jobs, SenseWorkspace::default, |rounds, workspace| {
+            self.sense_rounds_with(rounds.as_ref(), workspace)
         })
     }
 }
 
 impl RfPrism3D {
-    /// Builds the per-scene cache for [`RfPrism3D::sense_batch_with`].
+    /// A shared handle to this pipeline's solver seeds.
     pub fn batch_cache(&self) -> BatchCache3D {
-        BatchCache3D { seeds: self.solve_seeds() }
+        BatchCache3D { seeds: Arc::clone(&self.seeds) }
     }
 
     /// Senses many tags in parallel in 3-D; same contract as
@@ -232,55 +164,8 @@ impl RfPrism3D {
     where
         T: AsRef<[Vec<RawRead>]> + Sync,
     {
-        self.sense_batch_with(&self.batch_cache(), tags, jobs)
-    }
-
-    /// [`RfPrism3D::sense_batch`] against a prebuilt [`BatchCache3D`].
-    pub fn sense_batch_with<T>(
-        &self,
-        cache: &BatchCache3D,
-        tags: &[T],
-        jobs: usize,
-    ) -> Vec<Result<Sensing3DResult, Sense3DError>>
-    where
-        T: AsRef<[Vec<RawRead>]> + Sync,
-    {
-        let _batch_span = obs::span("sense_batch_3d");
-        obs::counter_add(obs::id::BATCH_TAGS, tags.len() as u64);
-        obs::gauge_set(obs::id::BATCH_WORKERS, effective_jobs(jobs, tags.len()) as f64);
-        fan_out(tags, jobs, Sense3DWorkspace::default, |reads, workspace| {
-            self.sense_with(reads.as_ref(), &cache.seeds, workspace, None)
-        })
-    }
-
-    /// [`RfPrism3D::sense_batch_with`] with one optional warm-start prior
-    /// per tag (see [`RfPrism::sense_batch_warm`] for the contract).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `tags.len() != warms.len()`.
-    pub fn sense_batch_warm<T>(
-        &self,
-        cache: &BatchCache3D,
-        tags: &[T],
-        warms: &[Option<WarmStart3D>],
-        jobs: usize,
-    ) -> Vec<Result<Sensing3DResult, Sense3DError>>
-    where
-        T: AsRef<[Vec<RawRead>]> + Sync,
-    {
-        assert_eq!(
-            tags.len(),
-            warms.len(),
-            "sense_batch_warm needs one (possibly None) warm start per tag"
-        );
-        let _batch_span = obs::span("sense_batch_3d");
-        obs::counter_add(obs::id::BATCH_TAGS, tags.len() as u64);
-        obs::gauge_set(obs::id::BATCH_WORKERS, effective_jobs(jobs, tags.len()) as f64);
-        let items: Vec<(&T, Option<&WarmStart3D>)> =
-            tags.iter().zip(warms.iter().map(Option::as_ref)).collect();
-        fan_out(&items, jobs, Sense3DWorkspace::default, |(reads, warm), workspace| {
-            self.sense_with(reads.as_ref(), &cache.seeds, workspace, *warm)
+        fan_out("sense_batch_3d", tags, jobs, Sense3DWorkspace::default, |reads, workspace| {
+            self.sense_with(reads.as_ref(), &self.seeds, workspace, None)
         })
     }
 }
@@ -296,9 +181,9 @@ pub fn effective_jobs(jobs: usize, items: usize) -> usize {
     requested.min(items).max(1)
 }
 
-/// The worker pool: runs `work` over `items` on `jobs` scoped threads,
-/// giving each worker one `new_state()` value it reuses across all the
-/// items it claims. Returns results in input order.
+/// The worker pool: runs `work` over `items` on `jobs` scoped threads
+/// under span `span`, giving each worker one `new_state()` value it reuses
+/// across all the items it claims. Returns results in input order.
 ///
 /// Work is claimed in contiguous chunks from a shared atomic cursor
 /// (dynamic scheduling — solves vary in cost, so purely static chunking
@@ -310,14 +195,23 @@ pub fn effective_jobs(jobs: usize, items: usize) -> usize {
 /// inline on the calling thread — no spawn, no channel. Chunking only
 /// changes *which worker* computes an item, never the result — each item
 /// depends only on shared immutable state and its own input.
-fn fan_out<I, R, S, N, F>(items: &[I], jobs: usize, new_state: N, work: F) -> Vec<R>
+fn fan_out<I, R, S, N, F>(
+    span: &'static str,
+    items: &[I],
+    jobs: usize,
+    new_state: N,
+    work: F,
+) -> Vec<R>
 where
     I: Sync,
     R: Send,
     N: Fn() -> S + Sync,
     F: Fn(&I, &mut S) -> R + Sync,
 {
+    let _batch_span = obs::span(span);
     let jobs = effective_jobs(jobs, items.len());
+    obs::counter_add(obs::id::BATCH_TAGS, items.len() as u64);
+    obs::gauge_set(obs::id::BATCH_WORKERS, jobs as f64);
     if jobs <= 1 {
         let mut state = new_state();
         return items.iter().map(|item| work(item, &mut state)).collect();
@@ -396,6 +290,7 @@ mod tests {
         let items: Vec<usize> = (0..97).collect();
         for jobs in [1, 2, 3, 8] {
             let out = fan_out(
+                "test",
                 &items,
                 jobs,
                 Vec::<usize>::new,
@@ -410,7 +305,7 @@ mod tests {
 
     #[test]
     fn fan_out_empty_input() {
-        let out = fan_out(&[] as &[usize], 8, || (), |&i, _| i);
+        let out = fan_out("test", &[] as &[usize], 8, || (), |&i, _| i);
         assert!(out.is_empty());
     }
 }

@@ -9,7 +9,7 @@
 
 use crate::calibration::CalibrationDb;
 use crate::material::MaterialIdentifier;
-use crate::pipeline::{RfPrism, SenseError};
+use crate::pipeline::{RfPrism, SenseError, SenseWorkspace};
 use crate::solver::TagEstimate2D;
 use crate::MobilityVerdict;
 use rfp_dsp::preprocess::RawRead;
@@ -81,11 +81,15 @@ impl InventorySensor {
     ///
     /// `round` holds `(tag_id, reads_per_antenna)` pairs, as produced by
     /// `rfp_sim::Scene::survey_inventory` (via each survey's
-    /// `per_antenna`).
+    /// `per_antenna`). Each tag's outcome is exactly what
+    /// [`RfPrism::sense`] gives for its reads; the tags of one call share
+    /// one sensing workspace.
     pub fn take_stock(&self, round: &[(u64, Vec<Vec<RawRead>>)]) -> Vec<ItemOutcome> {
+        let seeds = &self.prism.seeds;
+        let mut workspace = SenseWorkspace::default();
         round
             .iter()
-            .map(|(tag_id, reads)| match self.prism.sense(reads) {
+            .map(|(tag_id, reads)| match self.prism.sense_with(reads, seeds, &mut workspace, None) {
                 Ok(result) => {
                     let material = match (&self.identifier, self.calibrations.get(*tag_id)) {
                         (Some(identifier), Some(calibration)) => Some(identifier.identify(
@@ -93,12 +97,14 @@ impl InventorySensor {
                         )),
                         _ => None,
                     };
-                    ItemOutcome::Report(ItemReport {
+                    let report = ItemReport {
                         tag_id: *tag_id,
                         estimate: result.estimate,
                         material,
                         verdict: result.verdict,
-                    })
+                    };
+                    workspace.recycle(result);
+                    ItemOutcome::Report(report)
                 }
                 Err(error) => ItemOutcome::Failed { tag_id: *tag_id, error },
             })

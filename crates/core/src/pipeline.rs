@@ -7,12 +7,15 @@
 //! error detection → the joint disentangling solve, and returns the tag's
 //! position, orientation and material parameters simultaneously.
 //!
-//! That sequence, its configuration, result and error shapes and the
-//! recycled observation pools are generic over the solver, so the 3-D
-//! pipeline ([`crate::pipeline3d`]) runs the same code with the 3-D solve
-//! plugged in. Both solves run through the one solver facade of
-//! [`crate::solver`] on the dimension-generic lane core (`rfp_core::lm`),
-//! so pipeline, batch and streaming all share one LM engine.
+//! The prism builds its solver seeds ([`SolveSeeds`]) when its region or
+//! configuration is set; every entry point, batch and streaming included,
+//! solves against them. The sensing sequence ([`SensingWorkspace`]) is
+//! generic over the solver and over where each antenna's observation comes
+//! from, so the 3-D pipeline ([`crate::pipeline3d`]) runs the same code
+//! with the 3-D solve plugged in, and a streaming session with its sliding
+//! windows in place of raw reads. Both solves run through the one solver
+//! facade of [`crate::solver`] on the dimension-generic lane core
+//! (`rfp_core::lm`), so pipeline, batch and streaming share one LM engine.
 
 use crate::batch::BatchCache;
 use crate::detector::{assess, DetectorConfig, MobilityVerdict};
@@ -28,6 +31,7 @@ use rfp_dsp::preprocess::RawRead;
 use rfp_dsp::workspace::FrontEndWorkspace;
 use rfp_geom::{AntennaPose, Region2, Vec2};
 use rfp_phys::FrequencyPlan;
+use std::sync::Arc;
 
 /// Algorithm configuration of a sensing pipeline; `C` is the solver's
 /// configuration — [`SolverConfig`] for [`RfPrismConfig`],
@@ -157,8 +161,8 @@ impl<S> From<S> for SensingError<S> {
 /// `tests/alloc_free.rs` pins both properties.
 #[derive(Debug, Default)]
 pub struct SensingWorkspace<W> {
-    pub(crate) solver: W,
-    pub(crate) frontend: FrontEndWorkspace,
+    solver: W,
+    frontend: FrontEndWorkspace,
     obs_free: Vec<AntennaObservation>,
     vec_free: Vec<Vec<AntennaObservation>>,
 }
@@ -174,60 +178,60 @@ impl<W> SensingWorkspace<W> {
         self.recycle_observations(result.observations);
     }
 
-    pub(crate) fn take_observations(&mut self) -> Vec<AntennaObservation> {
+    fn take_observations(&mut self) -> Vec<AntennaObservation> {
         let mut v = self.vec_free.pop().unwrap_or_default();
         v.clear();
         v
     }
 
-    pub(crate) fn take_slot(&mut self, pose: AntennaPose) -> AntennaObservation {
+    fn take_slot(&mut self, pose: AntennaPose) -> AntennaObservation {
         self.obs_free.pop().unwrap_or_else(|| AntennaObservation::new_empty(pose))
     }
 
-    pub(crate) fn recycle_slot(&mut self, slot: AntennaObservation) {
+    fn recycle_slot(&mut self, slot: AntennaObservation) {
         self.obs_free.push(slot);
     }
 
-    pub(crate) fn recycle_observations(&mut self, mut v: Vec<AntennaObservation>) {
+    fn recycle_observations(&mut self, mut v: Vec<AntennaObservation>) {
         self.obs_free.append(&mut v);
         self.vec_free.push(v);
     }
 
-    /// One sensing pass of the pipeline with antennas at `poses`, under
-    /// span `span`: extract every antenna's observation, require at least
-    /// `min_antennas` usable ones, run the error detector and hand the
-    /// observations to `solve` (with the solver config and scratch).
-    pub(crate) fn sense<C, E, S>(
+    /// One sensing pass with antennas at `poses`, shared by batch and
+    /// streaming: `extract` each antenna's observation from its entry of
+    /// `inputs` (raw reads, or a sliding window), require `min_antennas`
+    /// usable ones, run the error detector and hand the observations to
+    /// `solve` (with the solver config and scratch). The caller opens the
+    /// pass's span.
+    pub(crate) fn sense<C, E, S, I>(
         &mut self,
-        span: &'static str,
         poses: &[AntennaPose],
         config: &PipelineConfig<C>,
         min_antennas: usize,
-        reads_per_antenna: &[Vec<RawRead>],
+        inputs: impl ExactSizeIterator<Item = I>,
+        mut extract: impl FnMut(
+            AntennaPose,
+            I,
+            &mut FrontEndWorkspace,
+            &mut AntennaObservation,
+        ) -> Result<(), ExtractError>,
         solve: impl FnOnce(&[AntennaObservation], &C, &mut W) -> Result<E, S>,
     ) -> Result<Sensing<E>, SensingError<S>> {
-        let _sense_span = obs::span(span);
         let _sense_timer = obs::time_histogram(obs::id::SENSE_LATENCY_US);
         obs::counter_add(obs::id::PIPELINE_WINDOWS_TOTAL, 1);
-        if reads_per_antenna.len() != poses.len() {
+        if inputs.len() != poses.len() {
             return Err(SensingError::AntennaCountMismatch {
                 expected: poses.len(),
-                got: reads_per_antenna.len(),
+                got: inputs.len(),
             });
         }
         let mut observations = self.take_observations();
         let mut first_error = None;
         {
             let _extract_span = obs::span("extract");
-            for (pose, reads) in poses.iter().zip(reads_per_antenna) {
+            for (pose, input) in poses.iter().zip(inputs) {
                 let mut slot = self.take_slot(*pose);
-                match extract_observation_into(
-                    *pose,
-                    reads,
-                    &config.extract,
-                    &mut self.frontend,
-                    &mut slot,
-                ) {
+                match extract(*pose, input, &mut self.frontend, &mut slot) {
                     Ok(()) => observations.push(slot),
                     Err(e) => {
                         self.recycle_slot(slot);
@@ -278,6 +282,10 @@ pub struct RfPrism {
     plan: FrequencyPlan,
     region: Region2,
     config: RfPrismConfig,
+    /// The multi-start solver seeds of `(region, config.solver, poses)`,
+    /// built whenever one of them is set and shared by every entry point,
+    /// [`BatchCache`] and streaming session.
+    pub(crate) seeds: Arc<SolveSeeds>,
 }
 
 impl RfPrism {
@@ -331,20 +339,28 @@ impl RfPrism {
                 max.y = centroid.y + margin;
             }
         }
-        let region = Region2::new(min, max);
-        RfPrism { poses, plan, region, config: RfPrismConfig::paper() }
+        Self::build(poses, plan, Region2::new(min, max), RfPrismConfig::paper())
+    }
+
+    /// The pipeline of this scene, with its solver seeds built.
+    fn build(
+        poses: Vec<AntennaPose>,
+        plan: FrequencyPlan,
+        region: Region2,
+        config: RfPrismConfig,
+    ) -> Self {
+        let seeds = Arc::new(SolveSeeds::for_scene(region, &config.solver, &poses));
+        RfPrism { poses, plan, region, config, seeds }
     }
 
     /// Restricts the multi-start search region (builder style).
-    pub fn with_region(mut self, region: Region2) -> Self {
-        self.region = region;
-        self
+    pub fn with_region(self, region: Region2) -> Self {
+        Self::build(self.poses, self.plan, region, self.config)
     }
 
     /// Overrides the algorithm configuration (builder style).
-    pub fn with_config(mut self, config: RfPrismConfig) -> Self {
-        self.config = config;
-        self
+    pub fn with_config(self, config: RfPrismConfig) -> Self {
+        Self::build(self.poses, self.plan, self.region, config)
     }
 
     /// The configured antenna poses.
@@ -379,9 +395,7 @@ impl RfPrism {
     ///   (only when `reject_moving` is set);
     /// * [`SenseError::Solve`] — the joint solve failed.
     pub fn sense(&self, reads_per_antenna: &[Vec<RawRead>]) -> Result<SensingResult, SenseError> {
-        let seeds = self.solve_seeds();
-        let mut workspace = SenseWorkspace::default();
-        self.sense_with(reads_per_antenna, &seeds, &mut workspace, None)
+        self.sense_warm(reads_per_antenna, None)
     }
 
     /// [`RfPrism::sense`] with a warm-start prior — typically the previous
@@ -396,12 +410,10 @@ impl RfPrism {
         reads_per_antenna: &[Vec<RawRead>],
         warm: Option<&WarmStart>,
     ) -> Result<SensingResult, SenseError> {
-        let seeds = self.solve_seeds();
-        let mut workspace = SenseWorkspace::default();
-        self.sense_with(reads_per_antenna, &seeds, &mut workspace, warm)
+        self.sense_with(reads_per_antenna, &self.seeds, &mut SenseWorkspace::default(), warm)
     }
 
-    /// [`RfPrism::sense_warm`] against a prebuilt [`BatchCache`] and a
+    /// [`RfPrism::sense_warm`] against the seeds of a [`BatchCache`] and a
     /// reusable [`SenseWorkspace`] — the allocation-free steady-state entry
     /// point. Results are bit-identical to [`RfPrism::sense`] /
     /// [`RfPrism::sense_warm`]; pass results back via
@@ -417,22 +429,10 @@ impl RfPrism {
         warm: Option<&WarmStart>,
         workspace: &mut SenseWorkspace,
     ) -> Result<SensingResult, SenseError> {
-        self.sense_with(reads_per_antenna, cache.seeds(), workspace, warm)
+        self.sense_with(reads_per_antenna, &cache.seeds, workspace, warm)
     }
 
-    /// The per-scene solver seeds for this pipeline's `(region, config)` —
-    /// built once per batch by the batch engine and shared read-only across
-    /// workers (see `crate::batch`). The pipeline knows its antenna poses,
-    /// so the per-seed per-antenna geometry tables are precomputed here
-    /// too; solves where extraction dropped an antenna fall back to direct
-    /// evaluation with bit-identical results.
-    pub(crate) fn solve_seeds(&self) -> SolveSeeds {
-        SolveSeeds::for_scene(self.region, &self.config.solver, &self.poses)
-    }
-
-    /// [`RfPrism::sense`] against precomputed seeds and a reusable
-    /// workspace; bit-identical results, no per-call allocation of the
-    /// multi-start grid.
+    /// [`RfPrism::sense_warm`] against `seeds` and a reusable workspace.
     pub(crate) fn sense_with(
         &self,
         reads_per_antenna: &[Vec<RawRead>],
@@ -440,9 +440,16 @@ impl RfPrism {
         workspace: &mut SenseWorkspace,
         warm: Option<&WarmStart>,
     ) -> Result<SensingResult, SenseError> {
-        workspace.sense("sense", &self.poses, &self.config, 3, reads_per_antenna, |o, c, ws| {
-            solve_2d_seeded_warm(o, seeds, c, ws, warm)
-        })
+        let _sense_span = obs::span("sense");
+        let extract = &self.config.extract;
+        workspace.sense(
+            &self.poses,
+            &self.config,
+            3,
+            reads_per_antenna.iter(),
+            |pose, reads, fe, slot| extract_observation_into(pose, reads, extract, fe, slot),
+            |o, c, ws| solve_2d_seeded_warm(o, seeds, c, ws, warm),
+        )
     }
 }
 
@@ -574,35 +581,16 @@ impl RfPrism {
     ///
     /// As [`RfPrism::sense`]; additionally returns
     /// [`SenseError::TooFewObservations`] if *no* round was usable.
-    pub fn sense_rounds(
-        &self,
-        rounds: &[Vec<Vec<rfp_dsp::preprocess::RawRead>>],
-    ) -> Result<SensingResult, SenseError> {
-        let seeds = self.solve_seeds();
-        let mut workspace = SenseWorkspace::default();
-        self.sense_rounds_with(rounds, &seeds, &mut workspace, None)
+    pub fn sense_rounds(&self, rounds: &[Vec<Vec<RawRead>>]) -> Result<SensingResult, SenseError> {
+        self.sense_rounds_with(rounds, &mut SenseWorkspace::default())
     }
 
-    /// [`RfPrism::sense_rounds`] with a warm-start prior; see
-    /// [`RfPrism::sense_warm`] for the warm-start contract.
-    pub fn sense_rounds_warm(
-        &self,
-        rounds: &[Vec<Vec<rfp_dsp::preprocess::RawRead>>],
-        warm: Option<&WarmStart>,
-    ) -> Result<SensingResult, SenseError> {
-        let seeds = self.solve_seeds();
-        let mut workspace = SenseWorkspace::default();
-        self.sense_rounds_with(rounds, &seeds, &mut workspace, warm)
-    }
-
-    /// [`RfPrism::sense_rounds`] against precomputed seeds and a reusable
-    /// workspace; bit-identical results (see `crate::batch`).
+    /// [`RfPrism::sense_rounds`] with a reusable workspace; bit-identical
+    /// results (see `crate::batch`).
     pub(crate) fn sense_rounds_with(
         &self,
-        rounds: &[Vec<Vec<rfp_dsp::preprocess::RawRead>>],
-        seeds: &SolveSeeds,
+        rounds: &[Vec<Vec<RawRead>>],
         workspace: &mut SenseWorkspace,
-        warm: Option<&WarmStart>,
     ) -> Result<SensingResult, SenseError> {
         use rfp_geom::angle;
         let _sense_span = obs::span("sense_rounds");
@@ -685,10 +673,10 @@ impl RfPrism {
         obs::verdict(&verdict);
         let estimate = match solve_2d_seeded_warm(
             &merged,
-            seeds,
+            &self.seeds,
             &self.config.solver,
             &mut workspace.solver,
-            warm,
+            None,
         ) {
             Ok(e) => e,
             Err(e) => {

@@ -10,6 +10,8 @@
 //! [`LmCore<7>`](crate::LmCore).
 
 use crate::batch::BatchCache3D;
+use crate::model::extract_observation_into;
+use crate::obs;
 use crate::pipeline::{PipelineConfig, Sensing, SensingError, SensingWorkspace};
 use crate::solver3d::{
     solve_3d_seeded_warm, Solve3DError, Solve3DSeeds, Solver3DConfig, Solver3DWorkspace,
@@ -18,6 +20,7 @@ use crate::solver3d::{
 use rfp_dsp::preprocess::RawRead;
 use rfp_geom::{AntennaPose, Region2};
 use rfp_phys::FrequencyPlan;
+use std::sync::Arc;
 
 /// Configuration of the 3-D pipeline (see [`PipelineConfig`]).
 pub type RfPrism3DConfig = PipelineConfig<Solver3DConfig>;
@@ -60,6 +63,9 @@ pub struct RfPrism3D {
     region: Region2,
     z_range: (f64, f64),
     config: RfPrism3DConfig,
+    /// The multi-start solver seeds of the scene and `config.solver`,
+    /// built whenever either is set (see [`crate::RfPrism`]).
+    pub(crate) seeds: Arc<Solve3DSeeds>,
 }
 
 impl RfPrism3D {
@@ -77,13 +83,15 @@ impl RfPrism3D {
     ) -> Self {
         assert!(poses.len() >= 4, "3-D disentangling needs at least 4 antennas");
         assert!(z_range.1 > z_range.0, "empty z range");
-        RfPrism3D { poses, plan, region, z_range, config: RfPrism3DConfig::paper() }
+        let config = RfPrism3DConfig::paper();
+        let seeds = Arc::new(Solve3DSeeds::for_scene(region, z_range, &config.solver, &poses));
+        RfPrism3D { poses, plan, region, z_range, config, seeds }
     }
 
-    /// Overrides the configuration (builder style).
-    pub fn with_config(mut self, config: RfPrism3DConfig) -> Self {
-        self.config = config;
-        self
+    /// Overrides the configuration (builder style), rebuilding the seeds.
+    pub fn with_config(self, config: RfPrism3DConfig) -> Self {
+        let seeds = Solve3DSeeds::for_scene(self.region, self.z_range, &config.solver, &self.poses);
+        RfPrism3D { config, seeds: Arc::new(seeds), ..self }
     }
 
     /// The configured channel plan.
@@ -100,9 +108,7 @@ impl RfPrism3D {
         &self,
         reads_per_antenna: &[Vec<RawRead>],
     ) -> Result<Sensing3DResult, Sense3DError> {
-        let seeds = self.solve_seeds();
-        let mut workspace = Sense3DWorkspace::default();
-        self.sense_with(reads_per_antenna, &seeds, &mut workspace, None)
+        self.sense_warm(reads_per_antenna, None)
     }
 
     /// [`RfPrism3D::sense`] with a warm-start prior — typically the
@@ -115,12 +121,10 @@ impl RfPrism3D {
         reads_per_antenna: &[Vec<RawRead>],
         warm: Option<&WarmStart3D>,
     ) -> Result<Sensing3DResult, Sense3DError> {
-        let seeds = self.solve_seeds();
-        let mut workspace = Sense3DWorkspace::default();
-        self.sense_with(reads_per_antenna, &seeds, &mut workspace, warm)
+        self.sense_with(reads_per_antenna, &self.seeds, &mut Sense3DWorkspace::default(), warm)
     }
 
-    /// [`RfPrism3D::sense_warm`] against a prebuilt [`BatchCache3D`] and a
+    /// [`RfPrism3D::sense_warm`] against the seeds of a [`BatchCache3D`] and a
     /// reusable [`Sense3DWorkspace`] — the allocation-free steady-state
     /// entry point (see [`crate::RfPrism::sense_reusing`]).
     ///
@@ -134,17 +138,10 @@ impl RfPrism3D {
         warm: Option<&WarmStart3D>,
         workspace: &mut Sense3DWorkspace,
     ) -> Result<Sensing3DResult, Sense3DError> {
-        self.sense_with(reads_per_antenna, cache.seeds(), workspace, warm)
+        self.sense_with(reads_per_antenna, &cache.seeds, workspace, warm)
     }
 
-    /// The per-scene 3-D solver seeds, with the per-antenna geometry
-    /// tables for this pipeline's deployment (see `crate::batch`).
-    pub(crate) fn solve_seeds(&self) -> Solve3DSeeds {
-        Solve3DSeeds::for_scene(self.region, self.z_range, &self.config.solver, &self.poses)
-    }
-
-    /// [`RfPrism3D::sense`] against precomputed seeds and a reusable
-    /// workspace; bit-identical results (see `crate::batch`).
+    /// [`RfPrism3D::sense_warm`] against `seeds` and a reusable workspace.
     pub(crate) fn sense_with(
         &self,
         reads_per_antenna: &[Vec<RawRead>],
@@ -152,9 +149,16 @@ impl RfPrism3D {
         workspace: &mut Sense3DWorkspace,
         warm: Option<&WarmStart3D>,
     ) -> Result<Sensing3DResult, Sense3DError> {
-        workspace.sense("sense_3d", &self.poses, &self.config, 4, reads_per_antenna, |o, c, ws| {
-            solve_3d_seeded_warm(o, seeds, c, ws, warm)
-        })
+        let _sense_span = obs::span("sense_3d");
+        let extract = &self.config.extract;
+        workspace.sense(
+            &self.poses,
+            &self.config,
+            4,
+            reads_per_antenna.iter(),
+            |pose, reads, fe, slot| extract_observation_into(pose, reads, extract, fe, slot),
+            |o, c, ws| solve_3d_seeded_warm(o, seeds, c, ws, warm),
+        )
     }
 
     /// The (x, y) search region.

@@ -257,8 +257,9 @@ impl Knobs {
 }
 
 /// Per-scene constants of a solve, computed once and shared read-only by
-/// every solve against the same scene and configuration — the batch
-/// engine builds one per scene and hands it to all workers (see
+/// every solve against the same scene and configuration — each pipeline
+/// builds its own when its scene or configuration is set, and every entry
+/// point, batch worker and streaming session shares it (see
 /// `crate::batch`). `D` is the scene dimension: [`Planar`] for
 /// [`SolveSeeds`], [`Spatial`](crate::solver3d::Spatial) for
 /// [`Solve3DSeeds`](crate::solver3d::Solve3DSeeds).
@@ -402,9 +403,9 @@ impl SolveSeeds {
     }
 
     /// [`SolveSeeds::new`] plus the per-antenna geometry tables for a known
-    /// deployment `poses` — the per-scene precomputation the pipelines and
-    /// the batch engine use. Results are bit-identical to the table-free
-    /// seeds; only the per-tag seeding cost changes.
+    /// deployment `poses` — the per-scene precomputation the pipelines
+    /// own. Results are bit-identical to the table-free seeds; only the
+    /// per-tag seeding cost changes.
     pub fn for_scene(region: Region2, config: &SolverConfig, poses: &[AntennaPose]) -> Self {
         with_geometry(Self::new(region, config), poses)
     }
@@ -765,26 +766,13 @@ pub fn solve_2d(
 ) -> Result<TagEstimate2D, SolveError> {
     let poses: Vec<AntennaPose> = observations.iter().map(|o| o.pose).collect();
     let seeds = SolveSeeds::for_scene(region, config, &poses);
-    solve_2d_seeded(observations, &seeds, config, &mut SolverWorkspace::default())
+    solve_2d_seeded_warm(observations, &seeds, config, &mut SolverWorkspace::default(), None)
 }
 
 /// [`solve_2d`] against precomputed [`SolveSeeds`] and a reusable
-/// [`SolverWorkspace`] — the hot-path entry used by the batch engine.
-/// Produces bit-identical results to [`solve_2d`] with the same inputs.
-///
-/// # Errors
-///
-/// [`SolveError::TooFewAntennas`] when fewer than 3 observations are given.
-pub fn solve_2d_seeded(
-    observations: &[AntennaObservation],
-    seeds: &SolveSeeds,
-    config: &SolverConfig,
-    workspace: &mut SolverWorkspace,
-) -> Result<TagEstimate2D, SolveError> {
-    solve_2d_seeded_warm(observations, seeds, config, workspace, None)
-}
-
-/// [`solve_2d_seeded`] with an optional cross-round [`WarmStart`] prior.
+/// [`SolverWorkspace`], with an optional cross-round [`WarmStart`] prior —
+/// the hot-path entry of the pipelines. With `warm = None` it produces
+/// bit-identical results to [`solve_2d`] with the same inputs.
 ///
 /// When `warm` is given the solver refines the prior *first* and, if the
 /// refined result passes the validation gate (in the admissible region and
@@ -2151,11 +2139,11 @@ mod tests {
         let config = SolverConfig::default();
         let seeds = SolveSeeds::for_scene(region(), &config, &poses);
         let mut ws = SolverWorkspace::default();
-        solve_2d_seeded(&obs, &seeds, &config, &mut ws).unwrap();
+        solve_2d_seeded_warm(&obs, &seeds, &config, &mut ws, None).unwrap();
         let analytic = ws.stats();
         let numeric_cfg =
             SolverConfig { jacobian: JacobianMode::Numeric, ..SolverConfig::default() };
-        solve_2d_seeded(&obs, &seeds, &numeric_cfg, &mut ws).unwrap();
+        solve_2d_seeded_warm(&obs, &seeds, &numeric_cfg, &mut ws, None).unwrap();
         let numeric = ws.stats().since(analytic);
         assert!(analytic.residual_evals > 0 && numeric.residual_evals > 0);
         assert!(
@@ -2175,8 +2163,8 @@ mod tests {
         let with_geo = SolveSeeds::for_scene(region(), &config, &poses);
         let mut ws_a = SolverWorkspace::default();
         let mut ws_b = SolverWorkspace::default();
-        let a = solve_2d_seeded(&obs, &plain, &config, &mut ws_a).unwrap();
-        let b = solve_2d_seeded(&obs, &with_geo, &config, &mut ws_b).unwrap();
+        let a = solve_2d_seeded_warm(&obs, &plain, &config, &mut ws_a, None).unwrap();
+        let b = solve_2d_seeded_warm(&obs, &with_geo, &config, &mut ws_b, None).unwrap();
         assert_eq!(a.position.x.to_bits(), b.position.x.to_bits());
         assert_eq!(a.position.y.to_bits(), b.position.y.to_bits());
         assert_eq!(a.orientation.to_bits(), b.orientation.to_bits());
@@ -2211,7 +2199,7 @@ mod tests {
         let config = SolverConfig::exhaustive();
         let seeds = SolveSeeds::for_scene(region(), &config, &poses);
         let mut ws = SolverWorkspace::default();
-        solve_2d_seeded(&obs, &seeds, &config, &mut ws).unwrap();
+        solve_2d_seeded_warm(&obs, &seeds, &config, &mut ws, None).unwrap();
         let ps = ws.prune_stats();
         assert_eq!(ps.seeds_total, 36);
         assert_eq!(ps.seeds_refined, 36);
@@ -2226,7 +2214,7 @@ mod tests {
         let config = SolverConfig::default();
         let seeds = SolveSeeds::for_scene(region(), &config, &poses);
         let mut ws = SolverWorkspace::default();
-        let pruned = solve_2d_seeded(&obs, &seeds, &config, &mut ws).unwrap();
+        let pruned = solve_2d_seeded_warm(&obs, &seeds, &config, &mut ws, None).unwrap();
         let ps = ws.prune_stats();
         assert_eq!(ps.seeds_total, 36);
         assert!(ps.seeds_refined <= 8, "refined {}", ps.seeds_refined);
@@ -2245,7 +2233,7 @@ mod tests {
         let config = SolverConfig::default();
         let seeds = SolveSeeds::for_scene(region(), &config, &poses);
         let mut ws = SolverWorkspace::default();
-        let cold = solve_2d_seeded(&obs, &seeds, &config, &mut ws).unwrap();
+        let cold = solve_2d_seeded_warm(&obs, &seeds, &config, &mut ws, None).unwrap();
         let before = ws.prune_stats();
         let warm = WarmStart::from_estimate(&cold);
         let warm_est =
@@ -2274,7 +2262,7 @@ mod tests {
         let config = SolverConfig::default();
         let seeds = SolveSeeds::for_scene(region(), &config, &poses);
         let mut ws = SolverWorkspace::default();
-        let cold = solve_2d_seeded(&obs, &seeds, &config, &mut ws).unwrap();
+        let cold = solve_2d_seeded_warm(&obs, &seeds, &config, &mut ws, None).unwrap();
         // A prior parked in the far corner with wrong material terms: the
         // joint refinement from it lands in a stale basin whose cost fails
         // the gate, and the solver falls back to the scan.

@@ -456,29 +456,15 @@ pub fn solve_3d(
     let poses: Vec<AntennaPose> = observations.iter().map(|o| o.pose).collect();
     let seeds = Solve3DSeeds::for_scene(region, z_range, config, &poses);
     let mut workspace = Solver3DWorkspace::default();
-    solve_3d_seeded(observations, &seeds, config, &mut workspace)
+    solve_3d_seeded_warm(observations, &seeds, config, &mut workspace, None)
 }
 
 /// [`solve_3d`] against precomputed [`Solve3DSeeds`] and a reusable
-/// [`Solver3DWorkspace`] — the hot-path entry used by the batch engine.
-/// Produces bit-identical results to [`solve_3d`] with the same inputs.
-///
-/// # Errors
-///
-/// [`Solve3DError::TooFewAntennas`] with fewer than 4 observations.
-pub fn solve_3d_seeded(
-    observations: &[AntennaObservation],
-    seeds: &Solve3DSeeds,
-    config: &Solver3DConfig,
-    workspace: &mut Solver3DWorkspace,
-) -> Result<TagEstimate3D, Solve3DError> {
-    solve_3d_seeded_warm(observations, seeds, config, workspace, None)
-}
-
-/// [`solve_3d_seeded`] with an optional cross-round [`WarmStart3D`] prior,
-/// refined first and validated against the coarse-scan floor exactly as in
-/// [`solve_2d_seeded_warm`](crate::solver::solve_2d_seeded_warm) — a
-/// teleported tag fails the gate and falls back to the full scan.
+/// [`Solver3DWorkspace`], with an optional cross-round [`WarmStart3D`]
+/// prior refined first and validated against the coarse-scan floor exactly
+/// as in [`solve_2d_seeded_warm`](crate::solver::solve_2d_seeded_warm) — a
+/// teleported tag fails the gate and falls back to the full scan. With
+/// `warm = None` it produces bit-identical results to [`solve_3d`].
 ///
 /// # Errors
 ///
@@ -763,8 +749,8 @@ mod tests {
         let with_geo = Solve3DSeeds::for_scene(scene.region(), (0.0, 1.0), &config, &poses);
         let mut ws_a = Solver3DWorkspace::default();
         let mut ws_b = Solver3DWorkspace::default();
-        let a = solve_3d_seeded(&obs, &plain, &config, &mut ws_a).unwrap();
-        let b = solve_3d_seeded(&obs, &with_geo, &config, &mut ws_b).unwrap();
+        let a = solve_3d_seeded_warm(&obs, &plain, &config, &mut ws_a, None).unwrap();
+        let b = solve_3d_seeded_warm(&obs, &with_geo, &config, &mut ws_b, None).unwrap();
         assert_eq!(a.position.x.to_bits(), b.position.x.to_bits());
         assert_eq!(a.position.y.to_bits(), b.position.y.to_bits());
         assert_eq!(a.position.z.to_bits(), b.position.z.to_bits());
@@ -784,14 +770,15 @@ mod tests {
         let mut ws = Solver3DWorkspace::default();
         let seeds =
             Solve3DSeeds::for_scene(scene.region(), (0.0, 1.5), &exhaustive_cfg, &scene.antenna_poses());
-        let exhaustive = solve_3d_seeded(&obs, &seeds, &exhaustive_cfg, &mut ws).unwrap();
+        let exhaustive =
+            solve_3d_seeded_warm(&obs, &seeds, &exhaustive_cfg, &mut ws, None).unwrap();
         let ps = ws.prune_stats();
         assert_eq!(ps.seeds_total, 75);
         assert_eq!(ps.seeds_refined, 75);
 
         let pruned_cfg = Solver3DConfig::default();
         let mut ws2 = Solver3DWorkspace::default();
-        let pruned = solve_3d_seeded(&obs, &seeds, &pruned_cfg, &mut ws2).unwrap();
+        let pruned = solve_3d_seeded_warm(&obs, &seeds, &pruned_cfg, &mut ws2, None).unwrap();
         let ps2 = ws2.prune_stats();
         assert_eq!(ps2.seeds_total, 75);
         assert!(ps2.seeds_refined <= 16, "refined {}", ps2.seeds_refined);
@@ -811,7 +798,7 @@ mod tests {
         let seeds =
             Solve3DSeeds::for_scene(scene.region(), (0.0, 1.0), &config, &scene.antenna_poses());
         let mut ws = Solver3DWorkspace::default();
-        let cold = solve_3d_seeded(&obs, &seeds, &config, &mut ws).unwrap();
+        let cold = solve_3d_seeded_warm(&obs, &seeds, &config, &mut ws, None).unwrap();
         let before = ws.prune_stats();
         let warm = WarmStart3D::from_estimate(&cold);
         let warm_est =

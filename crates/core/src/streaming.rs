@@ -6,14 +6,15 @@
 //! [`advance`](StreamingSession::advance) expires reads older than the
 //! window span, re-extracts each antenna's line fit from the *incremental*
 //! per-channel accumulators (O(new + expired reads) instead of a batch
-//! recompute), and feeds the result through the mobility detector into
+//! recompute), and runs the pipeline's shared sensing sequence (usable
+//! count, mobility detector, solve) with
 //! [`crate::solver::solve_2d_tracking_warm`] (an [`LmCore<5>`](crate::LmCore)
-//! lane-core facade, so warm streaming solves stay allocation-free),
-//! warm-started from the tracker's extrapolated position with a
-//! periodically re-anchored warm-gate floor. Whenever a downdate would lose precision (decision-margin
-//! hazard, inlier-mask flip) the window falls back to a full recompute that
-//! is bit-identical to the batch path — so streaming never changes
-//! results, only cost.
+//! lane-core facade, so warm streaming solves stay allocation-free) against
+//! the prism's seeds, warm-started from the tracker's extrapolated position
+//! with a periodically re-anchored warm-gate floor. Whenever a downdate
+//! would lose precision (decision-margin hazard, inlier-mask flip) the
+//! window falls back to a full recompute that is bit-identical to the batch
+//! path — so streaming never changes results, only cost.
 //!
 //! ```
 //! use rfp_geom::Vec2;
@@ -44,7 +45,6 @@
 //! # Ok::<(), rfp_core::SenseError>(())
 //! ```
 
-use crate::detector::{assess, MobilityVerdict};
 use crate::model::{finish_observation, AntennaObservation, ExtractError};
 use crate::obs;
 use crate::obs::id::{
@@ -54,7 +54,7 @@ use crate::obs::id::{
     STREAMING_UPDATES,
 };
 use crate::pipeline::{RfPrism, SenseError, SenseWorkspace, SensingResult};
-use crate::solver::{solve_2d_tracking_warm, SolveSeeds, WarmGate, WarmStart};
+use crate::solver::{solve_2d_tracking_warm, WarmGate, WarmStart};
 use crate::tracking::{TagTracker, TrackerConfig};
 use rfp_dsp::preprocess::RawRead;
 use rfp_dsp::streaming::{StreamingConfig, StreamingError, StreamingStats, StreamingWindow};
@@ -64,13 +64,12 @@ use rfp_geom::AntennaPose;
 ///
 /// Created by [`RfPrism::sense_streaming`]; owns one sliding window per
 /// antenna, the solver scratch space, the warm-start state and a
-/// [`TagTracker`]. All steady-state allocations happen in the first few
-/// advances; afterwards [`push`](Self::push)/[`advance`](Self::advance)
-/// are allocation-free as long as results are returned via
-/// [`recycle`](Self::recycle).
+/// [`TagTracker`], and solves against the prism's seeds. All steady-state
+/// allocations happen in the first few advances; afterwards
+/// [`push`](Self::push)/[`advance`](Self::advance) are allocation-free as
+/// long as results are returned via [`recycle`](Self::recycle).
 pub struct StreamingSession<'a> {
     prism: &'a RfPrism,
-    seeds: SolveSeeds,
     windows: Vec<StreamingWindow>,
     workspace: SenseWorkspace,
     tracker: TagTracker,
@@ -108,7 +107,6 @@ impl RfPrism {
             ..StreamingConfig::default()
         };
         StreamingSession {
-            seeds: self.solve_seeds(),
             windows: self
                 .poses()
                 .iter()
@@ -188,81 +186,48 @@ impl<'a> StreamingSession<'a> {
     /// (when rejection is enabled) or a solver failure.
     pub fn advance(&mut self, now_s: f64) -> Result<SensingResult, SenseError> {
         let _sense_span = obs::span("sense_streaming");
-        let _sense_timer = obs::time_histogram(obs::id::SENSE_LATENCY_US);
         let _advance_timer = obs::time_histogram(obs::id::STREAMING_ADVANCE_LATENCY_US);
         self.advances += 1;
         obs::journal_tick(self.advances);
-        obs::counter_add(obs::id::PIPELINE_WINDOWS_TOTAL, 1);
         let cutoff = now_s - self.window_span_s;
-
-        let mut observations = self.workspace.take_observations();
-        let mut first_error = None;
-        {
-            let _extract_span = obs::span("extract");
-            for (pose, window) in self.prism.poses().iter().zip(&mut self.windows) {
+        let result = self.workspace.sense(
+            self.prism.poses(),
+            self.prism.config(),
+            3,
+            self.windows.iter_mut(),
+            |pose, window, _, slot| {
                 window.expire_before(cutoff);
-                let mut slot = self.workspace.take_slot(*pose);
                 let _extract_timer = obs::time_histogram(obs::id::STREAMING_EXTRACT_LATENCY_US);
-                match extract_streaming(*pose, window, &mut slot) {
-                    Ok(()) => observations.push(slot),
-                    Err(e) => {
-                        self.workspace.recycle_slot(slot);
-                        obs::counter_add(obs::id::PIPELINE_EXTRACT_FAILURES, 1);
-                        if first_error.is_none() {
-                            first_error = Some(e);
-                        }
-                    }
+                extract_streaming(pose, window, slot)
+            },
+            |observations, config, solver| {
+                if self.tracker.evict_stale(now_s, self.warm_ttl_s) {
+                    self.warm = None;
                 }
-            }
-        }
+                let warm = match (self.warm, self.tracker.extrapolate(now_s)) {
+                    (Some(w), Some(position)) => Some(w.with_position(position)),
+                    (w, _) => w,
+                };
+                let estimate = solve_2d_tracking_warm(
+                    observations,
+                    &self.prism.seeds,
+                    config,
+                    solver,
+                    warm.as_ref(),
+                    &mut self.gate,
+                )?;
+                self.tracker.observe(estimate.position, now_s);
+                self.warm = Some(WarmStart::from_estimate(&estimate));
+                Ok(estimate)
+            },
+        );
         self.drain_window_counters();
-
-        if observations.len() < 3 {
-            obs::counter_add(obs::id::PIPELINE_WINDOWS_TOO_FEW_OBS, 1);
-            let usable = observations.len();
-            self.workspace.recycle_observations(observations);
-            return Err(SenseError::TooFewObservations { usable, first_error });
+        if let Err(SenseError::TagMoving { .. }) = result {
+            // Coast the tracker through the rejected window so the next
+            // successful advance extrapolates from `now_s`.
+            self.tracker.predict_to(now_s);
         }
-
-        let verdict = assess(&observations, &self.prism.config().detector);
-        obs::verdict(&verdict);
-        if self.prism.config().reject_moving {
-            if let MobilityVerdict::Moving { worst_residual_std } = verdict {
-                obs::counter_add(obs::id::PIPELINE_WINDOWS_MOVING_REJECTED, 1);
-                self.workspace.recycle_observations(observations);
-                // Coast the tracker through the rejected window so the
-                // next successful advance extrapolates from `now_s`.
-                self.tracker.predict_to(now_s);
-                return Err(SenseError::TagMoving { worst_residual_std });
-            }
-        }
-
-        if self.tracker.evict_stale(now_s, self.warm_ttl_s) {
-            self.warm = None;
-        }
-        let warm = match (self.warm, self.tracker.extrapolate(now_s)) {
-            (Some(w), Some(position)) => Some(w.with_position(position)),
-            (w, _) => w,
-        };
-
-        let estimate = match solve_2d_tracking_warm(
-            &observations,
-            &self.seeds,
-            &self.prism.config().solver,
-            &mut self.workspace.solver,
-            warm.as_ref(),
-            &mut self.gate,
-        ) {
-            Ok(e) => e,
-            Err(e) => {
-                self.workspace.recycle_observations(observations);
-                return Err(e.into());
-            }
-        };
-        self.tracker.observe(estimate.position, now_s);
-        self.warm = Some(WarmStart::from_estimate(&estimate));
-        obs::counter_add(obs::id::PIPELINE_WINDOWS_OK, 1);
-        Ok(SensingResult { estimate, observations, verdict })
+        result
     }
 
     /// Returns a [`SensingResult`]'s buffers to the session pool so the

@@ -113,8 +113,9 @@ fn batch_cache_is_reusable_across_calls() {
         .with_region(scene.region());
     let cache = prism.batch_cache();
     let tags = random_tag_reads(&scene, 8, 7);
-    let first = prism.sense_batch_with(&cache, &tags, 4);
-    let second = prism.sense_batch_with(&cache, &tags, 4);
+    let cold = vec![None; tags.len()];
+    let first = prism.sense_batch_warm(&cache, &tags, &cold, 4);
+    let second = prism.sense_batch_warm(&cache, &tags, &cold, 4);
     for (i, (a, b)) in first.iter().zip(&second).enumerate() {
         assert_identical(a, b, i);
     }

@@ -68,12 +68,11 @@ fn stress_512_tags_byte_identical_across_runs() {
         })
         .collect();
 
-    let cache = prism.batch_cache();
-    let reference = digest(&prism.sense_batch_with(&cache, &tags, 1));
+    let reference = digest(&prism.sense_batch(&tags, 1));
     // Repeated high-concurrency runs: same bytes every time, at every
     // worker count, including `0` (= all available CPUs).
     for jobs in [8, 8, 8, 2, 0] {
-        let d = digest(&prism.sense_batch_with(&cache, &tags, jobs));
+        let d = digest(&prism.sense_batch(&tags, jobs));
         assert_eq!(d, reference, "digest diverged at jobs={jobs}");
     }
 }

@@ -1,14 +1,16 @@
-//! A read with a non-finite phase or frequency costs that read, not the
-//! window: batch 2-D, batch 3-D and streaming sensing each return, bit for
-//! bit, the estimate of the same reads with the bad one removed by hand.
+//! A read with a non-finite phase or frequency, or an out-of-range
+//! channel, costs that read, not the window: batch 2-D, batch 3-D and
+//! streaming sensing each return, bit for bit, the estimate of the same
+//! reads with the bad one removed by hand. A channel's first read at
+//! 1e300 Hz overflows its antenna's line fit, and costs that antenna only.
 
-use rfp_core::{RfPrism, RfPrism3D, TagEstimate2D, TagEstimate3D};
+use rfp_core::{RfPrism, RfPrism3D, SenseError, SensingResult, TagEstimate2D, TagEstimate3D};
 use rfp_dsp::preprocess::RawRead;
 use rfp_geom::{Vec2, Vec3};
 use rfp_sim::{Motion, Scene, SimTag};
 
-/// The three ways a read can be unusable, each a copy of `read`.
-fn unusable(read: &RawRead) -> [RawRead; 3] {
+/// The four ways a read can be unusable, each a copy of `read`.
+fn unusable(read: &RawRead) -> [RawRead; 4] {
     [
         RawRead {
             phase: f64::NAN,
@@ -24,7 +26,26 @@ fn unusable(read: &RawRead) -> [RawRead; 3] {
             frequency_hz: f64::NAN,
             ..*read
         },
+        RawRead {
+            channel: 1 << 40,
+            ..*read
+        },
     ]
+}
+
+/// `reads` with antenna `antenna`'s first read moved to 1e300 Hz, and
+/// `reads` with that antenna's reads emptied.
+fn far_first_read(reads: &[Vec<RawRead>], antenna: usize) -> [Vec<Vec<RawRead>>; 2] {
+    let (mut far, mut emptied) = (reads.to_vec(), reads.to_vec());
+    far[antenna][0].frequency_hz = 1e300;
+    emptied[antenna].clear();
+    [far, emptied]
+}
+
+/// The usable-antenna count of a window that had too few.
+fn usable(outcome: Result<SensingResult, SenseError>) -> usize {
+    let Err(SenseError::TooFewObservations { usable, .. }) = outcome else { panic!("{outcome:?}") };
+    usable
 }
 
 /// `reads` with `bad` inserted into antenna `antenna`'s group at `at`.
@@ -75,6 +96,8 @@ fn unusable_read_costs_only_itself_2d() {
         );
         assert_eq!(dirty.verdict, clean.verdict);
     }
+    let [far, emptied] = far_first_read(&reads, 1);
+    assert_eq!(usable(prism.sense(&far)), usable(prism.sense(&emptied)));
 }
 
 #[test]
@@ -102,6 +125,11 @@ fn unusable_read_costs_only_itself_3d() {
             "{bad:?}"
         );
     }
+    let [far, emptied] = far_first_read(&reads, 4);
+    assert_eq!(
+        bits_3d(&prism.sense(&far).expect("five antennas left").estimate),
+        bits_3d(&prism.sense(&emptied).expect("five antennas left").estimate)
+    );
 }
 
 #[test]
@@ -113,7 +141,7 @@ fn unusable_read_costs_only_itself_streaming() {
     let span = scene.reader().round_duration_s();
     let prism =
         RfPrism::new(scene.antenna_poses(), scene.reader().plan).with_region(scene.region());
-    for bad_kind in 0..3 {
+    for bad_kind in 0..4 {
         let mut clean = prism.sense_streaming(span);
         let mut dirty = prism.sense_streaming(span);
         for (r, round) in rounds.iter().enumerate() {
@@ -136,4 +164,13 @@ fn unusable_read_costs_only_itself_streaming() {
         }
         assert_eq!(clean.retained_reads(), dirty.retained_reads());
     }
+    let advance = |reads: &[Vec<RawRead>]| {
+        let mut session = prism.sense_streaming(span);
+        for (antenna, reads) in reads.iter().enumerate() {
+            reads.iter().for_each(|read| session.push(antenna, read));
+        }
+        usable(session.advance(rounds[0].end_time_s))
+    };
+    let [far, emptied] = far_first_read(&rounds[0].per_antenna, 2);
+    assert_eq!(advance(&far), advance(&emptied));
 }

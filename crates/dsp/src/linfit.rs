@@ -73,6 +73,8 @@ pub enum FitError {
     DegenerateX,
     /// A weight was negative or all weights were zero.
     BadWeights,
+    /// The fitted line is not finite: the sums overflowed.
+    NonFinite,
 }
 
 impl std::fmt::Display for FitError {
@@ -82,6 +84,7 @@ impl std::fmt::Display for FitError {
             FitError::LengthMismatch => write!(f, "input slices have different lengths"),
             FitError::DegenerateX => write!(f, "all x values coincide; slope undefined"),
             FitError::BadWeights => write!(f, "weights must be non-negative with positive sum"),
+            FitError::NonFinite => write!(f, "the fitted line is not finite"),
         }
     }
 }

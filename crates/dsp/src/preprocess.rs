@@ -32,6 +32,10 @@ use crate::trig::{self, hit, PHASE_CODES, PHASE_LSB_RAD};
 use crate::workspace::FrontEndWorkspace;
 use rfp_geom::angle;
 
+/// Most channels a plan may declare, and one past the largest channel
+/// index a read may carry: LLRP channel indices are 16-bit.
+pub const MAX_CHANNELS: usize = 1 << 16;
+
 /// One raw read report from the reader.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RawRead {
@@ -56,12 +60,13 @@ pub struct RawRead {
 }
 
 impl RawRead {
-    /// Whether the read carries a usable sample: a finite phase and a
-    /// finite frequency. The front end, batch and streaming alike, skips
-    /// any other read as if the reader had never reported it.
+    /// Whether the read carries a usable sample: a finite phase, a finite
+    /// frequency and a channel below [`MAX_CHANNELS`]. The front end,
+    /// batch and streaming alike, skips any other read as if the reader
+    /// had never reported it.
     #[inline]
     pub(crate) fn is_usable(&self) -> bool {
-        self.phase.is_finite() && self.frequency_hz.is_finite()
+        self.phase.is_finite() && self.frequency_hz.is_finite() && self.channel < MAX_CHANNELS
     }
 
     /// The code to look the read up by in the trig tables: `phase_code`
@@ -131,8 +136,8 @@ impl std::error::Error for PreprocessError {}
 
 /// Runs the full pre-processing pipeline on one antenna's raw reads and
 /// returns per-channel observations sorted by frequency, with phases
-/// unwrapped across channels. Reads whose phase or frequency is not finite
-/// are skipped.
+/// unwrapped across channels. Reads whose phase or frequency is not
+/// finite, or whose channel is out of range, are skipped.
 ///
 /// # Errors
 ///

@@ -562,9 +562,9 @@ impl StreamingWindow {
     /// Pushes one read into the window, updating its channel's running
     /// sums in O(1). Reads must arrive in nondecreasing timestamp order
     /// (the order a reader stream delivers them), which keeps every
-    /// per-channel sum in the batch summation order. A read whose phase or
-    /// frequency is not finite is skipped, as the batch front end skips
-    /// it.
+    /// per-channel sum in the batch summation order. A read the batch
+    /// front end skips (a non-finite phase or frequency, an out-of-range
+    /// channel) is skipped here too.
     pub fn push(&mut self, read: &RawRead) {
         if !read.is_usable() {
             return;

@@ -95,7 +95,9 @@ impl OlsSums {
     /// # Errors
     ///
     /// [`FitError::TooFewPoints`] below two points,
-    /// [`FitError::DegenerateX`] when the x spread vanishes.
+    /// [`FitError::DegenerateX`] when the x spread vanishes,
+    /// [`FitError::NonFinite`] when the sums overflowed (an x near 1e300
+    /// squares to ∞) and the line is not finite.
     #[inline]
     pub fn solve(&self) -> Result<(f64, f64), FitError> {
         if self.n < 2 {
@@ -108,7 +110,11 @@ impl OlsSums {
         }
         let slope = (n * self.sxy - self.sx * self.sy) / denom;
         let shifted_intercept = (self.sy - slope * self.sx) / n;
-        Ok((slope, shifted_intercept - slope * self.x0))
+        let intercept = shifted_intercept - slope * self.x0;
+        if !(slope.is_finite() && intercept.is_finite()) {
+            return Err(FitError::NonFinite);
+        }
+        Ok((slope, intercept))
     }
 
     /// Mean of the accumulated y values.
@@ -476,6 +482,9 @@ mod tests {
         assert_eq!(sums.solve().unwrap_err(), FitError::TooFewPoints);
         sums.add(2.0, 3.0);
         assert_eq!(sums.solve().unwrap_err(), FitError::DegenerateX);
+        // A far x overflows Σx² to ∞, and the normal equations give NaN.
+        sums.add(1e300, 2.0);
+        assert_eq!(sums.solve().unwrap_err(), FitError::NonFinite);
     }
 
     #[test]
