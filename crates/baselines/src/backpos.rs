@@ -175,7 +175,7 @@ impl ResidualModel<2> for PairHyperbolas {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rfp_core::reference::{levenberg_marquardt_with, LmWorkspace};
+    use rfp_oracle::solver::{levenberg_marquardt_with, LmWorkspace};
     use rfp_phys::Material;
     use rfp_sim::{HopSurvey, Motion, NoiseModel, ReaderConfig, Scene, SimTag};
 

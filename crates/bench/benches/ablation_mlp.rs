@@ -2,8 +2,8 @@
 //! performance of material identification" — an MLP and a random forest on
 //! the same disentangled features, against the paper's decision tree.
 
-use rfp_bench::{matid, report};
-use rfp_core::material::ClassifierKind;
+use rfp_bench::matid::{self, Model};
+use rfp_bench::report;
 use rfp_ml::mlp::MlpConfig;
 use rfp_sim::Scene;
 
@@ -11,10 +11,10 @@ fn main() {
     report::header("Extension", "MLP vs decision tree on disentangled features (§VII)");
     let scene = Scene::standard_2d();
     let corpus = matid::build_corpus(&scene, 100, 50);
-    let tree = matid::evaluate_all(&corpus, &ClassifierKind::paper_default());
+    let tree = matid::evaluate_all(&corpus, &Model::Tree);
     let forest = matid::evaluate_all(
         &corpus,
-        &ClassifierKind::RandomForest(rfp_ml::forest::ForestConfig {
+        &Model::RandomForest(rfp_ml::forest::ForestConfig {
             trees: 40,
             features_per_tree: 12,
             ..Default::default()
@@ -22,7 +22,7 @@ fn main() {
     );
     let mlp = matid::evaluate_all(
         &corpus,
-        &ClassifierKind::Mlp(MlpConfig {
+        &Model::Mlp(MlpConfig {
             hidden: 48,
             epochs: 300,
             learning_rate: 0.03,

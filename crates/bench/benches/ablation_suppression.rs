@@ -6,10 +6,11 @@
 //! surveys, measuring the per-antenna *slope bias* in distance-equivalent
 //! centimetres — the quantity that the solver geometry later amplifies.
 
+use rfp_bench::huber::huber_line_fit;
 use rfp_bench::report;
 use rfp_dsp::linfit;
 use rfp_dsp::preprocess::{preprocess_reads, PreprocessConfig};
-use rfp_dsp::robust::{huber_line_fit, robust_line_fit, RobustFitConfig};
+use rfp_dsp::robust::{robust_line_fit, RobustFitConfig};
 use rfp_geom::Vec2;
 use rfp_phys::propagation;
 use rfp_sim::{Motion, MultipathEnvironment, Scene, SimTag};

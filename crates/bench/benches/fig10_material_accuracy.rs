@@ -4,14 +4,14 @@
 //! Paper: 88.6 % / 87.5 % / 87.5 % near/medium/far; 88.0 % at 0° vs
 //! 87.8 % at 90° with training data from 0° only.
 
-use rfp_bench::{matid, report, setup};
-use rfp_core::material::ClassifierKind;
+use rfp_bench::matid::{self, Model};
+use rfp_bench::{report, setup};
 use rfp_sim::Scene;
 
 fn main() {
     let scene = Scene::standard_2d();
     let corpus = matid::build_corpus(&scene, 100, 50);
-    let kind = ClassifierKind::paper_default();
+    let kind = Model::Tree;
 
     report::header("Fig. 10 (top)", "material accuracy by distance region");
     let paper = ["88.6 %", "87.5 %", "87.5 %"];

@@ -3,8 +3,8 @@
 //! Paper: every diagonal ≥ 0.85; the dominant confusion is water ↔
 //! skim milk (6 %), explained by their similar permittivity.
 
-use rfp_bench::{matid, report};
-use rfp_core::material::ClassifierKind;
+use rfp_bench::matid::{self, Model};
+use rfp_bench::report;
 use rfp_phys::Material;
 use rfp_sim::Scene;
 
@@ -12,7 +12,7 @@ fn main() {
     report::header("Fig. 11", "confusion matrix of the 8-material decision tree");
     let scene = Scene::standard_2d();
     let corpus = matid::build_corpus(&scene, 100, 50);
-    let cm = matid::evaluate_all(&corpus, &ClassifierKind::paper_default());
+    let cm = matid::evaluate_all(&corpus, &Model::Tree);
 
     report::confusion_matrix(&cm);
     println!();

@@ -7,8 +7,8 @@
 //! only a minority of channels is corrupted; the residual gap to clean
 //! space is the broadband (smooth) multipath no outlier test can see.
 
-use rfp_bench::{loc, matid, report};
-use rfp_core::material::ClassifierKind;
+use rfp_bench::matid::{self, Model};
+use rfp_bench::{loc, report};
 use rfp_core::model::ExtractConfig;
 use rfp_core::{RfPrism, RfPrismConfig};
 use rfp_geom::angle;
@@ -39,7 +39,7 @@ fn run_localization(scene: &Scene, suppress: bool) -> (f64, f64) {
 
 fn run_classification(scene: &Scene) -> f64 {
     let corpus = matid::build_corpus(scene, 60, 30);
-    matid::evaluate_all(&corpus, &ClassifierKind::paper_default()).accuracy()
+    matid::evaluate_all(&corpus, &Model::Tree).accuracy()
 }
 
 fn main() {

@@ -1,7 +1,7 @@
 //! Fig. 13: material identification accuracy of KNN / SVM / Decision Tree.
 fn main() {
-    use rfp_bench::{matid, report};
-    use rfp_core::material::ClassifierKind;
+    use rfp_bench::matid::{self, Model};
+    use rfp_bench::report;
     use rfp_ml::svm::SvmConfig;
     use rfp_sim::Scene;
 
@@ -16,17 +16,17 @@ fn main() {
     use rfp_ml::svm::Kernel;
     let mut accuracies = Vec::new();
     for (name, paper, kind) in [
-        ("KNN (k=9)", "75.6 %", ClassifierKind::Knn { k: 9 }),
+        ("KNN (k=9)", "75.6 %", Model::Knn { k: 9 }),
         (
             "SVM (RBF)",
             "83.5 %",
-            ClassifierKind::Svm(SvmConfig {
+            Model::Svm(SvmConfig {
                 c: 10.0,
                 kernel: Kernel::Rbf { gamma: 0.005 },
                 ..Default::default()
             }),
         ),
-        ("Decision Tree", "87.9 %", ClassifierKind::paper_default()),
+        ("Decision Tree", "87.9 %", Model::Tree),
     ] {
         let cm = matid::evaluate_all(&corpus, &kind);
         report::row(name, paper, &report::pct(cm.accuracy()));

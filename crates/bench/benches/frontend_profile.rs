@@ -2,7 +2,7 @@
 //! stage by stage — pre-processing (group, circular-average, π-fold,
 //! unwrap), the fused unwrap+OLS raw fit, and the robust
 //! multipath-rejecting fit — comparing the workspace kernels against the
-//! frozen pre-rework allocating implementations in [`rfp_dsp::reference`]
+//! frozen pre-rework allocating implementations in [`rfp_oracle::frontend`]
 //! (DESIGN.md §6).
 //!
 //! The two paths compute the same observation (the property suite
@@ -33,9 +33,10 @@
 use rfp_bench::report;
 use rfp_dsp::preprocess::{preprocess_reads_with, PreprocessConfig, RawRead};
 use rfp_dsp::robust::{robust_line_fit_with, RobustFitConfig};
-use rfp_dsp::{reference, FrontEndWorkspace};
+use rfp_dsp::FrontEndWorkspace;
 use rfp_geom::Vec2;
 use rfp_obs::JsonValue;
+use rfp_oracle::frontend as reference;
 use rfp_sim::{Motion, Scene, SimTag};
 use std::hint::black_box;
 use std::time::Instant;

@@ -1,7 +1,7 @@
 //! Solver profile: what one disentangling solve costs, what the analytic
-//! Jacobian buys over the numeric fallback, and what coarse-to-fine seed
-//! pruning plus warm starts buy over the exhaustive multi-start scan
-//! (DESIGN.md §6).
+//! Jacobian buys over a numeric one, and what coarse-to-fine seed pruning
+//! plus warm starts buy over the exhaustive multi-start scan (DESIGN.md
+//! §6).
 //!
 //! For the 2-D (5-parameter) and 3-D (7-parameter) solves this reports,
 //! per configuration, the single-solve p50 latency and the LM work
@@ -15,7 +15,9 @@
 //! Four configurations per dimension:
 //!
 //! * `analytic`  — the defaults: analytic Jacobian, pruned seed beam;
-//! * `numeric`   — numeric Jacobian, pruned seed beam;
+//! * `numeric`   — the frozen oracle (`rfp_oracle::solver`) with its
+//!   numeric Jacobian, pruned seed beam; the oracle keeps LM work counters
+//!   but no seed or λ-retry tallies, so those read 0 in this row;
 //! * `exhaustive` — analytic Jacobian, every seed refined (the pre-pruning
 //!   behaviour, bit-for-bit);
 //! * `warm`      — analytic defaults, warm-started from the previous
@@ -25,7 +27,7 @@
 //! retries beyond each iteration's first attempt and Cholesky rejections.
 //!
 //! A fifth timing per dimension, `reference`, runs the frozen pre-lane
-//! oracle (`rfp_core::reference`) cold on the same observations in the
+//! oracle with its analytic Jacobian cold on the same observations in the
 //! same process, yielding the same-run ratios `lane_speedup_p50` /
 //! `lane_speedup_min` — what the const-generic lane core buys over the
 //! twin scalar solvers it replaced, with CPU steal cancelled.
@@ -36,20 +38,21 @@
 //! `SOLVER_PROFILE_QUICK=1` (fewer repeats) and fails CI on regression.
 
 use rfp_bench::report;
-use rfp_core::model::{extract_observation, AntennaObservation, ExtractConfig};
-use rfp_core::reference::{
-    solve_2d_reference, solve_3d_reference, Reference2DWorkspace, Reference3DWorkspace,
-};
 use rfp_core::lm::StepStats;
+use rfp_core::model::{extract_observation, AntennaObservation, ExtractConfig};
 use rfp_core::solver::{
-    solve_2d_seeded_warm, JacobianMode, PruneStats, SolveSeeds, SolveStats, SolverConfig,
-    SolverWorkspace, WarmStart,
+    solve_2d_seeded_warm, PruneStats, SolveSeeds, SolveStats, SolverConfig, SolverWorkspace,
+    WarmStart,
 };
 use rfp_core::solver3d::{
     solve_3d_seeded_warm, Solve3DSeeds, Solver3DConfig, Solver3DWorkspace, WarmStart3D,
 };
 use rfp_geom::Vec2;
 use rfp_obs::JsonValue;
+use rfp_oracle::solver::{
+    solve_2d_reference, solve_3d_reference, Jacobian, Reference2DSeeds, Reference2DWorkspace,
+    Reference3DSeeds, Reference3DWorkspace,
+};
 use rfp_phys::Material;
 use rfp_sim::{Motion, Scene, SimTag};
 use std::hint::black_box;
@@ -187,22 +190,23 @@ fn profile_3d(config: Solver3DConfig, warm_from_self: bool) -> Profile {
     )
 }
 
-/// Times the frozen 2-D oracle cold on the same scene as [`profile_2d`].
-/// The oracle carries no work counters (deliberately — it predates the
-/// lane telemetry), so only the latencies are meaningful.
-fn profile_2d_reference(config: &SolverConfig) -> Profile {
+/// Times the frozen 2-D oracle with `jacobian`, cold, on the same scene
+/// as [`profile_2d`]. The oracle keeps only the LM work counters
+/// (deliberately — it predates the seed and λ-retry telemetry).
+fn profile_2d_reference(config: &SolverConfig, jacobian: Jacobian) -> Profile {
     let scene = Scene::standard_2d();
     let obs = observations_2d(&scene);
-    let seeds = SolveSeeds::for_scene(scene.region(), config, &scene.antenna_poses());
+    let seeds = Reference2DSeeds::for_scene(scene.region(), config, &scene.antenna_poses());
     let mut ws = Reference2DWorkspace::default();
     let (warmup, repeats) = if quick_mode() { (5, 50) } else { (20, 200) };
     profile(
         || {
+            let s0 = ws.stats();
             black_box(
-                solve_2d_reference(black_box(&obs), &seeds, config, &mut ws, None)
+                solve_2d_reference(black_box(&obs), &seeds, config, jacobian, &mut ws, None)
                     .expect("solvable"),
             );
-            (SolveStats::default(), PruneStats::default(), StepStats::default())
+            (ws.stats().since(s0), PruneStats::default(), StepStats::default())
         },
         warmup,
         repeats,
@@ -210,20 +214,21 @@ fn profile_2d_reference(config: &SolverConfig) -> Profile {
 }
 
 /// Times the frozen 3-D oracle cold (see [`profile_2d_reference`]).
-fn profile_3d_reference(config: &Solver3DConfig) -> Profile {
+fn profile_3d_reference(config: &Solver3DConfig, jacobian: Jacobian) -> Profile {
     let scene = Scene::six_antenna_3d();
     let obs = observations_3d(&scene);
     let seeds =
-        Solve3DSeeds::for_scene(scene.region(), (0.0, 1.5), config, &scene.antenna_poses());
+        Reference3DSeeds::for_scene(scene.region(), (0.0, 1.5), config, &scene.antenna_poses());
     let mut ws = Reference3DWorkspace::default();
     let (warmup, repeats) = if quick_mode() { (2, 20) } else { (5, 60) };
     profile(
         || {
+            let s0 = ws.stats();
             black_box(
-                solve_3d_reference(black_box(&obs), &seeds, config, &mut ws, None)
+                solve_3d_reference(black_box(&obs), &seeds, config, jacobian, &mut ws, None)
                     .expect("solvable"),
             );
-            (SolveStats::default(), PruneStats::default(), StepStats::default())
+            (ws.stats().since(s0), PruneStats::default(), StepStats::default())
         },
         warmup,
         repeats,
@@ -261,8 +266,8 @@ fn json_entry(p: Profile) -> JsonValue {
 }
 
 /// One dimension's profiles: the pruned analytic defaults (`analytic`),
-/// the pruned numeric fallback, the exhaustive scan and the warm-started
-/// steady state.
+/// the oracle's pruned numeric solve, the exhaustive scan and the
+/// warm-started steady state.
 #[derive(Clone, Copy)]
 struct DimProfiles {
     analytic: Profile,
@@ -350,13 +355,10 @@ fn main() {
 
     let d2 = DimProfiles {
         analytic: profile_2d(SolverConfig::default(), false),
-        numeric: profile_2d(
-            SolverConfig { jacobian: JacobianMode::Numeric, ..SolverConfig::default() },
-            false,
-        ),
+        numeric: profile_2d_reference(&SolverConfig::default(), Jacobian::Numeric),
         exhaustive: profile_2d(SolverConfig::exhaustive(), false),
         warm: profile_2d(SolverConfig::default(), true),
-        reference: profile_2d_reference(&SolverConfig::default()),
+        reference: profile_2d_reference(&SolverConfig::default(), Jacobian::Analytic),
     };
     print_rows(
         "2-D (5 parameters, 3 antennas)",
@@ -370,13 +372,10 @@ fn main() {
 
     let d3 = DimProfiles {
         analytic: profile_3d(Solver3DConfig::default(), false),
-        numeric: profile_3d(
-            Solver3DConfig { jacobian: JacobianMode::Numeric, ..Solver3DConfig::default() },
-            false,
-        ),
+        numeric: profile_3d_reference(&Solver3DConfig::default(), Jacobian::Numeric),
         exhaustive: profile_3d(Solver3DConfig::exhaustive(), false),
         warm: profile_3d(Solver3DConfig::default(), true),
-        reference: profile_3d_reference(&Solver3DConfig::default()),
+        reference: profile_3d_reference(&Solver3DConfig::default(), Jacobian::Analytic),
     };
     print_rows(
         "3-D (7 parameters, 6 antennas)",

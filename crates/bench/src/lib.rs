@@ -10,6 +10,8 @@
 //!   14–16);
 //! * [`matid`] — material-identification dataset builder and classifier
 //!   evaluation (Figs. 10, 11, 13, 17–20);
+//! * [`huber`] — the Huber IRLS line fit of the multipath-suppression
+//!   ablation;
 //! * [`report`] — consistent console formatting with explicit
 //!   paper-reference columns.
 //!
@@ -21,6 +23,7 @@
 #![warn(missing_docs)]
 
 pub mod compare;
+pub mod huber;
 pub mod loc;
 pub mod matid;
 pub mod report;

@@ -7,15 +7,75 @@
 //! measurement runs the *full* RF-Prism pipeline (survey → disentangle →
 //! calibrated features), so classification quality reflects the quality of
 //! the disentangling, exactly as in the paper.
+//!
+//! The library's [`MaterialIdentifier`] ships only the paper's decision
+//! tree; [`Model`] adds the other classifiers of Fig. 13 and the §VII
+//! extension, trained on the same standardized features.
 
 use crate::setup;
 use rfp_core::calibration::DeviceCalibration;
 use rfp_core::material::{ClassifierKind, MaterialIdentifier};
 use rfp_geom::Vec2;
 use rfp_ml::dataset::Dataset;
+use rfp_ml::forest::{ForestConfig, RandomForest};
+use rfp_ml::knn::KnnClassifier;
 use rfp_ml::metrics::ConfusionMatrix;
+use rfp_ml::mlp::{MlpClassifier, MlpConfig};
+use rfp_ml::scaler::StandardScaler;
+use rfp_ml::svm::{SvmClassifier, SvmConfig};
+use rfp_ml::Classifier;
 use rfp_phys::Material;
 use rfp_sim::Scene;
+
+/// A trained classifier: raw (unscaled) feature vector → class index.
+pub type Predictor = Box<dyn Fn(&[f64]) -> usize>;
+
+/// A material classifier to evaluate: the paper's three (Fig. 13) plus
+/// the §VII extensions.
+#[derive(Debug, Clone)]
+pub enum Model {
+    /// The paper's deployed classifier: [`MaterialIdentifier`]'s CART
+    /// decision tree with default hyper-parameters.
+    Tree,
+    /// K-nearest-neighbour with `k` neighbours.
+    Knn {
+        /// Number of neighbours.
+        k: usize,
+    },
+    /// One-vs-one SVM.
+    Svm(SvmConfig),
+    /// Random forest (bagged CART).
+    RandomForest(ForestConfig),
+    /// Multi-layer perceptron.
+    Mlp(MlpConfig),
+}
+
+impl Model {
+    /// Trains on `train`.
+    pub fn train(&self, train: &Dataset) -> Predictor {
+        match self {
+            Model::Tree => {
+                let identifier = MaterialIdentifier::train(train, &ClassifierKind::paper_default());
+                Box::new(move |features| identifier.predict_index(features))
+            }
+            Model::Knn { k } => standardized(train, |d| KnnClassifier::fit(d, *k)),
+            Model::Svm(config) => standardized(train, |d| SvmClassifier::fit(d, config)),
+            Model::RandomForest(config) => standardized(train, |d| RandomForest::fit(d, config)),
+            Model::Mlp(config) => standardized(train, |d| MlpClassifier::fit(d, config)),
+        }
+    }
+}
+
+/// Fits a classifier on the standardized `train`, exactly as
+/// [`MaterialIdentifier`] fits its tree.
+fn standardized<C: Classifier + 'static>(
+    train: &Dataset,
+    fit: impl FnOnce(&Dataset) -> C,
+) -> Predictor {
+    let scaler = StandardScaler::fit(train);
+    let classifier = fit(&scaler.transform_dataset(train));
+    Box::new(move |features| classifier.predict(&scaler.transform(features)))
+}
 
 /// One labelled measurement: features plus bookkeeping for slicing.
 #[derive(Debug, Clone)]
@@ -105,24 +165,24 @@ pub fn to_dataset(samples: &[Sample]) -> Dataset {
     ds
 }
 
-/// Trains `kind` on the corpus and evaluates on a validation subset
+/// Trains `model` on the corpus and evaluates on a validation subset
 /// selected by `pred`, returning the confusion matrix.
 pub fn evaluate(
     corpus: &Corpus,
-    kind: &ClassifierKind,
+    model: &Model,
     mut pred: impl FnMut(&Sample) -> bool,
 ) -> ConfusionMatrix {
-    let identifier = MaterialIdentifier::train(&to_dataset(&corpus.train), kind);
+    let predict = model.train(&to_dataset(&corpus.train));
     let mut cm = ConfusionMatrix::new(Material::CLASSES.len());
     for s in corpus.validation.iter().filter(|s| pred(s)) {
-        cm.record(s.label, identifier.predict_index(&s.features));
+        cm.record(s.label, predict(&s.features));
     }
     cm
 }
 
 /// Evaluates on the full validation set.
-pub fn evaluate_all(corpus: &Corpus, kind: &ClassifierKind) -> ConfusionMatrix {
-    evaluate(corpus, kind, |_| true)
+pub fn evaluate_all(corpus: &Corpus, model: &Model) -> ConfusionMatrix {
+    evaluate(corpus, model, |_| true)
 }
 
 #[cfg(test)]
@@ -149,8 +209,31 @@ mod tests {
     #[test]
     fn decision_tree_beats_chance_easily() {
         let c = small_corpus();
-        let cm = evaluate_all(&c, &ClassifierKind::paper_default());
+        let cm = evaluate_all(&c, &Model::Tree);
         assert!(cm.accuracy() > 0.5, "accuracy {}", cm.accuracy());
         assert_eq!(cm.n_classes(), 8);
+    }
+
+    #[test]
+    fn identifier_trains_and_predicts_each_kind() {
+        // Tiny synthetic two-class problem in 3-D feature space: class 0
+        // ("wood") and class 3 ("metal").
+        let mut ds = Dataset::new(8);
+        for i in 0..30 {
+            let x = i as f64 / 30.0;
+            ds.push(vec![x, 1.0, 0.0], 0);
+            ds.push(vec![x + 5.0, -1.0, 0.5], 3);
+        }
+        for model in [
+            Model::Tree,
+            Model::Knn { k: 3 },
+            Model::Svm(SvmConfig::default()),
+            Model::RandomForest(ForestConfig { trees: 9, ..Default::default() }),
+            Model::Mlp(MlpConfig { epochs: 50, ..Default::default() }),
+        ] {
+            let predict = model.train(&ds);
+            assert_eq!(predict(&[0.1, 1.0, 0.0]), 0, "{model:?}");
+            assert_eq!(predict(&[5.2, -1.0, 0.5]), 3, "{model:?}");
+        }
     }
 }

@@ -63,7 +63,6 @@ pub mod model;
 pub mod obs;
 pub mod pipeline;
 pub mod pipeline3d;
-pub mod reference;
 pub mod solver;
 pub mod solver3d;
 pub mod streaming;
@@ -81,9 +80,7 @@ pub use pipeline::{RfPrism, RfPrismConfig, SenseError, SenseWorkspace, SensingRe
 pub use pipeline3d::{
     RfPrism3D, RfPrism3DConfig, Sense3DError, Sense3DWorkspace, Sensing3DResult,
 };
-pub use solver::{
-    JacobianMode, PruneStats, SolveStats, SolverConfig, TagEstimate2D, WarmGate, WarmStart,
-};
+pub use solver::{PruneStats, SolveStats, SolverConfig, TagEstimate2D, WarmGate, WarmStart};
 pub use solver3d::{TagEstimate3D, WarmStart3D};
 pub use streaming::StreamingSession;
 pub use tracking::{TagTracker, TrackerConfig};

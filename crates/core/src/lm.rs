@@ -2,16 +2,18 @@
 //!
 //! The 2-D solver fits 5 parameters and the 3-D solver fits 7, but the LM
 //! machinery between them — fused residual+Jacobian evaluation, normal
-//! equations, Cholesky (analytic) or Gaussian elimination (numeric
-//! fallback), the λ damping/retry policy — is byte-for-byte the same
-//! algorithm. [`LmCore`] is that algorithm, const-generic over the
+//! equations, Cholesky, the λ damping/retry policy — is byte-for-byte the
+//! same algorithm. [`LmCore`] is that algorithm, const-generic over the
 //! parameter count `P`, with the problem physics abstracted behind
 //! [`ResidualModel`]. The one solver facade of [`crate::solver`] drives
 //! it for both dimensions, and a new P-parameter sensing head gets the
-//! whole refinement stack by implementing one trait method.
+//! whole refinement stack by implementing one trait method. A model
+//! without a closed-form Jacobian (BackPos's hyperbolas) refines through
+//! [`LmCore::refine_numeric`] instead: central differences, with pivoted
+//! Gaussian elimination for the damped step.
 //!
-//! Compared with the dynamic `LmWorkspace` cores frozen in
-//! [`crate::reference`] (the oracle the facades are tested against), the
+//! Compared with the dynamic `LmWorkspace` cores frozen in the dev-only
+//! `rfp-oracle` crate (the oracle the facades are tested against), the
 //! const-generic core keeps the parameter vector, the `P×P` normal
 //! equations, the factorization scratch and the step/trial buffers in
 //! fixed-size arrays: no bounds checks in the `P`-indexed kernels, no
@@ -38,8 +40,8 @@
 //! `(JᵀJ + λ·diag(JᵀJ))δ = −Jᵀr`, and the λ retry policy may re-solve the
 //! same system at several λ before a step is accepted. Every attempt
 //! copies, damps and Cholesky-factors the `P×P` system afresh (the
-//! numeric fallback uses pivoted Gaussian elimination instead) — exactly
-//! the frozen cores' operations, in their order.
+//! numeric path uses pivoted Gaussian elimination instead) — exactly the
+//! frozen cores' operations, in their order.
 
 use crate::solver::SolveStats;
 
@@ -128,7 +130,7 @@ pub trait ResidualModel<const P: usize> {
     ///
     /// Must fully overwrite both buffers (`clear` + fill). When `jac` is
     /// `None` only the residuals are needed (trial-point evaluations and
-    /// the numeric fallback's difference sweeps).
+    /// the numeric path's difference sweeps).
     fn eval(&self, p: &[f64; P], r: &mut Vec<f64>, jac: Option<&mut Vec<f64>>);
 }
 
@@ -325,9 +327,9 @@ impl<const P: usize> LmCore<P> {
 
     /// Levenberg–Marquardt with the model's fused analytic
     /// residual+Jacobian — the hot path. The damping/retry policy and
-    /// every floating-point operation match
-    /// [`levenberg_marquardt_analytic_with`](crate::reference::levenberg_marquardt_analytic_with)
-    /// exactly, so results are bit-identical to the dynamic core.
+    /// every floating-point operation match the frozen dynamic core
+    /// `rfp_oracle::solver::levenberg_marquardt_analytic_with` exactly, so
+    /// results are bit-identical to it.
     pub fn refine<M: ResidualModel<P>>(
         &mut self,
         model: &M,
@@ -378,11 +380,11 @@ impl<const P: usize> LmCore<P> {
     }
 
     /// Levenberg–Marquardt with a central-difference Jacobian and
-    /// per-parameter step scales — the numeric fallback. The policy and
-    /// operation order match
-    /// [`levenberg_marquardt_with`](crate::reference::levenberg_marquardt_with)
-    /// exactly (bit-identical results); only residual evaluations
-    /// (`jac: None`) are requested from the model.
+    /// per-parameter step scales, for models without a closed-form
+    /// Jacobian (BackPos). The policy and operation order match the frozen
+    /// dynamic core `rfp_oracle::solver::levenberg_marquardt_with` exactly
+    /// (bit-identical results); only residual evaluations (`jac: None`)
+    /// are requested from the model.
     #[allow(clippy::needless_range_loop)] // index loops mirror the frozen core verbatim
     pub fn refine_numeric<M: ResidualModel<P>>(
         &mut self,
@@ -446,7 +448,7 @@ impl<const P: usize> LmCore<P> {
 }
 
 /// The damped-step backend of [`LmCore::lambda_retry`]: Cholesky on the
-/// analytic path, pivoted elimination on the numeric fallback.
+/// analytic path, pivoted elimination on the numeric path.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum StepBackend {
     Cholesky,
@@ -491,7 +493,7 @@ fn damped_step_cholesky<const P: usize>(
     true
 }
 
-/// The numeric fallback's damped step: copy + damp + pivoted Gaussian
+/// The numeric path's damped step: copy + damp + pivoted Gaussian
 /// elimination (same operations and order as the frozen numeric core).
 fn damped_step_gauss<const P: usize>(
     jtj: &[[f64; P]; P],
@@ -512,8 +514,8 @@ fn damped_step_gauss<const P: usize>(
 
 /// In-place Cholesky factorization `A = LLᵀ`; on success the lower
 /// triangle holds `L`. Same expressions (and failure guard) as the
-/// frozen [`reference`](crate::reference) routine, over fixed-size storage —
-/// bit-identical factors.
+/// frozen dynamic core's routine, over fixed-size storage — bit-identical
+/// factors.
 #[allow(clippy::needless_range_loop)] // index loops mirror the frozen core verbatim
 fn cholesky_factor<const P: usize>(a: &mut [[f64; P]; P]) -> bool {
     for i in 0..P {
@@ -594,99 +596,6 @@ fn gauss_solve<const P: usize>(a: &mut [[f64; P]; P], b: &mut [f64; P]) -> bool 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::reference::{
-        levenberg_marquardt_analytic_with, levenberg_marquardt_with, LmWorkspace,
-    };
-
-    /// Fit y = a·x + b over 10 points — a tiny 2-parameter model whose
-    /// analytic Jacobian is exact.
-    struct Line {
-        data: Vec<(f64, f64)>,
-    }
-
-    impl ResidualModel<2> for Line {
-        fn eval(&self, p: &[f64; 2], r: &mut Vec<f64>, jac: Option<&mut Vec<f64>>) {
-            r.clear();
-            let mut jac = jac;
-            if let Some(j) = jac.as_deref_mut() {
-                j.clear();
-            }
-            for &(x, y) in &self.data {
-                r.push(y - (p[0] * x + p[1]));
-                if let Some(j) = jac.as_deref_mut() {
-                    j.push(-x);
-                    j.push(-1.0);
-                }
-            }
-        }
-    }
-
-    fn line_model() -> Line {
-        Line { data: (0..10).map(|i| (i as f64, 2.0 * i as f64 - 3.0)).collect() }
-    }
-
-    #[test]
-    fn analytic_refine_matches_dynamic_core_bitwise() {
-        let model = line_model();
-        let mut core = LmCore::<2>::default();
-        let (p, cost) = core.refine(&model, [0.0, 0.0], 100, 1e-14);
-
-        let mut ws = LmWorkspace::default();
-        let resjac = |p: &[f64], r: &mut Vec<f64>, jac: Option<&mut Vec<f64>>| {
-            let pa = [p[0], p[1]];
-            model.eval(&pa, r, jac);
-        };
-        let (pd, costd) =
-            levenberg_marquardt_analytic_with(&mut ws, &resjac, vec![0.0, 0.0], 100, 1e-14);
-        assert_eq!(p[0].to_bits(), pd[0].to_bits());
-        assert_eq!(p[1].to_bits(), pd[1].to_bits());
-        assert_eq!(cost.to_bits(), costd.to_bits());
-        assert!((p[0] - 2.0).abs() < 1e-8 && (p[1] + 3.0).abs() < 1e-8);
-        // Identical work accounting, too.
-        assert_eq!(core.stats(), ws.stats());
-    }
-
-    #[test]
-    fn numeric_refine_matches_dynamic_core_bitwise() {
-        let model = line_model();
-        let mut core = LmCore::<2>::default();
-        let steps = [1e-5, 1e-5];
-        let (p, cost) = core.refine_numeric(&model, [0.0, 0.0], &steps, 100, 1e-14);
-
-        let mut ws = LmWorkspace::default();
-        let residual = |p: &[f64], out: &mut Vec<f64>| {
-            let pa = [p[0], p[1]];
-            model.eval(&pa, out, None);
-        };
-        let (pd, costd) = levenberg_marquardt_with(
-            &mut ws,
-            &residual,
-            vec![0.0, 0.0],
-            &steps,
-            100,
-            1e-14,
-        );
-        assert_eq!(p[0].to_bits(), pd[0].to_bits());
-        assert_eq!(p[1].to_bits(), pd[1].to_bits());
-        assert_eq!(cost.to_bits(), costd.to_bits());
-        assert_eq!(core.stats(), ws.stats());
-    }
-
-    #[test]
-    fn lane_tallies_count_blocks_and_remainders() {
-        let model = line_model();
-        let mut core = LmCore::<2>::default();
-        core.refine(&model, [0.0, 0.0], 100, 1e-14);
-        let lanes = core.lane_stats();
-        // 10 rows per pass → 2 full blocks + 2 scalar rows each.
-        assert!(lanes.row_blocks > 0);
-        assert_eq!(lanes.scalar_rows, lanes.row_blocks);
-        // Every model evaluation and every normal-equation assembly (one
-        // per iteration) is one 10-row pass.
-        let stats = core.stats();
-        let passes = stats.residual_evals + stats.iterations;
-        assert_eq!(4 * lanes.row_blocks + lanes.scalar_rows, 10 * passes);
-    }
 
     #[test]
     fn fixed_size_cholesky_round_trip() {

@@ -8,9 +8,11 @@
 //! (paper Eq. 9), giving `F = (k_t, b_t, θ_material(f₁..f₅₀))` — 52
 //! dimensions with the full FCC plan.
 //!
-//! [`MaterialIdentifier`] wraps feature standardization plus one of the
-//! paper's three classifiers (KNN / SVM / Decision Tree, Fig. 13) or the
-//! future-work MLP, and maps predicted class indices back to [`Material`].
+//! [`MaterialIdentifier`] wraps feature standardization plus the paper's
+//! deployed classifier, the decision tree that won its Fig. 13 comparison
+//! (87.9 % against SVM 83.5 % and KNN 75.6 %), and maps predicted class
+//! indices back to [`Material`]. The other classifiers of that comparison
+//! live in the bench harness (`rfp-bench`'s `matid` module).
 //!
 //! The front end's phase-code trig tables ride upstream of this module:
 //! material features only see the resulting [`AntennaObservation`]s. A
@@ -23,11 +25,7 @@ use crate::model::AntennaObservation;
 use crate::solver::TagEstimate2D;
 use rfp_geom::angle;
 use rfp_ml::dataset::Dataset;
-use rfp_ml::forest::{ForestConfig, RandomForest};
-use rfp_ml::knn::KnnClassifier;
-use rfp_ml::mlp::{MlpClassifier, MlpConfig};
 use rfp_ml::scaler::StandardScaler;
-use rfp_ml::svm::{SvmClassifier, SvmConfig};
 use rfp_ml::tree::{DecisionTree, TreeConfig};
 use rfp_ml::Classifier;
 use rfp_phys::polarization::{orientation_phase, planar_dipole};
@@ -181,23 +179,12 @@ impl MaterialFeatures {
     }
 }
 
-/// Which classifier backs a [`MaterialIdentifier`] (paper Fig. 13 + the
-/// §VII MLP extension).
+/// Which classifier backs a [`MaterialIdentifier`]: the paper's decision
+/// tree (Fig. 13), with its hyper-parameters.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ClassifierKind {
-    /// K-Nearest-Neighbour with `k` neighbours.
-    Knn {
-        /// Number of neighbours.
-        k: usize,
-    },
-    /// One-vs-one SVM.
-    Svm(SvmConfig),
     /// CART decision tree — the paper's best performer.
     DecisionTree(TreeConfig),
-    /// Random forest (extension: bagged CART).
-    RandomForest(ForestConfig),
-    /// Multi-layer perceptron (future-work extension).
-    Mlp(MlpConfig),
 }
 
 impl ClassifierKind {
@@ -208,44 +195,12 @@ impl ClassifierKind {
     }
 }
 
-enum AnyClassifier {
-    Knn(KnnClassifier),
-    Svm(SvmClassifier),
-    Tree(DecisionTree),
-    Forest(RandomForest),
-    Mlp(MlpClassifier),
-}
-
-impl Classifier for AnyClassifier {
-    fn predict(&self, features: &[f64]) -> usize {
-        match self {
-            AnyClassifier::Knn(c) => c.predict(features),
-            AnyClassifier::Svm(c) => c.predict(features),
-            AnyClassifier::Tree(c) => c.predict(features),
-            AnyClassifier::Forest(c) => c.predict(features),
-            AnyClassifier::Mlp(c) => c.predict(features),
-        }
-    }
-}
-
-/// A trained material classifier: standardization + classifier + class
+/// A trained material classifier: standardization + decision tree + class
 /// mapping to [`Material`].
+#[derive(Debug)]
 pub struct MaterialIdentifier {
     scaler: StandardScaler,
-    classifier: AnyClassifier,
-}
-
-impl std::fmt::Debug for MaterialIdentifier {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let kind = match self.classifier {
-            AnyClassifier::Knn(_) => "knn",
-            AnyClassifier::Svm(_) => "svm",
-            AnyClassifier::Tree(_) => "decision-tree",
-            AnyClassifier::Forest(_) => "random-forest",
-            AnyClassifier::Mlp(_) => "mlp",
-        };
-        write!(f, "MaterialIdentifier({kind})")
-    }
+    tree: DecisionTree,
 }
 
 impl MaterialIdentifier {
@@ -253,28 +208,17 @@ impl MaterialIdentifier {
     ///
     /// # Panics
     ///
-    /// Panics if the dataset is empty (classifier-specific requirements —
-    /// e.g. the SVM needing two classes — also apply).
+    /// Panics if the dataset is empty.
     pub fn train(train: &Dataset, kind: &ClassifierKind) -> Self {
+        let ClassifierKind::DecisionTree(config) = kind;
         let scaler = StandardScaler::fit(train);
-        let scaled = scaler.transform_dataset(train);
-        let classifier = match kind {
-            ClassifierKind::Knn { k } => AnyClassifier::Knn(KnnClassifier::fit(&scaled, *k)),
-            ClassifierKind::Svm(cfg) => AnyClassifier::Svm(SvmClassifier::fit(&scaled, cfg)),
-            ClassifierKind::DecisionTree(cfg) => {
-                AnyClassifier::Tree(DecisionTree::fit(&scaled, cfg))
-            }
-            ClassifierKind::RandomForest(cfg) => {
-                AnyClassifier::Forest(RandomForest::fit(&scaled, cfg))
-            }
-            ClassifierKind::Mlp(cfg) => AnyClassifier::Mlp(MlpClassifier::fit(&scaled, cfg)),
-        };
-        MaterialIdentifier { scaler, classifier }
+        let tree = DecisionTree::fit(&scaler.transform_dataset(train), config);
+        MaterialIdentifier { scaler, tree }
     }
 
     /// Predicts a class index for a raw (unscaled) feature vector.
     pub fn predict_index(&self, features: &[f64]) -> usize {
-        self.classifier.predict(&self.scaler.transform(features))
+        self.tree.predict(&self.scaler.transform(features))
     }
 
     /// Identifies the material for a sensing pass's features.
@@ -428,43 +372,5 @@ mod tests {
         assert!((v[0] - 0.02).abs() < 1e-12); // rad/MHz scaling
         assert_eq!(v[1], -0.5);
         assert_eq!(&v[2..], &[0.1, 0.2]);
-    }
-
-    #[test]
-    fn identifier_trains_and_predicts_each_kind() {
-        // Tiny synthetic two-class problem in 3-D feature space.
-        let mut ds = Dataset::new(8);
-        for i in 0..30 {
-            let x = i as f64 / 30.0;
-            ds.push(vec![x, 1.0, 0.0], 0); // "wood"
-            ds.push(vec![x + 5.0, -1.0, 0.5], 3); // "metal"
-        }
-        for kind in [
-            ClassifierKind::Knn { k: 3 },
-            ClassifierKind::Svm(SvmConfig::default()),
-            ClassifierKind::paper_default(),
-            ClassifierKind::RandomForest(ForestConfig { trees: 9, ..Default::default() }),
-            ClassifierKind::Mlp(MlpConfig { epochs: 50, ..Default::default() }),
-        ] {
-            let id = MaterialIdentifier::train(&ds, &kind);
-            assert_eq!(
-                id.identify(&MaterialFeatures {
-                    kt_material: 0.1e-6,
-                    bt_material: 1.0,
-                    theta_material: vec![0.0],
-                }),
-                Material::Wood,
-                "{kind:?}"
-            );
-            assert_eq!(
-                id.identify(&MaterialFeatures {
-                    kt_material: 5.2e-6,
-                    bt_material: -1.0,
-                    theta_material: vec![0.5],
-                }),
-                Material::Metal,
-                "{kind:?}"
-            );
-        }
     }
 }

@@ -13,20 +13,13 @@
 //! multi-start over the working region × orientation grid followed by
 //! Levenberg–Marquardt refinement finds the global optimum reliably.
 //!
-//! One LM engine, [`LmCore`], refines every start, along one of two
-//! Jacobian paths that share its damping/retry policy:
-//!
-//! * [`LmCore::refine`] — the default hot path. The residuals of Eq. 6
-//!   are closed-form differentiable, so each iteration evaluates the
-//!   residuals *and* the exact Jacobian in one fused pass (DESIGN.md §6
-//!   derives ∂r/∂p) and solves the SPD normal equations
-//!   `(JᵀJ + λD)δ = −Jᵀr` by Cholesky, re-damping only the diagonal across
-//!   the λ-adaptation retries of an iteration.
-//! * [`LmCore::refine_numeric`] — the numeric fallback and test oracle:
-//!   central-difference Jacobian (2 residual sweeps per parameter per
-//!   iteration) with per-parameter step scales, MINPACK style, selected
-//!   with [`JacobianMode::Numeric`]. Parameter magnitudes differ wildly
-//!   (`k_t` ~1e-8 rad/Hz vs `x` ~1 m), hence the per-parameter steps.
+//! One LM engine, [`LmCore`], refines every start through
+//! [`LmCore::refine`]. The residuals of Eq. 6 are closed-form
+//! differentiable, so each iteration evaluates the residuals *and* the
+//! exact Jacobian in one fused pass (DESIGN.md §6 derives ∂r/∂p) and
+//! solves the SPD normal equations `(JᵀJ + λD)δ = −Jᵀr` by Cholesky,
+//! re-damping only the diagonal across the λ-adaptation retries of an
+//! iteration.
 //!
 //! [`SolveSeeds`] additionally precomputes per-scene geometry (per-seed
 //! per-antenna slopes, per-α-seed orientation/projection tables) once, so
@@ -55,9 +48,9 @@
 //! kernels, the scan directions, the admissibility test and the estimate
 //! assembly. Every refinement runs on [`LmCore`] (`LmCore<5>`/`LmCore<3>`
 //! in 2-D, `LmCore<7>`/`LmCore<4>` in 3-D) through a [`ResidualModel`];
-//! the pre-refactor solvers are frozen verbatim in [`crate::reference`]
-//! as the bit-exact oracle the facade is pinned against (see DESIGN.md
-//! §6).
+//! the pre-refactor solvers are frozen verbatim in the dev-only
+//! `rfp-oracle` crate (`rfp_oracle::solver`) as the bit-exact oracle the
+//! facade is pinned against (see DESIGN.md §6).
 
 use crate::lm::{LaneStats, LmCore, ResidualModel, StepStats};
 use crate::model::AntennaObservation;
@@ -65,19 +58,6 @@ use crate::obs;
 use rfp_geom::{angle, AntennaPose, Region2, Vec2, Vec3};
 use rfp_phys::polarization::{orientation_phase, planar_dipole, projection_magnitude};
 use rfp_phys::propagation;
-
-/// How the LM refinements obtain the Jacobian of the residuals.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum JacobianMode {
-    /// Closed-form ∂r/∂p (DESIGN.md §6), evaluated fused with the
-    /// residuals, normal equations solved by Cholesky — the default.
-    #[default]
-    Analytic,
-    /// Central-difference Jacobian through [`LmCore::refine_numeric`] —
-    /// the config-selectable fallback and the oracle the analytic path is
-    /// verified against in tests.
-    Numeric,
-}
 
 /// Work counters of the LM cores, for profiling (see the `solver_profile`
 /// bench). Counters accumulate monotonically per workspace; snapshot them
@@ -174,10 +154,6 @@ pub(crate) trait SceneDim<const J: usize, const S: usize> {
     /// Scan directions per stage-1 candidate that receive a joint
     /// refinement.
     const SHORTLIST: usize;
-    /// Central-difference steps of the numeric joint refinement.
-    const JOINT_STEPS: [f64; J];
-    /// Central-difference steps of the numeric stage-1 refinement.
-    const SLOPE_STEPS: [f64; S];
     /// Span names of the solve and of its orientation scan.
     const SPANS: (&'static str, &'static str);
     /// Obs counter ids of (solves, iterations, residual evals, Jacobian
@@ -238,7 +214,6 @@ pub(crate) struct Knobs {
     pub(crate) max_iterations: usize,
     pub(crate) tolerance: f64,
     pub(crate) rssi_sigma_db: f64,
-    pub(crate) jacobian: JacobianMode,
     pub(crate) refine_top_k: Option<usize>,
     pub(crate) early_exit_rel_tol: f64,
     pub(crate) warm_gate_rel_tol: f64,
@@ -472,8 +447,6 @@ struct ScanRows {
 #[derive(Debug, Default)]
 pub(crate) struct UncertScratch {
     r: Vec<f64>,
-    r_minus: Vec<f64>,
-    work: Vec<f64>,
     jac: Vec<f64>,
     jtj: Vec<f64>,
     cov: Vec<f64>,
@@ -541,9 +514,6 @@ pub struct SolverConfig {
     /// pattern (`20·log10` of the dipole projection) breaks the tie. Set to
     /// `f64::INFINITY` to disable and rank by phase cost alone.
     pub rssi_sigma_db: f64,
-    /// Jacobian mode of the LM refinements: closed-form (default) or the
-    /// central-difference fallback (see [`JacobianMode`]).
-    pub jacobian: JacobianMode,
     /// Stage-1 beam width of the coarse-to-fine scan: only the
     /// `refine_top_k` position seeds with the lowest *unrefined* slope
     /// cost receive LM refinement. `None` refines every seed; combined
@@ -574,7 +544,6 @@ impl Default for SolverConfig {
             max_iterations: 60,
             tolerance: 1e-10,
             rssi_sigma_db: 1.0,
-            jacobian: JacobianMode::Analytic,
             refine_top_k: Some(8),
             early_exit_rel_tol: 0.5,
             warm_gate_rel_tol: 0.25,
@@ -952,7 +921,8 @@ fn search<D: SceneDim<J, S>, const J: usize, const S: usize>(
     // stale basin's key is far above it and falls through to the scan.
     if let Some(w) = warm {
         let _warm_span = obs::span("warm_start");
-        let (p, cost) = refine(joint, &joint_model, D::warm_params(w), &D::JOINT_STEPS, &knobs);
+        let (p, cost) =
+            joint.refine(&joint_model, D::warm_params(w), knobs.max_iterations, knobs.tolerance);
         let key = cost + mode_penalty::<D, J, S>(observations, &p, knobs.rssi_sigma_db);
         let in_region = admissible(&p);
         let gate_ok = |floor: f64| key <= floor * (1.0 + knobs.warm_gate_rel_tol) + 1e-9;
@@ -976,7 +946,7 @@ fn search<D: SceneDim<J, S>, const J: usize, const S: usize>(
             }
             let (_, best_seed, best_kt) = coarse[0];
             let p0 = slope_seed(seeds.position_starts[best_seed], best_kt);
-            let (sp, _) = refine(slope, &slope_model, p0, &D::SLOPE_STEPS, &knobs);
+            let (sp, _) = slope.refine(&slope_model, p0, knobs.max_iterations, knobs.tolerance);
             seeds_refined += 1;
             scan(observations, geometry, &seeds.dim, &knobs, &sp, rows, ranked);
             let floor = ranked.first().map_or(f64::INFINITY, |&(_, _, c)| c);
@@ -1010,7 +980,7 @@ fn search<D: SceneDim<J, S>, const J: usize, const S: usize>(
         for (s, &seed_pos) in seeds.position_starts.iter().enumerate() {
             let kt0 = seed_kt(observations, geometry, s, seed_pos);
             let p0 = slope_seed(seed_pos, kt0);
-            let (p, cost) = refine(slope, &slope_model, p0, &D::SLOPE_STEPS, &knobs);
+            let (p, cost) = slope.refine(&slope_model, p0, knobs.max_iterations, knobs.tolerance);
             position_candidates.push((p, cost, s));
         }
     } else {
@@ -1030,7 +1000,7 @@ fn search<D: SceneDim<J, S>, const J: usize, const S: usize>(
                 break;
             }
             let p0 = slope_seed(seeds.position_starts[s], kt0);
-            let (p, cost) = refine(slope, &slope_model, p0, &D::SLOPE_STEPS, &knobs);
+            let (p, cost) = slope.refine(&slope_model, p0, knobs.max_iterations, knobs.tolerance);
             best_refined = best_refined.min(cost);
             position_candidates.push((p, cost, s));
         }
@@ -1092,7 +1062,7 @@ fn search<D: SceneDim<J, S>, const J: usize, const S: usize>(
                 }
             }
             let p0 = seeds.dim.joint_seed(&c, dir, bt0);
-            let (p, cost) = refine(joint, &joint_model, p0, &D::JOINT_STEPS, &knobs);
+            let (p, cost) = joint.refine(&joint_model, p0, knobs.max_iterations, knobs.tolerance);
             let key = cost + mode_penalty::<D, J, S>(observations, &p, knobs.rssi_sigma_db);
             let idx = refined.len();
             if admissible(&p) && best_inside.is_none_or(|(_, k)| key < k) {
@@ -1338,24 +1308,6 @@ fn scan<D: SceneDim<J, S>, const J: usize, const S: usize>(
     });
 }
 
-/// One LM refinement through the dimension-generic core, dispatched on the
-/// configured [`JacobianMode`]; `steps` are the numeric path's
-/// central-difference steps.
-fn refine<const P: usize>(
-    core: &mut LmCore<P>,
-    model: &impl ResidualModel<P>,
-    p0: [f64; P],
-    steps: &[f64; P],
-    knobs: &Knobs,
-) -> ([f64; P], f64) {
-    match knobs.jacobian {
-        JacobianMode::Analytic => core.refine(model, p0, knobs.max_iterations, knobs.tolerance),
-        JacobianMode::Numeric => {
-            core.refine_numeric(model, p0, steps, knobs.max_iterations, knobs.tolerance)
-        }
-    }
-}
-
 /// The joint disentangling problem of scene dimension `D` as a
 /// [`ResidualModel`].
 struct JointRows<'a, D: SceneDim<J, S>, const J: usize, const S: usize> {
@@ -1479,10 +1431,6 @@ fn rssi_penalty_hoisted(
     variance / (sigma_db * sigma_db)
 }
 
-/// Finite-difference steps of the numeric-fallback joint solve:
-/// x (m), y (m), α (rad), k_t (rad/Hz), b_t (rad).
-const JOINT_STEPS_2D: [f64; 5] = [1e-4, 1e-4, 1e-4, 1e-13, 1e-4];
-
 impl SceneDim<5, 3> for Planar {
     type Config = SolverConfig;
     type Warm = WarmStart;
@@ -1492,9 +1440,6 @@ impl SceneDim<5, 3> for Planar {
     const STAGE1_KEEP: usize = 2;
     const STAGE1_DEDUP_M: f64 = 0.0;
     const SHORTLIST: usize = 4;
-    const JOINT_STEPS: [f64; 5] = JOINT_STEPS_2D;
-    /// x (m), y (m), k_t (rad/Hz).
-    const SLOPE_STEPS: [f64; 3] = [1e-4, 1e-4, 1e-13];
     const SPANS: (&'static str, &'static str) = ("solve_2d", "alpha_scan");
     const COUNTERS: [usize; 4] = [
         obs::id::SOLVER2D_SOLVES,
@@ -1510,7 +1455,6 @@ impl SceneDim<5, 3> for Planar {
             max_iterations: c.max_iterations,
             tolerance: c.tolerance,
             rssi_sigma_db: c.rssi_sigma_db,
-            jacobian: c.jacobian,
             refine_top_k: c.refine_top_k,
             early_exit_rel_tol: c.early_exit_rel_tol,
             warm_gate_rel_tol: c.warm_gate_rel_tol,
@@ -1592,11 +1536,11 @@ impl SceneDim<5, 3> for Planar {
 }
 
 /// Gauss–Newton covariance at the solution: `(JᵀJ)⁻¹` of the
-/// sigma-normalized residuals, with the Jacobian evaluated per the
-/// configured [`JacobianMode`]. `JᵀJ` is factored by Cholesky **once**
-/// and each covariance column obtained by back-substituting one unit
-/// right-hand side. Returns `(position σ, orientation σ, position 2×2
-/// covariance)`; infinities when the curvature is singular.
+/// sigma-normalized residuals at the analytic Jacobian. `JᵀJ` is factored
+/// by Cholesky **once** and each covariance column obtained by
+/// back-substituting one unit right-hand side. Returns `(position σ,
+/// orientation σ, position 2×2 covariance)`; infinities when the curvature
+/// is singular.
 // Index loops mirror the matrix math; iterator forms obscure the kernels.
 #[allow(clippy::needless_range_loop)]
 fn estimate_uncertainty(
@@ -1606,32 +1550,8 @@ fn estimate_uncertainty(
     scratch: &mut UncertScratch,
 ) -> (f64, f64, [[f64; 2]; 2]) {
     let n = p.len();
-    let UncertScratch { r, r_minus, work, jac, jtj, cov, e } = scratch;
-    jac.clear();
-    match config.jacobian {
-        JacobianMode::Analytic => {
-            residuals_and_jacobian_2d(observations, p, config, r, Some(jac));
-        }
-        JacobianMode::Numeric => {
-            // Central differences with the same steps as the numeric core.
-            residuals_2d(observations, p, config, r);
-            let m = r.len();
-            jac.resize(m * n, 0.0);
-            work.clear();
-            work.extend_from_slice(p);
-            for j in 0..n {
-                let h = JOINT_STEPS_2D[j];
-                work[j] = p[j] + h;
-                residuals_2d(observations, work, config, r);
-                work[j] = p[j] - h;
-                residuals_2d(observations, work, config, r_minus);
-                work[j] = p[j];
-                for i in 0..m {
-                    jac[i * n + j] = (r[i] - r_minus[i]) / (2.0 * h);
-                }
-            }
-        }
-    }
+    let UncertScratch { r, jac, jtj, cov, e } = scratch;
+    residuals_and_jacobian_2d(observations, p, config, r, Some(jac));
     let m = jac.len() / n;
     jtj.clear();
     jtj.resize(n * n, 0.0);
@@ -2089,13 +2009,15 @@ mod tests {
         let mut r = Vec::new();
         let mut jac = Vec::new();
         residuals_and_jacobian_2d(&obs, &p, &config, &mut r, Some(&mut jac));
+        // Central-difference steps: x, y (m), α (rad), k_t (rad/Hz), b_t (rad).
+        let steps = [1e-4, 1e-4, 1e-4, 1e-13, 1e-4];
         let n = 5;
         let m = r.len();
         let mut r_plus = Vec::new();
         let mut r_minus = Vec::new();
         let mut work = p.to_vec();
         for j in 0..n {
-            let h = JOINT_STEPS_2D[j];
+            let h = steps[j];
             work[j] = p[j] + h;
             residuals_2d(&obs, &work, &config, &mut r_plus);
             work[j] = p[j] - h;
@@ -2111,47 +2033,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn numeric_fallback_converges_to_analytic_result() {
-        let poses = Scene::standard_2d().antenna_poses();
-        let truth_pos = Vec2::new(0.7, 1.9);
-        let obs = synthetic_observations(&poses, (truth_pos, 1.1, -2.0e-8, 2.4));
-        let analytic = solve_2d(&obs, region(), &SolverConfig::default()).unwrap();
-        let numeric_cfg =
-            SolverConfig { jacobian: JacobianMode::Numeric, ..SolverConfig::default() };
-        let numeric = solve_2d(&obs, region(), &numeric_cfg).unwrap();
-        // On a clean synthetic scene both modes must land on the same
-        // optimum — the exact truth — to well below a nanometre.
-        assert!(analytic.position.distance(numeric.position) < 1e-9);
-        assert!((analytic.orientation - numeric.orientation).abs() < 1e-9);
-        assert!((analytic.kt - numeric.kt).abs() < 1e-15);
-        assert!(angle::distance(analytic.bt, numeric.bt) < 1e-9);
-        assert!(analytic.position.distance(truth_pos) < 1e-9);
-        assert!(numeric.position.distance(truth_pos) < 1e-9);
-    }
-
-    #[test]
-    fn analytic_path_needs_far_fewer_residual_evaluations() {
-        let poses = Scene::standard_2d().antenna_poses();
-        let obs = synthetic_observations(&poses, (Vec2::new(0.5, 1.5), 0.6, -1e-8, 1.0));
-        let config = SolverConfig::default();
-        let seeds = SolveSeeds::for_scene(region(), &config, &poses);
-        let mut ws = SolverWorkspace::default();
-        solve_2d_seeded_warm(&obs, &seeds, &config, &mut ws, None).unwrap();
-        let analytic = ws.stats();
-        let numeric_cfg =
-            SolverConfig { jacobian: JacobianMode::Numeric, ..SolverConfig::default() };
-        solve_2d_seeded_warm(&obs, &seeds, &numeric_cfg, &mut ws, None).unwrap();
-        let numeric = ws.stats().since(analytic);
-        assert!(analytic.residual_evals > 0 && numeric.residual_evals > 0);
-        assert!(
-            analytic.residual_evals * 2 <= numeric.residual_evals,
-            "analytic {} evals vs numeric {}",
-            analytic.residual_evals,
-            numeric.residual_evals
-        );
     }
 
     #[test]

@@ -14,14 +14,12 @@
 //! ([`Spatial`]): the residual kernels with the analytic Jacobian of
 //! DESIGN.md §6 (spherical-angle dipole parameterization), the θ/φ ring
 //! scan over the dipole half-sphere, the admissible volume and the
-//! estimate assembly. The pre-refactor solver is frozen verbatim in
-//! [`crate::reference`] as the bit-identity oracle.
+//! estimate assembly. The pre-refactor solver is frozen verbatim in the
+//! dev-only `rfp-oracle` crate as the bit-identity oracle.
 
 use crate::model::AntennaObservation;
 use crate::obs;
-use crate::solver::{
-    solve, with_geometry, JacobianMode, Knobs, SceneDim, Seeds, UncertScratch, Workspace,
-};
+use crate::solver::{solve, with_geometry, Knobs, SceneDim, Seeds, UncertScratch, Workspace};
 use rfp_geom::{angle, AntennaPose, Region2, Vec3};
 use rfp_phys::propagation;
 
@@ -49,9 +47,6 @@ pub struct Solver3DConfig {
     /// [`SolverConfig::rssi_sigma_db`](crate::solver::SolverConfig)).
     /// `f64::INFINITY` disables the penalty.
     pub rssi_sigma_db: f64,
-    /// Jacobian mode of the LM refinements: closed-form (default) or the
-    /// central-difference fallback (see [`JacobianMode`]).
-    pub jacobian: JacobianMode,
     /// Stage-1 beam width of the coarse-to-fine scan (see
     /// [`SolverConfig::refine_top_k`](crate::solver::SolverConfig)); `None`
     /// refines every `(x, y, z)` seed.
@@ -77,7 +72,6 @@ impl Default for Solver3DConfig {
             max_iterations: 80,
             tolerance: 1e-10,
             rssi_sigma_db: 1.0,
-            jacobian: JacobianMode::Analytic,
             refine_top_k: Some(16),
             early_exit_rel_tol: 0.5,
             warm_gate_rel_tol: 0.25,
@@ -438,10 +432,6 @@ fn slope_row_3d(
     }
 }
 
-/// Finite-difference steps of the numeric-fallback joint solve:
-/// x, y, z (m), θ, φ (rad), k_t (rad/Hz), b_t (rad).
-const JOINT_STEPS_3D: [f64; 7] = [1e-4, 1e-4, 1e-4, 1e-4, 1e-4, 1e-13, 1e-4];
-
 /// Solves the 3-D disentangling problem over the `region × z_range` box.
 ///
 /// # Errors
@@ -488,9 +478,6 @@ impl SceneDim<7, 4> for Spatial {
     const STAGE1_KEEP: usize = 6;
     const STAGE1_DEDUP_M: f64 = 0.10;
     const SHORTLIST: usize = 3;
-    const JOINT_STEPS: [f64; 7] = JOINT_STEPS_3D;
-    /// x, y, z (m), k_t (rad/Hz).
-    const SLOPE_STEPS: [f64; 4] = [1e-4, 1e-4, 1e-4, 1e-13];
     const SPANS: (&'static str, &'static str) = ("solve_3d", "dipole_scan");
     const COUNTERS: [usize; 4] = [
         obs::id::SOLVER3D_SOLVES,
@@ -506,7 +493,6 @@ impl SceneDim<7, 4> for Spatial {
             max_iterations: c.max_iterations,
             tolerance: c.tolerance,
             rssi_sigma_db: c.rssi_sigma_db,
-            jacobian: c.jacobian,
             refine_top_k: c.refine_top_k,
             early_exit_rel_tol: c.early_exit_rel_tol,
             warm_gate_rel_tol: c.warm_gate_rel_tol,
@@ -689,13 +675,16 @@ mod tests {
         let mut r = Vec::new();
         let mut jac = Vec::new();
         residuals_and_jacobian_3d(&obs, &p, &config, &mut r, Some(&mut jac));
+        // Central-difference steps: x, y, z (m), θ, φ (rad), k_t (rad/Hz),
+        // b_t (rad).
+        let steps = [1e-4, 1e-4, 1e-4, 1e-4, 1e-4, 1e-13, 1e-4];
         let n = 7;
         let m = r.len();
         let mut r_plus = Vec::new();
         let mut r_minus = Vec::new();
         let mut work = p.to_vec();
         for j in 0..n {
-            let h = JOINT_STEPS_3D[j];
+            let h = steps[j];
             work[j] = p[j] + h;
             residuals_3d(&obs, &work, &config, &mut r_plus);
             work[j] = p[j] - h;
@@ -711,25 +700,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn numeric_fallback_3d_converges_to_analytic_result() {
-        let scene = Scene::four_antenna_3d()
-            .with_noise(NoiseModel::clean())
-            .with_reader(ReaderConfig::ideal());
-        let truth = Vec3::new(0.4, 1.7, 0.6);
-        let dipole = Vec3::new(0.5, 0.6, 0.8).normalized();
-        let obs = observations_3d(&scene, truth, dipole, 5);
-        let analytic =
-            solve_3d(&obs, scene.region(), (0.0, 1.0), &Solver3DConfig::default()).unwrap();
-        let numeric_cfg =
-            Solver3DConfig { jacobian: JacobianMode::Numeric, ..Solver3DConfig::default() };
-        let numeric = solve_3d(&obs, scene.region(), (0.0, 1.0), &numeric_cfg).unwrap();
-        assert!(analytic.position.distance(numeric.position) < 1e-6);
-        assert!(analytic.dipole_axis_error(numeric.dipole) < 1e-6);
-        assert!((analytic.kt - numeric.kt).abs() < 1e-13);
-        assert!(angle::distance(analytic.bt, numeric.bt) < 1e-6);
     }
 
     #[test]

@@ -11,12 +11,10 @@
 use rfp_core::model::{extract_observation, AntennaObservation, ExtractConfig};
 use rfp_dsp::preprocess::{preprocess_reads_with, PreprocessConfig};
 use rfp_dsp::FrontEndWorkspace;
-use rfp_core::reference::{
-    levenberg_marquardt_analytic_with, levenberg_marquardt_with, LmWorkspace,
-};
 use rfp_core::solver::{residuals_2d, residuals_and_jacobian_2d, SolverConfig};
 use rfp_core::{RfPrism, SenseWorkspace, WarmStart};
 use rfp_geom::Vec2;
+use rfp_oracle::solver::{levenberg_marquardt_analytic_with, levenberg_marquardt_with, LmWorkspace};
 use rfp_sim::{Motion, Scene, SimTag};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;

@@ -197,27 +197,6 @@ fn batch_3d_matches_sequential() {
     }
 }
 
-#[test]
-fn numeric_fallback_batch_matches_sequential() {
-    use rfp_core::{JacobianMode, RfPrismConfig, SolverConfig};
-    let scene = Scene::standard_2d();
-    let config = RfPrismConfig {
-        solver: SolverConfig { jacobian: JacobianMode::Numeric, ..SolverConfig::default() },
-        ..RfPrismConfig::paper()
-    };
-    let prism = RfPrism::new(scene.antenna_poses(), scene.reader().plan)
-        .with_region(scene.region())
-        .with_config(config);
-    let tags = random_tag_reads(&scene, 12, 17);
-    let sequential: Vec<_> = tags.iter().map(|reads| prism.sense(reads)).collect();
-    for jobs in [1, 2, 8] {
-        let batch = prism.sense_batch(&tags, jobs);
-        for (i, (b, s)) in batch.iter().zip(&sequential).enumerate() {
-            assert_identical(b, s, i);
-        }
-    }
-}
-
 /// Quantized (R420) reads carry phase codes, so the batch engine's
 /// workers take the table lookups — and because a lookup is
 /// bit-identical to libm, a batch over coded reads must reproduce the

@@ -2,27 +2,34 @@
 //!
 //! The 2-D (`LmCore<5>`/`LmCore<3>`) and 3-D (`LmCore<7>`/`LmCore<4>`)
 //! solver facades must reproduce the frozen pre-refactor solvers in
-//! `rfp_core::reference` bit-for-bit — same refinements, same sort
+//! `rfp_oracle::solver` bit-for-bit — same refinements, same sort
 //! orders, same warm-gate decisions, same final estimate down to the last
 //! ulp. Every configuration axis gets a pin: exhaustive vs pruned scans,
-//! analytic vs numeric Jacobians, RSSI penalty on/off, geometry tables vs
-//! direct evaluation, and warm starts both fresh (gate hit) and
-//! teleported-stale (gate miss fallback).
+//! RSSI penalty on/off, geometry tables vs direct evaluation, and warm
+//! starts both fresh (gate hit) and teleported-stale (gate miss
+//! fallback). The oracle builds its own seeds, so every pin also checks
+//! the facade's seed construction against an independent copy. Below the
+//! facades, `LmCore`'s analytic and numeric refinements are pinned
+//! against the oracle's two dynamic LM cores, on the same model as its
+//! lane-tally check.
 
 use proptest::prelude::*;
+use rfp_core::lm::{LmCore, ResidualModel};
 use rfp_core::model::{extract_observation, AntennaObservation, ExtractConfig};
-use rfp_core::reference::{
-    solve_2d_reference, solve_3d_reference, Reference2DWorkspace, Reference3DWorkspace,
-};
 use rfp_core::solver::{
-    solve_2d_seeded_warm, solve_2d_tracking_warm, JacobianMode, SolveSeeds, SolverConfig,
-    SolverWorkspace, TagEstimate2D, WarmGate, WarmStart,
+    solve_2d_seeded_warm, solve_2d_tracking_warm, SolveSeeds, SolverConfig, SolverWorkspace,
+    TagEstimate2D, WarmGate, WarmStart,
 };
 use rfp_core::solver3d::{
     solve_3d_seeded_warm, Solve3DSeeds, Solver3DConfig, Solver3DWorkspace, TagEstimate3D,
     WarmStart3D,
 };
 use rfp_geom::{Vec2, Vec3};
+use rfp_oracle::solver::{
+    levenberg_marquardt_analytic_with, levenberg_marquardt_with, solve_2d_reference,
+    solve_3d_reference, Jacobian, LmWorkspace, Reference2DSeeds, Reference2DWorkspace,
+    Reference3DSeeds, Reference3DWorkspace,
+};
 use rfp_phys::Material;
 use rfp_sim::{Motion, MultipathEnvironment, Scene, SimTag};
 
@@ -128,9 +135,9 @@ fn assert_bits_3d(facade: &TagEstimate3D, oracle: &TagEstimate3D, what: &str) {
     }
 }
 
-/// Runs facade and oracle against the same scene/config/warm input and
-/// pins the results bit-for-bit. `scene_seeds` controls whether the
-/// geometry tables are in play.
+/// Runs facade and oracle against the same scene/config/warm input, each
+/// with its own seeds, and pins the results bit-for-bit. `with_geometry`
+/// controls whether the geometry tables are in play.
 fn pin_2d(
     obs: &[AntennaObservation],
     scene: &Scene,
@@ -139,16 +146,21 @@ fn pin_2d(
     with_geometry: bool,
     what: &str,
 ) {
-    let seeds = if with_geometry {
-        SolveSeeds::for_scene(scene.region(), config, &scene.antenna_poses())
+    let (region, poses) = (scene.region(), scene.antenna_poses());
+    let (seeds, oracle_seeds) = if with_geometry {
+        (
+            SolveSeeds::for_scene(region, config, &poses),
+            Reference2DSeeds::for_scene(region, config, &poses),
+        )
     } else {
-        SolveSeeds::new(scene.region(), config)
+        (SolveSeeds::new(region, config), Reference2DSeeds::new(region, config))
     };
     let mut ws = SolverWorkspace::default();
     let facade = solve_2d_seeded_warm(obs, &seeds, config, &mut ws, warm).expect("solvable");
     let mut oracle_ws = Reference2DWorkspace::default();
     let oracle =
-        solve_2d_reference(obs, &seeds, config, &mut oracle_ws, warm).expect("solvable");
+        solve_2d_reference(obs, &oracle_seeds, config, Jacobian::Analytic, &mut oracle_ws, warm)
+            .expect("solvable");
     assert_bits_2d(&facade, &oracle, what);
 }
 
@@ -161,16 +173,21 @@ fn pin_3d(
     what: &str,
 ) {
     let z_range = (0.0, 1.0);
-    let seeds = if with_geometry {
-        Solve3DSeeds::for_scene(scene.region(), z_range, config, &scene.antenna_poses())
+    let (region, poses) = (scene.region(), scene.antenna_poses());
+    let (seeds, oracle_seeds) = if with_geometry {
+        (
+            Solve3DSeeds::for_scene(region, z_range, config, &poses),
+            Reference3DSeeds::for_scene(region, z_range, config, &poses),
+        )
     } else {
-        Solve3DSeeds::new(scene.region(), z_range, config)
+        (Solve3DSeeds::new(region, z_range, config), Reference3DSeeds::new(region, z_range, config))
     };
     let mut ws = Solver3DWorkspace::default();
     let facade = solve_3d_seeded_warm(obs, &seeds, config, &mut ws, warm).expect("solvable");
     let mut oracle_ws = Reference3DWorkspace::default();
     let oracle =
-        solve_3d_reference(obs, &seeds, config, &mut oracle_ws, warm).expect("solvable");
+        solve_3d_reference(obs, &oracle_seeds, config, Jacobian::Analytic, &mut oracle_ws, warm)
+            .expect("solvable");
     assert_bits_3d(&facade, &oracle, what);
 }
 
@@ -197,13 +214,6 @@ fn default_wide4_matches_reference_2d() {
 fn exhaustive_matches_reference_2d() {
     let (scene, obs) = scene_2d();
     pin_2d(&obs, &scene, &SolverConfig::exhaustive(), None, true, "exhaustive");
-}
-
-#[test]
-fn numeric_jacobian_matches_reference_2d() {
-    let (scene, obs) = scene_2d();
-    let config = SolverConfig { jacobian: JacobianMode::Numeric, ..SolverConfig::default() };
-    pin_2d(&obs, &scene, &config, None, true, "numeric Jacobian");
 }
 
 #[test]
@@ -250,17 +260,9 @@ fn teleported_warm_start_matches_reference_2d() {
 #[test]
 fn three_antenna_twin_alpha_matches_reference_2d() {
     let (scene, obs) = scene_2d();
-    let obs3 = &obs[..3];
-    let config = SolverConfig::default();
     // Geometry tables built for the full deployment do not match the
     // truncated observation set; both solvers must fall back identically.
-    let seeds = SolveSeeds::for_scene(scene.region(), &config, &scene.antenna_poses());
-    let mut ws = SolverWorkspace::default();
-    let facade = solve_2d_seeded_warm(obs3, &seeds, &config, &mut ws, None).expect("3 antennas");
-    let mut oracle_ws = Reference2DWorkspace::default();
-    let oracle =
-        solve_2d_reference(obs3, &seeds, &config, &mut oracle_ws, None).expect("3 antennas");
-    assert_bits_2d(&facade, &oracle, "twin-α with 3 antennas");
+    pin_2d(&obs[..3], &scene, &SolverConfig::default(), None, true, "twin-α with 3 antennas");
 }
 
 /// The tracking entry with a period-1 gate re-anchors every solve, which
@@ -281,9 +283,17 @@ fn tracking_gate_period_one_matches_reference_2d() {
         solve_2d_tracking_warm(&obs, &seeds, &config, &mut gated_ws, Some(&warm), &mut gate)
             .expect("solvable");
 
+    let oracle_seeds = Reference2DSeeds::for_scene(scene.region(), &config, &scene.antenna_poses());
     let mut oracle_ws = Reference2DWorkspace::default();
-    let oracle = solve_2d_reference(&obs, &seeds, &config, &mut oracle_ws, Some(&warm))
-        .expect("solvable");
+    let oracle = solve_2d_reference(
+        &obs,
+        &oracle_seeds,
+        &config,
+        Jacobian::Analytic,
+        &mut oracle_ws,
+        Some(&warm),
+    )
+    .expect("solvable");
     assert_bits_2d(&gated, &oracle, "tracking gate period 1");
 }
 
@@ -320,14 +330,6 @@ fn default_wide4_matches_reference_3d() {
 fn exhaustive_matches_reference_3d() {
     let (scene, obs) = scene_3d();
     pin_3d(&obs, &scene, &Solver3DConfig::exhaustive(), None, true, "exhaustive 3-D");
-}
-
-#[test]
-fn numeric_jacobian_matches_reference_3d() {
-    let (scene, obs) = scene_3d();
-    let config =
-        Solver3DConfig { jacobian: JacobianMode::Numeric, ..Solver3DConfig::default() };
-    pin_3d(&obs, &scene, &config, None, true, "numeric Jacobian 3-D");
 }
 
 #[test]
@@ -374,17 +376,8 @@ fn teleported_warm_start_matches_reference_3d() {
 #[test]
 fn four_antenna_fallback_matches_reference_3d() {
     let (scene, obs) = scene_3d();
-    let obs4 = &obs[..4];
     for config in [Solver3DConfig::default(), Solver3DConfig::exhaustive()] {
-        let seeds =
-            Solve3DSeeds::for_scene(scene.region(), (0.0, 1.0), &config, &scene.antenna_poses());
-        let mut ws = Solver3DWorkspace::default();
-        let facade =
-            solve_3d_seeded_warm(obs4, &seeds, &config, &mut ws, None).expect("4 antennas");
-        let mut oracle_ws = Reference3DWorkspace::default();
-        let oracle =
-            solve_3d_reference(obs4, &seeds, &config, &mut oracle_ws, None).expect("4 antennas");
-        assert_bits_3d(&facade, &oracle, "4 of 6 antennas");
+        pin_3d(&obs[..4], &scene, &config, None, true, "4 of 6 antennas");
     }
 }
 
@@ -407,6 +400,100 @@ fn dirty_workspace_reuse_is_bit_identical_3d() {
     solve_3d_seeded_warm(&obs_other, &seeds, &config, &mut dirty, None).expect("solvable");
     let reused = solve_3d_seeded_warm(&obs, &seeds, &config, &mut dirty, None).expect("solvable");
     assert_bits_3d(&reused, &clean, "dirty workspace reuse 3-D");
+}
+
+// ---------------------------------------------------------------------------
+// LM core pins and lane accounting
+// ---------------------------------------------------------------------------
+
+/// Fit y = a·x + b over 10 points — a tiny 2-parameter model whose
+/// analytic Jacobian is exact.
+struct Line {
+    data: Vec<(f64, f64)>,
+}
+
+impl ResidualModel<2> for Line {
+    fn eval(&self, p: &[f64; 2], r: &mut Vec<f64>, jac: Option<&mut Vec<f64>>) {
+        r.clear();
+        let mut jac = jac;
+        if let Some(j) = jac.as_deref_mut() {
+            j.clear();
+        }
+        for &(x, y) in &self.data {
+            r.push(y - (p[0] * x + p[1]));
+            if let Some(j) = jac.as_deref_mut() {
+                j.push(-x);
+                j.push(-1.0);
+            }
+        }
+    }
+}
+
+fn line_model() -> Line {
+    Line { data: (0..10).map(|i| (i as f64, 2.0 * i as f64 - 3.0)).collect() }
+}
+
+#[test]
+fn analytic_refine_matches_dynamic_core_bitwise() {
+    let model = line_model();
+    let mut core = LmCore::<2>::default();
+    let (p, cost) = core.refine(&model, [0.0, 0.0], 100, 1e-14);
+
+    let mut ws = LmWorkspace::default();
+    let resjac = |p: &[f64], r: &mut Vec<f64>, jac: Option<&mut Vec<f64>>| {
+        let pa = [p[0], p[1]];
+        model.eval(&pa, r, jac);
+    };
+    let (pd, costd) =
+        levenberg_marquardt_analytic_with(&mut ws, &resjac, vec![0.0, 0.0], 100, 1e-14);
+    assert_eq!(p[0].to_bits(), pd[0].to_bits());
+    assert_eq!(p[1].to_bits(), pd[1].to_bits());
+    assert_eq!(cost.to_bits(), costd.to_bits());
+    assert!((p[0] - 2.0).abs() < 1e-8 && (p[1] + 3.0).abs() < 1e-8);
+    // Identical work accounting, too.
+    assert_eq!(core.stats(), ws.stats());
+}
+
+#[test]
+fn numeric_refine_matches_dynamic_core_bitwise() {
+    let model = line_model();
+    let mut core = LmCore::<2>::default();
+    let steps = [1e-5, 1e-5];
+    let (p, cost) = core.refine_numeric(&model, [0.0, 0.0], &steps, 100, 1e-14);
+
+    let mut ws = LmWorkspace::default();
+    let residual = |p: &[f64], out: &mut Vec<f64>| {
+        let pa = [p[0], p[1]];
+        model.eval(&pa, out, None);
+    };
+    let (pd, costd) = levenberg_marquardt_with(
+        &mut ws,
+        &residual,
+        vec![0.0, 0.0],
+        &steps,
+        100,
+        1e-14,
+    );
+    assert_eq!(p[0].to_bits(), pd[0].to_bits());
+    assert_eq!(p[1].to_bits(), pd[1].to_bits());
+    assert_eq!(cost.to_bits(), costd.to_bits());
+    assert_eq!(core.stats(), ws.stats());
+}
+
+#[test]
+fn lane_tallies_count_blocks_and_remainders() {
+    let model = line_model();
+    let mut core = LmCore::<2>::default();
+    core.refine(&model, [0.0, 0.0], 100, 1e-14);
+    let lanes = core.lane_stats();
+    // 10 rows per pass → 2 full blocks + 2 scalar rows each.
+    assert!(lanes.row_blocks > 0);
+    assert_eq!(lanes.scalar_rows, lanes.row_blocks);
+    // Every model evaluation and every normal-equation assembly (one
+    // per iteration) is one 10-row pass.
+    let stats = core.stats();
+    let passes = stats.residual_evals + stats.iterations;
+    assert_eq!(4 * lanes.row_blocks + lanes.scalar_rows, 10 * passes);
 }
 
 // ---------------------------------------------------------------------------

@@ -31,8 +31,10 @@
 //!   ([`FrontEndWorkspace`], [`FitWorkspace`]) that make the whole front
 //!   end allocation-free in steady state; the `*_with` kernel variants in
 //!   [`preprocess`], [`linfit`] and [`robust`] run against them.
-//! * [`mod@reference`] — the pre-optimization allocating implementations,
-//!   frozen verbatim as the benchmark baseline and property-test oracle.
+//!
+//! The pre-optimization allocating implementations are frozen verbatim
+//! in the dev-only `rfp-oracle` crate (`rfp_oracle::frontend`), the
+//! benchmark baseline and property-test oracle of these kernels.
 //!
 //! # Example: from noisy wrapped samples to a fitted line
 //!
@@ -53,7 +55,6 @@
 
 pub mod linfit;
 pub mod preprocess;
-pub mod reference;
 pub mod robust;
 pub mod stats;
 pub mod streaming;
@@ -65,8 +66,8 @@ pub use preprocess::{
     preprocess_reads, preprocess_reads_with, ChannelObservation, PreprocessConfig, RawRead,
 };
 pub use robust::{
-    huber_line_fit, huber_line_fit_with, robust_line_fit, robust_line_fit_with,
-    robust_line_fit_with_sensitivity, RobustFit, RobustFitConfig, RobustSummary,
+    robust_line_fit, robust_line_fit_with, robust_line_fit_with_sensitivity, RobustFit,
+    RobustFitConfig, RobustSummary,
 };
 pub use streaming::{
     StreamExtract, StreamingConfig, StreamingError, StreamingStats, StreamingWindow,

@@ -379,31 +379,4 @@ mod tests {
         let mut buf = [0.0; 3];
         fit.residuals_into(&[0.0, 1.0], &[1.0, 3.0], &mut buf);
     }
-
-    #[test]
-    fn streaming_fits_are_bit_identical_to_reference() {
-        let xs: Vec<f64> = (0..37).map(|i| 9.02e8 + 5e5 * i as f64).collect();
-        let ys: Vec<f64> =
-            xs.iter().enumerate().map(|(i, x)| 1.3e-8 * x + ((i * 31 % 7) as f64) * 0.01).collect();
-        assert_eq!(ols(&xs, &ys).unwrap(), crate::reference::ols(&xs, &ys).unwrap());
-        assert_eq!(
-            theil_sen(&xs, &ys).unwrap(),
-            crate::reference::theil_sen(&xs, &ys).unwrap()
-        );
-        let w: Vec<f64> = (0..xs.len()).map(|i| 1.0 + (i % 3) as f64).collect();
-        assert_eq!(
-            weighted_ols(&xs, &ys, &w).unwrap(),
-            crate::reference::weighted_ols(&xs, &ys, &w).unwrap()
-        );
-        // Workspace kernel == allocating API, buffers reused across calls.
-        let mut ws = FitWorkspace::default();
-        for rep in 0..3 {
-            let shift = rep as f64 * 0.25;
-            let ys2: Vec<f64> = ys.iter().map(|y| y + shift).collect();
-            assert_eq!(
-                theil_sen_with(&mut ws, &xs, &ys2).unwrap(),
-                theil_sen(&xs, &ys2).unwrap()
-            );
-        }
-    }
 }

@@ -604,30 +604,4 @@ mod tests {
             .unwrap();
         assert_eq!(ws.trig_hits(), [2, 2]);
     }
-
-    /// Reads of three channels interleaved so consecutive reads keep
-    /// revisiting the same slot, with an odd read count: bit-identical
-    /// to the frozen reference in both π-jump modes.
-    #[test]
-    fn interleaved_channels_are_bit_identical_to_reference() {
-        let mut reads = Vec::new();
-        for k in 0..7usize {
-            for c in 0..3usize {
-                reads.push(read(c, 0.4 + 1.3 * c as f64 + 0.01 * k as f64
-                    + if (k + c) % 2 == 0 { PI } else { 0.0 }));
-            }
-        }
-        for &pi_jumps in &[true, false] {
-            let cfg = PreprocessConfig { correct_pi_jumps: pi_jumps, ..Default::default() };
-            let fused = preprocess_reads(&reads, &cfg).unwrap();
-            let reference = crate::reference::preprocess_reads(&reads, &cfg).unwrap();
-            assert_eq!(fused.len(), reference.len(), "pi_jumps={pi_jumps}");
-            for (f, r) in fused.iter().zip(&reference) {
-                assert_eq!(f.channel, r.channel);
-                assert_eq!(f.phase.to_bits(), r.phase.to_bits(), "pi_jumps={pi_jumps}");
-                assert_eq!(f.phase_spread.to_bits(), r.phase_spread.to_bits());
-                assert_eq!(f.rssi_dbm.to_bits(), r.rssi_dbm.to_bits());
-            }
-        }
-    }
 }

@@ -15,10 +15,9 @@
 //!
 //! * [`FitWorkspace`] — scratch for the line-fitting kernels
 //!   ([`theil_sen_with`](crate::linfit::theil_sen_with),
-//!   [`robust_line_fit_with`](crate::robust::robust_line_fit_with),
-//!   [`huber_line_fit_with`](crate::robust::huber_line_fit_with)):
-//!   residual/rank/inlier columns, a median selection scratch, a Theil–Sen
-//!   slope buffer and a Huber weight column.
+//!   [`robust_line_fit_with`](crate::robust::robust_line_fit_with)):
+//!   residual/rank/inlier columns, a median selection scratch and a
+//!   Theil–Sen slope buffer.
 //! * [`FrontEndWorkspace`] — everything above plus the pre-processing
 //!   stage's per-channel accumulator columns (struct-of-arrays: one flat
 //!   `f64`/`usize` column per quantity instead of a map of per-channel
@@ -31,8 +30,8 @@
 //! now delegate to these kernels against a temporary workspace, so both
 //! paths are bit-identical by construction (pinned by the
 //! `frontend_workspace` property suite). The pre-optimization
-//! implementations are preserved verbatim in [`crate::reference`] as the
-//! benchmark baseline.
+//! implementations are preserved verbatim in the dev-only `rfp-oracle`
+//! crate (`rfp_oracle::frontend`) as the benchmark baseline.
 
 use crate::linfit::{FitError, LineFit};
 use crate::preprocess::RawRead;
@@ -227,8 +226,6 @@ pub struct FitWorkspace {
     pub(crate) inliers_next: Vec<bool>,
     /// Theil–Sen pairwise slope buffer (O(n²) entries).
     pub(crate) slopes: Vec<f64>,
-    /// Huber IRLS weight column.
-    pub(crate) weights: Vec<f64>,
 }
 
 impl FitWorkspace {

@@ -1,7 +1,7 @@
 //! Property suite for the phase-code trig tables ([`rfp_dsp::trig`]) in
 //! the front end: `preprocess_reads_with` on quantized (code-carrying)
 //! and mixed windows is **bit-identical** to the frozen
-//! [`rfp_dsp::reference`] oracle, which knows nothing about codes and
+//! [`rfp_oracle::frontend`] oracle, which knows nothing about codes and
 //! calls libm on every read.
 //!
 //! The exhaustive all-4096-codes bit-identity proofs live next to the
@@ -10,10 +10,10 @@
 
 use proptest::prelude::*;
 use rfp_dsp::preprocess::{preprocess_reads_with, PreprocessConfig, RawRead};
-use rfp_dsp::reference;
 use rfp_dsp::trig::{self, PHASE_LSB_RAD};
 use rfp_dsp::FrontEndWorkspace;
 use rfp_geom::angle;
+use rfp_oracle::frontend as reference;
 
 /// Windows over a handful of channels with phases following a noisy
 /// steep line plus π jumps — the shape the π-vote actually has to

@@ -62,10 +62,10 @@ pub use rfp_sim as sim;
 /// One-line import for the common API surface.
 pub mod prelude {
     pub use rfp_core::{
-        BatchCache, BatchCache3D, CalibrationDb, DeviceCalibration, JacobianMode,
-        MaterialFeatures, MaterialIdentifier, MobilityVerdict, PruneStats, RfPrism,
-        RfPrismConfig, SenseError, SenseWorkspace, SensingResult, SolveStats, SolverConfig,
-        StreamingSession, TagEstimate2D, TagReads, TagRounds, WarmStart, WarmStart3D,
+        BatchCache, BatchCache3D, CalibrationDb, DeviceCalibration, MaterialFeatures,
+        MaterialIdentifier, MobilityVerdict, PruneStats, RfPrism, RfPrismConfig, SenseError,
+        SenseWorkspace, SensingResult, SolveStats, SolverConfig, StreamingSession,
+        TagEstimate2D, TagReads, TagRounds, WarmStart, WarmStart3D,
     };
     pub use rfp_geom::{AntennaPose, Region2, Vec2, Vec3};
     pub use rfp_phys::{FrequencyPlan, Material, TagElectrical};
