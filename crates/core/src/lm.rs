@@ -54,7 +54,7 @@ pub struct LaneStats {
     /// Full 4-row blocks evaluated by residual/Jacobian passes.
     pub row_blocks: u64,
     /// Rows (or seeds) processed outside a full 4-wide block — the loop
-    /// remainders, plus every seed of a table-free coarse ranking.
+    /// remainders of residual passes and of the coarse seed ranking.
     pub scalar_rows: u64,
 }
 
@@ -211,8 +211,8 @@ impl<const P: usize> LmCore<P> {
     /// 4 per pass; every `JᵀJ`/`Jᵀr` entry keeps its own independent
     /// accumulator and the four lane products are reduced in row order,
     /// so each partial sum — and therefore every bit of the result —
-    /// matches the scalar loop. Assembly rows are charged to the lane
-    /// tallies like model-evaluation rows.
+    /// matches the scalar loop. The refinements charge assembly rows to
+    /// the lane tallies like model-evaluation rows.
     #[allow(clippy::needless_range_loop)] // index loops mirror the frozen core verbatim
     fn assemble_normal_equations(&mut self, m: usize) {
         self.jtj = [[0.0; P]; P];
@@ -257,7 +257,6 @@ impl<const P: usize> LmCore<P> {
                 self.jtj[a][b] = self.jtj[b][a];
             }
         }
-        self.charge_lanes(m);
     }
 
     /// The λ damping/retry policy shared by the analytic and numeric
@@ -361,6 +360,7 @@ impl<const P: usize> LmCore<P> {
             // Assemble the normal equations once; the λ retries below
             // reuse them and only re-damp the diagonal.
             self.assemble_normal_equations(m);
+            self.charge_lanes(m);
 
             match self.lambda_retry(
                 model,
@@ -425,6 +425,7 @@ impl<const P: usize> LmCore<P> {
             // Normal equations — same accumulation order as the dynamic
             // numeric core (bit-identical results).
             self.assemble_normal_equations(m);
+            self.charge_lanes(m);
 
             // Damped solve with retry on cost increase; the difference
             // Jacobian is less trustworthy than the analytic one, so this
@@ -444,6 +445,40 @@ impl<const P: usize> LmCore<P> {
             }
         }
         (p, cost)
+    }
+
+    /// The Gauss–Newton covariance `(JᵀJ)⁻¹` of `model` at `p`: the fused
+    /// analytic Jacobian evaluated again at `p`, the normal equations
+    /// assembled and Cholesky-factored as a refinement iteration does, and
+    /// column *k* obtained by back-substituting the *k*-th unit vector.
+    /// `None` when `JᵀJ` is not numerically positive definite or a
+    /// diagonal entry comes out negative or non-finite. Charges no work,
+    /// lane or step counter: it is a read-out of the solution, not part of
+    /// the search.
+    pub(crate) fn covariance<M: ResidualModel<P>>(
+        &mut self,
+        model: &M,
+        p: &[f64; P],
+    ) -> Option<[[f64; P]; P]> {
+        model.eval(p, &mut self.r, Some(&mut self.jac));
+        self.assemble_normal_equations(self.r.len());
+        self.chol = self.jtj;
+        if !cholesky_factor(&mut self.chol) {
+            return None;
+        }
+        let mut cov = [[0.0; P]; P];
+        for k in 0..P {
+            let mut e = [0.0; P];
+            e[k] = 1.0;
+            cholesky_solve(&self.chol, &mut e);
+            if !(e[k].is_finite() && e[k] >= 0.0) {
+                return None;
+            }
+            for (row, v) in cov.iter_mut().zip(e) {
+                row[k] = v;
+            }
+        }
+        Some(cov)
     }
 }
 

@@ -134,7 +134,7 @@ pub mod id {
     /// wide residual/Jacobian lanes of the LM cores.
     pub const SOLVER_LANE_ROW_BLOCKS: usize = 42;
     /// `solver.lane_scalar_rows` — seeds/rows that fell through to the
-    /// scalar remainder or the table-free seed loop.
+    /// scalar remainder of a 4-wide loop.
     pub const SOLVER_LANE_SCALAR_ROWS: usize = 43;
     /// `solver.lambda_retries` — damped-step λ retries beyond the first
     /// attempt of each LM iteration.
@@ -260,7 +260,7 @@ mod enabled {
         ),
         MetricDef::counter(
             "solver.lane_scalar_rows",
-            "seeds/rows handled by the scalar remainder or table-free seed loop",
+            "seeds/rows handled by the scalar remainder of a 4-wide loop",
         ),
         MetricDef::counter(
             "solver.lambda_retries",

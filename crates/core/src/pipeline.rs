@@ -421,7 +421,10 @@ impl RfPrism {
     ///
     /// # Errors
     ///
-    /// As [`RfPrism::sense`].
+    /// As [`RfPrism::sense`], plus
+    /// [`SenseError::Solve`]`(`[`SolveError::UnknownAntenna`]`)` when
+    /// `cache` comes from a prism whose deployment lacks one of this
+    /// prism's antennas.
     pub fn sense_reusing(
         &self,
         cache: &BatchCache,
@@ -526,6 +529,26 @@ mod tests {
             prism.sense(&[Vec::new(), Vec::new()]),
             Err(SenseError::AntennaCountMismatch { expected: 3, got: 2 })
         ));
+    }
+
+    /// A cache holds the seeds of its own prism's deployment: sensing
+    /// against another prism's cache is an explicit error, not a solve
+    /// against the wrong tables.
+    #[test]
+    fn cache_of_a_prism_with_other_poses_is_unknown_antenna() {
+        let scene = Scene::standard_2d();
+        let tag =
+            SimTag::nominal(3).with_motion(Motion::planar_static(Vec2::new(0.5, 1.5), 0.4));
+        let survey = scene.survey(&tag, 4);
+        let prism = prism_for(&scene);
+        let other = RfPrism::new(Scene::four_antenna_3d().antenna_poses(), scene.reader().plan);
+        let mut ws = SenseWorkspace::default();
+        let err = prism
+            .sense_reusing(&other.batch_cache(), &survey.per_antenna, None, &mut ws)
+            .unwrap_err();
+        assert_eq!(err, SenseError::Solve(SolveError::UnknownAntenna));
+        let own = prism.sense_reusing(&prism.batch_cache(), &survey.per_antenna, None, &mut ws);
+        assert!(own.is_ok());
     }
 
     #[test]

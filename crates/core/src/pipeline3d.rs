@@ -130,7 +130,10 @@ impl RfPrism3D {
     ///
     /// # Errors
     ///
-    /// As [`RfPrism3D::sense`].
+    /// As [`RfPrism3D::sense`], plus
+    /// [`Sense3DError::Solve`]`(`[`Solve3DError::UnknownAntenna`]`)` when
+    /// `cache` comes from a prism whose deployment lacks one of this
+    /// prism's antennas.
     pub fn sense_reusing(
         &self,
         cache: &BatchCache3D,

@@ -7,19 +7,21 @@
 //! a point on the half-sphere), and the material terms `(k_t, b_t)`.
 //!
 //! The 3-D solve runs through the same facade as the 2-D one
-//! ([`crate::solver`]): multi-start seeds, coarse seed ranking, warm-start
-//! gate, stage-1 slope solve, orientation scan and joint short-list are
-//! shared, with `LmCore<7>` / `LmCore<4>` refining the joint and stage-1
-//! problems. This module supplies only the 3-D scene dimension
-//! ([`Spatial`]): the residual kernels with the analytic Jacobian of
-//! DESIGN.md §6 (spherical-angle dipole parameterization), the θ/φ ring
-//! scan over the dipole half-sphere, the admissible volume and the
-//! estimate assembly. The pre-refactor solver is frozen verbatim in the
-//! dev-only `rfp-oracle` crate as the bit-identity oracle.
+//! ([`crate::solver`]): multi-start seeds with their geometry tables,
+//! coarse seed ranking, warm-start gate, stage-1 slope solve, orientation
+//! scan and joint short-list are shared, with `LmCore<7>` / `LmCore<4>`
+//! refining the joint and stage-1 problems. This module supplies only the
+//! 3-D scene dimension ([`Spatial`]): the residual kernels with the
+//! analytic Jacobian of DESIGN.md §6 (spherical-angle dipole
+//! parameterization), the θ/φ ring scan over the dipole half-sphere, the
+//! admissible volume and the estimate assembly. The pre-refactor solver is
+//! frozen verbatim in the dev-only `rfp-oracle` crate as the bit-identity
+//! oracle.
 
+use crate::lm::LmCore;
 use crate::model::AntennaObservation;
 use crate::obs;
-use crate::solver::{solve, with_geometry, Knobs, SceneDim, Seeds, UncertScratch, Workspace};
+use crate::solver::{seeds_for_scene, solve, Knobs, SceneDim, Seeds, Workspace};
 use rfp_geom::{angle, AntennaPose, Region2, Vec3};
 use rfp_phys::propagation;
 
@@ -154,9 +156,15 @@ impl Spatial {
 }
 
 impl Solve3DSeeds {
-    /// Precomputes the multi-start seeds for the `region × z_range` box
-    /// without geometry tables (no antenna deployment known yet).
-    pub fn new(region: Region2, z_range: (f64, f64), config: &Solver3DConfig) -> Self {
+    /// Precomputes the multi-start seeds for the `region × z_range` box,
+    /// with the per-antenna geometry tables of deployment `poses` — the
+    /// per-scene precomputation the 3-D pipeline and the batch engine use.
+    pub fn for_scene(
+        region: Region2,
+        z_range: (f64, f64),
+        config: &Solver3DConfig,
+        poses: &[AntennaPose],
+    ) -> Self {
         let (nx, ny) = config.position_starts;
         let (z_lo, z_hi) = z_range;
         let z_starts = config.z_starts.max(1);
@@ -168,27 +176,9 @@ impl Solve3DSeeds {
                 position_starts.push(seed_pos.with_z(z));
             }
         }
-        Seeds {
-            position_starts,
-            admissible: region.expanded(0.3),
-            dim: Spatial {
-                rings: config.dipole_starts.max(3),
-                z_bounds: (z_lo - 0.3, z_hi + 0.3),
-            },
-            geometry: None,
-        }
-    }
-
-    /// [`Solve3DSeeds::new`] plus the per-antenna geometry tables for a
-    /// known deployment `poses` — the per-scene precomputation the 3-D
-    /// pipeline and the batch engine use.
-    pub fn for_scene(
-        region: Region2,
-        z_range: (f64, f64),
-        config: &Solver3DConfig,
-        poses: &[AntennaPose],
-    ) -> Self {
-        with_geometry(Self::new(region, z_range, config), poses)
+        let rings = config.dipole_starts.max(3);
+        let dim = Spatial { rings, z_bounds: (z_lo - 0.3, z_hi + 0.3) };
+        seeds_for_scene(position_starts, region, dim, poses)
     }
 }
 
@@ -230,6 +220,8 @@ pub enum Solve3DError {
         /// Number of observations provided.
         provided: usize,
     },
+    /// An observation's antenna pose is not in the seeds' deployment.
+    UnknownAntenna,
 }
 
 impl std::fmt::Display for Solve3DError {
@@ -237,6 +229,9 @@ impl std::fmt::Display for Solve3DError {
         match self {
             Solve3DError::TooFewAntennas { provided } => {
                 write!(f, "3-D disentangling needs at least 4 antennas, got {provided}")
+            }
+            Solve3DError::UnknownAntenna => {
+                write!(f, "an observation's antenna is not in the seeds' deployment")
             }
         }
     }
@@ -458,7 +453,9 @@ pub fn solve_3d(
 ///
 /// # Errors
 ///
-/// [`Solve3DError::TooFewAntennas`] with fewer than 4 observations.
+/// [`Solve3DError::TooFewAntennas`] with fewer than 4 observations;
+/// [`Solve3DError::UnknownAntenna`] when an observation's pose is not in
+/// `seeds`' deployment.
 pub fn solve_3d_seeded_warm(
     observations: &[AntennaObservation],
     seeds: &Solve3DSeeds,
@@ -501,6 +498,10 @@ impl SceneDim<7, 4> for Spatial {
 
     fn too_few(provided: usize) -> Solve3DError {
         Solve3DError::TooFewAntennas { provided }
+    }
+
+    fn unknown_antenna() -> Solve3DError {
+        Solve3DError::UnknownAntenna
     }
 
     fn joint_rows(
@@ -559,7 +560,7 @@ impl SceneDim<7, 4> for Spatial {
         p: &[f64; 7],
         cost: f64,
         _config: &Solver3DConfig,
-        _scratch: &mut UncertScratch,
+        _core: &mut LmCore<7>,
     ) -> TagEstimate3D {
         let mut dipole = dipole_from_angles(p[3], p[4]);
         if dipole.z < 0.0 {
@@ -657,6 +658,19 @@ mod tests {
     }
 
     #[test]
+    fn antenna_outside_the_deployment_is_unknown() {
+        let scene = Scene::six_antenna_3d();
+        let config = Solver3DConfig::default();
+        let seeds =
+            Solve3DSeeds::for_scene(scene.region(), (0.0, 1.0), &config, &scene.antenna_poses());
+        let mut obs = observations_3d(&scene, Vec3::new(0.5, 1.5, 0.5), Vec3::X, 4);
+        obs[4].pose = Scene::four_antenna_3d().antenna_poses()[0];
+        let mut ws = Solver3DWorkspace::default();
+        let err = solve_3d_seeded_warm(&obs, &seeds, &config, &mut ws, None);
+        assert_eq!(err.unwrap_err(), Solve3DError::UnknownAntenna);
+    }
+
+    #[test]
     fn region2_used_for_xy_box() {
         let r = Region2::new(Vec2::new(0.0, 0.0), Vec2::new(1.0, 1.0));
         assert!(r.contains(Vec2::new(0.5, 0.5)));
@@ -700,34 +714,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn seed_geometry_3d_is_bit_identical_to_direct_evaluation() {
-        let scene = Scene::four_antenna_3d()
-            .with_noise(NoiseModel::clean())
-            .with_reader(ReaderConfig::ideal());
-        let poses = scene.antenna_poses();
-        let obs = observations_3d(
-            &scene,
-            Vec3::new(0.7, 1.3, 0.6),
-            Vec3::new(0.9, 0.1, 0.5).normalized(),
-            7,
-        );
-        let config = Solver3DConfig::default();
-        let plain = Solve3DSeeds::new(scene.region(), (0.0, 1.0), &config);
-        let with_geo = Solve3DSeeds::for_scene(scene.region(), (0.0, 1.0), &config, &poses);
-        let mut ws_a = Solver3DWorkspace::default();
-        let mut ws_b = Solver3DWorkspace::default();
-        let a = solve_3d_seeded_warm(&obs, &plain, &config, &mut ws_a, None).unwrap();
-        let b = solve_3d_seeded_warm(&obs, &with_geo, &config, &mut ws_b, None).unwrap();
-        assert_eq!(a.position.x.to_bits(), b.position.x.to_bits());
-        assert_eq!(a.position.y.to_bits(), b.position.y.to_bits());
-        assert_eq!(a.position.z.to_bits(), b.position.z.to_bits());
-        assert_eq!(a.dipole.x.to_bits(), b.dipole.x.to_bits());
-        assert_eq!(a.kt.to_bits(), b.kt.to_bits());
-        assert_eq!(a.bt.to_bits(), b.bt.to_bits());
-        assert_eq!(a.cost.to_bits(), b.cost.to_bits());
     }
 
     #[test]

@@ -312,7 +312,8 @@ fn lane_solve_2d_is_allocation_free_cold_and_warm() {
 }
 
 /// Same contract for the 7-parameter 3-D facade (`LmCore<7>`): cold
-/// dipole-ranked scans and warm re-solves are zero-alloc once the
+/// dipole-ranked scans, warm re-solves and a solve over a subset of the
+/// seeds' antennas are zero-alloc once the
 /// [`rfp_core::solver3d::Solver3DWorkspace`] pools are sized.
 #[test]
 fn lane_solve_3d_is_allocation_free_cold_and_warm() {
@@ -349,6 +350,15 @@ fn lane_solve_3d_is_allocation_free_cold_and_warm() {
     });
     result.expect("solvable");
     assert_eq!(allocs, 0, "warm 3-D lane solve allocated {allocs} times in steady state");
+
+    // An antenna dropped by extraction: the solve reads five of the six
+    // antennas' table columns, mapped into the same workspace.
+    let mut five = obs.clone();
+    five.remove(2);
+    let (result, allocs) =
+        allocations_during(|| solve_3d_seeded_warm(&five, &seeds, &config, &mut ws, None));
+    result.expect("solvable");
+    assert_eq!(allocs, 0, "3-D lane solve of 5 of 6 antennas allocated {allocs} times");
 }
 
 /// The quantized-code trig tables live inline in a static (`OnceLock`

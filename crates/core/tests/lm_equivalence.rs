@@ -5,8 +5,9 @@
 //! `rfp_oracle::solver` bit-for-bit — same refinements, same sort
 //! orders, same warm-gate decisions, same final estimate down to the last
 //! ulp. Every configuration axis gets a pin: exhaustive vs pruned scans,
-//! RSSI penalty on/off, geometry tables vs direct evaluation, and warm
-//! starts both fresh (gate hit) and teleported-stale (gate miss
+//! RSSI penalty on/off, the facade's geometry tables vs the oracle's
+//! direct evaluation, observations from a subset of the seeds' antennas,
+//! and warm starts both fresh (gate hit) and teleported-stale (gate miss
 //! fallback). The oracle builds its own seeds, so every pin also checks
 //! the facade's seed construction against an independent copy. Below the
 //! facades, `LmCore`'s analytic and numeric refinements are pinned
@@ -24,13 +25,14 @@ use rfp_core::solver3d::{
     solve_3d_seeded_warm, Solve3DSeeds, Solver3DConfig, Solver3DWorkspace, TagEstimate3D,
     WarmStart3D,
 };
-use rfp_geom::{Vec2, Vec3};
+use rfp_geom::{AntennaPose, Vec2, Vec3};
 use rfp_oracle::solver::{
     levenberg_marquardt_analytic_with, levenberg_marquardt_with, solve_2d_reference,
     solve_3d_reference, Jacobian, LmWorkspace, Reference2DSeeds, Reference2DWorkspace,
     Reference3DSeeds, Reference3DWorkspace,
 };
-use rfp_phys::Material;
+use rfp_phys::polarization::{orientation_phase, planar_dipole, projection_magnitude};
+use rfp_phys::{propagation, Material};
 use rfp_sim::{Motion, MultipathEnvironment, Scene, SimTag};
 
 // ---------------------------------------------------------------------------
@@ -136,8 +138,9 @@ fn assert_bits_3d(facade: &TagEstimate3D, oracle: &TagEstimate3D, what: &str) {
 }
 
 /// Runs facade and oracle against the same scene/config/warm input, each
-/// with its own seeds, and pins the results bit-for-bit. `with_geometry`
-/// controls whether the geometry tables are in play.
+/// with its own seeds, and pins the results bit-for-bit. The facade always
+/// seeds from its geometry tables; `with_geometry` controls whether the
+/// oracle does too, or evaluates the seed geometry directly.
 fn pin_2d(
     obs: &[AntennaObservation],
     scene: &Scene,
@@ -147,13 +150,11 @@ fn pin_2d(
     what: &str,
 ) {
     let (region, poses) = (scene.region(), scene.antenna_poses());
-    let (seeds, oracle_seeds) = if with_geometry {
-        (
-            SolveSeeds::for_scene(region, config, &poses),
-            Reference2DSeeds::for_scene(region, config, &poses),
-        )
+    let seeds = SolveSeeds::for_scene(region, config, &poses);
+    let oracle_seeds = if with_geometry {
+        Reference2DSeeds::for_scene(region, config, &poses)
     } else {
-        (SolveSeeds::new(region, config), Reference2DSeeds::new(region, config))
+        Reference2DSeeds::new(region, config)
     };
     let mut ws = SolverWorkspace::default();
     let facade = solve_2d_seeded_warm(obs, &seeds, config, &mut ws, warm).expect("solvable");
@@ -174,13 +175,11 @@ fn pin_3d(
 ) {
     let z_range = (0.0, 1.0);
     let (region, poses) = (scene.region(), scene.antenna_poses());
-    let (seeds, oracle_seeds) = if with_geometry {
-        (
-            Solve3DSeeds::for_scene(region, z_range, config, &poses),
-            Reference3DSeeds::for_scene(region, z_range, config, &poses),
-        )
+    let seeds = Solve3DSeeds::for_scene(region, z_range, config, &poses);
+    let oracle_seeds = if with_geometry {
+        Reference3DSeeds::for_scene(region, z_range, config, &poses)
     } else {
-        (Solve3DSeeds::new(region, z_range, config), Reference3DSeeds::new(region, z_range, config))
+        Reference3DSeeds::new(region, z_range, config)
     };
     let mut ws = Solver3DWorkspace::default();
     let facade = solve_3d_seeded_warm(obs, &seeds, config, &mut ws, warm).expect("solvable");
@@ -260,9 +259,50 @@ fn teleported_warm_start_matches_reference_2d() {
 #[test]
 fn three_antenna_twin_alpha_matches_reference_2d() {
     let (scene, obs) = scene_2d();
-    // Geometry tables built for the full deployment do not match the
-    // truncated observation set; both solvers must fall back identically.
+    // The standard scene has exactly three antennas, so both solvers seed
+    // from tables of the full deployment.
     pin_2d(&obs[..3], &scene, &SolverConfig::default(), None, true, "twin-α with 3 antennas");
+}
+
+/// Seeds built for four planar antennas, observations from three of them
+/// (an antenna dropped by extraction), in pose order and permuted: the
+/// facade reads the three antennas' table columns, the oracle's tables do
+/// not match and it evaluates the seed geometry directly.
+#[test]
+fn dropped_antenna_matches_reference_2d() {
+    let scene = Scene::standard_2d();
+    let mut poses = scene.antenna_poses();
+    let target = scene.region().center().with_z(0.0);
+    poses.push(AntennaPose::looking_at(Vec3::new(1.5, 0.0, 0.6), target, 1.2));
+    let (pos, alpha, kt, bt) = (Vec3::new(0.35, 1.45, 0.0), 1.1, -2.0e-8, 0.9);
+    let w = planar_dipole(alpha);
+    // Exact forward-model lines, with the RSSI of the backscatter link
+    // budget so that the mode penalty reads the projection columns too.
+    let observation = |pose: AntennaPose| {
+        let d = pose.position().distance(pos);
+        let mut o = AntennaObservation::from_line(
+            pose,
+            propagation::slope_from_distance(d) + kt,
+            orientation_phase(&pose, w) + bt,
+        );
+        o.mean_rssi_dbm =
+            -30.0 - 40.0 * d.log10() + 20.0 * projection_magnitude(&pose, w).log10();
+        o
+    };
+    let config = SolverConfig::default();
+    let region = scene.region();
+    let seeds = SolveSeeds::for_scene(region, &config, &poses);
+    let oracle_seeds = Reference2DSeeds::for_scene(region, &config, &poses);
+    let (mut ws, mut oracle_ws) = (SolverWorkspace::default(), Reference2DWorkspace::default());
+    for order in [[0, 1, 3], [3, 0, 1]] {
+        let obs: Vec<AntennaObservation> = order.iter().map(|&i| observation(poses[i])).collect();
+        let facade = solve_2d_seeded_warm(&obs, &seeds, &config, &mut ws, None);
+        let oracle = solve_2d_reference(
+            &obs, &oracle_seeds, &config, Jacobian::Analytic, &mut oracle_ws, None,
+        );
+        let what = format!("antennas {order:?} of 4");
+        assert_bits_2d(&facade.expect("solvable"), &oracle.expect("solvable"), &what);
+    }
 }
 
 /// The tracking entry with a period-1 gate re-anchors every solve, which
@@ -369,10 +409,10 @@ fn teleported_warm_start_matches_reference_3d() {
     pin_3d(&obs, &scene, &Solver3DConfig::default(), Some(&stale), true, "stale warm 3-D");
 }
 
-/// Four of the six antennas against tables built for all six: the
-/// geometry tables do not match the observation set, so both solvers take
-/// the direct-evaluation fallback — the path a cluttered 3-D scene takes
-/// whenever extraction drops an antenna.
+/// Four of the six antennas against tables built for all six — what a
+/// cluttered 3-D scene sees whenever extraction drops an antenna: the
+/// facade reads the four antennas' table columns, while the oracle's
+/// tables do not match and it evaluates the seed geometry directly.
 #[test]
 fn four_antenna_fallback_matches_reference_3d() {
     let (scene, obs) = scene_3d();

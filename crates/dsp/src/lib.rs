@@ -65,10 +65,7 @@ pub use linfit::{ols, theil_sen_with, weighted_ols, LineFit};
 pub use preprocess::{
     preprocess_reads, preprocess_reads_with, ChannelObservation, PreprocessConfig, RawRead,
 };
-pub use robust::{
-    robust_line_fit, robust_line_fit_with, robust_line_fit_with_sensitivity, RobustFit,
-    RobustFitConfig, RobustSummary,
-};
+pub use robust::{robust_line_fit, robust_line_fit_with, RobustFit, RobustFitConfig, RobustSummary};
 pub use streaming::{
     StreamExtract, StreamingConfig, StreamingError, StreamingStats, StreamingWindow,
 };

@@ -144,51 +144,34 @@ pub fn robust_line_fit_with(
     ys: &[f64],
     config: &RobustFitConfig,
 ) -> Result<RobustSummary, FitError> {
-    // Margin 0 disables the sensitivity probe; the probe is a pure
-    // observation, so this delegation is arithmetically identical to the
-    // pre-probe implementation.
-    robust_line_fit_with_sensitivity(ws, xs, ys, config, 0.0).map(|(summary, _)| summary)
-}
-
-/// [`robust_line_fit_with`] plus a **decision-sensitivity probe** for
-/// incremental callers: the second return value is `true` when any
-/// rejection decision of any iteration sat within `margin` of its
-/// boundary — a point's absolute residual within `margin` of the cutoff,
-/// or the residual gap across the `min_inliers` rank boundary below
-/// `margin`.
-///
-/// The streaming front end feeds this fit phases that may differ from the
-/// batch recompute by up to its downdating drift bound (≪ the margin). If
-/// the probe stays `false`, every mask decision cleared its boundary by
-/// more than the drift, so the inlier masks are *guaranteed* identical to
-/// the batch fit's; if it fires, the caller falls back to the bit-exact
-/// full recompute. The probe never changes the arithmetic — with
-/// `margin == 0.0` it cannot fire and the fit is exactly
-/// [`robust_line_fit_with`].
-///
-/// # Errors
-///
-/// As [`robust_line_fit`].
-pub fn robust_line_fit_with_sensitivity(
-    ws: &mut FitWorkspace,
-    xs: &[f64],
-    ys: &[f64],
-    config: &RobustFitConfig,
-    margin: f64,
-) -> Result<(RobustSummary, bool), FitError> {
     let current = linfit::theil_sen_with(ws, xs, ys)?;
-    reject_refit_loop(ws, xs, ys, config, margin, current)
+    // Margin 0 disables the decision-sensitivity probe (see
+    // [`robust_line_fit_seeded`]); the probe never changes the arithmetic.
+    reject_refit_loop(ws, xs, ys, config, 0.0, current).map(|(summary, _)| summary)
 }
 
-/// [`robust_line_fit_with_sensitivity`] with the Theil–Sen *slope*
-/// supplied by the caller instead of recomputed from the O(n²) pairwise
-/// enumeration. The caller must pass exactly the median slope
-/// [`linfit::theil_sen_with`] would produce on `(xs, ys)` — streaming
-/// windows maintain the pairwise-slope multiset incrementally across
-/// advances and take the median of the same values in the same order, so
-/// the guarantee holds bitwise and the whole fit (seed intercept,
-/// diagnostics, every rejection round) is bit-identical to the unseeded
-/// call.
+/// [`robust_line_fit_with`] for incremental callers, with two additions.
+///
+/// The Theil–Sen *slope* is supplied by the caller instead of recomputed
+/// from the O(n²) pairwise enumeration. The caller must pass exactly the
+/// median slope [`linfit::theil_sen_with`] would produce on `(xs, ys)` —
+/// streaming windows maintain the pairwise-slope multiset incrementally
+/// across advances and take the median of the same values in the same
+/// order, so the guarantee holds bitwise and the whole fit (seed
+/// intercept, diagnostics, every rejection round) is bit-identical to the
+/// unseeded call.
+///
+/// The second return value is a **decision-sensitivity probe**: `true`
+/// when any rejection decision of any iteration sat within `margin` of
+/// its boundary — a point's absolute residual within `margin` of the
+/// cutoff, or the residual gap across the `min_inliers` rank boundary
+/// below `margin`. The streaming front end feeds this fit phases that may
+/// differ from the batch recompute by up to its downdating drift bound
+/// (≪ the margin). If the probe stays `false`, every mask decision
+/// cleared its boundary by more than the drift, so the inlier masks are
+/// *guaranteed* identical to the batch fit's; if it fires, the caller
+/// falls back to the bit-exact full recompute. The probe never changes
+/// the arithmetic, and with `margin == 0.0` it cannot fire.
 ///
 /// # Errors
 ///
@@ -327,8 +310,9 @@ mod tests {
         let cfg = RobustFitConfig::default();
         let baseline = robust_line_fit(&xs, &ys, &cfg).unwrap();
         let mut ws = FitWorkspace::default();
+        let slope = linfit::theil_sen_with(&mut ws, &xs, &ys).unwrap().slope;
         let (probed, sensitive) =
-            robust_line_fit_with_sensitivity(&mut ws, &xs, &ys, &cfg, 1e-6).unwrap();
+            robust_line_fit_seeded(&mut ws, &xs, &ys, &cfg, 1e-6, slope).unwrap();
         assert_eq!(probed.fit.slope.to_bits(), baseline.fit.slope.to_bits());
         assert_eq!(probed.fit.intercept.to_bits(), baseline.fit.intercept.to_bits());
         assert_eq!(probed.inlier_count, baseline.inlier_count());
@@ -336,7 +320,7 @@ mod tests {
         assert!(!sensitive);
         // A residual parked exactly on the cutoff must trip the probe.
         let (_, near) =
-            robust_line_fit_with_sensitivity(&mut ws, &xs, &ys, &cfg, 10.0).unwrap();
+            robust_line_fit_seeded(&mut ws, &xs, &ys, &cfg, 10.0, slope).unwrap();
         assert!(near);
     }
 

@@ -20,21 +20,19 @@
 //! That residual drift is contained by three mechanisms:
 //!
 //! 1. **Exact rebuilds** — an emptied channel resets to the exact zero
-//!    state; a channel accumulates at most
-//!    [`StreamingConfig::max_drift_ops`] update/downdate operations while
-//!    drifted before its sums are re-accumulated from the retained reads
-//!    (bit-identical to batch again); and a drifted channel whose circular
-//!    resultant falls below [`StreamingConfig::conditioning_floor`]
-//!    (accumulator cancellation — the axis would amplify the drift) is
-//!    rebuilt immediately.
+//!    state; a channel accumulates at most 64 update/downdate operations
+//!    while drifted before its sums are re-accumulated from the retained
+//!    reads (bit-identical to batch again); and a drifted channel whose
+//!    mean circular resultant falls below 0.01 (accumulator cancellation —
+//!    the axis would amplify the drift) is rebuilt immediately.
 //! 2. **Decision margins** — every discrete decision downstream of a
 //!    drifted sum (π-fold classification, unwrap jump selection, the
 //!    majority-vote comparisons, the robust fit's inlier rejections via
-//!    [`crate::robust::robust_line_fit_with_sensitivity`]) is checked against
-//!    [`StreamingConfig::decision_margin`]. A decision that clears its
-//!    boundary by more than the margin is guaranteed to agree with the
-//!    batch decision (the drift is orders of magnitude smaller); one that
-//!    does not triggers
+//!    [`crate::robust::robust_line_fit_seeded`]'s sensitivity probe) is
+//!    checked against [`StreamingConfig::decision_margin`]. A decision
+//!    that clears its boundary by more than the margin is guaranteed to
+//!    agree with the batch decision (the drift is orders of magnitude
+//!    smaller); one that does not triggers
 //! 3. **Full-recompute fallback** — the retained reads are concatenated
 //!    per channel and fed through the ordinary batch
 //!    [`preprocess_reads_with`], which is bit-identical to a batch call on
@@ -62,6 +60,18 @@ use crate::trig::{self, hit};
 use crate::workspace::FrontEndWorkspace;
 use rfp_geom::angle;
 
+/// Maximum update/downdate operations a channel absorbs *while drifted*
+/// before its sums are rebuilt exactly from the retained reads. Bounds the
+/// accumulated downdating drift to `MAX_DRIFT_OPS` ulp-scale errors
+/// (≈`64 · 4.4e-14 ≈ 3e-12` per sum).
+const MAX_DRIFT_OPS: u32 = 64;
+
+/// Minimum mean circular resultant `r̄ = |Σ phasor| / n` a drifted channel
+/// may have before its sums are rebuilt exactly: below this, cancellation
+/// has eaten the accumulator's significand and the axis `atan2` would
+/// amplify the downdating drift unboundedly.
+const CONDITIONING_FLOOR: f64 = 0.01;
+
 /// Configuration for a [`StreamingWindow`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StreamingConfig {
@@ -74,16 +84,6 @@ pub struct StreamingConfig {
     pub robust: RobustFitConfig,
     /// When false, skip outlier rejection (raw OLS fit only).
     pub suppress_multipath: bool,
-    /// Maximum update/downdate operations a channel absorbs *while
-    /// drifted* before its sums are rebuilt exactly from the retained
-    /// reads. Bounds the accumulated downdating drift to
-    /// `max_drift_ops` ulp-scale errors (≈`64 · 4.4e-14 ≈ 3e-12` per sum).
-    pub max_drift_ops: u32,
-    /// Minimum mean circular resultant `r̄ = |Σ phasor| / n` a drifted
-    /// channel may have before its sums are rebuilt exactly: below this,
-    /// cancellation has eaten the accumulator's significand and the axis
-    /// `atan2` would amplify the downdating drift unboundedly.
-    pub conditioning_floor: f64,
     /// Margin (radians) by which every discrete decision downstream of a
     /// drifted accumulator must clear its boundary; decisions inside the
     /// margin trigger the full-recompute fallback. Must dwarf the
@@ -98,8 +98,6 @@ impl Default for StreamingConfig {
             preprocess: PreprocessConfig::default(),
             robust: RobustFitConfig::default(),
             suppress_multipath: true,
-            max_drift_ops: 64,
-            conditioning_floor: 0.01,
             decision_margin: 1e-6,
         }
     }
@@ -117,7 +115,7 @@ pub struct StreamingStats {
     /// precision (decision-margin hazard, robust-mask flip).
     pub refit_fallbacks: u64,
     /// Update/downdate operations absorbed by *drifted* channels — the
-    /// pressure against [`StreamingConfig::max_drift_ops`]; a high rate
+    /// pressure against the per-channel drift budget; a high rate
     /// means channels churn while carrying downdating drift.
     pub drift_ops: u64,
     /// Exact per-channel sum re-accumulations (drift budget exhausted,
@@ -658,7 +656,7 @@ impl StreamingWindow {
                 ch.dirty = true;
                 if ch.fifo.is_empty() {
                     ch.reset_exact();
-                } else if ch.drift_ops >= self.config.max_drift_ops {
+                } else if ch.drift_ops >= MAX_DRIFT_OPS {
                     Self::rebuild_channel(ch);
                     self.stats.rebuilds += 1;
                 }
@@ -696,7 +694,7 @@ impl StreamingWindow {
             }
             let r = (ch.acc_sin * ch.acc_sin + ch.acc_cos * ch.acc_cos).sqrt()
                 / ch.count as f64;
-            if r < self.config.conditioning_floor {
+            if r < CONDITIONING_FLOOR {
                 Self::rebuild_channel(ch);
                 self.stats.rebuilds += 1;
             }
@@ -741,7 +739,7 @@ impl StreamingWindow {
                         .min(1.0);
                     let reuse = ch.fold_cache_valid
                         && shift < ch.fold_min_margin
-                        && !(ch.drifted && fr_cached < self.config.conditioning_floor);
+                        && !(ch.drifted && fr_cached < CONDITIONING_FLOOR);
                     if reuse {
                         ch.fold_margin_ok = ch.fold_min_margin - shift > margin;
                         ch.spread = (-2.0 * fr_cached.max(1e-300).ln()).sqrt();
