@@ -5,6 +5,12 @@
 //! frozen pre-rework allocating implementations in [`rfp_oracle::frontend`]
 //! (DESIGN.md §6).
 //!
+//! Each density is a pool of distinct windows (every antenna of
+//! [`POOL_TAGS`] tags spread over the working region), and the timed
+//! samples visit them in turn, both paths in the same order. Repeating
+//! one window would let the branch predictor learn it and flatter
+//! whichever path branches more; a survey never shows a window twice.
+//!
 //! The two paths compute the same observation (the property suite
 //! `frontend_workspace` pins them together); the difference is purely
 //! data layout and algorithmic discipline: flat SoA per-channel columns
@@ -26,20 +32,20 @@
 //!
 //! Writes a `BENCH_frontend.json` snapshot at the repo root (override the
 //! path with `FRONTEND_PROFILE_OUT`); `scripts/bench_gate` regenerates it
-//! with `FRONTEND_PROFILE_QUICK=1` and enforces the fused fit chain's ≥2×
-//! p50 speedup on the paper's standard window plus a no-regression check
-//! on the end-to-end window latency.
+//! with `FRONTEND_PROFILE_QUICK=1` and enforces the fused fit chain's and
+//! the preprocess stage's ≥2× p50 speedups on the paper's standard
+//! windows plus a no-regression check on the end-to-end window ratio.
 
 use rfp_bench::report;
 use rfp_dsp::preprocess::{preprocess_reads_with, PreprocessConfig, RawRead};
 use rfp_dsp::robust::{robust_line_fit_with, RobustFitConfig};
-use rfp_dsp::FrontEndWorkspace;
+use rfp_dsp::{FitWorkspace, FrontEndWorkspace};
 use rfp_geom::Vec2;
 use rfp_obs::JsonValue;
 use rfp_oracle::frontend as reference;
 use rfp_sim::{Motion, Scene, SimTag};
 use std::hint::black_box;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// `FRONTEND_PROFILE_QUICK=1` trims the repeats for the CI perf gate.
 fn quick_mode() -> bool {
@@ -48,31 +54,58 @@ fn quick_mode() -> bool {
         .unwrap_or(false)
 }
 
-/// (p50, p90) microseconds over `repeats` timed runs of `f`.
-fn time_us<F: FnMut()>(mut f: F, warmup: usize, repeats: usize) -> (f64, f64) {
-    for _ in 0..warmup {
-        f();
+/// Tags in each window pool; every tag contributes one window per
+/// antenna.
+const POOL_TAGS: u64 = 128;
+
+/// (p50, p90) microseconds over `repeats` samples of `sample`, which is
+/// handed the index of the next window in the pool and returns the time
+/// of the part it measures. Cycling through many distinct windows keeps
+/// the branch predictor and caches from learning one window, as they
+/// cannot in a real inventory sweep.
+fn time_us<F: FnMut(usize) -> Duration>(
+    pool: usize,
+    mut sample: F,
+    warmup: usize,
+    repeats: usize,
+) -> (f64, f64) {
+    for k in 0..warmup {
+        sample(k % pool);
     }
-    let mut samples: Vec<f64> = Vec::with_capacity(repeats);
-    for _ in 0..repeats {
-        let t0 = Instant::now();
-        f();
-        samples.push(t0.elapsed().as_secs_f64() * 1e6);
-    }
+    let mut samples: Vec<f64> =
+        (0..repeats).map(|k| sample((warmup + k) % pool).as_secs_f64() * 1e6).collect();
     samples.sort_unstable_by(|a, b| a.partial_cmp(b).expect("finite times"));
     (samples[samples.len() / 2], samples[samples.len() * 9 / 10])
 }
 
-/// One antenna's raw reads from the paper-like simulated survey, with the
+/// Wall time of `f`.
+fn timed(f: impl FnOnce()) -> Duration {
+    let t0 = Instant::now();
+    f();
+    t0.elapsed()
+}
+
+/// Every antenna's raw reads of [`POOL_TAGS`] static tags of the
+/// paper-like simulated survey, spread over the working region, with the
 /// window density controlled by the reader's reads-per-channel dwell.
-fn window_reads(reads_per_channel: usize) -> Vec<RawRead> {
+fn window_pool(reads_per_channel: usize) -> Vec<Vec<RawRead>> {
     let scene = Scene::standard_2d();
     let reader = scene.reader().with_reads_per_channel(reads_per_channel);
     let scene = scene.with_reader(reader);
-    let tag = SimTag::with_seeded_diversity(3)
-        .with_motion(Motion::planar_static(Vec2::new(0.4, 1.5), 0.9));
-    let survey = scene.survey(&tag, 31);
-    survey.per_antenna.into_iter().next().expect("antenna 0")
+    let (lo, hi) = (scene.region().min(), scene.region().max());
+    let mut pool = Vec::new();
+    for k in 0..POOL_TAGS {
+        // A 16 × 8 grid over the region, each tag at its own orientation.
+        let (i, j) = ((k % 16) as f64, (k / 16) as f64);
+        let position = Vec2::new(
+            lo.x + (hi.x - lo.x) * (i + 0.5) / 16.0,
+            lo.y + (hi.y - lo.y) * (j + 0.5) / 8.0,
+        );
+        let tag = SimTag::with_seeded_diversity(k)
+            .with_motion(Motion::planar_static(position, 0.37 * k as f64));
+        pool.extend(scene.survey(&tag, 31 + k).per_antenna);
+    }
+    pool
 }
 
 /// One measured stage: reference vs fused p50/p90 and the p50 ratio.
@@ -85,6 +118,14 @@ struct Stage {
 }
 
 impl Stage {
+    fn new(
+        name: &'static str,
+        (ref_p50, ref_p90): (f64, f64),
+        (fused_p50, fused_p90): (f64, f64),
+    ) -> Self {
+        Stage { name, ref_p50, ref_p90, fused_p50, fused_p90 }
+    }
+
     fn speedup(&self) -> f64 {
         self.ref_p50 / self.fused_p50
     }
@@ -102,131 +143,152 @@ impl Stage {
     }
 }
 
-/// Measures the three front-end stages plus the end-to-end window for one
-/// read density.
-fn profile_window(reads: &[RawRead], warmup: usize, repeats: usize) -> Vec<Stage> {
+/// Measures the three front-end stages plus the end-to-end window over
+/// one pool of windows, both paths visiting the windows in the same
+/// order.
+fn profile_pool(pool: &[Vec<RawRead>], warmup: usize, repeats: usize) -> Vec<Stage> {
     let pre = PreprocessConfig::default();
     let robust = RobustFitConfig::default();
+    let n = pool.len();
 
-    // Stage inputs shared by both paths.
-    let channels = reference::preprocess_reads(reads, &pre).expect("usable window");
-    let xs: Vec<f64> = channels.iter().map(|c| c.frequency_hz).collect();
-    let ys: Vec<f64> = channels.iter().map(|c| c.phase).collect();
+    // Stage inputs shared by both paths: each window's fit columns.
+    let columns: Vec<(Vec<f64>, Vec<f64>)> = pool
+        .iter()
+        .map(|reads| {
+            let channels = reference::preprocess_reads(reads, &pre).expect("usable window");
+            (
+                channels.iter().map(|c| c.frequency_hz).collect(),
+                channels.iter().map(|c| c.phase).collect(),
+            )
+        })
+        .collect();
     let mut ws = FrontEndWorkspace::default();
+    let mut fit_ws = FitWorkspace::default();
     let mut out = Vec::new();
-    preprocess_reads_with(&mut ws, reads, &pre, &mut out).expect("usable window");
-
-    let mut stages = Vec::new();
+    rfp_dsp::trig::warm_tables();
 
     // Pre-processing: group + circular-average + π-fold + unwrap.
-    rfp_dsp::trig::warm_tables();
-    let (rp50, rp90) = time_us(
-        || {
-            black_box(reference::preprocess_reads(black_box(reads), &pre).expect("usable"));
-        },
-        warmup,
-        repeats,
-    );
-    let (fp50, fp90) = time_us(
-        || {
-            preprocess_reads_with(&mut ws, black_box(reads), &pre, &mut out).expect("usable");
-            black_box(&out);
-        },
-        warmup,
-        repeats,
-    );
-    stages.push(Stage {
-        name: "preprocess",
-        ref_p50: rp50,
-        ref_p90: rp90,
-        fused_p50: fp50,
-        fused_p90: fp90,
-    });
-
-    // Raw fit: column materialization + OLS versus the sums already
-    // accumulated during the unwrap.
-    let (rp50, rp90) = time_us(
-        || {
-            let xs: Vec<f64> = channels.iter().map(|c| c.frequency_hz).collect();
-            let ys: Vec<f64> = channels.iter().map(|c| c.phase).collect();
-            black_box(reference::ols(&xs, &ys).expect("fittable"));
-        },
-        warmup,
-        repeats,
-    );
-    let (fp50, fp90) = time_us(
-        || {
-            black_box(ws.raw_fit().expect("fittable"));
-        },
-        warmup,
-        repeats,
-    );
-    stages.push(Stage {
-        name: "unwrap_fit",
-        ref_p50: rp50,
-        ref_p90: rp90,
-        fused_p50: fp50,
-        fused_p90: fp90,
-    });
-
-    // Robust rejection: sorting medians + full refit per round versus
-    // selection medians + downdated sums.
-    let (rp50, rp90) = time_us(
-        || {
-            black_box(reference::robust_line_fit(&xs, &ys, &robust).expect("fittable"));
-        },
-        warmup,
-        repeats,
-    );
-    let (fp50, fp90) = {
-        let (wxs, wys, fit_ws) = ws.fit_columns();
+    let preprocess = Stage::new(
+        "preprocess",
         time_us(
-            || {
-                black_box(robust_line_fit_with(fit_ws, wxs, wys, &robust).expect("fittable"));
+            n,
+            |i| {
+                timed(|| {
+                    let channels = reference::preprocess_reads(black_box(&pool[i]), &pre);
+                    black_box(channels.expect("usable"));
+                })
             },
             warmup,
             repeats,
-        )
-    };
-    stages.push(Stage {
-        name: "robust_reject",
-        ref_p50: rp50,
-        ref_p90: rp90,
-        fused_p50: fp50,
-        fused_p90: fp90,
-    });
+        ),
+        time_us(
+            n,
+            |i| {
+                timed(|| {
+                    preprocess_reads_with(&mut ws, black_box(&pool[i]), &pre, &mut out)
+                        .expect("usable");
+                    black_box(&out);
+                })
+            },
+            warmup,
+            repeats,
+        ),
+    );
+
+    // Raw fit: column materialization + OLS versus the sums already
+    // accumulated during the unwrap (the window's pre-processing runs
+    // untimed first).
+    let unwrap_fit = Stage::new(
+        "unwrap_fit",
+        time_us(
+            n,
+            |i| {
+                let channels = reference::preprocess_reads(&pool[i], &pre).expect("usable");
+                timed(|| {
+                    let xs: Vec<f64> = channels.iter().map(|c| c.frequency_hz).collect();
+                    let ys: Vec<f64> = channels.iter().map(|c| c.phase).collect();
+                    black_box(reference::ols(&xs, &ys).expect("fittable"));
+                })
+            },
+            warmup,
+            repeats,
+        ),
+        time_us(
+            n,
+            |i| {
+                preprocess_reads_with(&mut ws, &pool[i], &pre, &mut out).expect("usable");
+                timed(|| {
+                    black_box(ws.raw_fit().expect("fittable"));
+                })
+            },
+            warmup,
+            repeats,
+        ),
+    );
+
+    // Robust rejection: sorting medians + full refit per round versus
+    // banded selection medians + downdated sums.
+    let robust_reject = Stage::new(
+        "robust_reject",
+        time_us(
+            n,
+            |i| {
+                let (xs, ys) = &columns[i];
+                timed(|| {
+                    black_box(reference::robust_line_fit(xs, ys, &robust).expect("fittable"));
+                })
+            },
+            warmup,
+            repeats,
+        ),
+        time_us(
+            n,
+            |i| {
+                let (xs, ys) = &columns[i];
+                timed(|| {
+                    let fit = robust_line_fit_with(&mut fit_ws, xs, ys, &robust);
+                    black_box(fit.expect("fittable"));
+                })
+            },
+            warmup,
+            repeats,
+        ),
+    );
 
     // End-to-end window: everything an extraction's front end runs.
-    let (rp50, rp90) = time_us(
-        || {
-            let channels =
-                reference::preprocess_reads(black_box(reads), &pre).expect("usable");
-            let xs: Vec<f64> = channels.iter().map(|c| c.frequency_hz).collect();
-            let ys: Vec<f64> = channels.iter().map(|c| c.phase).collect();
-            black_box(reference::ols(&xs, &ys).expect("fittable"));
-            black_box(reference::robust_line_fit(&xs, &ys, &robust).expect("fittable"));
-        },
-        warmup,
-        repeats,
+    let window = Stage::new(
+        "window",
+        time_us(
+            n,
+            |i| {
+                timed(|| {
+                    let channels =
+                        reference::preprocess_reads(black_box(&pool[i]), &pre).expect("usable");
+                    let xs: Vec<f64> = channels.iter().map(|c| c.frequency_hz).collect();
+                    let ys: Vec<f64> = channels.iter().map(|c| c.phase).collect();
+                    black_box(reference::ols(&xs, &ys).expect("fittable"));
+                    black_box(reference::robust_line_fit(&xs, &ys, &robust).expect("fittable"));
+                })
+            },
+            warmup,
+            repeats,
+        ),
+        time_us(
+            n,
+            |i| {
+                timed(|| {
+                    preprocess_reads_with(&mut ws, black_box(&pool[i]), &pre, &mut out)
+                        .expect("usable");
+                    black_box(ws.raw_fit().expect("fittable"));
+                    let (wxs, wys, fit_ws) = ws.fit_columns();
+                    black_box(robust_line_fit_with(fit_ws, wxs, wys, &robust).expect("fittable"));
+                })
+            },
+            warmup,
+            repeats,
+        ),
     );
-    let (fp50, fp90) = time_us(
-        || {
-            preprocess_reads_with(&mut ws, black_box(reads), &pre, &mut out).expect("usable");
-            black_box(ws.raw_fit().expect("fittable"));
-            let (wxs, wys, fit_ws) = ws.fit_columns();
-            black_box(robust_line_fit_with(fit_ws, wxs, wys, &robust).expect("fittable"));
-        },
-        warmup,
-        repeats,
-    );
-    stages.push(Stage {
-        name: "window",
-        ref_p50: rp50,
-        ref_p90: rp90,
-        fused_p50: fp50,
-        fused_p90: fp90,
-    });
-    stages
+    vec![preprocess, unwrap_fit, robust_reject, window]
 }
 
 fn main() {
@@ -246,9 +308,13 @@ fn main() {
     let mut standard_fit_speedup = 0.0f64;
     let mut standard_preprocess_speedup = 0.0f64;
     for (label, reads_per_channel) in [("sparse", 2usize), ("standard", 8), ("dense", 24)] {
-        let reads = window_reads(reads_per_channel);
-        report::section(&format!("{label} window ({} reads)", reads.len()));
-        let stages = profile_window(&reads, warmup, repeats);
+        let pool = window_pool(reads_per_channel);
+        let reads = pool.iter().map(Vec::len).sum::<usize>() as f64 / pool.len() as f64;
+        report::section(&format!(
+            "{label} windows ({} distinct, {reads:.0} reads on average)",
+            pool.len()
+        ));
+        let stages = profile_pool(&pool, warmup, repeats);
         for s in &stages {
             println!(
                 "  {:<13} reference p50 {:>7.2} p90 {:>7.2}   fused p50 {:>7.2} p90 {:>7.2}   speedup ×{:.2}",
@@ -276,7 +342,8 @@ fn main() {
         }
         windows.push(JsonValue::obj(vec![
             ("window", JsonValue::Str(label.into())),
-            ("reads", JsonValue::Num(reads.len() as f64)),
+            ("windows", JsonValue::Num(pool.len() as f64)),
+            ("reads", JsonValue::Num(reads.round())),
             ("fit_chain_speedup_p50", JsonValue::Num((fit_speedup * 100.0).round() / 100.0)),
             ("stages", JsonValue::Arr(stages.iter().map(Stage::json).collect())),
         ]));

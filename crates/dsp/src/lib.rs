@@ -6,8 +6,9 @@
 //! * [`preprocess`] — turning raw per-read reader reports into one clean
 //!   unwrapped phase per channel: π-jump correction (COTS readers flip the
 //!   reported phase by π at random), circular per-channel averaging, and
-//!   2π unwrapping across channels.
+//!   2π unwrapping across channels, in two passes over the reads.
 //! * [`linfit`] — ordinary/weighted least-squares and Theil–Sen line fits
+//!   (the Theil–Sen median selected inside a band around the OLS slope)
 //!   with goodness-of-fit diagnostics. Linear fitting is the workhorse of
 //!   the whole system: the multi-frequency model (paper Eq. 6) reduces each
 //!   antenna's observation to the slope and intercept of a line.
@@ -25,8 +26,9 @@
 //!   percentiles, empirical CDFs) shared by the solver and the experiment
 //!   harness.
 //! * [`trig`] — the pre-processing trigonometry tables: exact sin/cos
-//!   lookups by 12-bit reader phase code (bit-identical to libm, proven
-//!   exhaustively over all 4096 codes); codeless reads call libm.
+//!   lookups by 12-bit reader phase code in two interleaved `[sin, cos]`
+//!   tables (bit-identical to libm, proven exhaustively over all 4096
+//!   codes); codeless reads call libm.
 //! * [`workspace`] — reusable flat scratch buffers
 //!   ([`FrontEndWorkspace`], [`FitWorkspace`]) that make the whole front
 //!   end allocation-free in steady state; the `*_with` kernel variants in

@@ -21,12 +21,23 @@
 //!    unwrapping restores a continuous line (channel spacing is 500 kHz, so
 //!    the true inter-channel increment is ≪ π for any realistic geometry).
 //!
+//! One window costs two passes over its reads; the rest is per channel:
+//!
+//! * **Pass 1** checks each read's usability, finds its channel's slot and
+//!   accumulates the double-angle phasor and RSSI (a window holding an
+//!   unusable read restarts on a copy without it);
+//! * per channel: the axis, the channel order (a walk over the channel
+//!   ids when frequency rises with them, a `(frequency, channel)` sort
+//!   otherwise) and the period-π unwrap of the axes;
+//! * **Pass 2** folds each read onto its channel axis and casts its π
+//!   vote against the unwrapped axis.
+//!
 //! Per-read trigonometry has one path: reads that carry their 12-bit
 //! reader phase code are looked up in the exact phase-code tables of
 //! [`crate::trig`] (bit-identical to libm by construction), and every
-//! other read calls libm. The lookups are fused into the per-channel
-//! accumulation passes, so every per-channel sum keeps the reference
-//! summation order — and hence its bits.
+//! other read calls libm. The lookups are fused into the two passes, so
+//! every per-channel sum keeps the reference summation order — and hence
+//! its bits.
 
 use crate::trig::{self, hit, PHASE_CODES, PHASE_LSB_RAD};
 use crate::workspace::FrontEndWorkspace;
@@ -173,7 +184,8 @@ pub fn preprocess_reads(
 
 /// [`preprocess_reads`] against caller-owned scratch: per-channel
 /// aggregation runs over the workspace's flat SoA accumulator columns
-/// (two passes over the raw reads — no per-channel `Vec`s, no map), the
+/// (two passes over the raw reads — no per-channel `Vec`s, no map; see
+/// the module docs), the
 /// unwrap operates in the workspace's phase column, and writing the final
 /// observations simultaneously feeds the fused unwrap+OLS accumulator
 /// ([`FrontEndWorkspace::raw_fit`]) and the fit columns
@@ -183,8 +195,8 @@ pub fn preprocess_reads(
 ///
 /// Produces bit-identical observations to [`preprocess_reads`] (which
 /// delegates here): the streamed per-channel circular statistics
-/// accumulate in the same read order, and the order-statistic medians and
-/// unstable index sorts reproduce the original stable orderings exactly.
+/// accumulate in the same read order, and the channel order is the
+/// original stable `(frequency, channel)` ordering.
 ///
 /// # Errors
 ///
@@ -195,22 +207,132 @@ pub fn preprocess_reads_with(
     config: &PreprocessConfig,
     out: &mut Vec<ChannelObservation>,
 ) -> Result<(), PreprocessError> {
-    if reads.iter().all(RawRead::is_usable) {
-        return preprocess_usable(ws, reads, config, out);
+    if accumulate(ws, reads, config) {
+        return finish(ws, reads, config, out);
     }
-    // An unusable read would poison every statistic of its channel: run on
-    // a copy without it. Such reads are rare, so only a window holding one
-    // pays for the copy.
+    // An unusable read would poison every statistic of its channel: pass 1
+    // stopped at it, so restart on a copy without it. Such reads are rare,
+    // so only a window holding one pays for the copy.
     let mut usable = std::mem::take(&mut ws.usable_reads);
     usable.clear();
     usable.extend(reads.iter().filter(|r| r.is_usable()).copied());
-    let result = preprocess_usable(ws, &usable, config, out);
+    let complete = accumulate(ws, &usable, config);
+    debug_assert!(complete, "the copy holds only usable reads");
+    let result = finish(ws, &usable, config, out);
     ws.usable_reads = usable;
     result
 }
 
-/// [`preprocess_reads_with`] on reads that are all usable.
-fn preprocess_usable(
+/// Pass 1 over the reads: per-channel counts, first read, RSSI, and the
+/// per-read phasors — sin/cos of the doubled angle in π-jump mode (the
+/// double-angle trick maps both antipodal clusters onto one) or of the
+/// plain phase otherwise — accumulated into the per-channel circular
+/// sums. Iterating the reads in input order keeps every per-channel
+/// accumulation in that channel's read order — the same summation order
+/// as the per-channel vectors of the reference implementation, hence
+/// bit-identical sums. A reader dwells on one channel for several reads
+/// in a row, so the sums of the current channel's run live in registers
+/// and go back to their columns when the channel changes. The slot of
+/// each read is recorded so pass 2 skips the slot lookup. Returns
+/// `false`, leaving the workspace half-filled, at the first unusable
+/// read.
+fn accumulate(ws: &mut FrontEndWorkspace, reads: &[RawRead], config: &PreprocessConfig) -> bool {
+    ws.reset_channels();
+    // `1.0 · p` is exactly `p`, so one scaled expression serves both
+    // modes on the libm path without perturbing bit-identity. On the
+    // table path the mode picks the table and the index stride: the base
+    // entry of code `c` sits at `2c` in the interleaved fold table.
+    let (scale, table, stride) = if config.correct_pi_jumps {
+        (2.0, trig::double_table(), 0)
+    } else {
+        (1.0, trig::fold_table(), 1)
+    };
+    let mut hits = [0u64; 2];
+    // The current run: its channel, slot and running sums.
+    let mut run = Run::default();
+    for r in reads {
+        if !r.is_usable() {
+            return false;
+        }
+        if r.channel != run.channel {
+            run.store(ws);
+            run = Run::load(ws, r);
+        }
+        ws.read_slot.push(run.slot as u32);
+        let (sin, cos) = match r.table_code() {
+            Some(code) => {
+                hits[hit::TABLE] += 1;
+                let [sin, cos] = table[(code as usize) << stride];
+                (sin, cos)
+            }
+            None => {
+                hits[hit::LIBM] += 1;
+                let x = scale * r.phase;
+                (x.sin(), x.cos())
+            }
+        };
+        run.count += 1;
+        run.rssi += r.rssi_dbm;
+        run.sin += sin;
+        run.cos += cos;
+    }
+    run.store(ws);
+    ws.trig_hits = hits;
+    true
+}
+
+/// The pass-1 sums of one channel's run of consecutive reads.
+struct Run {
+    /// Channel id; `usize::MAX` before the first read (no usable read
+    /// carries it).
+    channel: usize,
+    slot: usize,
+    count: usize,
+    rssi: f64,
+    sin: f64,
+    cos: f64,
+}
+
+impl Default for Run {
+    fn default() -> Self {
+        Run { channel: usize::MAX, slot: 0, count: 0, rssi: 0.0, sin: 0.0, cos: 0.0 }
+    }
+}
+
+impl Run {
+    /// Starts a run at `r`, resuming its channel's sums so far.
+    #[inline]
+    fn load(ws: &mut FrontEndWorkspace, r: &RawRead) -> Self {
+        let slot = ws.slot(r.channel);
+        if ws.count[slot] == 0 {
+            ws.first_freq[slot] = r.frequency_hz;
+            ws.first_phase[slot] = r.phase;
+        }
+        Run {
+            channel: r.channel,
+            slot,
+            count: ws.count[slot],
+            rssi: ws.sum_rssi[slot],
+            sin: ws.acc_sin[slot],
+            cos: ws.acc_cos[slot],
+        }
+    }
+
+    /// Writes the run's sums back to its channel's columns.
+    #[inline]
+    fn store(&self, ws: &mut FrontEndWorkspace) {
+        if self.channel != usize::MAX {
+            ws.count[self.slot] = self.count;
+            ws.sum_rssi[self.slot] = self.rssi;
+            ws.acc_sin[self.slot] = self.sin;
+            ws.acc_cos[self.slot] = self.cos;
+        }
+    }
+}
+
+/// Everything after pass 1: per-channel axes, the channel order, the
+/// cross-channel unwrap, pass 2 (fold and π vote) and the emit.
+fn finish(
     ws: &mut FrontEndWorkspace,
     reads: &[RawRead],
     config: &PreprocessConfig,
@@ -218,50 +340,8 @@ fn preprocess_usable(
 ) -> Result<(), PreprocessError> {
     use std::f64::consts::{FRAC_PI_2, PI};
 
-    ws.reset_channels();
     out.clear();
     let min_reads = config.min_reads_per_channel.max(1);
-
-    // Pass 1: per-channel counts, first read, RSSI, and the per-read
-    // phasors — sin/cos of the doubled angle in π-jump mode (the
-    // double-angle trick maps both antipodal clusters onto one) or of
-    // the plain phase otherwise — accumulated into the per-channel
-    // circular sums. Iterating the reads in input order keeps every
-    // per-channel accumulation in that channel's read order — the same
-    // summation order as the per-channel vectors of the reference
-    // implementation, hence bit-identical sums. The slot of each read is
-    // recorded so the fold and vote passes skip the branchy slot lookup.
-    // A table hit is two loads, fused straight into the scatter.
-    let scale = if config.correct_pi_jumps { 2.0 } else { 1.0 };
-    for r in reads.iter() {
-        let s = ws.slot(r.channel);
-        ws.read_slot.push(s as u32);
-        if ws.count[s] == 0 {
-            ws.first_freq[s] = r.frequency_hz;
-            ws.first_phase[s] = r.phase;
-        }
-        ws.count[s] += 1;
-        ws.sum_rssi[s] += r.rssi_dbm;
-        let (sin, cos) = match r.table_code() {
-            Some(code) => {
-                ws.trig_hits[hit::TABLE] += 1;
-                if config.correct_pi_jumps {
-                    trig::table_double_sin_cos(code)
-                } else {
-                    trig::table_sin_cos(code)
-                }
-            }
-            None => {
-                // `1.0 · p` is exactly `p`, so one scaled expression
-                // serves both modes without perturbing bit-identity.
-                ws.trig_hits[hit::LIBM] += 1;
-                let x = scale * r.phase;
-                (x.sin(), x.cos())
-            }
-        };
-        ws.acc_sin[s] += sin;
-        ws.acc_cos[s] += cos;
-    }
 
     // Per-slot axis (and, without π correction, the spread too — it comes
     // from the same resultant vector as the mean).
@@ -288,69 +368,16 @@ fn preprocess_usable(
         return Err(PreprocessError::NoUsableChannels);
     }
 
-    // Pass 2 (π-jump mode): fold every read onto its channel axis and
-    // accumulate the folded resultant for the per-channel spread. Table
-    // hits resolve to the base or π-shifted table by the fold decision;
-    // decision, lookup and accumulation run in one pass, in input order
-    // (bit-identical sums, as in pass 1).
-    if config.correct_pi_jumps {
-        for (i, r) in reads.iter().enumerate() {
-            let s = ws.read_slot[i] as usize;
-            if !ws.keep[s] {
-                continue;
-            }
-            let p = r.phase;
-            let shift = wrapped_distance(p, ws.axis[s]) > FRAC_PI_2;
-            let (sin, cos) = match r.table_code() {
-                Some(code) => {
-                    ws.trig_hits[hit::TABLE] += 1;
-                    if shift {
-                        trig::table_shift_sin_cos(code)
-                    } else {
-                        trig::table_sin_cos(code)
-                    }
-                }
-                None => {
-                    ws.trig_hits[hit::LIBM] += 1;
-                    let folded = if shift { p + PI } else { p };
-                    (folded.sin(), folded.cos())
-                }
-            };
-            ws.fold_sin[s] += sin;
-            ws.fold_cos[s] += cos;
-        }
-        for s in 0..ws.slots() {
-            if !ws.keep[s] {
-                continue;
-            }
-            let (sin, cos) = (ws.fold_sin[s], ws.fold_cos[s]);
-            let r = ((sin * sin + cos * cos).sqrt() / ws.count[s] as f64).min(1.0);
-            ws.spread[s] = (-2.0 * r.max(1e-300).ln()).sqrt();
-        }
-    }
-
-    // Sort the kept slots ascending in frequency. The reference
-    // implementation stable-sorts channels that arrive in ascending
-    // channel-id order (BTreeMap iteration), so (frequency, channel) as an
-    // unstable total order reproduces its ordering exactly.
-    ws.order.clear();
-    ws.order.extend((0..ws.slots()).filter(|&s| ws.keep[s]));
     {
-        let first_freq = &ws.first_freq;
-        let chan = &ws.chan;
-        ws.order.sort_unstable_by(|&a, &b| {
-            first_freq[a]
-                .partial_cmp(&first_freq[b])
-                .expect("finite frequencies")
-                .then_with(|| chan[a].cmp(&chan[b]))
-        });
+        let FrontEndWorkspace { order, slot_of, chan, keep, first_freq, .. } = &mut *ws;
+        order_channels(order, slot_of, chan.len(), |s| chan[s], |s| keep[s], |s| first_freq[s]);
     }
 
-    // Wrapped per-channel phases in sorted order, then cross-channel
+    // Wrapped per-channel phases in channel order, then cross-channel
     // unwrap in place.
     ws.phase_col.clear();
     for &s in &ws.order {
-        ws.phase_col.push(angle::wrap_tau(ws.axis[s]));
+        ws.phase_col.push(wrap_tau(ws.axis[s]));
     }
     if config.correct_pi_jumps {
         // The per-channel axes are only known modulo π: unwrap them with
@@ -361,18 +388,64 @@ fn preprocess_usable(
         for (k, &s) in ws.order.iter().enumerate() {
             ws.unwrapped[s] = ws.phase_col[k];
         }
+        // Pass 2: fold every read onto its channel axis, accumulating the
+        // folded resultant for the per-channel spread, and cast its vote
+        // against the unwrapped axis. The unwrap needs only the pass-1
+        // axes, so one pass serves both; the fold sums still accumulate
+        // in input order (bit-identical sums, as in pass 1). A table hit
+        // is one load indexed by code and fold decision.
+        let FrontEndWorkspace {
+            read_slot, keep, axis, unwrapped, fold_sin, fold_cos, trig_hits, ..
+        } = &mut *ws;
+        let fold_table = trig::fold_table();
         let mut votes_axis = 0usize;
-        let mut votes_total = 0usize;
-        for (i, r) in reads.iter().enumerate() {
-            let s = ws.read_slot[i] as usize;
-            debug_assert_eq!(ws.slot_if_seen(r.channel), Some(s), "stale read_slot");
-            if !ws.keep[s] {
+        // As in pass 1, the fold sums of the current channel's run live
+        // in registers until the slot changes.
+        let mut cur = u32::MAX;
+        let (mut kept, mut fold_axis, mut vote_axis) = (false, 0.0, 0.0);
+        let (mut run_sin, mut run_cos) = (0.0, 0.0);
+        for (r, &s) in reads.iter().zip(read_slot.iter()) {
+            if s != cur {
+                if cur != u32::MAX {
+                    fold_sin[cur as usize] = run_sin;
+                    fold_cos[cur as usize] = run_cos;
+                }
+                cur = s;
+                let s = s as usize;
+                (kept, fold_axis, vote_axis) = (keep[s], axis[s], unwrapped[s]);
+                (run_sin, run_cos) = (fold_sin[s], fold_cos[s]);
+            }
+            if !kept {
                 continue;
             }
-            votes_total += 1;
-            if wrapped_distance(r.phase, ws.unwrapped[s]) <= FRAC_PI_2 {
-                votes_axis += 1;
-            }
+            let p = r.phase;
+            let shift = wrapped_distance(p, fold_axis) > FRAC_PI_2;
+            let (sin, cos) = match r.table_code() {
+                Some(code) => {
+                    trig_hits[hit::TABLE] += 1;
+                    let [sin, cos] = fold_table[((code as usize) << 1) | shift as usize];
+                    (sin, cos)
+                }
+                None => {
+                    trig_hits[hit::LIBM] += 1;
+                    let folded = if shift { p + PI } else { p };
+                    (folded.sin(), folded.cos())
+                }
+            };
+            run_sin += sin;
+            run_cos += cos;
+            votes_axis += (wrapped_distance(p, vote_axis) <= FRAC_PI_2) as usize;
+        }
+        if cur != u32::MAX {
+            fold_sin[cur as usize] = run_sin;
+            fold_cos[cur as usize] = run_cos;
+        }
+        let mut votes_total = 0usize;
+        for &s in &ws.order {
+            let (sin, cos) = (ws.fold_sin[s], ws.fold_cos[s]);
+            let r = ((sin * sin + cos * cos).sqrt() / ws.count[s] as f64).min(1.0);
+            ws.spread[s] = (-2.0 * r.max(1e-300).ln()).sqrt();
+            votes_total += ws.count[s];
         }
         if 2 * votes_axis < votes_total {
             for p in &mut ws.phase_col {
@@ -403,40 +476,103 @@ fn preprocess_usable(
     Ok(())
 }
 
-/// `angle::distance(a, b)`, fast-pathed for the per-read hot loops.
+/// Fills `order` with the slots among `0..slots` that `kept` selects,
+/// ascending in frequency. `slot_of` maps channel id → slot (`u32::MAX` =
+/// none) and `chan` slot → channel id. The reference implementation
+/// stable-sorts channels that arrive in ascending channel-id order
+/// (BTreeMap iteration), so the order is `(frequency, channel)`. A
+/// reader's frequency plan usually rises with the channel id, and then
+/// walking the ids in ascending order yields that order directly; the
+/// walk checks the rise as it goes and falls back to sorting on the first
+/// falling frequency, or when the ids are more than 4× as sparse as the
+/// slots, where the walk would cost more than the sort.
+pub(crate) fn order_channels(
+    order: &mut Vec<usize>,
+    slot_of: &[u32],
+    slots: usize,
+    chan: impl Fn(usize) -> usize,
+    kept: impl Fn(usize) -> bool,
+    freq: impl Fn(usize) -> f64,
+) {
+    order.clear();
+    let (lo, hi) =
+        (0..slots).fold((usize::MAX, 0), |(lo, hi), s| (lo.min(chan(s)), hi.max(chan(s))));
+    if hi.wrapping_sub(lo) < 4 * slots {
+        let mut last = f64::NEG_INFINITY;
+        let mut rising = true;
+        for &s in &slot_of[lo..=hi] {
+            let s = s as usize;
+            if s == u32::MAX as usize || !kept(s) {
+                continue;
+            }
+            let f = freq(s);
+            if f < last {
+                rising = false;
+                break;
+            }
+            last = f;
+            order.push(s);
+        }
+        if rising {
+            return;
+        }
+        order.clear();
+    }
+    order.extend((0..slots).filter(|&s| kept(s)));
+    order.sort_unstable_by(|&a, &b| {
+        freq(a)
+            .partial_cmp(&freq(b))
+            .expect("finite frequencies")
+            .then_with(|| chan(a).cmp(&chan(b)))
+    });
+}
+
+/// `angle::wrap_tau(theta)`, fast-pathed for the hot loops.
 ///
-/// `angle::distance` reaches `f64::rem_euclid`, whose `%` is a libm
-/// `fmod` call — the single most expensive operation left in the fold and
-/// vote passes once the trig is table-backed. For `|a - b| < τ` (every
-/// real window: raw phases live in `[0, 2π)` and channel axes in
-/// `(-π, π]`) the `rem_euclid` reduces to at most one add of `τ`, which
-/// this helper replays branch by branch:
+/// `angle::wrap_tau` reaches `f64::rem_euclid`, whose `%` is a libm
+/// `fmod` call — the single most expensive operation left in the
+/// per-read and per-channel loops once the trig is table-backed. For
+/// `|θ| < τ` (every real window: raw phases live in `[0, 2π)`, channel
+/// axes in `(-π, π]`) the `rem_euclid` reduces to at most one add of
+/// `τ`, which this helper replays branch by branch:
 ///
-/// * `d ∈ [0, τ)`: `fmod(d, τ) = d` exactly, and `rem_euclid` returns it
+/// * `θ ∈ [0, τ)`: `fmod(θ, τ) = θ` exactly, and `rem_euclid` returns it
 ///   unchanged — as does the fast path.
-/// * `d ∈ (-τ, 0)`: `fmod(d, τ) = d` exactly (fmod is exact and keeps
-///   the sign), then `rem_euclid` computes the *floating* add `d + τ` —
+/// * `θ ∈ (-τ, 0)`: `fmod(θ, τ) = θ` exactly (fmod is exact and keeps
+///   the sign), then `rem_euclid` computes the *floating* add `θ + τ` —
 ///   the identical expression the fast path evaluates, so even when that
-///   add rounds (tiny `|d|` → exactly `τ`) both paths round the same way.
+///   add rounds (tiny `|θ|` → exactly `τ`) both paths round the same way.
 ///
-/// The subsequent `≥ τ` and `> π` adjustments are copied verbatim from
-/// `wrap_tau`/`wrap_pi`, so the fast path is **bit-identical** to
-/// `angle::distance` on its range; anything else (|d| ≥ τ, NaN) falls
-/// back to the real thing. The frozen reference path keeps calling
-/// `angle::distance`, and the bit-identity property suites compare the
-/// two implementations on every window they generate.
+/// The subsequent `≥ τ` adjustment is copied verbatim from `wrap_tau`,
+/// so the fast path is **bit-identical** to it on its range; anything
+/// else (|θ| ≥ τ, NaN) falls back to the real thing. The frozen
+/// reference path keeps calling `angle`, and the bit-identity property
+/// suites compare the two implementations on every window they
+/// generate.
+#[inline(always)]
+pub(crate) fn wrap_tau(theta: f64) -> f64 {
+    use std::f64::consts::TAU;
+    if theta > -TAU && theta < TAU {
+        let w = if theta < 0.0 { theta + TAU } else { theta };
+        if w >= TAU {
+            w - TAU
+        } else {
+            w
+        }
+    } else {
+        angle::wrap_tau(theta)
+    }
+}
+
+/// `angle::distance(a, b)` on the [`wrap_tau`] fast path: the `> π`
+/// adjustment and the absolute value are copied verbatim from
+/// `wrap_pi`/`distance`, so it is bit-identical to `angle::distance`.
 #[inline(always)]
 pub(crate) fn wrapped_distance(a: f64, b: f64) -> f64 {
     use std::f64::consts::{PI, TAU};
-    let d = a - b;
-    if d > -TAU && d < TAU {
-        let w = if d < 0.0 { d + TAU } else { d };
-        let w = if w >= TAU { w - TAU } else { w };
-        let w = if w > PI { w - TAU } else { w };
-        w.abs()
-    } else {
-        angle::distance(a, b)
-    }
+    let w = wrap_tau(a - b);
+    let w = if w > PI { w - TAU } else { w };
+    w.abs()
 }
 
 #[cfg(test)]

@@ -46,19 +46,40 @@ pub fn median(xs: &[f64]) -> Option<f64> {
 ///
 /// Panics on `NaN` input, like [`median`].
 pub fn median_in_place(xs: &mut [f64]) -> Option<f64> {
-    if xs.is_empty() {
+    band_median(xs, 0, xs.len())
+}
+
+/// The median of a multiset of `total` values known only through a value
+/// band: `below` of its values lie strictly below the band and `members`
+/// holds every value inside it, unordered. When the band covers the
+/// median rank(s) this is the value [`median_in_place`] returns on the
+/// whole multiset (selection picks the same order statistics, shifted by
+/// `below`); otherwise — or for an empty multiset — `None`. A band that
+/// holds the whole multiset (`below == 0`, `members.len() == total`)
+/// always covers. `members` is left partially reordered.
+///
+/// # Panics
+///
+/// Panics on `NaN` among `members`.
+pub(crate) fn band_median(members: &mut [f64], below: usize, total: usize) -> Option<f64> {
+    if total == 0 {
         return None;
     }
-    let n = xs.len();
+    // Ranks of the order statistics the median takes: the middle one for
+    // odd counts, the two middle ones for even counts.
+    let (r0, r1) = ((total - 1) / 2, total / 2);
+    if below > r0 || r1 >= below + members.len() {
+        return None;
+    }
     let cmp = |a: &f64, b: &f64| a.partial_cmp(b).expect("NaN in median input");
-    let (below, mid, _) = xs.select_nth_unstable_by(n / 2, cmp);
+    let (left, mid, _) = members.select_nth_unstable_by(r1 - below, cmp);
     let mid = *mid;
-    Some(if n % 2 == 1 {
+    Some(if total % 2 == 1 {
         mid
     } else {
         // The lower central order statistic is the maximum of the left
-        // partition.
-        let lower = below.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+        // partition, which holds rank r0 because `below ≤ r0 = r1 − 1`.
+        let lower = left.iter().copied().fold(f64::NEG_INFINITY, f64::max);
         (lower + mid) / 2.0
     })
 }

@@ -52,10 +52,11 @@ use std::f64::consts::{FRAC_PI_2, PI};
 
 use crate::linfit::{FitError, LineFit};
 use crate::preprocess::{
-    preprocess_reads_with, wrapped_distance, ChannelObservation, PreprocessConfig,
-    PreprocessError, RawRead,
+    order_channels, preprocess_reads_with, wrap_tau, wrapped_distance, ChannelObservation,
+    PreprocessConfig, PreprocessError, RawRead,
 };
 use crate::robust::{robust_line_fit_seeded, RobustFitConfig, RobustSummary};
+use crate::stats;
 use crate::trig::{self, hit};
 use crate::workspace::FrontEndWorkspace;
 use rfp_geom::angle;
@@ -189,6 +190,9 @@ struct ChannelState {
     sum_rssi: f64,
     acc_sin: f64,
     acc_cos: f64,
+    /// Some retained read is older than a read pushed before it, so
+    /// expiry cannot stop at the first read it keeps.
+    unordered: bool,
     /// Sums have been downdated since the last exact rebuild.
     drifted: bool,
     /// Update/downdate operations absorbed while drifted.
@@ -229,6 +233,30 @@ impl ChannelState {
         ChannelState { chan, ..Default::default() }
     }
 
+    /// Subtracts an expired read's contributions from the running sums
+    /// (its fold and vote classification bits say which), marking the
+    /// channel drifted.
+    fn downdate(&mut self, sr: &StoredRead) {
+        self.count -= 1;
+        self.sum_rssi -= sr.read.rssi_dbm;
+        self.acc_sin -= sr.acc_sin;
+        self.acc_cos -= sr.acc_cos;
+        if self.fold_cache_valid {
+            if sr.fold_base {
+                self.fold_sin -= sr.base_sin;
+                self.fold_cos -= sr.base_cos;
+            } else {
+                self.fold_sin -= sr.shift_sin;
+                self.fold_cos -= sr.shift_cos;
+            }
+        }
+        if self.vote_cache_valid && sr.vote_in {
+            self.votes_axis -= 1;
+        }
+        self.drifted = true;
+        self.drift_ops += 1;
+    }
+
     /// Exact zero state for an emptied channel (un-drifts it).
     fn reset_exact(&mut self) {
         self.count = 0;
@@ -247,8 +275,9 @@ impl ChannelState {
 }
 
 /// An incrementally maintained sliding window over one antenna's read
-/// stream. Push reads in nondecreasing timestamp order with
-/// [`push`](Self::push), expire old ones with
+/// stream. Push reads with [`push`](Self::push) (normally in
+/// nondecreasing timestamp order, as a reader delivers them), expire old
+/// ones with
 /// [`expire_before`](Self::expire_before), and extract the per-channel
 /// observations plus the fitted line with
 /// [`extract_into`](Self::extract_into) — the incremental analogue of
@@ -296,7 +325,8 @@ pub struct StreamingWindow {
 /// [`BAND_PAD`] ranks of slack on each side, plus the exact count of
 /// valid slopes below the interval. While the abscissae are unchanged the
 /// median *ranks* are fixed, so each query is a coverage check plus a
-/// small select inside the band — and every pair refresh adjusts the
+/// small select inside the band (`stats::band_median`, the helper the
+/// batch Theil–Sen's value band uses too) — and every pair refresh adjusts the
 /// below-count or band membership in O(1). The band partitions the
 /// multiset by value, so the in-band selection reads out exactly the
 /// order statistics [`theil_sen_with`](crate::linfit::theil_sen_with)
@@ -451,37 +481,23 @@ impl SlopeCache {
         if m == 0 {
             return Err(FitError::DegenerateX);
         }
-        // Ranks of the order statistics the batch median takes: for odd
-        // counts the middle element, for even counts the two middle ones.
-        let (r0, r1) = ((m - 1) / 2, m / 2);
-        // Re-derive the band when churn walked the median rank outside it
-        // or grew it past the bloat ceiling. Coverage is guaranteed after
+        // Re-derive the band when churn grew it past the bloat ceiling or
+        // walked the median rank outside it. Coverage is guaranteed after
         // a re-derivation (`below ≤ lo_rank ≤ r0` and the inclusive upper
-        // edge keeps every tie of the padded upper rank in the band).
-        if !band_fresh
-            && (self.below > r0
-                || r1 >= self.below + self.members.len()
-                || self.members.len() > BAND_BLOAT_LIMIT)
-        {
+        // edge keeps every tie of the padded upper rank in the band). The
+        // band holds no -0.0 (ascending abscissae make tied-y slopes
+        // exactly +0.0), so equal selected values are bit-identical to the
+        // batch selection's.
+        if !band_fresh && self.members.len() > BAND_BLOAT_LIMIT {
             self.rebuild_band();
+            band_fresh = true;
         }
-        let cmp = |a: &f64, b: &f64| a.partial_cmp(b).expect("finite slopes");
-        let k1 = r1 - self.below;
-        let median = if m % 2 == 1 {
-            let (_, v, _) = self.members.select_nth_unstable_by(k1, cmp);
-            *v
-        } else {
-            // Mirror `stats::median_in_place`: select the upper middle,
-            // then the lower middle is the max of the left partition
-            // (k1 ≥ 1 because rank r0 = r1 - 1 also sits at or after
-            // `below`). Equal selected values are bit-identical — the
-            // multiset holds no -0.0 (ascending abscissae make tied-y
-            // slopes exactly +0.0).
-            let (left, v, _) = self.members.select_nth_unstable_by(k1, cmp);
-            let low = *left.iter().max_by(|a, b| cmp(a, b)).expect("k1 >= 1");
-            (low + *v) / 2.0
-        };
-        Ok(median)
+        if let Some(median) = stats::band_median(&mut self.members, self.below, m) {
+            return Ok(median);
+        }
+        debug_assert!(!band_fresh, "a re-derived band covers the median");
+        self.rebuild_band();
+        Ok(stats::band_median(&mut self.members, self.below, m).expect("re-derived band covers"))
     }
 
     /// Re-derive the band interval, below-count, and member sub-multiset
@@ -558,13 +574,16 @@ impl StreamingWindow {
     }
 
     /// Pushes one read into the window, updating its channel's running
-    /// sums in O(1). Reads must arrive in nondecreasing timestamp order
-    /// (the order a reader stream delivers them), which keeps every
-    /// per-channel sum in the batch summation order. A read the batch
+    /// sums in O(1). Per-channel sums accumulate in push order, the order
+    /// the batch front end sees the retained reads in. A read the batch
     /// front end skips (a non-finite phase or frequency, an out-of-range
-    /// channel) is skipped here too.
+    /// channel) is skipped here too, and so is a read whose timestamp is
+    /// not finite: no cutoff could ever expire it. Reads normally arrive
+    /// in nondecreasing timestamp order (the order a reader stream
+    /// delivers them); one that arrives older than its channel's last
+    /// read marks the channel for scanning expiry.
     pub fn push(&mut self, read: &RawRead) {
-        if !read.is_usable() {
+        if !read.is_usable() || !read.timestamp_s.is_finite() {
             return;
         }
         let doubled = self.config.preprocess.correct_pi_jumps;
@@ -603,6 +622,9 @@ impl StreamingWindow {
                 ch.votes_axis += 1;
             }
         }
+        if ch.fifo.back().is_some_and(|b| read.timestamp_s < b.read.timestamp_s) {
+            ch.unordered = true;
+        }
         ch.fifo.push_back(stored);
         ch.count += 1;
         ch.sum_rssi += read.rssi_dbm;
@@ -618,41 +640,42 @@ impl StreamingWindow {
 
     /// Expires every retained read with `timestamp_s < cutoff_s`,
     /// downdating its channel's sums, and returns the number removed.
+    /// Afterwards no retained read is older than `cutoff_s`, whatever
+    /// order the reads were pushed in: a channel whose reads arrived in
+    /// timestamp order expires from its front, any other by a scan.
     /// Emptied channels reset to the exact zero state; channels that
     /// exceed the drift-operation budget are rebuilt exactly from their
     /// retained reads.
     pub fn expire_before(&mut self, cutoff_s: f64) -> usize {
+        // A NaN cutoff expires everything, as it always has.
+        let expired = |sr: &StoredRead| sr.read.timestamp_s < cutoff_s || cutoff_s.is_nan();
         let mut removed = 0usize;
         for ch in &mut self.channels {
-            let mut changed = false;
-            while let Some(front) = ch.fifo.front() {
-                if front.read.timestamp_s >= cutoff_s {
-                    break;
-                }
-                let sr = ch.fifo.pop_front().expect("front exists");
-                ch.count -= 1;
-                ch.sum_rssi -= sr.read.rssi_dbm;
-                ch.acc_sin -= sr.acc_sin;
-                ch.acc_cos -= sr.acc_cos;
-                if ch.fold_cache_valid {
-                    if sr.fold_base {
-                        ch.fold_sin -= sr.base_sin;
-                        ch.fold_cos -= sr.base_cos;
-                    } else {
-                        ch.fold_sin -= sr.shift_sin;
-                        ch.fold_cos -= sr.shift_cos;
+            let before = ch.fifo.len();
+            if ch.unordered {
+                let mut fifo = std::mem::take(&mut ch.fifo);
+                let mut last = f64::NEG_INFINITY;
+                ch.unordered = false;
+                fifo.retain(|sr| {
+                    if expired(sr) {
+                        ch.downdate(sr);
+                        return false;
                     }
+                    ch.unordered |= sr.read.timestamp_s < last;
+                    last = sr.read.timestamp_s;
+                    true
+                });
+                ch.fifo = fifo;
+            } else {
+                while let Some(sr) = ch.fifo.front().copied().filter(expired) {
+                    ch.fifo.pop_front();
+                    ch.downdate(&sr);
                 }
-                if ch.vote_cache_valid && sr.vote_in {
-                    ch.votes_axis -= 1;
-                }
-                ch.drifted = true;
-                ch.drift_ops += 1;
-                self.stats.drift_ops += 1;
-                changed = true;
-                removed += 1;
             }
-            if changed {
+            let gone = before - ch.fifo.len();
+            if gone > 0 {
+                self.stats.drift_ops += gone as u64;
+                removed += gone;
                 ch.dirty = true;
                 if ch.fifo.is_empty() {
                     ch.reset_exact();
@@ -791,26 +814,17 @@ impl StreamingWindow {
             return Err(StreamingError::Preprocess(PreprocessError::NoUsableChannels));
         }
 
-        // Kept channels sorted ascending by (frequency, channel id) — the
-        // batch slot ordering.
-        self.order.clear();
-        self.order.extend(
-            self.channels
-                .iter()
-                .enumerate()
-                .filter(|(_, c)| c.count >= min_reads && c.count > 0)
-                .map(|(i, _)| i),
+        // Kept channels ascending by (frequency, channel id) — the batch
+        // slot ordering.
+        let channels = &self.channels;
+        order_channels(
+            &mut self.order,
+            &self.slot_of,
+            channels.len(),
+            |s| channels[s].chan,
+            |s| channels[s].count >= min_reads && channels[s].count > 0,
+            |s| channels[s].fifo.front().expect("kept").read.frequency_hz,
         );
-        {
-            let channels = &self.channels;
-            self.order.sort_unstable_by(|&a, &b| {
-                let fa = channels[a].fifo.front().expect("kept").read.frequency_hz;
-                let fb = channels[b].fifo.front().expect("kept").read.frequency_hz;
-                fa.partial_cmp(&fb)
-                    .expect("finite frequencies")
-                    .then_with(|| channels[a].chan.cmp(&channels[b].chan))
-            });
-        }
 
         // Cross-channel unwrap. The jump decisions flip only when a
         // consecutive difference sits at the half-period boundary, so a
@@ -818,7 +832,7 @@ impl StreamingWindow {
         // margin of the boundary is a hazard.
         self.phase_col.clear();
         for &s in &self.order {
-            self.phase_col.push(angle::wrap_tau(self.channels[s].axis));
+            self.phase_col.push(wrap_tau(self.channels[s].axis));
         }
         let half = if pi_mode {
             angle::unwrap_in_place_period(&mut self.phase_col, PI);
@@ -1317,6 +1331,62 @@ mod tests {
             win.extract_into(&mut out),
             Err(StreamingError::Preprocess(PreprocessError::NoUsableChannels))
         ));
+    }
+
+    /// A read stamped far ahead must not pin its channel, and one stamped
+    /// at ±∞ or NaN must not enter the window at all: after
+    /// `expire_before(c)` no retained read is older than `c`, whatever
+    /// order or finiteness the pushed timestamps had, and the window still
+    /// extracts what the batch front end makes of its retained reads.
+    #[test]
+    fn expiry_holds_for_out_of_order_and_non_finite_timestamps() {
+        for (far, kept) in [(1e12, 1), (f64::INFINITY, 0), (f64::NEG_INFINITY, 0), (f64::NAN, 0)]
+        {
+            let cfg = StreamingConfig::default();
+            let mut win = StreamingWindow::new(cfg);
+            let mut pushed = vec![read(0, 0.4, far)];
+            for k in 0..400 {
+                for c in 0..2 {
+                    let t = k as f64 * 2.0 + c as f64 * 0.5;
+                    pushed.push(read(c, 0.4 + 1.1 * c as f64 + 0.001 * k as f64, t));
+                }
+            }
+            for r in &pushed {
+                win.push(r);
+            }
+            win.expire_before(1000.0);
+            assert_eq!(win.read_count(), kept, "far timestamp {far}");
+            // Out of order from here on: every channel gets reads older
+            // than its newest one, then expiry cuts through the middle.
+            let late: Vec<RawRead> = (0..60)
+                .map(|k| read(k % 3, 0.5 + 1.1 * (k % 3) as f64, 1000.0 + ((k * 37) % 60) as f64))
+                .collect();
+            for r in &late {
+                win.push(r);
+            }
+            let cutoff = 1030.0;
+            win.expire_before(cutoff);
+            for ch in &win.channels {
+                assert!(ch.fifo.iter().all(|sr| sr.read.timestamp_s >= cutoff), "far {far}");
+            }
+            let retained: Vec<RawRead> = pushed
+                .iter()
+                .chain(&late)
+                .filter(|r| r.timestamp_s.is_finite() && r.timestamp_s >= cutoff)
+                .copied()
+                .collect();
+            assert_eq!(win.read_count(), retained.len(), "far {far}");
+            let mut out = Vec::new();
+            win.extract_into(&mut out).unwrap();
+            let (batch, mask, _) = batch_oracle(&retained, &cfg);
+            assert_eq!(out.len(), batch.len());
+            for (s, b) in out.iter().zip(&batch) {
+                assert_eq!(s.channel, b.channel);
+                assert!((s.phase - b.phase).abs() < 1e-9, "far {far}");
+                assert_eq!(s.read_count, b.read_count);
+            }
+            assert_eq!(win.inlier_mask(), &mask[..]);
+        }
     }
 
     /// Quantized, code-carrying reads ride the same incremental

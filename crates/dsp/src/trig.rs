@@ -1,9 +1,9 @@
 //! Phase-code trigonometry tables for the pre-processing hot path.
 //!
-//! Profiling after the SoA rework (PR 5) showed the front end's
-//! `preprocess` stage is *trig-bound*: the π-jump correction evaluates a
-//! libm `sin`/`cos` pair per raw read in the double-angle pass and again
-//! in the fold pass, and those calls dominate the stage. This module
+//! Profiling after the SoA rework showed the front end's `preprocess`
+//! stage is *trig-bound*: the π-jump correction evaluates a libm
+//! `sin`/`cos` pair per raw read in the double-angle pass and again in
+//! the fold pass, and those calls dominate the stage. This module
 //! breaks that bound without giving up a single bit of accuracy on real
 //! reader data, by exploiting the structure of the input.
 //!
@@ -13,7 +13,10 @@
 //! exact f64 products). When a [`RawRead`](crate::preprocess::RawRead)
 //! carries its code, every trig value the front end needs — `sin/cos(p)`,
 //! `sin/cos(2·p)` for the double-angle trick and `sin/cos(p + π)` for the
-//! fold pass — is one of `3 × 4096` precomputed values. The tables are
+//! fold pass — is one of `3 × 4096` precomputed `[sin, cos]` pairs, held
+//! in two interleaved tables: the double-angle table by code, and the
+//! fold table by `2·code + shift`, so the fold pass selects the base or
+//! π-shifted pair by address instead of by branch. The tables are
 //! filled by calling libm **on the exact expressions the front end would
 //! otherwise evaluate**, so a table lookup is bit-identical to libm *by
 //! construction*; the `table_matches_libm_for_every_code` test proves it
@@ -43,30 +46,27 @@ pub(crate) mod hit {
     pub const LIBM: usize = 1;
 }
 
-/// The three table families, one entry per phase code `c`:
-/// `sin/cos(p)`, `sin/cos(2·p)` and `sin/cos(p + π)` for `p = c · LSB`.
+/// The phase-code tables, one interleaved `[sin, cos]` pair per entry,
+/// for the grid phase `p = c · LSB` of code `c`:
+///
+/// * `double[c]` — the doubled angle `2·p` (the π-jump accumulation);
+/// * `fold[2c + shift]` — `p` itself at `shift = 0` and the π-shifted
+///   `p + π` at `shift = 1`, so the fold pass looks its phasor up by code
+///   and fold decision in one index instead of branching between tables.
 struct PhaseTables {
-    sin: [f64; PHASE_CODES],
-    cos: [f64; PHASE_CODES],
-    dbl_sin: [f64; PHASE_CODES],
-    dbl_cos: [f64; PHASE_CODES],
-    shift_sin: [f64; PHASE_CODES],
-    shift_cos: [f64; PHASE_CODES],
+    double: [[f64; 2]; PHASE_CODES],
+    fold: [[f64; 2]; 2 * PHASE_CODES],
 }
 
 static TABLES: OnceLock<PhaseTables> = OnceLock::new();
 
 /// The shared tables, built once on first use (inline in the static — no
-/// heap allocation, ~196 KiB total).
+/// heap allocation, 192 KiB total).
 fn tables() -> &'static PhaseTables {
     TABLES.get_or_init(|| {
         let mut t = PhaseTables {
-            sin: [0.0; PHASE_CODES],
-            cos: [0.0; PHASE_CODES],
-            dbl_sin: [0.0; PHASE_CODES],
-            dbl_cos: [0.0; PHASE_CODES],
-            shift_sin: [0.0; PHASE_CODES],
-            shift_cos: [0.0; PHASE_CODES],
+            double: [[0.0; 2]; PHASE_CODES],
+            fold: [[0.0; 2]; 2 * PHASE_CODES],
         };
         for c in 0..PHASE_CODES {
             // Each entry evaluates libm on the *same expression* the
@@ -75,12 +75,9 @@ fn tables() -> &'static PhaseTables {
             // the grid (doubling is exact; the π shift rounds once) —
             // exactly as they do in the scalar code.
             let p = c as f64 * PHASE_LSB_RAD;
-            t.sin[c] = p.sin();
-            t.cos[c] = p.cos();
-            t.dbl_sin[c] = (2.0 * p).sin();
-            t.dbl_cos[c] = (2.0 * p).cos();
-            t.shift_sin[c] = (p + PI).sin();
-            t.shift_cos[c] = (p + PI).cos();
+            t.double[c] = [(2.0 * p).sin(), (2.0 * p).cos()];
+            t.fold[2 * c] = [p.sin(), p.cos()];
+            t.fold[2 * c + 1] = [(p + PI).sin(), (p + PI).cos()];
         }
         t
     })
@@ -112,13 +109,36 @@ pub fn code_for_phase(phase: f64) -> Option<u16> {
     }
 }
 
+/// The double-angle table as a slice of `[sin, cos]` pairs indexed by
+/// code, for hot loops that hoist the table out of the per-read work.
+#[inline]
+pub(crate) fn double_table() -> &'static [[f64; 2]] {
+    &tables().double
+}
+
+/// The fold table as a slice of `[sin, cos]` pairs indexed by
+/// `2·code + shift`, for hot loops that hoist the table out of the
+/// per-read work.
+#[inline]
+pub(crate) fn fold_table() -> &'static [[f64; 2]] {
+    &tables().fold
+}
+
+/// The fold-table entry for `code`: `(sin, cos)` of the grid phase when
+/// `shift` is false, of the π-shifted grid phase when it is true —
+/// bit-equal to `(q.sin(), q.cos())` for `q = c·LSB` or `q = c·LSB + π`.
+/// Codes are taken modulo 4096.
+#[inline]
+pub(crate) fn fold_sin_cos(code: u16, shift: bool) -> (f64, f64) {
+    let [sin, cos] = fold_table()[((code as usize % PHASE_CODES) << 1) | shift as usize];
+    (sin, cos)
+}
+
 /// Table lookup of `(sin, cos)` of the grid phase for `code`, bit-equal
 /// to `((c·LSB).sin(), (c·LSB).cos())`. Codes are taken modulo 4096.
 #[inline]
 pub fn table_sin_cos(code: u16) -> (f64, f64) {
-    let t = tables();
-    let i = code as usize % PHASE_CODES;
-    (t.sin[i], t.cos[i])
+    fold_sin_cos(code, false)
 }
 
 /// Table lookup of `(sin, cos)` of the **doubled** grid phase for
@@ -130,9 +150,8 @@ pub fn table_sin_cos(code: u16) -> (f64, f64) {
 /// required for bit-identity.
 #[inline]
 pub fn table_double_sin_cos(code: u16) -> (f64, f64) {
-    let t = tables();
-    let i = code as usize % PHASE_CODES;
-    (t.dbl_sin[i], t.dbl_cos[i])
+    let [sin, cos] = double_table()[code as usize % PHASE_CODES];
+    (sin, cos)
 }
 
 /// Table lookup of `(sin, cos)` of the **π-shifted** grid phase for
@@ -142,9 +161,7 @@ pub fn table_double_sin_cos(code: u16) -> (f64, f64) {
 /// scalar `folded = p + PI` expression exactly.
 #[inline]
 pub fn table_shift_sin_cos(code: u16) -> (f64, f64) {
-    let t = tables();
-    let i = code as usize % PHASE_CODES;
-    (t.shift_sin[i], t.shift_cos[i])
+    fold_sin_cos(code, true)
 }
 
 #[cfg(test)]

@@ -17,7 +17,8 @@
 //!   ([`theil_sen_with`](crate::linfit::theil_sen_with),
 //!   [`robust_line_fit_with`](crate::robust::robust_line_fit_with)):
 //!   residual/rank/inlier columns, a median selection scratch and a
-//!   Theil–Sen slope buffer.
+//!   Theil–Sen slope buffer (the in-band slopes of the banded median, or
+//!   every pairwise slope when the band misses).
 //! * [`FrontEndWorkspace`] — everything above plus the pre-processing
 //!   stage's per-channel accumulator columns (struct-of-arrays: one flat
 //!   `f64`/`usize` column per quantity instead of a map of per-channel
@@ -224,7 +225,9 @@ pub struct FitWorkspace {
     pub(crate) inliers: Vec<bool>,
     /// Next iteration's inlier mask (double buffer).
     pub(crate) inliers_next: Vec<bool>,
-    /// Theil–Sen pairwise slope buffer (O(n²) entries).
+    /// Theil–Sen slope buffer: sized to the n(n−1)/2 pairs, holding the
+    /// in-band slopes of the banded median (or every slope when the band
+    /// misses).
     pub(crate) slopes: Vec<f64>,
 }
 
@@ -244,16 +247,14 @@ impl FitWorkspace {
 ///
 /// Layout is struct-of-arrays: each per-channel quantity is one flat
 /// column indexed by *slot* (dense channel index in first-appearance
-/// order), so the two accumulation passes over the raw reads touch a
+/// order), so the two passes over the raw reads touch a
 /// handful of contiguous arrays instead of chasing a map of heap-allocated
 /// per-channel vectors.
 #[derive(Debug, Clone, Default)]
 pub struct FrontEndWorkspace {
     /// channel id → slot + sentinel (`u32::MAX` = unseen this call).
-    slot_of: Vec<u32>,
-    /// Channel ids touched this call (to reset `slot_of` cheaply).
-    touched: Vec<usize>,
-    /// slot → channel id.
+    pub(crate) slot_of: Vec<u32>,
+    /// slot → channel id (also the list of `slot_of` entries to reset).
     pub(crate) chan: Vec<usize>,
     /// slot → number of raw reads.
     pub(crate) count: Vec<usize>,
@@ -279,7 +280,7 @@ pub struct FrontEndWorkspace {
     pub(crate) unwrapped: Vec<f64>,
     /// slot → channel kept (≥ min reads)?
     pub(crate) keep: Vec<bool>,
-    /// Kept slots sorted ascending by (frequency, channel).
+    /// Kept slots ascending by (frequency, channel).
     pub(crate) order: Vec<usize>,
     /// Phase column in sorted order (unwrap operates in place here).
     pub(crate) phase_col: Vec<f64>,
@@ -343,10 +344,9 @@ impl FrontEndWorkspace {
     /// Resets the per-call state, keeping every buffer's capacity. Called
     /// at the top of `preprocess_reads_with`.
     pub(crate) fn reset_channels(&mut self) {
-        for &ch in &self.touched {
+        for &ch in &self.chan {
             self.slot_of[ch] = u32::MAX;
         }
-        self.touched.clear();
         self.chan.clear();
         self.count.clear();
         self.first_freq.clear();
@@ -381,7 +381,6 @@ impl FrontEndWorkspace {
         }
         let slot = self.chan.len();
         self.slot_of[channel] = slot as u32;
-        self.touched.push(channel);
         self.chan.push(channel);
         self.count.push(0);
         self.first_freq.push(0.0);
@@ -396,15 +395,6 @@ impl FrontEndWorkspace {
         self.unwrapped.push(0.0);
         self.keep.push(false);
         slot
-    }
-
-    /// Slot of `channel` if it was seen this call.
-    #[inline]
-    pub(crate) fn slot_if_seen(&self, channel: usize) -> Option<usize> {
-        match self.slot_of.get(channel) {
-            Some(&s) if s != u32::MAX => Some(s as usize),
-            _ => None,
-        }
     }
 
     /// Number of slots in use this call.
@@ -492,7 +482,7 @@ mod tests {
         assert_ne!(a, b);
         assert_eq!(ws.slot(5), a);
         ws.reset_channels();
-        assert_eq!(ws.slot_if_seen(5), None);
+        assert_eq!(ws.slot_of[5], u32::MAX, "channel 5 unseen after reset");
         let c = ws.slot(9);
         assert_eq!(c, 0, "slots are dense again after reset");
     }

@@ -22,32 +22,47 @@ use std::f64::consts::PI;
 /// Read sets covering the degenerate shapes the front end must survive:
 /// sparse channels (below `min_reads`), single-read channels, repeated
 /// identical phases (zero spread), and channel indices far above the
-/// dense-slot range.
+/// dense-slot range. The frequency plan rises with the channel id, falls
+/// with it, or is scrambled (with ties between channels), so both the
+/// channel-id walk and its sorting fallback order the channels.
 fn arb_reads() -> impl Strategy<Value = Vec<RawRead>> {
-    proptest::collection::vec(
-        (0usize..30, 0.0f64..std::f64::consts::TAU, -80.0f64..-30.0, 0u8..2),
-        0..120,
+    (
+        proptest::collection::vec(
+            (0usize..30, 0.0f64..std::f64::consts::TAU, -80.0f64..-30.0, 0u8..2),
+            0..120,
+        ),
+        0u8..3,
     )
-    .prop_map(|tuples| {
-        tuples
-            .into_iter()
-            .enumerate()
-            .map(|(i, (mut ch, phase, rssi, sparse))| {
-                if sparse == 1 {
-                    // A few channels land way outside the dense range.
-                    ch += 900;
-                }
-                RawRead {
-                    channel: ch,
-                    frequency_hz: 902.75e6 + ch as f64 * 0.5e6,
-                    phase,
-                    rssi_dbm: rssi,
-                    timestamp_s: i as f64 * 0.01,
-                    phase_code: None,
-                }
-            })
-            .collect()
-    })
+        .prop_map(|(tuples, plan)| {
+            tuples
+                .into_iter()
+                .enumerate()
+                .map(|(i, (mut ch, phase, rssi, sparse))| {
+                    if sparse == 1 {
+                        // A few channels land way outside the dense range.
+                        ch += 900;
+                    }
+                    RawRead {
+                        channel: ch,
+                        frequency_hz: plan_frequency(plan, ch),
+                        phase,
+                        rssi_dbm: rssi,
+                        timestamp_s: i as f64 * 0.01,
+                        phase_code: None,
+                    }
+                })
+                .collect()
+        })
+}
+
+/// Frequency of channel `ch` under plan 0 (rising with the id), 1
+/// (falling) or 2 (scrambled, several ids per frequency).
+fn plan_frequency(plan: u8, ch: usize) -> f64 {
+    match plan {
+        0 => 902.75e6 + ch as f64 * 0.5e6,
+        1 => 927.25e6 - ch as f64 * 0.5e6,
+        _ => 902.75e6 + ((ch * 7919) % 23) as f64 * 0.5e6,
+    }
 }
 
 /// Snaps every read of `reads` onto the reader's 12-bit grid, attaching
@@ -312,4 +327,125 @@ fn downdated_refit_tracks_reference_implementation() {
     assert_eq!(new.inliers, old.inliers);
     assert!((new.fit.slope - old.fit.slope).abs() <= 1e-9 * old.fit.slope.abs().max(1e-12));
     assert!((new.fit.intercept - old.fit.intercept).abs() <= 1e-6);
+}
+
+/// The channel order takes the id walk when frequency rises with the id
+/// (dense or sparse ids) and the sort otherwise (falling or scrambled
+/// plans, ids too sparse to walk): every shape matches the reference.
+#[test]
+fn channel_orders_match_reference() {
+    let window = |ids: &[usize], plan: u8| -> Vec<RawRead> {
+        let mut reads = Vec::new();
+        for k in 0..3 {
+            for (i, &ch) in ids.iter().enumerate() {
+                let phase = 0.3 + 0.9 * i as f64 + 0.01 * k as f64
+                    + if (i + k) % 3 == 0 { PI } else { 0.0 };
+                let frequency_hz = plan_frequency(plan, ch);
+                reads.push(RawRead { frequency_hz, ..plain_read(ch, phase) });
+            }
+        }
+        reads
+    };
+    let dense: Vec<usize> = (0..20).collect();
+    let every_other: Vec<usize> = (0..20).map(|i| 2 * i).collect();
+    let far_apart: Vec<usize> = (0..10).chain(5000..5010).collect();
+    for ids in [&dense, &every_other, &far_apart] {
+        for plan in 0..3 {
+            for pi_jumps in [true, false] {
+                check_against_reference(&window(ids, plan), pi_jumps);
+            }
+        }
+    }
+}
+
+/// An unusable read (NaN phase, infinite frequency, out-of-range channel)
+/// placed first, mid-window or last stops pass 1, which restarts on the
+/// usable reads: the result is the reference's on the window without it.
+#[test]
+fn unusable_read_anywhere_restarts_on_the_usable_reads() {
+    let usable: Vec<RawRead> = (0..12)
+        .flat_map(|c| (0..3).map(move |k| plain_read(c, 0.4 + 1.2 * c as f64 + 0.02 * k as f64)))
+        .collect();
+    let bad = [
+        RawRead { phase: f64::NAN, ..plain_read(3, 0.0) },
+        RawRead { frequency_hz: f64::INFINITY, ..plain_read(4, 0.0) },
+        RawRead { channel: 1 << 20, ..plain_read(5, 0.0) },
+    ];
+    let mut ws = FrontEndWorkspace::default();
+    let mut out = Vec::new();
+    for b in bad {
+        for at in [0, usable.len() / 2, usable.len()] {
+            let mut reads = usable.clone();
+            reads.insert(at, b);
+            for pi_jumps in [true, false] {
+                let config = PreprocessConfig { correct_pi_jumps: pi_jumps, ..Default::default() };
+                let expected = reference::preprocess_reads(&usable, &config);
+                assert_eq!(preprocess_reads(&reads, &config), expected, "bad read at {at}");
+                // The workspace path with reused buffers agrees too.
+                rfp_dsp::preprocess_reads_with(&mut ws, &reads, &config, &mut out).unwrap();
+                assert_eq!(Ok(out.clone()), expected, "bad read at {at}");
+            }
+        }
+    }
+}
+
+/// Noisy 50-channel line in the shape of a standard window: the
+/// Theil–Sen band around the OLS slope holds the median.
+fn banded_window() -> (Vec<f64>, Vec<f64>) {
+    let xs: Vec<f64> = (0..50).map(|i| 902.75e6 + 5e5 * i as f64).collect();
+    let ys = xs
+        .iter()
+        .enumerate()
+        .map(|(i, x)| 1.3e-7 * (x - 902.75e6) + 0.4 + 0.02 * (((i * 7919) % 13) as f64 / 6.0 - 1.0))
+        .collect();
+    (xs, ys)
+}
+
+/// The same line with 14 channels shifted far off it on one side: the
+/// OLS slope is pulled so far from the median pairwise slope that the
+/// band misses it and every slope is selected.
+fn band_miss_window() -> (Vec<f64>, Vec<f64>) {
+    let (xs, mut ys) = banded_window();
+    for y in ys.iter_mut().skip(36) {
+        *y += 6.0;
+    }
+    (xs, ys)
+}
+
+/// Theil–Sen through the band (hit) and through the full selection
+/// (miss) both equal the reference bitwise; the robust fits seeded from
+/// them keep the reference's inlier masks.
+#[test]
+fn theil_sen_band_hit_and_miss_match_reference() {
+    let mut ws = FitWorkspace::default();
+    for (xs, ys) in [banded_window(), band_miss_window()] {
+        let expected = reference::theil_sen(&xs, &ys).unwrap();
+        assert_eq!(theil_sen_with(&mut ws, &xs, &ys).unwrap(), expected);
+        let robust = robust_line_fit(&xs, &ys, &RobustFitConfig::default()).unwrap();
+        let oracle = reference::robust_line_fit(&xs, &ys, &RobustFitConfig::default()).unwrap();
+        assert_eq!(robust.inliers, oracle.inliers);
+    }
+}
+
+/// When the cutoff keeps fewer than `min_inliers` points, the residual
+/// ranking tops the mask up to the floor; that path matches the
+/// reference's inlier mask exactly.
+#[test]
+fn robust_floor_ranking_matches_reference() {
+    let xs: Vec<f64> = (0..40).map(|i| i as f64 * 0.37).collect();
+    // Residual scale well above the floor, cutoff tight: most points sit
+    // beyond 2.5 MAD-σ only because the threshold is lowered.
+    let ys: Vec<f64> = xs
+        .iter()
+        .enumerate()
+        .map(|(i, x)| 0.8 * x + (((i * 7919) % 17) as f64 - 8.0) * 0.3)
+        .collect();
+    let config = RobustFitConfig { threshold: 0.2, min_inlier_fraction: 0.6, ..Default::default() };
+    let actual = robust_line_fit(&xs, &ys, &config).unwrap();
+    let expected = reference::robust_line_fit(&xs, &ys, &config).unwrap();
+    assert_eq!(actual.inlier_count(), 24, "the floor, not the cutoff, sets the mask");
+    assert_eq!(actual.inliers, expected.inliers);
+    assert_eq!(actual.iterations, expected.iterations);
+    let slope_tol = 1e-9 * (1.0 + expected.fit.slope.abs());
+    assert!((actual.fit.slope - expected.fit.slope).abs() <= slope_tol);
 }
