@@ -15,11 +15,9 @@
 use rfp_core::model::{extract_observation, AntennaObservation, ExtractConfig, ExtractError};
 use rfp_core::{LmCore, ResidualModel};
 use rfp_dsp::preprocess::RawRead;
-use rfp_geom::{AntennaPose, Region2, Vec2};
+use rfp_geom::{AntennaPose, Region2, Vec2, Vec3};
 use rfp_phys::propagation;
 
-/// Finite-difference steps of the hyperbola fit: x, y (m).
-const STEPS: [f64; 2] = [1e-4, 1e-4];
 /// LM iteration cap per seed.
 const MAX_ITERATIONS: usize = 60;
 /// Relative cost-decrease tolerance of the LM refinement.
@@ -82,9 +80,7 @@ impl BackPos {
     pub fn localize(&self, reads_per_antenna: &[Vec<RawRead>]) -> Result<Vec2, BackPosError> {
         let model = self.hyperbolas(reads_per_antenna)?;
         let mut core = LmCore::<2>::default();
-        Ok(self.best_fix(|seed| {
-            core.refine_numeric(&model, seed, &STEPS, MAX_ITERATIONS, TOLERANCE)
-        }))
+        Ok(self.best_fix(|seed| core.refine(&model, seed, MAX_ITERATIONS, TOLERANCE)))
     }
 
     /// Extracts one observation per antenna and forms the pairwise range
@@ -158,24 +154,42 @@ struct PairHyperbolas {
 }
 
 impl ResidualModel<2> for PairHyperbolas {
-    /// Residuals only: BackPos refines through
-    /// [`LmCore::refine_numeric`], which never requests a Jacobian.
-    fn eval(&self, p: &[f64; 2], r: &mut Vec<f64>, jac: Option<&mut Vec<f64>>) {
-        debug_assert!(jac.is_none(), "BackPos uses the numeric Jacobian");
+    /// The pair residuals and, when asked, their analytic Jacobian: the
+    /// gradient of a distance is the unit vector from the antenna to the
+    /// tag, so row `(i, j)` is `(uᵢ − uⱼ) / 0.01` over `(x, y)`.
+    fn eval(&self, p: &[f64; 2], r: &mut Vec<f64>, mut jac: Option<&mut Vec<f64>>) {
         r.clear();
+        if let Some(rows) = jac.as_deref_mut() {
+            rows.clear();
+        }
         let pos = Vec2::new(p[0], p[1]).with_z(0.0);
         for &(i, j, delta) in &self.pairs {
-            let di = self.observations[i].pose.position().distance(pos);
-            let dj = self.observations[j].pose.position().distance(pos);
+            let (di, ui) = range(self.observations[i].pose.position(), pos);
+            let (dj, uj) = range(self.observations[j].pose.position(), pos);
             r.push((di - dj - delta) / 0.01);
+            if let Some(rows) = jac.as_deref_mut() {
+                rows.push((ui.x - uj.x) / 0.01);
+                rows.push((ui.y - uj.y) / 0.01);
+            }
         }
     }
+}
+
+/// The distance from an antenna at `a` to the tag at `pos`, and its
+/// gradient in the tag position: the unit vector from the antenna to the
+/// tag, zero when the tag sits on the antenna.
+fn range(a: Vec3, pos: Vec3) -> (f64, Vec3) {
+    let d = a.distance(pos);
+    let u = if d > 1e-12 { (pos - a) / d } else { Vec3::ZERO };
+    (d, u)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rfp_oracle::solver::{levenberg_marquardt_with, LmWorkspace};
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    use rfp_oracle::solver::{levenberg_marquardt_analytic_with, LmWorkspace};
     use rfp_phys::Material;
     use rfp_sim::{HopSurvey, Motion, NoiseModel, ReaderConfig, Scene, SimTag};
 
@@ -227,17 +241,18 @@ mod tests {
         assert!(est.distance(truth) < 0.5, "error {}", est.distance(truth));
     }
 
-    /// The same 5×5 seed loop on the frozen dynamic numeric core.
+    /// The same 5×5 seed loop on the frozen dynamic analytic core.
     fn localize_on_dynamic_core(bp: &BackPos, reads: &[Vec<RawRead>]) -> Vec2 {
         let model = bp.hyperbolas(reads).unwrap();
-        let residual = |p: &[f64], out: &mut Vec<f64>| model.eval(&[p[0], p[1]], out, None);
+        let resjac = |p: &[f64], r: &mut Vec<f64>, jac: Option<&mut Vec<f64>>| {
+            model.eval(&[p[0], p[1]], r, jac);
+        };
         let mut ws = LmWorkspace::default();
         bp.best_fix(|seed| {
-            let (p, cost) = levenberg_marquardt_with(
+            let (p, cost) = levenberg_marquardt_analytic_with(
                 &mut ws,
-                &residual,
+                &resjac,
                 seed.to_vec(),
-                &STEPS,
                 MAX_ITERATIONS,
                 TOLERANCE,
             );
@@ -257,6 +272,53 @@ mod tests {
             assert_eq!(ported.x.to_bits(), dynamic.x.to_bits());
             assert_eq!(ported.y.to_bits(), dynamic.y.to_bits());
         }
+    }
+
+    /// Asserts every analytic Jacobian entry of `model` at `p` matches
+    /// central differences (1e-5 m steps) to 1e-6.
+    fn assert_jacobian_matches(model: &PairHyperbolas, p: [f64; 2]) {
+        let (mut r, mut jac, mut r_plus, mut r_minus) = (vec![], vec![], vec![], vec![]);
+        model.eval(&p, &mut r, Some(&mut jac));
+        assert_eq!(jac.len(), 2 * r.len());
+        let h = 1e-5;
+        for k in 0..2 {
+            let (mut plus, mut minus) = (p, p);
+            plus[k] += h;
+            minus[k] -= h;
+            model.eval(&plus, &mut r_plus, None);
+            model.eval(&minus, &mut r_minus, None);
+            for row in 0..r.len() {
+                let num = (r_plus[row] - r_minus[row]) / (2.0 * h);
+                let ana = jac[row * 2 + k];
+                assert!(
+                    (ana - num).abs() <= 1e-6 * (1.0 + ana.abs().max(num.abs())),
+                    "at {p:?}, entry ({row}, {k}): analytic {ana} vs central-diff {num}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn jacobian_matches_central_differences() {
+        let (scene, _, surveys) = clean_surveys();
+        let bp = BackPos::new(scene.antenna_poses(), scene.region());
+        let model = bp.hyperbolas(&surveys[0].1.per_antenna).unwrap();
+        let around = scene.region().expanded(0.5);
+        let (lo, hi) = (around.min(), around.max());
+        let mut rng = StdRng::seed_from_u64(17);
+        for _ in 0..200 {
+            let p = [rng.gen_range(lo.x..hi.x), rng.gen_range(lo.y..hi.y)];
+            assert_jacobian_matches(&model, p);
+        }
+        // A tag on an antenna (one moved onto the tag plane): that
+        // antenna's distance has no gradient, and every row stays finite.
+        let mut on_plane = model;
+        let target = scene.region().center();
+        on_plane.observations[0].pose = AntennaPose::planar(Vec2::ZERO, target, 0.0);
+        let (mut r, mut jac) = (Vec::new(), Vec::new());
+        on_plane.eval(&[0.0, 0.0], &mut r, Some(&mut jac));
+        assert!(r.iter().chain(&jac).all(|v| v.is_finite()), "rows {r:?}, Jacobian {jac:?}");
+        assert_jacobian_matches(&on_plane, [0.4, 1.1]);
     }
 
     #[test]

@@ -16,8 +16,9 @@
 //! needs a finite, positive start and spacing and 1 to 65,536 channels
 //! (LLRP channel indices are 16-bit); an antenna needs an integer index,
 //! coordinates within ±1,000 km, a finite roll and a non-zero boresight;
-//! the antennas must be numbered `0..n` with `n ≥ 3`, as 2-D sensing
-//! needs; and a read must name a channel of the plan, at that channel's
+//! a tag's truth needs the same bounded position and a finite angle; the
+//! antennas must be numbered `0..n` with `n ≥ 3`, as 2-D sensing needs;
+//! and a read must name a channel of the plan, at that channel's
 //! frequency within half a channel spacing. A hostile log is a
 //! [`LogError`], never a panic or an allocation sized by an unchecked
 //! index.
@@ -28,9 +29,9 @@ use rfp_phys::{FrequencyPlan, Material};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-/// Largest antenna coordinate magnitude accepted, metres. A reader's
-/// antennas sit metres apart; the bound keeps every squared distance the
-/// solver forms finite.
+/// Largest antenna or tag-truth coordinate magnitude accepted, metres. A
+/// reader's antennas sit metres apart; the bound keeps every squared
+/// distance the solver and the report form finite.
 const MAX_COORD_M: f64 = 1e6;
 
 /// Optional ground truth recorded alongside a tag (simulation only).
@@ -251,15 +252,17 @@ impl SurveyLog {
                     let truth = if rest.is_empty() {
                         None
                     } else if rest.len() == 4 {
-                        let x: f64 = rest[0].parse().map_err(|_| malformed.clone())?;
-                        let y: f64 = rest[1].parse().map_err(|_| malformed.clone())?;
-                        let alpha: f64 = rest[2].parse().map_err(|_| malformed.clone())?;
+                        let nums: Vec<f64> = rest[..3].iter().copied().filter_map(finite).collect();
+                        if nums.len() != 3 || nums[..2].iter().any(|x| x.abs() > MAX_COORD_M) {
+                            return Err(malformed);
+                        }
                         let material = Material::CLASSES
                             .iter()
                             .copied()
                             .find(|m| m.label() == rest[3])
                             .ok_or(malformed.clone())?;
-                        Some(TagTruth { position: Vec2::new(x, y), alpha, material })
+                        let position = Vec2::new(nums[0], nums[1]);
+                        Some(TagTruth { position, alpha: nums[2], material })
                     } else {
                         return Err(malformed);
                     };
@@ -448,6 +451,15 @@ mod tests {
                 SurveyLog::from_text(&text).unwrap_err(),
                 LogError::Malformed { line: 5 },
                 "antenna `{bad}` must be rejected"
+            );
+        }
+        // Tag truth lines: bounded finite position, finite angle.
+        for bad in ["NaN inf NaN wood", "0 1 NaN wood", "0 -inf 0 wood", "1e200 1 0 wood"] {
+            let text = format!("plan 9e8 5e5 50\n{ANTENNAS}tag 1 {bad}\n");
+            assert_eq!(
+                SurveyLog::from_text(&text).unwrap_err(),
+                LogError::Malformed { line: 5 },
+                "tag `{bad}` must be rejected"
             );
         }
         // Fewer than three antennas, and a gap in the antenna indices.

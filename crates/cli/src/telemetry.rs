@@ -20,6 +20,7 @@
 
 use crate::commands::CommandError;
 use crate::log::SurveyLog;
+use rfp_core::batch::fan_out;
 use rfp_core::obs as pobs;
 use rfp_core::RfPrism;
 use rfp_dsp::preprocess::RawRead;
@@ -103,42 +104,12 @@ pub fn replay(log_text: &str, opts: &TelemetryOptions) -> Result<TelemetryRun, C
         })
         .collect();
 
-    let jobs = if opts.jobs == 0 {
-        std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
-    } else {
-        opts.jobs
-    };
-    let jobs = jobs.min(sequences.len()).max(1);
-
-    // Fan tags across workers by index stride; scatter results back by
-    // index so nothing downstream depends on completion order.
-    let mut replays: Vec<Option<TagReplay>> = Vec::new();
-    replays.resize_with(sequences.len(), || None);
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..jobs)
-            .map(|worker| {
-                let prism = &prism;
-                let sequences = &sequences;
-                let every = opts.every;
-                scope.spawn(move || {
-                    let mut out = Vec::new();
-                    let mut idx = worker;
-                    while idx < sequences.len() {
-                        out.push((idx, replay_tag(prism, &sequences[idx], every, window_s)));
-                        idx += jobs;
-                    }
-                    out
-                })
-            })
-            .collect();
-        for handle in handles {
-            for (idx, tag_replay) in handle.join().expect("telemetry worker panicked") {
-                replays[idx] = Some(tag_replay);
-            }
-        }
-    });
+    // The batch engine's pool returns the replays in tag order, so nothing
+    // downstream depends on completion order.
     let replays: Vec<TagReplay> =
-        replays.into_iter().map(|r| r.expect("every tag replayed")).collect();
+        fan_out("telemetry_replay", &sequences, opts.jobs, || (), |sequence, ()| {
+            replay_tag(&prism, sequence, opts.every, window_s)
+        });
 
     // Coordinator: merge tick-k deltas across tags (tag-id order), derive
     // the stale-tags gauge, fold health, emit one frame per tick.

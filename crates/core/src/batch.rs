@@ -181,9 +181,11 @@ pub fn effective_jobs(jobs: usize, items: usize) -> usize {
     requested.min(items).max(1)
 }
 
-/// The worker pool: runs `work` over `items` on `jobs` scoped threads
-/// under span `span`, giving each worker one `new_state()` value it reuses
-/// across all the items it claims. Returns results in input order.
+/// The worker pool of every batch entry point (and of the CLI's telemetry
+/// replay): runs `work` over `items` on `jobs` scoped threads (`0` = one
+/// per CPU, see [`effective_jobs`]) under span `span`, giving each worker
+/// one `new_state()` value it reuses across all the items it claims.
+/// Returns results in input order.
 ///
 /// Work is claimed in contiguous chunks from a shared atomic cursor
 /// (dynamic scheduling — solves vary in cost, so purely static chunking
@@ -195,7 +197,7 @@ pub fn effective_jobs(jobs: usize, items: usize) -> usize {
 /// inline on the calling thread — no spawn, no channel. Chunking only
 /// changes *which worker* computes an item, never the result — each item
 /// depends only on shared immutable state and its own input.
-fn fan_out<I, R, S, N, F>(
+pub fn fan_out<I, R, S, N, F>(
     span: &'static str,
     items: &[I],
     jobs: usize,

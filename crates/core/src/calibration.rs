@@ -201,8 +201,11 @@ impl CalibrationDb {
     ///
     /// [`DbParseError`] on any structural or numeric problem.
     pub fn from_text(text: &str) -> Result<Self, DbParseError> {
+        // `"NaN".parse()` succeeds: a field holding a non-finite number is
+        // as bad as one holding no number.
+        let finite = |v: &str| v.parse::<f64>().ok().filter(|x| x.is_finite());
         let mut db = CalibrationDb::new();
-        let mut lines = text.lines().enumerate().peekable();
+        let mut lines = text.lines().enumerate();
         while let Some((ln, line)) = lines.next() {
             let line = line.trim();
             if line.is_empty() {
@@ -212,29 +215,21 @@ impl CalibrationDb {
             if parts.next() != Some("tag") {
                 return Err(DbParseError::Malformed { line: ln + 1 });
             }
-            let parse =
-                |s: Option<&str>| s.and_then(|v| v.parse::<f64>().ok());
-            let id: u64 = parts
-                .next()
-                .and_then(|v| v.parse().ok())
-                .ok_or(DbParseError::BadNumber { line: ln + 1 })?;
-            let kt0 = parse(parts.next()).ok_or(DbParseError::BadNumber { line: ln + 1 })?;
-            let bt0 = parse(parts.next()).ok_or(DbParseError::BadNumber { line: ln + 1 })?;
-            let n: usize = parts
-                .next()
-                .and_then(|v| v.parse().ok())
-                .ok_or(DbParseError::BadNumber { line: ln + 1 })?;
-            let mut samples = Vec::with_capacity(n);
+            let bad = DbParseError::BadNumber { line: ln + 1 };
+            let id: u64 = parts.next().and_then(|v| v.parse().ok()).ok_or(bad.clone())?;
+            let kt0 = parts.next().and_then(finite).ok_or(bad.clone())?;
+            let bt0 = parts.next().and_then(finite).ok_or(bad.clone())?;
+            let n: usize = parts.next().and_then(|v| v.parse().ok()).ok_or(bad)?;
+            // The count is unchecked: the list grows as its lines arrive,
+            // so a count beyond the file is a truncation, not an allocation.
+            let mut samples = Vec::new();
             for _ in 0..n {
-                let (sln, sline) =
-                    lines.next().ok_or(DbParseError::Malformed { line: ln + 1 })?;
+                let (sln, sline) = lines.next().ok_or(DbParseError::Malformed { line: ln + 1 })?;
                 let mut p = sline.split_whitespace();
-                let ch: usize = p
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .ok_or(DbParseError::BadNumber { line: sln + 1 })?;
-                let f = parse(p.next()).ok_or(DbParseError::BadNumber { line: sln + 1 })?;
-                let v = parse(p.next()).ok_or(DbParseError::BadNumber { line: sln + 1 })?;
+                let bad = DbParseError::BadNumber { line: sln + 1 };
+                let ch: usize = p.next().and_then(|v| v.parse().ok()).ok_or(bad.clone())?;
+                let f = p.next().and_then(finite).ok_or(bad.clone())?;
+                let v = p.next().and_then(finite).ok_or(bad)?;
                 samples.push((ch, f, v));
             }
             db.insert(id, DeviceCalibration { samples, kt0, bt0 });
@@ -322,8 +317,25 @@ mod tests {
             CalibrationDb::from_text("tag abc 1 2 0"),
             Err(DbParseError::BadNumber { line: 1 })
         ));
-        // Truncated sample list.
+        // Truncated sample list, also when the count could not be allocated.
         assert!(CalibrationDb::from_text("tag 1 1e-8 0.5 2\n0 9e8 1.0\n").is_err());
+        assert!(matches!(
+            CalibrationDb::from_text("tag 1 0 0 100000000000000\n0 9e8 1.0\n"),
+            Err(DbParseError::Malformed { line: 1 })
+        ));
+        // Non-finite numbers, in the header and in a sample.
+        for (bad, line) in [
+            ("tag 1 NaN inf 1\n0 9e8 1.0\n", 1),
+            ("tag 1 1e-8 -inf 1\n0 9e8 1.0\n", 1),
+            ("tag 1 1e-8 0.5 1\n0 NaN 1.0\n", 2),
+            ("tag 1 1e-8 0.5 1\n0 9e8 inf\n", 2),
+        ] {
+            assert_eq!(
+                CalibrationDb::from_text(bad).unwrap_err(),
+                DbParseError::BadNumber { line },
+                "{bad:?} must be rejected"
+            );
+        }
         // Empty text is an empty db.
         assert!(CalibrationDb::from_text("").unwrap().is_empty());
     }

@@ -11,10 +11,12 @@ use crate::obs::id::{
     FRONTEND_CHANNELS, FRONTEND_READS, FRONTEND_TRIG_LIBM_READS, FRONTEND_TRIG_TABLE_READS,
     FRONTEND_WINDOWS,
 };
-use rfp_dsp::preprocess::{preprocess_reads_with, ChannelObservation, PreprocessConfig, RawRead};
-use rfp_dsp::robust::{robust_line_fit_with, RobustFitConfig};
+use rfp_dsp::preprocess::{preprocess_reads_with, ChannelObservation, RawRead};
+use rfp_dsp::robust::robust_line_fit_with;
 use rfp_dsp::workspace::FrontEndWorkspace;
 use rfp_geom::{angle, AntennaPose};
+
+pub use rfp_dsp::ExtractConfig;
 
 /// The fitted multi-frequency line of one antenna, plus diagnostics.
 ///
@@ -139,29 +141,6 @@ impl From<rfp_dsp::preprocess::PreprocessError> for ExtractError {
 impl From<rfp_dsp::linfit::FitError> for ExtractError {
     fn from(e: rfp_dsp::linfit::FitError) -> Self {
         ExtractError::Fit(e)
-    }
-}
-
-/// Configuration for observation extraction.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct ExtractConfig {
-    /// Pre-processing options.
-    pub preprocess: PreprocessConfig,
-    /// Robust-fit (multipath suppression) options.
-    pub robust: RobustFitConfig,
-    /// When false, skip outlier rejection entirely (used by the Fig. 12
-    /// "Multipath without suppression" arm).
-    pub suppress_multipath: bool,
-}
-
-impl ExtractConfig {
-    /// Paper defaults: suppression on.
-    pub fn paper() -> Self {
-        ExtractConfig {
-            preprocess: PreprocessConfig::default(),
-            robust: RobustFitConfig::default(),
-            suppress_multipath: true,
-        }
     }
 }
 

@@ -69,16 +69,17 @@ use rfp_phys::propagation;
 /// with [`LmCore::stats`] (or the workspace-level `stats`) before and
 /// after a solve and diff with [`SolveStats::since`] for per-solve counts.
 ///
-/// The numeric core charges each finite-difference sweep as one residual
-/// evaluation — exactly the cost the analytic path removes.
+/// The oracle's numeric core (`rfp-oracle`) charges each
+/// finite-difference sweep as one residual evaluation — exactly the cost
+/// the analytic path removes.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SolveStats {
     /// Residual-vector evaluations (each is a full pass over the
     /// residuals).
     pub residual_evals: u64,
     /// Jacobian evaluations. Analytic: fused with one residual pass.
-    /// Numeric: assembled from `2·n_params` sweeps, charged to
-    /// `residual_evals`.
+    /// Numeric (oracle only): assembled from `2·n_params` sweeps, charged
+    /// to `residual_evals`.
     pub jacobian_evals: u64,
     /// LM iterations across all starts.
     pub iterations: u64,
@@ -229,12 +230,6 @@ pub(crate) struct Knobs {
 }
 
 impl Knobs {
-    /// True when the multi-start scan runs the legacy exhaustive loop
-    /// (every seed refined, grid order, no early exit).
-    fn is_exhaustive(&self) -> bool {
-        self.refine_top_k.is_none() && self.early_exit_rel_tol <= 0.0
-    }
-
     fn rssi_active(&self) -> bool {
         self.rssi_sigma_db.is_finite() && self.rssi_sigma_db > 0.0
     }
@@ -897,19 +892,17 @@ fn search<D: SceneDim<J, S>, const J: usize, const S: usize>(
     let admissible = |p: &[f64]| seeds.dim.admissible(seeds.admissible, position::<S>(p));
     let mut seeds_refined: u64 = 0;
 
-    // Coarse ranking (see `rank_coarse`), shared by the pruned stage-1
-    // beam and the warm-start floor. A tracking caller with a fresh cached
-    // floor defers it: when the warm gate accepts — the steady state — the
+    // Coarse ranking (see `rank_coarse`), shared by the stage-1 beam and
+    // the warm-start floor. A tracking caller with a fresh cached floor
+    // defers it: when the warm gate accepts — the steady state — the
     // ranking is never needed at all, and a gate miss ranks lazily below.
     let cached_floor = match (&gate, warm) {
         (Some(g), Some(_)) => g.cached(),
         _ => None,
     };
-    coarse.clear();
-    let mut coarse_ready = false;
-    if cached_floor.is_none() && (warm.is_some() || !knobs.is_exhaustive()) {
+    let mut coarse_ready = cached_floor.is_none();
+    if coarse_ready {
         rank_coarse(observations, seeds, columns, &knobs, coarse, lanes);
-        coarse_ready = true;
     }
 
     // Warm start: refine the prior first and gate the result against the
@@ -964,49 +957,39 @@ fn search<D: SceneDim<J, S>, const J: usize, const S: usize>(
     }
 
     // A deferred coarse ranking is needed after all (warm gate missed, or
-    // the prior was absent) for the pruned stage-1 beam.
-    if !coarse_ready && !knobs.is_exhaustive() {
+    // the prior was absent) for the stage-1 beam.
+    if !coarse_ready {
         rank_coarse(observations, seeds, columns, &knobs, coarse, lanes);
     }
 
-    // Stage 1: slope-only position solve. Exhaustive mode refines every
-    // grid seed (the pre-pruning behaviour, bit-for-bit); the default
-    // coarse-to-fine mode refines only the top-K coarse-ranked seeds with
-    // a cost-plateau early exit.
+    // Stage 1: slope-only position solve of the top-K coarse-ranked seeds,
+    // with a cost-plateau early exit. Exhaustive mode (no K, no early exit)
+    // refines every seed.
     let stage1_span = obs::span("stage1_slope");
-    if knobs.is_exhaustive() {
-        for (s, &seed_pos) in seeds.position_starts.iter().enumerate() {
-            let (kt0, _) =
-                coarse_seed_cost(observations, &seeds.geometry, columns, s, knobs.slope_sigma);
-            let p0 = slope_seed(seed_pos, kt0);
-            let (p, cost) = slope.refine(&slope_model, p0, knobs.max_iterations, knobs.tolerance);
-            position_candidates.push((p, cost, s));
+    let beam = knobs.refine_top_k.unwrap_or(usize::MAX).max(1);
+    let mut best_refined = f64::INFINITY;
+    for (rank, &(coarse_cost, s, kt0)) in coarse.iter().enumerate() {
+        if rank >= beam {
+            break;
         }
-    } else {
-        let beam = knobs.refine_top_k.unwrap_or(usize::MAX).max(1);
-        let mut best_refined = f64::INFINITY;
-        for (rank, &(coarse_cost, s, kt0)) in coarse.iter().enumerate() {
-            if rank >= beam {
-                break;
-            }
-            // Plateau exit: once two seeds are refined, a seed whose
-            // *unrefined* cost already exceeds the best refined cost by
-            // the margin cannot plausibly overtake it.
-            if knobs.early_exit_rel_tol > 0.0
-                && rank >= 2
-                && coarse_cost > best_refined * (1.0 + knobs.early_exit_rel_tol)
-            {
-                break;
-            }
-            let p0 = slope_seed(seeds.position_starts[s], kt0);
-            let (p, cost) = slope.refine(&slope_model, p0, knobs.max_iterations, knobs.tolerance);
-            best_refined = best_refined.min(cost);
-            position_candidates.push((p, cost, s));
+        // Plateau exit: once two seeds are refined, a seed whose
+        // *unrefined* cost already exceeds the best refined cost by the
+        // margin cannot plausibly overtake it.
+        if knobs.early_exit_rel_tol > 0.0
+            && rank >= 2
+            && coarse_cost > best_refined * (1.0 + knobs.early_exit_rel_tol)
+        {
+            break;
         }
+        let p0 = slope_seed(seeds.position_starts[s], kt0);
+        let (p, cost) = slope.refine(&slope_model, p0, knobs.max_iterations, knobs.tolerance);
+        best_refined = best_refined.min(cost);
+        position_candidates.push((p, cost, s));
     }
-    // Ties on cost keep grid order via the explicit seed-index key, which
-    // makes the allocation-free unstable sort equal to a stable cost sort
-    // of the exhaustive path's grid-order pushes.
+    // Ties on cost keep grid order via the explicit seed-index key, so the
+    // candidate order does not depend on the order the seeds were refined
+    // in: with a full beam it equals a stable cost sort of grid-order
+    // refinements.
     position_candidates.sort_unstable_by(|a, b| {
         a.1.partial_cmp(&b.1).expect("finite costs").then_with(|| a.2.cmp(&b.2))
     });
@@ -1096,13 +1079,12 @@ fn slope_seed<const S: usize>(seed: Vec3, kt: f64) -> [f64; S] {
     p
 }
 
-/// Coarse ranking shared by the pruned stage-1 beam and the warm-start
-/// floor: every position seed scored by its *unrefined* slope cost — an
-/// O(N) table lookup per seed, over the table columns of the antennas
-/// present. Ties break towards grid order, which is exactly how the
-/// exhaustive path's cost sort breaks them; the explicit (cost, index)
-/// key makes the ordering total, so the unstable (allocation-free) sort
-/// is deterministic.
+/// Coarse ranking shared by the stage-1 beam and the warm-start floor:
+/// every position seed scored by its *unrefined* slope cost — an O(N)
+/// table lookup per seed, over the table columns of the antennas present.
+/// Ties break towards grid order; the explicit (cost, index) key makes
+/// the ordering total, so the unstable (allocation-free) sort is
+/// deterministic.
 ///
 /// The ranking evaluates 4 seeds per pass over the slope table: the two
 /// per-seed accumulations (`k_t` seed mean, then the cost) run in 4
@@ -1157,8 +1139,7 @@ fn rank_coarse<D>(
 /// The cheap stage-1 score of grid seed `s`: the closed-form `k_t` seed,
 /// the mean `kᵢ − 4π·dist(Aᵢ, seed)/c` over antennas, and the unrefined
 /// slope cost at the seed position, from the slope table's columns of the
-/// antennas present by exactly the expressions the refinement path uses
-/// (so pruned-with-full-beam stays bit-identical to exhaustive).
+/// antennas present — the scalar remainder of [`rank_coarse`]'s lanes.
 fn coarse_seed_cost(
     observations: &[AntennaObservation],
     geometry: &SeedGeometry,

@@ -57,7 +57,7 @@ use crate::pipeline::{RfPrism, SenseError, SenseWorkspace, SensingResult};
 use crate::solver::{solve_2d_tracking_warm, WarmGate, WarmStart};
 use crate::tracking::{TagTracker, TrackerConfig};
 use rfp_dsp::preprocess::RawRead;
-use rfp_dsp::streaming::{StreamingConfig, StreamingError, StreamingStats, StreamingWindow};
+use rfp_dsp::streaming::{StreamingError, StreamingStats, StreamingWindow};
 use rfp_geom::AntennaPose;
 
 /// A long-lived incremental sensing session over one tag.
@@ -92,26 +92,16 @@ impl RfPrism {
     /// seconds per antenna, and every [`StreamingSession::advance`] pays
     /// only for the reads that arrived or expired since the previous one.
     ///
-    /// The per-window front-end configuration (π-jump handling, robust fit)
-    /// mirrors this prism's [`ExtractConfig`]
-    /// (`config().extract`), so a streaming extract agrees with the batch
+    /// Every window runs this prism's [`ExtractConfig`]
+    /// (`config().extract`), the configuration of the batch front end, so
+    /// a streaming extract agrees with the batch
     /// [`sense`](RfPrism::sense) on the same retained reads.
     ///
     /// [`ExtractConfig`]: crate::model::ExtractConfig
     pub fn sense_streaming(&self, window_span_s: f64) -> StreamingSession<'_> {
-        let extract = &self.config().extract;
-        let window_config = StreamingConfig {
-            preprocess: extract.preprocess,
-            robust: extract.robust,
-            suppress_multipath: extract.suppress_multipath,
-            ..StreamingConfig::default()
-        };
+        let extract = self.config().extract;
         StreamingSession {
-            windows: self
-                .poses()
-                .iter()
-                .map(|_| StreamingWindow::new(window_config))
-                .collect(),
+            windows: self.poses().iter().map(|_| StreamingWindow::new(extract)).collect(),
             workspace: SenseWorkspace::default(),
             tracker: TagTracker::new(TrackerConfig::default()),
             window_span_s,

@@ -10,9 +10,8 @@
 //! and warm starts both fresh (gate hit) and teleported-stale (gate miss
 //! fallback). The oracle builds its own seeds, so every pin also checks
 //! the facade's seed construction against an independent copy. Below the
-//! facades, `LmCore`'s analytic and numeric refinements are pinned
-//! against the oracle's two dynamic LM cores, on the same model as its
-//! lane-tally check.
+//! facades, `LmCore::refine` is pinned against the oracle's dynamic
+//! analytic LM core, on the same model as its lane-tally check.
 
 use proptest::prelude::*;
 use rfp_core::lm::{LmCore, ResidualModel};
@@ -27,8 +26,7 @@ use rfp_core::solver3d::{
 };
 use rfp_geom::{AntennaPose, Vec2, Vec3};
 use rfp_oracle::solver::{
-    levenberg_marquardt_analytic_with, levenberg_marquardt_with, solve_2d_reference,
-    solve_3d_reference, Jacobian, LmWorkspace, Reference2DSeeds, Reference2DWorkspace,
+    levenberg_marquardt_analytic_with, solve_2d_reference, solve_3d_reference, Jacobian, LmWorkspace, Reference2DSeeds, Reference2DWorkspace,
     Reference3DSeeds, Reference3DWorkspace,
 };
 use rfp_phys::polarization::{orientation_phase, planar_dipole, projection_magnitude};
@@ -491,32 +489,6 @@ fn analytic_refine_matches_dynamic_core_bitwise() {
     assert_eq!(cost.to_bits(), costd.to_bits());
     assert!((p[0] - 2.0).abs() < 1e-8 && (p[1] + 3.0).abs() < 1e-8);
     // Identical work accounting, too.
-    assert_eq!(core.stats(), ws.stats());
-}
-
-#[test]
-fn numeric_refine_matches_dynamic_core_bitwise() {
-    let model = line_model();
-    let mut core = LmCore::<2>::default();
-    let steps = [1e-5, 1e-5];
-    let (p, cost) = core.refine_numeric(&model, [0.0, 0.0], &steps, 100, 1e-14);
-
-    let mut ws = LmWorkspace::default();
-    let residual = |p: &[f64], out: &mut Vec<f64>| {
-        let pa = [p[0], p[1]];
-        model.eval(&pa, out, None);
-    };
-    let (pd, costd) = levenberg_marquardt_with(
-        &mut ws,
-        &residual,
-        vec![0.0, 0.0],
-        &steps,
-        100,
-        1e-14,
-    );
-    assert_eq!(p[0].to_bits(), pd[0].to_bits());
-    assert_eq!(p[1].to_bits(), pd[1].to_bits());
-    assert_eq!(cost.to_bits(), costd.to_bits());
     assert_eq!(core.stats(), ws.stats());
 }
 

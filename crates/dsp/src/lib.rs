@@ -68,7 +68,30 @@ pub use preprocess::{
     preprocess_reads, preprocess_reads_with, ChannelObservation, PreprocessConfig, RawRead,
 };
 pub use robust::{robust_line_fit, robust_line_fit_with, RobustFit, RobustFitConfig, RobustSummary};
-pub use streaming::{
-    StreamExtract, StreamingConfig, StreamingError, StreamingStats, StreamingWindow,
-};
+pub use streaming::{StreamExtract, StreamingError, StreamingStats, StreamingWindow};
 pub use workspace::{FitWorkspace, FrontEndWorkspace, OlsSums};
+
+/// Configuration of the front end, from raw reads to a fitted line: the
+/// batch extraction (`rfp_core::model::extract_observation`, which
+/// re-exports this type) and every [`StreamingWindow`] run on it.
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
+pub struct ExtractConfig {
+    /// Pre-processing options.
+    pub preprocess: PreprocessConfig,
+    /// Robust-fit (multipath suppression) options.
+    pub robust: RobustFitConfig,
+    /// When false, skip outlier rejection entirely (used by the Fig. 12
+    /// "Multipath without suppression" arm).
+    pub suppress_multipath: bool,
+}
+
+impl ExtractConfig {
+    /// Paper defaults: suppression on.
+    pub fn paper() -> Self {
+        ExtractConfig {
+            preprocess: PreprocessConfig::default(),
+            robust: RobustFitConfig::default(),
+            suppress_multipath: true,
+        }
+    }
+}

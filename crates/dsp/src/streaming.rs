@@ -29,7 +29,7 @@
 //!    drifted sum (π-fold classification, unwrap jump selection, the
 //!    majority-vote comparisons, the robust fit's inlier rejections via
 //!    [`crate::robust::robust_line_fit_seeded`]'s sensitivity probe) is
-//!    checked against [`StreamingConfig::decision_margin`]. A decision
+//!    checked against a 1e-6 rad decision margin. A decision
 //!    that clears its boundary by more than the margin is guaranteed to
 //!    agree with the batch decision (the drift is orders of magnitude
 //!    smaller); one that does not triggers
@@ -53,12 +53,13 @@ use std::f64::consts::{FRAC_PI_2, PI};
 use crate::linfit::{FitError, LineFit};
 use crate::preprocess::{
     order_channels, preprocess_reads_with, wrap_tau, wrapped_distance, ChannelObservation,
-    PreprocessConfig, PreprocessError, RawRead,
+    PreprocessError, RawRead,
 };
-use crate::robust::{robust_line_fit_seeded, RobustFitConfig, RobustSummary};
+use crate::robust::{robust_line_fit_seeded, RobustSummary};
 use crate::stats;
 use crate::trig::{self, hit};
 use crate::workspace::FrontEndWorkspace;
+use crate::ExtractConfig;
 use rfp_geom::angle;
 
 /// Maximum update/downdate operations a channel absorbs *while drifted*
@@ -73,36 +74,11 @@ const MAX_DRIFT_OPS: u32 = 64;
 /// amplify the downdating drift unboundedly.
 const CONDITIONING_FLOOR: f64 = 0.01;
 
-/// Configuration for a [`StreamingWindow`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct StreamingConfig {
-    /// Batch front-end options mirrored by the incremental path (π-jump
-    /// correction, minimum reads per channel). The fallback path runs the
-    /// batch front end with exactly this configuration.
-    pub preprocess: PreprocessConfig,
-    /// Robust-fit (multipath suppression) options for the per-window line
-    /// fit.
-    pub robust: RobustFitConfig,
-    /// When false, skip outlier rejection (raw OLS fit only).
-    pub suppress_multipath: bool,
-    /// Margin (radians) by which every discrete decision downstream of a
-    /// drifted accumulator must clear its boundary; decisions inside the
-    /// margin trigger the full-recompute fallback. Must dwarf the
-    /// contained drift (≲1e-9) while staying far below real decision
-    /// gaps; the default is 1e-6.
-    pub decision_margin: f64,
-}
-
-impl Default for StreamingConfig {
-    fn default() -> Self {
-        StreamingConfig {
-            preprocess: PreprocessConfig::default(),
-            robust: RobustFitConfig::default(),
-            suppress_multipath: true,
-            decision_margin: 1e-6,
-        }
-    }
-}
+/// Margin (radians) by which every discrete decision downstream of a
+/// drifted accumulator must clear its boundary; decisions inside it
+/// trigger the full-recompute fallback. It dwarfs the contained drift
+/// (≲1e-9) while staying far below real decision gaps.
+const DECISION_MARGIN: f64 = 1e-6;
 
 /// Per-advance work tallies of a [`StreamingWindow`], feeding the
 /// `streaming.*` observability counters.
@@ -152,7 +128,7 @@ pub struct StreamExtract {
     /// Raw (pre-rejection) line fit over the window's channels.
     pub raw_fit: LineFit,
     /// Robust (multipath-suppressed) fit summary; `None` when
-    /// [`StreamingConfig::suppress_multipath`] is off. The matching
+    /// [`ExtractConfig::suppress_multipath`] is off. The matching
     /// per-channel inlier mask is [`StreamingWindow::inlier_mask`].
     pub robust: Option<RobustSummary>,
 }
@@ -283,9 +259,11 @@ impl ChannelState {
 /// [`extract_into`](Self::extract_into) — the incremental analogue of
 /// [`preprocess_reads_with`] followed by the robust line fit, equivalent
 /// to the batch recompute per the module docs.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct StreamingWindow {
-    config: StreamingConfig,
+    config: ExtractConfig,
+    /// [`DECISION_MARGIN`]; the hazard test widens it to force fallbacks.
+    margin: f64,
     /// channel id → index into `channels` (`u32::MAX` = never seen).
     slot_of: Vec<u32>,
     channels: Vec<ChannelState>,
@@ -534,13 +512,28 @@ impl SlopeCache {
 }
 
 impl StreamingWindow {
-    /// An empty window with the given configuration.
-    pub fn new(config: StreamingConfig) -> Self {
-        StreamingWindow { config, ..Default::default() }
+    /// An empty window running the front end of `config`, the
+    /// configuration the batch extraction takes.
+    pub fn new(config: ExtractConfig) -> Self {
+        StreamingWindow {
+            config,
+            margin: DECISION_MARGIN,
+            slot_of: Vec::new(),
+            channels: Vec::new(),
+            order: Vec::new(),
+            phase_col: Vec::new(),
+            ws: FrontEndWorkspace::default(),
+            scratch_reads: Vec::new(),
+            last_mask: Vec::new(),
+            had_mask: false,
+            slope_cache: SlopeCache::default(),
+            stats: StreamingStats::default(),
+            trig_hits: [0; 2],
+        }
     }
 
     /// The window's configuration.
-    pub fn config(&self) -> &StreamingConfig {
+    pub fn config(&self) -> &ExtractConfig {
         &self.config
     }
 
@@ -705,7 +698,7 @@ impl StreamingWindow {
         &mut self,
         out: &mut Vec<ChannelObservation>,
     ) -> Result<StreamExtract, StreamingError> {
-        let margin = self.config.decision_margin;
+        let margin = self.margin;
         let min_reads = self.config.preprocess.min_reads_per_channel.max(1);
         let pi_mode = self.config.preprocess.correct_pi_jumps;
 
@@ -1158,7 +1151,7 @@ mod tests {
 
     fn batch_oracle(
         reads: &[RawRead],
-        cfg: &StreamingConfig,
+        cfg: &ExtractConfig,
     ) -> (Vec<ChannelObservation>, Vec<bool>, RobustSummary) {
         let mut ws = FrontEndWorkspace::default();
         let mut out = Vec::new();
@@ -1174,7 +1167,7 @@ mod tests {
     #[test]
     fn append_only_window_is_bit_identical_to_batch() {
         let reads = stream(1, 12, 8);
-        let cfg = StreamingConfig::default();
+        let cfg = ExtractConfig::paper();
         let mut win = StreamingWindow::new(cfg);
         for r in &reads {
             win.push(r);
@@ -1207,7 +1200,7 @@ mod tests {
         let reads = stream(4, chans, per);
         let round_len = chans * per;
         let span = chans as f64 * 0.2;
-        let cfg = StreamingConfig::default();
+        let cfg = ExtractConfig::paper();
         let mut win = StreamingWindow::new(cfg);
         for r in &reads[..round_len] {
             win.push(r);
@@ -1271,13 +1264,11 @@ mod tests {
         let chans = 10;
         let per = 6;
         let reads = stream(2, chans, per);
-        let cfg = StreamingConfig {
-            // Every fold decision sits "within margin" → guaranteed
-            // fallback whenever the window has drifted.
-            decision_margin: 10.0,
-            ..Default::default()
-        };
+        let cfg = ExtractConfig::paper();
         let mut win = StreamingWindow::new(cfg);
+        // Every fold decision sits "within margin" → guaranteed fallback
+        // whenever the window has drifted.
+        win.margin = 10.0;
         let round_len = chans * per;
         for r in &reads[..round_len] {
             win.push(r);
@@ -1314,7 +1305,7 @@ mod tests {
     /// Emptied channels reset exactly; an empty window errors like batch.
     #[test]
     fn empty_window_errors() {
-        let cfg = StreamingConfig::default();
+        let cfg = ExtractConfig::paper();
         let mut win = StreamingWindow::new(cfg);
         let mut out = Vec::new();
         assert!(matches!(
@@ -1342,7 +1333,7 @@ mod tests {
     fn expiry_holds_for_out_of_order_and_non_finite_timestamps() {
         for (far, kept) in [(1e12, 1), (f64::INFINITY, 0), (f64::NEG_INFINITY, 0), (f64::NAN, 0)]
         {
-            let cfg = StreamingConfig::default();
+            let cfg = ExtractConfig::paper();
             let mut win = StreamingWindow::new(cfg);
             let mut pushed = vec![read(0, 0.4, far)];
             for k in 0..400 {
@@ -1411,7 +1402,7 @@ mod tests {
             .map(|r| RawRead { phase: angle::wrap_tau(r.phase + 0.3), ..*r })
             .collect();
         for (label, reads) in [("coded", &quantized), ("stale", &stale)] {
-            let cfg = StreamingConfig::default();
+            let cfg = ExtractConfig::paper();
             let mut win = StreamingWindow::new(cfg);
             let round_len = chans * per;
             for r in &reads[..round_len] {

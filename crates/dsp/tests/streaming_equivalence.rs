@@ -20,7 +20,7 @@ use rfp_dsp::linfit::LineFit;
 use rfp_dsp::preprocess::{preprocess_reads_with, ChannelObservation, RawRead};
 use rfp_dsp::robust::{robust_line_fit_with, RobustSummary};
 use rfp_dsp::workspace::FrontEndWorkspace;
-use rfp_dsp::{StreamingConfig, StreamingWindow};
+use rfp_dsp::{ExtractConfig, StreamingWindow};
 use rfp_geom::angle;
 
 /// Splitmix-style generator so schedules need only one proptest seed.
@@ -89,7 +89,7 @@ fn quantized(reads: Vec<RawRead>) -> Vec<RawRead> {
 /// front end plus the production robust fit.
 fn batch_oracle(
     reads: &[RawRead],
-    config: &StreamingConfig,
+    config: &ExtractConfig,
 ) -> (Vec<ChannelObservation>, LineFit, RobustSummary, Vec<bool>) {
     let mut ws = FrontEndWorkspace::default();
     let mut channels = Vec::new();
@@ -153,7 +153,7 @@ proptest! {
     ) {
         let slope = slope_m * 1e-8; // rad/Hz over the ~5 MHz band
         let mut rng = Rng(seed);
-        let config = StreamingConfig::default();
+        let config = ExtractConfig::paper();
         let mut window = StreamingWindow::new(config);
         let mut retained: Vec<RawRead> = Vec::new();
         let mut channels = Vec::new();
@@ -224,7 +224,7 @@ proptest! {
         quantize in proptest::bool::ANY,
     ) {
         let mut rng = Rng(seed);
-        let config = StreamingConfig::default();
+        let config = ExtractConfig::paper();
         let mut window = StreamingWindow::new(config);
         let mut all: Vec<RawRead> = Vec::new();
         let mut channels = Vec::new();

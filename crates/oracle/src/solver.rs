@@ -218,9 +218,8 @@ impl LmWorkspace {
 /// `residual` fills its output vector with the residuals at the supplied
 /// parameters; `steps` gives the finite-difference step per parameter and
 /// must have the same length as `p`. This is the frozen numeric core the
-/// reference solvers run under [`Jacobian::Numeric`], and the oracle
-/// [`LmCore::refine_numeric`](rfp_core::lm::LmCore::refine_numeric) is
-/// pinned against bit for bit.
+/// reference solvers run under [`Jacobian::Numeric`]; the shipped crates
+/// keep no finite-difference LM.
 #[allow(clippy::needless_range_loop)]
 pub fn levenberg_marquardt_with<F>(
     workspace: &mut LmWorkspace,
