@@ -2,31 +2,30 @@
 //! through the incremental engine versus a full batch recompute of the
 //! same window (DESIGN.md §8).
 //!
-//! A `StreamingSession` holds per-(antenna, channel) running accumulators
-//! — circular-statistic phasor sums, fused unwrap+OLS moment sums and the
-//! robust-refit state — that **update** as reads arrive and **downdate**
-//! as reads expire, so advancing the window by one reader dwell (the
-//! cadence at which new channel data lands) costs O(new + expired reads)
-//! plus the warm solve, instead of re-running the whole front end over
-//! every retained read. The baseline is the production batch path
-//! (`RfPrism::sense_reusing`) over the same retained `DEPTH`-round
-//! window, warm-started the same way — what a batch engine must pay to
-//! emit an estimate at the same cadence — so the ratio isolates exactly
-//! what the incremental accumulators save.
+//! A `StreamingSession` holds per-(antenna, channel) running phasor sums
+//! that grow as reads arrive; a channel that loses reads to expiry is
+//! re-derived from the reads it keeps. Advancing the window by one reader
+//! dwell (the cadence at which new channel data lands) therefore costs
+//! the new reads plus the few channels they touch, plus the warm solve,
+//! instead of re-running the whole front end over every retained read.
+//! The baseline is the production batch path (`RfPrism::sense_reusing`)
+//! over the same retained `DEPTH`-round window, warm-started the same
+//! way — what a batch engine must pay to emit an estimate at the same
+//! cadence — so the ratio isolates exactly what the incremental
+//! accumulators save.
 //!
 //! The scenario is the paper's standard quantized reader: push-time
 //! phasors are resolved by exact phase-code lookups (the `"table"` row).
 //!
 //! Built with `--features obs` the bench also measures the cost of
 //! *continuous telemetry*: the same steady-state advance loop with the
-//! probes inert (no recorder) versus recording (latency histograms,
-//! counters and the journal all live), reported as `obs_overhead_p50`.
+//! probes inert (no recorder) versus recording (latency histograms and
+//! counters live), reported as `obs_overhead_p50`.
 //!
 //! Writes a `BENCH_streaming.json` snapshot at the repo root (override
 //! with `STREAMING_PROFILE_OUT`); `scripts/bench_gate` regenerates it
 //! with `STREAMING_PROFILE_QUICK=1` and enforces the standard row's ≥4×
-//! advance speedup, <5% refit-fallback rate, and (when present) the ≤5%
-//! telemetry overhead.
+//! advance speedup and (when present) the ≤5% telemetry overhead.
 
 use rfp_bench::report;
 use rfp_core::{RfPrism, RfPrismConfig, SenseWorkspace, WarmStart};
@@ -54,7 +53,6 @@ struct Row {
     advance_p90: f64,
     batch_p50: f64,
     speedup: f64,
-    fallback_rate: f64,
     retained_reads: usize,
 }
 
@@ -68,7 +66,6 @@ impl Row {
             ("advance_p90_us", JsonValue::Num(round2(self.advance_p90))),
             ("batch_recompute_p50_us", JsonValue::Num(round2(self.batch_p50))),
             ("advance_speedup_interleaved_p50", JsonValue::Num(round2(self.speedup))),
-            ("fallback_rate", JsonValue::Num((self.fallback_rate * 1e4).round() / 1e4)),
             ("retained_reads", JsonValue::Num(self.retained_reads as f64)),
         ])
     }
@@ -90,7 +87,7 @@ const ADVANCES_PER_ROUND: usize = 50;
 /// advance loop with the probes **inert** (obs compiled in but no
 /// recorder installed — one thread-local load and a branch per probe)
 /// versus **recording** (a recorder installed: histograms timing every
-/// advance, counters draining per window, the journal ticking).
+/// advance, counters draining per window).
 ///
 /// The true overhead (well under a microsecond) is far smaller than this
 /// container's run-to-run scheduler/thermal drift on a ~40 µs advance, so
@@ -214,8 +211,6 @@ fn profile_stream(scene: &Scene, rounds: &[StreamRound], warmup: usize) -> Row {
     // itself, not for buffer management.
     let mut session = prism.sense_streaming(span);
     let mut advance_us: Vec<f64> = Vec::with_capacity(rounds.len() * ADVANCES_PER_ROUND);
-    let mut fallbacks = 0u64;
-    let mut measured = 0usize;
     let mut cursors = vec![0usize; antennas];
     let cache = prism.batch_cache();
     let mut ws = SenseWorkspace::default();
@@ -253,8 +248,6 @@ fn profile_stream(scene: &Scene, rounds: &[StreamRound], warmup: usize) -> Row {
             }
             if i >= warmup {
                 advance_us.push(dt);
-                fallbacks += session.last_advance_fallbacks();
-                measured += 1;
             }
         }
         for (antenna, buf) in window.iter_mut().enumerate() {
@@ -285,8 +278,6 @@ fn profile_stream(scene: &Scene, rounds: &[StreamRound], warmup: usize) -> Row {
         advance_p90: percentile(&advance_us, 0.9),
         batch_p50,
         speedup: batch_p50 / advance_p50,
-        // Fallbacks are per antenna window, advances per dwell.
-        fallback_rate: fallbacks as f64 / (measured * antennas) as f64,
         retained_reads: retained,
     }
 }
@@ -340,12 +331,11 @@ fn main() {
 
     println!(
         "  table      advance p50 {:>7.2} p90 {:>7.2}   batch p50 {:>7.2}   speedup ×{:.2}   \
-         fallback rate {:.2}%   ({} retained reads)",
+         ({} retained reads)",
         standard.advance_p50,
         standard.advance_p90,
         standard.batch_p50,
         standard.speedup,
-        standard.fallback_rate * 100.0,
         standard.retained_reads,
     );
 
@@ -357,19 +347,14 @@ fn main() {
                 JsonValue::Str("microseconds per whole-tag window advance (p50/p90)".into()),
             )]),
         ),
-        // Gate metrics: the standard (quantized-reader) row's
-        // amortized advance must stay ≥4× under the batch recompute
-        // and its refit-fallback rate under 5%.
+        // Gate metric: the standard (quantized-reader) row's amortized
+        // advance must stay ≥4× under the batch recompute.
         (
             "advance_speedup_interleaved_p50",
             JsonValue::Num((standard.speedup * 100.0).round() / 100.0),
         ),
-        (
-            "fallback_rate",
-            JsonValue::Num((standard.fallback_rate * 1e4).round() / 1e4),
-        ),
     ];
-    // Third gate metric, present only when the probes are compiled in:
+    // Second gate metric, present only when the probes are compiled in:
     // recording telemetry must cost ≤5% advance p50 over inert probes.
     #[cfg(feature = "obs")]
     if let Some((overhead_p50, detail)) = obs_overhead {

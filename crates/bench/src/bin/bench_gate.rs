@@ -50,10 +50,7 @@
 //!   full batch recompute of the same window
 //!   (`advance_speedup_interleaved_p50` — a same-run ratio, each round's
 //!   recompute timed right after that round's advances, so CPU steal
-//!   cancels),
-//!   and the full-recompute fallback rate must stay below 5%
-//!   (`fallback_rate` — fallbacks are correct but forfeit the
-//!   incremental speedup, so a drifting rate is a perf regression).
+//!   cancels).
 //!   When the snapshot carries `obs_overhead_p50` (profile built with
 //!   `--features obs`), recording continuous telemetry must cost ≤5%
 //!   advance p50 over inert probes.
@@ -98,7 +95,6 @@ const SOLVER_STEP_SPEEDUP_FLOOR: f64 = 1.1;
 /// the fixed baseline the step floor divides by. Recorded on the same
 /// machine class as the pre-lane baseline ([`PRE_LANE_BASELINE_THREADS`]).
 const PRE_STEP_COLD_2D_P50_US: f64 = 74.4;
-const STREAMING_FALLBACK_MAX: f64 = 0.05;
 /// Recording telemetry may cost at most this much advance-p50 overhead.
 const STREAMING_OBS_OVERHEAD_MAX: f64 = 0.05;
 
@@ -327,14 +323,6 @@ fn check_streaming(fresh: &JsonValue) -> Result<bool, String> {
          (floor ×{STREAMING_ADVANCE_FLOOR:.1}) — {}",
         if speedup_ok { "ok" } else { "BELOW FLOOR" }
     );
-    let fallback = streaming_field(fresh, "fallback_rate")?;
-    let fallback_ok = fallback <= STREAMING_FALLBACK_MAX;
-    println!(
-        "  streaming fallback rate: {:.2}% (max {:.0}%) — {}",
-        fallback * 100.0,
-        STREAMING_FALLBACK_MAX * 100.0,
-        if fallback_ok { "ok" } else { "ABOVE MAX" }
-    );
     // Telemetry overhead is present only when the profile was built with
     // the obs probes compiled in; absent means nothing to check.
     let mut obs_ok = true;
@@ -347,7 +335,7 @@ fn check_streaming(fresh: &JsonValue) -> Result<bool, String> {
             if obs_ok { "ok" } else { "ABOVE MAX" }
         );
     }
-    Ok(speedup_ok & fallback_ok & obs_ok)
+    Ok(speedup_ok & obs_ok)
 }
 
 /// Reads `<dim>.<config>.p50_us` out of a solver snapshot.
@@ -473,10 +461,8 @@ fn record_history(
         pairs.push((field.clone(), JsonValue::Num(*value)));
     }
     if let Some(streaming) = streaming_fresh {
-        for field in ["fallback_rate", "obs_overhead_p50"] {
-            if let Some(v) = streaming.get(field).and_then(JsonValue::as_f64) {
-                pairs.push((field.to_string(), JsonValue::Num(v)));
-            }
+        if let Some(v) = streaming.get("obs_overhead_p50").and_then(JsonValue::as_f64) {
+            pairs.push(("obs_overhead_p50".to_string(), JsonValue::Num(v)));
         }
     }
     let mut line = JsonValue::Obj(pairs).to_compact();

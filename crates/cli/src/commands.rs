@@ -309,8 +309,8 @@ fn counters_footer(run: &rfp_obs::RunReport) -> String {
     if updates + downdates > 0 {
         let _ = writeln!(
             out,
-            "  streaming: {updates} updates, {downdates} downdates, {} refit fallbacks",
-            c("streaming.refit_fallbacks"),
+            "  streaming: {updates} updates, {downdates} downdates, {} rebuilds",
+            c("streaming.rebuilds"),
         );
     }
     out
@@ -324,7 +324,7 @@ fn counters_footer(run: &rfp_obs::RunReport) -> String {
 /// they "arrive"; each advance pays only for the reads that entered or
 /// expired since the last one, and the solver is warm-started from the
 /// tracker's extrapolated position. The footer shows the incremental
-/// engine's update/downdate/fallback counters.
+/// engine's update (push), downdate (expiry) and rebuild counters.
 ///
 /// Flags: `--rounds N` (default 5), `--seed S` (default 1),
 /// `--tag SEED` (default 1).

@@ -62,7 +62,7 @@ pub struct TelemetryRun {
 struct TagReplay {
     /// Per-tick metric deltas, in tick order.
     deltas: Vec<MetricsSnapshot>,
-    /// The tag session's whole recorder (metrics + spans + journal).
+    /// The tag session's whole recorder (metrics + spans).
     rec: Recorder,
     /// Total reads replayed.
     reads: usize,

@@ -104,44 +104,37 @@ pub mod id {
     /// `frontend.trig_libm_reads` — per-read phasors served by libm
     /// (reads without a phase code that reproduces their phase).
     pub const FRONTEND_TRIG_LIBM_READS: usize = 32;
-    /// `streaming.updates` — reads pushed into streaming windows
-    /// (accumulator updates).
+    /// `streaming.updates` — reads pushed into streaming windows.
     pub const STREAMING_UPDATES: usize = 33;
-    /// `streaming.downdates` — reads expired out of streaming windows
-    /// (accumulator downdates).
+    /// `streaming.downdates` — reads expired out of streaming windows.
     pub const STREAMING_DOWNDATES: usize = 34;
-    /// `streaming.refit_fallbacks` — streaming advances that took the
-    /// full batch recompute because downdating would lose precision.
-    pub const STREAMING_REFIT_FALLBACKS: usize = 35;
-    /// `streaming.drift_ops` — update/downdate operations absorbed by
-    /// drifted channels (pressure against the drift budget).
-    pub const STREAMING_DRIFT_OPS: usize = 36;
-    /// `streaming.rebuilds` — exact per-channel sum re-accumulations.
-    pub const STREAMING_REBUILDS: usize = 37;
+    /// `streaming.rebuilds` — channels re-derived from their retained
+    /// reads after losing reads to expiry.
+    pub const STREAMING_REBUILDS: usize = 35;
     /// `streaming.advance_latency_us` — `StreamingSession::advance`
     /// latency histogram, µs.
-    pub const STREAMING_ADVANCE_LATENCY_US: usize = 38;
+    pub const STREAMING_ADVANCE_LATENCY_US: usize = 36;
     /// `streaming.extract_latency_us` — per-antenna streaming-window
     /// extraction latency histogram, µs.
-    pub const STREAMING_EXTRACT_LATENCY_US: usize = 39;
+    pub const STREAMING_EXTRACT_LATENCY_US: usize = 37;
     /// `streaming.stale_tags` — tags whose last telemetry window produced
     /// no estimate (gauge; set by the replay/serve driver).
-    pub const STREAMING_STALE_TAGS: usize = 40;
+    pub const STREAMING_STALE_TAGS: usize = 38;
     /// `solver.lane_seed_blocks` — 4-seed blocks scored by the wide
     /// coarse-ranking lanes (2-D and 3-D).
-    pub const SOLVER_LANE_SEED_BLOCKS: usize = 41;
+    pub const SOLVER_LANE_SEED_BLOCKS: usize = 39;
     /// `solver.lane_row_blocks` — 4-row antenna blocks evaluated by the
     /// wide residual/Jacobian lanes of the LM cores.
-    pub const SOLVER_LANE_ROW_BLOCKS: usize = 42;
+    pub const SOLVER_LANE_ROW_BLOCKS: usize = 40;
     /// `solver.lane_scalar_rows` — seeds/rows that fell through to the
     /// scalar remainder of a 4-wide loop.
-    pub const SOLVER_LANE_SCALAR_ROWS: usize = 43;
+    pub const SOLVER_LANE_SCALAR_ROWS: usize = 41;
     /// `solver.lambda_retries` — damped-step λ retries beyond the first
     /// attempt of each LM iteration.
-    pub const SOLVER_LAMBDA_RETRIES: usize = 44;
+    pub const SOLVER_LAMBDA_RETRIES: usize = 42;
     /// `solver.chol_failures` — damped normal equations rejected as
     /// non-positive-definite (factorization failures that escalate λ).
-    pub const SOLVER_CHOL_FAILURES: usize = 45;
+    pub const SOLVER_CHOL_FAILURES: usize = 43;
 }
 
 #[cfg(feature = "obs")]
@@ -231,14 +224,9 @@ mod enabled {
         MetricDef::counter("streaming.updates", "reads pushed into streaming windows"),
         MetricDef::counter("streaming.downdates", "reads expired out of streaming windows"),
         MetricDef::counter(
-            "streaming.refit_fallbacks",
-            "streaming advances that fell back to the full batch recompute",
+            "streaming.rebuilds",
+            "channels re-derived from their retained reads after expiry",
         ),
-        MetricDef::counter(
-            "streaming.drift_ops",
-            "update/downdate operations absorbed by drifted channels",
-        ),
-        MetricDef::counter("streaming.rebuilds", "exact per-channel sum re-accumulations"),
         MetricDef::histogram(
             "streaming.advance_latency_us",
             "streaming advance latency, microseconds",
@@ -272,7 +260,7 @@ mod enabled {
         ),
     ];
 
-    pub use recorder::{counter_add, gauge_set, journal_record, journal_tick, observe_value};
+    pub use recorder::{counter_add, gauge_set, observe_value};
 
     /// Whether a recorder is installed on this thread.
     #[inline]
@@ -281,17 +269,8 @@ mod enabled {
     }
 
     /// The streaming engine's watchdog: threshold rules over windowed
-    /// [`METRICS`] deltas, matched to the failure modes the streaming
-    /// design contains (see DESIGN.md §8–§9).
+    /// [`METRICS`] deltas (see DESIGN.md §9).
     ///
-    /// * `fallback_rate` — refit fallbacks per front-end window. The
-    ///   fallback is the bit-exact escape hatch; a rising rate means the
-    ///   incremental path is no longer paying for itself (degraded at 5%,
-    ///   unhealthy at 25% — the bench gate's ceiling).
-    /// * `rebuild_pressure` — exact sum re-accumulations per window;
-    ///   rebuilds are O(window) against the advance's O(hop), so pressure
-    ///   here erodes the streaming speedup (degraded at 50%, unhealthy at
-    ///   2 per window).
     /// * `warm_miss_rate` — solver warm-start gate misses per attempt;
     ///   misses re-run the multi-start scan (degraded at 50%, unhealthy
     ///   at 90%).
@@ -306,22 +285,6 @@ mod enabled {
     pub fn streaming_health() -> rfp_obs::HealthEvaluator {
         use super::id;
         rfp_obs::HealthEvaluator::new()
-            .rate(rfp_obs::RateRule {
-                name: "fallback_rate",
-                numerators: vec![id::STREAMING_REFIT_FALLBACKS],
-                denominators: vec![id::FRONTEND_WINDOWS],
-                min_denominator: 8,
-                degraded_at: 0.05,
-                unhealthy_at: 0.25,
-            })
-            .rate(rfp_obs::RateRule {
-                name: "rebuild_pressure",
-                numerators: vec![id::STREAMING_REBUILDS],
-                denominators: vec![id::FRONTEND_WINDOWS],
-                min_denominator: 8,
-                degraded_at: 0.5,
-                unhealthy_at: 2.0,
-            })
             .rate(rfp_obs::RateRule {
                 name: "warm_miss_rate",
                 numerators: vec![id::SOLVER_WARM_MISSES],
@@ -451,8 +414,6 @@ mod enabled {
                 (FRONTEND_TRIG_LIBM_READS, "frontend.trig_libm_reads"),
                 (STREAMING_UPDATES, "streaming.updates"),
                 (STREAMING_DOWNDATES, "streaming.downdates"),
-                (STREAMING_REFIT_FALLBACKS, "streaming.refit_fallbacks"),
-                (STREAMING_DRIFT_OPS, "streaming.drift_ops"),
                 (STREAMING_REBUILDS, "streaming.rebuilds"),
                 (STREAMING_ADVANCE_LATENCY_US, "streaming.advance_latency_us"),
                 (STREAMING_EXTRACT_LATENCY_US, "streaming.extract_latency_us"),
@@ -480,25 +441,27 @@ mod enabled {
         fn streaming_health_rules_fold_over_metric_deltas() {
             use crate::obs::id::*;
             let mut ev = streaming_health();
-            // A clean window: plenty of work, no fallbacks.
+            // A clean window: plenty of work, warm starts hitting.
             let ((), rec) = recorder::observe(METRICS, || {
                 counter_add(FRONTEND_WINDOWS, 100);
+                counter_add(SOLVER_WARM_HITS, 10);
                 counter_add(PIPELINE_WINDOWS_TOTAL, 10);
                 counter_add(PIPELINE_WINDOWS_OK, 10);
             });
             let report = ev.observe(&rec.metrics.snapshot());
             assert_eq!(report.verdict, rfp_obs::Health::Healthy);
 
-            // A degrading window: 10% fallback rate.
+            // A degrading window: 60% warm-start misses.
             let ((), rec) = recorder::observe(METRICS, || {
                 counter_add(FRONTEND_WINDOWS, 100);
-                counter_add(STREAMING_REFIT_FALLBACKS, 10);
+                counter_add(SOLVER_WARM_HITS, 4);
+                counter_add(SOLVER_WARM_MISSES, 6);
                 counter_add(PIPELINE_WINDOWS_TOTAL, 10);
                 counter_add(PIPELINE_WINDOWS_OK, 10);
             });
             let report = ev.observe(&rec.metrics.snapshot());
             assert_eq!(report.verdict, rfp_obs::Health::Degraded);
-            assert_eq!(report.reasons[0].rule, "fallback_rate");
+            assert_eq!(report.reasons[0].rule, "warm_miss_rate");
         }
 
         #[test]
@@ -547,14 +510,6 @@ mod disabled {
     /// No-op histogram probe.
     #[inline(always)]
     pub fn observe_value(_idx: usize, _v: f64) {}
-
-    /// No-op journal event probe.
-    #[inline(always)]
-    pub fn journal_record(_kind: &'static str, _key: u64, _value: u64) {}
-
-    /// No-op journal clock probe.
-    #[inline(always)]
-    pub fn journal_tick(_tick: u64) {}
 
     /// No-op span probe.
     #[inline(always)]

@@ -5,16 +5,16 @@
 //! Reads are [`push`](StreamingSession::push)ed as they arrive; each
 //! [`advance`](StreamingSession::advance) expires reads older than the
 //! window span, re-extracts each antenna's line fit from the *incremental*
-//! per-channel accumulators (O(new + expired reads) instead of a batch
-//! recompute), and runs the pipeline's shared sensing sequence (usable
-//! count, mobility detector, solve) with
+//! per-channel running sums (paying for the channels that changed instead
+//! of a batch recompute), and runs the pipeline's shared sensing sequence
+//! (usable count, mobility detector, solve) with
 //! [`crate::solver::solve_2d_tracking_warm`] (an [`LmCore<5>`](crate::LmCore)
 //! lane-core facade, so warm streaming solves stay allocation-free) against
 //! the prism's seeds, warm-started from the tracker's extrapolated position
-//! with a periodically re-anchored warm-gate floor. Whenever a downdate
-//! would lose precision (decision-margin hazard, inlier-mask flip) the
-//! window falls back to a full recompute that is bit-identical to the batch
-//! path — so streaming never changes results, only cost.
+//! with a periodically re-anchored warm-gate floor. Each window's extract
+//! is bit-identical to the batch front end on the reads it retains (a
+//! channel that loses reads is re-derived from the reads it keeps), so
+//! streaming never changes results, only cost.
 //!
 //! ```
 //! use rfp_geom::Vec2;
@@ -49,9 +49,7 @@ use crate::model::{finish_observation, AntennaObservation, ExtractError};
 use crate::obs;
 use crate::obs::id::{
     FRONTEND_CHANNELS, FRONTEND_READS, FRONTEND_TRIG_LIBM_READS, FRONTEND_TRIG_TABLE_READS,
-    FRONTEND_WINDOWS,
-    STREAMING_DOWNDATES, STREAMING_DRIFT_OPS, STREAMING_REBUILDS, STREAMING_REFIT_FALLBACKS,
-    STREAMING_UPDATES,
+    FRONTEND_WINDOWS, STREAMING_DOWNDATES, STREAMING_REBUILDS, STREAMING_UPDATES,
 };
 use crate::pipeline::{RfPrism, SenseError, SenseWorkspace, SensingResult};
 use crate::solver::{solve_2d_tracking_warm, WarmGate, WarmStart};
@@ -80,10 +78,6 @@ pub struct StreamingSession<'a> {
     /// of a slowly sliding window share one coarse-scan floor).
     gate: WarmGate,
     stats: StreamingStats,
-    fallbacks_window: u64,
-    /// Advances taken so far — the session's deterministic telemetry
-    /// clock (journal events are stamped with it, not wall time).
-    advances: u64,
 }
 
 impl RfPrism {
@@ -112,8 +106,6 @@ impl RfPrism {
             warm: None,
             gate: WarmGate::default(),
             stats: StreamingStats::default(),
-            fallbacks_window: 0,
-            advances: 0,
             prism: self,
         }
     }
@@ -150,7 +142,7 @@ impl<'a> StreamingSession<'a> {
     }
 
     /// Cumulative incremental-engine statistics over the session's
-    /// lifetime (updates, downdates, refit fallbacks).
+    /// lifetime (reads pushed, reads expired, channels rebuilt).
     pub fn stats(&self) -> StreamingStats {
         self.stats
     }
@@ -177,8 +169,6 @@ impl<'a> StreamingSession<'a> {
     pub fn advance(&mut self, now_s: f64) -> Result<SensingResult, SenseError> {
         let _sense_span = obs::span("sense_streaming");
         let _advance_timer = obs::time_histogram(obs::id::STREAMING_ADVANCE_LATENCY_US);
-        self.advances += 1;
-        obs::journal_tick(self.advances);
         let cutoff = now_s - self.window_span_s;
         let result = self.workspace.sense(
             self.prism.poses(),
@@ -226,40 +216,19 @@ impl<'a> StreamingSession<'a> {
         self.workspace.recycle(result);
     }
 
-    /// Refit fallbacks taken by the most recent [`advance`](Self::advance)
-    /// (0 or 1 per antenna window).
-    pub fn last_advance_fallbacks(&self) -> u64 {
-        self.fallbacks_window
-    }
-
     /// Publishes per-window counters accumulated since the last advance
-    /// and folds them into the session totals. Anomalies — fallbacks and
-    /// rebuilds — additionally land in the structured journal, keyed by
-    /// antenna index and stamped with the advance tick, so a fallback
-    /// storm can be reconstructed per antenna after the fact.
+    /// and folds them into the session totals.
     fn drain_window_counters(&mut self) {
-        self.fallbacks_window = 0;
-        for (antenna, window) in self.windows.iter_mut().enumerate() {
-            let StreamingStats { updates, downdates, refit_fallbacks, drift_ops, rebuilds } =
+        for window in &mut self.windows {
+            let StreamingStats { updates, downdates, refit_fallbacks: _, rebuilds } =
                 window.take_stats();
             obs::counter_add(STREAMING_UPDATES, updates);
             obs::counter_add(STREAMING_DOWNDATES, downdates);
-            obs::counter_add(STREAMING_REFIT_FALLBACKS, refit_fallbacks);
-            obs::counter_add(STREAMING_DRIFT_OPS, drift_ops);
             obs::counter_add(STREAMING_REBUILDS, rebuilds);
             obs::counter_add(FRONTEND_READS, updates);
-            if refit_fallbacks > 0 {
-                obs::journal_record("refit_fallback", antenna as u64, refit_fallbacks);
-            }
-            if rebuilds > 0 {
-                obs::journal_record("rebuild", antenna as u64, rebuilds);
-            }
             self.stats.updates += updates;
             self.stats.downdates += downdates;
-            self.stats.refit_fallbacks += refit_fallbacks;
-            self.stats.drift_ops += drift_ops;
             self.stats.rebuilds += rebuilds;
-            self.fallbacks_window += refit_fallbacks;
             let [table, libm] = window.take_trig_hits();
             obs::counter_add(FRONTEND_TRIG_TABLE_READS, table);
             obs::counter_add(FRONTEND_TRIG_LIBM_READS, libm);

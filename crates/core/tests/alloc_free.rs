@@ -223,10 +223,9 @@ fn streaming_advance_is_allocation_free_in_steady_state() {
 
 /// The allocation contract survives instrumentation: with the `obs`
 /// probes live — a recorder installed, latency histograms timing every
-/// advance, counters draining per window, the journal ticking — the
-/// steady-state streaming advance still touches the heap zero times.
-/// This pins the "continuous telemetry is free" claim: histograms are
-/// fixed-bucket arrays, the journal is a preallocated ring, and span
+/// advance, counters draining per window — the steady-state streaming
+/// advance still touches the heap zero times. This pins the "continuous
+/// telemetry is free" claim: histograms are fixed-bucket arrays and span
 /// nodes are reused after the first pass.
 #[test]
 #[cfg(feature = "obs")]

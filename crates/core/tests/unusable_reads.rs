@@ -1,4 +1,4 @@
-//! A read with a non-finite phase or frequency, or an out-of-range
+//! A read with a non-finite phase, frequency or RSSI, or an out-of-range
 //! channel, costs that read, not the window: batch 2-D, batch 3-D and
 //! streaming sensing each return, bit for bit, the estimate of the same
 //! reads with the bad one removed by hand. A channel's first read at
@@ -9,8 +9,8 @@ use rfp_dsp::preprocess::RawRead;
 use rfp_geom::{Vec2, Vec3};
 use rfp_sim::{Motion, Scene, SimTag};
 
-/// The four ways a read can be unusable, each a copy of `read`.
-fn unusable(read: &RawRead) -> [RawRead; 4] {
+/// The ways a read can be unusable, each a copy of `read`.
+fn unusable(read: &RawRead) -> [RawRead; 7] {
     [
         RawRead {
             phase: f64::NAN,
@@ -28,6 +28,18 @@ fn unusable(read: &RawRead) -> [RawRead; 4] {
         },
         RawRead {
             channel: 1 << 40,
+            ..*read
+        },
+        RawRead {
+            rssi_dbm: f64::NAN,
+            ..*read
+        },
+        RawRead {
+            rssi_dbm: f64::INFINITY,
+            ..*read
+        },
+        RawRead {
+            rssi_dbm: f64::NEG_INFINITY,
             ..*read
         },
     ]
@@ -141,7 +153,7 @@ fn unusable_read_costs_only_itself_streaming() {
     let span = scene.reader().round_duration_s();
     let prism =
         RfPrism::new(scene.antenna_poses(), scene.reader().plan).with_region(scene.region());
-    for bad_kind in 0..4 {
+    for bad_kind in 0..unusable(&rounds[0].per_antenna[0][0]).len() {
         let mut clean = prism.sense_streaming(span);
         let mut dirty = prism.sense_streaming(span);
         for (r, round) in rounds.iter().enumerate() {

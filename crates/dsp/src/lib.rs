@@ -17,11 +17,10 @@
 //!   corrupted by frequency-selective multipath, drop them and keep the
 //!   "clean" line.
 //! * [`streaming`] — the incremental sliding-window front end
-//!   ([`StreamingWindow`]): per-channel accumulators that update on read
-//!   arrival and downdate on expiry, so advancing a window by `k` reads
-//!   costs `O(k + channels)` instead of a batch recompute, with a
-//!   bit-identical full-recompute fallback whenever downdating would lose
-//!   precision.
+//!   ([`StreamingWindow`]): per-channel running sums that grow on read
+//!   arrival, with a channel re-accumulated from its kept reads when some
+//!   expire, so an advance pays for the reads and channels that changed
+//!   instead of a batch recompute, and extracts bit-identically to it.
 //! * [`stats`] — small statistics helpers (mean, std, median, MAD,
 //!   percentiles, empirical CDFs) shared by the solver and the experiment
 //!   harness.

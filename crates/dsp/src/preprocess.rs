@@ -72,12 +72,15 @@ pub struct RawRead {
 
 impl RawRead {
     /// Whether the read carries a usable sample: a finite phase, a finite
-    /// frequency and a channel below [`MAX_CHANNELS`]. The front end,
-    /// batch and streaming alike, skips any other read as if the reader
-    /// had never reported it.
+    /// frequency, a finite RSSI and a channel below [`MAX_CHANNELS`]. The
+    /// front end, batch and streaming alike, skips any other read as if
+    /// the reader had never reported it.
     #[inline]
     pub(crate) fn is_usable(&self) -> bool {
-        self.phase.is_finite() && self.frequency_hz.is_finite() && self.channel < MAX_CHANNELS
+        self.phase.is_finite()
+            && self.frequency_hz.is_finite()
+            && self.rssi_dbm.is_finite()
+            && self.channel < MAX_CHANNELS
     }
 
     /// The code to look the read up by in the trig tables: `phase_code`
@@ -147,7 +150,7 @@ impl std::error::Error for PreprocessError {}
 
 /// Runs the full pre-processing pipeline on one antenna's raw reads and
 /// returns per-channel observations sorted by frequency, with phases
-/// unwrapped across channels. Reads whose phase or frequency is not
+/// unwrapped across channels. Reads whose phase, frequency or RSSI is not
 /// finite, or whose channel is out of range, are skipped.
 ///
 /// # Errors
@@ -567,10 +570,27 @@ pub(crate) fn wrap_tau(theta: f64) -> f64 {
 /// `angle::distance(a, b)` on the [`wrap_tau`] fast path: the `> π`
 /// adjustment and the absolute value are copied verbatim from
 /// `wrap_pi`/`distance`, so it is bit-identical to `angle::distance`.
+///
+/// A read's phase in `[0, τ)` against a channel axis in `(−π/2, π/2]` or
+/// an unwrapped axis often differs by a little over a turn, about a
+/// quarter of the calls on a standard stream. For a difference `d` in
+/// `[τ, 2τ)` or `(−2τ, −τ]`, `rem_euclid`'s `fmod` returns `d ∓ τ`, and
+/// that subtraction is exact (Sterbenz), so one shift by τ lands `d` in
+/// the fast range with the remainder's bits and no libm call. The one
+/// exception, `d = −τ`, gives `+0.0` where `fmod` gives `−0.0`, and the
+/// `abs` erases the sign.
 #[inline(always)]
 pub(crate) fn wrapped_distance(a: f64, b: f64) -> f64 {
     use std::f64::consts::{PI, TAU};
-    let w = wrap_tau(a - b);
+    let d = a - b;
+    let d = if (TAU..2.0 * TAU).contains(&d) {
+        d - TAU
+    } else if d <= -TAU && d > -2.0 * TAU {
+        d + TAU
+    } else {
+        d
+    };
+    let w = wrap_tau(d);
     let w = if w > PI { w - TAU } else { w };
     w.abs()
 }
@@ -713,6 +733,29 @@ mod tests {
             let coded_obs = preprocess_reads(&reads, &cfg).unwrap();
             let stripped_obs = preprocess_reads(&stripped, &cfg).unwrap();
             assert_eq!(coded_obs, stripped_obs, "pi_jumps={pi_jumps}");
+        }
+    }
+
+    /// `wrapped_distance` is `angle::distance` bit for bit, across the
+    /// one-turn shifts either side of the fast range, their edges, and the
+    /// `fmod` range beyond them.
+    #[test]
+    fn wrapped_distance_is_angle_distance() {
+        use std::f64::consts::TAU;
+        let mut diffs: Vec<f64> =
+            (0..=4000).map(|i| -5.0 * TAU + 10.0 * TAU * i as f64 / 4000.0).collect();
+        for edge in [TAU, -TAU, 2.0 * TAU, -2.0 * TAU] {
+            diffs.extend((-2i64..=2).map(|k| f64::from_bits((edge.to_bits() as i64 + k) as u64)));
+        }
+        for d in diffs {
+            for b in [0.0, -1.3, 2.9, 7.5] {
+                let a = d + b;
+                assert_eq!(
+                    wrapped_distance(a, b).to_bits(),
+                    angle::distance(a, b).to_bits(),
+                    "{a} vs {b}"
+                );
+            }
         }
     }
 

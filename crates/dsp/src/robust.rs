@@ -145,33 +145,18 @@ pub fn robust_line_fit_with(
     config: &RobustFitConfig,
 ) -> Result<RobustSummary, FitError> {
     let current = linfit::theil_sen_with(ws, xs, ys)?;
-    // Margin 0 disables the decision-sensitivity probe (see
-    // [`robust_line_fit_seeded`]); the probe never changes the arithmetic.
-    reject_refit_loop(ws, xs, ys, config, 0.0, current).map(|(summary, _)| summary)
+    reject_refit_loop(ws, xs, ys, config, current)
 }
 
-/// [`robust_line_fit_with`] for incremental callers, with two additions.
-///
-/// The Theil–Sen *slope* is supplied by the caller instead of recomputed
-/// from the O(n²) pairwise enumeration. The caller must pass exactly the
-/// median slope [`linfit::theil_sen_with`] would produce on `(xs, ys)` —
+/// [`robust_line_fit_with`] for incremental callers: the Theil–Sen
+/// *slope* is supplied by the caller instead of recomputed from the
+/// O(n²) pairwise enumeration. The caller must pass exactly the median
+/// slope [`linfit::theil_sen_with`] would produce on `(xs, ys)` —
 /// streaming windows maintain the pairwise-slope multiset incrementally
 /// across advances and take the median of the same values in the same
 /// order, so the guarantee holds bitwise and the whole fit (seed
 /// intercept, diagnostics, every rejection round) is bit-identical to the
 /// unseeded call.
-///
-/// The second return value is a **decision-sensitivity probe**: `true`
-/// when any rejection decision of any iteration sat within `margin` of
-/// its boundary — a point's absolute residual within `margin` of the
-/// cutoff, or the residual gap across the `min_inliers` rank boundary
-/// below `margin`. The streaming front end feeds this fit phases that may
-/// differ from the batch recompute by up to its downdating drift bound
-/// (≪ the margin). If the probe stays `false`, every mask decision
-/// cleared its boundary by more than the drift, so the inlier masks are
-/// *guaranteed* identical to the batch fit's; if it fires, the caller
-/// falls back to the bit-exact full recompute. The probe never changes
-/// the arithmetic, and with `margin == 0.0` it cannot fire.
 ///
 /// # Errors
 ///
@@ -181,11 +166,10 @@ pub fn robust_line_fit_seeded(
     xs: &[f64],
     ys: &[f64],
     config: &RobustFitConfig,
-    margin: f64,
     seed_slope: f64,
-) -> Result<(RobustSummary, bool), FitError> {
+) -> Result<RobustSummary, FitError> {
     let current = linfit::theil_sen_from_slope(ws, xs, ys, seed_slope)?;
-    reject_refit_loop(ws, xs, ys, config, margin, current)
+    reject_refit_loop(ws, xs, ys, config, current)
 }
 
 /// The shared reject-refit loop behind both robust entries, starting from
@@ -195,10 +179,8 @@ fn reject_refit_loop(
     xs: &[f64],
     ys: &[f64],
     config: &RobustFitConfig,
-    margin: f64,
     mut current: LineFit,
-) -> Result<(RobustSummary, bool), FitError> {
-    let mut sensitive = false;
+) -> Result<RobustSummary, FitError> {
     let n = xs.len();
     let min_inliers = ((n as f64 * config.min_inlier_fraction).ceil() as usize).max(2);
     ws.inliers.clear();
@@ -256,28 +238,6 @@ fn reject_refit_loop(
                 }
             }
         }
-        if margin > 0.0 {
-            // Cutoff proximity: a residual this close to the cutoff could
-            // land on the other side under sub-margin input drift.
-            sensitive |= ws.abs_res.iter().any(|&ar| (ar - cutoff).abs() < margin);
-            // Rank boundary: near-tied residuals straddling the inlier
-            // floor could swap ranks under drift and flip which point the
-            // floor retains. Rank only decides membership for points the
-            // cutoff would reject, so a tie among clear cutoff-inliers is
-            // harmless. The two boundary values are the order statistics
-            // of ranks `min_inliers − 1` and `min_inliers`, selected.
-            if n > min_inliers {
-                ws.scratch.clear();
-                ws.scratch.extend_from_slice(&ws.abs_res);
-                let cmp = |a: &f64, b: &f64| a.partial_cmp(b).expect("finite");
-                let (_, last, above) = ws.scratch.select_nth_unstable_by(min_inliers - 1, cmp);
-                let floor_last = *last;
-                let floor_next = above.iter().copied().fold(f64::INFINITY, f64::min);
-                sensitive |=
-                    floor_next - floor_last < margin && floor_next > cutoff - margin;
-            }
-        }
-
         // Incremental refit: subtract the excluded points from the
         // full-set sums (typically a handful) rather than re-accumulating
         // the inlier subset.
@@ -302,7 +262,7 @@ fn reject_refit_loop(
         }
     }
 
-    Ok((RobustSummary { fit: current, iterations, inlier_count }, sensitive))
+    Ok(RobustSummary { fit: current, iterations, inlier_count })
 }
 
 #[cfg(test)]
@@ -320,29 +280,6 @@ mod tests {
         let r = robust_line_fit(&xs, &ys, &RobustFitConfig::default()).unwrap();
         assert_eq!(r.inlier_count(), 50);
         assert!((r.fit.slope - 0.13).abs() < 1e-12);
-    }
-
-    #[test]
-    fn sensitivity_probe_is_pure_observation() {
-        let xs: Vec<f64> = (0..40).map(|i| i as f64 * 0.3).collect();
-        let mut ys = line(&xs, 0.21, 1.4);
-        ys[7] += 0.9;
-        ys[19] -= 1.1;
-        let cfg = RobustFitConfig::default();
-        let baseline = robust_line_fit(&xs, &ys, &cfg).unwrap();
-        let mut ws = FitWorkspace::default();
-        let slope = linfit::theil_sen_with(&mut ws, &xs, &ys).unwrap().slope;
-        let (probed, sensitive) =
-            robust_line_fit_seeded(&mut ws, &xs, &ys, &cfg, 1e-6, slope).unwrap();
-        assert_eq!(probed.fit.slope.to_bits(), baseline.fit.slope.to_bits());
-        assert_eq!(probed.fit.intercept.to_bits(), baseline.fit.intercept.to_bits());
-        assert_eq!(probed.inlier_count, baseline.inlier_count());
-        // Clean margins: outliers sit ~1 rad from a ~0.03 cutoff.
-        assert!(!sensitive);
-        // A residual parked exactly on the cutoff must trip the probe.
-        let (_, near) =
-            robust_line_fit_seeded(&mut ws, &xs, &ys, &cfg, 10.0, slope).unwrap();
-        assert!(near);
     }
 
     #[test]

@@ -1,59 +1,43 @@
-//! Incremental sliding-window front end: per-channel accumulators that
-//! **update** on read arrival and **downdate** on expiry, so advancing a
-//! window by `k` reads costs `O(k + C)` (`C` = live channels) instead of
-//! re-running the `O(window)` batch front end.
+//! Incremental sliding-window front end: per-channel running sums that
+//! grow as reads arrive, so an advance pays for the reads it pushes and
+//! the channels it changes instead of re-running the `O(window)` batch
+//! front end over every retained read.
 //!
-//! # How it stays equivalent to the batch path
+//! # Exactly the batch front end
 //!
-//! Every per-channel quantity the batch front end derives —
-//! circular-statistic accumulators, fold sums, spread, the unwrap and the
-//! global π majority vote — is either maintained incrementally or
-//! recomputed lazily from the channel's retained reads when its membership
-//! changed ("dirty"). Per-channel sums accumulate in arrival order, which
-//! is exactly the per-channel summation order of the batch pass, so a
-//! channel that has only ever been *appended to* since its last exact
-//! rebuild is **bit-identical** to the batch recompute. Downdating
-//! (subtracting an expired read's contribution) is not exactly invertible
-//! in floating point: a downdated ("drifted") channel's sums sit within a
-//! few ulps (≲1e-12) of the batch values.
+//! Every extract is bit-identical to [`preprocess_reads_with`] followed by
+//! [`robust_line_fit_with`] on the window's retained reads, taken in the
+//! order they were pushed:
 //!
-//! That residual drift is contained by three mechanisms:
+//! * a push adds the read's phasor and RSSI to its channel's running
+//!   sums, in push order — the order in which the batch pass sums a
+//!   channel's reads;
+//! * a channel that loses reads on expiry is re-accumulated from the reads
+//!   it keeps (a *rebuild*, tallied in [`StreamingStats::rebuilds`]).
+//!   Subtracting an expired read instead would leave rounding residue
+//!   that floating point cannot undo (an expired RSSI of 1e300 would take
+//!   the whole sum with it);
+//! * at extract, each channel whose reads changed derives its axis, folds
+//!   its reads onto it and reads off its spread, with the batch
+//!   expressions in the batch order. The π majority vote recounts only the
+//!   channels whose reads or unwrapped axis changed: the tallies are
+//!   integers, so a kept count is the count a recount would give;
+//! * the robust fit's Theil–Sen seed comes from a cache of the pairwise
+//!   slopes that selects the batch median from the same values.
 //!
-//! 1. **Exact rebuilds** — an emptied channel resets to the exact zero
-//!    state; a channel accumulates at most 64 update/downdate operations
-//!    while drifted before its sums are re-accumulated from the retained
-//!    reads (bit-identical to batch again); and a drifted channel whose
-//!    mean circular resultant falls below 0.01 (accumulator cancellation —
-//!    the axis would amplify the drift) is rebuilt immediately.
-//! 2. **Decision margins** — every discrete decision downstream of a
-//!    drifted sum (π-fold classification, unwrap jump selection, the
-//!    majority-vote comparisons, the robust fit's inlier rejections via
-//!    [`crate::robust::robust_line_fit_seeded`]'s sensitivity probe) is
-//!    checked against a 1e-6 rad decision margin. A decision
-//!    that clears its boundary by more than the margin is guaranteed to
-//!    agree with the batch decision (the drift is orders of magnitude
-//!    smaller); one that does not triggers
-//! 3. **Full-recompute fallback** — the retained reads are concatenated
-//!    per channel and fed through the ordinary batch
-//!    [`preprocess_reads_with`], which is bit-identical to a batch call on
-//!    the same reads (per-channel orders are preserved; every
-//!    cross-channel step of the front end is order-invariant). Fallbacks
-//!    are tallied in [`StreamingStats::refit_fallbacks`].
+//! At the reader's dwell cadence on a 40 s window an advance rebuilds
+//! about two channels per antenna. The `streaming_equivalence` property
+//! suite pins the contract against random arrival/expiry schedules.
 //!
-//! Net: when no fallback fires, emitted phases differ from the batch
-//! recompute by the contained accumulator drift (≤1e-9 end to end) with
-//! *identical* robust inlier masks; channels never downdated since their
-//! last rebuild — and the entire fallback path — are bit-identical. The
-//! `streaming_equivalence` property suite in `rfp-core` pins both claims
-//! against random arrival/expiry schedules.
+//! [`preprocess_reads_with`]: crate::preprocess::preprocess_reads_with
+//! [`robust_line_fit_with`]: crate::robust::robust_line_fit_with
 
 use std::collections::VecDeque;
 use std::f64::consts::{FRAC_PI_2, PI};
 
 use crate::linfit::{FitError, LineFit};
 use crate::preprocess::{
-    order_channels, preprocess_reads_with, wrap_tau, wrapped_distance, ChannelObservation,
-    PreprocessError, RawRead,
+    order_channels, wrap_tau, wrapped_distance, ChannelObservation, PreprocessError, RawRead,
 };
 use crate::robust::{robust_line_fit_seeded, RobustSummary};
 use crate::stats;
@@ -62,41 +46,18 @@ use crate::workspace::FrontEndWorkspace;
 use crate::ExtractConfig;
 use rfp_geom::angle;
 
-/// Maximum update/downdate operations a channel absorbs *while drifted*
-/// before its sums are rebuilt exactly from the retained reads. Bounds the
-/// accumulated downdating drift to `MAX_DRIFT_OPS` ulp-scale errors
-/// (≈`64 · 4.4e-14 ≈ 3e-12` per sum).
-const MAX_DRIFT_OPS: u32 = 64;
-
-/// Minimum mean circular resultant `r̄ = |Σ phasor| / n` a drifted channel
-/// may have before its sums are rebuilt exactly: below this, cancellation
-/// has eaten the accumulator's significand and the axis `atan2` would
-/// amplify the downdating drift unboundedly.
-const CONDITIONING_FLOOR: f64 = 0.01;
-
-/// Margin (radians) by which every discrete decision downstream of a
-/// drifted accumulator must clear its boundary; decisions inside it
-/// trigger the full-recompute fallback. It dwarfs the contained drift
-/// (≲1e-9) while staying far below real decision gaps.
-const DECISION_MARGIN: f64 = 1e-6;
-
 /// Per-advance work tallies of a [`StreamingWindow`], feeding the
 /// `streaming.*` observability counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StreamingStats {
-    /// Reads pushed into the window (accumulator updates).
+    /// Reads pushed into the window.
     pub updates: u64,
-    /// Reads expired out of the window (accumulator downdates).
+    /// Reads expired out of the window.
     pub downdates: u64,
-    /// Full batch recomputes taken because downdating would have lost
-    /// precision (decision-margin hazard, robust-mask flip).
+    /// Always 0: the window has no batch fallback. Kept only because the
+    /// frozen benchmark's trace reads it.
     pub refit_fallbacks: u64,
-    /// Update/downdate operations absorbed by *drifted* channels — the
-    /// pressure against the per-channel drift budget; a high rate
-    /// means channels churn while carrying downdating drift.
-    pub drift_ops: u64,
-    /// Exact per-channel sum re-accumulations (drift budget exhausted,
-    /// conditioning floor crossed, or post-fallback resync).
+    /// Channels re-derived from their retained reads after expiry.
     pub rebuilds: u64,
 }
 
@@ -123,8 +84,6 @@ impl std::error::Error for StreamingError {}
 /// Result of one [`StreamingWindow::extract_into`] advance.
 #[derive(Debug, Clone, Copy)]
 pub struct StreamExtract {
-    /// Whether this advance took the full-recompute fallback path.
-    pub fallback: bool,
     /// Raw (pre-rejection) line fit over the window's channels.
     pub raw_fit: LineFit,
     /// Robust (multipath-suppressed) fit summary; `None` when
@@ -134,74 +93,37 @@ pub struct StreamExtract {
 }
 
 /// One retained read plus the phasors computed for it at push time, so
-/// no per-read trigonometry runs on the incremental extract path. `acc`
-/// is the pass-1 phasor (doubled angle in π-jump mode);
-/// `base`/`shift` are the fold-pass phasors for the unshifted and
-/// π-shifted classification (π-jump mode only).
+/// no per-read trigonometry runs after the push. `acc` is the pass-1
+/// phasor (doubled angle in π-jump mode); `fold[0]`/`fold[1]` are the
+/// fold-pass phasors of the read and of the read shifted by π (π-jump
+/// mode only). Each is a `[sin, cos]` pair.
 #[derive(Debug, Clone, Copy)]
 struct StoredRead {
     read: RawRead,
-    acc_sin: f64,
-    acc_cos: f64,
-    base_sin: f64,
-    base_cos: f64,
-    shift_sin: f64,
-    shift_cos: f64,
-    /// Fold classification against the channel's cached fold axis:
-    /// `true` when this read contributed its base phasor, `false` the
-    /// π-shifted one. Lets expiry downdate the fold sums in O(1).
-    fold_base: bool,
-    /// Majority-vote classification against the channel's cached vote
-    /// axis (`true` = counted toward the axis side).
-    vote_in: bool,
+    acc: [f64; 2],
+    fold: [[f64; 2]; 2],
 }
 
-/// Incremental per-channel state: the retained reads plus running sums
-/// and lazily recomputed derived quantities.
+/// Per-channel state: the retained reads, their running sums, and what
+/// the last extract derived from them.
 #[derive(Debug, Default)]
 struct ChannelState {
     chan: usize,
     fifo: VecDeque<StoredRead>,
-    count: usize,
     sum_rssi: f64,
     acc_sin: f64,
     acc_cos: f64,
     /// Some retained read is older than a read pushed before it, so
     /// expiry cannot stop at the first read it keeps.
     unordered: bool,
-    /// Sums have been downdated since the last exact rebuild.
-    drifted: bool,
-    /// Update/downdate operations absorbed while drifted.
-    drift_ops: u32,
-    /// Membership changed since the derived state below was computed.
+    /// The reads changed since `axis` and `spread` were derived.
     dirty: bool,
     axis: f64,
     spread: f64,
-    /// Every fold decision cleared the margin when the fold state was
-    /// last refreshed.
-    fold_margin_ok: bool,
-    /// Incremental fold-pass sums: selected (base or π-shifted) phasors
-    /// accumulated in FIFO order against `fold_axis`. Valid only while
-    /// `fold_cache_valid`; pushes add the classified phasor, expiries
-    /// subtract it via the read's stored [`StoredRead::fold_base`] bit.
-    fold_sin: f64,
-    fold_cos: f64,
-    /// The axis every retained read's fold bit was classified against.
-    fold_axis: f64,
-    /// Lower bound on `min |wrapped_distance(p, fold_axis) − π/2|` over
-    /// the retained reads: while the current axis sits closer to
-    /// `fold_axis` than this, no fold selection can have flipped and the
-    /// cached sums are exactly the sums a fresh classification would
-    /// produce.
-    fold_min_margin: f64,
-    fold_cache_valid: bool,
-    /// Incremental majority-vote tally against `vote_axis`, maintained
-    /// the same way (integer counts, so downdating is exact).
-    votes_axis: usize,
+    /// The π-vote tally of the reads against `vote_axis`, the unwrapped
+    /// axis it was counted against (NaN: count again).
+    votes: usize,
     vote_axis: f64,
-    vote_min_margin: f64,
-    vote_margin_ok: bool,
-    vote_cache_valid: bool,
 }
 
 impl ChannelState {
@@ -209,61 +131,58 @@ impl ChannelState {
         ChannelState { chan, ..Default::default() }
     }
 
-    /// Subtracts an expired read's contributions from the running sums
-    /// (its fold and vote classification bits say which), marking the
-    /// channel drifted.
-    fn downdate(&mut self, sr: &StoredRead) {
-        self.count -= 1;
-        self.sum_rssi -= sr.read.rssi_dbm;
-        self.acc_sin -= sr.acc_sin;
-        self.acc_cos -= sr.acc_cos;
-        if self.fold_cache_valid {
-            if sr.fold_base {
-                self.fold_sin -= sr.base_sin;
-                self.fold_cos -= sr.base_cos;
-            } else {
-                self.fold_sin -= sr.shift_sin;
-                self.fold_cos -= sr.shift_cos;
-            }
+    /// Re-accumulates the running sums from the retained reads in FIFO
+    /// (= batch) order.
+    fn rebuild(&mut self) {
+        let (mut rssi, mut sin, mut cos) = (0.0, 0.0, 0.0);
+        for sr in &self.fifo {
+            rssi += sr.read.rssi_dbm;
+            sin += sr.acc[0];
+            cos += sr.acc[1];
         }
-        if self.vote_cache_valid && sr.vote_in {
-            self.votes_axis -= 1;
-        }
-        self.drifted = true;
-        self.drift_ops += 1;
+        (self.sum_rssi, self.acc_sin, self.acc_cos) = (rssi, sin, cos);
+        self.dirty = true;
     }
 
-    /// Exact zero state for an emptied channel (un-drifts it).
-    fn reset_exact(&mut self) {
-        self.count = 0;
-        self.sum_rssi = 0.0;
-        self.acc_sin = 0.0;
-        self.acc_cos = 0.0;
-        self.drifted = false;
-        self.drift_ops = 0;
-        self.dirty = true;
-        self.fold_sin = 0.0;
-        self.fold_cos = 0.0;
-        self.fold_cache_valid = false;
-        self.votes_axis = 0;
-        self.vote_cache_valid = false;
+    /// Derives the axis and spread from the running sums and, in π-jump
+    /// mode, one fold pass over the reads: the batch per-slot expressions,
+    /// with the fold sums accumulated in the batch order.
+    fn derive(&mut self, pi_mode: bool) {
+        let (sin, cos) = (self.acc_sin, self.acc_cos);
+        let n = self.fifo.len() as f64;
+        let r = (sin * sin + cos * cos).sqrt() / n;
+        let first_phase = self.fifo[0].read.phase;
+        if pi_mode {
+            let doubled_mean = if r < 1e-12 { 2.0 * first_phase } else { sin.atan2(cos) };
+            self.axis = doubled_mean / 2.0;
+            let (mut fold_sin, mut fold_cos) = (0.0, 0.0);
+            for sr in &self.fifo {
+                let shift = wrapped_distance(sr.read.phase, self.axis) > FRAC_PI_2;
+                let [s, c] = sr.fold[shift as usize];
+                fold_sin += s;
+                fold_cos += c;
+            }
+            let fr = ((fold_sin * fold_sin + fold_cos * fold_cos).sqrt() / n).min(1.0);
+            self.spread = (-2.0 * fr.max(1e-300).ln()).sqrt();
+        } else {
+            self.axis = if r < 1e-12 { first_phase } else { sin.atan2(cos) };
+            self.spread = (-2.0 * r.clamp(1e-300, 1.0).ln()).sqrt();
+        }
+        self.vote_axis = f64::NAN;
+        self.dirty = false;
     }
 }
 
 /// An incrementally maintained sliding window over one antenna's read
 /// stream. Push reads with [`push`](Self::push) (normally in
 /// nondecreasing timestamp order, as a reader delivers them), expire old
-/// ones with
-/// [`expire_before`](Self::expire_before), and extract the per-channel
-/// observations plus the fitted line with
-/// [`extract_into`](Self::extract_into) — the incremental analogue of
-/// [`preprocess_reads_with`] followed by the robust line fit, equivalent
-/// to the batch recompute per the module docs.
+/// ones with [`expire_before`](Self::expire_before), and extract the
+/// per-channel observations plus the fitted line with
+/// [`extract_into`](Self::extract_into) — bit-identical to the batch front
+/// end and robust fit on the retained reads (see the module docs).
 #[derive(Debug)]
 pub struct StreamingWindow {
     config: ExtractConfig,
-    /// [`DECISION_MARGIN`]; the hazard test widens it to force fallbacks.
-    margin: f64,
     /// channel id → index into `channels` (`u32::MAX` = never seen).
     slot_of: Vec<u32>,
     channels: Vec<ChannelState>,
@@ -271,14 +190,8 @@ pub struct StreamingWindow {
     order: Vec<usize>,
     /// Unwrap scratch in sorted order.
     phase_col: Vec<f64>,
-    /// Batch workspace: runs the fallback path and hosts the fit columns
-    /// + scratch for both paths.
+    /// Hosts the fit columns and their scratch.
     ws: FrontEndWorkspace,
-    /// Fallback gather scratch.
-    scratch_reads: Vec<RawRead>,
-    /// Robust inlier mask of the previous advance (mask-flip guard).
-    last_mask: Vec<bool>,
-    had_mask: bool,
     /// Incrementally maintained Theil–Sen pairwise-slope state.
     slope_cache: SlopeCache,
     /// Work tallies since the last [`take_stats`](Self::take_stats).
@@ -517,15 +430,11 @@ impl StreamingWindow {
     pub fn new(config: ExtractConfig) -> Self {
         StreamingWindow {
             config,
-            margin: DECISION_MARGIN,
             slot_of: Vec::new(),
             channels: Vec::new(),
             order: Vec::new(),
             phase_col: Vec::new(),
             ws: FrontEndWorkspace::default(),
-            scratch_reads: Vec::new(),
-            last_mask: Vec::new(),
-            had_mask: false,
             slope_cache: SlopeCache::default(),
             stats: StreamingStats::default(),
             trig_hits: [0; 2],
@@ -539,7 +448,7 @@ impl StreamingWindow {
 
     /// Total reads currently retained.
     pub fn read_count(&self) -> usize {
-        self.channels.iter().map(|c| c.count).sum()
+        self.channels.iter().map(|c| c.fifo.len()).sum()
     }
 
     /// Work tallies since the last [`take_stats`](Self::take_stats).
@@ -553,8 +462,7 @@ impl StreamingWindow {
     }
 
     /// Returns and resets the trig tallies (`[table lookups, libm
-    /// calls]`), counting every phasor evaluated at push time plus any
-    /// fallback recompute's work.
+    /// calls]`), counting every phasor evaluated at push time.
     pub fn take_trig_hits(&mut self) -> [u64; 2] {
         std::mem::take(&mut self.trig_hits)
     }
@@ -566,79 +474,39 @@ impl StreamingWindow {
         self.ws.fit.inlier_mask()
     }
 
-    /// Pushes one read into the window, updating its channel's running
+    /// Pushes one read into the window, adding it to its channel's running
     /// sums in O(1). Per-channel sums accumulate in push order, the order
     /// the batch front end sees the retained reads in. A read the batch
-    /// front end skips (a non-finite phase or frequency, an out-of-range
-    /// channel) is skipped here too, and so is a read whose timestamp is
-    /// not finite: no cutoff could ever expire it. Reads normally arrive
-    /// in nondecreasing timestamp order (the order a reader stream
-    /// delivers them); one that arrives older than its channel's last
-    /// read marks the channel for scanning expiry.
+    /// front end skips (a non-finite phase, frequency or RSSI, an
+    /// out-of-range channel) is skipped here too, and so is a read whose
+    /// timestamp is not finite: no cutoff could ever expire it. Reads
+    /// normally arrive in nondecreasing timestamp order (the order a reader
+    /// stream delivers them); one that arrives older than its channel's
+    /// last read marks the channel for scanning expiry.
     pub fn push(&mut self, read: &RawRead) {
         if !read.is_usable() || !read.timestamp_s.is_finite() {
             return;
         }
-        let doubled = self.config.preprocess.correct_pi_jumps;
-        let mut stored = self.compute_phasors(read, doubled);
+        let stored = self.phasors(read);
         let s = self.slot(read.channel);
         let ch = &mut self.channels[s];
-        // Classify against the cached axes now so the fold sums and vote
-        // tally stay current without revisiting the FIFO at extract time.
-        // The additions land in FIFO (= batch) order, so an append-only
-        // channel's fold sums remain bit-identical to a fresh pass as
-        // long as no selection has flipped (checked at extract via the
-        // cached minimum margins).
-        if doubled && ch.fold_cache_valid {
-            let dist = wrapped_distance(read.phase, ch.fold_axis);
-            let m = (dist - FRAC_PI_2).abs();
-            if m < ch.fold_min_margin {
-                ch.fold_min_margin = m;
-            }
-            stored.fold_base = dist <= FRAC_PI_2;
-            if stored.fold_base {
-                ch.fold_sin += stored.base_sin;
-                ch.fold_cos += stored.base_cos;
-            } else {
-                ch.fold_sin += stored.shift_sin;
-                ch.fold_cos += stored.shift_cos;
-            }
-        }
-        if doubled && ch.vote_cache_valid {
-            let dist = wrapped_distance(read.phase, ch.vote_axis);
-            let m = (dist - FRAC_PI_2).abs();
-            if m < ch.vote_min_margin {
-                ch.vote_min_margin = m;
-            }
-            stored.vote_in = dist <= FRAC_PI_2;
-            if stored.vote_in {
-                ch.votes_axis += 1;
-            }
-        }
         if ch.fifo.back().is_some_and(|b| read.timestamp_s < b.read.timestamp_s) {
             ch.unordered = true;
         }
         ch.fifo.push_back(stored);
-        ch.count += 1;
         ch.sum_rssi += read.rssi_dbm;
-        ch.acc_sin += stored.acc_sin;
-        ch.acc_cos += stored.acc_cos;
-        if ch.drifted {
-            ch.drift_ops += 1;
-            self.stats.drift_ops += 1;
-        }
+        ch.acc_sin += stored.acc[0];
+        ch.acc_cos += stored.acc[1];
         ch.dirty = true;
         self.stats.updates += 1;
     }
 
-    /// Expires every retained read with `timestamp_s < cutoff_s`,
-    /// downdating its channel's sums, and returns the number removed.
-    /// Afterwards no retained read is older than `cutoff_s`, whatever
-    /// order the reads were pushed in: a channel whose reads arrived in
-    /// timestamp order expires from its front, any other by a scan.
-    /// Emptied channels reset to the exact zero state; channels that
-    /// exceed the drift-operation budget are rebuilt exactly from their
-    /// retained reads.
+    /// Expires every retained read with `timestamp_s < cutoff_s` and
+    /// returns the number removed. Afterwards no retained read is older
+    /// than `cutoff_s`, whatever order the reads were pushed in: a channel
+    /// whose reads arrived in timestamp order expires from its front, any
+    /// other by a scan. Every channel that lost reads is rebuilt from the
+    /// reads it keeps.
     pub fn expire_before(&mut self, cutoff_s: f64) -> usize {
         // A NaN cutoff expires everything, as it always has.
         let expired = |sr: &StoredRead| sr.read.timestamp_s < cutoff_s || cutoff_s.is_nan();
@@ -646,49 +514,38 @@ impl StreamingWindow {
         for ch in &mut self.channels {
             let before = ch.fifo.len();
             if ch.unordered {
-                let mut fifo = std::mem::take(&mut ch.fifo);
                 let mut last = f64::NEG_INFINITY;
                 ch.unordered = false;
-                fifo.retain(|sr| {
+                ch.fifo.retain(|sr| {
                     if expired(sr) {
-                        ch.downdate(sr);
                         return false;
                     }
                     ch.unordered |= sr.read.timestamp_s < last;
                     last = sr.read.timestamp_s;
                     true
                 });
-                ch.fifo = fifo;
             } else {
-                while let Some(sr) = ch.fifo.front().copied().filter(expired) {
+                while ch.fifo.front().is_some_and(expired) {
                     ch.fifo.pop_front();
-                    ch.downdate(&sr);
                 }
             }
             let gone = before - ch.fifo.len();
             if gone > 0 {
-                self.stats.drift_ops += gone as u64;
                 removed += gone;
-                ch.dirty = true;
-                if ch.fifo.is_empty() {
-                    ch.reset_exact();
-                } else if ch.drift_ops >= MAX_DRIFT_OPS {
-                    Self::rebuild_channel(ch);
-                    self.stats.rebuilds += 1;
-                }
+                ch.rebuild();
+                self.stats.rebuilds += 1;
             }
         }
         self.stats.downdates += removed as u64;
         removed
     }
 
-    /// Runs the window's front end: per-channel aggregation (incremental
-    /// where possible), cross-channel unwrap, π majority vote, and the
-    /// raw + robust line fits. `out` is cleared and refilled with the
-    /// per-channel observations (sorted by frequency), exactly as the
-    /// batch [`preprocess_reads_with`] fills it. In steady state (all
-    /// buffer capacities reached, no fallback) the call performs zero
-    /// heap allocations.
+    /// Runs the window's front end: per-channel aggregation (re-derived
+    /// only for channels whose reads changed), cross-channel unwrap, π
+    /// majority vote, and the raw + robust line fits. `out` is cleared and
+    /// refilled with the per-channel observations (sorted by frequency),
+    /// exactly as the batch front end fills it. In steady state (all
+    /// buffer capacities reached) the call performs zero heap allocations.
     ///
     /// # Errors
     ///
@@ -698,109 +555,16 @@ impl StreamingWindow {
         &mut self,
         out: &mut Vec<ChannelObservation>,
     ) -> Result<StreamExtract, StreamingError> {
-        let margin = self.margin;
         let min_reads = self.config.preprocess.min_reads_per_channel.max(1);
         let pi_mode = self.config.preprocess.correct_pi_jumps;
 
-        // Conditioning pass: a drifted channel whose resultant has
-        // cancelled away is rebuilt exactly before its axis is read off.
-        for ch in &mut self.channels {
-            if ch.count == 0 || !ch.drifted {
-                continue;
-            }
-            let r = (ch.acc_sin * ch.acc_sin + ch.acc_cos * ch.acc_cos).sqrt()
-                / ch.count as f64;
-            if r < CONDITIONING_FLOOR {
-                Self::rebuild_channel(ch);
-                self.stats.rebuilds += 1;
-            }
-        }
-        let any_drifted = self.channels.iter().any(|c| c.count > 0 && c.drifted);
-        let mut hazard = false;
-
-        // Per-channel stage: recompute axis / fold / spread for channels
-        // whose membership changed, reuse the cache otherwise. The
-        // expressions replicate the batch per-slot pass verbatim, and the
-        // per-channel fold sums accumulate in FIFO (= batch) order.
         let mut kept = 0usize;
         for ch in &mut self.channels {
-            let keep = ch.count >= min_reads;
-            if ch.count == 0 || !keep {
-                continue;
-            }
-            kept += 1;
-            if ch.dirty {
-                let (sin, cos) = (ch.acc_sin, ch.acc_cos);
-                let n = ch.count as f64;
-                let r = (sin * sin + cos * cos).sqrt() / n;
-                let first_phase = ch.fifo.front().expect("non-empty").read.phase;
-                if pi_mode {
-                    let doubled_mean =
-                        if r < 1e-12 { 2.0 * first_phase } else { sin.atan2(cos) };
-                    ch.axis = doubled_mean / 2.0;
-                    // Reuse the incremental fold sums when no selection
-                    // can have flipped: the axis moved less (on the
-                    // circle) than the closest retained read ever came to
-                    // the fold boundary. Selections then match a fresh
-                    // classification exactly, and because pushes appended
-                    // phasors in FIFO order, the cached sums are the very
-                    // float sequence the batch pass would compute. A
-                    // drifted channel whose fold resultant has cancelled
-                    // is reclassified instead (exact re-summation), like
-                    // the conditioning rebuild of the first-pass sums.
-                    let shift = wrapped_distance(ch.axis, ch.fold_axis);
-                    let fr_cached = ((ch.fold_sin * ch.fold_sin + ch.fold_cos * ch.fold_cos)
-                        .sqrt()
-                        / n)
-                        .min(1.0);
-                    let reuse = ch.fold_cache_valid
-                        && shift < ch.fold_min_margin
-                        && !(ch.drifted && fr_cached < CONDITIONING_FLOOR);
-                    if reuse {
-                        ch.fold_margin_ok = ch.fold_min_margin - shift > margin;
-                        ch.spread = (-2.0 * fr_cached.max(1e-300).ln()).sqrt();
-                    } else {
-                        let mut fold_sin = 0.0;
-                        let mut fold_cos = 0.0;
-                        let mut min_m = f64::INFINITY;
-                        let mut margin_ok = true;
-                        for sr in &mut ch.fifo {
-                            let dist = wrapped_distance(sr.read.phase, ch.axis);
-                            let m = (dist - FRAC_PI_2).abs();
-                            if m < min_m {
-                                min_m = m;
-                            }
-                            if m < margin {
-                                margin_ok = false;
-                            }
-                            sr.fold_base = dist <= FRAC_PI_2;
-                            if sr.fold_base {
-                                fold_sin += sr.base_sin;
-                                fold_cos += sr.base_cos;
-                            } else {
-                                fold_sin += sr.shift_sin;
-                                fold_cos += sr.shift_cos;
-                            }
-                        }
-                        ch.fold_sin = fold_sin;
-                        ch.fold_cos = fold_cos;
-                        ch.fold_axis = ch.axis;
-                        ch.fold_min_margin = min_m;
-                        ch.fold_cache_valid = true;
-                        ch.fold_margin_ok = margin_ok;
-                        let fr =
-                            ((fold_sin * fold_sin + fold_cos * fold_cos).sqrt() / n).min(1.0);
-                        ch.spread = (-2.0 * fr.max(1e-300).ln()).sqrt();
-                    }
-                } else {
-                    ch.axis = if r < 1e-12 { first_phase } else { sin.atan2(cos) };
-                    ch.spread = (-2.0 * r.clamp(1e-300, 1.0).ln()).sqrt();
-                    ch.fold_margin_ok = true;
+            if ch.fifo.len() >= min_reads {
+                kept += 1;
+                if ch.dirty {
+                    ch.derive(pi_mode);
                 }
-                ch.dirty = false;
-            }
-            if ch.drifted && !ch.fold_margin_ok {
-                hazard = true;
             }
         }
         if kept == 0 {
@@ -815,85 +579,41 @@ impl StreamingWindow {
             &self.slot_of,
             channels.len(),
             |s| channels[s].chan,
-            |s| channels[s].count >= min_reads && channels[s].count > 0,
-            |s| channels[s].fifo.front().expect("kept").read.frequency_hz,
+            |s| channels[s].fifo.len() >= min_reads,
+            |s| channels[s].fifo[0].read.frequency_hz,
         );
 
-        // Cross-channel unwrap. The jump decisions flip only when a
-        // consecutive difference sits at the half-period boundary, so a
-        // post-hoc scan bounds them: under drift, any |d| within the
-        // margin of the boundary is a hazard.
+        // Cross-channel unwrap.
         self.phase_col.clear();
         for &s in &self.order {
             self.phase_col.push(wrap_tau(self.channels[s].axis));
         }
-        let half = if pi_mode {
-            angle::unwrap_in_place_period(&mut self.phase_col, PI);
-            FRAC_PI_2
-        } else {
-            angle::unwrap_in_place(&mut self.phase_col);
-            PI
-        };
-        if any_drifted {
-            for k in 1..self.phase_col.len() {
-                let d = self.phase_col[k] - self.phase_col[k - 1];
-                if d.abs() > half - margin {
-                    hazard = true;
-                }
-            }
-        }
-
-        // Global π majority vote over every retained read. The
-        // per-channel tallies are maintained incrementally (pushes count
-        // the new read against the cached vote axis, expiries subtract
-        // the stored bit — counts are integers, so downdating is exact);
-        // a channel is recounted only when the unwrapped axis moved
-        // further than the closest read ever came to the vote boundary,
-        // i.e. only when a vote could actually have flipped.
         if pi_mode {
-            let mut votes_axis = 0usize;
-            let mut votes_total = 0usize;
+            angle::unwrap_in_place_period(&mut self.phase_col, PI);
+            // Global π majority vote over every retained read, recounted
+            // only for channels whose reads or unwrapped axis changed.
+            let (mut votes, mut total) = (0usize, 0usize);
             for (k, &s) in self.order.iter().enumerate() {
-                let unwrapped = self.phase_col[k];
                 let ch = &mut self.channels[s];
-                let shift = wrapped_distance(unwrapped, ch.vote_axis);
-                if ch.vote_cache_valid && shift < ch.vote_min_margin {
-                    ch.vote_margin_ok = ch.vote_min_margin - shift > margin;
-                } else {
-                    let mut va = 0usize;
-                    let mut min_m = f64::INFINITY;
-                    let mut margin_ok = true;
-                    for sr in &mut ch.fifo {
-                        let dist = wrapped_distance(sr.read.phase, unwrapped);
-                        let m = (dist - FRAC_PI_2).abs();
-                        if m < min_m {
-                            min_m = m;
-                        }
-                        if m < margin {
-                            margin_ok = false;
-                        }
-                        sr.vote_in = dist <= FRAC_PI_2;
-                        if sr.vote_in {
-                            va += 1;
-                        }
-                    }
-                    ch.votes_axis = va;
-                    ch.vote_margin_ok = margin_ok;
+                let unwrapped = self.phase_col[k];
+                if ch.vote_axis.to_bits() != unwrapped.to_bits() {
+                    ch.votes = ch
+                        .fifo
+                        .iter()
+                        .filter(|sr| wrapped_distance(sr.read.phase, unwrapped) <= FRAC_PI_2)
+                        .count();
                     ch.vote_axis = unwrapped;
-                    ch.vote_min_margin = min_m;
-                    ch.vote_cache_valid = true;
                 }
-                votes_total += ch.count;
-                votes_axis += ch.votes_axis;
-                if any_drifted && !ch.vote_margin_ok {
-                    hazard = true;
-                }
+                votes += ch.votes;
+                total += ch.fifo.len();
             }
-            if 2 * votes_axis < votes_total {
+            if 2 * votes < total {
                 for p in &mut self.phase_col {
                     *p += PI;
                 }
             }
+        } else {
+            angle::unwrap_in_place(&mut self.phase_col);
         }
 
         // Emit the observations and feed the fused unwrap+OLS sums + fit
@@ -902,150 +622,34 @@ impl StreamingWindow {
         out.clear();
         for (k, &s) in self.order.iter().enumerate() {
             let ch = &self.channels[s];
-            let freq = ch.fifo.front().expect("kept").read.frequency_hz;
+            let freq = ch.fifo[0].read.frequency_hz;
             let phase = self.phase_col[k];
             out.push(ChannelObservation {
                 channel: ch.chan,
                 frequency_hz: freq,
                 phase,
-                rssi_dbm: ch.sum_rssi / ch.count as f64,
-                read_count: ch.count,
+                rssi_dbm: ch.sum_rssi / ch.fifo.len() as f64,
+                read_count: ch.fifo.len(),
                 phase_spread: ch.spread,
             });
             self.ws.emit(freq, phase);
         }
-
-        // Fit stage; the robust sensitivity probe and the mask-flip guard
-        // only arm while any channel is drifted (otherwise the columns are
-        // bit-identical to batch and need no guard).
-        let mut fallback = hazard;
-        let mut fit = None;
-        if !fallback {
-            match self.fit_stage(any_drifted, margin).map_err(StreamingError::Fit)? {
-                Some(result) => fit = Some(result),
-                None => fallback = true,
-            }
-        }
-        if fallback {
-            self.stats.refit_fallbacks += 1;
-            self.run_fallback(out)?;
-            fit = Some(
-                self.fit_stage(false, 0.0)
-                    .map_err(StreamingError::Fit)?
-                    .expect("unguarded fit cannot signal a hazard"),
-            );
-        }
-        let (raw_fit, robust) = fit.expect("fit stage ran");
-        Ok(StreamExtract { fallback, raw_fit, robust })
+        let (raw_fit, robust) = self.fit().map_err(StreamingError::Fit)?;
+        Ok(StreamExtract { raw_fit, robust })
     }
 
-    /// Raw + robust fits over the workspace's current fit columns.
-    /// Returns `Ok(None)` when `guard` is set and a robust decision sat
-    /// within the margin or the inlier mask flipped relative to the
-    /// previous advance (caller must fall back).
-    #[allow(clippy::type_complexity)]
-    fn fit_stage(
-        &mut self,
-        guard: bool,
-        margin: f64,
-    ) -> Result<Option<(LineFit, Option<RobustSummary>)>, FitError> {
+    /// Raw and robust fits over the emitted fit columns.
+    fn fit(&mut self) -> Result<(LineFit, Option<RobustSummary>), FitError> {
         let raw_fit = self.ws.raw_fit()?;
         if !self.config.suppress_multipath {
-            return Ok(Some((raw_fit, None)));
+            return Ok((raw_fit, None));
         }
-        let robust_cfg = self.config.robust;
-        let probe = if guard { margin } else { 0.0 };
         let (xs, ys, fit_ws) = self.ws.fit_columns();
         // Seed slope from the incrementally maintained pairwise multiset —
         // bit-identical to the O(n²) enumeration inside the unseeded fit.
         let slope = self.slope_cache.median_slope(xs, ys)?;
-        let (summary, sensitive) =
-            robust_line_fit_seeded(fit_ws, xs, ys, &robust_cfg, probe, slope)?;
-        if guard {
-            if sensitive {
-                return Ok(None);
-            }
-            if self.had_mask && self.ws.fit.inlier_mask() != &self.last_mask[..] {
-                return Ok(None);
-            }
-        }
-        self.last_mask.clear();
-        self.last_mask.extend_from_slice(self.ws.fit.inlier_mask());
-        self.had_mask = true;
-        Ok(Some((raw_fit, Some(summary))))
-    }
-
-    /// Full batch recompute over the retained reads (concatenated per
-    /// channel — bit-identical output to a batch call in arrival order),
-    /// then exact rebuilds of every drifted channel so subsequent
-    /// advances resume on the incremental path.
-    fn run_fallback(
-        &mut self,
-        out: &mut Vec<ChannelObservation>,
-    ) -> Result<(), StreamingError> {
-        self.scratch_reads.clear();
-        for ch in &self.channels {
-            for sr in &ch.fifo {
-                self.scratch_reads.push(sr.read);
-            }
-        }
-        let res = preprocess_reads_with(
-            &mut self.ws,
-            &self.scratch_reads,
-            &self.config.preprocess,
-            out,
-        );
-        let fallback_hits = self.ws.trig_hits();
-        for (total, h) in self.trig_hits.iter_mut().zip(fallback_hits) {
-            *total += h;
-        }
-        res.map_err(StreamingError::Preprocess)?;
-        for ch in &mut self.channels {
-            if ch.count > 0 && ch.drifted {
-                Self::rebuild_channel(ch);
-                self.stats.rebuilds += 1;
-            }
-        }
-        Ok(())
-    }
-
-    /// Re-accumulates a channel's sums from its retained reads in FIFO
-    /// (= batch) order, restoring bit-identity with the batch recompute
-    /// and clearing the drift state. The fold sums and vote tally are
-    /// re-summed in the same pass from the stored classification bits
-    /// (the selections themselves are unchanged — they depend only on the
-    /// cached axes), so those caches survive the rebuild drift-free.
-    fn rebuild_channel(ch: &mut ChannelState) {
-        ch.sum_rssi = 0.0;
-        ch.acc_sin = 0.0;
-        ch.acc_cos = 0.0;
-        ch.fold_sin = 0.0;
-        ch.fold_cos = 0.0;
-        let mut va = 0usize;
-        for sr in &ch.fifo {
-            ch.sum_rssi += sr.read.rssi_dbm;
-            ch.acc_sin += sr.acc_sin;
-            ch.acc_cos += sr.acc_cos;
-            if ch.fold_cache_valid {
-                if sr.fold_base {
-                    ch.fold_sin += sr.base_sin;
-                    ch.fold_cos += sr.base_cos;
-                } else {
-                    ch.fold_sin += sr.shift_sin;
-                    ch.fold_cos += sr.shift_cos;
-                }
-            }
-            if sr.vote_in {
-                va += 1;
-            }
-        }
-        if ch.vote_cache_valid {
-            ch.votes_axis = va;
-        }
-        ch.count = ch.fifo.len();
-        ch.drifted = false;
-        ch.drift_ops = 0;
-        ch.dirty = true;
+        let summary = robust_line_fit_seeded(fit_ws, xs, ys, &self.config.robust, slope)?;
+        Ok((raw_fit, Some(summary)))
     }
 
     /// Index of `channel`'s state, allocating one on first sight (slots
@@ -1065,56 +669,41 @@ impl StreamingWindow {
         slot
     }
 
-    /// Computes the stored phasors for one read, replicating the batch
-    /// per-read expressions bit for bit: table lookups when the read's
-    /// code reproduces its phase, libm otherwise.
-    fn compute_phasors(&mut self, read: &RawRead, doubled: bool) -> StoredRead {
-        // `1.0 · p` is exactly `p`: one scaled expression serves both
-        // modes, as in the batch passes.
-        let scale = if doubled { 2.0 } else { 1.0 };
-        let p = read.phase;
-        let mut stored = StoredRead {
-            read: *read,
-            acc_sin: 0.0,
-            acc_cos: 0.0,
-            base_sin: 0.0,
-            base_cos: 0.0,
-            shift_sin: 0.0,
-            shift_cos: 0.0,
-            fold_base: false,
-            vote_in: false,
-        };
-        match read.table_code() {
+    /// Computes the stored phasors for one read with the batch passes'
+    /// expressions, bit for bit: table lookups when the read's code
+    /// reproduces its phase, libm otherwise.
+    fn phasors(&mut self, read: &RawRead) -> StoredRead {
+        let doubled = self.config.preprocess.correct_pi_jumps;
+        let code = read.table_code();
+        self.trig_hits[if code.is_some() { hit::TABLE } else { hit::LIBM }] +=
+            if doubled { 3 } else { 1 };
+        let (acc, fold) = match code {
             Some(code) => {
-                self.trig_hits[hit::TABLE] += if doubled { 3 } else { 1 };
-                (stored.acc_sin, stored.acc_cos) = if doubled {
-                    trig::table_double_sin_cos(code)
-                } else {
-                    trig::table_sin_cos(code)
-                };
+                let (c, fold) = (code as usize, trig::fold_table());
                 if doubled {
-                    (stored.base_sin, stored.base_cos) = trig::table_sin_cos(code);
-                    (stored.shift_sin, stored.shift_cos) = trig::table_shift_sin_cos(code);
+                    (trig::double_table()[c], [fold[c << 1], fold[(c << 1) | 1]])
+                } else {
+                    (fold[c << 1], [[0.0; 2]; 2])
                 }
             }
             None => {
-                self.trig_hits[hit::LIBM] += if doubled { 3 } else { 1 };
-                let x = scale * p;
-                (stored.acc_sin, stored.acc_cos) = (x.sin(), x.cos());
+                let sin_cos = |x: f64| [x.sin(), x.cos()];
+                let p = read.phase;
                 if doubled {
-                    (stored.base_sin, stored.base_cos) = (p.sin(), p.cos());
-                    let folded = p + PI;
-                    (stored.shift_sin, stored.shift_cos) = (folded.sin(), folded.cos());
+                    (sin_cos(2.0 * p), [sin_cos(p), sin_cos(p + PI)])
+                } else {
+                    (sin_cos(p), [[0.0; 2]; 2])
                 }
             }
-        }
-        stored
+        };
+        StoredRead { read: *read, acc, fold }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::preprocess::preprocess_reads_with;
     use crate::robust::robust_line_fit_with;
 
     fn read(channel: usize, phase: f64, t: f64) -> RawRead {
@@ -1149,50 +738,56 @@ mod tests {
         reads
     }
 
-    fn batch_oracle(
-        reads: &[RawRead],
-        cfg: &ExtractConfig,
-    ) -> (Vec<ChannelObservation>, Vec<bool>, RobustSummary) {
+    /// Asserts that the window's last extract equals, bit for bit, the
+    /// batch front end plus robust fit on `retained` (in arrival order).
+    fn assert_matches_batch(
+        win: &StreamingWindow,
+        out: &[ChannelObservation],
+        extract: &StreamExtract,
+        retained: &[RawRead],
+        ctx: &str,
+    ) {
+        let cfg = win.config();
         let mut ws = FrontEndWorkspace::default();
-        let mut out = Vec::new();
-        preprocess_reads_with(&mut ws, reads, &cfg.preprocess, &mut out).unwrap();
+        let mut batch = Vec::new();
+        preprocess_reads_with(&mut ws, retained, &cfg.preprocess, &mut batch).unwrap();
         let (xs, ys, fit_ws) = ws.fit_columns();
         let summary = robust_line_fit_with(fit_ws, xs, ys, &cfg.robust).unwrap();
-        let mask = ws.fit.inlier_mask().to_vec();
-        (out, mask, summary)
+        assert_eq!(out.len(), batch.len(), "{ctx}");
+        for (s, b) in out.iter().zip(&batch) {
+            assert_eq!(s.channel, b.channel, "{ctx}");
+            assert_eq!(s.phase.to_bits(), b.phase.to_bits(), "{ctx}: ch {}", s.channel);
+            assert_eq!(s.phase_spread.to_bits(), b.phase_spread.to_bits(), "{ctx}");
+            assert_eq!(s.rssi_dbm.to_bits(), b.rssi_dbm.to_bits(), "{ctx}: ch {}", s.channel);
+            assert_eq!(s.read_count, b.read_count, "{ctx}");
+        }
+        assert_eq!(win.inlier_mask(), ws.fit.inlier_mask(), "{ctx}");
+        let robust = extract.robust.unwrap();
+        assert_eq!(robust.fit.slope.to_bits(), summary.fit.slope.to_bits(), "{ctx}");
+        assert_eq!(robust.fit.intercept.to_bits(), summary.fit.intercept.to_bits(), "{ctx}");
     }
 
-    /// A freshly filled window (no downdates yet) must be bit-identical
-    /// to the batch front end on the same reads.
+    /// The reads of `reads` at or after `cutoff`, in arrival order.
+    fn retained(reads: &[RawRead], cutoff: f64) -> Vec<RawRead> {
+        reads.iter().filter(|r| r.timestamp_s >= cutoff).copied().collect()
+    }
+
+    /// A freshly filled window (no expiry yet) is bit-identical to the
+    /// batch front end on the same reads.
     #[test]
     fn append_only_window_is_bit_identical_to_batch() {
         let reads = stream(1, 12, 8);
-        let cfg = ExtractConfig::paper();
-        let mut win = StreamingWindow::new(cfg);
+        let mut win = StreamingWindow::new(ExtractConfig::paper());
         for r in &reads {
             win.push(r);
         }
         let mut out = Vec::new();
         let extract = win.extract_into(&mut out).unwrap();
-        assert!(!extract.fallback);
-        let (batch, mask, summary) = batch_oracle(&reads, &cfg);
-        assert_eq!(out.len(), batch.len());
-        for (s, b) in out.iter().zip(&batch) {
-            assert_eq!(s.channel, b.channel);
-            assert_eq!(s.phase.to_bits(), b.phase.to_bits());
-            assert_eq!(s.phase_spread.to_bits(), b.phase_spread.to_bits());
-            assert_eq!(s.rssi_dbm.to_bits(), b.rssi_dbm.to_bits());
-            assert_eq!(s.read_count, b.read_count);
-        }
-        assert_eq!(win.inlier_mask(), &mask[..]);
-        let robust = extract.robust.unwrap();
-        assert_eq!(robust.fit.slope.to_bits(), summary.fit.slope.to_bits());
-        assert_eq!(robust.fit.intercept.to_bits(), summary.fit.intercept.to_bits());
+        assert_matches_batch(&win, &out, &extract, &reads, "append-only");
     }
 
-    /// Sliding the window dwell by dwell stays within the drift bound of
-    /// the batch recompute on the retained read set, with identical
-    /// robust inlier masks.
+    /// Sliding the window dwell by dwell stays bit-identical to the batch
+    /// recompute on the retained read set.
     #[test]
     fn sliding_window_tracks_batch_recompute() {
         let chans = 12;
@@ -1200,106 +795,53 @@ mod tests {
         let reads = stream(4, chans, per);
         let round_len = chans * per;
         let span = chans as f64 * 0.2;
-        let cfg = ExtractConfig::paper();
-        let mut win = StreamingWindow::new(cfg);
+        let mut win = StreamingWindow::new(ExtractConfig::paper());
         for r in &reads[..round_len] {
             win.push(r);
         }
         let mut out = Vec::new();
         let mut advances = 0usize;
-        let mut fallbacks = 0usize;
         let mut next = round_len;
         while next + per <= reads.len() {
             for r in &reads[next..next + per] {
                 win.push(r);
             }
-            let now = reads[next + per - 1].timestamp_s;
-            win.expire_before(now - span);
+            let cutoff = reads[next + per - 1].timestamp_s - span;
+            win.expire_before(cutoff);
             let extract = win.extract_into(&mut out).unwrap();
             advances += 1;
-            if extract.fallback {
-                fallbacks += 1;
-            }
-            // Oracle: batch on exactly the retained reads, in arrival
-            // order.
-            let cutoff = now - span;
-            let retained: Vec<RawRead> = reads[..next + per]
-                .iter()
-                .filter(|r| r.timestamp_s >= cutoff)
-                .copied()
-                .collect();
-            assert_eq!(retained.len(), win.read_count());
-            let (batch, mask, _) = batch_oracle(&retained, &cfg);
-            assert_eq!(out.len(), batch.len());
-            for (s, b) in out.iter().zip(&batch) {
-                assert_eq!(s.channel, b.channel);
-                assert!(
-                    (s.phase - b.phase).abs() < 1e-9,
-                    "phase {} vs {}",
-                    s.phase,
-                    b.phase
-                );
-                assert!((s.phase_spread - b.phase_spread).abs() < 1e-9);
-                assert!((s.rssi_dbm - b.rssi_dbm).abs() < 1e-9);
-                assert_eq!(s.read_count, b.read_count);
-            }
-            assert_eq!(win.inlier_mask(), &mask[..]);
+            let kept = retained(&reads[..next + per], cutoff);
+            assert_eq!(kept.len(), win.read_count());
+            assert_matches_batch(&win, &out, &extract, &kept, &format!("advance {advances}"));
             next += per;
         }
         assert!(advances >= 30, "exercised {advances} advances");
         let stats = win.take_stats();
         assert_eq!(stats.updates as usize, reads.len());
         assert!(stats.downdates > 0);
-        assert_eq!(stats.refit_fallbacks as usize, fallbacks);
-        // A sliding window keeps channels drifted, so drift ops accrue;
-        // they can never exceed the update+downdate op count.
-        assert!(stats.drift_ops > 0);
-        assert!(stats.drift_ops <= stats.updates + stats.downdates);
+        assert!(stats.rebuilds > 0);
     }
 
-    /// An impossible decision margin forces the fallback on a downdated
-    /// window, and the fallback output is bit-identical to batch.
+    /// A finite but huge RSSI swamps its channel's sum while retained;
+    /// once it expires the channel's mean RSSI is the batch mean of the
+    /// reads left, bit for bit (subtracting it back out would cancel the
+    /// sum to zero).
     #[test]
-    fn hazard_fallback_is_bit_identical_to_batch() {
+    fn expired_huge_rssi_leaves_no_trace() {
         let chans = 10;
         let per = 6;
-        let reads = stream(2, chans, per);
-        let cfg = ExtractConfig::paper();
-        let mut win = StreamingWindow::new(cfg);
-        // Every fold decision sits "within margin" → guaranteed fallback
-        // whenever the window has drifted.
-        win.margin = 10.0;
-        let round_len = chans * per;
-        for r in &reads[..round_len] {
-            win.push(r);
-        }
-        // Expire half of the first dwell to force a partial downdate.
-        for r in &reads[round_len..round_len + per] {
+        let mut reads = stream(2, chans, per);
+        reads[1].rssi_dbm = 1e300;
+        let mut win = StreamingWindow::new(ExtractConfig::paper());
+        for r in &reads {
             win.push(r);
         }
         let cutoff = reads[per / 2].timestamp_s;
         assert!(win.expire_before(cutoff) > 0);
         let mut out = Vec::new();
         let extract = win.extract_into(&mut out).unwrap();
-        assert!(extract.fallback);
-        assert_eq!(win.stats().refit_fallbacks, 1);
-        let retained: Vec<RawRead> = reads[..round_len + per]
-            .iter()
-            .filter(|r| r.timestamp_s >= cutoff)
-            .copied()
-            .collect();
-        let (batch, mask, _) = batch_oracle(&retained, &cfg);
-        assert_eq!(out.len(), batch.len());
-        for (s, b) in out.iter().zip(&batch) {
-            assert_eq!(s.phase.to_bits(), b.phase.to_bits());
-            assert_eq!(s.phase_spread.to_bits(), b.phase_spread.to_bits());
-        }
-        assert_eq!(win.inlier_mask(), &mask[..]);
-        // The fallback rebuilt the drifted channels: the next advance is
-        // incremental again even though the margin is still impossible
-        // (no drift → guards disarmed).
-        let extract = win.extract_into(&mut out).unwrap();
-        assert!(!extract.fallback);
+        assert_matches_batch(&win, &out, &extract, &retained(&reads, cutoff), "1e300 expired");
+        assert!(out.iter().all(|o| o.rssi_dbm < -50.0), "{out:?}");
     }
 
     /// Emptied channels reset exactly; an empty window errors like batch.
@@ -1360,30 +902,24 @@ mod tests {
             for ch in &win.channels {
                 assert!(ch.fifo.iter().all(|sr| sr.read.timestamp_s >= cutoff), "far {far}");
             }
-            let retained: Vec<RawRead> = pushed
+            let kept: Vec<RawRead> = pushed
                 .iter()
                 .chain(&late)
                 .filter(|r| r.timestamp_s.is_finite() && r.timestamp_s >= cutoff)
                 .copied()
                 .collect();
-            assert_eq!(win.read_count(), retained.len(), "far {far}");
+            assert_eq!(win.read_count(), kept.len(), "far {far}");
             let mut out = Vec::new();
-            win.extract_into(&mut out).unwrap();
-            let (batch, mask, _) = batch_oracle(&retained, &cfg);
-            assert_eq!(out.len(), batch.len());
-            for (s, b) in out.iter().zip(&batch) {
-                assert_eq!(s.channel, b.channel);
-                assert!((s.phase - b.phase).abs() < 1e-9, "far {far}");
-                assert_eq!(s.read_count, b.read_count);
-            }
-            assert_eq!(win.inlier_mask(), &mask[..]);
+            let extract = win.extract_into(&mut out).unwrap();
+            assert_matches_batch(&win, &out, &extract, &kept, &format!("far {far}"));
         }
     }
 
     /// Quantized, code-carrying reads ride the same incremental
-    /// machinery through the table lookups and track a batch recompute on
-    /// the same reads with their codes stripped. Stale codes — phases
-    /// shifted after quantizing, codes kept — take libm and track it too.
+    /// machinery through the table lookups and match a batch recompute on
+    /// the same reads with their codes stripped, bit for bit. Stale codes
+    /// — phases shifted after quantizing, codes kept — take libm and match
+    /// it too.
     #[test]
     fn coded_windows_track_stripped_batch() {
         let chans = 10;
@@ -1402,8 +938,7 @@ mod tests {
             .map(|r| RawRead { phase: angle::wrap_tau(r.phase + 0.3), ..*r })
             .collect();
         for (label, reads) in [("coded", &quantized), ("stale", &stale)] {
-            let cfg = ExtractConfig::paper();
-            let mut win = StreamingWindow::new(cfg);
+            let mut win = StreamingWindow::new(ExtractConfig::paper());
             let round_len = chans * per;
             for r in &reads[..round_len] {
                 win.push(r);
@@ -1414,26 +949,14 @@ mod tests {
                 for r in &reads[next..next + per] {
                     win.push(r);
                 }
-                let now = reads[next + per - 1].timestamp_s;
-                let cutoff = now - span;
+                let cutoff = reads[next + per - 1].timestamp_s - span;
                 win.expire_before(cutoff);
-                win.extract_into(&mut out).unwrap();
-                let retained: Vec<RawRead> = reads[..next + per]
-                    .iter()
-                    .filter(|r| r.timestamp_s >= cutoff)
-                    .map(|r| RawRead { phase_code: None, ..*r })
+                let extract = win.extract_into(&mut out).unwrap();
+                let stripped: Vec<RawRead> = retained(&reads[..next + per], cutoff)
+                    .into_iter()
+                    .map(|r| RawRead { phase_code: None, ..r })
                     .collect();
-                let (batch, _, _) = batch_oracle(&retained, &cfg);
-                assert_eq!(out.len(), batch.len());
-                for (s, b) in out.iter().zip(&batch) {
-                    assert!(
-                        (s.phase - b.phase).abs() < 1e-9,
-                        "{label}: {} vs {}",
-                        s.phase,
-                        b.phase
-                    );
-                    assert!((s.phase_spread - b.phase_spread).abs() < 1e-6, "{label}");
-                }
+                assert_matches_batch(&win, &out, &extract, &stripped, label);
                 next += per;
             }
             let hits = win.take_trig_hits();

@@ -38,18 +38,16 @@
 //! assert!(report.to_json().to_pretty().contains("\"schema_version\": 2"));
 //! ```
 //!
-//! For *continuous* (rather than end-of-run) telemetry there are three
+//! For *continuous* (rather than end-of-run) telemetry there are two
 //! more pieces: windowed snapshots ([`Registry::snapshot`] /
 //! [`snapshot::MetricsSnapshot::delta_since`]) feeding periodic
-//! [`TelemetryFrame`] JSONL records, a bounded structured event ring
-//! ([`Journal`]) for postmortems, and a [`HealthEvaluator`] folding
+//! [`TelemetryFrame`] JSONL records, and a [`HealthEvaluator`] folding
 //! thresholds over snapshot deltas into health verdicts.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod health;
-pub mod journal;
 pub mod json;
 pub mod metrics;
 pub mod recorder;
@@ -58,7 +56,6 @@ pub mod snapshot;
 pub mod span;
 
 pub use health::{GaugeRule, Health, HealthEvaluator, HealthReason, HealthReport, RateRule, StallRule};
-pub use journal::{Journal, JournalEvent};
 pub use json::{JsonError, JsonValue};
 pub use metrics::{Histogram, MetricDef, MetricKind, Registry};
 pub use recorder::{Recorder, SpanGuard, TimerGuard};

@@ -25,49 +25,33 @@
 //! commutative counter addition is what makes multi-worker reports
 //! deterministic in everything but wall-clock timings.
 
-use crate::journal::Journal;
 use crate::metrics::{MetricDef, Registry};
 use crate::span::SpanTree;
 use std::cell::RefCell;
 use std::time::Instant;
 
-/// A metrics registry, a span tree, and an event journal — everything one
-/// thread records.
+/// A metrics registry and a span tree — everything one thread records.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Recorder {
     /// Counter/gauge/histogram storage.
     pub metrics: Registry,
     /// Aggregated stage timings.
     pub spans: SpanTree,
-    /// Bounded structured event ring (see [`Journal`]).
-    pub journal: Journal,
 }
 
 impl Recorder {
-    /// A fresh recorder over the descriptor table `defs`, with the
-    /// default journal capacity.
+    /// A fresh recorder over the descriptor table `defs`.
     pub fn new(defs: &'static [MetricDef]) -> Self {
-        Self::with_journal_capacity(defs, Journal::DEFAULT_CAPACITY)
-    }
-
-    /// A fresh recorder whose journal retains at most `capacity` events.
-    pub fn with_journal_capacity(defs: &'static [MetricDef], capacity: usize) -> Self {
-        Recorder {
-            metrics: Registry::new(defs),
-            spans: SpanTree::new(),
-            journal: Journal::new(capacity),
-        }
+        Recorder { metrics: Registry::new(defs), spans: SpanTree::new() }
     }
 
     /// Merges another recorder produced from the same descriptor table:
     /// metrics merge per [`Registry::merge`]; the other's span forest is
     /// grafted under this recorder's innermost open span (or at top level
-    /// if none is open); journal events are re-recorded in order (see
-    /// [`Journal::merge`]).
+    /// if none is open).
     pub fn merge_at_current(&mut self, other: &Recorder) {
         self.metrics.merge(&other.metrics);
         self.spans.merge_at(self.spans.current(), &other.spans);
-        self.journal.merge(&other.journal);
     }
 }
 
@@ -124,20 +108,6 @@ pub fn gauge_set(idx: usize, v: f64) {
 #[inline]
 pub fn observe_value(idx: usize, v: f64) {
     with_current(|r| r.metrics.observe(idx, v));
-}
-
-/// Records a structured event into the installed recorder's journal, if
-/// any; see [`Journal::record`].
-#[inline]
-pub fn journal_record(kind: &'static str, key: u64, value: u64) {
-    with_current(|r| r.journal.record(kind, key, value));
-}
-
-/// Sets the tick stamped onto subsequent journal events of the installed
-/// recorder, if any; see [`Journal::set_tick`].
-#[inline]
-pub fn journal_tick(tick: u64) {
-    with_current(|r| r.journal.set_tick(tick));
 }
 
 /// Merges a worker's recorder into this thread's recorder (no-op when
@@ -270,20 +240,6 @@ mod tests {
         });
         assert_eq!(rec.metrics.histogram(1).unwrap().count(), 1);
         assert_eq!(DEFS[1].kind, MetricKind::Histogram);
-    }
-
-    #[test]
-    fn journal_probes_record_and_merge() {
-        let ((), rec) = observe(DEFS, || {
-            journal_tick(4);
-            journal_record("refit_fallback", 2, 1);
-        });
-        let ev = rec.journal.events().next().unwrap();
-        assert_eq!((ev.tick, ev.kind, ev.key, ev.value), (4, "refit_fallback", 2, 1));
-
-        let ((), merged) = observe(DEFS, || absorb(&rec));
-        assert_eq!(merged.journal.len(), 1);
-        assert_eq!(merged.journal.events().next().unwrap().tick, 4);
     }
 
     #[test]
