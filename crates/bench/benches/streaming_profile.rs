@@ -14,8 +14,9 @@
 //! cadence — so the ratio isolates exactly what the incremental
 //! accumulators save.
 //!
-//! The scenario is the paper's standard quantized reader: push-time
-//! phasors are resolved by exact phase-code lookups (the `"table"` row).
+//! The scenario is the paper's standard quantized reader: every phasor
+//! is resolved by an exact phase-code lookup where the window uses it
+//! (the `"table"` row).
 //!
 //! Built with `--features obs` the bench also measures the cost of
 //! *continuous telemetry*: the same steady-state advance loop with the
@@ -60,7 +61,7 @@ impl Row {
     fn json(&self) -> JsonValue {
         let round2 = |x: f64| (x * 100.0).round() / 100.0;
         JsonValue::obj(vec![
-            // Push-time phasors come from the phase-code tables.
+            // Phasors come from the phase-code tables.
             ("backend", JsonValue::Str("table".into())),
             ("advance_p50_us", JsonValue::Num(round2(self.advance_p50))),
             ("advance_p90_us", JsonValue::Num(round2(self.advance_p90))),
@@ -295,8 +296,8 @@ fn main() {
     let tag = SimTag::with_seeded_diversity(3)
         .with_motion(Motion::planar_static(Vec2::new(0.4, 1.5), 0.9));
 
-    // Standard scenario: the paper's quantized R420 reader; push-time
-    // phasors come from the exact phase-code tables.
+    // Standard scenario: the paper's quantized R420 reader; phasors come
+    // from the exact phase-code tables.
     let scene = Scene::standard_2d();
     let rounds = stream_rounds(&scene, &tag, n_rounds, 31);
     let standard = profile_stream(&scene, &rounds, warmup);

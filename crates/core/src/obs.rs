@@ -99,10 +99,14 @@ pub mod id {
     /// `frontend.channels` — clean channel observations produced.
     pub const FRONTEND_CHANNELS: usize = 30;
     /// `frontend.trig_table_reads` — per-read phasors served by the
-    /// quantized phase-code tables.
+    /// quantized phase-code tables. The batch front end counts one per
+    /// read per pass; a streaming window counts each lookup where it
+    /// happens (a push, a rebuild's re-accumulation, a fold at extract).
     pub const FRONTEND_TRIG_TABLE_READS: usize = 31;
     /// `frontend.trig_libm_reads` — per-read phasors served by libm
-    /// (reads without a phase code that reproduces their phase).
+    /// (batch: reads without a phase code that reproduces their phase;
+    /// streaming: phases off the reader grid), counted like
+    /// [`FRONTEND_TRIG_TABLE_READS`].
     pub const FRONTEND_TRIG_LIBM_READS: usize = 32;
     /// `streaming.updates` — reads pushed into streaming windows.
     pub const STREAMING_UPDATES: usize = 33;
@@ -115,7 +119,7 @@ pub mod id {
     /// latency histogram, µs.
     pub const STREAMING_ADVANCE_LATENCY_US: usize = 36;
     /// `streaming.extract_latency_us` — per-antenna streaming-window
-    /// extraction latency histogram, µs.
+    /// extraction latency histogram (the window's expiry included), µs.
     pub const STREAMING_EXTRACT_LATENCY_US: usize = 37;
     /// `streaming.stale_tags` — tags whose last telemetry window produced
     /// no estimate (gauge; set by the replay/serve driver).
@@ -141,6 +145,7 @@ pub mod id {
 mod enabled {
     use crate::detector::MobilityVerdict;
     use rfp_obs::{recorder, MetricDef, Recorder};
+    use std::time::Instant;
 
     /// Log-spaced µs buckets covering sub-100 µs solves up to 100 ms+
     /// end-to-end windows.
@@ -234,7 +239,7 @@ mod enabled {
         ),
         MetricDef::histogram(
             "streaming.extract_latency_us",
-            "per-antenna streaming extraction latency, microseconds",
+            "per-antenna streaming extraction latency, expiry included, microseconds",
             STREAMING_LATENCY_BUCKETS_US,
         ),
         MetricDef::gauge("streaming.stale_tags", "tags with no estimate in the last window"),
@@ -318,6 +323,93 @@ mod enabled {
     #[inline]
     pub fn time_histogram(idx: usize) -> rfp_obs::TimerGuard {
         recorder::time_histogram(idx)
+    }
+
+    /// A stage span that also times its stage into latency histograms;
+    /// created by [`timed_span`]. The clock is read once when it opens and
+    /// once when it closes, and the span and every histogram take that
+    /// one elapsed time under one recorder borrow.
+    #[must_use = "a timed span records on drop; binding it to _ closes it immediately"]
+    #[derive(Debug)]
+    pub(crate) struct TimedSpan {
+        /// `None` when no recorder was active at creation.
+        open: Option<(usize, Instant)>,
+        histograms: &'static [usize],
+    }
+
+    impl Drop for TimedSpan {
+        fn drop(&mut self) {
+            if let Some((node, start)) = self.open.take() {
+                let elapsed = start.elapsed();
+                let us = elapsed.as_secs_f64() * 1e6;
+                let histograms = self.histograms;
+                recorder::with_current(|r| {
+                    r.spans.exit(node, elapsed);
+                    for &h in histograms {
+                        r.metrics.observe(h, us);
+                    }
+                });
+            }
+        }
+    }
+
+    /// Opens the named stage span and times it into the latency
+    /// histograms `histograms` (µs, recorded with the span when it
+    /// closes).
+    #[inline]
+    pub(crate) fn timed_span(name: &'static str, histograms: &'static [usize]) -> TimedSpan {
+        let mut node = None;
+        recorder::with_current(|r| node = Some(r.spans.enter(name)));
+        TimedSpan { open: node.map(|node| (node, Instant::now())), histograms }
+    }
+
+    /// Times consecutive stretches of work into latency histogram `idx`
+    /// (µs) with one clock read per boundary: each lap ends where the
+    /// next one starts.
+    #[derive(Debug)]
+    pub(crate) struct Laps {
+        idx: usize,
+        /// The running lap's start; `None` before the first lap, or when
+        /// no recorder is active.
+        mark: Option<Instant>,
+    }
+
+    impl Laps {
+        /// Laps timed into histogram `idx`.
+        #[inline]
+        pub(crate) fn new(idx: usize) -> Laps {
+            Laps { idx, mark: None }
+        }
+
+        /// Starts a lap, unless the previous lap's end already did.
+        #[inline]
+        pub(crate) fn start(&mut self) {
+            if self.mark.is_none() && active() {
+                self.mark = Some(Instant::now());
+            }
+        }
+
+        /// Ends the running lap, timing it, and starts the next one at the
+        /// same instant.
+        #[inline]
+        pub(crate) fn lap(&mut self) {
+            if let Some(start) = self.mark {
+                let now = Instant::now();
+                observe_value(self.idx, (now - start).as_secs_f64() * 1e6);
+                self.mark = Some(now);
+            }
+        }
+    }
+
+    /// Adds `n` to counter `idx` for each `(idx, n)` of `entries`, under
+    /// one recorder borrow.
+    #[inline]
+    pub(crate) fn counters_add(entries: &[(usize, u64)]) {
+        recorder::with_current(|r| {
+            for &(idx, n) in entries {
+                r.metrics.add(idx, n);
+            }
+        });
     }
 
     /// Records one detector verdict into the `detector.*` counters.
@@ -522,6 +614,40 @@ mod disabled {
     pub fn time_histogram(_idx: usize) -> TimerGuard {
         TimerGuard
     }
+
+    /// Inert stand-in for a timed span.
+    #[derive(Debug)]
+    pub(crate) struct TimedSpan;
+
+    /// No-op timed span probe.
+    #[inline(always)]
+    pub(crate) fn timed_span(_name: &'static str, _histograms: &'static [usize]) -> TimedSpan {
+        TimedSpan
+    }
+
+    /// Inert stand-in for lap timing.
+    #[derive(Debug)]
+    pub(crate) struct Laps;
+
+    impl Laps {
+        /// Inert laps.
+        #[inline(always)]
+        pub(crate) fn new(_idx: usize) -> Laps {
+            Laps
+        }
+
+        /// No-op lap start.
+        #[inline(always)]
+        pub(crate) fn start(&mut self) {}
+
+        /// No-op lap end.
+        #[inline(always)]
+        pub(crate) fn lap(&mut self) {}
+    }
+
+    /// No-op counter-block probe.
+    #[inline(always)]
+    pub(crate) fn counters_add(_entries: &[(usize, u64)]) {}
 
     /// No-op verdict probe.
     #[inline(always)]

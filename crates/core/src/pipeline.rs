@@ -202,7 +202,7 @@ impl<W> SensingWorkspace<W> {
     /// `inputs` (raw reads, or a sliding window), require `min_antennas`
     /// usable ones, run the error detector and hand the observations to
     /// `solve` (with the solver config and scratch). The caller opens the
-    /// pass's span.
+    /// pass's span, which times `sense.latency_us` too.
     pub(crate) fn sense<C, E, S, I>(
         &mut self,
         poses: &[AntennaPose],
@@ -217,7 +217,6 @@ impl<W> SensingWorkspace<W> {
         ) -> Result<(), ExtractError>,
         solve: impl FnOnce(&[AntennaObservation], &C, &mut W) -> Result<E, S>,
     ) -> Result<Sensing<E>, SensingError<S>> {
-        let _sense_timer = obs::time_histogram(obs::id::SENSE_LATENCY_US);
         obs::counter_add(obs::id::PIPELINE_WINDOWS_TOTAL, 1);
         if inputs.len() != poses.len() {
             return Err(SensingError::AntennaCountMismatch {
@@ -443,7 +442,7 @@ impl RfPrism {
         workspace: &mut SenseWorkspace,
         warm: Option<&WarmStart>,
     ) -> Result<SensingResult, SenseError> {
-        let _sense_span = obs::span("sense");
+        let _sense_span = obs::timed_span("sense", &[obs::id::SENSE_LATENCY_US]);
         let extract = &self.config.extract;
         workspace.sense(
             &self.poses,
@@ -616,8 +615,7 @@ impl RfPrism {
         workspace: &mut SenseWorkspace,
     ) -> Result<SensingResult, SenseError> {
         use rfp_geom::angle;
-        let _sense_span = obs::span("sense_rounds");
-        let _sense_timer = obs::time_histogram(obs::id::SENSE_LATENCY_US);
+        let _sense_span = obs::timed_span("sense_rounds", &[obs::id::SENSE_LATENCY_US]);
         obs::counter_add(obs::id::PIPELINE_WINDOWS_TOTAL, 1);
         let mut per_round: Vec<Vec<AntennaObservation>> = Vec::new();
         let mut last_moving: Option<f64> = None;

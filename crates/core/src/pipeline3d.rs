@@ -152,7 +152,7 @@ impl RfPrism3D {
         workspace: &mut Sense3DWorkspace,
         warm: Option<&WarmStart3D>,
     ) -> Result<Sensing3DResult, Sense3DError> {
-        let _sense_span = obs::span("sense_3d");
+        let _sense_span = obs::timed_span("sense_3d", &[obs::id::SENSE_LATENCY_US]);
         let extract = &self.config.extract;
         workspace.sense(
             &self.poses,

@@ -794,8 +794,7 @@ pub(crate) fn solve<D: SceneDim<J, S>, const J: usize, const S: usize>(
     if !seeds.geometry.map_columns(observations, &mut workspace.columns) {
         return Err(D::unknown_antenna());
     }
-    let _solve_span = obs::span(D::SPANS.0);
-    let _solve_timer = obs::time_histogram(obs::id::SOLVE_LATENCY_US);
+    let _solve_span = obs::timed_span(D::SPANS.0, &[obs::id::SOLVE_LATENCY_US]);
     let before = obs::active()
         .then(|| (workspace.stats(), workspace.lane_stats(), workspace.step_stats()));
     let (p, cost, seeds_refined, warm_hit) =
@@ -812,27 +811,22 @@ pub(crate) fn solve<D: SceneDim<J, S>, const J: usize, const S: usize>(
         let lane_work = workspace.lane_stats().since(lanes);
         let step_work = workspace.step_stats().since(steps);
         let [solves, iterations, residual_evals, jacobian_evals] = D::COUNTERS;
-        obs::counter_add(solves, 1);
-        obs::counter_add(iterations, work.iterations);
-        obs::counter_add(residual_evals, work.residual_evals);
-        obs::counter_add(jacobian_evals, work.jacobian_evals);
-        obs::counter_add(obs::id::SOLVER_SEEDS_TOTAL, seeds_total);
-        obs::counter_add(obs::id::SOLVER_SEEDS_REFINED, seeds_refined);
-        obs::counter_add(
-            obs::id::SOLVER_SEEDS_PRUNED,
-            seeds_total.saturating_sub(seeds_refined),
-        );
-        obs::counter_add(obs::id::SOLVER_LANE_SEED_BLOCKS, lane_work.seed_blocks);
-        obs::counter_add(obs::id::SOLVER_LANE_ROW_BLOCKS, lane_work.row_blocks);
-        obs::counter_add(obs::id::SOLVER_LANE_SCALAR_ROWS, lane_work.scalar_rows);
-        obs::counter_add(obs::id::SOLVER_LAMBDA_RETRIES, step_work.lambda_retries);
-        obs::counter_add(obs::id::SOLVER_CHOL_FAILURES, step_work.chol_failures);
-        if warm_hit {
-            obs::counter_add(obs::id::SOLVER_WARM_HITS, 1);
-        }
-        if warm_miss {
-            obs::counter_add(obs::id::SOLVER_WARM_MISSES, 1);
-        }
+        obs::counters_add(&[
+            (solves, 1),
+            (iterations, work.iterations),
+            (residual_evals, work.residual_evals),
+            (jacobian_evals, work.jacobian_evals),
+            (obs::id::SOLVER_SEEDS_TOTAL, seeds_total),
+            (obs::id::SOLVER_SEEDS_REFINED, seeds_refined),
+            (obs::id::SOLVER_SEEDS_PRUNED, seeds_total.saturating_sub(seeds_refined)),
+            (obs::id::SOLVER_LANE_SEED_BLOCKS, lane_work.seed_blocks),
+            (obs::id::SOLVER_LANE_ROW_BLOCKS, lane_work.row_blocks),
+            (obs::id::SOLVER_LANE_SCALAR_ROWS, lane_work.scalar_rows),
+            (obs::id::SOLVER_LAMBDA_RETRIES, step_work.lambda_retries),
+            (obs::id::SOLVER_CHOL_FAILURES, step_work.chol_failures),
+            (obs::id::SOLVER_WARM_HITS, u64::from(warm_hit)),
+            (obs::id::SOLVER_WARM_MISSES, u64::from(warm_miss)),
+        ]);
     }
     Ok(D::estimate(observations, &p, cost, config, &mut workspace.joint))
 }

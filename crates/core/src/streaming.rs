@@ -14,7 +14,10 @@
 //! with a periodically re-anchored warm-gate floor. Each window's extract
 //! is bit-identical to the batch front end on the reads it retains (a
 //! channel that loses reads is re-derived from the reads it keeps), so
-//! streaming never changes results, only cost.
+//! streaming never changes results, only cost. The windows borrow the
+//! session's one front-end workspace for their fit columns and keep 32
+//! bytes per retained read, so a `standard_2d` tag tracked over a 40 s
+//! window holds about 270 KB.
 //!
 //! ```
 //! use rfp_geom::Vec2;
@@ -56,12 +59,14 @@ use crate::solver::{solve_2d_tracking_warm, WarmGate, WarmStart};
 use crate::tracking::{TagTracker, TrackerConfig};
 use rfp_dsp::preprocess::RawRead;
 use rfp_dsp::streaming::{StreamingError, StreamingStats, StreamingWindow};
+use rfp_dsp::workspace::FrontEndWorkspace;
 use rfp_geom::AntennaPose;
 
 /// A long-lived incremental sensing session over one tag.
 ///
 /// Created by [`RfPrism::sense_streaming`]; owns one sliding window per
-/// antenna, the solver scratch space, the warm-start state and a
+/// antenna, one front-end workspace the windows share for their fit
+/// columns, the solver scratch space, the warm-start state and a
 /// [`TagTracker`], and solves against the prism's seeds. All steady-state
 /// allocations happen in the first few advances; afterwards
 /// [`push`](Self::push)/[`advance`](Self::advance) are allocation-free as
@@ -112,8 +117,8 @@ impl RfPrism {
 }
 
 impl<'a> StreamingSession<'a> {
-    /// Appends one read to `antenna`'s sliding window (O(1), no trig on
-    /// later advances: phasors are computed once here).
+    /// Appends one read to `antenna`'s sliding window (O(1): one phasor
+    /// lookup and a ring append).
     ///
     /// # Panics
     ///
@@ -167,18 +172,24 @@ impl<'a> StreamingSession<'a> {
     /// As [`RfPrism::sense`]: fewer than 3 usable antennas, a moving tag
     /// (when rejection is enabled) or a solver failure.
     pub fn advance(&mut self, now_s: f64) -> Result<SensingResult, SenseError> {
-        let _sense_span = obs::span("sense_streaming");
-        let _advance_timer = obs::time_histogram(obs::id::STREAMING_ADVANCE_LATENCY_US);
+        let _sense_span = obs::timed_span(
+            "sense_streaming",
+            &[obs::id::STREAMING_ADVANCE_LATENCY_US, obs::id::SENSE_LATENCY_US],
+        );
         let cutoff = now_s - self.window_span_s;
+        // One window's extraction ends where the next one's starts.
+        let mut extract_laps = obs::Laps::new(obs::id::STREAMING_EXTRACT_LATENCY_US);
         let result = self.workspace.sense(
             self.prism.poses(),
             self.prism.config(),
             3,
             self.windows.iter_mut(),
-            |pose, window, _, slot| {
+            |pose, window, frontend, slot| {
+                extract_laps.start();
                 window.expire_before(cutoff);
-                let _extract_timer = obs::time_histogram(obs::id::STREAMING_EXTRACT_LATENCY_US);
-                extract_streaming(pose, window, slot)
+                let extracted = extract_streaming(pose, window, frontend, slot);
+                extract_laps.lap();
+                extracted
             },
             |observations, config, solver| {
                 if self.tracker.evict_stale(now_s, self.warm_ttl_s) {
@@ -216,38 +227,49 @@ impl<'a> StreamingSession<'a> {
         self.workspace.recycle(result);
     }
 
-    /// Publishes per-window counters accumulated since the last advance
-    /// and folds them into the session totals.
+    /// Publishes per-window counters accumulated since the last advance,
+    /// summed over the windows and under one recorder borrow, and folds
+    /// them into the session totals.
     fn drain_window_counters(&mut self) {
+        let mut advance = StreamingStats::default();
+        let mut trig_hits = [0u64; 2];
         for window in &mut self.windows {
             let StreamingStats { updates, downdates, refit_fallbacks: _, rebuilds } =
                 window.take_stats();
-            obs::counter_add(STREAMING_UPDATES, updates);
-            obs::counter_add(STREAMING_DOWNDATES, downdates);
-            obs::counter_add(STREAMING_REBUILDS, rebuilds);
-            obs::counter_add(FRONTEND_READS, updates);
-            self.stats.updates += updates;
-            self.stats.downdates += downdates;
-            self.stats.rebuilds += rebuilds;
+            advance.updates += updates;
+            advance.downdates += downdates;
+            advance.rebuilds += rebuilds;
             let [table, libm] = window.take_trig_hits();
-            obs::counter_add(FRONTEND_TRIG_TABLE_READS, table);
-            obs::counter_add(FRONTEND_TRIG_LIBM_READS, libm);
+            trig_hits[0] += table;
+            trig_hits[1] += libm;
         }
+        obs::counters_add(&[
+            (STREAMING_UPDATES, advance.updates),
+            (STREAMING_DOWNDATES, advance.downdates),
+            (STREAMING_REBUILDS, advance.rebuilds),
+            (FRONTEND_READS, advance.updates),
+            (FRONTEND_TRIG_TABLE_READS, trig_hits[0]),
+            (FRONTEND_TRIG_LIBM_READS, trig_hits[1]),
+        ]);
+        self.stats.updates += advance.updates;
+        self.stats.downdates += advance.downdates;
+        self.stats.rebuilds += advance.rebuilds;
     }
 }
 
-
 /// The streaming analogue of `extract_observation_into`: pulls the line
 /// fit out of the window's incremental accumulators instead of
-/// re-preprocessing raw reads, then fills `out` through the same shared
-/// tail as the batch path.
+/// re-preprocessing raw reads, with the fit columns in the session's one
+/// front-end workspace, then fills `out` through the same shared tail as
+/// the batch path.
 fn extract_streaming(
     pose: AntennaPose,
     window: &mut StreamingWindow,
+    frontend: &mut FrontEndWorkspace,
     out: &mut AntennaObservation,
 ) -> Result<(), ExtractError> {
     obs::counter_add(FRONTEND_WINDOWS, 1);
-    let extract = window.extract_into(&mut out.channels).map_err(|e| match e {
+    let extract = window.extract_into(frontend, &mut out.channels).map_err(|e| match e {
         StreamingError::Preprocess(e) => ExtractError::Preprocess(e),
         StreamingError::Fit(e) => ExtractError::Fit(e),
     })?;

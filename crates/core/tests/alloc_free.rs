@@ -6,7 +6,9 @@
 //!
 //! Measured with a counting `#[global_allocator]`; this lives in an
 //! integration test because the library itself forbids `unsafe` (tests
-//! are a separate crate, so the crate-level `forbid` does not apply).
+//! are a separate crate, so the crate-level `forbid` does not apply). The
+//! same allocator keeps a per-thread tally of live bytes, which pins what
+//! a tracked tag's streaming session holds.
 
 use rfp_core::model::{extract_observation, AntennaObservation, ExtractConfig};
 use rfp_dsp::preprocess::{preprocess_reads_with, PreprocessConfig};
@@ -19,13 +21,16 @@ use rfp_sim::{Motion, Scene, SimTag};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-/// Pass-through allocator that counts alloc/realloc events while armed.
+/// Pass-through allocator that counts alloc/realloc events while armed
+/// and tallies live bytes always.
 struct CountingAlloc;
 
 thread_local! {
     /// `(armed, events)` of the calling thread. Per-thread, so tests that
     /// run in parallel never count (or reset) each other's allocations.
     static COUNTER: Cell<(bool, u64)> = const { Cell::new((false, 0)) };
+    /// Bytes allocated minus bytes freed on the calling thread.
+    static LIVE_BYTES: Cell<isize> = const { Cell::new(0) };
 }
 
 /// Counts one alloc/realloc event when the calling thread is armed.
@@ -40,19 +45,33 @@ fn count_event() {
     });
 }
 
+/// Adds `delta` to the calling thread's live-byte tally.
+fn tally(delta: isize) {
+    let _ = LIVE_BYTES.try_with(|b| b.set(b.get() + delta));
+}
+
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         count_event();
-        unsafe { System.alloc(layout) }
+        let p = unsafe { System.alloc(layout) };
+        if !p.is_null() {
+            tally(layout.size() as isize);
+        }
+        p
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
+        unsafe { System.dealloc(ptr, layout) };
+        tally(-(layout.size() as isize));
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         count_event();
-        unsafe { System.realloc(ptr, layout, new_size) }
+        let p = unsafe { System.realloc(ptr, layout, new_size) };
+        if !p.is_null() {
+            tally(new_size as isize - layout.size() as isize);
+        }
+        p
     }
 }
 
@@ -65,6 +84,11 @@ fn allocations_during<R>(f: impl FnOnce() -> R) -> (R, u64) {
     let out = f();
     let (_, events) = COUNTER.with(|c| c.replace((false, 0)));
     (out, events)
+}
+
+/// Bytes the calling thread has allocated and not yet freed.
+fn live_bytes() -> isize {
+    LIVE_BYTES.with(Cell::get)
 }
 
 /// Real solver observations so the kernels run against the production
@@ -219,6 +243,53 @@ fn streaming_advance_is_allocation_free_in_steady_state() {
     assert!(result.estimate.position.distance(Vec2::new(0.5, 1.5)) < 0.5);
     assert_eq!(allocs, 0, "streaming advance allocated {allocs} times in steady state");
     session.recycle(result);
+}
+
+/// What one tracked tag costs: a `standard_2d` session with a 40 s
+/// window, fed at the reader's dwell cadence (50 advances per hop round)
+/// for 1.5 window spans with every result recycled, holds at most
+/// 320,000 bytes of heap — its windows' retained reads and channel state,
+/// one front-end workspace, and the solver and observation pools.
+#[test]
+fn tracked_tag_session_holds_at_most_320_kb() {
+    const SPAN_S: f64 = 40.0;
+    const ADVANCES_PER_ROUND: usize = 50;
+    let scene = Scene::standard_2d();
+    let round_s = scene.reader().round_duration_s();
+    let tag = SimTag::with_seeded_diversity(9)
+        .with_motion(Motion::planar_static(Vec2::new(0.5, 1.5), 0.8));
+    let rounds = rfp_sim::stream_rounds(&scene, &tag, (1.5 * SPAN_S / round_s).ceil() as usize, 17);
+    let prism =
+        RfPrism::new(scene.antenna_poses(), scene.reader().plan).with_region(scene.region());
+
+    let before = live_bytes();
+    let mut session = prism.sense_streaming(SPAN_S);
+    let mut cursors = vec![0usize; scene.antenna_poses().len()];
+    let mut estimates = 0usize;
+    for round in &rounds {
+        cursors.iter_mut().for_each(|c| *c = 0);
+        let dwell_s = (round.end_time_s - round.start_time_s) / ADVANCES_PER_ROUND as f64;
+        for slice in 1..=ADVANCES_PER_ROUND {
+            let now = round.start_time_s + slice as f64 * dwell_s;
+            for (antenna, reads) in round.per_antenna.iter().enumerate() {
+                let cursor = &mut cursors[antenna];
+                while *cursor < reads.len()
+                    && (reads[*cursor].timestamp_s < now || slice == ADVANCES_PER_ROUND)
+                {
+                    session.push(antenna, &reads[*cursor]);
+                    *cursor += 1;
+                }
+            }
+            if let Ok(result) = session.advance(now) {
+                estimates += 1;
+                session.recycle(result);
+            }
+        }
+    }
+    let held = live_bytes() - before;
+    assert!(estimates > rounds.len() * ADVANCES_PER_ROUND / 2, "{estimates} estimates");
+    assert!(held <= 320_000, "a tracked tag's session holds {held} bytes");
+    drop(session);
 }
 
 /// The allocation contract survives instrumentation: with the `obs`

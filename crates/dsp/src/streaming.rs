@@ -29,6 +29,24 @@
 //! about two channels per antenna. The `streaming_equivalence` property
 //! suite pins the contract against random arrival/expiry schedules.
 //!
+//! # What a window holds
+//!
+//! A retained read is 32 bytes: its timestamp, phase, RSSI and frequency.
+//! Its channel is implied by the per-channel ring that holds it, and its
+//! phase code is recovered from its phase. Phasors are looked up where
+//! they are used — the push adds the accumulator phasor, a rebuild looks
+//! it up again, the fold pass looks up the fold phasors — through the
+//! phase-code tables when the phase sits on the reader grid and libm
+//! otherwise. Every table entry is libm on the same expression, so the
+//! lookup is bit-identical whether or not the read carried its code. A
+//! channel keeps the timestamp and frequency of its oldest read inline,
+//! so expiry passes over an in-order channel with nothing to expire, and
+//! channel ordering and emit never touch the ring. A full ring grows by a
+//! quarter of its length (plus four), so a channel's ring settles a few
+//! slots above its peak read count. The fit columns and their scratch live
+//! in the caller's [`FrontEndWorkspace`] for the length of an extract, so
+//! one workspace serves every window of a session.
+//!
 //! [`preprocess_reads_with`]: crate::preprocess::preprocess_reads_with
 //! [`robust_line_fit_with`]: crate::robust::robust_line_fit_with
 
@@ -92,16 +110,15 @@ pub struct StreamExtract {
     pub robust: Option<RobustSummary>,
 }
 
-/// One retained read plus the phasors computed for it at push time, so
-/// no per-read trigonometry runs after the push. `acc` is the pass-1
-/// phasor (doubled angle in π-jump mode); `fold[0]`/`fold[1]` are the
-/// fold-pass phasors of the read and of the read shifted by π (π-jump
-/// mode only). Each is a `[sin, cos]` pair.
+/// One retained read: the four numbers the front end reads back. Its
+/// channel is the ring's, and its phase code is its phase's
+/// ([`trig::code_for_phase`]), so 32 bytes hold it.
 #[derive(Debug, Clone, Copy)]
 struct StoredRead {
-    read: RawRead,
-    acc: [f64; 2],
-    fold: [[f64; 2]; 2],
+    timestamp_s: f64,
+    phase: f64,
+    rssi_dbm: f64,
+    frequency_hz: f64,
 }
 
 /// Per-channel state: the retained reads, their running sums, and what
@@ -110,6 +127,10 @@ struct StoredRead {
 struct ChannelState {
     chan: usize,
     fifo: VecDeque<StoredRead>,
+    /// Timestamp and frequency of the oldest retained read, inline so that
+    /// expiry and channel ordering need not touch the ring.
+    first_t: f64,
+    first_freq: f64,
     sum_rssi: f64,
     acc_sin: f64,
     acc_cos: f64,
@@ -132,33 +153,37 @@ impl ChannelState {
     }
 
     /// Re-accumulates the running sums from the retained reads in FIFO
-    /// (= batch) order.
-    fn rebuild(&mut self) {
+    /// (= batch) order, looking each read's phasor up again.
+    fn rebuild(&mut self, pi_mode: bool, hits: &mut [u64; 2]) {
         let (mut rssi, mut sin, mut cos) = (0.0, 0.0, 0.0);
         for sr in &self.fifo {
-            rssi += sr.read.rssi_dbm;
-            sin += sr.acc[0];
-            cos += sr.acc[1];
+            rssi += sr.rssi_dbm;
+            let [s, c] = acc_phasor(sr.phase, pi_mode, hits);
+            sin += s;
+            cos += c;
         }
         (self.sum_rssi, self.acc_sin, self.acc_cos) = (rssi, sin, cos);
+        if let Some(front) = self.fifo.front() {
+            (self.first_t, self.first_freq) = (front.timestamp_s, front.frequency_hz);
+        }
         self.dirty = true;
     }
 
     /// Derives the axis and spread from the running sums and, in π-jump
     /// mode, one fold pass over the reads: the batch per-slot expressions,
     /// with the fold sums accumulated in the batch order.
-    fn derive(&mut self, pi_mode: bool) {
+    fn derive(&mut self, pi_mode: bool, hits: &mut [u64; 2]) {
         let (sin, cos) = (self.acc_sin, self.acc_cos);
         let n = self.fifo.len() as f64;
         let r = (sin * sin + cos * cos).sqrt() / n;
-        let first_phase = self.fifo[0].read.phase;
+        let first_phase = self.fifo[0].phase;
         if pi_mode {
             let doubled_mean = if r < 1e-12 { 2.0 * first_phase } else { sin.atan2(cos) };
             self.axis = doubled_mean / 2.0;
             let (mut fold_sin, mut fold_cos) = (0.0, 0.0);
             for sr in &self.fifo {
-                let shift = wrapped_distance(sr.read.phase, self.axis) > FRAC_PI_2;
-                let [s, c] = sr.fold[shift as usize];
+                let shift = wrapped_distance(sr.phase, self.axis) > FRAC_PI_2;
+                let [s, c] = fold_phasor(sr.phase, shift, hits);
                 fold_sin += s;
                 fold_cos += c;
             }
@@ -190,8 +215,8 @@ pub struct StreamingWindow {
     order: Vec<usize>,
     /// Unwrap scratch in sorted order.
     phase_col: Vec<f64>,
-    /// Hosts the fit columns and their scratch.
-    ws: FrontEndWorkspace,
+    /// Robust inlier mask of the last successful extract.
+    inliers: Vec<bool>,
     /// Incrementally maintained Theil–Sen pairwise-slope state.
     slope_cache: SlopeCache,
     /// Work tallies since the last [`take_stats`](Self::take_stats).
@@ -218,22 +243,21 @@ pub struct StreamingWindow {
 /// median *ranks* are fixed, so each query is a coverage check plus a
 /// small select inside the band (`stats::band_median`, the helper the
 /// batch Theil–Sen's value band uses too) — and every pair refresh adjusts the
-/// below-count or band membership in O(1). The band partitions the
-/// multiset by value, so the in-band selection reads out exactly the
-/// order statistics [`theil_sen_with`](crate::linfit::theil_sen_with)
+/// below-count or band membership in O(1). A refreshed pair's old slope
+/// is recomputed from the snapshot of the previous columns: the same
+/// expression on the same operands, so it carries the bits the band
+/// holds, and no slope matrix is kept. The band partitions the multiset
+/// by value, so the in-band selection reads out exactly the order
+/// statistics [`theil_sen_with`](crate::linfit::theil_sen_with)
 /// computes, keeping the slope bit-identical to the batch enumeration;
 /// when churn walks the median rank out of the band (or bloats it), the
-/// band is re-derived from the slope matrix by quickselect — the same
-/// cost the batch path pays every advance.
+/// band is re-derived by enumerating the pairs into the caller's slope
+/// buffer and quickselecting — the cost the batch path pays every advance.
 #[derive(Debug, Default)]
 struct SlopeCache {
     /// Bitwise snapshot of the previous advance's fit columns.
     xs: Vec<f64>,
     ys: Vec<f64>,
-    /// Flat upper-triangular pairwise slopes in the `(i, j > i)`
-    /// lexicographic order the batch enumeration uses; NaN marks the
-    /// `dx == 0` pairs the batch enumeration skips entirely.
-    slopes: Vec<f64>,
     /// Band interval (inclusive on both ends). Values strictly below
     /// `band_lo` are counted in `below`; values in `[band_lo, band_hi]`
     /// live in `members`; values above are only implied.
@@ -246,8 +270,6 @@ struct SlopeCache {
     /// Number of valid (non-NaN) slopes in the multiset; depends only on
     /// the abscissae, so it is constant between full rebuilds.
     valid_count: usize,
-    /// Band re-derivation scratch.
-    scratch: Vec<f64>,
     /// Column indices whose emitted value changed since last advance,
     /// plus the same set as a flag bitmap (each changed pair is touched
     /// exactly once).
@@ -267,7 +289,6 @@ const BAND_PAD: usize = 48;
 /// re-derivations).
 const BAND_BLOAT_LIMIT: usize = 384;
 
-
 /// One pairwise Theil–Sen slope, NaN when the abscissae coincide.
 fn pair_slope(xs: &[f64], ys: &[f64], i: usize, j: usize) -> f64 {
     let dx = xs[j] - xs[i];
@@ -284,8 +305,14 @@ impl SlopeCache {
     /// recomputing only pairs that touch a column whose value changed
     /// since the previous call. Falls back to a full rebuild when the
     /// abscissae changed (channel membership / order) or most columns
-    /// moved (e.g. a global π vote flip).
-    fn median_slope(&mut self, xs: &[f64], ys: &[f64]) -> Result<f64, FitError> {
+    /// moved (e.g. a global π vote flip). `slopes` is scratch for the
+    /// band re-derivations.
+    fn median_slope(
+        &mut self,
+        xs: &[f64],
+        ys: &[f64],
+        slopes: &mut Vec<f64>,
+    ) -> Result<f64, FitError> {
         if xs.len() != ys.len() {
             return Err(FitError::LengthMismatch);
         }
@@ -313,9 +340,7 @@ impl SlopeCache {
             for &i in &self.changed {
                 self.changed_flag[i] = true;
             }
-            for c in 0..self.changed.len() {
-                let i = self.changed[c];
-                self.ys[i] = ys[i];
+            for &i in &self.changed {
                 for j in 0..n {
                     // Pairs between two changed columns are refreshed once,
                     // when the smaller index is being processed.
@@ -323,10 +348,10 @@ impl SlopeCache {
                         continue;
                     }
                     let (a, b) = if i < j { (i, j) } else { (j, i) };
-                    let idx = a * (2 * n - a - 1) / 2 + (b - a - 1);
-                    let old = self.slopes[idx];
+                    // `self.ys` still holds the previous columns until the
+                    // loop ends.
+                    let old = pair_slope(&self.xs, &self.ys, a, b);
                     let new = pair_slope(xs, ys, a, b);
-                    self.slopes[idx] = new;
                     // Pair validity depends only on the (unchanged)
                     // abscissae, so old and new are NaN together and
                     // `valid_count` is preserved; NaN fails both interval
@@ -349,22 +374,19 @@ impl SlopeCache {
                     }
                 }
             }
+            for &i in &self.changed {
+                self.ys[i] = ys[i];
+            }
         } else {
             self.xs.clear();
             self.xs.extend_from_slice(xs);
             self.ys.clear();
             self.ys.extend_from_slice(ys);
-            self.slopes.clear();
-            self.slopes.reserve(n * (n - 1) / 2);
-            for i in 0..n {
-                for j in (i + 1)..n {
-                    self.slopes.push(pair_slope(xs, ys, i, j));
-                }
-            }
-            self.valid_count = self.slopes.iter().filter(|v| !v.is_nan()).count();
+            self.enumerate(slopes);
+            self.valid_count = slopes.len();
             self.valid = true;
             if self.valid_count > 0 {
-                self.rebuild_band();
+                self.derive_band(slopes);
                 band_fresh = true;
             }
         }
@@ -380,30 +402,50 @@ impl SlopeCache {
         // exactly +0.0), so equal selected values are bit-identical to the
         // batch selection's.
         if !band_fresh && self.members.len() > BAND_BLOAT_LIMIT {
-            self.rebuild_band();
+            self.rebuild_band(slopes);
             band_fresh = true;
         }
         if let Some(median) = stats::band_median(&mut self.members, self.below, m) {
             return Ok(median);
         }
         debug_assert!(!band_fresh, "a re-derived band covers the median");
-        self.rebuild_band();
+        self.rebuild_band(slopes);
         Ok(stats::band_median(&mut self.members, self.below, m).expect("re-derived band covers"))
     }
 
-    /// Re-derive the band interval, below-count, and member sub-multiset
-    /// from the slope matrix: quickselect the padded rank endpoints, then
+    /// Fills `slopes` with the valid pairwise slopes of the snapshot
+    /// columns.
+    fn enumerate(&self, slopes: &mut Vec<f64>) {
+        slopes.clear();
+        let n = self.xs.len();
+        for i in 0..n {
+            for j in (i + 1)..n {
+                let slope = pair_slope(&self.xs, &self.ys, i, j);
+                if !slope.is_nan() {
+                    slopes.push(slope);
+                }
+            }
+        }
+    }
+
+    /// Re-derives the band from the current columns, enumerating their
+    /// slopes into `slopes`.
+    fn rebuild_band(&mut self, slopes: &mut Vec<f64>) {
+        self.enumerate(slopes);
+        debug_assert_eq!(slopes.len(), self.valid_count);
+        self.derive_band(slopes);
+    }
+
+    /// Re-derives the band interval, below-count, and member sub-multiset
+    /// from the valid slopes: quickselect the padded rank endpoints, then
     /// one partition pass. Requires `valid_count > 0`.
-    fn rebuild_band(&mut self) {
+    fn derive_band(&mut self, slopes: &mut [f64]) {
         let m = self.valid_count;
         let (r0, r1) = ((m - 1) / 2, m / 2);
         let lo_rank = r0.saturating_sub(BAND_PAD);
         let hi_rank = (r1 + BAND_PAD).min(m - 1);
-        self.scratch.clear();
-        self.scratch.extend(self.slopes.iter().copied().filter(|v| !v.is_nan()));
-        debug_assert_eq!(self.scratch.len(), m);
         let cmp = |a: &f64, b: &f64| a.partial_cmp(b).expect("finite slopes");
-        let (_, v_lo, upper) = self.scratch.select_nth_unstable_by(lo_rank, cmp);
+        let (_, v_lo, upper) = slopes.select_nth_unstable_by(lo_rank, cmp);
         self.band_lo = *v_lo;
         self.band_hi = if hi_rank > lo_rank {
             let (_, v_hi, _) = upper.select_nth_unstable_by(hi_rank - lo_rank - 1, cmp);
@@ -414,7 +456,7 @@ impl SlopeCache {
         let (band_lo, band_hi) = (self.band_lo, self.band_hi);
         self.below = 0;
         self.members.clear();
-        for &v in &self.slopes {
+        for &v in slopes.iter() {
             if v < band_lo {
                 self.below += 1;
             } else if v <= band_hi {
@@ -434,7 +476,7 @@ impl StreamingWindow {
             channels: Vec::new(),
             order: Vec::new(),
             phase_col: Vec::new(),
-            ws: FrontEndWorkspace::default(),
+            inliers: Vec::new(),
             slope_cache: SlopeCache::default(),
             stats: StreamingStats::default(),
             trig_hits: [0; 2],
@@ -462,16 +504,20 @@ impl StreamingWindow {
     }
 
     /// Returns and resets the trig tallies (`[table lookups, libm
-    /// calls]`), counting every phasor evaluated at push time.
+    /// calls]`), one per phasor looked up where it is used: the
+    /// accumulator phasor of each pushed read and of each read a rebuild
+    /// re-accumulates, and the fold phasor of each read a π-mode channel
+    /// folds at extract.
     pub fn take_trig_hits(&mut self) -> [u64; 2] {
         std::mem::take(&mut self.trig_hits)
     }
 
     /// Robust inlier mask of the most recent successful
     /// [`extract_into`](Self::extract_into) (parallel to its emitted
-    /// channels, sorted by frequency).
+    /// channels, sorted by frequency; empty when the window runs no
+    /// robust fit).
     pub fn inlier_mask(&self) -> &[bool] {
-        self.ws.fit.inlier_mask()
+        &self.inliers
     }
 
     /// Pushes one read into the window, adding it to its channel's running
@@ -487,16 +533,32 @@ impl StreamingWindow {
         if !read.is_usable() || !read.timestamp_s.is_finite() {
             return;
         }
-        let stored = self.phasors(read);
+        let pi_mode = self.config.preprocess.correct_pi_jumps;
+        let [sin, cos] = acc_phasor(read.phase, pi_mode, &mut self.trig_hits);
         let s = self.slot(read.channel);
         let ch = &mut self.channels[s];
-        if ch.fifo.back().is_some_and(|b| read.timestamp_s < b.read.timestamp_s) {
-            ch.unordered = true;
+        match ch.fifo.back() {
+            None => {
+                (ch.first_t, ch.first_freq) = (read.timestamp_s, read.frequency_hz);
+            }
+            Some(last) if read.timestamp_s < last.timestamp_s => ch.unordered = true,
+            Some(_) => {}
         }
-        ch.fifo.push_back(stored);
+        // A full ring grows by a quarter: a channel's reads over a window
+        // are about as many in every window, so the ring settles a few
+        // slots above their peak instead of at the next power of two.
+        if ch.fifo.len() == ch.fifo.capacity() {
+            ch.fifo.reserve_exact(ch.fifo.len() / 4 + 4);
+        }
+        ch.fifo.push_back(StoredRead {
+            timestamp_s: read.timestamp_s,
+            phase: read.phase,
+            rssi_dbm: read.rssi_dbm,
+            frequency_hz: read.frequency_hz,
+        });
         ch.sum_rssi += read.rssi_dbm;
-        ch.acc_sin += stored.acc[0];
-        ch.acc_cos += stored.acc[1];
+        ch.acc_sin += sin;
+        ch.acc_cos += cos;
         ch.dirty = true;
         self.stats.updates += 1;
     }
@@ -504,35 +566,39 @@ impl StreamingWindow {
     /// Expires every retained read with `timestamp_s < cutoff_s` and
     /// returns the number removed. Afterwards no retained read is older
     /// than `cutoff_s`, whatever order the reads were pushed in: a channel
-    /// whose reads arrived in timestamp order expires from its front, any
-    /// other by a scan. Every channel that lost reads is rebuilt from the
-    /// reads it keeps.
+    /// whose reads arrived in timestamp order expires from its front (and
+    /// is passed over when its oldest read is kept), any other by a scan.
+    /// Every channel that lost reads is rebuilt from the reads it keeps.
     pub fn expire_before(&mut self, cutoff_s: f64) -> usize {
         // A NaN cutoff expires everything, as it always has.
-        let expired = |sr: &StoredRead| sr.read.timestamp_s < cutoff_s || cutoff_s.is_nan();
+        let expired = |t: f64| t < cutoff_s || cutoff_s.is_nan();
+        let pi_mode = self.config.preprocess.correct_pi_jumps;
         let mut removed = 0usize;
         for ch in &mut self.channels {
+            if ch.fifo.is_empty() || !(ch.unordered || expired(ch.first_t)) {
+                continue;
+            }
             let before = ch.fifo.len();
             if ch.unordered {
                 let mut last = f64::NEG_INFINITY;
                 ch.unordered = false;
                 ch.fifo.retain(|sr| {
-                    if expired(sr) {
+                    if expired(sr.timestamp_s) {
                         return false;
                     }
-                    ch.unordered |= sr.read.timestamp_s < last;
-                    last = sr.read.timestamp_s;
+                    ch.unordered |= sr.timestamp_s < last;
+                    last = sr.timestamp_s;
                     true
                 });
             } else {
-                while ch.fifo.front().is_some_and(expired) {
+                while ch.fifo.front().is_some_and(|sr| expired(sr.timestamp_s)) {
                     ch.fifo.pop_front();
                 }
             }
             let gone = before - ch.fifo.len();
             if gone > 0 {
                 removed += gone;
-                ch.rebuild();
+                ch.rebuild(pi_mode, &mut self.trig_hits);
                 self.stats.rebuilds += 1;
             }
         }
@@ -544,8 +610,10 @@ impl StreamingWindow {
     /// only for channels whose reads changed), cross-channel unwrap, π
     /// majority vote, and the raw + robust line fits. `out` is cleared and
     /// refilled with the per-channel observations (sorted by frequency),
-    /// exactly as the batch front end fills it. In steady state (all
-    /// buffer capacities reached) the call performs zero heap allocations.
+    /// exactly as the batch front end fills it. `ws` hosts the fit columns
+    /// and their scratch for the call only, so one workspace serves every
+    /// window of a session. In steady state (all buffer capacities
+    /// reached) the call performs zero heap allocations.
     ///
     /// # Errors
     ///
@@ -553,6 +621,7 @@ impl StreamingWindow {
     /// [`StreamingError::Fit`] when the line fit is degenerate.
     pub fn extract_into(
         &mut self,
+        ws: &mut FrontEndWorkspace,
         out: &mut Vec<ChannelObservation>,
     ) -> Result<StreamExtract, StreamingError> {
         let min_reads = self.config.preprocess.min_reads_per_channel.max(1);
@@ -563,7 +632,7 @@ impl StreamingWindow {
             if ch.fifo.len() >= min_reads {
                 kept += 1;
                 if ch.dirty {
-                    ch.derive(pi_mode);
+                    ch.derive(pi_mode, &mut self.trig_hits);
                 }
             }
         }
@@ -580,7 +649,7 @@ impl StreamingWindow {
             channels.len(),
             |s| channels[s].chan,
             |s| channels[s].fifo.len() >= min_reads,
-            |s| channels[s].fifo[0].read.frequency_hz,
+            |s| channels[s].first_freq,
         );
 
         // Cross-channel unwrap.
@@ -600,7 +669,7 @@ impl StreamingWindow {
                     ch.votes = ch
                         .fifo
                         .iter()
-                        .filter(|sr| wrapped_distance(sr.read.phase, unwrapped) <= FRAC_PI_2)
+                        .filter(|sr| wrapped_distance(sr.phase, unwrapped) <= FRAC_PI_2)
                         .count();
                     ch.vote_axis = unwrapped;
                 }
@@ -618,37 +687,42 @@ impl StreamingWindow {
 
         // Emit the observations and feed the fused unwrap+OLS sums + fit
         // columns, as the batch emit loop does.
-        self.ws.reset_channels();
+        ws.reset_channels();
         out.clear();
         for (k, &s) in self.order.iter().enumerate() {
             let ch = &self.channels[s];
-            let freq = ch.fifo[0].read.frequency_hz;
             let phase = self.phase_col[k];
             out.push(ChannelObservation {
                 channel: ch.chan,
-                frequency_hz: freq,
+                frequency_hz: ch.first_freq,
                 phase,
                 rssi_dbm: ch.sum_rssi / ch.fifo.len() as f64,
                 read_count: ch.fifo.len(),
                 phase_spread: ch.spread,
             });
-            self.ws.emit(freq, phase);
+            ws.emit(ch.first_freq, phase);
         }
-        let (raw_fit, robust) = self.fit().map_err(StreamingError::Fit)?;
+        let (raw_fit, robust) = self.fit(ws).map_err(StreamingError::Fit)?;
         Ok(StreamExtract { raw_fit, robust })
     }
 
     /// Raw and robust fits over the emitted fit columns.
-    fn fit(&mut self) -> Result<(LineFit, Option<RobustSummary>), FitError> {
-        let raw_fit = self.ws.raw_fit()?;
+    fn fit(
+        &mut self,
+        ws: &mut FrontEndWorkspace,
+    ) -> Result<(LineFit, Option<RobustSummary>), FitError> {
+        let raw_fit = ws.raw_fit()?;
         if !self.config.suppress_multipath {
+            self.inliers.clear();
             return Ok((raw_fit, None));
         }
-        let (xs, ys, fit_ws) = self.ws.fit_columns();
+        let (xs, ys, fit_ws) = ws.fit_columns();
         // Seed slope from the incrementally maintained pairwise multiset —
         // bit-identical to the O(n²) enumeration inside the unseeded fit.
-        let slope = self.slope_cache.median_slope(xs, ys)?;
+        let slope = self.slope_cache.median_slope(xs, ys, &mut fit_ws.slopes)?;
         let summary = robust_line_fit_seeded(fit_ws, xs, ys, &self.config.robust, slope)?;
+        self.inliers.clear();
+        self.inliers.extend_from_slice(fit_ws.inlier_mask());
         Ok((raw_fit, Some(summary)))
     }
 
@@ -668,35 +742,48 @@ impl StreamingWindow {
         self.channels.push(ChannelState::new(channel));
         slot
     }
+}
 
-    /// Computes the stored phasors for one read with the batch passes'
-    /// expressions, bit for bit: table lookups when the read's code
-    /// reproduces its phase, libm otherwise.
-    fn phasors(&mut self, read: &RawRead) -> StoredRead {
-        let doubled = self.config.preprocess.correct_pi_jumps;
-        let code = read.table_code();
-        self.trig_hits[if code.is_some() { hit::TABLE } else { hit::LIBM }] +=
-            if doubled { 3 } else { 1 };
-        let (acc, fold) = match code {
-            Some(code) => {
-                let (c, fold) = (code as usize, trig::fold_table());
-                if doubled {
-                    (trig::double_table()[c], [fold[c << 1], fold[(c << 1) | 1]])
-                } else {
-                    (fold[c << 1], [[0.0; 2]; 2])
-                }
+/// The accumulator phasor `[sin, cos]` of a read's phase — of the doubled
+/// angle in π-jump mode, of the phase itself otherwise — with the batch
+/// pass-1 expressions: a table lookup when the phase sits on the reader
+/// grid (every table entry is libm on the same expression, so whether the
+/// read carried its code does not matter), libm otherwise. Tallies the
+/// source in `hits`.
+#[inline]
+fn acc_phasor(phase: f64, pi_mode: bool, hits: &mut [u64; 2]) -> [f64; 2] {
+    match trig::code_for_phase(phase) {
+        Some(code) => {
+            hits[hit::TABLE] += 1;
+            let c = code as usize;
+            if pi_mode {
+                trig::double_table()[c]
+            } else {
+                trig::fold_table()[c << 1]
             }
-            None => {
-                let sin_cos = |x: f64| [x.sin(), x.cos()];
-                let p = read.phase;
-                if doubled {
-                    (sin_cos(2.0 * p), [sin_cos(p), sin_cos(p + PI)])
-                } else {
-                    (sin_cos(p), [[0.0; 2]; 2])
-                }
-            }
-        };
-        StoredRead { read: *read, acc, fold }
+        }
+        None => {
+            hits[hit::LIBM] += 1;
+            let x = if pi_mode { 2.0 * phase } else { phase };
+            [x.sin(), x.cos()]
+        }
+    }
+}
+
+/// The fold-pass phasor `[sin, cos]` of a read's phase, shifted by π when
+/// `shift`: the batch pass-2 expressions, looked up like [`acc_phasor`].
+#[inline]
+fn fold_phasor(phase: f64, shift: bool, hits: &mut [u64; 2]) -> [f64; 2] {
+    match trig::code_for_phase(phase) {
+        Some(code) => {
+            hits[hit::TABLE] += 1;
+            trig::fold_table()[((code as usize) << 1) | shift as usize]
+        }
+        None => {
+            hits[hit::LIBM] += 1;
+            let folded = if shift { phase + PI } else { phase };
+            [folded.sin(), folded.cos()]
+        }
     }
 }
 
@@ -772,6 +859,13 @@ mod tests {
         reads.iter().filter(|r| r.timestamp_s >= cutoff).copied().collect()
     }
 
+    /// A retained read is four `f64`s: its channel is its ring's and its
+    /// phase code its phase's.
+    #[test]
+    fn stored_read_is_32_bytes() {
+        assert_eq!(std::mem::size_of::<StoredRead>(), 32);
+    }
+
     /// A freshly filled window (no expiry yet) is bit-identical to the
     /// batch front end on the same reads.
     #[test]
@@ -781,8 +875,8 @@ mod tests {
         for r in &reads {
             win.push(r);
         }
-        let mut out = Vec::new();
-        let extract = win.extract_into(&mut out).unwrap();
+        let (mut ws, mut out) = (FrontEndWorkspace::default(), Vec::new());
+        let extract = win.extract_into(&mut ws, &mut out).unwrap();
         assert_matches_batch(&win, &out, &extract, &reads, "append-only");
     }
 
@@ -799,7 +893,7 @@ mod tests {
         for r in &reads[..round_len] {
             win.push(r);
         }
-        let mut out = Vec::new();
+        let (mut ws, mut out) = (FrontEndWorkspace::default(), Vec::new());
         let mut advances = 0usize;
         let mut next = round_len;
         while next + per <= reads.len() {
@@ -808,7 +902,7 @@ mod tests {
             }
             let cutoff = reads[next + per - 1].timestamp_s - span;
             win.expire_before(cutoff);
-            let extract = win.extract_into(&mut out).unwrap();
+            let extract = win.extract_into(&mut ws, &mut out).unwrap();
             advances += 1;
             let kept = retained(&reads[..next + per], cutoff);
             assert_eq!(kept.len(), win.read_count());
@@ -838,8 +932,8 @@ mod tests {
         }
         let cutoff = reads[per / 2].timestamp_s;
         assert!(win.expire_before(cutoff) > 0);
-        let mut out = Vec::new();
-        let extract = win.extract_into(&mut out).unwrap();
+        let (mut ws, mut out) = (FrontEndWorkspace::default(), Vec::new());
+        let extract = win.extract_into(&mut ws, &mut out).unwrap();
         assert_matches_batch(&win, &out, &extract, &retained(&reads, cutoff), "1e300 expired");
         assert!(out.iter().all(|o| o.rssi_dbm < -50.0), "{out:?}");
     }
@@ -849,19 +943,19 @@ mod tests {
     fn empty_window_errors() {
         let cfg = ExtractConfig::paper();
         let mut win = StreamingWindow::new(cfg);
-        let mut out = Vec::new();
+        let (mut ws, mut out) = (FrontEndWorkspace::default(), Vec::new());
         assert!(matches!(
-            win.extract_into(&mut out),
+            win.extract_into(&mut ws, &mut out),
             Err(StreamingError::Preprocess(PreprocessError::NoUsableChannels))
         ));
         for r in &stream(1, 3, 4) {
             win.push(r);
         }
-        assert!(win.extract_into(&mut out).is_ok());
+        assert!(win.extract_into(&mut ws, &mut out).is_ok());
         win.expire_before(f64::INFINITY);
         assert_eq!(win.read_count(), 0);
         assert!(matches!(
-            win.extract_into(&mut out),
+            win.extract_into(&mut ws, &mut out),
             Err(StreamingError::Preprocess(PreprocessError::NoUsableChannels))
         ));
     }
@@ -900,7 +994,7 @@ mod tests {
             let cutoff = 1030.0;
             win.expire_before(cutoff);
             for ch in &win.channels {
-                assert!(ch.fifo.iter().all(|sr| sr.read.timestamp_s >= cutoff), "far {far}");
+                assert!(ch.fifo.iter().all(|sr| sr.timestamp_s >= cutoff), "far {far}");
             }
             let kept: Vec<RawRead> = pushed
                 .iter()
@@ -909,8 +1003,8 @@ mod tests {
                 .copied()
                 .collect();
             assert_eq!(win.read_count(), kept.len(), "far {far}");
-            let mut out = Vec::new();
-            let extract = win.extract_into(&mut out).unwrap();
+            let (mut ws, mut out) = (FrontEndWorkspace::default(), Vec::new());
+            let extract = win.extract_into(&mut ws, &mut out).unwrap();
             assert_matches_batch(&win, &out, &extract, &kept, &format!("far {far}"));
         }
     }
@@ -943,7 +1037,7 @@ mod tests {
             for r in &reads[..round_len] {
                 win.push(r);
             }
-            let mut out = Vec::new();
+            let (mut ws, mut out) = (FrontEndWorkspace::default(), Vec::new());
             let mut next = round_len;
             while next + per <= reads.len() {
                 for r in &reads[next..next + per] {
@@ -951,7 +1045,7 @@ mod tests {
                 }
                 let cutoff = reads[next + per - 1].timestamp_s - span;
                 win.expire_before(cutoff);
-                let extract = win.extract_into(&mut out).unwrap();
+                let extract = win.extract_into(&mut ws, &mut out).unwrap();
                 let stripped: Vec<RawRead> = retained(&reads[..next + per], cutoff)
                     .into_iter()
                     .map(|r| RawRead { phase_code: None, ..r })

@@ -98,9 +98,15 @@ pub fn warm_tables() {
 /// phase produced by the reader model's quantizer (round to the grid,
 /// then wrap into `[0, 2π)`) always round-trips; an arbitrary continuous
 /// phase almost never does and gets `None`, routing those reads to libm.
+///
+/// The candidate code comes from a multiply by `4096/τ`, not a division:
+/// on a grid phase the product is within `4096 · 2⁻⁵²` of its code and
+/// rounds to it, and any other phase fails the bitwise check whatever
+/// code it rounds to.
 #[inline]
 pub fn code_for_phase(phase: f64) -> Option<u16> {
-    let c = (phase / PHASE_LSB_RAD).round();
+    const CODES_PER_RAD: f64 = PHASE_CODES as f64 / TAU;
+    let c = (phase * CODES_PER_RAD).round();
     if (0.0..PHASE_CODES as f64).contains(&c) && (c * PHASE_LSB_RAD).to_bits() == phase.to_bits()
     {
         Some(c as u16)

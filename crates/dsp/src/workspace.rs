@@ -18,7 +18,8 @@
 //!   [`robust_line_fit_with`](crate::robust::robust_line_fit_with)):
 //!   residual/rank/inlier columns, a median selection scratch and a
 //!   Theil–Sen slope buffer (the in-band slopes of the banded median, or
-//!   every pairwise slope when the band misses).
+//!   every pairwise slope when the band misses; a streaming window's
+//!   slope cache re-derives its band in it).
 //! * [`FrontEndWorkspace`] — everything above plus the pre-processing
 //!   stage's per-channel accumulator columns (struct-of-arrays: one flat
 //!   `f64`/`usize` column per quantity instead of a map of per-channel
@@ -243,7 +244,8 @@ impl FitWorkspace {
 
 /// Per-channel accumulator columns plus fit scratch for the whole
 /// pre-processing front end. One instance per worker thread (or per
-/// sequential pipeline), mirroring the solver's `SolverWorkspace`.
+/// sequential pipeline, or per streaming session, whose windows borrow it
+/// for their fit columns), mirroring the solver's `SolverWorkspace`.
 ///
 /// Layout is struct-of-arrays: each per-channel quantity is one flat
 /// column indexed by *slot* (dense channel index in first-appearance

@@ -5,11 +5,11 @@
 //! on the retained reads — phases, spreads, RSSI, read counts, the raw
 //! and robust fits, and the robust inlier mask.
 //!
-//! Schedules (round sizes, expiry depths, noise, π jumps) are randomized
-//! by proptest, and so is whether the reads arrive snapped to the reader's
-//! 12-bit phase grid with their codes attached (the push-time table
-//! lookups every R420 stream takes) or codeless (libm); the oracle is the
-//! production batch front end itself.
+//! Schedules (round sizes, expiry depths, noise, π jumps, a channel that
+//! changes frequency) are randomized by proptest, and so is whether the
+//! reads arrive snapped to the reader's 12-bit phase grid with their codes
+//! attached (the table lookups every R420 stream takes) or codeless
+//! (libm); the oracle is the production batch front end itself.
 
 use proptest::prelude::*;
 use rfp_dsp::linfit::LineFit;
@@ -108,6 +108,13 @@ fn assert_bitwise(
     let (o_channels, o_raw, o_robust, o_mask) = oracle;
     assert_eq!(streamed.len(), o_channels.len(), "{ctx}: channel count");
     for (s, o) in streamed.iter().zip(o_channels) {
+        assert_eq!(s.channel, o.channel, "{ctx}: channel order");
+        assert_eq!(
+            s.frequency_hz.to_bits(),
+            o.frequency_hz.to_bits(),
+            "{ctx}: frequency ch {}",
+            s.channel
+        );
         assert_eq!(s.phase.to_bits(), o.phase.to_bits(), "{ctx}: phase ch {}", s.channel);
         assert_eq!(
             s.phase_spread.to_bits(),
@@ -157,7 +164,7 @@ proptest! {
         let config = ExtractConfig::paper();
         let mut window = StreamingWindow::new(config);
         let mut retained: Vec<RawRead> = Vec::new();
-        let mut channels = Vec::new();
+        let (mut ws, mut channels) = (FrontEndWorkspace::default(), Vec::new());
 
         for r in 0..rounds {
             let mut reads = round_reads(&mut rng, r, chans, per_chan, slope, noise);
@@ -183,7 +190,7 @@ proptest! {
             window.expire_before(cutoff);
             retained.retain(|rd| rd.timestamp_s >= cutoff);
 
-            let extract = window.extract_into(&mut channels).expect("stream extract");
+            let extract = window.extract_into(&mut ws, &mut channels).expect("stream extract");
             let oracle = batch_oracle(&retained, &config);
             assert_bitwise(&channels, &extract, window.inlier_mask(), &oracle,
                 &format!("round {r}"));
@@ -208,7 +215,7 @@ proptest! {
         let config = ExtractConfig::paper();
         let mut window = StreamingWindow::new(config);
         let mut all: Vec<RawRead> = Vec::new();
-        let mut channels = Vec::new();
+        let (mut ws, mut channels) = (FrontEndWorkspace::default(), Vec::new());
         for r in 0..rounds {
             let mut reads = round_reads(&mut rng, r, chans, 3, 2.0e-7, noise);
             if quantize {
@@ -218,12 +225,60 @@ proptest! {
                 window.push(read);
             }
             all.extend_from_slice(&reads);
-            let extract = window.extract_into(&mut channels).expect("stream extract");
+            let extract = window.extract_into(&mut ws, &mut channels).expect("stream extract");
             let oracle = batch_oracle(&all, &config);
             assert_bitwise(&channels, &extract, window.inlier_mask(), &oracle,
                 &format!("append-only round {r}"));
         }
         prop_assert_eq!(window.stats().downdates, 0);
         prop_assert_eq!(window.stats().refit_fallbacks, 0);
+    }
+
+    /// A channel whose reads change frequency: the batch front end takes
+    /// a channel's frequency from its first retained read, so while the
+    /// reads with the first frequency are retained the channel emits that
+    /// frequency, and once they expire it emits the frequency of the reads
+    /// it keeps — with the channel order and fit abscissae that follow,
+    /// bit for bit.
+    #[test]
+    fn retuned_channel_follows_its_oldest_retained_read(
+        seed in 0u64..u64::MAX,
+        chans in 8usize..13,
+        retuned in 0usize..8,
+        shift_hz in -3.0e6f64..3.0e6,
+        quantize in proptest::bool::ANY,
+    ) {
+        let mut rng = Rng(seed);
+        let config = ExtractConfig::paper();
+        let mut window = StreamingWindow::new(config);
+        let mut retained: Vec<RawRead> = Vec::new();
+        let (mut ws, mut channels) = (FrontEndWorkspace::default(), Vec::new());
+        let nominal = 902.0e6 + retuned as f64 * 0.5e6;
+        for r in 0..4 {
+            let mut reads = round_reads(&mut rng, r, chans, 3, 2.0e-7, 0.02);
+            if quantize {
+                reads = quantized(reads);
+            }
+            // Round 0 hears the retuned channel at another frequency.
+            for read in reads.iter_mut().filter(|rd| r == 0 && rd.channel == retuned) {
+                read.frequency_hz = nominal + shift_hz;
+            }
+            for read in &reads {
+                window.push(read);
+            }
+            retained.extend_from_slice(&reads);
+            // Two rounds retained: round 0 expires at round 2.
+            let cutoff = r as f64 - 1.0;
+            window.expire_before(cutoff);
+            retained.retain(|rd| rd.timestamp_s >= cutoff);
+
+            let extract = window.extract_into(&mut ws, &mut channels).expect("stream extract");
+            let oracle = batch_oracle(&retained, &config);
+            assert_bitwise(&channels, &extract, window.inlier_mask(), &oracle,
+                &format!("round {r}"));
+            let emitted = channels.iter().find(|c| c.channel == retuned).expect("retuned channel");
+            let first = if r < 2 { nominal + shift_hz } else { nominal };
+            prop_assert_eq!(emitted.frequency_hz.to_bits(), first.to_bits());
+        }
     }
 }
