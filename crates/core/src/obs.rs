@@ -319,12 +319,6 @@ mod enabled {
         recorder::span(name)
     }
 
-    /// Starts timing into latency histogram `idx` (µs, recorded on drop).
-    #[inline]
-    pub fn time_histogram(idx: usize) -> rfp_obs::TimerGuard {
-        recorder::time_histogram(idx)
-    }
-
     /// A stage span that also times its stage into latency histograms;
     /// created by [`timed_span`]. The clock is read once when it opens and
     /// once when it closes, and the span and every histogram take that
@@ -580,10 +574,6 @@ mod disabled {
     #[derive(Debug)]
     pub struct SpanGuard;
 
-    /// Inert stand-in for the recorder's histogram timer guard.
-    #[derive(Debug)]
-    pub struct TimerGuard;
-
     /// Always `false` without the `obs` feature, so guarded snapshot code
     /// is dead and folds away.
     #[inline(always)]
@@ -607,12 +597,6 @@ mod disabled {
     #[inline(always)]
     pub fn span(_name: &'static str) -> SpanGuard {
         SpanGuard
-    }
-
-    /// No-op histogram timer probe.
-    #[inline(always)]
-    pub fn time_histogram(_idx: usize) -> TimerGuard {
-        TimerGuard
     }
 
     /// Inert stand-in for a timed span.

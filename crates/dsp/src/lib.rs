@@ -54,6 +54,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod fold;
 pub mod linfit;
 pub mod preprocess;
 pub mod robust;

@@ -30,7 +30,10 @@
 //!   ids when frequency rises with them, a `(frequency, channel)` sort
 //!   otherwise) and the period-π unwrap of the axes;
 //! * **Pass 2** folds each read onto its channel axis and casts its π
-//!   vote against the unwrapped axis.
+//!   vote against the unwrapped axis: one phasor sign test per read on
+//!   the reader grid, the vote following from the unwrap's parity (the
+//!   crate-private `fold` module certifies both; a read inside its
+//!   margin or off the grid takes the two exact distances).
 //!
 //! Per-read trigonometry has one path: reads that carry their 12-bit
 //! reader phase code are looked up in the exact phase-code tables of
@@ -39,6 +42,7 @@
 //! every per-channel sum keeps the reference summation order — and hence
 //! its bits.
 
+use crate::fold::{self, FoldAxis};
 use crate::trig::{self, hit, PHASE_CODES, PHASE_LSB_RAD};
 use crate::workspace::FrontEndWorkspace;
 use rfp_geom::angle;
@@ -341,7 +345,7 @@ fn finish(
     config: &PreprocessConfig,
     out: &mut Vec<ChannelObservation>,
 ) -> Result<(), PreprocessError> {
-    use std::f64::consts::{FRAC_PI_2, PI};
+    use std::f64::consts::PI;
 
     out.clear();
     let min_reads = config.min_reads_per_channel.max(1);
@@ -357,12 +361,14 @@ fn finish(
         }
         kept += 1;
         let (sin, cos) = (ws.acc_sin[s], ws.acc_cos[s]);
-        let r = (sin * sin + cos * cos).sqrt() / n as f64;
         if config.correct_pi_jumps {
-            // circular_mean(2p).unwrap_or(2·p₀) / 2, streamed.
-            let doubled_mean = if r < 1e-12 { 2.0 * ws.first_phase[s] } else { sin.atan2(cos) };
-            ws.axis[s] = doubled_mean / 2.0;
+            // circular_mean(2p).unwrap_or(2·p₀) / 2, streamed; the
+            // resultant's columns take the axis's unit vector for pass 2.
+            let fold = FoldAxis::new(sin, cos, n, ws.first_phase[s]);
+            ws.axis[s] = fold.axis;
+            [ws.acc_sin[s], ws.acc_cos[s]] = fold.unit;
         } else {
+            let r = (sin * sin + cos * cos).sqrt() / n as f64;
             ws.axis[s] = if r < 1e-12 { ws.first_phase[s] } else { sin.atan2(cos) };
             ws.spread[s] = (-2.0 * r.clamp(1e-300, 1.0).ln()).sqrt();
         }
@@ -395,17 +401,22 @@ fn finish(
         // folded resultant for the per-channel spread, and cast its vote
         // against the unwrapped axis. The unwrap needs only the pass-1
         // axes, so one pass serves both; the fold sums still accumulate
-        // in input order (bit-identical sums, as in pass 1). A table hit
-        // is one load indexed by code and fold decision.
+        // in input order (bit-identical sums, as in pass 1). A grid read
+        // is decided by one sign test against the axis's unit vector
+        // (`fold`), and its vote is that decision flipped when the unwrap
+        // moved the axis by an odd number of periods; a read inside the
+        // sign test's margin, or off the grid, takes both exact distances.
+        // A table hit is one load indexed by code and fold decision.
         let FrontEndWorkspace {
-            read_slot, keep, axis, unwrapped, fold_sin, fold_cos, trig_hits, ..
+            read_slot, keep, axis, unwrapped, acc_sin, acc_cos, fold_sin, fold_cos, trig_hits, ..
         } = &mut *ws;
         let fold_table = trig::fold_table();
         let mut votes_axis = 0usize;
         // As in pass 1, the fold sums of the current channel's run live
         // in registers until the slot changes.
         let mut cur = u32::MAX;
-        let (mut kept, mut fold_axis, mut vote_axis) = (false, 0.0, 0.0);
+        let (mut kept, mut fold, mut vote_axis, mut odd) =
+            (false, FoldAxis::default(), 0.0, false);
         let (mut run_sin, mut run_cos) = (0.0, 0.0);
         for (r, &s) in reads.iter().zip(read_slot.iter()) {
             if s != cur {
@@ -415,15 +426,26 @@ fn finish(
                 }
                 cur = s;
                 let s = s as usize;
-                (kept, fold_axis, vote_axis) = (keep[s], axis[s], unwrapped[s]);
+                (kept, vote_axis) = (keep[s], unwrapped[s]);
+                fold = FoldAxis { axis: axis[s], unit: [acc_sin[s], acc_cos[s]] };
+                // A parity that does not certify sends the whole run to
+                // the exact path.
+                odd = fold::vote_parity(fold.axis, vote_axis).unwrap_or_else(|| {
+                    fold.unit = [0.0; 2];
+                    false
+                });
                 (run_sin, run_cos) = (fold_sin[s], fold_cos[s]);
             }
             if !kept {
                 continue;
             }
             let p = r.phase;
-            let shift = wrapped_distance(p, fold_axis) > FRAC_PI_2;
-            let (sin, cos) = match r.table_code() {
+            let code = r.table_code();
+            let (shift, vote) = match fold.sign_test(code, fold_table) {
+                Some(shift) => (shift, shift == odd),
+                None => (fold.exact_shift(p), fold::exact_vote(p, vote_axis)),
+            };
+            let (sin, cos) = match code {
                 Some(code) => {
                     trig_hits[hit::TABLE] += 1;
                     let [sin, cos] = fold_table[((code as usize) << 1) | shift as usize];
@@ -437,7 +459,7 @@ fn finish(
             };
             run_sin += sin;
             run_cos += cos;
-            votes_axis += (wrapped_distance(p, vote_axis) <= FRAC_PI_2) as usize;
+            votes_axis += vote as usize;
         }
         if cur != u32::MAX {
             fold_sin[cur as usize] = run_sin;
@@ -570,10 +592,11 @@ pub(crate) fn wrap_tau(theta: f64) -> f64 {
 /// `angle::distance(a, b)` on the [`wrap_tau`] fast path: the `> π`
 /// adjustment and the absolute value are copied verbatim from
 /// `wrap_pi`/`distance`, so it is bit-identical to `angle::distance`.
+/// The π-fold decisions' exact path evaluates it (the `fold` module).
 ///
 /// A read's phase in `[0, τ)` against a channel axis in `(−π/2, π/2]` or
 /// an unwrapped axis often differs by a little over a turn, about a
-/// quarter of the calls on a standard stream. For a difference `d` in
+/// quarter of the differences on a standard stream. For a difference `d` in
 /// `[τ, 2τ)` or `(−2τ, −τ]`, `rem_euclid`'s `fmod` returns `d ∓ τ`, and
 /// that subtraction is exact (Sterbenz), so one shift by τ lands `d` in
 /// the fast range with the remainder's bits and no libm call. The one

@@ -19,9 +19,13 @@
 //!   the whole sum with it);
 //! * at extract, each channel whose reads changed derives its axis, folds
 //!   its reads onto it and reads off its spread, with the batch
-//!   expressions in the batch order. The π majority vote recounts only the
-//!   channels whose reads or unwrapped axis changed: the tallies are
-//!   integers, so a kept count is the count a recount would give;
+//!   expressions in the batch order and the batch's fold decisions (one
+//!   sign test per grid read, the exact distance otherwise). The π
+//!   majority vote of a channel whose reads the sign test all decided is
+//!   its tally of shifted reads, or of the rest, by the parity of its
+//!   unwrap; any other channel recounts exactly when its reads or
+//!   unwrapped axis changed. The tallies are integers, so a kept count is
+//!   the count a recount would give;
 //! * the robust fit's Theil–Sen seed comes from a cache of the pairwise
 //!   slopes that selects the batch median from the same values.
 //!
@@ -51,12 +55,11 @@
 //! [`robust_line_fit_with`]: crate::robust::robust_line_fit_with
 
 use std::collections::VecDeque;
-use std::f64::consts::{FRAC_PI_2, PI};
+use std::f64::consts::PI;
 
+use crate::fold::{self, FoldAxis};
 use crate::linfit::{FitError, LineFit};
-use crate::preprocess::{
-    order_channels, wrap_tau, wrapped_distance, ChannelObservation, PreprocessError, RawRead,
-};
+use crate::preprocess::{order_channels, wrap_tau, ChannelObservation, PreprocessError, RawRead};
 use crate::robust::{robust_line_fit_seeded, RobustSummary};
 use crate::stats;
 use crate::trig::{self, hit};
@@ -125,7 +128,9 @@ struct StoredRead {
 /// the last extract derived from them.
 #[derive(Debug, Default)]
 struct ChannelState {
-    chan: usize,
+    /// The channel id (below [`MAX_CHANNELS`](crate::preprocess::MAX_CHANNELS),
+    /// so 32 bits hold it).
+    chan: u32,
     fifo: VecDeque<StoredRead>,
     /// Timestamp and frequency of the oldest retained read, inline so that
     /// expiry and channel ordering need not touch the ring.
@@ -141,15 +146,29 @@ struct ChannelState {
     dirty: bool,
     axis: f64,
     spread: f64,
-    /// The π-vote tally of the reads against `vote_axis`, the unwrapped
-    /// axis it was counted against (NaN: count again).
-    votes: usize,
-    vote_axis: f64,
+    votes: Votes,
+}
+
+/// How a channel's π votes are counted, settled by its last derive.
+#[derive(Debug, Clone, Copy)]
+enum Votes {
+    /// The sign test decided every read, `shifted` of them folded by π: the
+    /// votes follow from the parity of the unwrap.
+    Parity { shifted: usize },
+    /// Some read took the exact path: `votes` reads lie within π/2 of the
+    /// unwrapped axis `against` (NaN: count again).
+    Exact { votes: usize, against: f64 },
+}
+
+impl Default for Votes {
+    fn default() -> Self {
+        Votes::Exact { votes: 0, against: f64::NAN }
+    }
 }
 
 impl ChannelState {
     fn new(chan: usize) -> Self {
-        ChannelState { chan, ..Default::default() }
+        ChannelState { chan: chan as u32, ..Default::default() }
     }
 
     /// Re-accumulates the running sums from the retained reads in FIFO
@@ -171,30 +190,63 @@ impl ChannelState {
 
     /// Derives the axis and spread from the running sums and, in π-jump
     /// mode, one fold pass over the reads: the batch per-slot expressions,
-    /// with the fold sums accumulated in the batch order.
+    /// with the fold sums accumulated in the batch order and each read's
+    /// fold decided as batch pass 2 decides it.
     fn derive(&mut self, pi_mode: bool, hits: &mut [u64; 2]) {
         let (sin, cos) = (self.acc_sin, self.acc_cos);
         let n = self.fifo.len() as f64;
-        let r = (sin * sin + cos * cos).sqrt() / n;
         let first_phase = self.fifo[0].phase;
         if pi_mode {
-            let doubled_mean = if r < 1e-12 { 2.0 * first_phase } else { sin.atan2(cos) };
-            self.axis = doubled_mean / 2.0;
+            let fold = FoldAxis::new(sin, cos, self.fifo.len(), first_phase);
+            self.axis = fold.axis;
+            let table = trig::fold_table();
             let (mut fold_sin, mut fold_cos) = (0.0, 0.0);
+            let (mut shifted, mut exact) = (0usize, false);
             for sr in &self.fifo {
-                let shift = wrapped_distance(sr.phase, self.axis) > FRAC_PI_2;
-                let [s, c] = fold_phasor(sr.phase, shift, hits);
+                let code = trig::code_for_phase(sr.phase);
+                let shift = match fold.sign_test(code, table) {
+                    Some(shift) => shift,
+                    None => {
+                        exact = true;
+                        fold.exact_shift(sr.phase)
+                    }
+                };
+                let [s, c] = fold_phasor(sr.phase, code, shift, hits);
                 fold_sin += s;
                 fold_cos += c;
+                shifted += shift as usize;
             }
             let fr = ((fold_sin * fold_sin + fold_cos * fold_cos).sqrt() / n).min(1.0);
             self.spread = (-2.0 * fr.max(1e-300).ln()).sqrt();
+            self.votes = if exact { Votes::default() } else { Votes::Parity { shifted } };
         } else {
+            let r = (sin * sin + cos * cos).sqrt() / n;
             self.axis = if r < 1e-12 { first_phase } else { sin.atan2(cos) };
             self.spread = (-2.0 * r.clamp(1e-300, 1.0).ln()).sqrt();
         }
-        self.vote_axis = f64::NAN;
         self.dirty = false;
+    }
+
+    /// The channel's π votes against its unwrapped axis: a parity lookup
+    /// on the shift tally when the sign test decided every read and the
+    /// parity certifies, an exact count otherwise (kept while the reads
+    /// and `unwrapped` stay the same).
+    fn votes(&mut self, unwrapped: f64) -> usize {
+        if let Votes::Parity { shifted } = self.votes {
+            match fold::vote_parity(self.axis, unwrapped) {
+                Some(true) => return shifted,
+                Some(false) => return self.fifo.len() - shifted,
+                None => self.votes = Votes::default(),
+            }
+        }
+        if let Votes::Exact { votes, against } = self.votes {
+            if against.to_bits() == unwrapped.to_bits() {
+                return votes;
+            }
+        }
+        let votes = self.fifo.iter().filter(|sr| fold::exact_vote(sr.phase, unwrapped)).count();
+        self.votes = Votes::Exact { votes, against: unwrapped };
+        votes
     }
 }
 
@@ -647,7 +699,7 @@ impl StreamingWindow {
             &mut self.order,
             &self.slot_of,
             channels.len(),
-            |s| channels[s].chan,
+            |s| channels[s].chan as usize,
             |s| channels[s].fifo.len() >= min_reads,
             |s| channels[s].first_freq,
         );
@@ -659,21 +711,12 @@ impl StreamingWindow {
         }
         if pi_mode {
             angle::unwrap_in_place_period(&mut self.phase_col, PI);
-            // Global π majority vote over every retained read, recounted
-            // only for channels whose reads or unwrapped axis changed.
+            // Global π majority vote over every retained read: a parity
+            // lookup per channel, or its exact count.
             let (mut votes, mut total) = (0usize, 0usize);
             for (k, &s) in self.order.iter().enumerate() {
                 let ch = &mut self.channels[s];
-                let unwrapped = self.phase_col[k];
-                if ch.vote_axis.to_bits() != unwrapped.to_bits() {
-                    ch.votes = ch
-                        .fifo
-                        .iter()
-                        .filter(|sr| wrapped_distance(sr.phase, unwrapped) <= FRAC_PI_2)
-                        .count();
-                    ch.vote_axis = unwrapped;
-                }
-                votes += ch.votes;
+                votes += ch.votes(self.phase_col[k]);
                 total += ch.fifo.len();
             }
             if 2 * votes < total {
@@ -693,7 +736,7 @@ impl StreamingWindow {
             let ch = &self.channels[s];
             let phase = self.phase_col[k];
             out.push(ChannelObservation {
-                channel: ch.chan,
+                channel: ch.chan as usize,
                 frequency_hz: ch.first_freq,
                 phase,
                 rssi_dbm: ch.sum_rssi / ch.fifo.len() as f64,
@@ -771,10 +814,11 @@ fn acc_phasor(phase: f64, pi_mode: bool, hits: &mut [u64; 2]) -> [f64; 2] {
 }
 
 /// The fold-pass phasor `[sin, cos]` of a read's phase, shifted by π when
-/// `shift`: the batch pass-2 expressions, looked up like [`acc_phasor`].
+/// `shift`: the batch pass-2 expressions, looked up like [`acc_phasor`]
+/// by the phase's `code`.
 #[inline]
-fn fold_phasor(phase: f64, shift: bool, hits: &mut [u64; 2]) -> [f64; 2] {
-    match trig::code_for_phase(phase) {
+fn fold_phasor(phase: f64, code: Option<u16>, shift: bool, hits: &mut [u64; 2]) -> [f64; 2] {
+    match code {
         Some(code) => {
             hits[hit::TABLE] += 1;
             trig::fold_table()[((code as usize) << 1) | shift as usize]
@@ -864,6 +908,15 @@ mod tests {
     #[test]
     fn stored_read_is_32_bytes() {
         assert_eq!(std::mem::size_of::<StoredRead>(), 32);
+    }
+
+    /// A channel's state is no larger than it was with the recount cache
+    /// (a `usize` tally and its `f64` axis): the channel id's 32 bits make
+    /// room for the vote bookkeeping's tag.
+    #[test]
+    fn channel_state_is_at_most_120_bytes() {
+        let size = std::mem::size_of::<ChannelState>();
+        assert!(size <= 120, "{size} bytes");
     }
 
     /// A freshly filled window (no expiry yet) is bit-identical to the

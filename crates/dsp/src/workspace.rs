@@ -266,9 +266,12 @@ pub struct FrontEndWorkspace {
     pub(crate) first_phase: Vec<f64>,
     /// slot → Σ rssi.
     pub(crate) sum_rssi: Vec<f64>,
-    /// slot → Σ sin(2p) (π-jump mode) or Σ sin(p).
+    /// slot → Σ sin(2p) (π-jump mode) or Σ sin(p); in π-jump mode, once
+    /// the axis is derived, the sine of the axis (its unit vector's first
+    /// component, for pass 2's sign test).
     pub(crate) acc_sin: Vec<f64>,
-    /// slot → Σ cos(2p) (π-jump mode) or Σ cos(p).
+    /// slot → Σ cos(2p) (π-jump mode) or Σ cos(p); in π-jump mode, once
+    /// the axis is derived, the cosine of the axis.
     pub(crate) acc_cos: Vec<f64>,
     /// slot → recovered per-channel axis/mean phase.
     pub(crate) axis: Vec<f64>,

@@ -449,3 +449,104 @@ fn robust_floor_ranking_matches_reference() {
     let slope_tol = 1e-9 * (1.0 + expected.fit.slope.abs());
     assert!((actual.fit.slope - expected.fit.slope).abs() <= slope_tol);
 }
+
+/// A grid read of `code` (taken modulo 4096) on `channel` at `t`.
+fn grid_read(channel: usize, code: usize, t: f64) -> RawRead {
+    let code = (code % trig::PHASE_CODES) as u16;
+    RawRead {
+        channel,
+        frequency_hz: 902.75e6 + channel as f64 * 0.5e6,
+        phase: code as f64 * trig::PHASE_LSB_RAD,
+        rssi_dbm: -55.0 - 0.1 * channel as f64,
+        timestamp_s: t,
+        phase_code: Some(code),
+    }
+}
+
+/// A window whose channel 0 holds the grid reads x, x, x, x + π/2: the
+/// double-angle axis is x, so the last read sits on the channel's fold
+/// boundary, inside the sign test's margin. Ordinary channels with π
+/// jumps follow.
+fn fold_boundary_window(x: usize) -> Vec<RawRead> {
+    let mut reads: Vec<RawRead> = [x, x, x, x + trig::PHASE_CODES / 4]
+        .iter()
+        .enumerate()
+        .map(|(k, &c)| grid_read(0, c, 0.01 * k as f64))
+        .collect();
+    for ch in 1..8 {
+        for k in 0..4 {
+            let code = x + 40 * ch + k + (k % 2) * trig::PHASE_CODES / 2;
+            reads.push(grid_read(ch, code, 0.2 * ch as f64 + 0.01 * k as f64));
+        }
+    }
+    reads
+}
+
+/// Asserts `actual` equals the reference observations bit for bit.
+fn assert_bitwise(actual: &[rfp_dsp::ChannelObservation], reads: &[RawRead], ctx: &str) {
+    let expected = reference::preprocess_reads(reads, &PreprocessConfig::default()).unwrap();
+    assert_eq!(actual.len(), expected.len(), "{ctx}");
+    for (a, e) in actual.iter().zip(&expected) {
+        assert_eq!(a.channel, e.channel, "{ctx}");
+        assert_eq!(a.phase.to_bits(), e.phase.to_bits(), "{ctx}: channel {}", a.channel);
+        let spreads = (a.phase_spread.to_bits(), e.phase_spread.to_bits());
+        assert_eq!(spreads.0, spreads.1, "{ctx}: channel {}", a.channel);
+        assert_eq!(a.rssi_dbm.to_bits(), e.rssi_dbm.to_bits(), "{ctx}: channel {}", a.channel);
+        assert_eq!(a.read_count, e.read_count, "{ctx}");
+    }
+}
+
+/// A read on its channel's fold boundary leaves the sign test for the
+/// exact distances, so the window stays bit-identical to the reference
+/// for every boundary code, in batch and through a streaming window
+/// (whose boundary channel counts its votes exactly, and keeps that
+/// count while only another channel changes).
+#[test]
+fn fold_boundary_reads_are_bit_identical_to_reference() {
+    let (mut ws, mut out) = (FrontEndWorkspace::default(), Vec::new());
+    for x in 0..trig::PHASE_CODES {
+        let reads = fold_boundary_window(x);
+        let batch = preprocess_reads(&reads, &PreprocessConfig::default()).unwrap();
+        assert_bitwise(&batch, &reads, &format!("batch, x = {x}"));
+
+        let mut win = rfp_dsp::StreamingWindow::new(rfp_dsp::ExtractConfig::paper());
+        for r in &reads {
+            win.push(r);
+        }
+        win.extract_into(&mut ws, &mut out).unwrap();
+        assert_bitwise(&out, &reads, &format!("streaming, x = {x}"));
+        let mut grown = reads.clone();
+        grown.push(grid_read(5, x + 203, 2.0));
+        win.push(&grown[grown.len() - 1]);
+        win.extract_into(&mut ws, &mut out).unwrap();
+        assert_bitwise(&out, &grown, &format!("streaming after a push, x = {x}"));
+    }
+}
+
+/// A steep 100-channel window whose unwrap climbs 1.4 rad a channel, to
+/// about 140 rad: past 64 rad of unwrap the parity of the vote is not
+/// certified, and those channels count their votes on the exact path.
+/// Bit-identical to the reference in batch and through a streaming
+/// window.
+#[test]
+fn unwrap_beyond_the_parity_span_is_bit_identical_to_reference() {
+    let codes_per_rad = trig::PHASE_CODES as f64 / std::f64::consts::TAU;
+    let mut reads = Vec::new();
+    for ch in 0..100 {
+        for k in 0..3 {
+            let phase = 0.3 + 1.4 * ch as f64 + 0.002 * k as f64;
+            let code = (phase * codes_per_rad).round() as usize + (k % 2) * trig::PHASE_CODES / 2;
+            reads.push(grid_read(ch, code, 0.2 * ch as f64 + 0.01 * k as f64));
+        }
+    }
+    let batch = preprocess_reads(&reads, &PreprocessConfig::default()).unwrap();
+    assert!(batch.last().unwrap().phase > 100.0, "the unwrap climbs past the span");
+    assert_bitwise(&batch, &reads, "batch");
+    let (mut ws, mut out) = (FrontEndWorkspace::default(), Vec::new());
+    let mut win = rfp_dsp::StreamingWindow::new(rfp_dsp::ExtractConfig::paper());
+    for r in &reads {
+        win.push(r);
+    }
+    win.extract_into(&mut ws, &mut out).unwrap();
+    assert_bitwise(&out, &reads, "streaming");
+}
