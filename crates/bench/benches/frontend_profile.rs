@@ -5,11 +5,13 @@
 //! frozen pre-rework allocating implementations in [`rfp_oracle::frontend`]
 //! (DESIGN.md §6).
 //!
-//! Each density is a pool of distinct windows (every antenna of
-//! [`POOL_TAGS`] tags spread over the working region), and the timed
-//! samples visit them in turn, both paths in the same order. Repeating
-//! one window would let the branch predictor learn it and flatter
-//! whichever path branches more; a survey never shows a window twice.
+//! Each pool holds distinct windows (every antenna of [`POOL_TAGS`] tags
+//! spread over the working region): three densities of the standard 2-D
+//! survey, and the benchmark's six-antenna cluttered room, where the
+//! robust fit really rejects channels. The timed samples visit a pool's
+//! windows in turn, both paths in the same order. Repeating one window
+//! would let the branch predictor learn it and flatter whichever path
+//! branches more; a survey never shows a window twice.
 //!
 //! The two paths compute the same observation (the property suite
 //! `frontend_workspace` pins them together); the difference is purely
@@ -40,10 +42,10 @@ use rfp_bench::report;
 use rfp_dsp::preprocess::{preprocess_reads_with, PreprocessConfig, RawRead};
 use rfp_dsp::robust::{robust_line_fit_with, RobustFitConfig};
 use rfp_dsp::{FitWorkspace, FrontEndWorkspace};
-use rfp_geom::Vec2;
+use rfp_geom::{Vec2, Vec3};
 use rfp_obs::JsonValue;
 use rfp_oracle::frontend as reference;
-use rfp_sim::{Motion, Scene, SimTag};
+use rfp_sim::{Motion, MultipathEnvironment, Scene, SimTag};
 use std::hint::black_box;
 use std::time::{Duration, Instant};
 
@@ -85,27 +87,61 @@ fn timed(f: impl FnOnce()) -> Duration {
     t0.elapsed()
 }
 
-/// Every antenna's raw reads of [`POOL_TAGS`] static tags of the
-/// paper-like simulated survey, spread over the working region, with the
-/// window density controlled by the reader's reads-per-channel dwell.
-fn window_pool(reads_per_channel: usize) -> Vec<Vec<RawRead>> {
+/// Every antenna's raw reads of [`POOL_TAGS`] static tags surveyed in
+/// `scene`, tag `k` placed by `motion(k)`, but for windows too thin to fit
+/// a line (an antenna that barely reads a tag, as the pipelines drop it).
+fn window_pool(scene: &Scene, motion: impl Fn(u64) -> Motion) -> Vec<Vec<RawRead>> {
+    let mut pool = Vec::new();
+    for k in 0..POOL_TAGS {
+        let tag = SimTag::with_seeded_diversity(k).with_motion(motion(k));
+        pool.extend(scene.survey(&tag, 31 + k).per_antenna.into_iter().filter(|reads| {
+            reference::preprocess_reads(reads, &PreprocessConfig::default())
+                .is_ok_and(|channels| channels.len() >= 2)
+        }));
+    }
+    pool
+}
+
+/// The paper-like simulated survey's windows, spread over the working
+/// region, with the window density controlled by the reader's
+/// reads-per-channel dwell.
+fn standard_pool(reads_per_channel: usize) -> Vec<Vec<RawRead>> {
     let scene = Scene::standard_2d();
     let reader = scene.reader().with_reads_per_channel(reads_per_channel);
     let scene = scene.with_reader(reader);
     let (lo, hi) = (scene.region().min(), scene.region().max());
-    let mut pool = Vec::new();
-    for k in 0..POOL_TAGS {
+    window_pool(&scene, |k| {
         // A 16 × 8 grid over the region, each tag at its own orientation.
         let (i, j) = ((k % 16) as f64, (k / 16) as f64);
         let position = Vec2::new(
             lo.x + (hi.x - lo.x) * (i + 0.5) / 16.0,
             lo.y + (hi.y - lo.y) * (j + 0.5) / 8.0,
         );
-        let tag = SimTag::with_seeded_diversity(k)
-            .with_motion(Motion::planar_static(position, 0.37 * k as f64));
-        pool.extend(scene.survey(&tag, 31 + k).per_antenna);
-    }
-    pool
+        Motion::planar_static(position, 0.37 * k as f64)
+    })
+}
+
+/// The benchmark's `cluttered_3d` room: the six-antenna 3-D deployment
+/// with the clutter of room 6, where multipath bends whole blocks of
+/// channels off the line and the robust fit rejects them.
+fn cluttered_pool() -> Vec<Vec<RawRead>> {
+    let scene = Scene::six_antenna_3d().with_environment(MultipathEnvironment::cluttered(6, 6));
+    let (lo, hi) = (scene.region().min(), scene.region().max());
+    window_pool(&scene, |k| {
+        // An 8 × 4 × 4 grid over the region and 0.1–1.4 m of height, each
+        // tag's dipole on its own direction of the sphere.
+        let (i, j, h) = ((k % 8) as f64, ((k / 8) % 4) as f64, (k / 32) as f64);
+        let position = Vec3::new(
+            lo.x + (hi.x - lo.x) * (i + 0.5) / 8.0,
+            lo.y + (hi.y - lo.y) * (j + 0.5) / 4.0,
+            0.1 + 1.3 * (h + 0.5) / 4.0,
+        );
+        let cos_theta = 1.0 - 2.0 * ((k as f64 * 0.618_034) % 1.0);
+        let phi = 2.399_963 * k as f64;
+        let sin_theta = (1.0 - cos_theta * cos_theta).sqrt();
+        let dipole = Vec3::new(sin_theta * phi.cos(), sin_theta * phi.sin(), cos_theta);
+        Motion::Static { position, dipole }
+    })
 }
 
 /// One measured stage: reference vs fused p50/p90 and the p50 ratio.
@@ -301,14 +337,20 @@ fn main() {
     }
     let (warmup, repeats) = if quick_mode() { (30, 300) } else { (100, 2000) };
 
-    // Three window densities: a sparse inventory pass, the paper's
-    // standard survey and a dense tracking window.
+    // Three window densities — a sparse inventory pass, the paper's
+    // standard survey and a dense tracking window — and the cluttered
+    // room, where the robust fit rejects channels.
     let mut windows: Vec<JsonValue> = Vec::new();
     let mut standard_window_speedup = 0.0f64;
     let mut standard_fit_speedup = 0.0f64;
     let mut standard_preprocess_speedup = 0.0f64;
-    for (label, reads_per_channel) in [("sparse", 2usize), ("standard", 8), ("dense", 24)] {
-        let pool = window_pool(reads_per_channel);
+    for label in ["sparse", "standard", "dense", "cluttered"] {
+        let pool = match label {
+            "sparse" => standard_pool(2),
+            "standard" => standard_pool(8),
+            "dense" => standard_pool(24),
+            _ => cluttered_pool(),
+        };
         let reads = pool.iter().map(Vec::len).sum::<usize>() as f64 / pool.len() as f64;
         report::section(&format!(
             "{label} windows ({} distinct, {reads:.0} reads on average)",

@@ -146,7 +146,7 @@ pub(crate) fn exact_vote(phase: f64, unwrapped: f64) -> bool {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::preprocess::{preprocess_reads_with, wrap_tau, PreprocessConfig, RawRead};
     use crate::trig::{self, PHASE_CODES, PHASE_LSB_RAD};
@@ -297,21 +297,16 @@ mod tests {
         reads
     }
 
-    /// Every antenna window of a `standard_2d` survey of 16 static tags
-    /// spread over the working region.
-    fn standard_survey_windows() -> Vec<Vec<RawRead>> {
-        use rfp_sim::{Motion, Scene, SimTag};
-        let scene = Scene::standard_2d();
-        let (lo, hi) = (scene.region().min(), scene.region().max());
+    /// Every antenna window of a survey of `tags` static tags in `scene`,
+    /// tag `k` placed by `motion(k)` and surveyed at seed `31 + k`.
+    pub(crate) fn survey_windows(
+        scene: &rfp_sim::Scene,
+        tags: u64,
+        motion: impl Fn(u64) -> rfp_sim::Motion,
+    ) -> Vec<Vec<RawRead>> {
         let mut windows = Vec::new();
-        for k in 0..16u64 {
-            let (i, j) = ((k % 4) as f64, (k / 4) as f64);
-            let position = Vec2::new(
-                lo.x + (hi.x - lo.x) * (i + 0.5) / 4.0,
-                lo.y + (hi.y - lo.y) * (j + 0.5) / 4.0,
-            );
-            let tag = SimTag::with_seeded_diversity(k)
-                .with_motion(Motion::planar_static(position, 0.37 * k as f64));
+        for k in 0..tags {
+            let tag = rfp_sim::SimTag::with_seeded_diversity(k).with_motion(motion(k));
             for reads in scene.survey(&tag, 31 + k).per_antenna {
                 windows.push(
                     reads
@@ -329,6 +324,21 @@ mod tests {
             }
         }
         windows
+    }
+
+    /// Every antenna window of a `standard_2d` survey of `side`² static
+    /// tags on a grid over the working region.
+    pub(crate) fn standard_survey_windows(side: u64) -> Vec<Vec<RawRead>> {
+        let scene = rfp_sim::Scene::standard_2d();
+        let (lo, hi) = (scene.region().min(), scene.region().max());
+        survey_windows(&scene, side * side, |k| {
+            let (i, j) = ((k % side) as f64 + 0.5, (k / side) as f64 + 0.5);
+            let position = Vec2::new(
+                lo.x + (hi.x - lo.x) * i / side as f64,
+                lo.y + (hi.y - lo.y) * j / side as f64,
+            );
+            rfp_sim::Motion::planar_static(position, 0.37 * k as f64)
+        })
     }
 
     /// Reads the batch front end and a streaming window send to the exact
@@ -353,7 +363,7 @@ mod tests {
     /// exact path, in batch and in a streaming window alike.
     #[test]
     fn survey_reads_take_the_sign_test_and_boundary_reads_the_exact_path() {
-        let windows = standard_survey_windows();
+        let windows = standard_survey_windows(4);
         assert_eq!(windows.len(), 48);
         for (i, reads) in windows.iter().enumerate() {
             assert!(reads.iter().all(|r| r.phase_code.is_some()), "window {i} is on the grid");

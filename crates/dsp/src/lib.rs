@@ -8,8 +8,9 @@
 //!   reported phase by π at random), circular per-channel averaging, and
 //!   2π unwrapping across channels, in two passes over the reads.
 //! * [`linfit`] — ordinary/weighted least-squares and Theil–Sen line fits
-//!   (the Theil–Sen median selected inside a band around the OLS slope)
-//!   with goodness-of-fit diagnostics. Linear fitting is the workhorse of
+//!   (one vectorizable sweep over the pairs, the median selected inside a
+//!   band around a trimmed least-squares pilot slope) with goodness-of-fit
+//!   diagnostics. Linear fitting is the workhorse of
 //!   the whole system: the multi-frequency model (paper Eq. 6) reduces each
 //!   antenna's observation to the slope and intercept of a line.
 //! * [`robust`] — iterative outlier-channel rejection, the paper's
@@ -20,7 +21,8 @@
 //!   ([`StreamingWindow`]): per-channel running sums that grow on read
 //!   arrival, with a channel re-accumulated from its kept reads when some
 //!   expire, so an advance pays for the reads and channels that changed
-//!   instead of a batch recompute, and extracts bit-identically to it.
+//!   instead of a batch recompute, and extracts bit-identically to it; its
+//!   robust fit is the batch kernel's.
 //! * [`stats`] — small statistics helpers (mean, std, median, MAD,
 //!   percentiles, empirical CDFs) shared by the solver and the experiment
 //!   harness.

@@ -9,9 +9,10 @@
 //! * [`weighted_ols`] — per-point weights (e.g. read counts per channel);
 //! * [`theil_sen`] — median-of-slopes, used to seed the robust multipath
 //!   rejection with an estimate that tolerates up to ~29 % corrupted
-//!   channels. The median is selected inside a narrow value band around
-//!   the OLS slope ([`theil_sen_with`]), so only the ~10 % of pairwise
-//!   slopes near it take part in the selection.
+//!   channels. One vectorizable sweep stores every pairwise slope, and the
+//!   median is selected inside a narrow value band around a trimmed
+//!   least-squares pilot slope ([`theil_sen_with`]), so only the ~12 % of
+//!   pairwise slopes near it take part in the selection.
 
 use crate::stats;
 use crate::workspace::{fit_diagnostics, FitWorkspace};
@@ -75,7 +76,9 @@ pub enum FitError {
     DegenerateX,
     /// A weight was negative or all weights were zero.
     BadWeights,
-    /// The fitted line is not finite: the sums overflowed.
+    /// A non-finite value broke the fit: the least-squares sums
+    /// overflowed, or a NaN (a NaN input, or one that ∞ − ∞ or 0 · ∞ made)
+    /// reached a Theil–Sen or residual median.
     NonFinite,
 }
 
@@ -86,7 +89,7 @@ impl std::fmt::Display for FitError {
             FitError::LengthMismatch => write!(f, "input slices have different lengths"),
             FitError::DegenerateX => write!(f, "all x values coincide; slope undefined"),
             FitError::BadWeights => write!(f, "weights must be non-negative with positive sum"),
-            FitError::NonFinite => write!(f, "the fitted line is not finite"),
+            FitError::NonFinite => write!(f, "a non-finite value broke the fit"),
         }
     }
 }
@@ -186,7 +189,8 @@ pub fn weighted_ols(xs: &[f64], ys: &[f64], weights: &[f64]) -> Result<LineFit, 
 ///
 /// # Errors
 ///
-/// As [`ols`].
+/// As [`ols`], plus [`FitError::NonFinite`] when a NaN (or an ∞ that
+/// makes one) reaches a median.
 pub fn theil_sen(xs: &[f64], ys: &[f64]) -> Result<LineFit, FitError> {
     theil_sen_with(&mut FitWorkspace::default(), xs, ys)
 }
@@ -194,16 +198,25 @@ pub fn theil_sen(xs: &[f64], ys: &[f64]) -> Result<LineFit, FitError> {
 /// [`theil_sen`] against caller-owned scratch, with zero allocations
 /// once the slope buffer is sized. Returns the same fit as [`theil_sen`].
 ///
-/// The median of the O(n²) pairwise slopes is selected inside a value
-/// band around the [`ols`] slope of the same columns, of half-width
-/// `0.5 · σ / x-span` (σ that fit's `residual_std`): one branch-free sweep
-/// enumerates the pairs, counts the slopes below the band and keeps only
-/// those inside it, and the median is selected among those few
-/// (`stats::band_median`). The band partitions the multiset by value,
-/// so when it covers the median rank(s) the read-out is exactly the
-/// order statistic a selection over every slope picks. When it does not,
-/// or the columns are not finite, every slope is collected and selected
-/// as before.
+/// The median pairwise slope is exact, and every pair is divided once:
+///
+/// 1. one sweep stores every pair's slope at its own index of the
+///    workspace's slope buffer (NaN for a pair whose abscissae coincide),
+///    with no loop-carried store index, so it vectorizes; the same pass
+///    counts the valid slopes and those below and inside a value band
+///    centred on a pilot line (least squares refitted without the points
+///    beyond 2σ of it, which a cluttered room's multipath rarely pulls
+///    off the median);
+/// 2. when that band covers the median rank(s), its members are
+///    compacted in place to the front of the buffer and the median is
+///    selected among them, shifted by the count below
+///    (`stats::band_median`);
+/// 3. otherwise a second band is read off an evenly spaced sample of the
+///    stored slopes, then counted, compacted and selected the same way;
+/// 4. otherwise every valid slope is selected.
+///
+/// A band partitions the slopes by value, so each path reads out the
+/// order statistics a selection over every slope picks.
 ///
 /// # Errors
 ///
@@ -219,94 +232,238 @@ pub fn theil_sen_with(
     if xs.len() < 2 {
         return Err(FitError::TooFewPoints);
     }
-    let slope = match banded_median_slope(ws, xs, ys) {
-        Some(slope) => slope,
-        None => {
-            ws.slopes.clear();
-            for i in 0..xs.len() {
-                for j in (i + 1)..xs.len() {
-                    let dx = xs[j] - xs[i];
-                    if dx.abs() > 0.0 {
-                        ws.slopes.push((ys[j] - ys[i]) / dx);
-                    }
-                }
-            }
-            if ws.slopes.is_empty() {
-                return Err(FitError::DegenerateX);
-            }
-            stats::median_in_place(&mut ws.slopes).expect("nonempty")
-        }
-    };
+    let slope = median_slope(&mut ws.slopes, xs, ys)?;
     theil_sen_from_slope(ws, xs, ys, slope)
 }
 
-/// The median pairwise slope of [`theil_sen_with`] selected inside the
-/// band around the OLS slope, or `None` when the band misses the median
-/// rank(s) or cannot be placed (non-finite columns or band, no pair with
-/// distinct abscissae).
-fn banded_median_slope(ws: &mut FitWorkspace, xs: &[f64], ys: &[f64]) -> Option<f64> {
+/// Half-width of the pilot band, in residual σ of the trimmed pilot line
+/// per unit of x-span.
+const PILOT_HALF_WIDTH: f64 = 0.75;
+/// A point further than this many σ from the least-squares line sits out
+/// the pilot line's refit.
+const PILOT_TRIM: f64 = 2.0;
+/// Stored slopes sampled, evenly spaced, for the second band.
+const SAMPLE: usize = 128;
+/// The second band spans this many sample ranks each side of the
+/// sample's median.
+const SAMPLE_RANKS: usize = 14;
+
+/// The median of the pairwise slopes of `(xs, ys)` (lengths equal, at
+/// least two points), with `slopes` as the pair buffer.
+fn median_slope(slopes: &mut Vec<f64>, xs: &[f64], ys: &[f64]) -> Result<f64, FitError> {
     let n = xs.len();
-    let fit = ols(xs, ys).ok()?;
-    let (mut x_lo, mut x_hi, mut y_lo, mut y_hi) =
-        (f64::INFINITY, f64::NEG_INFINITY, f64::INFINITY, f64::NEG_INFINITY);
-    for (&x, &y) in xs.iter().zip(ys) {
-        (x_lo, x_hi, y_lo, y_hi) = (x_lo.min(x), x_hi.max(x), y_lo.min(y), y_hi.max(y));
-    }
-    let half = 0.5 * fit.residual_std / (x_hi - x_lo);
-    let (lo, hi) = (fit.slope - half, fit.slope + half);
-    // Finite spans keep every pair's dx and dy finite, so no slope is NaN
-    // and the three-way classification below is total.
-    if !((x_hi - x_lo).is_finite() && (y_hi - y_lo).is_finite() && lo.is_finite() && hi.is_finite())
-    {
-        return None;
-    }
     let pairs = n * (n - 1) / 2;
-    if ws.slopes.len() < pairs {
-        ws.slopes.resize(pairs, 0.0);
+    if slopes.len() < pairs {
+        slopes.resize(pairs, 0.0);
     }
-    let band = &mut ws.slopes[..pairs];
-    let (mut valid, mut below, mut kept) = (0usize, 0usize, 0usize);
-    for i in 0..n {
-        let (xi, yi) = (xs[i], ys[i]);
-        for j in (i + 1)..n {
-            let dx = xs[j] - xi;
-            let slope = (ys[j] - yi) / dx;
-            let ok = dx.abs() > 0.0;
-            valid += ok as usize;
-            below += (ok & (slope < lo)) as usize;
-            // Written unconditionally, kept only when inside the band.
-            band[kept] = slope;
-            kept += (ok & (slope >= lo) & (slope <= hi)) as usize;
+    let slopes = &mut slopes[..pairs];
+    // Finite columns with finite spans keep every pair's dx and dy finite,
+    // so no valid slope is NaN and NaN marks exactly the invalid pairs.
+    // Columns without a pilot band, the non-finite ones among them, take
+    // an empty band and are checked for NaN slopes.
+    let pilot = pilot_band(xs, ys);
+    let (lo, hi) = pilot.unwrap_or((f64::NAN, f64::NAN));
+    let (valid, below, inside) = sweep(xs, ys, lo, hi, slopes);
+    if valid == 0 {
+        return Err(FitError::DegenerateX);
+    }
+    if pilot.is_none() && slopes.iter().filter(|s| !s.is_nan()).count() != valid {
+        return Err(FitError::NonFinite);
+    }
+    if let Some(median) = band_select(slopes, lo, hi, below, inside, valid) {
+        return Ok(median);
+    }
+    if let Some((lo, hi)) = sample_band(slopes) {
+        let (mut below, mut inside) = (0usize, 0usize);
+        for &v in slopes.iter() {
+            below += (v < lo) as usize;
+            inside += ((v >= lo) & (v <= hi)) as usize;
+        }
+        if let Some(median) = band_select(slopes, lo, hi, below, inside, valid) {
+            return Ok(median);
         }
     }
-    stats::band_median(&mut band[..kept], below, valid)
+    #[cfg(test)]
+    tests::tally(|t| t.full += 1);
+    let kept = compact(slopes, |v| !v.is_nan());
+    Ok(stats::median_in_place(&mut slopes[..kept]).expect("a valid slope"))
 }
 
-/// Completes a Theil–Sen fit from a precomputed median pairwise `slope`:
-/// intercept is the median of `y − slope·x`, diagnostics are the shared
-/// ones. Passing the slope [`theil_sen_with`] would compute on the same
-/// columns yields a bit-identical [`LineFit`] — this is the tail of that
-/// function, split out so incremental callers that maintain the O(n²)
-/// pairwise-slope multiset across sliding-window advances can skip the
-/// pair enumeration without changing a single output bit.
-///
-/// # Errors
-///
-/// As [`ols`] (length mismatch, fewer than two points).
-pub fn theil_sen_from_slope(
+/// Stores the slope of every pair `i < j` at its index of `slopes` (row
+/// by row, NaN where the abscissae coincide) and returns the counts of
+/// valid slopes, of slopes below `lo`, and of slopes inside `[lo, hi]`.
+fn sweep(xs: &[f64], ys: &[f64], lo: f64, hi: f64, slopes: &mut [f64]) -> (usize, usize, usize) {
+    let (mut valid, mut below, mut inside) = (0usize, 0usize, 0usize);
+    let mut start = 0;
+    for i in 0..xs.len() - 1 {
+        let (xi, yi) = (xs[i], ys[i]);
+        let row = &mut slopes[start..start + xs.len() - 1 - i];
+        start += row.len();
+        #[cfg(test)]
+        tests::tally(|t| t.divided += row.len());
+        for ((s, &xj), &yj) in row.iter_mut().zip(&xs[i + 1..]).zip(&ys[i + 1..]) {
+            let dx = xj - xi;
+            let ok = dx.abs() > 0.0;
+            let v = if ok { (yj - yi) / dx } else { f64::NAN };
+            *s = v;
+            valid += ok as usize;
+            below += (v < lo) as usize;
+            inside += ((v >= lo) & (v <= hi)) as usize;
+        }
+    }
+    (valid, below, inside)
+}
+
+/// The median of the `total` valid `slopes` when the band `[lo, hi]`,
+/// with `below` slopes under it and `inside` in it, covers the median
+/// rank(s): the band's members are compacted in place to the front of
+/// `slopes` and selected. `None`, and `slopes` untouched, otherwise.
+fn band_select(
+    slopes: &mut [f64],
+    lo: f64,
+    hi: f64,
+    below: usize,
+    inside: usize,
+    total: usize,
+) -> Option<f64> {
+    if !stats::band_covers(below, inside, total) {
+        return None;
+    }
+    let kept = compact(slopes, |v| (v >= lo) & (v <= hi));
+    stats::band_median(&mut slopes[..kept], below, total)
+}
+
+/// Moves the values `keep` admits to the front of `slopes`, in order, and
+/// returns their count. Each block of 64 values is tested into a bitmask
+/// first (a pass that vectorizes), and only the kept values are moved, so
+/// a band of ~12% members costs a mask per block and a move per member
+/// instead of a store per value. A value moves to an index no greater than
+/// its own, so no value is overwritten before it is read.
+fn compact(slopes: &mut [f64], keep: impl Fn(f64) -> bool) -> usize {
+    let mut kept = 0usize;
+    for start in (0..slopes.len()).step_by(64) {
+        let block = &slopes[start..slopes.len().min(start + 64)];
+        let mut bits = 0u64;
+        for (l, &v) in block.iter().enumerate() {
+            bits |= (keep(v) as u64) << l;
+        }
+        while bits != 0 {
+            slopes[kept] = slopes[start + bits.trailing_zeros() as usize];
+            kept += 1;
+            bits &= bits - 1;
+        }
+    }
+    kept
+}
+
+/// The pilot band: centred on the slope of the least-squares line refitted
+/// without the points beyond [`PILOT_TRIM`] σ of it, of half-width
+/// [`PILOT_HALF_WIDTH`] · σ / x-span (σ the refit's). `None` when a column
+/// or its span is not finite.
+fn pilot_band(xs: &[f64], ys: &[f64]) -> Option<(f64, f64)> {
+    let (mut x_lo, mut x_hi, mut y_lo, mut y_hi) =
+        (f64::INFINITY, f64::NEG_INFINITY, f64::INFINITY, f64::NEG_INFINITY);
+    let mut finite = true;
+    for (&x, &y) in xs.iter().zip(ys) {
+        finite &= x.is_finite() & y.is_finite();
+        (x_lo, x_hi, y_lo, y_hi) = (x_lo.min(x), x_hi.max(x), y_lo.min(y), y_hi.max(y));
+    }
+    let x_span = x_hi - x_lo;
+    if !(finite && x_span.is_finite() && (y_hi - y_lo).is_finite()) {
+        return None;
+    }
+    let all = PilotLine::fit(xs, ys, |_, _| true)?;
+    let cut = PILOT_TRIM * all.sigma;
+    let line = PilotLine::fit(xs, ys, |dx, dy| all.residual(dx, dy).abs() <= cut).unwrap_or(all);
+    let half = PILOT_HALF_WIDTH * line.sigma / x_span;
+    let band = (line.slope - half, line.slope + half);
+    (band.0.is_finite() && band.1.is_finite()).then_some(band)
+}
+
+/// A least-squares line `dy ≈ intercept + slope · dx` in coordinates
+/// anchored at the first point, with its residual σ, solved in one pass
+/// from raw sums: it only places a band, so a few lost digits are
+/// harmless.
+#[derive(Clone, Copy)]
+struct PilotLine {
+    intercept: f64,
+    slope: f64,
+    sigma: f64,
+}
+
+impl PilotLine {
+    /// The line through the points whose anchored coordinates `keep`
+    /// admits, or `None` when they hold fewer than two distinct abscissae.
+    fn fit(xs: &[f64], ys: &[f64], keep: impl Fn(f64, f64) -> bool) -> Option<PilotLine> {
+        let (x0, y0) = (xs[0], ys[0]);
+        let (mut m, mut sx, mut sy, mut sxx, mut sxy, mut syy) = (0.0, 0.0, 0.0, 0.0, 0.0, 0.0);
+        for (&x, &y) in xs.iter().zip(ys) {
+            let (dx, dy) = (x - x0, y - y0);
+            let w = if keep(dx, dy) { 1.0 } else { 0.0 };
+            (m, sx, sy) = (m + w, sx + w * dx, sy + w * dy);
+            (sxx, sxy, syy) = (sxx + w * dx * dx, sxy + w * dx * dy, syy + w * dy * dy);
+        }
+        let (cxx, cxy, cyy) = (sxx - sx * sx / m, sxy - sx * sy / m, syy - sy * sy / m);
+        if !(m >= 2.0 && cxx > 0.0) {
+            return None;
+        }
+        let slope = cxy / cxx;
+        let sigma = ((cyy - slope * cxy).max(0.0) / m).sqrt();
+        Some(PilotLine { intercept: (sy - slope * sx) / m, slope, sigma })
+    }
+
+    /// The residual of the point at anchored coordinates `(dx, dy)`.
+    #[inline]
+    fn residual(&self, dx: f64, dy: f64) -> f64 {
+        dy - self.intercept - self.slope * dx
+    }
+}
+
+/// The second band: the values [`SAMPLE_RANKS`] ranks either side of the
+/// median of [`SAMPLE`] evenly spaced stored slopes (invalid pairs
+/// skipped). `None` when the buffer holds fewer than [`SAMPLE`] pairs.
+fn sample_band(slopes: &[f64]) -> Option<(f64, f64)> {
+    let len = slopes.len();
+    if len < SAMPLE {
+        return None;
+    }
+    #[cfg(test)]
+    tests::tally(|t| t.sampled += 1);
+    let mut sample = [0.0; SAMPLE];
+    let mut m = 0usize;
+    for k in 0..SAMPLE {
+        let v = slopes[(2 * k + 1) * len / (2 * SAMPLE)];
+        sample[m] = v;
+        m += !v.is_nan() as usize;
+    }
+    if m == 0 {
+        return None;
+    }
+    let sample = &mut sample[..m];
+    let lo_rank = ((m - 1) / 2).saturating_sub(SAMPLE_RANKS);
+    let hi_rank = (m / 2 + SAMPLE_RANKS).min(m - 1);
+    let (_, &mut lo, upper) = sample.select_nth_unstable_by(lo_rank, f64::total_cmp);
+    let hi = if hi_rank > lo_rank {
+        *upper.select_nth_unstable_by(hi_rank - lo_rank - 1, f64::total_cmp).1
+    } else {
+        lo
+    };
+    Some((lo, hi))
+}
+
+/// Completes a Theil–Sen fit from its median pairwise `slope`: intercept
+/// is the median of `y − slope·x`, diagnostics are the shared ones.
+fn theil_sen_from_slope(
     ws: &mut FitWorkspace,
     xs: &[f64],
     ys: &[f64],
     slope: f64,
 ) -> Result<LineFit, FitError> {
-    if xs.len() != ys.len() {
-        return Err(FitError::LengthMismatch);
-    }
-    if xs.len() < 2 {
-        return Err(FitError::TooFewPoints);
-    }
     ws.scratch.clear();
     ws.scratch.extend(xs.iter().zip(ys).map(|(&x, &y)| y - slope * x));
+    if ws.scratch.iter().any(|v| v.is_nan()) {
+        return Err(FitError::NonFinite);
+    }
     let intercept = stats::median_in_place(&mut ws.scratch).expect("nonempty");
 
     let ybar = stats::mean(ys).expect("nonempty");
@@ -317,6 +474,38 @@ pub fn theil_sen_from_slope(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cell::Cell;
+
+    /// What the median kernels did on this thread.
+    #[derive(Debug, Clone, Copy, Default)]
+    pub(super) struct Tally {
+        /// Pair slopes divided.
+        pub divided: usize,
+        /// Second bands read off the stored slopes.
+        pub sampled: usize,
+        /// Selections over every valid slope.
+        pub full: usize,
+    }
+
+    thread_local! {
+        static TALLY: Cell<Tally> = Cell::new(Tally::default());
+    }
+
+    /// Updates this thread's tally.
+    pub(super) fn tally(f: impl FnOnce(&mut Tally)) {
+        TALLY.with(|c| {
+            let mut t = c.get();
+            f(&mut t);
+            c.set(t);
+        });
+    }
+
+    /// What `f` made the median kernels do.
+    fn tallied(f: impl FnOnce()) -> Tally {
+        TALLY.with(|c| c.set(Tally::default()));
+        f();
+        TALLY.with(Cell::get)
+    }
 
     #[test]
     fn ols_exact_line() {
@@ -411,31 +600,104 @@ mod tests {
         assert!((ls.slope - 1.5).abs() > 0.1, "ols should be pulled by outliers");
     }
 
-    /// The band around the OLS slope holds the median pairwise slope of a
-    /// noisy line (and reads out the full selection's value), and misses
-    /// it once a block of channels sits far off the line on one side —
-    /// the two windows `frontend_workspace` pins against the reference.
-    #[test]
-    fn band_hits_on_a_noisy_line_and_misses_under_one_sided_outliers() {
+    /// A noisy 50-channel line in the shape of a standard window.
+    fn noisy_line() -> (Vec<f64>, Vec<f64>) {
         let xs: Vec<f64> = (0..50).map(|i| 902.75e6 + 5e5 * i as f64).collect();
-        let mut ys: Vec<f64> = xs
+        let ys = xs
             .iter()
             .enumerate()
             .map(|(i, x)| {
                 1.3e-7 * (x - 902.75e6) + 0.4 + 0.02 * (((i * 7919) % 13) as f64 / 6.0 - 1.0)
             })
             .collect();
-        let mut ws = FitWorkspace::default();
-        let mut all: Vec<f64> = (0..50)
-            .flat_map(|i| ((i + 1)..50).map(move |j| (i, j)))
+        (xs, ys)
+    }
+
+    /// The median of every valid pairwise slope, selected in pair order.
+    fn full_selection(xs: &[f64], ys: &[f64]) -> f64 {
+        let mut all: Vec<f64> = (0..xs.len())
+            .flat_map(|i| ((i + 1)..xs.len()).map(move |j| (i, j)))
+            .filter(|&(i, j)| (xs[j] - xs[i]).abs() > 0.0)
             .map(|(i, j)| (ys[j] - ys[i]) / (xs[j] - xs[i]))
             .collect();
-        let banded = banded_median_slope(&mut ws, &xs, &ys).expect("band covers the median");
-        assert_eq!(banded.to_bits(), stats::median_in_place(&mut all).unwrap().to_bits());
-        for y in ys.iter_mut().skip(36) {
-            *y += 6.0;
+        stats::median_in_place(&mut all).unwrap()
+    }
+
+    /// Pin: a noisy line, and the same line with a block of 14 channels
+    /// 6 rad off it on either side (the block pulls the least-squares
+    /// slope off the median pairwise slope), read out the full
+    /// selection's bits with no full selection, dividing each of the
+    /// 1,225 pairs once.
+    #[test]
+    fn one_sided_outliers_read_out_the_full_selection_without_one() {
+        let (xs, clean) = noisy_line();
+        let mut ws = FitWorkspace::default();
+        for shift in [0.0, 6.0, -6.0] {
+            let mut ys = clean.clone();
+            for y in ys.iter_mut().skip(36) {
+                *y += shift;
+            }
+            let mut fit = None;
+            let t = tallied(|| fit = Some(theil_sen_with(&mut ws, &xs, &ys).unwrap()));
+            let fit = fit.unwrap();
+            let ols_slope = ols(&xs, &ys).unwrap().slope;
+            let expected = full_selection(&xs, &ys);
+            assert_eq!(fit.slope.to_bits(), expected.to_bits(), "shift {shift}");
+            if shift != 0.0 {
+                assert!((ols_slope - expected).abs() > 1e-8, "shift {shift}: OLS {ols_slope}");
+            }
+            assert_eq!((t.divided, t.full), (1225, 0), "shift {shift}: {t:?}");
         }
-        assert_eq!(banded_median_slope(&mut ws, &xs, &ys), None);
+    }
+
+    /// Pin: over the antenna windows of 64 static tags in `standard_2d`
+    /// and of 32 in the six-antenna 3-D scene's cluttered room, the pilot
+    /// band misses under 10% of the medians, at most 2% take the full
+    /// selection, and every pair is divided once.
+    #[test]
+    fn survey_windows_select_in_a_band_and_divide_each_pair_once() {
+        use crate::fold::tests::{standard_survey_windows, survey_windows};
+        use crate::preprocess::{preprocess_reads_with, PreprocessConfig};
+        use rfp_geom::Vec3;
+        use rfp_sim::{Motion, MultipathEnvironment, Scene};
+        let room = Scene::six_antenna_3d().with_environment(MultipathEnvironment::cluttered(6, 6));
+        let (lo, hi) = (room.region().min(), room.region().max());
+        let cluttered = survey_windows(&room, 32, |k| {
+            let (i, j, h) = ((k % 4) as f64 + 0.5, ((k / 4) % 4) as f64 + 0.5, (k / 16) as f64);
+            let position = Vec3::new(
+                lo.x + (hi.x - lo.x) * i / 4.0,
+                lo.y + (hi.y - lo.y) * j / 4.0,
+                0.3 + 0.9 * h,
+            );
+            let (theta, phi) = (0.4 + 0.7 * k as f64, 1.9 * k as f64);
+            let dipole =
+                Vec3::new(theta.sin() * phi.cos(), theta.sin() * phi.sin(), theta.cos());
+            Motion::Static { position, dipole }
+        });
+        let mut ws = crate::FrontEndWorkspace::default();
+        let mut out = Vec::new();
+        let pools = [("standard_2d", standard_survey_windows(8)), ("cluttered room", cluttered)];
+        for (label, windows) in pools {
+            let (mut pairs, mut fits) = (0, 0);
+            let t = tallied(|| {
+                for reads in &windows {
+                    if preprocess_reads_with(&mut ws, reads, &PreprocessConfig::default(), &mut out)
+                        .is_err()
+                    {
+                        continue;
+                    }
+                    let (xs, ys, fit_ws) = ws.fit_columns();
+                    pairs += xs.len() * (xs.len() - 1) / 2;
+                    fits += 1;
+                    theil_sen_with(fit_ws, xs, ys).unwrap();
+                }
+            });
+            let all = windows.len();
+            assert!(fits * 10 >= all * 9, "{label}: {fits} of {all} windows fit");
+            assert_eq!(t.divided, pairs, "{label}");
+            assert!(t.sampled * 10 < fits, "{label}: {t:?} over {fits} windows");
+            assert!(t.full * 50 <= fits, "{label}: {t:?} over {fits} windows");
+        }
     }
 
     #[test]

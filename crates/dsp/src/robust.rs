@@ -73,7 +73,8 @@ impl RobustFit {
 /// # Errors
 ///
 /// Returns [`FitError`] if the initial Theil–Sen fit cannot be computed
-/// (fewer than two points, mismatched lengths, degenerate x).
+/// (fewer than two points, mismatched lengths, degenerate x), or
+/// [`FitError::NonFinite`] when a NaN reaches a median or the refit.
 ///
 /// # Example
 ///
@@ -144,43 +145,7 @@ pub fn robust_line_fit_with(
     ys: &[f64],
     config: &RobustFitConfig,
 ) -> Result<RobustSummary, FitError> {
-    let current = linfit::theil_sen_with(ws, xs, ys)?;
-    reject_refit_loop(ws, xs, ys, config, current)
-}
-
-/// [`robust_line_fit_with`] for incremental callers: the Theil–Sen
-/// *slope* is supplied by the caller instead of recomputed from the
-/// O(n²) pairwise enumeration. The caller must pass exactly the median
-/// slope [`linfit::theil_sen_with`] would produce on `(xs, ys)` —
-/// streaming windows maintain the pairwise-slope multiset incrementally
-/// across advances and take the median of the same values in the same
-/// order, so the guarantee holds bitwise and the whole fit (seed
-/// intercept, diagnostics, every rejection round) is bit-identical to the
-/// unseeded call.
-///
-/// # Errors
-///
-/// As [`robust_line_fit`].
-pub fn robust_line_fit_seeded(
-    ws: &mut FitWorkspace,
-    xs: &[f64],
-    ys: &[f64],
-    config: &RobustFitConfig,
-    seed_slope: f64,
-) -> Result<RobustSummary, FitError> {
-    let current = linfit::theil_sen_from_slope(ws, xs, ys, seed_slope)?;
-    reject_refit_loop(ws, xs, ys, config, current)
-}
-
-/// The shared reject-refit loop behind both robust entries, starting from
-/// the given seed fit.
-fn reject_refit_loop(
-    ws: &mut FitWorkspace,
-    xs: &[f64],
-    ys: &[f64],
-    config: &RobustFitConfig,
-    mut current: LineFit,
-) -> Result<RobustSummary, FitError> {
+    let mut current = linfit::theil_sen_with(ws, xs, ys)?;
     let n = xs.len();
     let min_inliers = ((n as f64 * config.min_inlier_fraction).ceil() as usize).max(2);
     ws.inliers.clear();
@@ -201,6 +166,9 @@ fn reject_refit_loop(
         current.residuals_into(xs, ys, &mut ws.resid);
         ws.abs_res.clear();
         ws.abs_res.extend(ws.resid.iter().map(|r| r.abs()));
+        if ws.abs_res.iter().any(|r| r.is_nan()) {
+            return Err(FitError::NonFinite);
+        }
         let scale = (stats::mad_with(&ws.resid, &mut ws.scratch).unwrap_or(0.0)
             * stats::MAD_TO_SIGMA)
             .max(config.scale_floor);
@@ -212,17 +180,10 @@ fn reject_refit_loop(
         // when it keeps fewer are the points ranked by residual, so the
         // floor can top the mask up. Unstable sort with the index as a
         // tie-break reproduces the stable ranking without its merge
-        // buffer. A NaN residual takes the ranking too, whose comparator
-        // panics on it: the cutoff alone would quietly reject it, and the
-        // ranking is the behaviour the mask must reproduce.
-        let mut within = 0usize;
-        let mut nan = false;
-        for &ar in &ws.abs_res {
-            within += (ar <= cutoff) as usize;
-            nan |= ar.is_nan();
-        }
+        // buffer.
+        let within = ws.abs_res.iter().filter(|&&ar| ar <= cutoff).count();
         ws.inliers_next.clear();
-        if within >= min_inliers && !nan {
+        if within >= min_inliers {
             ws.inliers_next.extend(ws.abs_res.iter().map(|&ar| ar <= cutoff));
         } else {
             ws.order.clear();

@@ -62,15 +62,10 @@ pub fn median_in_place(xs: &mut [f64]) -> Option<f64> {
 ///
 /// Panics on `NaN` among `members`.
 pub(crate) fn band_median(members: &mut [f64], below: usize, total: usize) -> Option<f64> {
-    if total == 0 {
+    if !band_covers(below, members.len(), total) {
         return None;
     }
-    // Ranks of the order statistics the median takes: the middle one for
-    // odd counts, the two middle ones for even counts.
-    let (r0, r1) = ((total - 1) / 2, total / 2);
-    if below > r0 || r1 >= below + members.len() {
-        return None;
-    }
+    let r1 = total / 2;
     let cmp = |a: &f64, b: &f64| a.partial_cmp(b).expect("NaN in median input");
     let (left, mid, _) = members.select_nth_unstable_by(r1 - below, cmp);
     let mid = *mid;
@@ -78,10 +73,19 @@ pub(crate) fn band_median(members: &mut [f64], below: usize, total: usize) -> Op
         mid
     } else {
         // The lower central order statistic is the maximum of the left
-        // partition, which holds rank r0 because `below ≤ r0 = r1 − 1`.
+        // partition, which holds its rank `r1 − 1` because the band
+        // covers it (`below ≤ r1 − 1` for an even count).
         let lower = left.iter().copied().fold(f64::NEG_INFINITY, f64::max);
         (lower + mid) / 2.0
     })
+}
+
+/// Whether a value band with `below` of a multiset's `total` values
+/// strictly below it and `inside` of them in it holds the median rank(s):
+/// the middle one for an odd count, the two middle ones for an even count.
+/// Never for an empty multiset.
+pub(crate) fn band_covers(below: usize, inside: usize, total: usize) -> bool {
+    total > 0 && below <= (total - 1) / 2 && total / 2 < below + inside
 }
 
 /// Median absolute deviation from the median (raw MAD, not scaled to σ).

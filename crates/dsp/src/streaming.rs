@@ -26,8 +26,8 @@
 //!   unwrap; any other channel recounts exactly when its reads or
 //!   unwrapped axis changed. The tallies are integers, so a kept count is
 //!   the count a recount would give;
-//! * the robust fit's Theil–Sen seed comes from a cache of the pairwise
-//!   slopes that selects the batch median from the same values.
+//! * the fit columns go through the batch robust fit itself,
+//!   [`robust_line_fit_with`], Theil–Sen seed included.
 //!
 //! At the reader's dwell cadence on a 40 s window an advance rebuilds
 //! about two channels per antenna. The `streaming_equivalence` property
@@ -47,12 +47,13 @@
 //! so expiry passes over an in-order channel with nothing to expire, and
 //! channel ordering and emit never touch the ring. A full ring grows by a
 //! quarter of its length (plus four), so a channel's ring settles a few
-//! slots above its peak read count. The fit columns and their scratch live
-//! in the caller's [`FrontEndWorkspace`] for the length of an extract, so
-//! one workspace serves every window of a session.
+//! slots above its peak read count. The fit columns and their scratch,
+//! the Theil–Sen slope buffer among them, live in the caller's
+//! [`FrontEndWorkspace`] for the length of an extract, so one workspace
+//! serves every window of a session, and a window keeps no fit state but
+//! its inlier mask.
 //!
 //! [`preprocess_reads_with`]: crate::preprocess::preprocess_reads_with
-//! [`robust_line_fit_with`]: crate::robust::robust_line_fit_with
 
 use std::collections::VecDeque;
 use std::f64::consts::PI;
@@ -60,8 +61,7 @@ use std::f64::consts::PI;
 use crate::fold::{self, FoldAxis};
 use crate::linfit::{FitError, LineFit};
 use crate::preprocess::{order_channels, wrap_tau, ChannelObservation, PreprocessError, RawRead};
-use crate::robust::{robust_line_fit_seeded, RobustSummary};
-use crate::stats;
+use crate::robust::{robust_line_fit_with, RobustSummary};
 use crate::trig::{self, hit};
 use crate::workspace::FrontEndWorkspace;
 use crate::ExtractConfig;
@@ -269,253 +269,10 @@ pub struct StreamingWindow {
     phase_col: Vec<f64>,
     /// Robust inlier mask of the last successful extract.
     inliers: Vec<bool>,
-    /// Incrementally maintained Theil–Sen pairwise-slope state.
-    slope_cache: SlopeCache,
     /// Work tallies since the last [`take_stats`](Self::take_stats).
     stats: StreamingStats,
     /// Trig tallies (`[table lookups, libm calls]`).
     trig_hits: [u64; 2],
-}
-
-/// Incrementally maintained Theil–Sen pairwise-slope state over the
-/// emitted fit columns.
-///
-/// Unchanged channels re-emit bitwise-identical unwrapped phases across
-/// advances (the unwrap corrects each channel's own wrapped value by an
-/// integer number of periods), so in steady state only the few freshly
-/// dwelt or expired channels move — refreshing just their pairs replaces
-/// the O(n²) pairwise division sweep with an O(changed·n) touch-up.
-/// Each changed column still touches `n - 1` pair slopes, so any fully
-/// *sorted* representation of the multiset (merge, splice, or re-select)
-/// would pay O(n²) per advance regardless; instead the cache tracks only
-/// a **rank band** around the median: the multiset's member values inside
-/// a fixed slope interval chosen to cover the median rank(s) with
-/// [`BAND_PAD`] ranks of slack on each side, plus the exact count of
-/// valid slopes below the interval. While the abscissae are unchanged the
-/// median *ranks* are fixed, so each query is a coverage check plus a
-/// small select inside the band (`stats::band_median`, the helper the
-/// batch Theil–Sen's value band uses too) — and every pair refresh adjusts the
-/// below-count or band membership in O(1). A refreshed pair's old slope
-/// is recomputed from the snapshot of the previous columns: the same
-/// expression on the same operands, so it carries the bits the band
-/// holds, and no slope matrix is kept. The band partitions the multiset
-/// by value, so the in-band selection reads out exactly the order
-/// statistics [`theil_sen_with`](crate::linfit::theil_sen_with)
-/// computes, keeping the slope bit-identical to the batch enumeration;
-/// when churn walks the median rank out of the band (or bloats it), the
-/// band is re-derived by enumerating the pairs into the caller's slope
-/// buffer and quickselecting — the cost the batch path pays every advance.
-#[derive(Debug, Default)]
-struct SlopeCache {
-    /// Bitwise snapshot of the previous advance's fit columns.
-    xs: Vec<f64>,
-    ys: Vec<f64>,
-    /// Band interval (inclusive on both ends). Values strictly below
-    /// `band_lo` are counted in `below`; values in `[band_lo, band_hi]`
-    /// live in `members`; values above are only implied.
-    band_lo: f64,
-    band_hi: f64,
-    /// Number of valid slopes strictly below `band_lo`.
-    below: usize,
-    /// The band's member values, unordered (a value sub-multiset).
-    members: Vec<f64>,
-    /// Number of valid (non-NaN) slopes in the multiset; depends only on
-    /// the abscissae, so it is constant between full rebuilds.
-    valid_count: usize,
-    /// Column indices whose emitted value changed since last advance,
-    /// plus the same set as a flag bitmap (each changed pair is touched
-    /// exactly once).
-    changed: Vec<usize>,
-    changed_flag: Vec<bool>,
-    valid: bool,
-}
-
-/// Ranks of slack the band keeps on each side of the median ranks when
-/// (re-)derived. Larger pads survive more churn between re-derivations
-/// but make every in-band select proportionally larger.
-const BAND_PAD: usize = 48;
-
-/// Member-count ceiling past which the band is re-derived even while it
-/// still covers the median: values migrating *into* the interval grow
-/// `members` without bound otherwise (the interval is fixed between
-/// re-derivations).
-const BAND_BLOAT_LIMIT: usize = 384;
-
-/// One pairwise Theil–Sen slope, NaN when the abscissae coincide.
-fn pair_slope(xs: &[f64], ys: &[f64], i: usize, j: usize) -> f64 {
-    let dx = xs[j] - xs[i];
-    if dx.abs() > 0.0 {
-        (ys[j] - ys[i]) / dx
-    } else {
-        f64::NAN
-    }
-}
-
-impl SlopeCache {
-    /// The median pairwise slope over `(xs, ys)` — bitwise the slope
-    /// [`theil_sen_with`](crate::linfit::theil_sen_with) computes —
-    /// recomputing only pairs that touch a column whose value changed
-    /// since the previous call. Falls back to a full rebuild when the
-    /// abscissae changed (channel membership / order) or most columns
-    /// moved (e.g. a global π vote flip). `slopes` is scratch for the
-    /// band re-derivations.
-    fn median_slope(
-        &mut self,
-        xs: &[f64],
-        ys: &[f64],
-        slopes: &mut Vec<f64>,
-    ) -> Result<f64, FitError> {
-        if xs.len() != ys.len() {
-            return Err(FitError::LengthMismatch);
-        }
-        let n = xs.len();
-        if n < 2 {
-            return Err(FitError::TooFewPoints);
-        }
-        let same_xs = self.valid
-            && self.xs.len() == n
-            && self.xs.iter().zip(xs).all(|(a, b)| a.to_bits() == b.to_bits());
-        let mut incremental = false;
-        if same_xs {
-            self.changed.clear();
-            for (i, (y, prev)) in ys.iter().zip(&self.ys).enumerate() {
-                if y.to_bits() != prev.to_bits() {
-                    self.changed.push(i);
-                }
-            }
-            incremental = 2 * self.changed.len() <= n;
-        }
-        let mut band_fresh = false;
-        if incremental {
-            self.changed_flag.clear();
-            self.changed_flag.resize(n, false);
-            for &i in &self.changed {
-                self.changed_flag[i] = true;
-            }
-            for &i in &self.changed {
-                for j in 0..n {
-                    // Pairs between two changed columns are refreshed once,
-                    // when the smaller index is being processed.
-                    if j == i || (self.changed_flag[j] && j < i) {
-                        continue;
-                    }
-                    let (a, b) = if i < j { (i, j) } else { (j, i) };
-                    // `self.ys` still holds the previous columns until the
-                    // loop ends.
-                    let old = pair_slope(&self.xs, &self.ys, a, b);
-                    let new = pair_slope(xs, ys, a, b);
-                    // Pair validity depends only on the (unchanged)
-                    // abscissae, so old and new are NaN together and
-                    // `valid_count` is preserved; NaN fails both interval
-                    // compares, so invalid pairs fall through as no-ops.
-                    debug_assert_eq!(old.is_nan(), new.is_nan());
-                    if old < self.band_lo {
-                        self.below -= 1;
-                    } else if old <= self.band_hi {
-                        let pos = self
-                            .members
-                            .iter()
-                            .position(|&v| v == old)
-                            .expect("band member missing");
-                        self.members.swap_remove(pos);
-                    }
-                    if new < self.band_lo {
-                        self.below += 1;
-                    } else if new <= self.band_hi {
-                        self.members.push(new);
-                    }
-                }
-            }
-            for &i in &self.changed {
-                self.ys[i] = ys[i];
-            }
-        } else {
-            self.xs.clear();
-            self.xs.extend_from_slice(xs);
-            self.ys.clear();
-            self.ys.extend_from_slice(ys);
-            self.enumerate(slopes);
-            self.valid_count = slopes.len();
-            self.valid = true;
-            if self.valid_count > 0 {
-                self.derive_band(slopes);
-                band_fresh = true;
-            }
-        }
-        let m = self.valid_count;
-        if m == 0 {
-            return Err(FitError::DegenerateX);
-        }
-        // Re-derive the band when churn grew it past the bloat ceiling or
-        // walked the median rank outside it. Coverage is guaranteed after
-        // a re-derivation (`below ≤ lo_rank ≤ r0` and the inclusive upper
-        // edge keeps every tie of the padded upper rank in the band). The
-        // band holds no -0.0 (ascending abscissae make tied-y slopes
-        // exactly +0.0), so equal selected values are bit-identical to the
-        // batch selection's.
-        if !band_fresh && self.members.len() > BAND_BLOAT_LIMIT {
-            self.rebuild_band(slopes);
-            band_fresh = true;
-        }
-        if let Some(median) = stats::band_median(&mut self.members, self.below, m) {
-            return Ok(median);
-        }
-        debug_assert!(!band_fresh, "a re-derived band covers the median");
-        self.rebuild_band(slopes);
-        Ok(stats::band_median(&mut self.members, self.below, m).expect("re-derived band covers"))
-    }
-
-    /// Fills `slopes` with the valid pairwise slopes of the snapshot
-    /// columns.
-    fn enumerate(&self, slopes: &mut Vec<f64>) {
-        slopes.clear();
-        let n = self.xs.len();
-        for i in 0..n {
-            for j in (i + 1)..n {
-                let slope = pair_slope(&self.xs, &self.ys, i, j);
-                if !slope.is_nan() {
-                    slopes.push(slope);
-                }
-            }
-        }
-    }
-
-    /// Re-derives the band from the current columns, enumerating their
-    /// slopes into `slopes`.
-    fn rebuild_band(&mut self, slopes: &mut Vec<f64>) {
-        self.enumerate(slopes);
-        debug_assert_eq!(slopes.len(), self.valid_count);
-        self.derive_band(slopes);
-    }
-
-    /// Re-derives the band interval, below-count, and member sub-multiset
-    /// from the valid slopes: quickselect the padded rank endpoints, then
-    /// one partition pass. Requires `valid_count > 0`.
-    fn derive_band(&mut self, slopes: &mut [f64]) {
-        let m = self.valid_count;
-        let (r0, r1) = ((m - 1) / 2, m / 2);
-        let lo_rank = r0.saturating_sub(BAND_PAD);
-        let hi_rank = (r1 + BAND_PAD).min(m - 1);
-        let cmp = |a: &f64, b: &f64| a.partial_cmp(b).expect("finite slopes");
-        let (_, v_lo, upper) = slopes.select_nth_unstable_by(lo_rank, cmp);
-        self.band_lo = *v_lo;
-        self.band_hi = if hi_rank > lo_rank {
-            let (_, v_hi, _) = upper.select_nth_unstable_by(hi_rank - lo_rank - 1, cmp);
-            *v_hi
-        } else {
-            self.band_lo
-        };
-        let (band_lo, band_hi) = (self.band_lo, self.band_hi);
-        self.below = 0;
-        self.members.clear();
-        for &v in slopes.iter() {
-            if v < band_lo {
-                self.below += 1;
-            } else if v <= band_hi {
-                self.members.push(v);
-            }
-        }
-    }
 }
 
 impl StreamingWindow {
@@ -529,7 +286,6 @@ impl StreamingWindow {
             order: Vec::new(),
             phase_col: Vec::new(),
             inliers: Vec::new(),
-            slope_cache: SlopeCache::default(),
             stats: StreamingStats::default(),
             trig_hits: [0; 2],
         }
@@ -760,10 +516,7 @@ impl StreamingWindow {
             return Ok((raw_fit, None));
         }
         let (xs, ys, fit_ws) = ws.fit_columns();
-        // Seed slope from the incrementally maintained pairwise multiset —
-        // bit-identical to the O(n²) enumeration inside the unseeded fit.
-        let slope = self.slope_cache.median_slope(xs, ys, &mut fit_ws.slopes)?;
-        let summary = robust_line_fit_seeded(fit_ws, xs, ys, &self.config.robust, slope)?;
+        let summary = robust_line_fit_with(fit_ws, xs, ys, &self.config.robust)?;
         self.inliers.clear();
         self.inliers.extend_from_slice(fit_ws.inlier_mask());
         Ok((raw_fit, Some(summary)))
@@ -835,7 +588,6 @@ fn fold_phasor(phase: f64, code: Option<u16>, shift: bool, hits: &mut [u64; 2]) 
 mod tests {
     use super::*;
     use crate::preprocess::preprocess_reads_with;
-    use crate::robust::robust_line_fit_with;
 
     fn read(channel: usize, phase: f64, t: f64) -> RawRead {
         RawRead {

@@ -17,9 +17,9 @@
 //!   ([`theil_sen_with`](crate::linfit::theil_sen_with),
 //!   [`robust_line_fit_with`](crate::robust::robust_line_fit_with)):
 //!   residual/rank/inlier columns, a median selection scratch and a
-//!   Theil–Sen slope buffer (the in-band slopes of the banded median, or
-//!   every pairwise slope when the band misses; a streaming window's
-//!   slope cache re-derives its band in it).
+//!   Theil–Sen slope buffer (every pairwise slope, stored by one sweep;
+//!   the banded median compacts its band's members to the front in
+//!   place, in batch and in a streaming window alike).
 //! * [`FrontEndWorkspace`] — everything above plus the pre-processing
 //!   stage's per-channel accumulator columns (struct-of-arrays: one flat
 //!   `f64`/`usize` column per quantity instead of a map of per-channel
@@ -226,9 +226,9 @@ pub struct FitWorkspace {
     pub(crate) inliers: Vec<bool>,
     /// Next iteration's inlier mask (double buffer).
     pub(crate) inliers_next: Vec<bool>,
-    /// Theil–Sen slope buffer: sized to the n(n−1)/2 pairs, holding the
-    /// in-band slopes of the banded median (or every slope when the band
-    /// misses).
+    /// Theil–Sen slope buffer: one slot per pair of the n(n−1)/2, where
+    /// the sweep stores every pairwise slope and a band's members are
+    /// compacted to the front.
     pub(crate) slopes: Vec<f64>,
 }
 

@@ -11,9 +11,9 @@
 //! sums, so it gets a tight tolerance with an exactly-equal inlier mask.
 
 use proptest::prelude::*;
-use rfp_dsp::linfit::{ols, theil_sen, theil_sen_with, weighted_ols};
+use rfp_dsp::linfit::{ols, theil_sen, theil_sen_with, weighted_ols, FitError, LineFit};
 use rfp_dsp::preprocess::{preprocess_reads, PreprocessConfig, RawRead};
-use rfp_dsp::robust::{robust_line_fit, RobustFitConfig};
+use rfp_dsp::robust::{robust_line_fit, robust_line_fit_with, RobustFitConfig};
 use rfp_dsp::trig;
 use rfp_dsp::{FitWorkspace, FrontEndWorkspace};
 use rfp_oracle::frontend as reference;
@@ -389,8 +389,8 @@ fn unusable_read_anywhere_restarts_on_the_usable_reads() {
     }
 }
 
-/// Noisy 50-channel line in the shape of a standard window: the
-/// Theil–Sen band around the OLS slope holds the median.
+/// Noisy 50-channel line in the shape of a standard window: a band around
+/// the OLS slope holds the median pairwise slope.
 fn banded_window() -> (Vec<f64>, Vec<f64>) {
     let xs: Vec<f64> = (0..50).map(|i| 902.75e6 + 5e5 * i as f64).collect();
     let ys = xs
@@ -402,8 +402,8 @@ fn banded_window() -> (Vec<f64>, Vec<f64>) {
 }
 
 /// The same line with 14 channels shifted far off it on one side: the
-/// OLS slope is pulled so far from the median pairwise slope that the
-/// band misses it and every slope is selected.
+/// OLS slope is pulled so far from the median pairwise slope that a band
+/// around it misses the median.
 fn band_miss_window() -> (Vec<f64>, Vec<f64>) {
     let (xs, mut ys) = banded_window();
     for y in ys.iter_mut().skip(36) {
@@ -412,9 +412,9 @@ fn band_miss_window() -> (Vec<f64>, Vec<f64>) {
     (xs, ys)
 }
 
-/// Theil–Sen through the band (hit) and through the full selection
-/// (miss) both equal the reference bitwise; the robust fits seeded from
-/// them keep the reference's inlier masks.
+/// Theil–Sen on a window a band around the OLS slope holds (hit) and on
+/// one it misses both equal the reference bitwise; the robust fits seeded
+/// from them keep the reference's inlier masks.
 #[test]
 fn theil_sen_band_hit_and_miss_match_reference() {
     let mut ws = FitWorkspace::default();
@@ -425,6 +425,117 @@ fn theil_sen_band_hit_and_miss_match_reference() {
         let oracle = reference::robust_line_fit(&xs, &ys, &RobustFitConfig::default()).unwrap();
         assert_eq!(robust.inliers, oracle.inliers);
     }
+}
+
+/// The bits of every field of a fit.
+fn fit_bits(fit: &LineFit) -> [u64; 5] {
+    [
+        fit.slope.to_bits(),
+        fit.intercept.to_bits(),
+        fit.r_squared.to_bits(),
+        fit.residual_std.to_bits(),
+        fit.n as u64,
+    ]
+}
+
+/// Asserts that the workspace Theil–Sen equals the reference on `(xs, ys)`
+/// bit for bit, or fails as it does.
+fn assert_theil_sen_bitwise(ws: &mut FitWorkspace, xs: &[f64], ys: &[f64], ctx: &str) {
+    match (theil_sen_with(ws, xs, ys), reference::theil_sen(xs, ys)) {
+        (Ok(a), Ok(e)) => assert_eq!(fit_bits(&a), fit_bits(&e), "{ctx}"),
+        (a, e) => assert_eq!(a, e, "{ctx}"),
+    }
+}
+
+/// A noisy line of `n` channels on the reader's frequency plan.
+fn noisy_line(n: usize) -> (Vec<f64>, Vec<f64>) {
+    let xs: Vec<f64> = (0..n).map(|i| 902.75e6 + 5e5 * i as f64).collect();
+    let ys = xs
+        .iter()
+        .enumerate()
+        .map(|(i, x)| 1.3e-7 * (x - 902.75e6) + 0.4 + 0.02 * (((i * 7919) % 13) as f64 / 6.0 - 1.0))
+        .collect();
+    (xs, ys)
+}
+
+/// The median kernel against the reference, bit for bit, on the windows
+/// that stress its paths: n = 2..=64 channels; blocks of 1–24 channels
+/// 6 rad above or below the line at its low end, high end or middle (the
+/// multipath shape that pulls a least-squares pilot); duplicate
+/// abscissae; the same windows in scrambled order; and exact ties, whose
+/// pairs over ascending abscissae give +0.0 slopes.
+#[test]
+fn theil_sen_kernel_matches_reference_on_hard_windows() {
+    let mut ws = FitWorkspace::default();
+    for n in 2..=64usize {
+        let (xs, ys) = noisy_line(n);
+        let mut windows = vec![(format!("n = {n}, clean"), xs.clone(), ys.clone())];
+        for block in 1..=24.min(n) {
+            for shift in [6.0, -6.0] {
+                for start in [0, n - block, (n - block) / 2] {
+                    let mut ys = ys.clone();
+                    for y in &mut ys[start..start + block] {
+                        *y += shift;
+                    }
+                    let ctx = format!("n = {n}, {block} channels from {start} by {shift}");
+                    windows.push((ctx, xs.clone(), ys));
+                }
+            }
+        }
+        // Pairs of channels on one frequency: a zero dx is no slope.
+        let twins: Vec<f64> = xs.iter().enumerate().map(|(i, _)| xs[i / 2 * 2]).collect();
+        windows.push((format!("n = {n}, duplicate abscissae"), twins, ys.clone()));
+        // Exact ties: the phases on a 0.05 rad grid, flat runs in places.
+        let tied: Vec<f64> = ys.iter().map(|y| (y / 0.05).round() * 0.05).collect();
+        windows.push((format!("n = {n}, tied ordinates"), xs.clone(), tied.clone()));
+        let flat: Vec<f64> =
+            ys.iter().enumerate().map(|(i, &y)| if i % 3 == 0 { 0.4 } else { y }).collect();
+        windows.push((format!("n = {n}, flat every third"), xs.clone(), flat));
+        let mut scrambled = Vec::new();
+        for (ctx, wx, wy) in &windows {
+            if ctx.contains("tied") || ctx.contains("flat") {
+                // Scrambled ties would give -0.0 slopes beside +0.0 ones,
+                // whose order a selection does not fix.
+                continue;
+            }
+            let order: Vec<usize> = (0..n).map(|i| (i * 37 + 11) % n).collect();
+            if (0..n).all(|i| order.contains(&i)) {
+                let sx = order.iter().map(|&i| wx[i]).collect();
+                let sy = order.iter().map(|&i| wy[i]).collect();
+                scrambled.push((format!("{ctx}, scrambled"), sx, sy));
+            }
+        }
+        windows.extend(scrambled);
+        for (ctx, wx, wy) in &windows {
+            assert_theil_sen_bitwise(&mut ws, wx, wy, ctx);
+        }
+    }
+}
+
+/// Hostile input: a NaN ordinate or abscissa reaches a median, where the
+/// reference panics; every public Theil–Sen and robust fit returns
+/// `FitError::NonFinite` instead. An infinite ordinate, which the
+/// reference fits, keeps its fit bit for bit.
+#[test]
+fn nan_input_is_an_error_and_infinite_input_keeps_its_fit() {
+    let xs: Vec<f64> = (0..6).map(f64::from).collect();
+    let mut nan_x = xs.clone();
+    nan_x[3] = f64::NAN;
+    let nan_y = vec![0.0, f64::NAN, 2.0, 3.0, 4.0, 5.0];
+    let config = RobustFitConfig::default();
+    let mut ws = FitWorkspace::default();
+    for (label, xs, ys) in [("NaN ordinate", &xs, &nan_y), ("NaN abscissa", &nan_x, &xs)] {
+        let reference_fit = std::panic::catch_unwind(|| reference::theil_sen(xs, ys));
+        assert!(reference_fit.is_err(), "{label}: the reference panics");
+        assert_eq!(theil_sen(xs, ys), Err(FitError::NonFinite), "{label}");
+        assert_eq!(theil_sen_with(&mut ws, xs, ys), Err(FitError::NonFinite), "{label}");
+        assert_eq!(robust_line_fit(xs, ys, &config), Err(FitError::NonFinite), "{label}");
+        let robust = robust_line_fit_with(&mut ws, xs, ys, &config);
+        assert_eq!(robust, Err(FitError::NonFinite), "{label}");
+    }
+    let inf_y = vec![0.0, f64::INFINITY, 2.0, 3.0, 4.0, 5.0];
+    assert_theil_sen_bitwise(&mut ws, &xs, &inf_y, "infinite ordinate");
+    assert!(theil_sen(&xs, &inf_y).is_ok());
 }
 
 /// When the cutoff keeps fewer than `min_inliers` points, the residual
