@@ -17,15 +17,22 @@
 //!   de-meaning (their channel-hopping trick); the residual curves are
 //!   matched with DTW. Degrades when the RSS ranging is biased
 //!   (Figs. 17–20).
+//! * [`dtw`] — Dynamic Time Warping distance and the 1-NN DTW classifier
+//!   that Tagtag matches its curves with.
 //! * [`backpos`] — *BackPos* (Liu et al., TMC'15): hyperbolic positioning
 //!   from pairwise phase differences. Implemented here on slope
 //!   differences (its modern multi-frequency form); included as an extra
 //!   reference point for the localization benches.
+//!
+//! The baselines exist only to evaluate RF-Prism: the `rf-prism` facade
+//! takes this crate as a dev-dependency, for its comparison tests, and
+//! the `rfp-bench` harness runs it for Figs. 14–20.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod backpos;
+pub mod dtw;
 pub mod mobitagbot;
 pub mod tagtag;
 

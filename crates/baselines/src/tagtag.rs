@@ -16,10 +16,10 @@
 //! The residual curves are compared with Dynamic Time Warping and
 //! classified 1-NN, as in the original.
 
+use crate::dtw::DtwNearestNeighbor;
 use rfp_core::model::{extract_observation, AntennaObservation, ExtractConfig, ExtractError};
 use rfp_dsp::preprocess::RawRead;
 use rfp_geom::AntennaPose;
-use rfp_ml::dtw::DtwNearestNeighbor;
 use rfp_ml::Classifier;
 use rfp_phys::rssi::coarse_distance_from_rssi;
 use rfp_phys::{propagation, Material};

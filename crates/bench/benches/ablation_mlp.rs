@@ -3,8 +3,8 @@
 //! the same disentangled features, against the paper's decision tree.
 
 use rfp_bench::matid::{self, Model};
+use rfp_bench::mlp::MlpConfig;
 use rfp_bench::report;
-use rfp_ml::mlp::MlpConfig;
 use rfp_sim::Scene;
 
 fn main() {
@@ -14,7 +14,7 @@ fn main() {
     let tree = matid::evaluate_all(&corpus, &Model::Tree);
     let forest = matid::evaluate_all(
         &corpus,
-        &Model::RandomForest(rfp_ml::forest::ForestConfig {
+        &Model::RandomForest(rfp_bench::forest::ForestConfig {
             trees: 40,
             features_per_tree: 12,
             ..Default::default()

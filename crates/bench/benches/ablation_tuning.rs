@@ -5,10 +5,10 @@
 //! tree depth / leaf size (and KNN's k) shows how much headroom tuning
 //! has — and that the defaults sit near the plateau.
 
+use rfp_bench::knn::KnnClassifier;
+use rfp_bench::modsel::grid_search;
 use rfp_bench::{matid, report};
 use rfp_core::material::{ClassifierKind, MaterialIdentifier};
-use rfp_ml::knn::KnnClassifier;
-use rfp_ml::modsel::grid_search;
 use rfp_ml::scaler::StandardScaler;
 use rfp_ml::tree::{DecisionTree, TreeConfig};
 use rfp_sim::Scene;

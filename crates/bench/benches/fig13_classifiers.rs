@@ -2,7 +2,7 @@
 fn main() {
     use rfp_bench::matid::{self, Model};
     use rfp_bench::report;
-    use rfp_ml::svm::SvmConfig;
+    use rfp_bench::svm::SvmConfig;
     use rfp_sim::Scene;
 
     report::header("Fig. 13", "classifier comparison on the 8-material task");
@@ -13,7 +13,7 @@ fn main() {
         corpus.train.len(),
         corpus.validation.len()
     );
-    use rfp_ml::svm::Kernel;
+    use rfp_bench::svm::Kernel;
     let mut accuracies = Vec::new();
     for (name, paper, kind) in [
         ("KNN (k=9)", "75.6 %", Model::Knn { k: 9 }),

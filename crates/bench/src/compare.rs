@@ -2,13 +2,13 @@
 //! and RF-Prism vs Tagtag (Figs. 17–20).
 
 use crate::loc::TrialSpec;
+use crate::metrics::ConfusionMatrix;
 use crate::setup;
 use rfp_baselines::mobitagbot::{MobiTagbot, MobiTagbotCalibration};
 use rfp_baselines::Tagtag;
 use rfp_core::material::{ClassifierKind, MaterialIdentifier};
 use rfp_geom::Vec2;
 use rfp_ml::dataset::Dataset;
-use rfp_ml::metrics::ConfusionMatrix;
 use rfp_phys::Material;
 use rfp_sim::Scene;
 use std::collections::BTreeMap;

@@ -10,6 +10,14 @@
 //!   14–16);
 //! * [`matid`] — material-identification dataset builder and classifier
 //!   evaluation (Figs. 10, 11, 13, 17–20);
+//! * [`knn`], [`svm`] — the classifiers Fig. 13 compares the shipped
+//!   decision tree (`rfp_ml::tree`) with;
+//! * [`forest`], [`mlp`] — the random forest and the small perceptron of
+//!   the classifier ablation (the paper's §VII future work);
+//! * [`modsel`] — k-fold cross-validated scoring and grid search (the
+//!   tuning ablation);
+//! * [`metrics`] — accuracy and row-normalized confusion matrices
+//!   (Figs. 10–13, 17–20);
 //! * [`huber`] — the Huber IRLS line fit of the multipath-suppression
 //!   ablation;
 //! * [`report`] — consistent console formatting with explicit
@@ -23,8 +31,14 @@
 #![warn(missing_docs)]
 
 pub mod compare;
+pub mod forest;
 pub mod huber;
+pub mod knn;
 pub mod loc;
 pub mod matid;
+pub mod metrics;
+pub mod mlp;
+pub mod modsel;
 pub mod report;
 pub mod setup;
+pub mod svm;

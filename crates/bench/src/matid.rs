@@ -12,17 +12,17 @@
 //! tree; [`Model`] adds the other classifiers of Fig. 13 and the §VII
 //! extension, trained on the same standardized features.
 
+use crate::forest::{ForestConfig, RandomForest};
+use crate::knn::KnnClassifier;
+use crate::metrics::ConfusionMatrix;
+use crate::mlp::{MlpClassifier, MlpConfig};
 use crate::setup;
+use crate::svm::{SvmClassifier, SvmConfig};
 use rfp_core::calibration::DeviceCalibration;
 use rfp_core::material::{ClassifierKind, MaterialIdentifier};
 use rfp_geom::Vec2;
 use rfp_ml::dataset::Dataset;
-use rfp_ml::forest::{ForestConfig, RandomForest};
-use rfp_ml::knn::KnnClassifier;
-use rfp_ml::metrics::ConfusionMatrix;
-use rfp_ml::mlp::{MlpClassifier, MlpConfig};
 use rfp_ml::scaler::StandardScaler;
-use rfp_ml::svm::{SvmClassifier, SvmConfig};
 use rfp_ml::Classifier;
 use rfp_phys::Material;
 use rfp_sim::Scene;

@@ -48,7 +48,7 @@ pub fn cdf_summary(name: &str, errors_cm: &[f64]) {
 }
 
 /// Prints a row-normalized confusion matrix with material labels.
-pub fn confusion_matrix(cm: &rfp_ml::ConfusionMatrix) {
+pub fn confusion_matrix(cm: &crate::metrics::ConfusionMatrix) {
     use rfp_phys::Material;
     print!("{:>10}", "");
     for m in Material::CLASSES {

@@ -77,7 +77,6 @@ pub struct StreamingSession<'a> {
     workspace: SenseWorkspace,
     tracker: TagTracker,
     window_span_s: f64,
-    warm_ttl_s: f64,
     warm: Option<WarmStart>,
     /// Cached warm-gate floor, re-anchored periodically (tracking solves
     /// of a slowly sliding window share one coarse-scan floor).
@@ -104,10 +103,6 @@ impl RfPrism {
             workspace: SenseWorkspace::default(),
             tracker: TagTracker::new(TrackerConfig::default()),
             window_span_s,
-            // Hold the kinematic state over a few missed/rejected windows,
-            // then re-acquire from scratch rather than extrapolate stale
-            // velocity across a long gap.
-            warm_ttl_s: 5.0 * window_span_s,
             warm: None,
             gate: WarmGate::default(),
             stats: StreamingStats::default(),
@@ -133,14 +128,6 @@ impl<'a> StreamingSession<'a> {
         self.window_span_s
     }
 
-    /// Overrides how long the tracker's kinematic state survives without a
-    /// successful advance before the warm start is dropped (default: five
-    /// window spans).
-    pub fn with_warm_ttl(mut self, ttl_s: f64) -> Self {
-        self.warm_ttl_s = ttl_s;
-        self
-    }
-
     /// The tag tracker fed by successful advances.
     pub fn tracker(&self) -> &TagTracker {
         &self.tracker
@@ -164,8 +151,8 @@ impl<'a> StreamingSession<'a> {
     /// Tracker coupling: the solver is warm-started from the previous
     /// estimate with the position replaced by the tracker's constant-
     /// velocity extrapolation to `now_s`; a successful solve feeds the
-    /// tracker back. Stale tracker state (no success within the warm TTL)
-    /// is evicted first, so a long outage re-acquires cold.
+    /// tracker back. Stale tracker state (no success within five window
+    /// spans) is evicted first, so a long outage re-acquires cold.
     ///
     /// # Errors
     ///
@@ -192,7 +179,10 @@ impl<'a> StreamingSession<'a> {
                 extracted
             },
             |observations, config, solver| {
-                if self.tracker.evict_stale(now_s, self.warm_ttl_s) {
+                // Hold the kinematic state over a few missed/rejected
+                // windows, then re-acquire from scratch rather than
+                // extrapolate stale velocity across a long gap.
+                if self.tracker.evict_stale(now_s, 5.0 * self.window_span_s) {
                     self.warm = None;
                 }
                 let warm = match (self.warm, self.tracker.extrapolate(now_s)) {

@@ -24,8 +24,7 @@
 //!   instead of a batch recompute, and extracts bit-identically to it; its
 //!   robust fit is the batch kernel's.
 //! * [`stats`] — small statistics helpers (mean, std, median, MAD,
-//!   percentiles, empirical CDFs) shared by the solver and the experiment
-//!   harness.
+//!   percentiles) shared by the solver and the experiment harness.
 //! * [`trig`] — the pre-processing trigonometry tables: exact sin/cos
 //!   lookups by 12-bit reader phase code in two interleaved `[sin, cos]`
 //!   tables (bit-identical to libm, proven exhaustively over all 4096

@@ -1,8 +1,8 @@
 //! Small statistics helpers.
 //!
 //! Used by the robust fitting routines (median/MAD), by the solver's
-//! diagnostics and by the experiment harness (means, percentiles, empirical
-//! CDFs for the paper's Figures 14–16).
+//! diagnostics and by the experiment harness (means and percentiles for
+//! the paper's Figures 14–16).
 
 /// Arithmetic mean. Returns `None` for an empty slice.
 pub fn mean(xs: &[f64]) -> Option<f64> {
@@ -130,36 +130,6 @@ pub fn percentile(xs: &[f64], p: f64) -> Option<f64> {
     Some(v[lo] * (1.0 - frac) + v[hi] * frac)
 }
 
-/// Root mean square. Returns `None` for an empty slice.
-pub fn rms(xs: &[f64]) -> Option<f64> {
-    if xs.is_empty() {
-        None
-    } else {
-        Some((xs.iter().map(|x| x * x).sum::<f64>() / xs.len() as f64).sqrt())
-    }
-}
-
-/// Empirical CDF evaluated at `points.len()` equally spaced fractions: for
-/// each sorted sample returns `(value, fraction ≤ value)`. Used to print the
-/// paper's CDF figures.
-pub fn empirical_cdf(xs: &[f64]) -> Vec<(f64, f64)> {
-    let mut v = xs.to_vec();
-    v.sort_by(|a, b| a.partial_cmp(b).expect("NaN in CDF input"));
-    let n = v.len();
-    v.into_iter()
-        .enumerate()
-        .map(|(i, x)| (x, (i + 1) as f64 / n as f64))
-        .collect()
-}
-
-/// Fraction of samples ≤ `threshold`.
-pub fn fraction_below(xs: &[f64], threshold: f64) -> f64 {
-    if xs.is_empty() {
-        return 0.0;
-    }
-    xs.iter().filter(|&&x| x <= threshold).count() as f64 / xs.len() as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -237,29 +207,5 @@ mod tests {
     #[should_panic]
     fn percentile_out_of_range_panics() {
         let _ = percentile(&[1.0], 101.0);
-    }
-
-    #[test]
-    fn rms_known_value() {
-        assert!((rms(&[3.0, 4.0]).unwrap() - (12.5f64).sqrt()).abs() < 1e-15);
-        assert_eq!(rms(&[]), None);
-    }
-
-    #[test]
-    fn cdf_monotone_and_complete() {
-        let xs = [3.0, 1.0, 2.0];
-        let cdf = empirical_cdf(&xs);
-        assert_eq!(cdf.len(), 3);
-        assert_eq!(cdf[0], (1.0, 1.0 / 3.0));
-        assert_eq!(cdf[2], (3.0, 1.0));
-        assert!(cdf.windows(2).all(|w| w[1].0 >= w[0].0 && w[1].1 >= w[0].1));
-    }
-
-    #[test]
-    fn fraction_below_basic() {
-        let xs = [1.0, 2.0, 3.0, 4.0];
-        assert_eq!(fraction_below(&xs, 2.5), 0.5);
-        assert_eq!(fraction_below(&xs, 0.0), 0.0);
-        assert_eq!(fraction_below(&[], 1.0), 0.0);
     }
 }

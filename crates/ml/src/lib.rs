@@ -1,30 +1,21 @@
-//! From-scratch machine-learning primitives for RF-Prism.
+//! The classifier RF-Prism deploys, from scratch.
 //!
 //! The paper identifies the material of a tagged target from the
-//! disentangled feature vector `F = (k_t, b_t, θ_material(f₁..f₅₀))` and
-//! compares three classifiers (Fig. 13): K-Nearest-Neighbour, an SVM and a
-//! Decision Tree, with the tree winning at 87.9 %. The Tagtag baseline
-//! additionally needs Dynamic Time Warping. None of these exist as
-//! maintained pure-Rust crates suitable for this workspace, so they are
-//! implemented here from scratch:
+//! disentangled feature vector `F = (k_t, b_t, θ_material(f₁..f₅₀))` with
+//! a decision tree (§V-B), which wins its Fig. 13 comparison at 87.9 %.
+//! No maintained pure-Rust crate suits this workspace, so the pieces
+//! `rfp_core::MaterialIdentifier` needs are implemented here:
 //!
 //! * [`dataset`] — feature matrices with labels, seeded train/test splits
 //!   and k-fold cross-validation;
-//! * [`scaler`] — per-feature standardization (essential for KNN/SVM on the
-//!   mixed-magnitude RF-Prism features);
-//! * [`metrics`] — accuracy and row-normalized confusion matrices
-//!   (paper Fig. 11);
-//! * [`knn`] — K-Nearest-Neighbour with majority vote;
-//! * [`tree`] — CART decision tree with Gini impurity;
-//! * [`svm`] — soft-margin SVM trained with simplified SMO, linear or RBF
-//!   kernel, one-vs-one multiclass;
-//! * [`dtw`] — Dynamic Time Warping distance and a 1-NN DTW classifier
-//!   (the Tagtag baseline's engine);
-//! * [`forest`] — random forest (bagged CART, an extension beyond the
-//!   paper's classifiers);
-//! * [`modsel`] — k-fold cross-validation and grid search;
-//! * [`mlp`] — a small multi-layer perceptron (the paper's §VII
-//!   "deep-learning methods" future-work extension).
+//! * [`scaler`] — per-feature standardization of the mixed-magnitude
+//!   RF-Prism features;
+//! * [`tree`] — CART decision tree with Gini impurity.
+//!
+//! The classifiers RF-Prism is only compared with (Fig. 13's KNN and SVM,
+//! the random forest and MLP extensions), model selection and the
+//! evaluation metrics live in the `rfp-bench` harness; the DTW engine of
+//! the Tagtag baseline lives in `rfp-baselines`.
 //!
 //! # Example
 //!
@@ -47,23 +38,16 @@
 #![warn(missing_docs)]
 
 pub mod dataset;
-pub mod dtw;
-pub mod forest;
-pub mod knn;
-pub mod metrics;
-pub mod mlp;
-pub mod modsel;
 pub mod scaler;
-pub mod svm;
 pub mod tree;
 
 pub use dataset::Dataset;
-pub use metrics::ConfusionMatrix;
 
 /// A trained multi-class classifier mapping a feature vector to a class
 /// index.
 ///
-/// All classifiers in this crate implement the trait, so evaluation code
+/// The decision tree implements it here, and the compared classifiers of
+/// the bench harness and the Tagtag baseline do too, so evaluation code
 /// (e.g. the Fig. 13 classifier comparison) can be generic.
 pub trait Classifier {
     /// Predicts the class index for one feature vector.

@@ -2,9 +2,6 @@
 
 use proptest::prelude::*;
 use rfp_ml::dataset::Dataset;
-use rfp_ml::dtw::dtw_distance;
-use rfp_ml::knn::KnnClassifier;
-use rfp_ml::metrics::ConfusionMatrix;
 use rfp_ml::scaler::StandardScaler;
 use rfp_ml::tree::{DecisionTree, TreeConfig};
 use rfp_ml::Classifier;
@@ -51,25 +48,6 @@ proptest! {
     }
 
     #[test]
-    fn knn_k1_memorizes(points in labelled_points()) {
-        // Deduplicate identical feature vectors (they may carry conflicting
-        // labels, which 1-NN cannot memorize).
-        let mut seen: Vec<Vec<f64>> = Vec::new();
-        let mut ds = Dataset::new(3);
-        for (f, l) in &points {
-            if !seen.iter().any(|s| s == f) {
-                seen.push(f.clone());
-                ds.push(f.clone(), *l);
-            }
-        }
-        let knn = KnnClassifier::fit(&ds, 1);
-        for i in 0..ds.len() {
-            let (f, l) = ds.sample(i);
-            prop_assert_eq!(knn.predict(f), l);
-        }
-    }
-
-    #[test]
     fn tree_consistent_on_training_data_when_separable(
         gap in 1.0f64..10.0,
         n in 4usize..30,
@@ -88,39 +66,5 @@ proptest! {
             let (f, l) = ds.sample(i);
             prop_assert_eq!(t.predict(f), l);
         }
-    }
-
-    #[test]
-    fn dtw_triangle_like_properties(
-        a in proptest::collection::vec(-5.0f64..5.0, 1..20),
-        b in proptest::collection::vec(-5.0f64..5.0, 1..20),
-    ) {
-        let dab = dtw_distance(&a, &b, None);
-        let dba = dtw_distance(&b, &a, None);
-        prop_assert!((dab - dba).abs() < 1e-9, "symmetry");
-        prop_assert!(dab >= 0.0);
-        prop_assert!(dtw_distance(&a, &a, None) < 1e-12, "identity");
-        // Lockstep distance upper-bounds DTW for equal lengths.
-        if a.len() == b.len() {
-            let lockstep: f64 = a.iter().zip(&b).map(|(x, y)| (x - y).abs()).sum();
-            prop_assert!(dab <= lockstep + 1e-9);
-        }
-    }
-
-    #[test]
-    fn confusion_matrix_accuracy_bounds(
-        truth in proptest::collection::vec(0usize..4, 1..50),
-        seed in 0usize..4,
-    ) {
-        let predicted: Vec<usize> = truth.iter().map(|&t| (t + seed) % 4).collect();
-        let cm = ConfusionMatrix::from_predictions(4, &truth, &predicted);
-        let acc = cm.accuracy();
-        prop_assert!((0.0..=1.0).contains(&acc));
-        if seed == 0 {
-            prop_assert!((acc - 1.0).abs() < 1e-12);
-        } else {
-            prop_assert!(acc < 1e-12);
-        }
-        prop_assert_eq!(cm.total(), truth.len());
     }
 }

@@ -11,7 +11,7 @@
 //! or more antennas — recovering **location, orientation and material
 //! simultaneously** from one hop round.
 //!
-//! This facade crate re-exports the whole workspace:
+//! This facade crate re-exports the library crates RF-Prism ships:
 //!
 //! | Crate | Role |
 //! |---|---|
@@ -19,9 +19,12 @@
 //! | [`phys`] | shared forward models (Eqs. 1–7 of the paper) |
 //! | [`sim`]  | the COTS testbed simulator (reader, antennas, tags, noise, multipath, mobility) |
 //! | [`dsp`]  | π-jump correction, unwrapping, line fitting, multipath suppression |
-//! | [`ml`]   | KNN / SVM / decision tree / DTW / MLP, from scratch |
+//! | [`ml`]   | the material classifier: dataset, feature scaler and decision tree, from scratch |
 //! | [`core`] | the RF-Prism pipeline: disentangling solver, calibration, material ID, error detector |
-//! | [`baselines`] | MobiTagbot, Tagtag and BackPos comparison systems |
+//!
+//! The comparison systems (MobiTagbot, Tagtag, BackPos) and the classifiers
+//! RF-Prism is only compared with are evaluation code: they live in the
+//! `rfp-baselines` and `rfp-bench` crates, outside the shipped library.
 //!
 //! # Quick start
 //!
@@ -51,7 +54,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub use rfp_baselines as baselines;
 pub use rfp_core as core;
 pub use rfp_dsp as dsp;
 pub use rfp_geom as geom;

@@ -1,9 +1,9 @@
 //! Integration tests of the comparison baselines against RF-Prism — the
 //! qualitative claims behind the paper's Figs. 14–20, at test scale.
 
-use rf_prism::baselines::{BackPos, MobiTagbot, Tagtag};
 use rf_prism::core::RfPrism;
 use rf_prism::prelude::*;
+use rfp_baselines::{BackPos, MobiTagbot, Tagtag};
 
 fn prism_for(scene: &Scene) -> RfPrism {
     RfPrism::new(scene.antenna_poses(), scene.reader().plan)

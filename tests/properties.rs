@@ -1,11 +1,17 @@
 //! Property-based integration tests: invariants of the forward model and
-//! the disentangler over randomized physical configurations.
+//! the disentangler over randomized physical configurations, and the
+//! public entry points' contract on hostile reads.
 
 use proptest::prelude::*;
+use rf_prism::core::material::ClassifierKind;
 use rf_prism::core::model::{extract_observation, ExtractConfig};
 use rf_prism::core::solver::{solve_2d, SolverConfig};
+use rf_prism::core::{InventorySensor, ItemOutcome, RfPrism3D, TagEstimate3D};
+use rf_prism::dsp::preprocess::RawRead;
 use rf_prism::geom::angle;
+use rf_prism::ml::dataset::Dataset;
 use rf_prism::prelude::*;
+use std::sync::OnceLock;
 
 fn clean_scene() -> Scene {
     Scene::standard_2d()
@@ -221,4 +227,205 @@ fn pinned_regression_twin_alpha_mode() {
         "orientation error {}° — twin-α mode resurfaced?",
         orient_err.to_degrees()
     );
+}
+
+/// The values a hostile read's phase, frequency, RSSI or timestamp takes.
+const HOSTILE_VALUES: [f64; 6] = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 1e300, -1e300, -0.0];
+
+/// The channels a hostile read claims: past the 50-channel plan, at the
+/// front end's last slot, past it, and the largest index.
+const HOSTILE_CHANNELS: [usize; 4] = [50, 65_535, 65_536, usize::MAX];
+
+/// The number of ways [`corrupt`] can break a read.
+const HOSTILE_KINDS: usize = 4 * HOSTILE_VALUES.len() + HOSTILE_CHANNELS.len() + 1;
+
+/// Breaks `read` in way `kind`: its phase, frequency, RSSI or timestamp
+/// takes a hostile value, its channel a hostile index, or (the last kind)
+/// its phase moves a radian while its phase code stays behind.
+fn corrupt(read: &mut RawRead, kind: usize) {
+    let fields = 4 * HOSTILE_VALUES.len();
+    if kind < fields {
+        let value = HOSTILE_VALUES[kind % HOSTILE_VALUES.len()];
+        match kind / HOSTILE_VALUES.len() {
+            0 => read.phase = value,
+            1 => read.frequency_hz = value,
+            2 => read.rssi_dbm = value,
+            _ => read.timestamp_s = value,
+        }
+    } else if kind < fields + HOSTILE_CHANNELS.len() {
+        read.channel = HOSTILE_CHANNELS[kind - fields];
+    } else {
+        read.phase = (read.phase + 1.0) % std::f64::consts::TAU;
+    }
+}
+
+/// Breaks one read of antenna `antenna % reads.len()` (the
+/// `read % len`-th), or every read of it when `whole_antenna` is set.
+fn corrupt_survey(
+    reads: &mut [Vec<RawRead>],
+    kind: usize,
+    antenna: usize,
+    read: usize,
+    whole_antenna: bool,
+) {
+    let group = &mut reads[antenna % reads.len()];
+    if whole_antenna {
+        group.iter_mut().for_each(|r| corrupt(r, kind));
+    } else if !group.is_empty() {
+        let at = read % group.len();
+        corrupt(&mut group[at], kind);
+    }
+}
+
+fn finite_2d(e: &TagEstimate2D) -> bool {
+    [e.position.x, e.position.y, e.orientation, e.kt, e.bt, e.residual_rms]
+        .into_iter()
+        .all(f64::is_finite)
+}
+
+fn finite_3d(e: &TagEstimate3D) -> bool {
+    [e.position, e.dipole]
+        .iter()
+        .flat_map(|v| [v.x, v.y, v.z])
+        .chain([e.kt, e.bt, e.residual_rms])
+        .all(f64::is_finite)
+}
+
+/// The tag device every hostile case surveys, and its id in the sensor's
+/// calibration database.
+const HOSTILE_DEVICE: u64 = 5;
+
+/// What the hostile-input property senses with, built once: the 2-D
+/// prism, a warm prior, an inventory sensor with a trained identifier and
+/// the surveyed device's calibration installed, and the 3-D prism.
+struct HostileFixture {
+    scene: Scene,
+    prism: RfPrism,
+    warm: WarmStart,
+    sensor: InventorySensor,
+    scene_3d: Scene,
+    prism_3d: RfPrism3D,
+}
+
+fn hostile_fixture() -> &'static HostileFixture {
+    static FIXTURE: OnceLock<HostileFixture> = OnceLock::new();
+    FIXTURE.get_or_init(|| {
+        let scene = Scene::standard_2d();
+        let prism =
+            RfPrism::new(scene.antenna_poses(), scene.reader().plan).with_region(scene.region());
+        let survey = |material: Material, at: Vec2, seed: u64| {
+            let tag = SimTag::with_seeded_diversity(HOSTILE_DEVICE)
+                .attached_to(material)
+                .with_motion(Motion::planar_static(at, 0.0));
+            scene.survey(&tag, seed).per_antenna
+        };
+        let calib_pos = Vec2::new(0.5, 1.0);
+        let bare =
+            prism.sense(&survey(Material::FreeSpace, calib_pos, 1)).expect("calibration survey");
+        let calibration = DeviceCalibration::from_observations(&bare.observations, calib_pos, 0.0);
+        let channel_count = scene.reader().plan.channel_count();
+        let mut train = Dataset::new(Material::CLASSES.len());
+        for (i, material) in [Material::Wood, Material::Water].into_iter().enumerate() {
+            for rep in 0..3 {
+                let result = prism
+                    .sense(&survey(material, Vec2::new(0.2, 1.3), 10 + 3 * i as u64 + rep))
+                    .expect("training survey");
+                train.push(
+                    result.material_features(&calibration, channel_count).to_vector(),
+                    material.class_index().expect("a class"),
+                );
+            }
+        }
+        let identifier = MaterialIdentifier::train(&train, &ClassifierKind::paper_default());
+        let mut calibrations = CalibrationDb::new();
+        calibrations.insert(HOSTILE_DEVICE, calibration);
+        let sensor = InventorySensor::new(prism.clone())
+            .with_calibrations(calibrations)
+            .with_identifier(identifier);
+        let scene_3d = Scene::six_antenna_3d();
+        let prism_3d = RfPrism3D::new(
+            scene_3d.antenna_poses(),
+            scene_3d.reader().plan,
+            scene_3d.region(),
+            (0.0, 1.5),
+        );
+        HostileFixture {
+            warm: WarmStart::from_estimate(&bare.estimate),
+            scene,
+            prism,
+            sensor,
+            scene_3d,
+            prism_3d,
+        }
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Hostile input at every public entry point: one read, or every read
+    /// of one antenna, of a seeded survey gets a non-finite or ±1e300
+    /// phase, frequency, RSSI or timestamp, a −0.0 in one of them, an
+    /// out-of-range channel or a stale phase code. `sense`, `sense_warm`,
+    /// `take_stock` (identifier and calibration installed, so the material
+    /// path runs), a fresh streaming session's `push` and `advance`, and
+    /// `RfPrism3D::sense` must not panic, and every estimate they return
+    /// must be finite.
+    #[test]
+    fn hostile_reads_never_panic_or_yield_non_finite_estimates(
+        seed in 0u64..10_000,
+        u in 0.05f64..0.95,
+        v in 0.05f64..0.95,
+        w in 0.05f64..0.95,
+        alpha in 0.0f64..std::f64::consts::PI,
+        tilt in -0.6f64..0.6,
+        material_idx in 0usize..8,
+        kind in 0usize..HOSTILE_KINDS,
+        antenna in 0usize..6,
+        read in 0usize..10_000,
+        whole_antenna in proptest::bool::ANY,
+    ) {
+        let fx = hostile_fixture();
+        let material = Material::from_class_index(material_idx);
+        let device = SimTag::with_seeded_diversity(HOSTILE_DEVICE).attached_to(material);
+
+        let (lo, hi) = (fx.scene.region().min(), fx.scene.region().max());
+        let at = Vec2::new(lo.x + u * (hi.x - lo.x), lo.y + v * (hi.y - lo.y));
+        let tag = device.clone().with_motion(Motion::planar_static(at, alpha));
+        let mut reads = fx.scene.survey(&tag, seed).per_antenna;
+        let now = reads.iter().flatten().map(|r| r.timestamp_s).fold(0.0, f64::max);
+        corrupt_survey(&mut reads, kind, antenna, read, whole_antenna);
+
+        for (entry, outcome) in [
+            ("sense", fx.prism.sense(&reads)),
+            ("sense_warm", fx.prism.sense_warm(&reads, Some(&fx.warm))),
+        ] {
+            if let Ok(result) = outcome {
+                prop_assert!(finite_2d(&result.estimate), "{entry}: {:?}", result.estimate);
+            }
+        }
+        for outcome in fx.sensor.take_stock(&[(HOSTILE_DEVICE, reads.clone())]) {
+            if let ItemOutcome::Report(report) = outcome {
+                prop_assert!(finite_2d(&report.estimate), "take_stock: {:?}", report.estimate);
+                prop_assert!(report.material.is_some(), "take_stock skipped the material path");
+            }
+        }
+        let mut session = fx.prism.sense_streaming(fx.scene.reader().round_duration_s());
+        for (a, group) in reads.iter().enumerate() {
+            group.iter().for_each(|r| session.push(a, r));
+        }
+        if let Ok(result) = session.advance(now) {
+            prop_assert!(finite_2d(&result.estimate), "advance: {:?}", result.estimate);
+        }
+
+        let (lo, hi) = (fx.scene_3d.region().min(), fx.scene_3d.region().max());
+        let position = Vec3::new(lo.x + u * (hi.x - lo.x), lo.y + v * (hi.y - lo.y), 1.5 * w);
+        let dipole = Vec3::new(alpha.cos(), tilt, alpha.sin()).normalized();
+        let tag = device.with_motion(Motion::Static { position, dipole });
+        let mut reads = fx.scene_3d.survey(&tag, seed).per_antenna;
+        corrupt_survey(&mut reads, kind, antenna, read, whole_antenna);
+        if let Ok(result) = fx.prism_3d.sense(&reads) {
+            prop_assert!(finite_3d(&result.estimate), "3-D sense: {:?}", result.estimate);
+        }
+    }
 }
