@@ -44,7 +44,7 @@ use crate::solver::{SolveSeeds, WarmStart};
 use crate::solver3d::Solve3DSeeds;
 use rfp_dsp::preprocess::RawRead;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::Arc;
 
 /// Raw reads for one tag: `reads[i]` is antenna *i*'s reads, exactly as
 /// [`RfPrism::sense`] takes them.
@@ -192,11 +192,12 @@ pub fn effective_jobs(jobs: usize, items: usize) -> usize {
 /// would leave workers idle, while per-item claiming maximizes contention
 /// on the counter and interleaves the workers' cache footprints). The
 /// chunk size targets ~4 claims per worker so the tail stays balanced.
-/// `(index, result)` pairs flow back over an mpsc channel; the caller's
-/// thread reassembles them in order. With `jobs <= 1` everything runs
-/// inline on the calling thread — no spawn, no channel. Chunking only
-/// changes *which worker* computes an item, never the result — each item
-/// depends only on shared immutable state and its own input.
+/// Each worker returns its `(index, result)` pairs through its join
+/// handle, and the caller's thread joins the workers in worker order and
+/// puts every result at its index. With `jobs <= 1` everything runs
+/// inline on the calling thread, with no spawn. Chunking only changes
+/// *which worker* computes an item, never the result — each item depends
+/// only on shared immutable state and its own input.
 pub fn fan_out<I, R, S, N, F>(
     span: &'static str,
     items: &[I],
@@ -225,48 +226,42 @@ where
     let observing = obs::active();
     let chunk = (items.len() / (jobs * 4)).max(1);
     let next = AtomicUsize::new(0);
-    let (tx, rx) = mpsc::channel::<(usize, R)>();
-    let (obs_tx, obs_rx) = mpsc::channel::<(usize, obs::WorkerObs)>();
     std::thread::scope(|scope| {
-        for w in 0..jobs {
-            let tx = tx.clone();
-            let obs_tx = obs_tx.clone();
-            let (next, new_state, work) = (&next, &new_state, &work);
-            scope.spawn(move || {
-                let ((), worker_obs) = obs::WorkerObs::new(observing).run(|| {
-                    let mut state = new_state();
-                    'claim: loop {
-                        let start = next.fetch_add(chunk, Ordering::Relaxed);
-                        if start >= items.len() {
-                            break;
-                        }
-                        let end = (start + chunk).min(items.len());
-                        for (i, item) in items[start..end].iter().enumerate() {
-                            let result = work(item, &mut state);
-                            if tx.send((start + i, result)).is_err() {
-                                break 'claim;
+        let workers: Vec<_> = (0..jobs)
+            .map(|_| {
+                let (next, new_state, work) = (&next, &new_state, &work);
+                scope.spawn(move || {
+                    obs::WorkerObs::new(observing).run(|| {
+                        let mut state = new_state();
+                        let mut solved = Vec::new();
+                        loop {
+                            let start = next.fetch_add(chunk, Ordering::Relaxed);
+                            if start >= items.len() {
+                                return solved;
+                            }
+                            let end = (start + chunk).min(items.len());
+                            for (i, item) in items[start..end].iter().enumerate() {
+                                solved.push((start + i, work(item, &mut state)));
                             }
                         }
-                    }
-                });
-                let _ = obs_tx.send((w, worker_obs));
-            });
-        }
-        drop(tx);
-        drop(obs_tx);
+                    })
+                })
+            })
+            .collect();
         let mut out: Vec<Option<R>> = Vec::with_capacity(items.len());
         out.resize_with(items.len(), || None);
-        for (i, result) in rx {
-            debug_assert!(out[i].is_none(), "item {i} solved twice");
-            out[i] = Some(result);
-        }
-        // Merge what the workers recorded into the coordinator's recorder
-        // in worker-index order: a fixed merge order plus commutative
-        // counter addition makes every count-type metric identical to a
-        // sequential run, at any worker count. (Timings stay wall-clock.)
-        let mut workers: Vec<(usize, obs::WorkerObs)> = obs_rx.iter().collect();
-        workers.sort_by_key(|&(w, _)| w);
-        for (_, worker_obs) in &workers {
+        // Join the workers in worker-index order and merge what each
+        // recorded into the coordinator's recorder: a fixed merge order
+        // plus commutative counter addition makes every count-type metric
+        // identical to a sequential run, at any worker count. (Timings stay
+        // wall-clock.)
+        for worker in workers {
+            let (solved, worker_obs) =
+                worker.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+            for (i, result) in solved {
+                debug_assert!(out[i].is_none(), "item {i} solved twice");
+                out[i] = Some(result);
+            }
             worker_obs.absorb_into_current();
         }
         out.into_iter()

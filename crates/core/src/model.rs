@@ -5,6 +5,10 @@
 //! circular averaging, unwrapping) with the robust line fit that implements
 //! the paper's multipath suppression: channels whose phase deviates from
 //! the consensus line are dropped before the slope/intercept are read off.
+//! Batch and streaming extraction share one fit tail: each fills the
+//! channel observations and the workspace's fit columns its own way (the
+//! batch pre-processing, or a sliding window's incremental extract), and
+//! the same code then checks the channel count and fits the line.
 
 use crate::obs::counter_add;
 use crate::obs::id::{
@@ -188,36 +192,54 @@ pub fn extract_observation_into(
     counter_add(FRONTEND_TRIG_TABLE_READS, table);
     counter_add(FRONTEND_TRIG_LIBM_READS, libm);
     preprocessed?;
-    if out.channels.len() < 5 {
-        return Err(ExtractError::TooFewChannels { available: out.channels.len() });
+    fit_observation(pose, config, ws, out)
+}
+
+/// The fit tail of batch and streaming extraction, run once the front end
+/// has filled `out.channels` and the fit columns of `ws`: the 5-channel
+/// check, the raw fit, the robust fit and its inlier mask when
+/// `config.suppress_multipath` (every channel an inlier otherwise), then
+/// the observation's fitted-line fields.
+///
+/// # Errors
+///
+/// [`ExtractError::TooFewChannels`] below 5 channels, [`ExtractError::Fit`]
+/// when a line fit fails.
+pub(crate) fn fit_observation(
+    pose: AntennaPose,
+    config: &ExtractConfig,
+    ws: &mut FrontEndWorkspace,
+    out: &mut AntennaObservation,
+) -> Result<(), ExtractError> {
+    let n = out.channels.len();
+    if n < 5 {
+        return Err(ExtractError::TooFewChannels { available: n });
     }
-    counter_add(FRONTEND_CHANNELS, out.channels.len() as u64);
+    counter_add(FRONTEND_CHANNELS, n as u64);
 
     // Raw fit from the sums the front end already accumulated while
     // unwrapping — no second pass over the columns.
     let raw_fit = ws.raw_fit()?;
 
+    out.channel_inliers.clear();
     let (fit, inlier_fraction) = if config.suppress_multipath {
-        let n = out.channels.len();
         let (xs, ys, fit_ws) = ws.fit_columns();
         let summary = robust_line_fit_with(fit_ws, xs, ys, &config.robust)?;
-        out.channel_inliers.clear();
-        out.channel_inliers.extend_from_slice(ws.fit.inlier_mask());
+        out.channel_inliers.extend_from_slice(fit_ws.inlier_mask());
         (summary.fit, summary.inlier_fraction(n))
     } else {
-        out.channel_inliers.clear();
-        out.channel_inliers.resize(out.channels.len(), true);
+        out.channel_inliers.resize(n, true);
         (raw_fit, 1.0)
     };
     finish_observation(pose, &raw_fit, &fit, inlier_fraction, out);
     Ok(())
 }
 
-/// Shared tail of the batch and streaming extraction paths: fills the
-/// fitted-line fields of `out` from the raw fit and the accepted (robust
-/// or raw) fit. `out.channels` and `out.channel_inliers` must already be
-/// populated — the inlier-mean RSSI is computed from them here.
-pub(crate) fn finish_observation(
+/// Fills the fitted-line fields of `out` from the raw fit and the
+/// accepted (robust or raw) fit. `out.channels` and `out.channel_inliers`
+/// must already be populated — the inlier-mean RSSI is computed from them
+/// here.
+fn finish_observation(
     pose: AntennaPose,
     raw_fit: &rfp_dsp::linfit::LineFit,
     fit: &rfp_dsp::linfit::LineFit,

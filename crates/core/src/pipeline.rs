@@ -36,8 +36,9 @@ use std::sync::Arc;
 /// Algorithm configuration of a sensing pipeline; `C` is the solver's
 /// configuration — [`SolverConfig`] for [`RfPrismConfig`],
 /// [`Solver3DConfig`](crate::solver3d::Solver3DConfig) for
-/// [`RfPrism3DConfig`](crate::RfPrism3DConfig).
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
+/// [`RfPrism3DConfig`](crate::RfPrism3DConfig). Build it from
+/// [`PipelineConfig::paper`].
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PipelineConfig<C> {
     /// Pre-processing + robust fitting options.
     pub extract: ExtractConfig,

@@ -12,12 +12,14 @@
 //! lane-core facade, so warm streaming solves stay allocation-free) against
 //! the prism's seeds, warm-started from the tracker's extrapolated position
 //! with a periodically re-anchored warm-gate floor. Each window's extract
-//! is bit-identical to the batch front end on the reads it retains (a
-//! channel that loses reads is re-derived from the reads it keeps), so
-//! streaming never changes results, only cost. The windows borrow the
-//! session's one front-end workspace for their fit columns and keep 32
-//! bytes per retained read, so a `standard_2d` tag tracked over a 40 s
-//! window holds about 270 KB.
+//! is bit-identical to the batch pre-processing on the reads it retains (a
+//! channel that loses reads is re-derived from the reads it keeps), and
+//! the line fits that follow are the batch extraction's own fit tail
+//! (the channel-count check, raw fit, robust fit and inlier mask of
+//! [`crate::model`]), so streaming never changes results or errors, only
+//! cost. The windows borrow the session's one front-end workspace for
+//! their fit columns and keep 32 bytes per retained read, so a
+//! `standard_2d` tag tracked over a 40 s window holds about 270 KB.
 //!
 //! ```
 //! use rfp_geom::Vec2;
@@ -48,17 +50,17 @@
 //! # Ok::<(), rfp_core::SenseError>(())
 //! ```
 
-use crate::model::{finish_observation, AntennaObservation, ExtractError};
+use crate::model::{fit_observation, AntennaObservation, ExtractConfig, ExtractError};
 use crate::obs;
 use crate::obs::id::{
-    FRONTEND_CHANNELS, FRONTEND_READS, FRONTEND_TRIG_LIBM_READS, FRONTEND_TRIG_TABLE_READS,
-    FRONTEND_WINDOWS, STREAMING_DOWNDATES, STREAMING_REBUILDS, STREAMING_UPDATES,
+    FRONTEND_READS, FRONTEND_TRIG_LIBM_READS, FRONTEND_TRIG_TABLE_READS, FRONTEND_WINDOWS,
+    STREAMING_DOWNDATES, STREAMING_REBUILDS, STREAMING_UPDATES,
 };
 use crate::pipeline::{RfPrism, SenseError, SenseWorkspace, SensingResult};
 use crate::solver::{solve_2d_tracking_warm, WarmGate, WarmStart};
 use crate::tracking::{TagTracker, TrackerConfig};
 use rfp_dsp::preprocess::RawRead;
-use rfp_dsp::streaming::{StreamingError, StreamingStats, StreamingWindow};
+use rfp_dsp::streaming::{StreamingStats, StreamingWindow};
 use rfp_dsp::workspace::FrontEndWorkspace;
 use rfp_geom::AntennaPose;
 
@@ -90,16 +92,13 @@ impl RfPrism {
     /// seconds per antenna, and every [`StreamingSession::advance`] pays
     /// only for the reads that arrived or expired since the previous one.
     ///
-    /// Every window runs this prism's [`ExtractConfig`]
-    /// (`config().extract`), the configuration of the batch front end, so
-    /// a streaming extract agrees with the batch
-    /// [`sense`](RfPrism::sense) on the same retained reads.
-    ///
-    /// [`ExtractConfig`]: crate::model::ExtractConfig
+    /// Every window's line fits run this prism's [`ExtractConfig`]
+    /// (`config().extract`) through the batch extraction's fit tail, so a
+    /// streaming extract agrees with the batch [`sense`](RfPrism::sense)
+    /// on the same retained reads, errors included.
     pub fn sense_streaming(&self, window_span_s: f64) -> StreamingSession<'_> {
-        let extract = self.config().extract;
         StreamingSession {
-            windows: self.poses().iter().map(|_| StreamingWindow::new(extract)).collect(),
+            windows: self.poses().iter().map(|_| StreamingWindow::new()).collect(),
             workspace: SenseWorkspace::default(),
             tracker: TagTracker::new(TrackerConfig::default()),
             window_span_s,
@@ -164,17 +163,18 @@ impl<'a> StreamingSession<'a> {
             &[obs::id::STREAMING_ADVANCE_LATENCY_US, obs::id::SENSE_LATENCY_US],
         );
         let cutoff = now_s - self.window_span_s;
+        let config = self.prism.config();
         // One window's extraction ends where the next one's starts.
         let mut extract_laps = obs::Laps::new(obs::id::STREAMING_EXTRACT_LATENCY_US);
         let result = self.workspace.sense(
             self.prism.poses(),
-            self.prism.config(),
+            config,
             3,
             self.windows.iter_mut(),
             |pose, window, frontend, slot| {
                 extract_laps.start();
                 window.expire_before(cutoff);
-                let extracted = extract_streaming(pose, window, frontend, slot);
+                let extracted = extract_streaming(pose, window, &config.extract, frontend, slot);
                 extract_laps.lap();
                 extracted
             },
@@ -247,38 +247,18 @@ impl<'a> StreamingSession<'a> {
     }
 }
 
-/// The streaming analogue of `extract_observation_into`: pulls the line
-/// fit out of the window's incremental accumulators instead of
-/// re-preprocessing raw reads, with the fit columns in the session's one
-/// front-end workspace, then fills `out` through the same shared tail as
-/// the batch path.
+/// The streaming analogue of `extract_observation_into`: the channels and
+/// fit columns come from the window's incremental accumulators instead of
+/// re-preprocessing raw reads, into the session's one front-end workspace,
+/// and the batch fit tail fills `out` from them.
 fn extract_streaming(
     pose: AntennaPose,
     window: &mut StreamingWindow,
+    config: &ExtractConfig,
     frontend: &mut FrontEndWorkspace,
     out: &mut AntennaObservation,
 ) -> Result<(), ExtractError> {
     obs::counter_add(FRONTEND_WINDOWS, 1);
-    let extract = window.extract_into(frontend, &mut out.channels).map_err(|e| match e {
-        StreamingError::Preprocess(e) => ExtractError::Preprocess(e),
-        StreamingError::Fit(e) => ExtractError::Fit(e),
-    })?;
-    if out.channels.len() < 5 {
-        return Err(ExtractError::TooFewChannels { available: out.channels.len() });
-    }
-    obs::counter_add(FRONTEND_CHANNELS, out.channels.len() as u64);
-
-    out.channel_inliers.clear();
-    let (fit, inlier_fraction) = match &extract.robust {
-        Some(summary) => {
-            out.channel_inliers.extend_from_slice(window.inlier_mask());
-            (summary.fit, summary.inlier_fraction(out.channels.len()))
-        }
-        None => {
-            out.channel_inliers.resize(out.channels.len(), true);
-            (extract.raw_fit, 1.0)
-        }
-    };
-    finish_observation(pose, &extract.raw_fit, &fit, inlier_fraction, out);
-    Ok(())
+    window.extract_into(frontend, &mut out.channels)?;
+    fit_observation(pose, config, frontend, out)
 }

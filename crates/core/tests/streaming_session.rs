@@ -4,10 +4,11 @@
 //! per-antenna observations bit-identical to `extract_observation_into`
 //! on the reads that antenna's window retains — slope, intercept, inlier
 //! mask and mean RSSI — including the advances whose inlier mask differs
-//! from the previous advance's.
+//! from the previous advance's. A window too thin to fit fails an advance
+//! with the error `sense` gives on the same reads.
 
-use rfp_core::model::{extract_observation_into, AntennaObservation};
-use rfp_core::{RfPrism, RfPrismConfig};
+use rfp_core::model::{extract_observation_into, AntennaObservation, ExtractError};
+use rfp_core::{RfPrism, RfPrismConfig, SenseError};
 use rfp_dsp::preprocess::RawRead;
 use rfp_dsp::workspace::FrontEndWorkspace;
 use rfp_geom::Vec2;
@@ -87,4 +88,47 @@ fn creeping_tag_advances_match_batch_extract() {
     // Every advance after the first round, over 1.5 spans and more.
     assert!(compared >= 3 * 3 * ADVANCES_PER_ROUND, "compared {compared} observations");
     assert!(mask_changes > 0, "no advance changed its inlier mask");
+}
+
+/// A window that keeps fewer than 5 channels fails as batch extraction
+/// fails it: when one antenna of a `standard_2d` survey keeps only 1, 2, 3
+/// or 4 channels, a fresh session's advance over the survey returns the
+/// `SenseError` that `sense` returns on the same reads, naming the thin
+/// antenna's channel count.
+#[test]
+fn thin_window_fails_an_advance_as_sense_fails() {
+    let scene = Scene::standard_2d();
+    let prism =
+        RfPrism::new(scene.antenna_poses(), scene.reader().plan).with_region(scene.region());
+    let tag = SimTag::with_seeded_diversity(3)
+        .with_motion(Motion::planar_static(Vec2::new(0.4, 1.4), 0.5));
+    for kept in 1..=4 {
+        let mut reads = scene.survey(&tag, 60 + kept as u64).per_antenna;
+        let mut channels = Vec::new();
+        reads[0].retain(|r| {
+            if channels.len() < kept && !channels.contains(&r.channel) {
+                channels.push(r.channel);
+            }
+            channels.contains(&r.channel)
+        });
+        assert_eq!(channels.len(), kept);
+        let batch = prism.sense(&reads).expect_err("a thin antenna leaves two usable");
+        assert_eq!(
+            batch,
+            SenseError::TooFewObservations {
+                usable: 2,
+                first_error: Some(ExtractError::TooFewChannels { available: kept }),
+            },
+            "{kept} channels"
+        );
+
+        let mut session = prism.sense_streaming(scene.reader().round_duration_s());
+        for (antenna, group) in reads.iter().enumerate() {
+            group.iter().for_each(|r| session.push(antenna, r));
+        }
+        let now = reads.iter().flatten().map(|r| r.timestamp_s).fold(0.0, f64::max);
+        assert_eq!(session.retained_reads(), reads.iter().map(Vec::len).sum::<usize>());
+        let streamed = session.advance(now).expect_err("the same window fails");
+        assert_eq!(streamed, batch, "{kept} channels");
+    }
 }

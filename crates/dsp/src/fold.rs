@@ -1,7 +1,7 @@
 //! Certified π-fold decisions: one phasor sign test per read.
 //!
-//! In π-jump mode the front end makes two decisions per read of phase `p`
-//! on a channel with axis `a` and unwrapped axis `U`:
+//! The front end makes two decisions per read of phase `p` on a channel
+//! with axis `a` and unwrapped axis `U`:
 //!
 //! * the **fold**: the read is shifted by π iff
 //!   `wrapped_distance(p, a) > FRAC_PI_2`;
@@ -66,7 +66,7 @@ const PARITY_SPAN: f64 = 64.0;
 /// Largest residue `|(U − a) − j·PI|` [`vote_parity`] accepts.
 const PARITY_SLACK: f64 = 1e-12;
 
-/// One channel's fold axis in π-jump mode and its unit vector.
+/// One channel's fold axis and its unit vector.
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct FoldAxis {
     /// The axis, in `[−π/2, π/2]` (or the first read's phase when the
@@ -150,7 +150,7 @@ pub(crate) mod tests {
     use super::*;
     use crate::preprocess::{preprocess_reads_with, wrap_tau, PreprocessConfig, RawRead};
     use crate::trig::{self, PHASE_CODES, PHASE_LSB_RAD};
-    use crate::{ExtractConfig, FrontEndWorkspace, StreamingWindow};
+    use crate::{FrontEndWorkspace, StreamingWindow};
     use rand::{rngs::StdRng, Rng, SeedableRng};
     use rfp_geom::{angle, Vec2};
     use std::cell::Cell;
@@ -348,7 +348,7 @@ pub(crate) mod tests {
         let batch = exact_reads(|| {
             preprocess_reads_with(&mut ws, reads, &PreprocessConfig::default(), &mut out).unwrap()
         });
-        let mut win = StreamingWindow::new(ExtractConfig::paper());
+        let mut win = StreamingWindow::new();
         for r in reads {
             win.push(r);
         }

@@ -6,7 +6,9 @@
 //! * [`preprocess`] — turning raw per-read reader reports into one clean
 //!   unwrapped phase per channel: π-jump correction (COTS readers flip the
 //!   reported phase by π at random), circular per-channel averaging, and
-//!   2π unwrapping across channels, in two passes over the reads.
+//!   2π unwrapping across channels, in two passes over the reads. It has
+//!   one mode, the paper's: the correction always runs, and every channel
+//!   with a usable read is kept.
 //! * [`linfit`] — ordinary/weighted least-squares and Theil–Sen line fits
 //!   (one vectorizable sweep over the pairs, the median selected inside a
 //!   band around a trimmed least-squares pilot slope) with goodness-of-fit
@@ -21,8 +23,10 @@
 //!   ([`StreamingWindow`]): per-channel running sums that grow on read
 //!   arrival, with a channel re-accumulated from its kept reads when some
 //!   expire, so an advance pays for the reads and channels that changed
-//!   instead of a batch recompute, and extracts bit-identically to it; its
-//!   robust fit is the batch kernel's.
+//!   instead of a batch recompute. Its extract stops where
+//!   [`preprocess_reads_with`] stops, bit-identically to it, and shares
+//!   the batch passes' per-read phasor helpers; the line fits that follow
+//!   are the batch extraction's own.
 //! * [`stats`] — small statistics helpers (mean, std, median, MAD,
 //!   percentiles) shared by the solver and the experiment harness.
 //! * [`trig`] — the pre-processing trigonometry tables: exact sin/cos
@@ -69,15 +73,17 @@ pub use preprocess::{
     preprocess_reads, preprocess_reads_with, ChannelObservation, PreprocessConfig, RawRead,
 };
 pub use robust::{robust_line_fit, robust_line_fit_with, RobustFit, RobustFitConfig, RobustSummary};
-pub use streaming::{StreamExtract, StreamingError, StreamingStats, StreamingWindow};
+pub use streaming::{StreamingStats, StreamingWindow};
 pub use workspace::{FitWorkspace, FrontEndWorkspace, OlsSums};
 
 /// Configuration of the front end, from raw reads to a fitted line: the
-/// batch extraction (`rfp_core::model::extract_observation`, which
-/// re-exports this type) and every [`StreamingWindow`] run on it.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
+/// fit tail of the batch extraction and of a streaming session
+/// (`rfp_core::model`, which re-exports this type) runs on it. Build it
+/// from [`ExtractConfig::paper`]; the pre-processing itself has no
+/// options.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ExtractConfig {
-    /// Pre-processing options.
+    /// Pre-processing options: none (see [`PreprocessConfig`]).
     pub preprocess: PreprocessConfig,
     /// Robust-fit (multipath suppression) options.
     pub robust: RobustFitConfig,

@@ -43,7 +43,7 @@
 //! its bits.
 
 use crate::fold::{self, FoldAxis};
-use crate::trig::{self, hit, PHASE_CODES, PHASE_LSB_RAD};
+use crate::trig::{self, PHASE_CODES, PHASE_LSB_RAD};
 use crate::workspace::FrontEndWorkspace;
 use rfp_geom::angle;
 
@@ -118,25 +118,17 @@ pub struct ChannelObservation {
     pub phase_spread: f64,
 }
 
-/// Configuration for [`preprocess_reads`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PreprocessConfig {
-    /// Whether to run π-jump correction (on for COTS-reader data).
-    pub correct_pi_jumps: bool,
-    /// Channels with fewer reads than this are dropped.
-    pub min_reads_per_channel: usize,
-}
-
-impl Default for PreprocessConfig {
-    fn default() -> Self {
-        PreprocessConfig { correct_pi_jumps: true, min_reads_per_channel: 1 }
-    }
-}
+/// Configuration for [`preprocess_reads`]: none. The front end has one
+/// mode, the paper's: π-jump correction always runs, and every channel
+/// with a usable read is kept. The type stays only because the frozen
+/// benchmark passes `&config.preprocess` to [`preprocess_reads_with`].
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
+pub struct PreprocessConfig {}
 
 /// Errors from [`preprocess_reads`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum PreprocessError {
-    /// No channel had enough reads.
+    /// No read was usable, so no channel holds a read.
     NoUsableChannels,
 }
 
@@ -159,8 +151,7 @@ impl std::error::Error for PreprocessError {}
 ///
 /// # Errors
 ///
-/// Returns [`PreprocessError::NoUsableChannels`] when every channel has
-/// fewer than `config.min_reads_per_channel` reads.
+/// Returns [`PreprocessError::NoUsableChannels`] when no read is usable.
 ///
 /// # Example
 ///
@@ -211,11 +202,11 @@ pub fn preprocess_reads(
 pub fn preprocess_reads_with(
     ws: &mut FrontEndWorkspace,
     reads: &[RawRead],
-    config: &PreprocessConfig,
+    _config: &PreprocessConfig,
     out: &mut Vec<ChannelObservation>,
 ) -> Result<(), PreprocessError> {
-    if accumulate(ws, reads, config) {
-        return finish(ws, reads, config, out);
+    if accumulate(ws, reads) {
+        return finish(ws, reads, out);
     }
     // An unusable read would poison every statistic of its channel: pass 1
     // stopped at it, so restart on a copy without it. Such reads are rare,
@@ -223,37 +214,27 @@ pub fn preprocess_reads_with(
     let mut usable = std::mem::take(&mut ws.usable_reads);
     usable.clear();
     usable.extend(reads.iter().filter(|r| r.is_usable()).copied());
-    let complete = accumulate(ws, &usable, config);
+    let complete = accumulate(ws, &usable);
     debug_assert!(complete, "the copy holds only usable reads");
-    let result = finish(ws, &usable, config, out);
+    let result = finish(ws, &usable, out);
     ws.usable_reads = usable;
     result
 }
 
 /// Pass 1 over the reads: per-channel counts, first read, RSSI, and the
-/// per-read phasors — sin/cos of the doubled angle in π-jump mode (the
-/// double-angle trick maps both antipodal clusters onto one) or of the
-/// plain phase otherwise — accumulated into the per-channel circular
-/// sums. Iterating the reads in input order keeps every per-channel
-/// accumulation in that channel's read order — the same summation order
-/// as the per-channel vectors of the reference implementation, hence
-/// bit-identical sums. A reader dwells on one channel for several reads
-/// in a row, so the sums of the current channel's run live in registers
-/// and go back to their columns when the channel changes. The slot of
-/// each read is recorded so pass 2 skips the slot lookup. Returns
-/// `false`, leaving the workspace half-filled, at the first unusable
-/// read.
-fn accumulate(ws: &mut FrontEndWorkspace, reads: &[RawRead], config: &PreprocessConfig) -> bool {
+/// per-read double-angle phasors ([`trig::acc_phasor`]) accumulated into
+/// the per-channel circular sums. Iterating the reads in input order
+/// keeps every per-channel accumulation in that channel's read order —
+/// the same summation order as the per-channel vectors of the reference
+/// implementation, hence bit-identical sums. A reader dwells on one
+/// channel for several reads in a row, so the sums of the current
+/// channel's run live in registers and go back to their columns when the
+/// channel changes. The slot of each read is recorded so pass 2 skips the
+/// slot lookup. Returns `false`, leaving the workspace half-filled, at the
+/// first unusable read.
+fn accumulate(ws: &mut FrontEndWorkspace, reads: &[RawRead]) -> bool {
     ws.reset_channels();
-    // `1.0 · p` is exactly `p`, so one scaled expression serves both
-    // modes on the libm path without perturbing bit-identity. On the
-    // table path the mode picks the table and the index stride: the base
-    // entry of code `c` sits at `2c` in the interleaved fold table.
-    let (scale, table, stride) = if config.correct_pi_jumps {
-        (2.0, trig::double_table(), 0)
-    } else {
-        (1.0, trig::fold_table(), 1)
-    };
+    let table = trig::double_table();
     let mut hits = [0u64; 2];
     // The current run: its channel, slot and running sums.
     let mut run = Run::default();
@@ -266,18 +247,7 @@ fn accumulate(ws: &mut FrontEndWorkspace, reads: &[RawRead], config: &Preprocess
             run = Run::load(ws, r);
         }
         ws.read_slot.push(run.slot as u32);
-        let (sin, cos) = match r.table_code() {
-            Some(code) => {
-                hits[hit::TABLE] += 1;
-                let [sin, cos] = table[(code as usize) << stride];
-                (sin, cos)
-            }
-            None => {
-                hits[hit::LIBM] += 1;
-                let x = scale * r.phase;
-                (x.sin(), x.cos())
-            }
-        };
+        let [sin, cos] = trig::acc_phasor(r.phase, r.table_code(), table, &mut hits);
         run.count += 1;
         run.rssi += r.rssi_dbm;
         run.sin += sin;
@@ -342,143 +312,105 @@ impl Run {
 fn finish(
     ws: &mut FrontEndWorkspace,
     reads: &[RawRead],
-    config: &PreprocessConfig,
     out: &mut Vec<ChannelObservation>,
 ) -> Result<(), PreprocessError> {
     use std::f64::consts::PI;
 
     out.clear();
-    let min_reads = config.min_reads_per_channel.max(1);
-
-    // Per-slot axis (and, without π correction, the spread too — it comes
-    // from the same resultant vector as the mean).
-    let mut kept = 0usize;
-    for s in 0..ws.slots() {
-        let n = ws.count[s];
-        ws.keep[s] = n >= min_reads;
-        if !ws.keep[s] {
-            continue;
-        }
-        kept += 1;
-        let (sin, cos) = (ws.acc_sin[s], ws.acc_cos[s]);
-        if config.correct_pi_jumps {
-            // circular_mean(2p).unwrap_or(2·p₀) / 2, streamed; the
-            // resultant's columns take the axis's unit vector for pass 2.
-            let fold = FoldAxis::new(sin, cos, n, ws.first_phase[s]);
-            ws.axis[s] = fold.axis;
-            [ws.acc_sin[s], ws.acc_cos[s]] = fold.unit;
-        } else {
-            let r = (sin * sin + cos * cos).sqrt() / n as f64;
-            ws.axis[s] = if r < 1e-12 { ws.first_phase[s] } else { sin.atan2(cos) };
-            ws.spread[s] = (-2.0 * r.clamp(1e-300, 1.0).ln()).sqrt();
-        }
-    }
-    if kept == 0 {
+    // Every slot holds a usable read.
+    if ws.slots() == 0 {
         return Err(PreprocessError::NoUsableChannels);
+    }
+    // Per-slot axis: circular_mean(2p).unwrap_or(2·p₀) / 2, streamed; the
+    // resultant's columns take the axis's unit vector for pass 2.
+    for s in 0..ws.slots() {
+        let fold = FoldAxis::new(ws.acc_sin[s], ws.acc_cos[s], ws.count[s], ws.first_phase[s]);
+        ws.axis[s] = fold.axis;
+        [ws.acc_sin[s], ws.acc_cos[s]] = fold.unit;
     }
 
     {
-        let FrontEndWorkspace { order, slot_of, chan, keep, first_freq, .. } = &mut *ws;
-        order_channels(order, slot_of, chan.len(), |s| chan[s], |s| keep[s], |s| first_freq[s]);
+        let FrontEndWorkspace { order, slot_of, chan, first_freq, .. } = &mut *ws;
+        order_channels(order, slot_of, chan.len(), |s| chan[s], |_| true, |s| first_freq[s]);
     }
 
-    // Wrapped per-channel phases in channel order, then cross-channel
-    // unwrap in place.
+    // Wrapped per-channel phases in channel order. The per-channel axes
+    // are only known modulo π: unwrap them with period π into a
+    // continuous curve, then resolve the single global π ambiguity by a
+    // majority vote over *every* raw read (far more robust than voting
+    // channel by channel).
     ws.phase_col.clear();
     for &s in &ws.order {
         ws.phase_col.push(wrap_tau(ws.axis[s]));
     }
-    if config.correct_pi_jumps {
-        // The per-channel axes are only known modulo π: unwrap them with
-        // period π into a continuous curve, then resolve the single global
-        // π ambiguity by a majority vote over *every* raw read (far more
-        // robust than voting channel by channel).
-        angle::unwrap_in_place_period(&mut ws.phase_col, PI);
-        for (k, &s) in ws.order.iter().enumerate() {
-            ws.unwrapped[s] = ws.phase_col[k];
-        }
-        // Pass 2: fold every read onto its channel axis, accumulating the
-        // folded resultant for the per-channel spread, and cast its vote
-        // against the unwrapped axis. The unwrap needs only the pass-1
-        // axes, so one pass serves both; the fold sums still accumulate
-        // in input order (bit-identical sums, as in pass 1). A grid read
-        // is decided by one sign test against the axis's unit vector
-        // (`fold`), and its vote is that decision flipped when the unwrap
-        // moved the axis by an odd number of periods; a read inside the
-        // sign test's margin, or off the grid, takes both exact distances.
-        // A table hit is one load indexed by code and fold decision.
-        let FrontEndWorkspace {
-            read_slot, keep, axis, unwrapped, acc_sin, acc_cos, fold_sin, fold_cos, trig_hits, ..
-        } = &mut *ws;
-        let fold_table = trig::fold_table();
-        let mut votes_axis = 0usize;
-        // As in pass 1, the fold sums of the current channel's run live
-        // in registers until the slot changes.
-        let mut cur = u32::MAX;
-        let (mut kept, mut fold, mut vote_axis, mut odd) =
-            (false, FoldAxis::default(), 0.0, false);
-        let (mut run_sin, mut run_cos) = (0.0, 0.0);
-        for (r, &s) in reads.iter().zip(read_slot.iter()) {
-            if s != cur {
-                if cur != u32::MAX {
-                    fold_sin[cur as usize] = run_sin;
-                    fold_cos[cur as usize] = run_cos;
-                }
-                cur = s;
-                let s = s as usize;
-                (kept, vote_axis) = (keep[s], unwrapped[s]);
-                fold = FoldAxis { axis: axis[s], unit: [acc_sin[s], acc_cos[s]] };
-                // A parity that does not certify sends the whole run to
-                // the exact path.
-                odd = fold::vote_parity(fold.axis, vote_axis).unwrap_or_else(|| {
-                    fold.unit = [0.0; 2];
-                    false
-                });
-                (run_sin, run_cos) = (fold_sin[s], fold_cos[s]);
+    angle::unwrap_in_place_period(&mut ws.phase_col, PI);
+    for (k, &s) in ws.order.iter().enumerate() {
+        ws.unwrapped[s] = ws.phase_col[k];
+    }
+    // Pass 2: fold every read onto its channel axis, accumulating the
+    // folded resultant for the per-channel spread, and cast its vote
+    // against the unwrapped axis. The unwrap needs only the pass-1 axes,
+    // so one pass serves both; the fold sums still accumulate in input
+    // order (bit-identical sums, as in pass 1). A grid read is decided by
+    // one sign test against the axis's unit vector (`fold`), and its vote
+    // is that decision flipped when the unwrap moved the axis by an odd
+    // number of periods; a read inside the sign test's margin, or off the
+    // grid, takes both exact distances. A table hit is one load indexed
+    // by code and fold decision.
+    let FrontEndWorkspace {
+        read_slot, axis, unwrapped, acc_sin, acc_cos, fold_sin, fold_cos, trig_hits, ..
+    } = &mut *ws;
+    let fold_table = trig::fold_table();
+    let mut votes_axis = 0usize;
+    // As in pass 1, the fold sums of the current channel's run live in
+    // registers until the slot changes.
+    let mut cur = u32::MAX;
+    let (mut fold, mut vote_axis, mut odd) = (FoldAxis::default(), 0.0, false);
+    let (mut run_sin, mut run_cos) = (0.0, 0.0);
+    for (r, &s) in reads.iter().zip(read_slot.iter()) {
+        if s != cur {
+            if cur != u32::MAX {
+                fold_sin[cur as usize] = run_sin;
+                fold_cos[cur as usize] = run_cos;
             }
-            if !kept {
-                continue;
-            }
-            let p = r.phase;
-            let code = r.table_code();
-            let (shift, vote) = match fold.sign_test(code, fold_table) {
-                Some(shift) => (shift, shift == odd),
-                None => (fold.exact_shift(p), fold::exact_vote(p, vote_axis)),
-            };
-            let (sin, cos) = match code {
-                Some(code) => {
-                    trig_hits[hit::TABLE] += 1;
-                    let [sin, cos] = fold_table[((code as usize) << 1) | shift as usize];
-                    (sin, cos)
-                }
-                None => {
-                    trig_hits[hit::LIBM] += 1;
-                    let folded = if shift { p + PI } else { p };
-                    (folded.sin(), folded.cos())
-                }
-            };
-            run_sin += sin;
-            run_cos += cos;
-            votes_axis += vote as usize;
+            cur = s;
+            let s = s as usize;
+            vote_axis = unwrapped[s];
+            fold = FoldAxis { axis: axis[s], unit: [acc_sin[s], acc_cos[s]] };
+            // A parity that does not certify sends the whole run to the
+            // exact path.
+            odd = fold::vote_parity(fold.axis, vote_axis).unwrap_or_else(|| {
+                fold.unit = [0.0; 2];
+                false
+            });
+            (run_sin, run_cos) = (fold_sin[s], fold_cos[s]);
         }
-        if cur != u32::MAX {
-            fold_sin[cur as usize] = run_sin;
-            fold_cos[cur as usize] = run_cos;
+        let p = r.phase;
+        let code = r.table_code();
+        let (shift, vote) = match fold.sign_test(code, fold_table) {
+            Some(shift) => (shift, shift == odd),
+            None => (fold.exact_shift(p), fold::exact_vote(p, vote_axis)),
+        };
+        let [sin, cos] = trig::fold_phasor(p, code, shift, fold_table, trig_hits);
+        run_sin += sin;
+        run_cos += cos;
+        votes_axis += vote as usize;
+    }
+    if cur != u32::MAX {
+        fold_sin[cur as usize] = run_sin;
+        fold_cos[cur as usize] = run_cos;
+    }
+    let mut votes_total = 0usize;
+    for &s in &ws.order {
+        let (sin, cos) = (ws.fold_sin[s], ws.fold_cos[s]);
+        let r = ((sin * sin + cos * cos).sqrt() / ws.count[s] as f64).min(1.0);
+        ws.spread[s] = (-2.0 * r.max(1e-300).ln()).sqrt();
+        votes_total += ws.count[s];
+    }
+    if 2 * votes_axis < votes_total {
+        for p in &mut ws.phase_col {
+            *p += PI;
         }
-        let mut votes_total = 0usize;
-        for &s in &ws.order {
-            let (sin, cos) = (ws.fold_sin[s], ws.fold_cos[s]);
-            let r = ((sin * sin + cos * cos).sqrt() / ws.count[s] as f64).min(1.0);
-            ws.spread[s] = (-2.0 * r.max(1e-300).ln()).sqrt();
-            votes_total += ws.count[s];
-        }
-        if 2 * votes_axis < votes_total {
-            for p in &mut ws.phase_col {
-                *p += PI;
-            }
-        }
-    } else {
-        angle::unwrap_in_place(&mut ws.phase_col);
     }
 
     // Emit the final observations; the same loop feeds the fused
@@ -700,31 +632,11 @@ mod tests {
     }
 
     #[test]
-    fn min_reads_filter_drops_thin_channels() {
-        let reads = vec![read(0, 1.0), read(0, 1.0), read(1, 2.0)];
-        let cfg = PreprocessConfig { min_reads_per_channel: 2, ..Default::default() };
-        let obs = preprocess_reads(&reads, &cfg).unwrap();
-        assert_eq!(obs.len(), 1);
-        assert_eq!(obs[0].channel, 0);
-    }
-
-    #[test]
     fn empty_input_errors() {
         assert_eq!(
             preprocess_reads(&[], &PreprocessConfig::default()).unwrap_err(),
             PreprocessError::NoUsableChannels
         );
-    }
-
-    #[test]
-    fn correction_can_be_disabled() {
-        let reads = vec![read(0, 0.5), read(0, 0.5 + PI)];
-        let cfg = PreprocessConfig { correct_pi_jumps: false, ..Default::default() };
-        // With correction off the two antipodal reads average to something
-        // near the midpoint (circular mean undefined-ish); just check we get
-        // an observation and do not crash.
-        let obs = preprocess_reads(&reads, &cfg).unwrap();
-        assert_eq!(obs[0].read_count, 2);
     }
 
     #[test]
@@ -735,9 +647,9 @@ mod tests {
         assert!(freqs.windows(2).all(|w| w[1] > w[0]));
     }
 
-    /// Window mixing quantized (coded) and continuous reads across both
-    /// π-jump modes: table lookups must be bit-identical to libm on the
-    /// same reads with their codes stripped.
+    /// Window mixing quantized (coded) and continuous reads: table
+    /// lookups must be bit-identical to libm on the same reads with their
+    /// codes stripped.
     #[test]
     fn coded_reads_are_bit_identical_to_stripped() {
         let mut reads = Vec::new();
@@ -751,12 +663,9 @@ mod tests {
         }
         let stripped: Vec<RawRead> =
             reads.iter().map(|r| RawRead { phase_code: None, ..*r }).collect();
-        for &pi_jumps in &[true, false] {
-            let cfg = PreprocessConfig { correct_pi_jumps: pi_jumps, ..Default::default() };
-            let coded_obs = preprocess_reads(&reads, &cfg).unwrap();
-            let stripped_obs = preprocess_reads(&stripped, &cfg).unwrap();
-            assert_eq!(coded_obs, stripped_obs, "pi_jumps={pi_jumps}");
-        }
+        let cfg = PreprocessConfig::default();
+        let coded_obs = preprocess_reads(&reads, &cfg).unwrap();
+        assert_eq!(coded_obs, preprocess_reads(&stripped, &cfg).unwrap());
     }
 
     /// `wrapped_distance` is `angle::distance` bit for bit, across the
@@ -785,8 +694,8 @@ mod tests {
     /// The workspace tallies which source served each per-read phasor.
     #[test]
     fn trig_hit_counters_split_table_and_libm_fallback() {
-        // 3 coded + 2 continuous reads on one channel, π-jump mode: two
-        // phasor passes (double-angle + fold) over every read.
+        // 3 coded + 2 continuous reads on one channel: two phasor passes
+        // (double-angle + fold) over every read.
         let reads = vec![
             quantized_read(0, 0.4),
             quantized_read(0, 0.41),

@@ -5,9 +5,10 @@
 //!
 //! # Exactly the batch front end
 //!
-//! Every extract is bit-identical to [`preprocess_reads_with`] followed by
-//! [`robust_line_fit_with`] on the window's retained reads, taken in the
-//! order they were pushed:
+//! Every extract is bit-identical to [`preprocess_reads_with`] on the
+//! window's retained reads, taken in the order they were pushed — its
+//! observations and the fit columns and raw-fit sums it leaves in the
+//! workspace:
 //!
 //! * a push adds the read's phasor and RSSI to its channel's running
 //!   sums, in push order — the order in which the batch pass sums a
@@ -25,9 +26,12 @@
 //!   its tally of shifted reads, or of the rest, by the parity of its
 //!   unwrap; any other channel recounts exactly when its reads or
 //!   unwrapped axis changed. The tallies are integers, so a kept count is
-//!   the count a recount would give;
-//! * the fit columns go through the batch robust fit itself,
-//!   [`robust_line_fit_with`], Theil–Sen seed included.
+//!   the count a recount would give.
+//!
+//! The extract stops where [`preprocess_reads_with`] stops: the line fits
+//! that follow are the batch extraction's own fit tail
+//! (`rfp_core::model`), run on the fit columns the extract leaves in the
+//! workspace.
 //!
 //! At the reader's dwell cadence on a 40 s window an advance rebuilds
 //! about two channels per antenna. The `streaming_equivalence` property
@@ -39,19 +43,18 @@
 //! Its channel is implied by the per-channel ring that holds it, and its
 //! phase code is recovered from its phase. Phasors are looked up where
 //! they are used — the push adds the accumulator phasor, a rebuild looks
-//! it up again, the fold pass looks up the fold phasors — through the
-//! phase-code tables when the phase sits on the reader grid and libm
-//! otherwise. Every table entry is libm on the same expression, so the
-//! lookup is bit-identical whether or not the read carried its code. A
-//! channel keeps the timestamp and frequency of its oldest read inline,
-//! so expiry passes over an in-order channel with nothing to expire, and
-//! channel ordering and emit never touch the ring. A full ring grows by a
-//! quarter of its length (plus four), so a channel's ring settles a few
-//! slots above its peak read count. The fit columns and their scratch,
+//! it up again, the fold pass looks up the fold phasors — with the batch
+//! passes' phasor helpers, through the phase-code tables when the phase
+//! sits on the reader grid and libm otherwise. Every table entry is libm
+//! on the same expression, so the lookup is bit-identical whether or not
+//! the read carried its code. A channel keeps the timestamp and frequency
+//! of its oldest read inline, so expiry passes over an in-order channel
+//! with nothing to expire, and channel ordering and emit never touch the
+//! ring. A full ring grows by a quarter of its length (plus four), so a
+//! channel's ring settles a few slots above its peak read count. The fit columns and their scratch,
 //! the Theil–Sen slope buffer among them, live in the caller's
-//! [`FrontEndWorkspace`] for the length of an extract, so one workspace
-//! serves every window of a session, and a window keeps no fit state but
-//! its inlier mask.
+//! [`FrontEndWorkspace`], so one workspace serves every window of a
+//! session, and a window keeps no fit state.
 //!
 //! [`preprocess_reads_with`]: crate::preprocess::preprocess_reads_with
 
@@ -59,12 +62,9 @@ use std::collections::VecDeque;
 use std::f64::consts::PI;
 
 use crate::fold::{self, FoldAxis};
-use crate::linfit::{FitError, LineFit};
 use crate::preprocess::{order_channels, wrap_tau, ChannelObservation, PreprocessError, RawRead};
-use crate::robust::{robust_line_fit_with, RobustSummary};
-use crate::trig::{self, hit};
+use crate::trig;
 use crate::workspace::FrontEndWorkspace;
-use crate::ExtractConfig;
 use rfp_geom::angle;
 
 /// Per-advance work tallies of a [`StreamingWindow`], feeding the
@@ -80,37 +80,6 @@ pub struct StreamingStats {
     pub refit_fallbacks: u64,
     /// Channels re-derived from their retained reads after expiry.
     pub rebuilds: u64,
-}
-
-/// Errors from [`StreamingWindow::extract_into`].
-#[derive(Debug, Clone, PartialEq)]
-pub enum StreamingError {
-    /// No channel holds enough reads to aggregate.
-    Preprocess(PreprocessError),
-    /// The per-window line fit failed (degenerate input).
-    Fit(FitError),
-}
-
-impl std::fmt::Display for StreamingError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            StreamingError::Preprocess(e) => write!(f, "streaming pre-processing failed: {e}"),
-            StreamingError::Fit(e) => write!(f, "streaming line fit failed: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for StreamingError {}
-
-/// Result of one [`StreamingWindow::extract_into`] advance.
-#[derive(Debug, Clone, Copy)]
-pub struct StreamExtract {
-    /// Raw (pre-rejection) line fit over the window's channels.
-    pub raw_fit: LineFit,
-    /// Robust (multipath-suppressed) fit summary; `None` when
-    /// [`ExtractConfig::suppress_multipath`] is off. The matching
-    /// per-channel inlier mask is [`StreamingWindow::inlier_mask`].
-    pub robust: Option<RobustSummary>,
 }
 
 /// One retained read: the four numbers the front end reads back. Its
@@ -173,11 +142,12 @@ impl ChannelState {
 
     /// Re-accumulates the running sums from the retained reads in FIFO
     /// (= batch) order, looking each read's phasor up again.
-    fn rebuild(&mut self, pi_mode: bool, hits: &mut [u64; 2]) {
+    fn rebuild(&mut self, hits: &mut [u64; 2]) {
+        let table = trig::double_table();
         let (mut rssi, mut sin, mut cos) = (0.0, 0.0, 0.0);
         for sr in &self.fifo {
             rssi += sr.rssi_dbm;
-            let [s, c] = acc_phasor(sr.phase, pi_mode, hits);
+            let [s, c] = trig::acc_phasor(sr.phase, trig::code_for_phase(sr.phase), table, hits);
             sin += s;
             cos += c;
         }
@@ -188,42 +158,34 @@ impl ChannelState {
         self.dirty = true;
     }
 
-    /// Derives the axis and spread from the running sums and, in π-jump
-    /// mode, one fold pass over the reads: the batch per-slot expressions,
-    /// with the fold sums accumulated in the batch order and each read's
-    /// fold decided as batch pass 2 decides it.
-    fn derive(&mut self, pi_mode: bool, hits: &mut [u64; 2]) {
-        let (sin, cos) = (self.acc_sin, self.acc_cos);
-        let n = self.fifo.len() as f64;
-        let first_phase = self.fifo[0].phase;
-        if pi_mode {
-            let fold = FoldAxis::new(sin, cos, self.fifo.len(), first_phase);
-            self.axis = fold.axis;
-            let table = trig::fold_table();
-            let (mut fold_sin, mut fold_cos) = (0.0, 0.0);
-            let (mut shifted, mut exact) = (0usize, false);
-            for sr in &self.fifo {
-                let code = trig::code_for_phase(sr.phase);
-                let shift = match fold.sign_test(code, table) {
-                    Some(shift) => shift,
-                    None => {
-                        exact = true;
-                        fold.exact_shift(sr.phase)
-                    }
-                };
-                let [s, c] = fold_phasor(sr.phase, code, shift, hits);
-                fold_sin += s;
-                fold_cos += c;
-                shifted += shift as usize;
-            }
-            let fr = ((fold_sin * fold_sin + fold_cos * fold_cos).sqrt() / n).min(1.0);
-            self.spread = (-2.0 * fr.max(1e-300).ln()).sqrt();
-            self.votes = if exact { Votes::default() } else { Votes::Parity { shifted } };
-        } else {
-            let r = (sin * sin + cos * cos).sqrt() / n;
-            self.axis = if r < 1e-12 { first_phase } else { sin.atan2(cos) };
-            self.spread = (-2.0 * r.clamp(1e-300, 1.0).ln()).sqrt();
+    /// Derives the axis from the running sums and the spread from one
+    /// fold pass over the reads: the batch per-slot expressions, with the
+    /// fold sums accumulated in the batch order and each read's fold
+    /// decided as batch pass 2 decides it.
+    fn derive(&mut self, hits: &mut [u64; 2]) {
+        let n = self.fifo.len();
+        let fold = FoldAxis::new(self.acc_sin, self.acc_cos, n, self.fifo[0].phase);
+        self.axis = fold.axis;
+        let table = trig::fold_table();
+        let (mut fold_sin, mut fold_cos) = (0.0, 0.0);
+        let (mut shifted, mut exact) = (0usize, false);
+        for sr in &self.fifo {
+            let code = trig::code_for_phase(sr.phase);
+            let shift = match fold.sign_test(code, table) {
+                Some(shift) => shift,
+                None => {
+                    exact = true;
+                    fold.exact_shift(sr.phase)
+                }
+            };
+            let [s, c] = trig::fold_phasor(sr.phase, code, shift, table, hits);
+            fold_sin += s;
+            fold_cos += c;
+            shifted += shift as usize;
         }
+        let fr = ((fold_sin * fold_sin + fold_cos * fold_cos).sqrt() / n as f64).min(1.0);
+        self.spread = (-2.0 * fr.max(1e-300).ln()).sqrt();
+        self.votes = if exact { Votes::default() } else { Votes::Parity { shifted } };
         self.dirty = false;
     }
 
@@ -254,21 +216,18 @@ impl ChannelState {
 /// stream. Push reads with [`push`](Self::push) (normally in
 /// nondecreasing timestamp order, as a reader delivers them), expire old
 /// ones with [`expire_before`](Self::expire_before), and extract the
-/// per-channel observations plus the fitted line with
+/// per-channel observations and fit columns with
 /// [`extract_into`](Self::extract_into) — bit-identical to the batch front
-/// end and robust fit on the retained reads (see the module docs).
-#[derive(Debug)]
+/// end on the retained reads (see the module docs).
+#[derive(Debug, Default)]
 pub struct StreamingWindow {
-    config: ExtractConfig,
     /// channel id → index into `channels` (`u32::MAX` = never seen).
     slot_of: Vec<u32>,
     channels: Vec<ChannelState>,
-    /// Kept channel indices sorted by (frequency, channel id).
+    /// Non-empty channel indices sorted by (frequency, channel id).
     order: Vec<usize>,
     /// Unwrap scratch in sorted order.
     phase_col: Vec<f64>,
-    /// Robust inlier mask of the last successful extract.
-    inliers: Vec<bool>,
     /// Work tallies since the last [`take_stats`](Self::take_stats).
     stats: StreamingStats,
     /// Trig tallies (`[table lookups, libm calls]`).
@@ -276,24 +235,9 @@ pub struct StreamingWindow {
 }
 
 impl StreamingWindow {
-    /// An empty window running the front end of `config`, the
-    /// configuration the batch extraction takes.
-    pub fn new(config: ExtractConfig) -> Self {
-        StreamingWindow {
-            config,
-            slot_of: Vec::new(),
-            channels: Vec::new(),
-            order: Vec::new(),
-            phase_col: Vec::new(),
-            inliers: Vec::new(),
-            stats: StreamingStats::default(),
-            trig_hits: [0; 2],
-        }
-    }
-
-    /// The window's configuration.
-    pub fn config(&self) -> &ExtractConfig {
-        &self.config
+    /// An empty window.
+    pub fn new() -> Self {
+        Self::default()
     }
 
     /// Total reads currently retained.
@@ -314,18 +258,10 @@ impl StreamingWindow {
     /// Returns and resets the trig tallies (`[table lookups, libm
     /// calls]`), one per phasor looked up where it is used: the
     /// accumulator phasor of each pushed read and of each read a rebuild
-    /// re-accumulates, and the fold phasor of each read a π-mode channel
-    /// folds at extract.
+    /// re-accumulates, and the fold phasor of each read a channel folds at
+    /// extract.
     pub fn take_trig_hits(&mut self) -> [u64; 2] {
         std::mem::take(&mut self.trig_hits)
-    }
-
-    /// Robust inlier mask of the most recent successful
-    /// [`extract_into`](Self::extract_into) (parallel to its emitted
-    /// channels, sorted by frequency; empty when the window runs no
-    /// robust fit).
-    pub fn inlier_mask(&self) -> &[bool] {
-        &self.inliers
     }
 
     /// Pushes one read into the window, adding it to its channel's running
@@ -341,8 +277,9 @@ impl StreamingWindow {
         if !read.is_usable() || !read.timestamp_s.is_finite() {
             return;
         }
-        let pi_mode = self.config.preprocess.correct_pi_jumps;
-        let [sin, cos] = acc_phasor(read.phase, pi_mode, &mut self.trig_hits);
+        let code = trig::code_for_phase(read.phase);
+        let table = trig::double_table();
+        let [sin, cos] = trig::acc_phasor(read.phase, code, table, &mut self.trig_hits);
         let s = self.slot(read.channel);
         let ch = &mut self.channels[s];
         match ch.fifo.back() {
@@ -380,7 +317,6 @@ impl StreamingWindow {
     pub fn expire_before(&mut self, cutoff_s: f64) -> usize {
         // A NaN cutoff expires everything, as it always has.
         let expired = |t: f64| t < cutoff_s || cutoff_s.is_nan();
-        let pi_mode = self.config.preprocess.correct_pi_jumps;
         let mut removed = 0usize;
         for ch in &mut self.channels {
             if ch.fifo.is_empty() || !(ch.unordered || expired(ch.first_t)) {
@@ -406,7 +342,7 @@ impl StreamingWindow {
             let gone = before - ch.fifo.len();
             if gone > 0 {
                 removed += gone;
-                ch.rebuild(pi_mode, &mut self.trig_hits);
+                ch.rebuild(&mut self.trig_hits);
                 self.stats.rebuilds += 1;
             }
         }
@@ -415,73 +351,67 @@ impl StreamingWindow {
     }
 
     /// Runs the window's front end: per-channel aggregation (re-derived
-    /// only for channels whose reads changed), cross-channel unwrap, π
-    /// majority vote, and the raw + robust line fits. `out` is cleared and
-    /// refilled with the per-channel observations (sorted by frequency),
-    /// exactly as the batch front end fills it. `ws` hosts the fit columns
-    /// and their scratch for the call only, so one workspace serves every
-    /// window of a session. In steady state (all buffer capacities
-    /// reached) the call performs zero heap allocations.
+    /// only for channels whose reads changed), cross-channel unwrap and π
+    /// majority vote. `out` is cleared and refilled with the per-channel
+    /// observations (sorted by frequency), and `ws` with the fit columns
+    /// and raw-fit sums, exactly as [`preprocess_reads_with`] fills them on
+    /// the retained reads; the line fits that follow run on `ws`, so one
+    /// workspace serves every window of a session. In steady state (all
+    /// buffer capacities reached) the call performs zero heap allocations.
     ///
     /// # Errors
     ///
-    /// [`StreamingError::Preprocess`] when no channel holds enough reads;
-    /// [`StreamingError::Fit`] when the line fit is degenerate.
+    /// [`PreprocessError::NoUsableChannels`] when the window holds no read.
+    ///
+    /// [`preprocess_reads_with`]: crate::preprocess::preprocess_reads_with
     pub fn extract_into(
         &mut self,
         ws: &mut FrontEndWorkspace,
         out: &mut Vec<ChannelObservation>,
-    ) -> Result<StreamExtract, StreamingError> {
-        let min_reads = self.config.preprocess.min_reads_per_channel.max(1);
-        let pi_mode = self.config.preprocess.correct_pi_jumps;
-
+    ) -> Result<(), PreprocessError> {
         let mut kept = 0usize;
         for ch in &mut self.channels {
-            if ch.fifo.len() >= min_reads {
+            if !ch.fifo.is_empty() {
                 kept += 1;
                 if ch.dirty {
-                    ch.derive(pi_mode, &mut self.trig_hits);
+                    ch.derive(&mut self.trig_hits);
                 }
             }
         }
         if kept == 0 {
-            return Err(StreamingError::Preprocess(PreprocessError::NoUsableChannels));
+            return Err(PreprocessError::NoUsableChannels);
         }
 
-        // Kept channels ascending by (frequency, channel id) — the batch
-        // slot ordering.
+        // Non-empty channels ascending by (frequency, channel id) — the
+        // batch slot ordering.
         let channels = &self.channels;
         order_channels(
             &mut self.order,
             &self.slot_of,
             channels.len(),
             |s| channels[s].chan as usize,
-            |s| channels[s].fifo.len() >= min_reads,
+            |s| !channels[s].fifo.is_empty(),
             |s| channels[s].first_freq,
         );
 
-        // Cross-channel unwrap.
+        // Cross-channel unwrap with period π, then the global π majority
+        // vote over every retained read: a parity lookup per channel, or
+        // its exact count.
         self.phase_col.clear();
         for &s in &self.order {
             self.phase_col.push(wrap_tau(self.channels[s].axis));
         }
-        if pi_mode {
-            angle::unwrap_in_place_period(&mut self.phase_col, PI);
-            // Global π majority vote over every retained read: a parity
-            // lookup per channel, or its exact count.
-            let (mut votes, mut total) = (0usize, 0usize);
-            for (k, &s) in self.order.iter().enumerate() {
-                let ch = &mut self.channels[s];
-                votes += ch.votes(self.phase_col[k]);
-                total += ch.fifo.len();
+        angle::unwrap_in_place_period(&mut self.phase_col, PI);
+        let (mut votes, mut total) = (0usize, 0usize);
+        for (k, &s) in self.order.iter().enumerate() {
+            let ch = &mut self.channels[s];
+            votes += ch.votes(self.phase_col[k]);
+            total += ch.fifo.len();
+        }
+        if 2 * votes < total {
+            for p in &mut self.phase_col {
+                *p += PI;
             }
-            if 2 * votes < total {
-                for p in &mut self.phase_col {
-                    *p += PI;
-                }
-            }
-        } else {
-            angle::unwrap_in_place(&mut self.phase_col);
         }
 
         // Emit the observations and feed the fused unwrap+OLS sums + fit
@@ -501,25 +431,7 @@ impl StreamingWindow {
             });
             ws.emit(ch.first_freq, phase);
         }
-        let (raw_fit, robust) = self.fit(ws).map_err(StreamingError::Fit)?;
-        Ok(StreamExtract { raw_fit, robust })
-    }
-
-    /// Raw and robust fits over the emitted fit columns.
-    fn fit(
-        &mut self,
-        ws: &mut FrontEndWorkspace,
-    ) -> Result<(LineFit, Option<RobustSummary>), FitError> {
-        let raw_fit = ws.raw_fit()?;
-        if !self.config.suppress_multipath {
-            self.inliers.clear();
-            return Ok((raw_fit, None));
-        }
-        let (xs, ys, fit_ws) = ws.fit_columns();
-        let summary = robust_line_fit_with(fit_ws, xs, ys, &self.config.robust)?;
-        self.inliers.clear();
-        self.inliers.extend_from_slice(fit_ws.inlier_mask());
-        Ok((raw_fit, Some(summary)))
+        Ok(())
     }
 
     /// Index of `channel`'s state, allocating one on first sight (slots
@@ -540,54 +452,14 @@ impl StreamingWindow {
     }
 }
 
-/// The accumulator phasor `[sin, cos]` of a read's phase — of the doubled
-/// angle in π-jump mode, of the phase itself otherwise — with the batch
-/// pass-1 expressions: a table lookup when the phase sits on the reader
-/// grid (every table entry is libm on the same expression, so whether the
-/// read carried its code does not matter), libm otherwise. Tallies the
-/// source in `hits`.
-#[inline]
-fn acc_phasor(phase: f64, pi_mode: bool, hits: &mut [u64; 2]) -> [f64; 2] {
-    match trig::code_for_phase(phase) {
-        Some(code) => {
-            hits[hit::TABLE] += 1;
-            let c = code as usize;
-            if pi_mode {
-                trig::double_table()[c]
-            } else {
-                trig::fold_table()[c << 1]
-            }
-        }
-        None => {
-            hits[hit::LIBM] += 1;
-            let x = if pi_mode { 2.0 * phase } else { phase };
-            [x.sin(), x.cos()]
-        }
-    }
-}
-
-/// The fold-pass phasor `[sin, cos]` of a read's phase, shifted by π when
-/// `shift`: the batch pass-2 expressions, looked up like [`acc_phasor`]
-/// by the phase's `code`.
-#[inline]
-fn fold_phasor(phase: f64, code: Option<u16>, shift: bool, hits: &mut [u64; 2]) -> [f64; 2] {
-    match code {
-        Some(code) => {
-            hits[hit::TABLE] += 1;
-            trig::fold_table()[((code as usize) << 1) | shift as usize]
-        }
-        None => {
-            hits[hit::LIBM] += 1;
-            let folded = if shift { phase + PI } else { phase };
-            [folded.sin(), folded.cos()]
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::linfit::LineFit;
     use crate::preprocess::preprocess_reads_with;
+    use crate::robust::robust_line_fit_with;
+    use crate::trig::hit;
+    use crate::ExtractConfig;
 
     fn read(channel: usize, phase: f64, t: f64) -> RawRead {
         RawRead {
@@ -621,21 +493,29 @@ mod tests {
         reads
     }
 
-    /// Asserts that the window's last extract equals, bit for bit, the
-    /// batch front end plus robust fit on `retained` (in arrival order).
+    /// The raw fit, robust fit and inlier mask of the fit columns in
+    /// `ws`, as the bits of each line.
+    fn fits(ws: &mut FrontEndWorkspace) -> ([u64; 2], [u64; 2], Vec<bool>) {
+        let bits = |f: &LineFit| [f.slope.to_bits(), f.intercept.to_bits()];
+        let raw = ws.raw_fit().unwrap();
+        let (xs, ys, fit_ws) = ws.fit_columns();
+        let robust = robust_line_fit_with(fit_ws, xs, ys, &ExtractConfig::paper().robust).unwrap();
+        (bits(&raw), bits(&robust.fit), fit_ws.inlier_mask().to_vec())
+    }
+
+    /// Asserts that the window's last extract into `ws` and `out` equals,
+    /// bit for bit, the batch front end on `retained` (in arrival order):
+    /// the observations, and the raw and robust fits and inlier mask of
+    /// the fit columns.
     fn assert_matches_batch(
-        win: &StreamingWindow,
+        ws: &mut FrontEndWorkspace,
         out: &[ChannelObservation],
-        extract: &StreamExtract,
         retained: &[RawRead],
         ctx: &str,
     ) {
-        let cfg = win.config();
-        let mut ws = FrontEndWorkspace::default();
+        let mut batch_ws = FrontEndWorkspace::default();
         let mut batch = Vec::new();
-        preprocess_reads_with(&mut ws, retained, &cfg.preprocess, &mut batch).unwrap();
-        let (xs, ys, fit_ws) = ws.fit_columns();
-        let summary = robust_line_fit_with(fit_ws, xs, ys, &cfg.robust).unwrap();
+        preprocess_reads_with(&mut batch_ws, retained, &Default::default(), &mut batch).unwrap();
         assert_eq!(out.len(), batch.len(), "{ctx}");
         for (s, b) in out.iter().zip(&batch) {
             assert_eq!(s.channel, b.channel, "{ctx}");
@@ -644,10 +524,7 @@ mod tests {
             assert_eq!(s.rssi_dbm.to_bits(), b.rssi_dbm.to_bits(), "{ctx}: ch {}", s.channel);
             assert_eq!(s.read_count, b.read_count, "{ctx}");
         }
-        assert_eq!(win.inlier_mask(), ws.fit.inlier_mask(), "{ctx}");
-        let robust = extract.robust.unwrap();
-        assert_eq!(robust.fit.slope.to_bits(), summary.fit.slope.to_bits(), "{ctx}");
-        assert_eq!(robust.fit.intercept.to_bits(), summary.fit.intercept.to_bits(), "{ctx}");
+        assert_eq!(fits(ws), fits(&mut batch_ws), "{ctx}");
     }
 
     /// The reads of `reads` at or after `cutoff`, in arrival order.
@@ -676,13 +553,13 @@ mod tests {
     #[test]
     fn append_only_window_is_bit_identical_to_batch() {
         let reads = stream(1, 12, 8);
-        let mut win = StreamingWindow::new(ExtractConfig::paper());
+        let mut win = StreamingWindow::new();
         for r in &reads {
             win.push(r);
         }
         let (mut ws, mut out) = (FrontEndWorkspace::default(), Vec::new());
-        let extract = win.extract_into(&mut ws, &mut out).unwrap();
-        assert_matches_batch(&win, &out, &extract, &reads, "append-only");
+        win.extract_into(&mut ws, &mut out).unwrap();
+        assert_matches_batch(&mut ws, &out, &reads, "append-only");
     }
 
     /// Sliding the window dwell by dwell stays bit-identical to the batch
@@ -694,7 +571,7 @@ mod tests {
         let reads = stream(4, chans, per);
         let round_len = chans * per;
         let span = chans as f64 * 0.2;
-        let mut win = StreamingWindow::new(ExtractConfig::paper());
+        let mut win = StreamingWindow::new();
         for r in &reads[..round_len] {
             win.push(r);
         }
@@ -707,11 +584,11 @@ mod tests {
             }
             let cutoff = reads[next + per - 1].timestamp_s - span;
             win.expire_before(cutoff);
-            let extract = win.extract_into(&mut ws, &mut out).unwrap();
+            win.extract_into(&mut ws, &mut out).unwrap();
             advances += 1;
             let kept = retained(&reads[..next + per], cutoff);
             assert_eq!(kept.len(), win.read_count());
-            assert_matches_batch(&win, &out, &extract, &kept, &format!("advance {advances}"));
+            assert_matches_batch(&mut ws, &out, &kept, &format!("advance {advances}"));
             next += per;
         }
         assert!(advances >= 30, "exercised {advances} advances");
@@ -731,38 +608,31 @@ mod tests {
         let per = 6;
         let mut reads = stream(2, chans, per);
         reads[1].rssi_dbm = 1e300;
-        let mut win = StreamingWindow::new(ExtractConfig::paper());
+        let mut win = StreamingWindow::new();
         for r in &reads {
             win.push(r);
         }
         let cutoff = reads[per / 2].timestamp_s;
         assert!(win.expire_before(cutoff) > 0);
         let (mut ws, mut out) = (FrontEndWorkspace::default(), Vec::new());
-        let extract = win.extract_into(&mut ws, &mut out).unwrap();
-        assert_matches_batch(&win, &out, &extract, &retained(&reads, cutoff), "1e300 expired");
+        win.extract_into(&mut ws, &mut out).unwrap();
+        assert_matches_batch(&mut ws, &out, &retained(&reads, cutoff), "1e300 expired");
         assert!(out.iter().all(|o| o.rssi_dbm < -50.0), "{out:?}");
     }
 
     /// Emptied channels reset exactly; an empty window errors like batch.
     #[test]
     fn empty_window_errors() {
-        let cfg = ExtractConfig::paper();
-        let mut win = StreamingWindow::new(cfg);
+        let mut win = StreamingWindow::new();
         let (mut ws, mut out) = (FrontEndWorkspace::default(), Vec::new());
-        assert!(matches!(
-            win.extract_into(&mut ws, &mut out),
-            Err(StreamingError::Preprocess(PreprocessError::NoUsableChannels))
-        ));
+        assert_eq!(win.extract_into(&mut ws, &mut out), Err(PreprocessError::NoUsableChannels));
         for r in &stream(1, 3, 4) {
             win.push(r);
         }
         assert!(win.extract_into(&mut ws, &mut out).is_ok());
         win.expire_before(f64::INFINITY);
         assert_eq!(win.read_count(), 0);
-        assert!(matches!(
-            win.extract_into(&mut ws, &mut out),
-            Err(StreamingError::Preprocess(PreprocessError::NoUsableChannels))
-        ));
+        assert_eq!(win.extract_into(&mut ws, &mut out), Err(PreprocessError::NoUsableChannels));
     }
 
     /// A read stamped far ahead must not pin its channel, and one stamped
@@ -774,8 +644,7 @@ mod tests {
     fn expiry_holds_for_out_of_order_and_non_finite_timestamps() {
         for (far, kept) in [(1e12, 1), (f64::INFINITY, 0), (f64::NEG_INFINITY, 0), (f64::NAN, 0)]
         {
-            let cfg = ExtractConfig::paper();
-            let mut win = StreamingWindow::new(cfg);
+            let mut win = StreamingWindow::new();
             let mut pushed = vec![read(0, 0.4, far)];
             for k in 0..400 {
                 for c in 0..2 {
@@ -809,8 +678,8 @@ mod tests {
                 .collect();
             assert_eq!(win.read_count(), kept.len(), "far {far}");
             let (mut ws, mut out) = (FrontEndWorkspace::default(), Vec::new());
-            let extract = win.extract_into(&mut ws, &mut out).unwrap();
-            assert_matches_batch(&win, &out, &extract, &kept, &format!("far {far}"));
+            win.extract_into(&mut ws, &mut out).unwrap();
+            assert_matches_batch(&mut ws, &out, &kept, &format!("far {far}"));
         }
     }
 
@@ -837,7 +706,7 @@ mod tests {
             .map(|r| RawRead { phase: angle::wrap_tau(r.phase + 0.3), ..*r })
             .collect();
         for (label, reads) in [("coded", &quantized), ("stale", &stale)] {
-            let mut win = StreamingWindow::new(ExtractConfig::paper());
+            let mut win = StreamingWindow::new();
             let round_len = chans * per;
             for r in &reads[..round_len] {
                 win.push(r);
@@ -850,12 +719,12 @@ mod tests {
                 }
                 let cutoff = reads[next + per - 1].timestamp_s - span;
                 win.expire_before(cutoff);
-                let extract = win.extract_into(&mut ws, &mut out).unwrap();
+                win.extract_into(&mut ws, &mut out).unwrap();
                 let stripped: Vec<RawRead> = retained(&reads[..next + per], cutoff)
                     .into_iter()
                     .map(|r| RawRead { phase_code: None, ..r })
                     .collect();
-                assert_matches_batch(&win, &out, &extract, &stripped, label);
+                assert_matches_batch(&mut ws, &out, &stripped, label);
                 next += per;
             }
             let hits = win.take_trig_hits();

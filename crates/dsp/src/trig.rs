@@ -130,6 +130,57 @@ pub(crate) fn fold_table() -> &'static [[f64; 2]] {
     &tables().fold
 }
 
+/// The accumulator phasor `[sin 2p, cos 2p]` of a read of phase `p` (the
+/// double-angle trick maps both antipodal π-jump clusters onto one):
+/// `table`'s entry for the read's grid `code`, libm on `2.0 * p`
+/// otherwise. The table is [`double_table`], passed in so hot loops hoist
+/// it. Every entry is libm on the same expression, so both sources give
+/// the same bits. Tallies the source in `hits`.
+#[inline(always)]
+pub(crate) fn acc_phasor(
+    phase: f64,
+    code: Option<u16>,
+    table: &[[f64; 2]],
+    hits: &mut [u64; 2],
+) -> [f64; 2] {
+    match code {
+        Some(code) => {
+            hits[hit::TABLE] += 1;
+            table[code as usize]
+        }
+        None => {
+            hits[hit::LIBM] += 1;
+            let x = 2.0 * phase;
+            [x.sin(), x.cos()]
+        }
+    }
+}
+
+/// The fold phasor `[sin, cos]` of a read of phase `p` folded onto its
+/// channel axis: of `p + π` when `shift`, of `p` otherwise, looked up
+/// like [`acc_phasor`] in `table` ([`fold_table`]) by `code` and fold
+/// decision.
+#[inline(always)]
+pub(crate) fn fold_phasor(
+    phase: f64,
+    code: Option<u16>,
+    shift: bool,
+    table: &[[f64; 2]],
+    hits: &mut [u64; 2],
+) -> [f64; 2] {
+    match code {
+        Some(code) => {
+            hits[hit::TABLE] += 1;
+            table[((code as usize) << 1) | shift as usize]
+        }
+        None => {
+            hits[hit::LIBM] += 1;
+            let folded = if shift { phase + PI } else { phase };
+            [folded.sin(), folded.cos()]
+        }
+    }
+}
+
 /// The fold-table entry for `code`: `(sin, cos)` of the grid phase when
 /// `shift` is false, of the π-shifted grid phase when it is true —
 /// bit-equal to `(q.sin(), q.cos())` for `q = c·LSB` or `q = c·LSB + π`.

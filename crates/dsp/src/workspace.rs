@@ -266,26 +266,22 @@ pub struct FrontEndWorkspace {
     pub(crate) first_phase: Vec<f64>,
     /// slot → Σ rssi.
     pub(crate) sum_rssi: Vec<f64>,
-    /// slot → Σ sin(2p) (π-jump mode) or Σ sin(p); in π-jump mode, once
-    /// the axis is derived, the sine of the axis (its unit vector's first
-    /// component, for pass 2's sign test).
+    /// slot → Σ sin(2p); once the axis is derived, the sine of the axis
+    /// (its unit vector's first component, for pass 2's sign test).
     pub(crate) acc_sin: Vec<f64>,
-    /// slot → Σ cos(2p) (π-jump mode) or Σ cos(p); in π-jump mode, once
-    /// the axis is derived, the cosine of the axis.
+    /// slot → Σ cos(2p); once the axis is derived, the cosine of the axis.
     pub(crate) acc_cos: Vec<f64>,
-    /// slot → recovered per-channel axis/mean phase.
+    /// slot → recovered per-channel axis.
     pub(crate) axis: Vec<f64>,
     /// slot → circular spread after folding onto the axis.
     pub(crate) spread: Vec<f64>,
-    /// slot → Σ sin(folded) (π-jump spread pass).
+    /// slot → Σ sin(folded) (the spread pass).
     pub(crate) fold_sin: Vec<f64>,
     /// slot → Σ cos(folded).
     pub(crate) fold_cos: Vec<f64>,
     /// slot → unwrapped axis (for the global majority vote).
     pub(crate) unwrapped: Vec<f64>,
-    /// slot → channel kept (≥ min reads)?
-    pub(crate) keep: Vec<bool>,
-    /// Kept slots ascending by (frequency, channel).
+    /// Slots ascending by (frequency, channel).
     pub(crate) order: Vec<usize>,
     /// Phase column in sorted order (unwrap operates in place here).
     pub(crate) phase_col: Vec<f64>,
@@ -309,6 +305,7 @@ pub struct FrontEndWorkspace {
 impl FrontEndWorkspace {
     /// The fit columns produced by the last
     /// [`preprocess_reads_with`](crate::preprocess::preprocess_reads_with)
+    /// or [`StreamingWindow::extract_into`](crate::StreamingWindow::extract_into)
     /// — `(frequencies, unwrapped phases)` — together with the fit scratch,
     /// split-borrowed so the columns can feed the fitting kernels directly.
     #[inline]
@@ -316,24 +313,18 @@ impl FrontEndWorkspace {
         (&self.fit_x, &self.fit_y, &mut self.fit)
     }
 
-    /// Fused raw-sum accumulator of the last pre-processing call.
-    #[inline]
-    pub fn raw_sums(&self) -> OlsSums {
-        self.raw
-    }
-
     /// Trig tallies of the last pre-processing call: `[table lookups,
-    /// libm calls]`, one per per-read phasor computed (the π-jump path
-    /// computes two phasors per read: double-angle and fold). Feeds the
+    /// libm calls]`, one per per-read phasor computed (two per read:
+    /// double-angle and fold). Feeds the
     /// `frontend.trig_*` observability counters.
     #[inline]
     pub fn trig_hits(&self) -> [u64; 2] {
         self.trig_hits
     }
 
-    /// Raw (non-robust) line fit over the last pre-processed window,
-    /// solved from the fused unwrap+OLS sums — no extra pass over the
-    /// points for the estimate, one streamed pass for the diagnostics.
+    /// Raw (non-robust) line fit over the last pre-processed or extracted
+    /// window, solved from the fused unwrap+OLS sums — no extra pass over
+    /// the points for the estimate, one streamed pass for the diagnostics.
     ///
     /// # Errors
     ///
@@ -364,7 +355,6 @@ impl FrontEndWorkspace {
         self.fold_sin.clear();
         self.fold_cos.clear();
         self.unwrapped.clear();
-        self.keep.clear();
         self.order.clear();
         self.phase_col.clear();
         self.read_slot.clear();
@@ -398,7 +388,6 @@ impl FrontEndWorkspace {
         self.fold_sin.push(0.0);
         self.fold_cos.push(0.0);
         self.unwrapped.push(0.0);
-        self.keep.push(false);
         slot
     }
 

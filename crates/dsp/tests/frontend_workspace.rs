@@ -20,11 +20,11 @@ use rfp_oracle::frontend as reference;
 use std::f64::consts::PI;
 
 /// Read sets covering the degenerate shapes the front end must survive:
-/// sparse channels (below `min_reads`), single-read channels, repeated
-/// identical phases (zero spread), and channel indices far above the
-/// dense-slot range. The frequency plan rises with the channel id, falls
-/// with it, or is scrambled (with ties between channels), so both the
-/// channel-id walk and its sorting fallback order the channels.
+/// single-read channels, repeated identical phases (zero spread), and
+/// channel indices far above the dense-slot range. The frequency plan
+/// rises with the channel id, falls with it, or is scrambled (with ties
+/// between channels), so both the channel-id walk and its sorting
+/// fallback order the channels.
 fn arb_reads() -> impl Strategy<Value = Vec<RawRead>> {
     (
         proptest::collection::vec(
@@ -102,8 +102,6 @@ proptest! {
     #[test]
     fn preprocess_matches_reference_exactly(
         reads in arb_reads(),
-        pi_jumps in proptest::bool::ANY,
-        min_reads in 0usize..3,
         quantize in proptest::bool::ANY,
         stale in proptest::bool::ANY,
     ) {
@@ -113,8 +111,7 @@ proptest! {
         // kept (a stale code must fall back to libm, never be trusted).
         let reads = if quantize { quantized(&reads) } else { reads };
         let reads = if stale { shifted(&reads, 0.3) } else { reads };
-        let config =
-            PreprocessConfig { correct_pi_jumps: pi_jumps, min_reads_per_channel: min_reads };
+        let config = PreprocessConfig::default();
         let expected = reference::preprocess_reads(&reads, &config);
         let actual = preprocess_reads(&reads, &config);
         // Bit-identical including the error case: `==` on f64 fields.
@@ -170,16 +167,13 @@ proptest! {
     }
 
     #[test]
-    fn degenerate_channels_match_reference(
-        quantize in proptest::bool::ANY,
-        pi_jumps in proptest::bool::ANY,
-    ) {
-        // The fixed degenerate shapes below (dropped slots, single-read
-        // channels, identical phases, vanishing double-angle resultant);
-        // proptest just sweeps the four (quantize, π-jump) corners.
+    fn degenerate_channels_match_reference(quantize in proptest::bool::ANY) {
+        // The fixed degenerate shapes below (single-read channels,
+        // identical phases, vanishing double-angle resultant); proptest
+        // just sweeps quantized and codeless reads.
         for reads in degenerate_windows() {
             let reads = if quantize { quantized(&reads) } else { reads };
-            check_against_reference(&reads, pi_jumps);
+            check_against_reference(&reads);
         }
     }
 
@@ -218,17 +212,16 @@ fn plain_read(channel: usize, phase: f64) -> RawRead {
     }
 }
 
-/// The degenerate channel shapes the reference oracle pins: a dropped
-/// (below-min-reads) channel slot next to kept ones, single-read
-/// channels, a channel whose reads all share one identical phase (zero
-/// spread, unit resultant), and a channel whose double-angle resultant
-/// vanishes (phases π/2 apart — the `first_phase` fallback axis).
+/// The degenerate channel shapes the reference oracle pins: single-read
+/// channels, alone or between fuller ones, a channel whose reads all
+/// share one identical phase (zero spread, unit resultant), and a channel
+/// whose double-angle resultant vanishes (phases π/2 apart — the
+/// `first_phase` fallback axis).
 fn degenerate_windows() -> Vec<Vec<RawRead>> {
     vec![
         // Single-read channels only.
         vec![plain_read(0, 0.4), plain_read(1, 0.6), plain_read(2, 0.8)],
-        // A thin channel (1 read) between full ones — dropped whenever
-        // min_reads_per_channel is 2 (exercised below).
+        // A thin channel (1 read) between fuller ones.
         vec![
             plain_read(0, 0.4),
             plain_read(0, 0.45),
@@ -254,18 +247,10 @@ fn degenerate_windows() -> Vec<Vec<RawRead>> {
     ]
 }
 
-/// Runs one window under both min-read settings, pinning the front end
-/// bitwise to the reference.
-fn check_against_reference(reads: &[RawRead], pi_jumps: bool) {
-    for min_reads in [1usize, 2] {
-        let config =
-            PreprocessConfig { correct_pi_jumps: pi_jumps, min_reads_per_channel: min_reads };
-        assert_eq!(
-            preprocess_reads(reads, &config),
-            reference::preprocess_reads(reads, &config),
-            "pi_jumps={pi_jumps}, min_reads={min_reads}"
-        );
-    }
+/// Pins the front end bitwise to the reference on one window.
+fn check_against_reference(reads: &[RawRead]) {
+    let config = PreprocessConfig::default();
+    assert_eq!(preprocess_reads(reads, &config), reference::preprocess_reads(reads, &config));
 }
 
 #[test]
@@ -291,7 +276,7 @@ fn streaming_fits_are_bit_identical_to_reference() {
 
 /// Reads of three channels interleaved so consecutive reads keep
 /// revisiting the same slot, with an odd read count: bit-identical to the
-/// frozen reference in both π-jump modes.
+/// frozen reference.
 #[test]
 fn interleaved_channels_are_bit_identical_to_reference() {
     let mut reads = Vec::new();
@@ -301,17 +286,15 @@ fn interleaved_channels_are_bit_identical_to_reference() {
                 + if (k + c) % 2 == 0 { PI } else { 0.0 }));
         }
     }
-    for &pi_jumps in &[true, false] {
-        let cfg = PreprocessConfig { correct_pi_jumps: pi_jumps, ..Default::default() };
-        let fused = preprocess_reads(&reads, &cfg).unwrap();
-        let reference = reference::preprocess_reads(&reads, &cfg).unwrap();
-        assert_eq!(fused.len(), reference.len(), "pi_jumps={pi_jumps}");
-        for (f, r) in fused.iter().zip(&reference) {
-            assert_eq!(f.channel, r.channel);
-            assert_eq!(f.phase.to_bits(), r.phase.to_bits(), "pi_jumps={pi_jumps}");
-            assert_eq!(f.phase_spread.to_bits(), r.phase_spread.to_bits());
-            assert_eq!(f.rssi_dbm.to_bits(), r.rssi_dbm.to_bits());
-        }
+    let cfg = PreprocessConfig::default();
+    let fused = preprocess_reads(&reads, &cfg).unwrap();
+    let reference = reference::preprocess_reads(&reads, &cfg).unwrap();
+    assert_eq!(fused.len(), reference.len());
+    for (f, r) in fused.iter().zip(&reference) {
+        assert_eq!(f.channel, r.channel);
+        assert_eq!(f.phase.to_bits(), r.phase.to_bits());
+        assert_eq!(f.phase_spread.to_bits(), r.phase_spread.to_bits());
+        assert_eq!(f.rssi_dbm.to_bits(), r.rssi_dbm.to_bits());
     }
 }
 
@@ -351,9 +334,7 @@ fn channel_orders_match_reference() {
     let far_apart: Vec<usize> = (0..10).chain(5000..5010).collect();
     for ids in [&dense, &every_other, &far_apart] {
         for plan in 0..3 {
-            for pi_jumps in [true, false] {
-                check_against_reference(&window(ids, plan), pi_jumps);
-            }
+            check_against_reference(&window(ids, plan));
         }
     }
 }
@@ -377,14 +358,12 @@ fn unusable_read_anywhere_restarts_on_the_usable_reads() {
         for at in [0, usable.len() / 2, usable.len()] {
             let mut reads = usable.clone();
             reads.insert(at, b);
-            for pi_jumps in [true, false] {
-                let config = PreprocessConfig { correct_pi_jumps: pi_jumps, ..Default::default() };
-                let expected = reference::preprocess_reads(&usable, &config);
-                assert_eq!(preprocess_reads(&reads, &config), expected, "bad read at {at}");
-                // The workspace path with reused buffers agrees too.
-                rfp_dsp::preprocess_reads_with(&mut ws, &reads, &config, &mut out).unwrap();
-                assert_eq!(Ok(out.clone()), expected, "bad read at {at}");
-            }
+            let config = PreprocessConfig::default();
+            let expected = reference::preprocess_reads(&usable, &config);
+            assert_eq!(preprocess_reads(&reads, &config), expected, "bad read at {at}");
+            // The workspace path with reused buffers agrees too.
+            rfp_dsp::preprocess_reads_with(&mut ws, &reads, &config, &mut out).unwrap();
+            assert_eq!(Ok(out.clone()), expected, "bad read at {at}");
         }
     }
 }
@@ -620,7 +599,7 @@ fn fold_boundary_reads_are_bit_identical_to_reference() {
         let batch = preprocess_reads(&reads, &PreprocessConfig::default()).unwrap();
         assert_bitwise(&batch, &reads, &format!("batch, x = {x}"));
 
-        let mut win = rfp_dsp::StreamingWindow::new(rfp_dsp::ExtractConfig::paper());
+        let mut win = rfp_dsp::StreamingWindow::new();
         for r in &reads {
             win.push(r);
         }
@@ -654,7 +633,7 @@ fn unwrap_beyond_the_parity_span_is_bit_identical_to_reference() {
     assert!(batch.last().unwrap().phase > 100.0, "the unwrap climbs past the span");
     assert_bitwise(&batch, &reads, "batch");
     let (mut ws, mut out) = (FrontEndWorkspace::default(), Vec::new());
-    let mut win = rfp_dsp::StreamingWindow::new(rfp_dsp::ExtractConfig::paper());
+    let mut win = rfp_dsp::StreamingWindow::new();
     for r in &reads {
         win.push(r);
     }

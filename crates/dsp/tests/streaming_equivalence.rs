@@ -1,9 +1,10 @@
 //! Property-based equivalence contract of the incremental sliding-window
 //! front end (`StreamingWindow`) against the batch pipeline it shadows:
 //! after any schedule of pushes and expiries, every extract is
-//! **bit-identical** to `preprocess_reads_with` + `robust_line_fit_with`
-//! on the retained reads — phases, spreads, RSSI, read counts, the raw
-//! and robust fits, and the robust inlier mask.
+//! **bit-identical** to `preprocess_reads_with` on the retained reads —
+//! phases, spreads, RSSI, read counts, and the fit columns, so the raw
+//! fit, the robust fit (`robust_line_fit_with`) and its inlier mask read
+//! off them are too.
 //!
 //! Schedules (round sizes, expiry depths, noise, π jumps, a channel that
 //! changes frequency) are randomized by proptest, and so is whether the
@@ -81,27 +82,32 @@ fn quantized(reads: Vec<RawRead>) -> Vec<RawRead> {
         .collect()
 }
 
+/// The raw fit, the robust fit and its inlier mask over the fit columns a
+/// front end left in `ws`, as the extraction's fit tail reads them.
+fn fits(ws: &mut FrontEndWorkspace) -> (LineFit, RobustSummary, Vec<bool>) {
+    let raw_fit = ws.raw_fit().expect("raw fit");
+    let (xs, ys, fit_ws) = ws.fit_columns();
+    let robust =
+        robust_line_fit_with(fit_ws, xs, ys, &ExtractConfig::paper().robust).expect("robust fit");
+    (raw_fit, robust, fit_ws.inlier_mask().to_vec())
+}
+
 /// Batch oracle over the retained reads in arrival order: the production
-/// front end plus the production robust fit.
-fn batch_oracle(
-    reads: &[RawRead],
-    config: &ExtractConfig,
-) -> (Vec<ChannelObservation>, LineFit, RobustSummary, Vec<bool>) {
+/// front end plus the production fits.
+fn batch_oracle(reads: &[RawRead]) -> (Vec<ChannelObservation>, LineFit, RobustSummary, Vec<bool>) {
     let mut ws = FrontEndWorkspace::default();
     let mut channels = Vec::new();
-    preprocess_reads_with(&mut ws, reads, &config.preprocess, &mut channels)
+    preprocess_reads_with(&mut ws, reads, &ExtractConfig::paper().preprocess, &mut channels)
         .expect("oracle preprocess");
-    let raw_fit = ws.raw_fit().expect("oracle raw fit");
-    let (xs, ys, fit_ws) = ws.fit_columns();
-    let robust = robust_line_fit_with(fit_ws, xs, ys, &config.robust).expect("oracle robust fit");
-    let mask = ws.fit.inlier_mask().to_vec();
+    let (raw_fit, robust, mask) = fits(&mut ws);
     (channels, raw_fit, robust, mask)
 }
 
+/// Asserts that a window's extract — `streamed`, and the fit columns it
+/// left in `ws` — equals the oracle bit for bit.
 fn assert_bitwise(
     streamed: &[ChannelObservation],
-    extract: &rfp_dsp::StreamExtract,
-    mask: &[bool],
+    ws: &mut FrontEndWorkspace,
     oracle: &(Vec<ChannelObservation>, LineFit, RobustSummary, Vec<bool>),
     ctx: &str,
 ) {
@@ -125,20 +131,16 @@ fn assert_bitwise(
         assert_eq!(s.read_count, o.read_count, "{ctx}: read count ch {}", s.channel);
         assert_eq!(s.rssi_dbm.to_bits(), o.rssi_dbm.to_bits(), "{ctx}: rssi ch {}", s.channel);
     }
-    assert_eq!(extract.raw_fit.slope.to_bits(), o_raw.slope.to_bits(), "{ctx}: raw slope");
-    assert_eq!(
-        extract.raw_fit.intercept.to_bits(),
-        o_raw.intercept.to_bits(),
-        "{ctx}: raw intercept"
-    );
-    let robust = extract.robust.as_ref().expect("robust on");
+    let (raw_fit, robust, mask) = fits(ws);
+    assert_eq!(raw_fit.slope.to_bits(), o_raw.slope.to_bits(), "{ctx}: raw slope");
+    assert_eq!(raw_fit.intercept.to_bits(), o_raw.intercept.to_bits(), "{ctx}: raw intercept");
     assert_eq!(robust.fit.slope.to_bits(), o_robust.fit.slope.to_bits(), "{ctx}: slope");
     assert_eq!(
         robust.fit.intercept.to_bits(),
         o_robust.fit.intercept.to_bits(),
         "{ctx}: intercept"
     );
-    assert_eq!(mask, o_mask.as_slice(), "{ctx}: mask");
+    assert_eq!(&mask, o_mask, "{ctx}: mask");
 }
 
 proptest! {
@@ -161,8 +163,7 @@ proptest! {
     ) {
         let slope = slope_m * 1e-8; // rad/Hz over the ~5 MHz band
         let mut rng = Rng(seed);
-        let config = ExtractConfig::paper();
-        let mut window = StreamingWindow::new(config);
+        let mut window = StreamingWindow::new();
         let mut retained: Vec<RawRead> = Vec::new();
         let (mut ws, mut channels) = (FrontEndWorkspace::default(), Vec::new());
 
@@ -190,10 +191,8 @@ proptest! {
             window.expire_before(cutoff);
             retained.retain(|rd| rd.timestamp_s >= cutoff);
 
-            let extract = window.extract_into(&mut ws, &mut channels).expect("stream extract");
-            let oracle = batch_oracle(&retained, &config);
-            assert_bitwise(&channels, &extract, window.inlier_mask(), &oracle,
-                &format!("round {r}"));
+            window.extract_into(&mut ws, &mut channels).expect("stream extract");
+            assert_bitwise(&channels, &mut ws, &batch_oracle(&retained), &format!("round {r}"));
         }
 
         let stats = window.stats();
@@ -212,8 +211,7 @@ proptest! {
         quantize in proptest::bool::ANY,
     ) {
         let mut rng = Rng(seed);
-        let config = ExtractConfig::paper();
-        let mut window = StreamingWindow::new(config);
+        let mut window = StreamingWindow::new();
         let mut all: Vec<RawRead> = Vec::new();
         let (mut ws, mut channels) = (FrontEndWorkspace::default(), Vec::new());
         for r in 0..rounds {
@@ -225,9 +223,8 @@ proptest! {
                 window.push(read);
             }
             all.extend_from_slice(&reads);
-            let extract = window.extract_into(&mut ws, &mut channels).expect("stream extract");
-            let oracle = batch_oracle(&all, &config);
-            assert_bitwise(&channels, &extract, window.inlier_mask(), &oracle,
+            window.extract_into(&mut ws, &mut channels).expect("stream extract");
+            assert_bitwise(&channels, &mut ws, &batch_oracle(&all),
                 &format!("append-only round {r}"));
         }
         prop_assert_eq!(window.stats().downdates, 0);
@@ -249,8 +246,7 @@ proptest! {
         quantize in proptest::bool::ANY,
     ) {
         let mut rng = Rng(seed);
-        let config = ExtractConfig::paper();
-        let mut window = StreamingWindow::new(config);
+        let mut window = StreamingWindow::new();
         let mut retained: Vec<RawRead> = Vec::new();
         let (mut ws, mut channels) = (FrontEndWorkspace::default(), Vec::new());
         let nominal = 902.0e6 + retuned as f64 * 0.5e6;
@@ -272,10 +268,8 @@ proptest! {
             window.expire_before(cutoff);
             retained.retain(|rd| rd.timestamp_s >= cutoff);
 
-            let extract = window.extract_into(&mut ws, &mut channels).expect("stream extract");
-            let oracle = batch_oracle(&retained, &config);
-            assert_bitwise(&channels, &extract, window.inlier_mask(), &oracle,
-                &format!("round {r}"));
+            window.extract_into(&mut ws, &mut channels).expect("stream extract");
+            assert_bitwise(&channels, &mut ws, &batch_oracle(&retained), &format!("round {r}"));
             let emitted = channels.iter().find(|c| c.channel == retuned).expect("retuned channel");
             let first = if r < 2 { nominal + shift_hz } else { nominal };
             prop_assert_eq!(emitted.frequency_hz.to_bits(), first.to_bits());

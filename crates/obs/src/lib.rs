@@ -58,7 +58,7 @@ pub mod span;
 pub use health::{GaugeRule, Health, HealthEvaluator, HealthReason, HealthReport, RateRule, StallRule};
 pub use json::{JsonError, JsonValue};
 pub use metrics::{Histogram, MetricDef, MetricKind, Registry};
-pub use recorder::{Recorder, SpanGuard, TimerGuard};
+pub use recorder::{Recorder, SpanGuard};
 pub use report::{HistogramEntry, RunReport, SpanEntry, TelemetryFrame, MIN_SCHEMA_VERSION, SCHEMA_VERSION};
 pub use snapshot::{HistogramState, MetricsSnapshot};
 pub use span::{SpanNode, SpanTree};

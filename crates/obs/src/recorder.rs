@@ -144,31 +144,6 @@ pub fn span(name: &'static str) -> SpanGuard {
     SpanGuard { open: open.map(|idx| (idx, Instant::now())) }
 }
 
-/// RAII guard that records its lifetime, in microseconds, into histogram
-/// `idx` on drop; created by [`time_histogram`]. Inert when no recorder
-/// was installed at creation.
-#[must_use = "a timer guard records on drop; binding it to _ stops it immediately"]
-#[derive(Debug)]
-pub struct TimerGuard {
-    start: Option<(usize, Instant)>,
-}
-
-impl Drop for TimerGuard {
-    fn drop(&mut self) {
-        if let Some((idx, start)) = self.start.take() {
-            let us = start.elapsed().as_secs_f64() * 1e6;
-            observe_value(idx, us);
-        }
-    }
-}
-
-/// Starts timing into histogram `idx` (microseconds, recorded on drop).
-#[inline]
-pub fn time_histogram(idx: usize) -> TimerGuard {
-    let start = if active() { Some((idx, Instant::now())) } else { None };
-    TimerGuard { start }
-}
-
 /// Opens a named span on the thread-local recorder, returning its RAII
 /// guard — sugar for [`recorder::span`](crate::recorder::span).
 ///
@@ -190,7 +165,6 @@ macro_rules! span {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::metrics::MetricKind;
 
     static DEFS: &[MetricDef] = &[
         MetricDef::counter("t.count", "counter"),
@@ -231,15 +205,6 @@ mod tests {
         let mut seen = Vec::new();
         rec.spans.walk(&mut |d, n| seen.push((d, n.name, n.count)));
         assert_eq!(seen, vec![(0, "outer", 1), (1, "inner", 1)]);
-    }
-
-    #[test]
-    fn timer_guard_lands_in_histogram() {
-        let ((), rec) = observe(DEFS, || {
-            let _t = time_histogram(1);
-        });
-        assert_eq!(rec.metrics.histogram(1).unwrap().count(), 1);
-        assert_eq!(DEFS[1].kind, MetricKind::Histogram);
     }
 
     #[test]

@@ -27,7 +27,6 @@
 //! the *current* level — so per-worker deltas merged in worker-index
 //! order are deterministic the same way full registries are.
 
-use crate::json::JsonValue;
 use crate::metrics::{MetricDef, MetricKind, Registry};
 
 /// Frozen numeric state of one histogram inside a [`MetricsSnapshot`].
@@ -215,31 +214,6 @@ impl MetricsSnapshot {
                 .collect(),
         }
     }
-
-    /// The counters as a name→value JSON object, descriptor-table order,
-    /// zeros kept (a stable schema, so frames diff cleanly run to run).
-    pub fn counters_json(&self) -> JsonValue {
-        JsonValue::Obj(
-            self.defs
-                .iter()
-                .enumerate()
-                .filter(|(_, d)| d.kind == MetricKind::Counter)
-                .map(|(idx, d)| (d.name.to_string(), JsonValue::Num(self.counters[idx] as f64)))
-                .collect(),
-        )
-    }
-
-    /// The gauges as a name→value JSON object, descriptor-table order.
-    pub fn gauges_json(&self) -> JsonValue {
-        JsonValue::Obj(
-            self.defs
-                .iter()
-                .enumerate()
-                .filter(|(_, d)| d.kind == MetricKind::Gauge)
-                .map(|(idx, d)| (d.name.to_string(), JsonValue::Num(self.gauges[idx])))
-                .collect(),
-        )
-    }
 }
 
 #[cfg(test)]
@@ -314,14 +288,6 @@ mod tests {
         reg.merge(&r1);
         reg.merge(&r2);
         assert_eq!(merged, reg.snapshot(), "snapshot merge == registry merge");
-    }
-
-    #[test]
-    fn json_objects_keep_table_order_and_zeros() {
-        let r = Registry::new(DEFS);
-        let s = r.snapshot();
-        assert_eq!(s.counters_json().to_compact(), "{\"t.count\":0}");
-        assert_eq!(s.gauges_json().to_compact(), "{\"t.level\":0}");
     }
 
     #[test]

@@ -20,14 +20,15 @@ use rfp_dsp::stats;
 use rfp_geom::angle;
 
 /// Pre-rework [`rfp_dsp::preprocess::preprocess_reads`]: groups through a
-/// `BTreeMap` and materializes per-channel phase vectors.
+/// `BTreeMap` and materializes per-channel phase vectors. Only the
+/// π-jump-correcting mode, the front end's one mode, is kept.
 ///
 /// # Errors
 ///
 /// As the optimized version: [`PreprocessError::NoUsableChannels`].
 pub fn preprocess_reads(
     reads: &[RawRead],
-    config: &PreprocessConfig,
+    _config: &PreprocessConfig,
 ) -> Result<Vec<ChannelObservation>, PreprocessError> {
     // Group by channel, preserving per-channel read order.
     let mut by_channel: std::collections::BTreeMap<usize, Vec<&RawRead>> =
@@ -39,17 +40,8 @@ pub fn preprocess_reads(
     let mut observations = Vec::with_capacity(by_channel.len());
     let mut per_channel_reads: Vec<Vec<f64>> = Vec::with_capacity(by_channel.len());
     for (channel, reads) in by_channel {
-        if reads.len() < config.min_reads_per_channel.max(1) {
-            continue;
-        }
         let phases: Vec<f64> = reads.iter().map(|r| r.phase).collect();
-        let (phase, spread) = if config.correct_pi_jumps {
-            channel_axis(&phases)
-        } else {
-            let mean = angle::circular_mean(phases.iter().copied()).unwrap_or(phases[0]);
-            let spread = angle::circular_std(phases.iter().copied()).unwrap_or(0.0);
-            (mean, spread)
-        };
+        let (phase, spread) = channel_axis(&phases);
         let rssi = reads.iter().map(|r| r.rssi_dbm).sum::<f64>() / reads.len() as f64;
         observations.push(ChannelObservation {
             channel,
@@ -78,25 +70,21 @@ pub fn preprocess_reads(
     let sorted_reads: Vec<&Vec<f64>> = order.iter().map(|&i| &per_channel_reads[i]).collect();
 
     let mut phases: Vec<f64> = sorted_obs.iter().map(|o| o.phase).collect();
-    if config.correct_pi_jumps {
-        angle::unwrap_in_place_period(&mut phases, std::f64::consts::PI);
-        let mut votes_axis = 0usize;
-        let mut votes_total = 0usize;
-        for (axis, reads) in phases.iter().zip(&sorted_reads) {
-            for &p in reads.iter() {
-                votes_total += 1;
-                if angle::distance(p, *axis) <= std::f64::consts::FRAC_PI_2 {
-                    votes_axis += 1;
-                }
+    angle::unwrap_in_place_period(&mut phases, std::f64::consts::PI);
+    let mut votes_axis = 0usize;
+    let mut votes_total = 0usize;
+    for (axis, reads) in phases.iter().zip(&sorted_reads) {
+        for &p in reads.iter() {
+            votes_total += 1;
+            if angle::distance(p, *axis) <= std::f64::consts::FRAC_PI_2 {
+                votes_axis += 1;
             }
         }
-        if 2 * votes_axis < votes_total {
-            for p in &mut phases {
-                *p += std::f64::consts::PI;
-            }
+    }
+    if 2 * votes_axis < votes_total {
+        for p in &mut phases {
+            *p += std::f64::consts::PI;
         }
-    } else {
-        angle::unwrap_in_place(&mut phases);
     }
     for (o, p) in sorted_obs.iter_mut().zip(phases) {
         o.phase = p;

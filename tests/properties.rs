@@ -237,7 +237,12 @@ const HOSTILE_VALUES: [f64; 6] = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 1e
 const HOSTILE_CHANNELS: [usize; 4] = [50, 65_535, 65_536, usize::MAX];
 
 /// The number of ways [`corrupt`] can break a read.
-const HOSTILE_KINDS: usize = 4 * HOSTILE_VALUES.len() + HOSTILE_CHANNELS.len() + 1;
+const READ_KINDS: usize = 4 * HOSTILE_VALUES.len() + HOSTILE_CHANNELS.len() + 1;
+
+/// The number of ways [`corrupt_survey`] can break a survey: a read
+/// broken by [`corrupt`], one antenna's reads in reverse order, or one
+/// read stamped before its predecessor.
+const HOSTILE_KINDS: usize = READ_KINDS + 2;
 
 /// Breaks `read` in way `kind`: its phase, frequency, RSSI or timestamp
 /// takes a hostile value, its channel a hostile index, or (the last kind)
@@ -259,8 +264,11 @@ fn corrupt(read: &mut RawRead, kind: usize) {
     }
 }
 
-/// Breaks one read of antenna `antenna % reads.len()` (the
-/// `read % len`-th), or every read of it when `whole_antenna` is set.
+/// Breaks antenna `antenna % reads.len()`'s reads in way `kind`: below
+/// [`READ_KINDS`], one read of it (the `read % len`-th) by [`corrupt`], or
+/// every read of it when `whole_antenna` is set; then its reads in reverse
+/// order; and last, one read (the `read % len`-th, past the first)
+/// stamped half a second before the read that precedes it.
 fn corrupt_survey(
     reads: &mut [Vec<RawRead>],
     kind: usize,
@@ -269,7 +277,14 @@ fn corrupt_survey(
     whole_antenna: bool,
 ) {
     let group = &mut reads[antenna % reads.len()];
-    if whole_antenna {
+    if kind == READ_KINDS {
+        group.reverse();
+    } else if kind > READ_KINDS {
+        if group.len() > 1 {
+            let at = 1 + read % (group.len() - 1);
+            group[at].timestamp_s = group[at - 1].timestamp_s - 0.5;
+        }
+    } else if whole_antenna {
         group.iter_mut().for_each(|r| corrupt(r, kind));
     } else if !group.is_empty() {
         let at = read % group.len();
@@ -366,11 +381,12 @@ proptest! {
     /// Hostile input at every public entry point: one read, or every read
     /// of one antenna, of a seeded survey gets a non-finite or ±1e300
     /// phase, frequency, RSSI or timestamp, a −0.0 in one of them, an
-    /// out-of-range channel or a stale phase code. `sense`, `sense_warm`,
-    /// `take_stock` (identifier and calibration installed, so the material
-    /// path runs), a fresh streaming session's `push` and `advance`, and
-    /// `RfPrism3D::sense` must not panic, and every estimate they return
-    /// must be finite.
+    /// out-of-range channel or a stale phase code; or one antenna's reads
+    /// arrive in reverse order, or one read is stamped before its
+    /// predecessor. `sense`, `sense_warm`, `take_stock` (identifier and
+    /// calibration installed, so the material path runs), a fresh
+    /// streaming session's `push` and `advance`, and `RfPrism3D::sense`
+    /// must not panic, and every estimate they return must be finite.
     #[test]
     fn hostile_reads_never_panic_or_yield_non_finite_estimates(
         seed in 0u64..10_000,
