@@ -3,20 +3,22 @@
 //!
 //! The driver replays each tag's reads — all antennas merged back into
 //! arrival order — through its own [`rfp_core::StreamingSession`], calling
-//! `advance` once per `every` reads. After every advance it freezes a
-//! [`MetricsSnapshot`] delta ("what did this tick cost"), and the
-//! coordinator merges tick *k*'s deltas across tags in tag-id order.
+//! `advance` once per `every` reads. Each tick (its pushes and its
+//! advance) records under a fresh [`Recorder`], whose [`Registry`] is the
+//! tick's delta; the tick then folds into the tag's run recorder with
+//! [`Recorder::merge_at_current`], as batch workers fold into theirs. The
+//! coordinator merges tick *k*'s registries across tags in tag-id order.
 //! Because ticks are counted in reads processed (never wall clock) and the
 //! merge order is fixed, replaying the same log produces **byte-identical
 //! frames at any `--jobs` value** — wall-clock histograms are excluded
 //! from frames by [`TelemetryFrame::from_delta`] for exactly this reason.
 //!
-//! Health folds on the coordinator: the merged per-tick delta runs through
-//! [`rfp_core::obs::streaming_health`], and the resulting verdict rides in
+//! Health folds on the coordinator: the merged tick runs through
+//! [`rfp_core::obs::StreamingHealth`], and the resulting verdict rides in
 //! the frame. The stale-tags gauge is likewise a coordinator derivation: a
-//! tag is *stale* at tick `k` when its delta shows an attempted window
-//! (`pipeline.windows_total > 0`) but no estimate (`pipeline.windows_ok
-//! == 0`).
+//! tag is *stale* at tick `k` when its tick attempted a window
+//! (`pipeline.windows_total > 0`) but produced no estimate
+//! (`pipeline.windows_ok == 0`).
 
 use crate::commands::CommandError;
 use crate::log::SurveyLog;
@@ -25,7 +27,7 @@ use rfp_core::obs as pobs;
 use rfp_core::RfPrism;
 use rfp_dsp::preprocess::RawRead;
 use rfp_geom::Vec2;
-use rfp_obs::{recorder, MetricsSnapshot, Recorder, RunReport, TelemetryFrame};
+use rfp_obs::{recorder, Recorder, Registry, RunReport, TelemetryFrame};
 use std::fmt::Write as _;
 
 /// Knobs for a telemetry replay.
@@ -37,7 +39,7 @@ pub struct TelemetryOptions {
     pub every: usize,
     /// Sliding-window span in seconds (`<= 0` retains every read).
     pub window_s: f64,
-    /// Fold the streaming health rules over each merged delta.
+    /// Fold the streaming health rules over each merged tick.
     pub health: bool,
 }
 
@@ -60,9 +62,10 @@ pub struct TelemetryRun {
 
 /// One tag's finished replay, returned by a worker.
 struct TagReplay {
-    /// Per-tick metric deltas, in tick order.
-    deltas: Vec<MetricsSnapshot>,
-    /// The tag session's whole recorder (metrics + spans).
+    /// Each tick's registry, in tick order.
+    ticks: Vec<Registry>,
+    /// The tag session's whole recorder (metrics + spans): every tick
+    /// merged in order.
     rec: Recorder,
     /// Total reads replayed.
     reads: usize,
@@ -111,28 +114,28 @@ pub fn replay(log_text: &str, opts: &TelemetryOptions) -> Result<TelemetryRun, C
             replay_tag(&prism, sequence, opts.every, window_s)
         });
 
-    // Coordinator: merge tick-k deltas across tags (tag-id order), derive
-    // the stale-tags gauge, fold health, emit one frame per tick.
-    let max_ticks = replays.iter().map(|r| r.deltas.len()).max().unwrap_or(0);
-    let mut evaluator = opts.health.then(pobs::streaming_health);
+    // Coordinator: merge tick k across tags (tag-id order), derive the
+    // stale-tags gauge, fold health, emit one frame per tick.
+    let max_ticks = replays.iter().map(|r| r.ticks.len()).max().unwrap_or(0);
+    let mut evaluator = opts.health.then(pobs::StreamingHealth::default);
     let mut worst = rfp_obs::Health::Healthy;
     let mut frames = Vec::with_capacity(max_ticks);
     for k in 0..max_ticks {
-        let mut merged = MetricsSnapshot::zero(pobs::METRICS);
+        let mut merged = Registry::new(pobs::METRICS);
         let mut stale = 0u64;
         let mut reads_done = 0u64;
         for r in &replays {
             reads_done += r.reads.min((k + 1) * opts.every) as u64;
-            if let Some(delta) = r.deltas.get(k) {
-                merged.merge(delta);
-                if delta.counter(pobs::id::PIPELINE_WINDOWS_TOTAL) > 0
-                    && delta.counter(pobs::id::PIPELINE_WINDOWS_OK) == 0
+            if let Some(tick) = r.ticks.get(k) {
+                merged.merge(tick);
+                if tick.counter(pobs::id::PIPELINE_WINDOWS_TOTAL) > 0
+                    && tick.counter(pobs::id::PIPELINE_WINDOWS_OK) == 0
                 {
                     stale += 1;
                 }
             }
         }
-        merged.set_gauge(pobs::id::STREAMING_STALE_TAGS, stale as f64);
+        merged.set(pobs::id::STREAMING_STALE_TAGS, stale as f64);
         let health = evaluator.as_mut().map(|ev| ev.observe(&merged));
         if let Some(report) = &health {
             worst = worst.max(report.verdict);
@@ -171,7 +174,7 @@ pub fn replay(log_text: &str, opts: &TelemetryOptions) -> Result<TelemetryRun, C
             summary,
             "{id:>6} {:>8} {:>7} {:>5} {position:>18} {truth_err:>10}",
             r.reads,
-            r.deltas.len(),
+            r.ticks.len(),
             r.ok,
         );
     }
@@ -190,21 +193,21 @@ pub fn replay(log_text: &str, opts: &TelemetryOptions) -> Result<TelemetryRun, C
     Ok(TelemetryRun { frames, summary, report })
 }
 
-/// Replays one tag's merged read sequence under its own recorder,
-/// snapshotting a metrics delta after every advance.
+/// Replays one tag's merged read sequence, recording each tick under a
+/// recorder of its own and folding it into the tag's run recorder.
 fn replay_tag(
     prism: &RfPrism,
     reads: &[(usize, RawRead)],
     every: usize,
     window_s: f64,
 ) -> TagReplay {
-    let mut deltas = Vec::new();
+    let mut ticks = Vec::new();
+    let mut rec = Recorder::new(pobs::METRICS);
     let mut ok = 0u64;
     let mut last_pos = None;
-    let ((), rec) = recorder::observe_with(Recorder::new(pobs::METRICS), || {
-        let mut session = prism.sense_streaming(window_s);
-        let mut last: Option<MetricsSnapshot> = None;
-        for chunk in reads.chunks(every) {
+    let mut session = prism.sense_streaming(window_s);
+    for chunk in reads.chunks(every) {
+        let ((), tick) = recorder::observe(pobs::METRICS, || {
             for (antenna, read) in chunk {
                 session.push(*antenna, read);
             }
@@ -218,17 +221,11 @@ fn replay_tag(
                 last_pos = Some(result.estimate.position);
                 session.recycle(result);
             }
-            recorder::with_current(|r| {
-                let snap = r.metrics.snapshot();
-                deltas.push(match &last {
-                    Some(prev) => snap.delta_since(prev),
-                    None => snap.clone(),
-                });
-                last = Some(snap);
-            });
-        }
-    });
-    TagReplay { deltas, rec, reads: reads.len(), ok, last_pos }
+        });
+        rec.merge_at_current(&tick);
+        ticks.push(tick.metrics);
+    }
+    TagReplay { ticks, rec, reads: reads.len(), ok, last_pos }
 }
 
 #[cfg(test)]

@@ -21,249 +21,167 @@
 //! Metrics are addressed by the compile-time indices in [`id`]; the
 //! recording hot path does no hashing and no allocation.
 
-/// Indices into [`METRICS`] — the stable metric addresses
-/// the probes use. The table test pins each index to its metric name.
-pub mod id {
-    /// `solver2d.solves` — completed 2-D joint solves.
-    pub const SOLVER2D_SOLVES: usize = 0;
-    /// `solver2d.iterations` — LM iterations across all 2-D starts.
-    pub const SOLVER2D_ITERATIONS: usize = 1;
-    /// `solver2d.residual_evals` — residual-vector evaluations (2-D).
-    pub const SOLVER2D_RESIDUAL_EVALS: usize = 2;
-    /// `solver2d.jacobian_evals` — Jacobian evaluations (2-D).
-    pub const SOLVER2D_JACOBIAN_EVALS: usize = 3;
-    /// `solver3d.solves` — completed 3-D joint solves.
-    pub const SOLVER3D_SOLVES: usize = 4;
-    /// `solver3d.iterations` — LM iterations across all 3-D starts.
-    pub const SOLVER3D_ITERATIONS: usize = 5;
-    /// `solver3d.residual_evals` — residual-vector evaluations (3-D).
-    pub const SOLVER3D_RESIDUAL_EVALS: usize = 6;
-    /// `solver3d.jacobian_evals` — Jacobian evaluations (3-D).
-    pub const SOLVER3D_JACOBIAN_EVALS: usize = 7;
-    /// `pipeline.windows_total` — sensing windows attempted (2-D and 3-D).
-    pub const PIPELINE_WINDOWS_TOTAL: usize = 8;
-    /// `pipeline.windows_ok` — windows that produced an estimate.
-    pub const PIPELINE_WINDOWS_OK: usize = 9;
-    /// `pipeline.windows_moving_rejected` — windows discarded because the
-    /// error detector declared the tag moving.
-    pub const PIPELINE_WINDOWS_MOVING_REJECTED: usize = 10;
-    /// `pipeline.windows_too_few_obs` — windows with fewer usable antenna
-    /// observations than the solve needs.
-    pub const PIPELINE_WINDOWS_TOO_FEW_OBS: usize = 11;
-    /// `pipeline.extract_failures` — per-antenna extraction failures.
-    pub const PIPELINE_EXTRACT_FAILURES: usize = 12;
-    /// `pipeline.rounds_skipped` — hop rounds skipped by the multi-round
-    /// path (incomplete extraction or a moving verdict).
-    pub const PIPELINE_ROUNDS_SKIPPED: usize = 13;
-    /// `detector.windows_clean` — verdicts with every channel kept.
-    pub const DETECTOR_WINDOWS_CLEAN: usize = 14;
-    /// `detector.windows_multipath` — verdicts with multipath-corrupted
-    /// channels suppressed.
-    pub const DETECTOR_WINDOWS_MULTIPATH: usize = 15;
-    /// `detector.windows_moving` — verdicts rejecting the window for
-    /// nonlinearity (tag motion).
-    pub const DETECTOR_WINDOWS_MOVING: usize = 16;
-    /// `detector.channels_rejected` — channels dropped across antennas by
-    /// the robust fits in multipath-suppressed windows.
-    pub const DETECTOR_CHANNELS_REJECTED: usize = 17;
-    /// `material.features_extracted` — material feature vectors built.
-    pub const MATERIAL_FEATURES_EXTRACTED: usize = 18;
-    /// `batch.tags` — tags submitted to the batch engine.
-    pub const BATCH_TAGS: usize = 19;
-    /// `batch.workers` — worker threads of the most recent batch (gauge;
-    /// merges as max).
-    pub const BATCH_WORKERS: usize = 20;
-    /// `sense.latency_us` — end-to-end sensing latency histogram, µs.
-    pub const SENSE_LATENCY_US: usize = 21;
-    /// `solve.latency_us` — joint-solve latency histogram, µs.
-    pub const SOLVE_LATENCY_US: usize = 22;
-    /// `solver.seeds_total` — multi-start position seeds considered by the
-    /// coarse-to-fine scan (2-D and 3-D).
-    pub const SOLVER_SEEDS_TOTAL: usize = 23;
-    /// `solver.seeds_refined` — seeds that received a stage-1 LM
-    /// refinement.
-    pub const SOLVER_SEEDS_REFINED: usize = 24;
-    /// `solver.seeds_pruned` — seeds skipped by the coarse ranking / early
-    /// exit (never LM-refined).
-    pub const SOLVER_SEEDS_PRUNED: usize = 25;
-    /// `solver.warm_start_hits` — warm-started refinements accepted by the
-    /// validation gate (multi-start scan skipped).
-    pub const SOLVER_WARM_HITS: usize = 26;
-    /// `solver.warm_start_misses` — warm-start attempts rejected by the
-    /// gate (fell back to the multi-start scan).
-    pub const SOLVER_WARM_MISSES: usize = 27;
-    /// `frontend.windows` — per-antenna front-end extractions attempted.
-    pub const FRONTEND_WINDOWS: usize = 28;
-    /// `frontend.reads` — raw reader reports consumed by the front end.
-    pub const FRONTEND_READS: usize = 29;
-    /// `frontend.channels` — clean channel observations produced.
-    pub const FRONTEND_CHANNELS: usize = 30;
-    /// `frontend.trig_table_reads` — per-read phasors served by the
-    /// quantized phase-code tables. The batch front end counts one per
-    /// read per pass; a streaming window counts each lookup where it
-    /// happens (a push, a rebuild's re-accumulation, a fold at extract).
-    pub const FRONTEND_TRIG_TABLE_READS: usize = 31;
-    /// `frontend.trig_libm_reads` — per-read phasors served by libm
-    /// (batch: reads without a phase code that reproduces their phase;
-    /// streaming: phases off the reader grid), counted like
-    /// [`FRONTEND_TRIG_TABLE_READS`].
-    pub const FRONTEND_TRIG_LIBM_READS: usize = 32;
-    /// `streaming.updates` — reads pushed into streaming windows.
-    pub const STREAMING_UPDATES: usize = 33;
-    /// `streaming.downdates` — reads expired out of streaming windows.
-    pub const STREAMING_DOWNDATES: usize = 34;
-    /// `streaming.rebuilds` — channels re-derived from their retained
-    /// reads after losing reads to expiry.
-    pub const STREAMING_REBUILDS: usize = 35;
-    /// `streaming.advance_latency_us` — `StreamingSession::advance`
-    /// latency histogram, µs.
-    pub const STREAMING_ADVANCE_LATENCY_US: usize = 36;
-    /// `streaming.extract_latency_us` — per-antenna streaming-window
-    /// extraction latency histogram (the window's expiry included), µs.
-    pub const STREAMING_EXTRACT_LATENCY_US: usize = 37;
-    /// `streaming.stale_tags` — tags whose last telemetry window produced
-    /// no estimate (gauge; set by the replay/serve driver).
-    pub const STREAMING_STALE_TAGS: usize = 38;
-    /// `solver.lane_seed_blocks` — 4-seed blocks scored by the wide
-    /// coarse-ranking lanes (2-D and 3-D).
-    pub const SOLVER_LANE_SEED_BLOCKS: usize = 39;
-    /// `solver.lane_row_blocks` — 4-row antenna blocks evaluated by the
-    /// wide residual/Jacobian lanes of the LM cores.
-    pub const SOLVER_LANE_ROW_BLOCKS: usize = 40;
-    /// `solver.lane_scalar_rows` — seeds/rows that fell through to the
-    /// scalar remainder of a 4-wide loop.
-    pub const SOLVER_LANE_SCALAR_ROWS: usize = 41;
-    /// `solver.lambda_retries` — damped-step λ retries beyond the first
-    /// attempt of each LM iteration.
-    pub const SOLVER_LAMBDA_RETRIES: usize = 42;
-    /// `solver.chol_failures` — damped normal equations rejected as
-    /// non-positive-definite (factorization failures that escalate λ).
-    pub const SOLVER_CHOL_FAILURES: usize = 43;
+/// Declares every metric once, in index order: the [`id`] constants,
+/// compiled with or without the feature because probes name them, and
+/// with the `obs` feature the [`METRICS`] descriptor table.
+macro_rules! metrics {
+    ($($id:ident: $kind:ident($name:literal, $help:literal $(, $buckets:ident)?),)*) => {
+        /// Indices into [`METRICS`] — the stable metric addresses the
+        /// probes use.
+        pub mod id {
+            #[allow(non_camel_case_types, clippy::upper_case_acronyms)]
+            enum Index {
+                $($id,)*
+            }
+            $(
+                #[doc = concat!("`", $name, "` — ", $help, ".")]
+                pub const $id: usize = Index::$id as usize;
+            )*
+        }
+
+        /// The pipeline's metric descriptor table; entry *i* is the metric
+        /// addressed by index *i* in [`id`].
+        #[cfg(feature = "obs")]
+        pub static METRICS: &[rfp_obs::MetricDef] =
+            &[$(rfp_obs::MetricDef::$kind($name, $help $(, $buckets)?),)*];
+    };
+}
+
+/// Log-spaced µs buckets covering sub-100 µs solves up to 100 ms+
+/// end-to-end windows.
+#[cfg(feature = "obs")]
+const LATENCY_BUCKETS_US: &[f64] = &[
+    50.0, 100.0, 200.0, 500.0, 1_000.0, 2_000.0, 5_000.0, 10_000.0, 20_000.0, 50_000.0, 100_000.0,
+];
+
+/// Finer log-spaced µs buckets for the incremental streaming paths,
+/// whose steady-state advances sit well under the batch pipeline's
+/// 50 µs first bucket.
+#[cfg(feature = "obs")]
+const STREAMING_LATENCY_BUCKETS_US: &[f64] =
+    &[5.0, 10.0, 20.0, 50.0, 100.0, 200.0, 500.0, 1_000.0, 2_000.0, 5_000.0, 10_000.0];
+
+metrics! {
+    SOLVER2D_SOLVES: counter("solver2d.solves", "completed 2-D joint solves"),
+    SOLVER2D_ITERATIONS: counter("solver2d.iterations", "LM iterations across all 2-D starts"),
+    SOLVER2D_RESIDUAL_EVALS: counter("solver2d.residual_evals", "residual-vector evaluations (2-D)"),
+    SOLVER2D_JACOBIAN_EVALS: counter("solver2d.jacobian_evals", "Jacobian evaluations (2-D)"),
+    SOLVER3D_SOLVES: counter("solver3d.solves", "completed 3-D joint solves"),
+    SOLVER3D_ITERATIONS: counter("solver3d.iterations", "LM iterations across all 3-D starts"),
+    SOLVER3D_RESIDUAL_EVALS: counter("solver3d.residual_evals", "residual-vector evaluations (3-D)"),
+    SOLVER3D_JACOBIAN_EVALS: counter("solver3d.jacobian_evals", "Jacobian evaluations (3-D)"),
+    PIPELINE_WINDOWS_TOTAL: counter("pipeline.windows_total", "sensing windows attempted"),
+    PIPELINE_WINDOWS_OK: counter("pipeline.windows_ok", "windows that produced an estimate"),
+    PIPELINE_WINDOWS_MOVING_REJECTED: counter(
+        "pipeline.windows_moving_rejected",
+        "windows discarded for tag motion"
+    ),
+    PIPELINE_WINDOWS_TOO_FEW_OBS: counter(
+        "pipeline.windows_too_few_obs",
+        "windows with too few usable antenna observations"
+    ),
+    PIPELINE_EXTRACT_FAILURES: counter("pipeline.extract_failures", "per-antenna extraction failures"),
+    PIPELINE_ROUNDS_SKIPPED: counter(
+        "pipeline.rounds_skipped",
+        "hop rounds skipped by the multi-round path"
+    ),
+    DETECTOR_WINDOWS_CLEAN: counter("detector.windows_clean", "verdicts with every channel kept"),
+    DETECTOR_WINDOWS_MULTIPATH: counter(
+        "detector.windows_multipath",
+        "verdicts with multipath channels suppressed"
+    ),
+    DETECTOR_WINDOWS_MOVING: counter("detector.windows_moving", "verdicts rejecting the window"),
+    DETECTOR_CHANNELS_REJECTED: counter(
+        "detector.channels_rejected",
+        "channels dropped by the robust per-antenna fits"
+    ),
+    MATERIAL_FEATURES_EXTRACTED: counter(
+        "material.features_extracted",
+        "material feature vectors built"
+    ),
+    BATCH_TAGS: counter("batch.tags", "tags submitted to the batch engine"),
+    BATCH_WORKERS: gauge("batch.workers", "worker threads of the most recent batch"),
+    SENSE_LATENCY_US: histogram(
+        "sense.latency_us",
+        "end-to-end sensing latency, microseconds",
+        LATENCY_BUCKETS_US
+    ),
+    SOLVE_LATENCY_US: histogram(
+        "solve.latency_us",
+        "joint-solve latency, microseconds",
+        LATENCY_BUCKETS_US
+    ),
+    SOLVER_SEEDS_TOTAL: counter("solver.seeds_total", "multi-start seeds considered"),
+    SOLVER_SEEDS_REFINED: counter("solver.seeds_refined", "seeds given stage-1 LM refinement"),
+    SOLVER_SEEDS_PRUNED: counter("solver.seeds_pruned", "seeds skipped by the coarse ranking"),
+    SOLVER_WARM_HITS: counter("solver.warm_start_hits", "warm starts accepted by the gate"),
+    SOLVER_WARM_MISSES: counter("solver.warm_start_misses", "warm starts rejected by the gate"),
+    FRONTEND_WINDOWS: counter(
+        "frontend.windows",
+        "per-antenna front-end extractions attempted"
+    ),
+    FRONTEND_READS: counter("frontend.reads", "raw reader reports consumed by the front end"),
+    FRONTEND_CHANNELS: counter("frontend.channels", "clean channel observations produced"),
+    // The batch front end counts one phasor per read per pass; a
+    // streaming window counts each lookup where it happens (a push, a
+    // rebuild's re-accumulation, a fold at extract).
+    FRONTEND_TRIG_TABLE_READS: counter(
+        "frontend.trig_table_reads",
+        "per-read phasors served by the quantized phase-code tables"
+    ),
+    FRONTEND_TRIG_LIBM_READS: counter(
+        "frontend.trig_libm_reads",
+        "per-read phasors served by libm (reads without a usable phase code)"
+    ),
+    STREAMING_UPDATES: counter("streaming.updates", "reads pushed into streaming windows"),
+    STREAMING_DOWNDATES: counter("streaming.downdates", "reads expired out of streaming windows"),
+    STREAMING_REBUILDS: counter(
+        "streaming.rebuilds",
+        "channels re-derived from their retained reads after expiry"
+    ),
+    STREAMING_ADVANCE_LATENCY_US: histogram(
+        "streaming.advance_latency_us",
+        "streaming advance latency, microseconds",
+        STREAMING_LATENCY_BUCKETS_US
+    ),
+    STREAMING_EXTRACT_LATENCY_US: histogram(
+        "streaming.extract_latency_us",
+        "per-antenna streaming extraction latency, expiry included, microseconds",
+        STREAMING_LATENCY_BUCKETS_US
+    ),
+    // Set by the telemetry driver, not by a probe.
+    STREAMING_STALE_TAGS: gauge(
+        "streaming.stale_tags",
+        "tags with no estimate in the last window"
+    ),
+    SOLVER_LANE_SEED_BLOCKS: counter(
+        "solver.lane_seed_blocks",
+        "4-seed blocks scored by the wide coarse-ranking lanes"
+    ),
+    SOLVER_LANE_ROW_BLOCKS: counter(
+        "solver.lane_row_blocks",
+        "4-row antenna blocks evaluated by the wide residual lanes"
+    ),
+    SOLVER_LANE_SCALAR_ROWS: counter(
+        "solver.lane_scalar_rows",
+        "seeds/rows handled by the scalar remainder of a 4-wide loop"
+    ),
+    SOLVER_LAMBDA_RETRIES: counter(
+        "solver.lambda_retries",
+        "damped-step lambda retries beyond each iteration's first attempt"
+    ),
+    SOLVER_CHOL_FAILURES: counter(
+        "solver.chol_failures",
+        "damped normal equations rejected as non-positive-definite"
+    ),
 }
 
 #[cfg(feature = "obs")]
 mod enabled {
+    use super::METRICS;
     use crate::detector::MobilityVerdict;
-    use rfp_obs::{recorder, MetricDef, Recorder};
+    use rfp_obs::{recorder, Health, HealthReason, HealthReport, Recorder, Registry};
     use std::time::Instant;
-
-    /// Log-spaced µs buckets covering sub-100 µs solves up to 100 ms+
-    /// end-to-end windows.
-    const LATENCY_BUCKETS_US: &[f64] = &[
-        50.0, 100.0, 200.0, 500.0, 1_000.0, 2_000.0, 5_000.0, 10_000.0, 20_000.0, 50_000.0,
-        100_000.0,
-    ];
-
-    /// Finer log-spaced µs buckets for the incremental streaming paths,
-    /// whose steady-state advances sit well under the batch pipeline's
-    /// 50 µs first bucket.
-    const STREAMING_LATENCY_BUCKETS_US: &[f64] = &[
-        5.0, 10.0, 20.0, 50.0, 100.0, 200.0, 500.0, 1_000.0, 2_000.0, 5_000.0, 10_000.0,
-    ];
-
-    /// The pipeline's metric descriptor table; entry *i* is the metric
-    /// addressed by index *i* in [`super::id`].
-    pub static METRICS: &[MetricDef] = &[
-        MetricDef::counter("solver2d.solves", "completed 2-D joint solves"),
-        MetricDef::counter("solver2d.iterations", "LM iterations across all 2-D starts"),
-        MetricDef::counter("solver2d.residual_evals", "residual-vector evaluations (2-D)"),
-        MetricDef::counter("solver2d.jacobian_evals", "Jacobian evaluations (2-D)"),
-        MetricDef::counter("solver3d.solves", "completed 3-D joint solves"),
-        MetricDef::counter("solver3d.iterations", "LM iterations across all 3-D starts"),
-        MetricDef::counter("solver3d.residual_evals", "residual-vector evaluations (3-D)"),
-        MetricDef::counter("solver3d.jacobian_evals", "Jacobian evaluations (3-D)"),
-        MetricDef::counter("pipeline.windows_total", "sensing windows attempted"),
-        MetricDef::counter("pipeline.windows_ok", "windows that produced an estimate"),
-        MetricDef::counter(
-            "pipeline.windows_moving_rejected",
-            "windows discarded for tag motion",
-        ),
-        MetricDef::counter(
-            "pipeline.windows_too_few_obs",
-            "windows with too few usable antenna observations",
-        ),
-        MetricDef::counter("pipeline.extract_failures", "per-antenna extraction failures"),
-        MetricDef::counter(
-            "pipeline.rounds_skipped",
-            "hop rounds skipped by the multi-round path",
-        ),
-        MetricDef::counter("detector.windows_clean", "verdicts with every channel kept"),
-        MetricDef::counter(
-            "detector.windows_multipath",
-            "verdicts with multipath channels suppressed",
-        ),
-        MetricDef::counter("detector.windows_moving", "verdicts rejecting the window"),
-        MetricDef::counter(
-            "detector.channels_rejected",
-            "channels dropped by the robust per-antenna fits",
-        ),
-        MetricDef::counter("material.features_extracted", "material feature vectors built"),
-        MetricDef::counter("batch.tags", "tags submitted to the batch engine"),
-        MetricDef::gauge("batch.workers", "worker threads of the most recent batch"),
-        MetricDef::histogram(
-            "sense.latency_us",
-            "end-to-end sensing latency, microseconds",
-            LATENCY_BUCKETS_US,
-        ),
-        MetricDef::histogram(
-            "solve.latency_us",
-            "joint-solve latency, microseconds",
-            LATENCY_BUCKETS_US,
-        ),
-        MetricDef::counter("solver.seeds_total", "multi-start seeds considered"),
-        MetricDef::counter("solver.seeds_refined", "seeds given stage-1 LM refinement"),
-        MetricDef::counter("solver.seeds_pruned", "seeds skipped by the coarse ranking"),
-        MetricDef::counter("solver.warm_start_hits", "warm starts accepted by the gate"),
-        MetricDef::counter("solver.warm_start_misses", "warm starts rejected by the gate"),
-        MetricDef::counter("frontend.windows", "per-antenna front-end extractions attempted"),
-        MetricDef::counter("frontend.reads", "raw reader reports consumed by the front end"),
-        MetricDef::counter("frontend.channels", "clean channel observations produced"),
-        MetricDef::counter(
-            "frontend.trig_table_reads",
-            "per-read phasors served by the quantized phase-code tables",
-        ),
-        MetricDef::counter(
-            "frontend.trig_libm_reads",
-            "per-read phasors served by libm (reads without a usable phase code)",
-        ),
-        MetricDef::counter("streaming.updates", "reads pushed into streaming windows"),
-        MetricDef::counter("streaming.downdates", "reads expired out of streaming windows"),
-        MetricDef::counter(
-            "streaming.rebuilds",
-            "channels re-derived from their retained reads after expiry",
-        ),
-        MetricDef::histogram(
-            "streaming.advance_latency_us",
-            "streaming advance latency, microseconds",
-            STREAMING_LATENCY_BUCKETS_US,
-        ),
-        MetricDef::histogram(
-            "streaming.extract_latency_us",
-            "per-antenna streaming extraction latency, expiry included, microseconds",
-            STREAMING_LATENCY_BUCKETS_US,
-        ),
-        MetricDef::gauge("streaming.stale_tags", "tags with no estimate in the last window"),
-        MetricDef::counter(
-            "solver.lane_seed_blocks",
-            "4-seed blocks scored by the wide coarse-ranking lanes",
-        ),
-        MetricDef::counter(
-            "solver.lane_row_blocks",
-            "4-row antenna blocks evaluated by the wide residual lanes",
-        ),
-        MetricDef::counter(
-            "solver.lane_scalar_rows",
-            "seeds/rows handled by the scalar remainder of a 4-wide loop",
-        ),
-        MetricDef::counter(
-            "solver.lambda_retries",
-            "damped-step lambda retries beyond each iteration's first attempt",
-        ),
-        MetricDef::counter(
-            "solver.chol_failures",
-            "damped normal equations rejected as non-positive-definite",
-        ),
-    ];
 
     pub use recorder::{counter_add, gauge_set, observe_value};
 
@@ -273,44 +191,63 @@ mod enabled {
         recorder::active()
     }
 
-    /// The streaming engine's watchdog: threshold rules over windowed
-    /// [`METRICS`] deltas (see DESIGN.md §9).
+    /// The streaming engine's watchdog (DESIGN.md §9): three rules read
+    /// each telemetry tick's [`METRICS`] registry, in this order.
     ///
     /// * `warm_miss_rate` — solver warm-start gate misses per attempt;
-    ///   misses re-run the multi-start scan (degraded at 50%, unhealthy
-    ///   at 90%).
-    /// * `stale_tags` — tags whose latest window produced no estimate
-    ///   (gauge set by the serve/replay driver; degraded at 1, unhealthy
-    ///   at 4).
-    /// * `no_estimates` — attempted windows with zero successes for 3
-    ///   (degraded) / 6 (unhealthy) consecutive telemetry windows.
-    ///
-    /// Rate rules guard against near-idle windows with a minimum
-    /// denominator, so a trickle of reads never trips a ratio.
-    pub fn streaming_health() -> rfp_obs::HealthEvaluator {
-        use super::id;
-        rfp_obs::HealthEvaluator::new()
-            .rate(rfp_obs::RateRule {
-                name: "warm_miss_rate",
-                numerators: vec![id::SOLVER_WARM_MISSES],
-                denominators: vec![id::SOLVER_WARM_HITS, id::SOLVER_WARM_MISSES],
-                min_denominator: 4,
-                degraded_at: 0.5,
-                unhealthy_at: 0.9,
-            })
-            .gauge(rfp_obs::GaugeRule {
-                name: "stale_tags",
-                gauge: id::STREAMING_STALE_TAGS,
-                degraded_at: 1.0,
-                unhealthy_at: 4.0,
-            })
-            .stall(rfp_obs::StallRule {
-                name: "no_estimates",
-                ok: vec![id::PIPELINE_WINDOWS_OK],
-                attempted: vec![id::PIPELINE_WINDOWS_TOTAL],
-                degraded_after: 3,
-                unhealthy_after: 6,
-            })
+    ///   misses re-run the multi-start scan (degraded at 0.5, unhealthy at
+    ///   0.9; skipped under 4 attempts, so a near-idle tick never trips
+    ///   it).
+    /// * `stale_tags` — the `streaming.stale_tags` gauge, tags whose tick
+    ///   produced no estimate (degraded at 1, unhealthy at 4).
+    /// * `no_estimates` — consecutive ticks with windows attempted and none
+    ///   ok (degraded at 3, unhealthy at 6); a tick with an estimate, or
+    ///   with no window attempted, ends the streak.
+    #[derive(Debug, Clone, Default)]
+    pub struct StreamingHealth {
+        /// Consecutive ticks with windows attempted and none ok.
+        stalled: u32,
+    }
+
+    impl StreamingHealth {
+        /// The verdict on one tick's registry: the worst rule level, with
+        /// one reason per tripped rule.
+        pub fn observe(&mut self, tick: &Registry) -> HealthReport {
+            use super::id;
+            let mut reasons = Vec::new();
+            let misses = tick.counter(id::SOLVER_WARM_MISSES);
+            let attempts = tick.counter(id::SOLVER_WARM_HITS) + misses;
+            if attempts >= 4 {
+                let rate = misses as f64 / attempts as f64;
+                judge(&mut reasons, "warm_miss_rate", rate, 0.5, 0.9);
+            }
+            judge(&mut reasons, "stale_tags", tick.gauge(id::STREAMING_STALE_TAGS), 1.0, 4.0);
+            let stalled = tick.counter(id::PIPELINE_WINDOWS_TOTAL) > 0
+                && tick.counter(id::PIPELINE_WINDOWS_OK) == 0;
+            self.stalled = if stalled { self.stalled + 1 } else { 0 };
+            judge(&mut reasons, "no_estimates", f64::from(self.stalled), 3.0, 6.0);
+            let verdict = reasons.iter().map(|r| r.level).max().unwrap_or(Health::Healthy);
+            HealthReport { verdict, reasons }
+        }
+    }
+
+    /// Adds rule `rule`'s reason when `value` reaches its degraded or
+    /// unhealthy threshold.
+    fn judge(
+        reasons: &mut Vec<HealthReason>,
+        rule: &str,
+        value: f64,
+        degraded_at: f64,
+        unhealthy_at: f64,
+    ) {
+        let (level, threshold) = if value >= unhealthy_at {
+            (Health::Unhealthy, unhealthy_at)
+        } else if value >= degraded_at {
+            (Health::Degraded, degraded_at)
+        } else {
+            return;
+        };
+        reasons.push(HealthReason { rule: rule.to_string(), level, value, threshold });
     }
 
     /// Opens the named stage span on this thread's recorder.
@@ -464,90 +401,104 @@ mod enabled {
         #[test]
         fn metric_table_matches_id_constants() {
             use crate::obs::id::*;
-            let by_idx = [
-                (SOLVER2D_SOLVES, "solver2d.solves"),
-                (SOLVER2D_ITERATIONS, "solver2d.iterations"),
-                (SOLVER2D_RESIDUAL_EVALS, "solver2d.residual_evals"),
-                (SOLVER2D_JACOBIAN_EVALS, "solver2d.jacobian_evals"),
-                (SOLVER3D_SOLVES, "solver3d.solves"),
-                (SOLVER3D_ITERATIONS, "solver3d.iterations"),
-                (SOLVER3D_RESIDUAL_EVALS, "solver3d.residual_evals"),
-                (SOLVER3D_JACOBIAN_EVALS, "solver3d.jacobian_evals"),
-                (PIPELINE_WINDOWS_TOTAL, "pipeline.windows_total"),
-                (PIPELINE_WINDOWS_OK, "pipeline.windows_ok"),
-                (PIPELINE_WINDOWS_MOVING_REJECTED, "pipeline.windows_moving_rejected"),
-                (PIPELINE_WINDOWS_TOO_FEW_OBS, "pipeline.windows_too_few_obs"),
-                (PIPELINE_EXTRACT_FAILURES, "pipeline.extract_failures"),
-                (PIPELINE_ROUNDS_SKIPPED, "pipeline.rounds_skipped"),
-                (DETECTOR_WINDOWS_CLEAN, "detector.windows_clean"),
-                (DETECTOR_WINDOWS_MULTIPATH, "detector.windows_multipath"),
-                (DETECTOR_WINDOWS_MOVING, "detector.windows_moving"),
-                (DETECTOR_CHANNELS_REJECTED, "detector.channels_rejected"),
-                (MATERIAL_FEATURES_EXTRACTED, "material.features_extracted"),
-                (BATCH_TAGS, "batch.tags"),
-                (BATCH_WORKERS, "batch.workers"),
-                (SENSE_LATENCY_US, "sense.latency_us"),
-                (SOLVE_LATENCY_US, "solve.latency_us"),
-                (SOLVER_SEEDS_TOTAL, "solver.seeds_total"),
-                (SOLVER_SEEDS_REFINED, "solver.seeds_refined"),
-                (SOLVER_SEEDS_PRUNED, "solver.seeds_pruned"),
-                (SOLVER_WARM_HITS, "solver.warm_start_hits"),
-                (SOLVER_WARM_MISSES, "solver.warm_start_misses"),
-                (FRONTEND_WINDOWS, "frontend.windows"),
-                (FRONTEND_READS, "frontend.reads"),
-                (FRONTEND_CHANNELS, "frontend.channels"),
-                (FRONTEND_TRIG_TABLE_READS, "frontend.trig_table_reads"),
-                (FRONTEND_TRIG_LIBM_READS, "frontend.trig_libm_reads"),
-                (STREAMING_UPDATES, "streaming.updates"),
-                (STREAMING_DOWNDATES, "streaming.downdates"),
-                (STREAMING_REBUILDS, "streaming.rebuilds"),
-                (STREAMING_ADVANCE_LATENCY_US, "streaming.advance_latency_us"),
-                (STREAMING_EXTRACT_LATENCY_US, "streaming.extract_latency_us"),
-                (STREAMING_STALE_TAGS, "streaming.stale_tags"),
-                (SOLVER_LANE_SEED_BLOCKS, "solver.lane_seed_blocks"),
-                (SOLVER_LANE_ROW_BLOCKS, "solver.lane_row_blocks"),
-                (SOLVER_LANE_SCALAR_ROWS, "solver.lane_scalar_rows"),
-                (SOLVER_LAMBDA_RETRIES, "solver.lambda_retries"),
-                (SOLVER_CHOL_FAILURES, "solver.chol_failures"),
-            ];
-            assert_eq!(by_idx.len(), METRICS.len());
-            for (idx, name) in by_idx {
-                assert_eq!(METRICS[idx].name, name, "index {idx}");
-            }
-            assert_eq!(METRICS[crate::obs::id::BATCH_WORKERS].kind, MetricKind::Gauge);
-            assert_eq!(METRICS[crate::obs::id::SENSE_LATENCY_US].kind, MetricKind::Histogram);
-            assert_eq!(
-                METRICS[crate::obs::id::STREAMING_ADVANCE_LATENCY_US].kind,
-                MetricKind::Histogram
-            );
-            assert_eq!(METRICS[crate::obs::id::STREAMING_STALE_TAGS].kind, MetricKind::Gauge);
+            assert_eq!(METRICS[BATCH_WORKERS].kind, MetricKind::Gauge);
+            assert_eq!(METRICS[SENSE_LATENCY_US].kind, MetricKind::Histogram);
+            assert_eq!(METRICS[STREAMING_ADVANCE_LATENCY_US].kind, MetricKind::Histogram);
+            assert_eq!(METRICS[STREAMING_STALE_TAGS].kind, MetricKind::Gauge);
+        }
+
+        /// One tick's registry: `hits` and `misses` warm starts, `stale`
+        /// tags, and `attempted` windows of which `ok` gave an estimate.
+        fn tick(hits: u64, misses: u64, stale: f64, attempted: u64, ok: u64) -> Registry {
+            use crate::obs::id::*;
+            let mut r = Registry::new(METRICS);
+            r.add(SOLVER_WARM_HITS, hits);
+            r.add(SOLVER_WARM_MISSES, misses);
+            r.set(STREAMING_STALE_TAGS, stale);
+            r.add(PIPELINE_WINDOWS_TOTAL, attempted);
+            r.add(PIPELINE_WINDOWS_OK, ok);
+            r
+        }
+
+        /// A report's reasons as `(rule, level, value, threshold)`.
+        fn reasons(report: &HealthReport) -> Vec<(&str, Health, f64, f64)> {
+            report
+                .reasons
+                .iter()
+                .map(|r| (r.rule.as_str(), r.level, r.value, r.threshold))
+                .collect()
         }
 
         #[test]
-        fn streaming_health_rules_fold_over_metric_deltas() {
-            use crate::obs::id::*;
-            let mut ev = streaming_health();
-            // A clean window: plenty of work, warm starts hitting.
-            let ((), rec) = recorder::observe(METRICS, || {
-                counter_add(FRONTEND_WINDOWS, 100);
-                counter_add(SOLVER_WARM_HITS, 10);
-                counter_add(PIPELINE_WINDOWS_TOTAL, 10);
-                counter_add(PIPELINE_WINDOWS_OK, 10);
-            });
-            let report = ev.observe(&rec.metrics.snapshot());
-            assert_eq!(report.verdict, rfp_obs::Health::Healthy);
+        fn warm_miss_rate_needs_four_attempts_and_trips_at_half_and_nine_tenths() {
+            let mut health = StreamingHealth::default();
+            let report = health.observe(&tick(0, 3, 0.0, 10, 10));
+            assert_eq!(report.verdict, Health::Healthy, "3 attempts are under the floor");
+            assert!(report.reasons.is_empty());
+            let report = health.observe(&tick(2, 2, 0.0, 10, 10));
+            assert_eq!(report.verdict, Health::Degraded);
+            assert_eq!(reasons(&report), [("warm_miss_rate", Health::Degraded, 0.5, 0.5)]);
+            let report = health.observe(&tick(1, 9, 0.0, 10, 10));
+            assert_eq!(report.verdict, Health::Unhealthy);
+            assert_eq!(reasons(&report), [("warm_miss_rate", Health::Unhealthy, 0.9, 0.9)]);
+        }
 
-            // A degrading window: 60% warm-start misses.
-            let ((), rec) = recorder::observe(METRICS, || {
-                counter_add(FRONTEND_WINDOWS, 100);
-                counter_add(SOLVER_WARM_HITS, 4);
-                counter_add(SOLVER_WARM_MISSES, 6);
-                counter_add(PIPELINE_WINDOWS_TOTAL, 10);
-                counter_add(PIPELINE_WINDOWS_OK, 10);
-            });
-            let report = ev.observe(&rec.metrics.snapshot());
-            assert_eq!(report.verdict, rfp_obs::Health::Degraded);
-            assert_eq!(report.reasons[0].rule, "warm_miss_rate");
+        #[test]
+        fn stale_tags_trip_at_one_and_four() {
+            let mut health = StreamingHealth::default();
+            assert_eq!(health.observe(&tick(0, 0, 0.0, 10, 10)).verdict, Health::Healthy);
+            let report = health.observe(&tick(0, 0, 1.0, 10, 10));
+            assert_eq!(report.verdict, Health::Degraded);
+            assert_eq!(reasons(&report), [("stale_tags", Health::Degraded, 1.0, 1.0)]);
+            let report = health.observe(&tick(0, 0, 3.0, 10, 10));
+            assert_eq!(reasons(&report), [("stale_tags", Health::Degraded, 3.0, 1.0)]);
+            let report = health.observe(&tick(0, 0, 4.0, 10, 10));
+            assert_eq!(report.verdict, Health::Unhealthy);
+            assert_eq!(reasons(&report), [("stale_tags", Health::Unhealthy, 4.0, 4.0)]);
+        }
+
+        #[test]
+        fn no_estimates_trips_after_three_and_six_stalled_ticks() {
+            let mut health = StreamingHealth::default();
+            let stalled = tick(0, 0, 0.0, 8, 0);
+            for _ in 0..2 {
+                assert_eq!(health.observe(&stalled).verdict, Health::Healthy);
+            }
+            let report = health.observe(&stalled);
+            assert_eq!(report.verdict, Health::Degraded);
+            assert_eq!(reasons(&report), [("no_estimates", Health::Degraded, 3.0, 3.0)]);
+            for _ in 0..2 {
+                assert_eq!(health.observe(&stalled).verdict, Health::Degraded);
+            }
+            let report = health.observe(&stalled);
+            assert_eq!(report.verdict, Health::Unhealthy);
+            assert_eq!(reasons(&report), [("no_estimates", Health::Unhealthy, 6.0, 6.0)]);
+            // A tick with an estimate ends the streak.
+            assert_eq!(health.observe(&tick(0, 0, 0.0, 8, 1)).verdict, Health::Healthy);
+            assert_eq!(health.observe(&stalled).verdict, Health::Healthy);
+            // So does a tick that attempted no window.
+            health.observe(&stalled);
+            assert_eq!(health.observe(&stalled).verdict, Health::Degraded);
+            assert_eq!(health.observe(&tick(0, 0, 0.0, 0, 0)).verdict, Health::Healthy);
+            assert_eq!(health.observe(&stalled).verdict, Health::Healthy);
+        }
+
+        #[test]
+        fn reasons_keep_rule_order_and_the_worst_level_wins() {
+            let mut health = StreamingHealth::default();
+            for _ in 0..2 {
+                health.observe(&tick(0, 0, 0.0, 8, 0));
+            }
+            let report = health.observe(&tick(2, 2, 4.0, 8, 0));
+            assert_eq!(report.verdict, Health::Unhealthy);
+            assert_eq!(
+                reasons(&report),
+                [
+                    ("warm_miss_rate", Health::Degraded, 0.5, 0.5),
+                    ("stale_tags", Health::Unhealthy, 4.0, 4.0),
+                    ("no_estimates", Health::Degraded, 3.0, 3.0),
+                ]
+            );
         }
 
         #[test]

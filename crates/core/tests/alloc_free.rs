@@ -248,7 +248,7 @@ fn streaming_advance_is_allocation_free_in_steady_state() {
 /// What one tracked tag costs: a `standard_2d` session with a 40 s
 /// window, fed at the reader's dwell cadence (50 advances per hop round)
 /// for 1.5 window spans with every result recycled, holds at most
-/// 285,000 bytes of heap (258,512 measured) — its windows' retained reads
+/// 285,000 bytes of heap (251,880 measured) — its windows' retained reads
 /// and channel state, one front-end workspace, and the solver and
 /// observation pools. A window keeps no Theil–Sen state.
 #[test]

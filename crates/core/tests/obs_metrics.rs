@@ -214,7 +214,7 @@ fn counters_are_consistent_with_results() {
 }
 
 /// A run report produced from a real observed run survives a JSON
-/// round-trip byte-exactly (schema v1).
+/// round-trip byte-exactly (the current schema, v2).
 #[test]
 fn run_report_round_trips_through_json() {
     let scene = Scene::standard_2d();
@@ -226,7 +226,7 @@ fn run_report_round_trips_through_json() {
     let report = RunReport::from_recorder("round-trip", &rec)
         .with_meta("jobs", "2");
     let text = report.to_json().to_pretty();
-    let back = RunReport::from_json(&text).expect("valid schema v1 report");
+    let back = RunReport::from_json(&text).expect("valid schema v2 report");
     assert_eq!(back, report);
     assert_eq!(back.to_json().to_pretty(), text, "serialisation is canonical");
 }

@@ -1,7 +1,8 @@
 //! Continuous-telemetry contract of the streaming engine (compiled only
-//! with the `obs` feature): per-advance metric deltas tile the session's
-//! end-of-run totals exactly, the latency histograms count one observation
-//! per instrumented operation, and the streaming health rules fold to
+//! with the `obs` feature): recording each advance under its own recorder
+//! and merging them in order loses nothing against one recorder over the
+//! whole replay, the latency histograms count one observation per
+//! instrumented operation, and the streaming health rules fold to
 //! *healthy* over a clean replay.
 
 #![cfg(feature = "obs")]
@@ -9,17 +10,14 @@
 use rfp_core::obs;
 use rfp_core::RfPrism;
 use rfp_geom::Vec2;
-use rfp_obs::{MetricKind, MetricsSnapshot, TelemetryFrame};
+use rfp_obs::{recorder, MetricKind, Recorder, Registry, TelemetryFrame};
 use rfp_sim::{Motion, Scene, SimTag};
 
-/// Drives `rounds` simulated rounds through a streaming session under a
-/// fresh recorder, snapshotting a delta after every advance. Returns the
-/// deltas, the final cumulative snapshot, the finished recorder, and the
-/// number of successful advances.
-fn replay_rounds(
-    rounds: usize,
-    seed: u64,
-) -> (Vec<MetricsSnapshot>, MetricsSnapshot, rfp_obs::Recorder, u64) {
+/// Drives `rounds` simulated rounds of a clean static tag through one
+/// streaming session, running each advance — its pushes, the advance and
+/// the recycle — through `tick`. Returns the number of successful
+/// advances.
+fn replay_rounds(rounds: usize, seed: u64, mut tick: impl FnMut(&mut dyn FnMut())) -> u64 {
     let scene = Scene::standard_2d().with_noise(rfp_sim::NoiseModel::clean());
     let tag = SimTag::with_seeded_diversity(9)
         .with_motion(Motion::planar_static(Vec2::new(0.5, 1.5), 0.8));
@@ -27,12 +25,10 @@ fn replay_rounds(
     let prism =
         RfPrism::new(scene.antenna_poses(), scene.reader().plan).with_region(scene.region());
 
-    let mut deltas = Vec::new();
+    let mut session = prism.sense_streaming(scene.reader().round_duration_s());
     let mut ok = 0u64;
-    let ((), rec) = rfp_obs::recorder::observe(obs::METRICS, || {
-        let mut session = prism.sense_streaming(scene.reader().round_duration_s());
-        let mut last: Option<MetricsSnapshot> = None;
-        for round in &stream {
+    for round in &stream {
+        tick(&mut || {
             for (antenna, reads) in round.per_antenna.iter().enumerate() {
                 for read in reads {
                     session.push(antenna, read);
@@ -42,52 +38,70 @@ fn replay_rounds(
                 ok += 1;
                 session.recycle(result);
             }
-            rfp_obs::recorder::with_current(|r| {
-                let snap = r.metrics.snapshot();
-                deltas.push(match &last {
-                    Some(prev) => snap.delta_since(prev),
-                    None => snap.clone(),
-                });
-                last = Some(snap);
-            });
-        }
-    });
-    let total = rec.metrics.snapshot();
-    (deltas, total, rec, ok)
+        });
+    }
+    ok
 }
 
-/// Per-advance deltas merged back together reproduce the cumulative
-/// snapshot exactly — counters, gauges *and* histogram buckets — so a
-/// frame stream loses nothing relative to the end-of-run report.
-#[test]
-fn per_advance_deltas_tile_the_session_totals() {
-    let (deltas, total, _rec, ok) = replay_rounds(6, 17);
-    assert_eq!(deltas.len(), 6);
-    assert!(ok > 0, "clean fixture must produce estimates");
+/// The whole replay under one recorder, and its successful advances.
+fn replay_whole(rounds: usize, seed: u64) -> (Recorder, u64) {
+    let (ok, rec) =
+        recorder::observe(obs::METRICS, || replay_rounds(rounds, seed, |advance| advance()));
+    (rec, ok)
+}
 
-    let mut merged = MetricsSnapshot::zero(obs::METRICS);
-    for delta in &deltas {
-        merged.merge(delta);
-    }
+/// Each advance under a recorder of its own, merged in order into a run
+/// recorder as the CLI's telemetry replay does. Returns every advance's
+/// registry, the run recorder and the successful advances.
+fn replay_per_advance(rounds: usize, seed: u64) -> (Vec<Registry>, Recorder, u64) {
+    let mut ticks = Vec::new();
+    let mut run = Recorder::new(obs::METRICS);
+    let ok = replay_rounds(rounds, seed, |advance| {
+        let ((), tick) = recorder::observe(obs::METRICS, advance);
+        run.merge_at_current(&tick);
+        ticks.push(tick.metrics);
+    });
+    (ticks, run, ok)
+}
+
+/// One recorder per advance, merged in order, agrees with one recorder
+/// over the whole replay on every counter, every gauge, every histogram
+/// count and the span tree's shape — so a frame stream loses nothing
+/// relative to the end-of-run report.
+#[test]
+fn per_advance_recorders_merge_to_the_whole_replay() {
+    let (whole, ok) = replay_whole(6, 17);
+    let (ticks, run, ok_per_advance) = replay_per_advance(6, 17);
+    assert_eq!(ticks.len(), 6);
+    assert!(ok > 0, "clean fixture must produce estimates");
+    assert_eq!(ok_per_advance, ok);
+
     for (idx, def) in obs::METRICS.iter().enumerate() {
         match def.kind {
             MetricKind::Counter => assert_eq!(
-                merged.counter(idx),
-                total.counter(idx),
-                "counter {} does not tile",
+                run.metrics.counter(idx),
+                whole.metrics.counter(idx),
+                "counter {}",
                 def.name
             ),
-            MetricKind::Histogram => {
-                let m = merged.histogram(idx).unwrap();
-                let t = total.histogram(idx).unwrap();
-                assert_eq!(m.count, t.count, "histogram {} count does not tile", def.name);
-                assert_eq!(m.buckets, t.buckets, "histogram {} buckets do not tile", def.name);
+            MetricKind::Gauge => {
+                assert_eq!(run.metrics.gauge(idx), whole.metrics.gauge(idx), "gauge {}", def.name)
             }
-            // Gauges merge by max and delta by current level; a monotone
-            // replay makes the final level the max, so they agree too.
-            MetricKind::Gauge => assert_eq!(merged.gauge(idx), total.gauge(idx)),
+            MetricKind::Histogram => assert_eq!(
+                run.metrics.histogram(idx).unwrap().count(),
+                whole.metrics.histogram(idx).unwrap().count(),
+                "histogram {} count",
+                def.name
+            ),
         }
     }
+    let shape = |rec: &Recorder| {
+        let mut nodes = Vec::new();
+        rec.spans.walk(&mut |depth, node| nodes.push((depth, node.name, node.count)));
+        nodes
+    };
+    assert!(!shape(&whole).is_empty());
+    assert_eq!(shape(&run), shape(&whole), "span trees differ");
 }
 
 /// The advance-latency histogram counts exactly one observation per
@@ -95,32 +109,33 @@ fn per_advance_deltas_tile_the_session_totals() {
 /// whole number of antennas per advance).
 #[test]
 fn latency_histograms_count_instrumented_operations() {
-    let (_deltas, total, _rec, _ok) = replay_rounds(5, 23);
-    let advances = total.histogram(obs::id::STREAMING_ADVANCE_LATENCY_US).unwrap().count;
+    let (rec, _ok) = replay_whole(5, 23);
+    let count = |idx| rec.metrics.histogram(idx).unwrap().count();
+    let advances = count(obs::id::STREAMING_ADVANCE_LATENCY_US);
     assert_eq!(advances, 5, "one advance-latency observation per advance");
-    let extracts = total.histogram(obs::id::STREAMING_EXTRACT_LATENCY_US).unwrap().count;
+    let extracts = count(obs::id::STREAMING_EXTRACT_LATENCY_US);
     assert!(extracts >= advances, "every advance extracts at least one antenna");
     assert_eq!(extracts % advances, 0, "extractions come in whole antenna sweeps");
     // Streaming work counters moved (windows update incrementally).
-    assert!(total.counter(obs::id::STREAMING_UPDATES) > 0);
+    assert!(rec.metrics.counter(obs::id::STREAMING_UPDATES) > 0);
 }
 
-/// Folding the streaming health rules over the per-advance deltas of a
-/// clean static replay yields *healthy* at every tick, and the verdicts
+/// Folding the streaming health rules over the per-advance registries of
+/// a clean static replay yields *healthy* at every tick, and the verdicts
 /// ride in well-formed telemetry frames.
 #[test]
 fn health_folds_healthy_over_a_clean_replay() {
-    let (deltas, _total, _rec, _ok) = replay_rounds(6, 31);
-    let mut evaluator = obs::streaming_health();
-    for (k, delta) in deltas.iter().enumerate() {
-        let report = evaluator.observe(delta);
+    let (ticks, _run, _ok) = replay_per_advance(6, 31);
+    let mut health = obs::StreamingHealth::default();
+    for (k, tick) in ticks.iter().enumerate() {
+        let report = health.observe(tick);
         assert_eq!(
             report.verdict,
             rfp_obs::Health::Healthy,
             "tick {k} reasons: {:?}",
             report.reasons
         );
-        let frame = TelemetryFrame::from_delta(k as u64, k as u64 + 1, delta, Some(report));
+        let frame = TelemetryFrame::from_delta(k as u64, k as u64 + 1, tick, Some(report));
         let line = frame.to_jsonl_line();
         let back = TelemetryFrame::from_json(&line).expect("frame parses");
         assert_eq!(back, frame, "frame round-trips");
@@ -129,16 +144,16 @@ fn health_folds_healthy_over_a_clean_replay() {
 }
 
 /// Two identical replays produce byte-identical frame streams — the
-/// deltas carry no wall-clock state (histograms are excluded from frames
-/// by construction).
+/// per-advance registries carry no wall-clock state into frames
+/// (histograms are excluded from frames by construction).
 #[test]
 fn frame_streams_are_reproducible_across_replays() {
     let frames = |seed| {
-        let (deltas, _t, _r, _ok) = replay_rounds(4, seed);
-        deltas
+        let (ticks, _run, _ok) = replay_per_advance(4, seed);
+        ticks
             .iter()
             .enumerate()
-            .map(|(k, d)| TelemetryFrame::from_delta(k as u64, k as u64, d, None).to_jsonl_line())
+            .map(|(k, t)| TelemetryFrame::from_delta(k as u64, k as u64, t, None).to_jsonl_line())
             .collect::<Vec<_>>()
     };
     let a = frames(17);

@@ -254,6 +254,9 @@ fn median_slope(slopes: &mut Vec<f64>, xs: &[f64], ys: &[f64]) -> Result<f64, Fi
     let n = xs.len();
     let pairs = n * (n - 1) / 2;
     if slopes.len() < pairs {
+        // Exact growth keeps the buffer at the largest window's pair
+        // count, whatever window sizes came before it.
+        slopes.reserve_exact(pairs - slopes.len());
         slopes.resize(pairs, 0.0);
     }
     let slopes = &mut slopes[..pairs];
@@ -648,6 +651,23 @@ mod tests {
             }
             assert_eq!((t.divided, t.full), (1225, 0), "shift {shift}: {t:?}");
         }
+    }
+
+    /// Pin: a workspace that met 30- and 45-channel windows before a
+    /// 50-channel one holds the 1,225 slope slots the 50-channel window
+    /// needs, as one that met only that window does.
+    #[test]
+    fn slope_buffer_holds_exactly_the_largest_windows_pairs() {
+        let (xs, ys) = noisy_line();
+        let slots = |channels: &[usize]| {
+            let mut ws = FitWorkspace::default();
+            for &n in channels {
+                theil_sen_with(&mut ws, &xs[..n], &ys[..n]).unwrap();
+            }
+            ws.slopes.capacity()
+        };
+        assert_eq!(slots(&[30, 45, 50]), 1225);
+        assert_eq!(slots(&[50]), 1225);
     }
 
     /// Pin: over the antenna windows of 64 static tags in `standard_2d`

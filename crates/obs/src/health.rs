@@ -1,30 +1,15 @@
-//! Health verdicts over windowed metric deltas: the watchdog layer that
-//! turns "counters moved" into "the session is degrading".
+//! Health verdicts on the wire: the types a watchdog reports in and
+//! their JSON.
 //!
-//! A [`HealthEvaluator`] is configured once with threshold rules over a
-//! metric table's indices, then fed one [`MetricsSnapshot`] *delta* per
-//! telemetry window via [`observe`](HealthEvaluator::observe). Each call
-//! folds every rule over the delta and returns a [`HealthReport`]: an
-//! overall [`Health`] verdict (the worst rule level) plus one
-//! machine-readable [`HealthReason`] per tripped rule, so a dashboard or
-//! operator can see *which* ceiling was crossed and by how much.
-//!
-//! Three rule shapes cover the streaming engine's failure modes:
-//!
-//! * [`RateRule`] — a ratio of summed counter deltas (e.g. refit
-//!   fallbacks per window processed) with a `min_denominator` guard so a
-//!   near-idle window never divides by noise.
-//! * [`GaugeRule`] — a ceiling on a gauge's current level (e.g. stale
-//!   tags right now).
-//! * [`StallRule`] — stateful: trips after N *consecutive* windows where
-//!   work was attempted but nothing succeeded; the evaluator carries the
-//!   streak between calls (reset via [`HealthEvaluator::reset`]).
-//!
-//! Verdicts are pure functions of the deltas (never wall clock), so a
-//! replayed log produces byte-identical health frames.
+//! A watchdog reads each telemetry tick's metrics and returns a
+//! [`HealthReport`]: an overall [`Health`] verdict (the worst rule level)
+//! plus one machine-readable [`HealthReason`] per tripped rule, so a
+//! dashboard or operator can see *which* ceiling was crossed and by how
+//! much. The rules themselves live with the metric ids they read (the
+//! streaming engine's in `rfp_core::obs`); this module only carries and
+//! parses their verdicts, inside [`crate::TelemetryFrame`]s.
 
 use crate::json::JsonValue;
-use crate::snapshot::MetricsSnapshot;
 
 /// An overall or per-rule health level; ordered so the worst level wins.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -59,58 +44,6 @@ impl Health {
     }
 }
 
-/// A ratio ceiling over summed counter deltas:
-/// `sum(numerators) / sum(denominators)` compared against the degraded
-/// and unhealthy thresholds. Skipped (healthy) when the denominator sum
-/// is below `min_denominator` — a window that processed almost nothing
-/// has no meaningful rate.
-#[derive(Debug, Clone)]
-pub struct RateRule {
-    /// Rule name, reported in [`HealthReason::rule`].
-    pub name: &'static str,
-    /// Counter indices summed into the numerator.
-    pub numerators: Vec<usize>,
-    /// Counter indices summed into the denominator.
-    pub denominators: Vec<usize>,
-    /// Minimum denominator sum for the rule to apply.
-    pub min_denominator: u64,
-    /// Ratio at or above which the rule reports [`Health::Degraded`].
-    pub degraded_at: f64,
-    /// Ratio at or above which the rule reports [`Health::Unhealthy`].
-    pub unhealthy_at: f64,
-}
-
-/// A ceiling on a gauge's current level.
-#[derive(Debug, Clone)]
-pub struct GaugeRule {
-    /// Rule name, reported in [`HealthReason::rule`].
-    pub name: &'static str,
-    /// Gauge index to read.
-    pub gauge: usize,
-    /// Level at or above which the rule reports [`Health::Degraded`].
-    pub degraded_at: f64,
-    /// Level at or above which the rule reports [`Health::Unhealthy`].
-    pub unhealthy_at: f64,
-}
-
-/// A stall detector: trips after `degraded_after` (resp.
-/// `unhealthy_after`) *consecutive* observed windows in which the
-/// attempted counters moved but the ok counters did not. The streak state
-/// lives in the evaluator, not the rule.
-#[derive(Debug, Clone)]
-pub struct StallRule {
-    /// Rule name, reported in [`HealthReason::rule`].
-    pub name: &'static str,
-    /// Counter indices whose delta sum counts as "progress".
-    pub ok: Vec<usize>,
-    /// Counter indices whose delta sum counts as "work attempted".
-    pub attempted: Vec<usize>,
-    /// Consecutive stalled windows for [`Health::Degraded`].
-    pub degraded_after: u32,
-    /// Consecutive stalled windows for [`Health::Unhealthy`].
-    pub unhealthy_after: u32,
-}
-
 /// One tripped rule inside a [`HealthReport`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct HealthReason {
@@ -124,13 +57,13 @@ pub struct HealthReason {
     pub threshold: f64,
 }
 
-/// The verdict for one observed window: the worst rule level plus every
-/// tripped rule's reason, in rule-registration order.
+/// The verdict for one telemetry tick: the worst rule level plus every
+/// tripped rule's reason, in rule order.
 #[derive(Debug, Clone, PartialEq)]
 pub struct HealthReport {
     /// Worst level across all rules ([`Health::Healthy`] if none tripped).
     pub verdict: Health,
-    /// One entry per tripped rule, registration order.
+    /// One entry per tripped rule, in rule order.
     pub reasons: Vec<HealthReason>,
 }
 
@@ -178,233 +111,29 @@ impl HealthReport {
     }
 }
 
-/// Folds threshold rules over windowed snapshot deltas. Build once with
-/// the `rate`/`gauge`/`stall` builder methods, then call
-/// [`observe`](Self::observe) once per telemetry window.
-#[derive(Debug, Clone, Default)]
-pub struct HealthEvaluator {
-    rates: Vec<RateRule>,
-    gauges: Vec<GaugeRule>,
-    stalls: Vec<StallRule>,
-    /// Per-stall-rule consecutive stalled-window streaks.
-    streaks: Vec<u32>,
-}
-
-impl HealthEvaluator {
-    /// An evaluator with no rules (always [`Health::Healthy`]).
-    pub fn new() -> HealthEvaluator {
-        HealthEvaluator::default()
-    }
-
-    /// Adds a [`RateRule`].
-    pub fn rate(mut self, rule: RateRule) -> HealthEvaluator {
-        self.rates.push(rule);
-        self
-    }
-
-    /// Adds a [`GaugeRule`].
-    pub fn gauge(mut self, rule: GaugeRule) -> HealthEvaluator {
-        self.gauges.push(rule);
-        self
-    }
-
-    /// Adds a [`StallRule`].
-    pub fn stall(mut self, rule: StallRule) -> HealthEvaluator {
-        self.stalls.push(rule);
-        self.streaks.push(0);
-        self
-    }
-
-    /// Clears all stall streak state (rules are kept).
-    pub fn reset(&mut self) {
-        for s in &mut self.streaks {
-            *s = 0;
-        }
-    }
-
-    /// Evaluates every rule against one windowed `delta` and returns the
-    /// verdict. Rate and gauge rules are stateless; stall rules advance
-    /// their streaks. Reasons list only the rules that tripped, in
-    /// registration order (rates, then gauges, then stalls).
-    pub fn observe(&mut self, delta: &MetricsSnapshot) -> HealthReport {
-        let mut reasons = Vec::new();
-
-        for rule in &self.rates {
-            let num: u64 = rule.numerators.iter().map(|&i| delta.counter(i)).sum();
-            let den: u64 = rule.denominators.iter().map(|&i| delta.counter(i)).sum();
-            if den < rule.min_denominator {
-                continue;
-            }
-            let ratio = num as f64 / den as f64;
-            push_threshold_reason(&mut reasons, rule.name, ratio, rule.degraded_at, rule.unhealthy_at);
-        }
-
-        for rule in &self.gauges {
-            let level = delta.gauge(rule.gauge);
-            push_threshold_reason(&mut reasons, rule.name, level, rule.degraded_at, rule.unhealthy_at);
-        }
-
-        for (rule, streak) in self.stalls.iter().zip(&mut self.streaks) {
-            let ok: u64 = rule.ok.iter().map(|&i| delta.counter(i)).sum();
-            let attempted: u64 = rule.attempted.iter().map(|&i| delta.counter(i)).sum();
-            if attempted > 0 && ok == 0 {
-                *streak += 1;
-            } else {
-                *streak = 0;
-            }
-            let level = if *streak >= rule.unhealthy_after {
-                Some((Health::Unhealthy, rule.unhealthy_after))
-            } else if *streak >= rule.degraded_after {
-                Some((Health::Degraded, rule.degraded_after))
-            } else {
-                None
-            };
-            if let Some((level, threshold)) = level {
-                reasons.push(HealthReason {
-                    rule: rule.name.to_string(),
-                    level,
-                    value: *streak as f64,
-                    threshold: threshold as f64,
-                });
-            }
-        }
-
-        let verdict =
-            reasons.iter().map(|r| r.level).max().unwrap_or(Health::Healthy);
-        HealthReport { verdict, reasons }
-    }
-}
-
-/// Shared degraded/unhealthy ceiling check for rate and gauge rules.
-fn push_threshold_reason(
-    reasons: &mut Vec<HealthReason>,
-    name: &'static str,
-    value: f64,
-    degraded_at: f64,
-    unhealthy_at: f64,
-) {
-    let level = if value >= unhealthy_at {
-        Some((Health::Unhealthy, unhealthy_at))
-    } else if value >= degraded_at {
-        Some((Health::Degraded, degraded_at))
-    } else {
-        None
-    };
-    if let Some((level, threshold)) = level {
-        reasons.push(HealthReason { rule: name.to_string(), level, value, threshold });
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::metrics::{MetricDef, Registry};
-
-    static DEFS: &[MetricDef] = &[
-        MetricDef::counter("t.fallbacks", "fallbacks"),
-        MetricDef::counter("t.windows", "windows"),
-        MetricDef::gauge("t.stale", "stale tags"),
-        MetricDef::counter("t.ok", "successes"),
-        MetricDef::counter("t.attempted", "attempts"),
-    ];
-
-    fn delta(fallbacks: u64, windows: u64, stale: f64, ok: u64, attempted: u64) -> MetricsSnapshot {
-        let mut r = Registry::new(DEFS);
-        r.add(0, fallbacks);
-        r.add(1, windows);
-        r.set(2, stale);
-        r.add(3, ok);
-        r.add(4, attempted);
-        r.snapshot()
-    }
-
-    fn evaluator() -> HealthEvaluator {
-        HealthEvaluator::new()
-            .rate(RateRule {
-                name: "fallback_rate",
-                numerators: vec![0],
-                denominators: vec![1],
-                min_denominator: 10,
-                degraded_at: 0.05,
-                unhealthy_at: 0.25,
-            })
-            .gauge(GaugeRule { name: "stale_tags", gauge: 2, degraded_at: 1.0, unhealthy_at: 3.0 })
-            .stall(StallRule {
-                name: "no_progress",
-                ok: vec![3],
-                attempted: vec![4],
-                degraded_after: 2,
-                unhealthy_after: 4,
-            })
-    }
-
-    #[test]
-    fn healthy_when_within_thresholds() {
-        let mut ev = evaluator();
-        let report = ev.observe(&delta(0, 100, 0.0, 5, 5));
-        assert_eq!(report.verdict, Health::Healthy);
-        assert!(report.reasons.is_empty());
-    }
-
-    #[test]
-    fn rate_rule_trips_with_reason() {
-        let mut ev = evaluator();
-        let report = ev.observe(&delta(10, 100, 0.0, 5, 5));
-        assert_eq!(report.verdict, Health::Degraded);
-        assert_eq!(report.reasons.len(), 1);
-        assert_eq!(report.reasons[0].rule, "fallback_rate");
-        assert!((report.reasons[0].value - 0.1).abs() < 1e-12);
-
-        let report = ev.observe(&delta(50, 100, 0.0, 5, 5));
-        assert_eq!(report.verdict, Health::Unhealthy);
-    }
-
-    #[test]
-    fn rate_rule_skips_tiny_denominators() {
-        let mut ev = evaluator();
-        // 100% fallback rate, but only 2 windows: below min_denominator.
-        let report = ev.observe(&delta(2, 2, 0.0, 1, 1));
-        assert_eq!(report.verdict, Health::Healthy);
-    }
-
-    #[test]
-    fn gauge_rule_reads_current_level() {
-        let mut ev = evaluator();
-        assert_eq!(ev.observe(&delta(0, 100, 2.0, 1, 1)).verdict, Health::Degraded);
-        assert_eq!(ev.observe(&delta(0, 100, 3.0, 1, 1)).verdict, Health::Unhealthy);
-    }
-
-    #[test]
-    fn stall_rule_needs_consecutive_windows() {
-        let mut ev = evaluator();
-        assert_eq!(ev.observe(&delta(0, 100, 0.0, 0, 5)).verdict, Health::Healthy);
-        assert_eq!(ev.observe(&delta(0, 100, 0.0, 0, 5)).verdict, Health::Degraded);
-        // Progress resets the streak.
-        assert_eq!(ev.observe(&delta(0, 100, 0.0, 3, 5)).verdict, Health::Healthy);
-        assert_eq!(ev.observe(&delta(0, 100, 0.0, 0, 5)).verdict, Health::Healthy);
-        for _ in 0..3 {
-            ev.observe(&delta(0, 100, 0.0, 0, 5));
-        }
-        let report = ev.observe(&delta(0, 100, 0.0, 0, 5));
-        assert_eq!(report.verdict, Health::Unhealthy);
-        assert_eq!(report.reasons[0].value, 5.0);
-        ev.reset();
-        assert_eq!(ev.observe(&delta(0, 100, 0.0, 0, 5)).verdict, Health::Healthy);
-    }
-
-    #[test]
-    fn worst_level_wins_and_reasons_accumulate() {
-        let mut ev = evaluator();
-        let report = ev.observe(&delta(50, 100, 2.0, 1, 1));
-        assert_eq!(report.verdict, Health::Unhealthy);
-        let names: Vec<&str> = report.reasons.iter().map(|r| r.rule.as_str()).collect();
-        assert_eq!(names, vec!["fallback_rate", "stale_tags"]);
-    }
 
     #[test]
     fn report_round_trips_through_json() {
-        let mut ev = evaluator();
-        let report = ev.observe(&delta(10, 100, 2.0, 1, 1));
+        let report = HealthReport {
+            verdict: Health::Unhealthy,
+            reasons: vec![
+                HealthReason {
+                    rule: "stale_tags".into(),
+                    level: Health::Degraded,
+                    value: 2.0,
+                    threshold: 1.0,
+                },
+                HealthReason {
+                    rule: "no_estimates".into(),
+                    level: Health::Unhealthy,
+                    value: 6.0,
+                    threshold: 6.0,
+                },
+            ],
+        };
         let v = report.to_json();
         assert_eq!(HealthReport::from_json(&v).unwrap(), report);
         // Canonical through the parser too.

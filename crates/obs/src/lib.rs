@@ -38,11 +38,12 @@
 //! assert!(report.to_json().to_pretty().contains("\"schema_version\": 2"));
 //! ```
 //!
-//! For *continuous* (rather than end-of-run) telemetry there are two
-//! more pieces: windowed snapshots ([`Registry::snapshot`] /
-//! [`snapshot::MetricsSnapshot::delta_since`]) feeding periodic
-//! [`TelemetryFrame`] JSONL records, and a [`HealthEvaluator`] folding
-//! thresholds over snapshot deltas into health verdicts.
+//! For *continuous* (rather than end-of-run) telemetry, a driver records
+//! each tick under a recorder of its own and folds it into the run's with
+//! [`Recorder::merge_at_current`], as batch workers do: the tick's
+//! [`Registry`] is that tick's delta, and [`TelemetryFrame::from_delta`]
+//! turns it into a JSONL record. A watchdog's verdict on the tick rides
+//! in the frame as a [`HealthReport`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -52,13 +53,11 @@ pub mod json;
 pub mod metrics;
 pub mod recorder;
 pub mod report;
-pub mod snapshot;
 pub mod span;
 
-pub use health::{GaugeRule, Health, HealthEvaluator, HealthReason, HealthReport, RateRule, StallRule};
+pub use health::{Health, HealthReason, HealthReport};
 pub use json::{JsonError, JsonValue};
 pub use metrics::{Histogram, MetricDef, MetricKind, Registry};
 pub use recorder::{Recorder, SpanGuard};
 pub use report::{HistogramEntry, RunReport, SpanEntry, TelemetryFrame, MIN_SCHEMA_VERSION, SCHEMA_VERSION};
-pub use snapshot::{HistogramState, MetricsSnapshot};
 pub use span::{SpanNode, SpanTree};

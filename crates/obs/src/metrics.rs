@@ -206,7 +206,9 @@ impl Histogram {
 enum MetricValue {
     Counter(u64),
     Gauge(f64),
-    Histogram(Histogram),
+    /// Boxed, so a registry stays small when most of its metrics are
+    /// counters: a telemetry replay keeps one registry per tick.
+    Histogram(Box<Histogram>),
 }
 
 /// The metrics registry: storage for one descriptor table's worth of
@@ -227,7 +229,9 @@ impl Registry {
             .map(|d| match d.kind {
                 MetricKind::Counter => MetricValue::Counter(0),
                 MetricKind::Gauge => MetricValue::Gauge(0.0),
-                MetricKind::Histogram => MetricValue::Histogram(Histogram::new(d.buckets)),
+                MetricKind::Histogram => {
+                    MetricValue::Histogram(Box::new(Histogram::new(d.buckets)))
+                }
             })
             .collect();
         Registry { defs, values }

@@ -10,9 +10,8 @@
 
 use crate::health::HealthReport;
 use crate::json::{JsonError, JsonValue};
-use crate::metrics::MetricKind;
+use crate::metrics::{MetricKind, Registry};
 use crate::recorder::Recorder;
-use crate::snapshot::MetricsSnapshot;
 use std::io;
 use std::path::Path;
 
@@ -431,8 +430,8 @@ impl RunReport {
     }
 }
 
-/// One periodic telemetry record: the windowed counter deltas and gauge
-/// levels between two snapshot ticks, plus an optional health verdict.
+/// One periodic telemetry record: one tick's counter deltas and gauge
+/// levels, plus an optional health verdict.
 /// Serialized compact, one frame per JSONL line.
 ///
 /// Frames deliberately carry **only deterministic data** — counter deltas,
@@ -446,21 +445,21 @@ pub struct TelemetryFrame {
     pub seq: u64,
     /// The deterministic clock this frame closes (e.g. reads processed).
     pub tick: u64,
-    /// Windowed counter deltas, descriptor-table order, zeros kept.
+    /// The tick's counter deltas, descriptor-table order, zeros kept.
     pub counters: Vec<(String, u64)>,
-    /// Gauge levels at the frame boundary, descriptor-table order.
+    /// The tick's gauge levels, descriptor-table order.
     pub gauges: Vec<(String, f64)>,
-    /// Health verdict for this window, when an evaluator is attached.
+    /// Health verdict for this tick, when a watchdog is attached.
     pub health: Option<HealthReport>,
 }
 
 impl TelemetryFrame {
-    /// Builds a frame from a windowed snapshot `delta` (counters in the
-    /// delta are the window's change; gauges are current levels).
+    /// Builds a frame from one tick's `delta`: a registry that recorded
+    /// that tick and nothing else.
     pub fn from_delta(
         seq: u64,
         tick: u64,
-        delta: &MetricsSnapshot,
+        delta: &Registry,
         health: Option<HealthReport>,
     ) -> TelemetryFrame {
         let mut counters = Vec::new();
@@ -731,14 +730,14 @@ mod tests {
             MetricDef::gauge("s.stale", "stale tags"),
             MetricDef::histogram("s.lat", "latency", &[10.0]),
         ];
-        let mut reg = crate::metrics::Registry::new(FRAME_DEFS);
+        let mut reg = Registry::new(FRAME_DEFS);
         reg.add(0, 7);
         reg.set(1, 2.0);
         reg.observe(2, 5.0); // histogram: must NOT appear in the frame
         let frame = TelemetryFrame::from_delta(
             3,
             400,
-            &reg.snapshot(),
+            &reg,
             Some(HealthReport {
                 verdict: Health::Degraded,
                 reasons: vec![HealthReason {
@@ -757,7 +756,7 @@ mod tests {
         assert_eq!(TelemetryFrame::from_json(&line).unwrap(), frame);
 
         // Health-less frames omit the key entirely and still round-trip.
-        let bare = TelemetryFrame::from_delta(0, 100, &reg.snapshot(), None);
+        let bare = TelemetryFrame::from_delta(0, 100, &reg, None);
         assert!(!bare.to_jsonl_line().contains("health"));
         assert_eq!(TelemetryFrame::from_json(&bare.to_jsonl_line()).unwrap(), bare);
     }
