@@ -10,7 +10,8 @@
 
 use rfp_bench::report;
 use rfp_core::model::{extract_observation, ExtractConfig};
-use rfp_core::solver3d::{solve_3d, Solver3DConfig};
+use rfp_core::solver3d::solve_3d;
+use rfp_core::SolverConfig;
 use rfp_geom::Vec3;
 use rfp_phys::Material;
 use rfp_sim::{Motion, Scene, SimTag};
@@ -43,7 +44,7 @@ fn run(scene: &Scene, z_hi: f64, label: &str) -> (f64, f64) {
                     extract_observation(p, r, &ExtractConfig::paper()).expect("usable")
                 })
                 .collect();
-            let est = solve_3d(&obs, scene.region(), (0.0, z_hi), &Solver3DConfig::default())
+            let est = solve_3d(&obs, scene.region(), (0.0, z_hi), &SolverConfig::default())
                 .expect("solvable");
             pos_err.push(est.position.distance(truth) * 100.0);
             axis_err.push(est.dipole_axis_error(dipole).to_degrees());

@@ -1,7 +1,6 @@
 //! Solver profile: what one disentangling solve costs, what the analytic
-//! Jacobian buys over a numeric one, and what coarse-to-fine seed pruning
-//! plus warm starts buy over the exhaustive multi-start scan (DESIGN.md
-//! §6).
+//! Jacobian buys over a numeric one, and what warm starts buy over a cold
+//! solve (DESIGN.md §6).
 //!
 //! For the 2-D (5-parameter) and 3-D (7-parameter) solves this reports,
 //! per configuration, the single-solve p50 latency and the LM work
@@ -12,16 +11,14 @@
 //! removes — and the seed accounting ([`PruneStats`]) shows how many
 //! multi-start seeds each configuration actually refined.
 //!
-//! Four configurations per dimension:
+//! Three configurations per dimension:
 //!
-//! * `analytic`  — the defaults: analytic Jacobian, pruned seed beam;
+//! * `analytic`  — the solver: analytic Jacobian, pruned seed beam;
 //! * `numeric`   — the frozen oracle (`rfp_oracle::solver`) with its
 //!   numeric Jacobian, pruned seed beam; the oracle keeps LM work counters
 //!   but no seed or λ-retry tallies, so those read 0 in this row;
-//! * `exhaustive` — analytic Jacobian, every seed refined (the pre-pruning
-//!   behaviour, bit-for-bit);
-//! * `warm`      — analytic defaults, warm-started from the previous
-//!   solve's estimate (the steady-state regime of a live deployment).
+//! * `warm`      — the solver warm-started from the previous solve's
+//!   estimate (the steady-state regime of a live deployment).
 //!
 //! Each entry also carries the damped-step counters ([`StepStats`]): λ
 //! retries beyond each iteration's first attempt and Cholesky rejections.
@@ -30,7 +27,9 @@
 //! oracle with its analytic Jacobian cold on the same observations in the
 //! same process, yielding the same-run ratios `lane_speedup_p50` /
 //! `lane_speedup_min` — what the const-generic lane core buys over the
-//! twin scalar solvers it replaced, with CPU steal cancelled.
+//! twin scalar solvers it replaced, with CPU steal cancelled. The
+//! refine-everything scan exists only in the oracle, which runs it per
+//! dimension for the seed-pruning work check only (not reported).
 //!
 //! Writes a `BENCH_solver.json` snapshot at the repo root (override the
 //! path with `SOLVER_PROFILE_OUT`) so the solver perf trajectory is
@@ -44,14 +43,12 @@ use rfp_core::solver::{
     solve_2d_seeded_warm, PruneStats, SolveSeeds, SolveStats, SolverConfig, SolverWorkspace,
     WarmStart,
 };
-use rfp_core::solver3d::{
-    solve_3d_seeded_warm, Solve3DSeeds, Solver3DConfig, Solver3DWorkspace, WarmStart3D,
-};
+use rfp_core::solver3d::{solve_3d_seeded_warm, Solve3DSeeds, Solver3DWorkspace, WarmStart3D};
 use rfp_geom::Vec2;
 use rfp_obs::JsonValue;
 use rfp_oracle::solver::{
-    solve_2d_reference, solve_3d_reference, Jacobian, Reference2DSeeds, Reference2DWorkspace,
-    Reference3DSeeds, Reference3DWorkspace,
+    solve_2d_reference, solve_3d_reference, Jacobian, Reference2DConfig, Reference2DSeeds,
+    Reference2DWorkspace, Reference3DConfig, Reference3DSeeds, Reference3DWorkspace,
 };
 use rfp_phys::Material;
 use rfp_sim::{Motion, Scene, SimTag};
@@ -138,9 +135,10 @@ fn observations_3d(scene: &Scene) -> Vec<AntennaObservation> {
         .collect()
 }
 
-/// Profiles one 2-D configuration; `warm_from_self` re-seeds each solve
-/// from its own converged estimate (the steady-state warm-start regime).
-fn profile_2d(config: SolverConfig, warm_from_self: bool) -> Profile {
+/// Profiles the 2-D solve; `warm_from_self` re-seeds each solve from its
+/// own converged estimate (the steady-state warm-start regime).
+fn profile_2d(warm_from_self: bool) -> Profile {
+    let config = SolverConfig::default();
     let scene = Scene::standard_2d();
     let obs = observations_2d(&scene);
     let seeds = SolveSeeds::for_scene(scene.region(), &config, &scene.antenna_poses());
@@ -164,8 +162,9 @@ fn profile_2d(config: SolverConfig, warm_from_self: bool) -> Profile {
     )
 }
 
-/// Profiles one 3-D configuration (see [`profile_2d`]).
-fn profile_3d(config: Solver3DConfig, warm_from_self: bool) -> Profile {
+/// Profiles the 3-D solve (see [`profile_2d`]).
+fn profile_3d(warm_from_self: bool) -> Profile {
+    let config = SolverConfig::default();
     let scene = Scene::six_antenna_3d();
     let obs = observations_3d(&scene);
     let seeds =
@@ -193,7 +192,7 @@ fn profile_3d(config: Solver3DConfig, warm_from_self: bool) -> Profile {
 /// Times the frozen 2-D oracle with `jacobian`, cold, on the same scene
 /// as [`profile_2d`]. The oracle keeps only the LM work counters
 /// (deliberately — it predates the seed and λ-retry telemetry).
-fn profile_2d_reference(config: &SolverConfig, jacobian: Jacobian) -> Profile {
+fn profile_2d_reference(config: &Reference2DConfig, jacobian: Jacobian) -> Profile {
     let scene = Scene::standard_2d();
     let obs = observations_2d(&scene);
     let seeds = Reference2DSeeds::for_scene(scene.region(), config, &scene.antenna_poses());
@@ -214,7 +213,7 @@ fn profile_2d_reference(config: &SolverConfig, jacobian: Jacobian) -> Profile {
 }
 
 /// Times the frozen 3-D oracle cold (see [`profile_2d_reference`]).
-fn profile_3d_reference(config: &Solver3DConfig, jacobian: Jacobian) -> Profile {
+fn profile_3d_reference(config: &Reference3DConfig, jacobian: Jacobian) -> Profile {
     let scene = Scene::six_antenna_3d();
     let obs = observations_3d(&scene);
     let seeds =
@@ -265,14 +264,12 @@ fn json_entry(p: Profile) -> JsonValue {
     ])
 }
 
-/// One dimension's profiles: the pruned analytic defaults (`analytic`),
-/// the oracle's pruned numeric solve, the exhaustive scan and the
-/// warm-started steady state.
+/// One dimension's profiles: the pruned analytic solver (`analytic`), the
+/// oracle's pruned numeric solve and the warm-started steady state.
 #[derive(Clone, Copy)]
 struct DimProfiles {
     analytic: Profile,
     numeric: Profile,
-    exhaustive: Profile,
     warm: Profile,
     /// The frozen pre-lane oracle, cold, same run — latencies only.
     reference: Profile,
@@ -283,7 +280,6 @@ fn dim_json(d: DimProfiles) -> JsonValue {
     JsonValue::obj(vec![
         ("analytic", json_entry(d.analytic)),
         ("numeric", json_entry(d.numeric)),
-        ("exhaustive", json_entry(d.exhaustive)),
         ("warm", json_entry(d.warm)),
         (
             "reference",
@@ -307,11 +303,6 @@ fn dim_json(d: DimProfiles) -> JsonValue {
                 d.numeric.stats.residual_evals as f64 / d.analytic.stats.residual_evals as f64,
             )),
         ),
-        (
-            "prune_speedup",
-            JsonValue::Num(round2(d.exhaustive.p50_us / d.analytic.p50_us)),
-        ),
-        ("warm_speedup", JsonValue::Num(round2(d.exhaustive.p50_us / d.warm.p50_us))),
     ])
 }
 
@@ -354,45 +345,32 @@ fn main() {
     }
 
     let d2 = DimProfiles {
-        analytic: profile_2d(SolverConfig::default(), false),
-        numeric: profile_2d_reference(&SolverConfig::default(), Jacobian::Numeric),
-        exhaustive: profile_2d(SolverConfig::exhaustive(), false),
-        warm: profile_2d(SolverConfig::default(), true),
-        reference: profile_2d_reference(&SolverConfig::default(), Jacobian::Analytic),
+        analytic: profile_2d(false),
+        numeric: profile_2d_reference(&Reference2DConfig::default(), Jacobian::Numeric),
+        warm: profile_2d(true),
+        reference: profile_2d_reference(&Reference2DConfig::default(), Jacobian::Analytic),
     };
     print_rows(
         "2-D (5 parameters, 3 antennas)",
-        &[
-            ("analytic", d2.analytic),
-            ("numeric", d2.numeric),
-            ("exhaustive", d2.exhaustive),
-            ("warm", d2.warm),
-        ],
+        &[("analytic", d2.analytic), ("numeric", d2.numeric), ("warm", d2.warm)],
     );
 
     let d3 = DimProfiles {
-        analytic: profile_3d(Solver3DConfig::default(), false),
-        numeric: profile_3d_reference(&Solver3DConfig::default(), Jacobian::Numeric),
-        exhaustive: profile_3d(Solver3DConfig::exhaustive(), false),
-        warm: profile_3d(Solver3DConfig::default(), true),
-        reference: profile_3d_reference(&Solver3DConfig::default(), Jacobian::Analytic),
+        analytic: profile_3d(false),
+        numeric: profile_3d_reference(&Reference3DConfig::default(), Jacobian::Numeric),
+        warm: profile_3d(true),
+        reference: profile_3d_reference(&Reference3DConfig::default(), Jacobian::Analytic),
     };
     print_rows(
         "3-D (7 parameters, 6 antennas)",
-        &[
-            ("analytic", d3.analytic),
-            ("numeric", d3.numeric),
-            ("exhaustive", d3.exhaustive),
-            ("warm", d3.warm),
-        ],
+        &[("analytic", d3.analytic), ("numeric", d3.numeric), ("warm", d3.warm)],
     );
 
     for (dim, d) in [("2-D", d2), ("3-D", d3)] {
         println!(
-            "  {dim} speedups: numeric/analytic ×{:.2}   exhaustive/pruned ×{:.2}   exhaustive/warm ×{:.2}",
+            "  {dim} speedups: numeric/analytic ×{:.2}   cold/warm ×{:.2}",
             d.numeric.p50_us / d.analytic.p50_us,
-            d.exhaustive.p50_us / d.analytic.p50_us,
-            d.exhaustive.p50_us / d.warm.p50_us,
+            d.analytic.p50_us / d.warm.p50_us,
         );
         println!(
             "  {dim} lane core vs frozen oracle: reference p50 {:.1} µs → lanes {:.1} µs (×{:.2} p50, ×{:.2} floor)",
@@ -419,18 +397,22 @@ fn main() {
         d3.analytic.stats.residual_evals,
         d3.numeric.stats.residual_evals
     );
-    // And the headline claim of seed pruning: the pruned defaults do at
-    // most half the LM work of the exhaustive scan, in both dimensions.
+    // And the headline claim of seed pruning: the solver does at most half
+    // the LM work of the oracle's exhaustive scan, in both dimensions.
     // Asserted on the deterministic iteration counters, not wall time — a
     // loaded single-core CI box jitters p50 across the 2× line while the
     // work counters never move (the wall-clock trajectory is enforced
     // separately by `scripts/bench_gate` against the committed snapshot).
-    for (dim, d) in [("2-D", d2), ("3-D", d3)] {
+    let exhaustive = [
+        profile_2d_reference(&Reference2DConfig::exhaustive(), Jacobian::Analytic),
+        profile_3d_reference(&Reference3DConfig::exhaustive(), Jacobian::Analytic),
+    ];
+    for ((dim, d), exhaustive) in [("2-D", d2), ("3-D", d3)].into_iter().zip(exhaustive) {
         assert!(
-            d.analytic.stats.iterations * 2 <= d.exhaustive.stats.iterations,
+            d.analytic.stats.iterations * 2 <= exhaustive.stats.iterations,
             "{dim} pruned ran {} LM iterations vs exhaustive {} — pruning must halve the work",
             d.analytic.stats.iterations,
-            d.exhaustive.stats.iterations
+            exhaustive.stats.iterations
         );
         assert!(
             d.warm.prune.warm_start_hits > 0,

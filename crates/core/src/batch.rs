@@ -12,7 +12,7 @@
 //!   solver seeds ([`SolveSeeds`]), including the precomputed per-seed
 //!   per-antenna geometry tables (grid-point distances, α-seed trig — see
 //!   [`SolveSeeds::for_scene`]). The prism owns them, built once when its
-//!   region or configuration is set, and workers borrow the prism
+//!   region is set, and workers borrow the prism
 //!   (`&RfPrism`) — nothing is rebuilt or cloned per batch. A
 //!   [`BatchCache`] is a shared handle to the same seeds.
 //! * **Per worker** — the full sensing scratch ([`SenseWorkspace`]: DSP

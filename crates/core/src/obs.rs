@@ -4,8 +4,8 @@
 //! here, in two interchangeable implementations:
 //!
 //! * with the `obs` feature **on**, probes forward to the thread-local
-//!   recorder in [`rfp_obs`] — spans aggregate into a stage tree, counters
-//!   and histograms land in a [`rfp_obs::Registry`] over the [`METRICS`]
+//!   recorder in `rfp_obs` — spans aggregate into a stage tree, counters
+//!   and histograms land in an `rfp_obs::Registry` over the `METRICS`
 //!   descriptor table, and a caller (the CLI, a bench, a test) collects
 //!   everything via `rfp_obs::recorder::observe`;
 //! * with the feature **off** (the default), every probe is an empty
@@ -26,7 +26,7 @@
 /// with the `obs` feature the [`METRICS`] descriptor table.
 macro_rules! metrics {
     ($($id:ident: $kind:ident($name:literal, $help:literal $(, $buckets:ident)?),)*) => {
-        /// Indices into [`METRICS`] — the stable metric addresses the
+        /// Indices into `METRICS` — the stable metric addresses the
         /// probes use.
         pub mod id {
             #[allow(non_camel_case_types, clippy::upper_case_acronyms)]

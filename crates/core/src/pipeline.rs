@@ -7,9 +7,9 @@
 //! error detection → the joint disentangling solve, and returns the tag's
 //! position, orientation and material parameters simultaneously.
 //!
-//! The prism builds its solver seeds ([`SolveSeeds`]) when its region or
-//! configuration is set; every entry point, batch and streaming included,
-//! solves against them. The sensing sequence ([`SensingWorkspace`]) is
+//! The prism builds its solver seeds ([`SolveSeeds`]) when its region is
+//! set; every entry point, batch and streaming included, solves against
+//! them. The sensing sequence ([`SensingWorkspace`]) is
 //! generic over the solver and over where each antenna's observation comes
 //! from, so the 3-D pipeline ([`crate::pipeline3d`]) runs the same code
 //! with the 3-D solve plugged in, and a streaming session with its sliding
@@ -33,17 +33,15 @@ use rfp_geom::{AntennaPose, Region2, Vec2};
 use rfp_phys::FrequencyPlan;
 use std::sync::Arc;
 
-/// Algorithm configuration of a sensing pipeline; `C` is the solver's
-/// configuration — [`SolverConfig`] for [`RfPrismConfig`],
-/// [`Solver3DConfig`](crate::solver3d::Solver3DConfig) for
-/// [`RfPrism3DConfig`](crate::RfPrism3DConfig). Build it from
-/// [`PipelineConfig::paper`].
+/// Algorithm configuration of a sensing pipeline, 2-D
+/// ([`RfPrismConfig`]) and 3-D ([`RfPrism3DConfig`](crate::RfPrism3DConfig))
+/// alike. Build it from [`PipelineConfig::paper`].
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PipelineConfig<C> {
+pub struct PipelineConfig {
     /// Pre-processing + robust fitting options.
     pub extract: ExtractConfig,
-    /// Joint solver options.
-    pub solver: C,
+    /// Joint solver options: none (see [`SolverConfig`]).
+    pub solver: SolverConfig,
     /// Error-detector thresholds.
     pub detector: DetectorConfig,
     /// When true (default), a `Moving` verdict aborts the solve and
@@ -54,14 +52,14 @@ pub struct PipelineConfig<C> {
 }
 
 /// Algorithm configuration for the 2-D pipeline.
-pub type RfPrismConfig = PipelineConfig<SolverConfig>;
+pub type RfPrismConfig = PipelineConfig;
 
-impl<C: Default> PipelineConfig<C> {
+impl PipelineConfig {
     /// Paper defaults.
     pub fn paper() -> Self {
         PipelineConfig {
             extract: ExtractConfig::paper(),
-            solver: C::default(),
+            solver: SolverConfig::default(),
             detector: DetectorConfig::default(),
             reject_moving: true,
         }
@@ -202,12 +200,12 @@ impl<W> SensingWorkspace<W> {
     /// streaming: `extract` each antenna's observation from its entry of
     /// `inputs` (raw reads, or a sliding window), require `min_antennas`
     /// usable ones, run the error detector and hand the observations to
-    /// `solve` (with the solver config and scratch). The caller opens the
-    /// pass's span, which times `sense.latency_us` too.
-    pub(crate) fn sense<C, E, S, I>(
+    /// `solve` (with the solver scratch). The caller opens the pass's span,
+    /// which times `sense.latency_us` too.
+    pub(crate) fn sense<E, S, I>(
         &mut self,
         poses: &[AntennaPose],
-        config: &PipelineConfig<C>,
+        config: &PipelineConfig,
         min_antennas: usize,
         inputs: impl ExactSizeIterator<Item = I>,
         mut extract: impl FnMut(
@@ -216,7 +214,7 @@ impl<W> SensingWorkspace<W> {
             &mut FrontEndWorkspace,
             &mut AntennaObservation,
         ) -> Result<(), ExtractError>,
-        solve: impl FnOnce(&[AntennaObservation], &C, &mut W) -> Result<E, S>,
+        solve: impl FnOnce(&[AntennaObservation], &mut W) -> Result<E, S>,
     ) -> Result<Sensing<E>, SensingError<S>> {
         obs::counter_add(obs::id::PIPELINE_WINDOWS_TOTAL, 1);
         if inputs.len() != poses.len() {
@@ -260,7 +258,7 @@ impl<W> SensingWorkspace<W> {
             }
         }
 
-        match solve(&observations, &config.solver, &mut self.solver) {
+        match solve(&observations, &mut self.solver) {
             Ok(estimate) => {
                 obs::counter_add(obs::id::PIPELINE_WINDOWS_OK, 1);
                 Ok(Sensing { estimate, observations, verdict })
@@ -282,9 +280,9 @@ pub struct RfPrism {
     plan: FrequencyPlan,
     region: Region2,
     config: RfPrismConfig,
-    /// The multi-start solver seeds of `(region, config.solver, poses)`,
-    /// built whenever one of them is set and shared by every entry point,
-    /// [`BatchCache`] and streaming session.
+    /// The multi-start solver seeds of `(region, poses)`, built whenever
+    /// the region is set and shared by every entry point, [`BatchCache`]
+    /// and streaming session.
     pub(crate) seeds: Arc<SolveSeeds>,
 }
 
@@ -358,9 +356,10 @@ impl RfPrism {
         Self::build(self.poses, self.plan, region, self.config)
     }
 
-    /// Overrides the algorithm configuration (builder style).
+    /// Overrides the algorithm configuration (builder style); the seeds
+    /// depend on the scene alone, so they are kept.
     pub fn with_config(self, config: RfPrismConfig) -> Self {
-        Self::build(self.poses, self.plan, self.region, config)
+        RfPrism { config, ..self }
     }
 
     /// The configured antenna poses.
@@ -451,7 +450,7 @@ impl RfPrism {
             3,
             reads_per_antenna.iter(),
             |pose, reads, fe, slot| extract_observation_into(pose, reads, extract, fe, slot),
-            |o, c, ws| solve_2d_seeded_warm(o, seeds, c, ws, warm),
+            |o, ws| solve_2d_seeded_warm(o, seeds, &self.config.solver, ws, warm),
         )
     }
 }

@@ -14,16 +14,17 @@ use crate::model::extract_observation_into;
 use crate::obs;
 use crate::pipeline::{PipelineConfig, Sensing, SensingError, SensingWorkspace};
 use crate::solver3d::{
-    solve_3d_seeded_warm, Solve3DError, Solve3DSeeds, Solver3DConfig, Solver3DWorkspace,
-    TagEstimate3D, WarmStart3D,
+    solve_3d_seeded_warm, Solve3DError, Solve3DSeeds, Solver3DWorkspace, TagEstimate3D,
+    WarmStart3D,
 };
 use rfp_dsp::preprocess::RawRead;
 use rfp_geom::{AntennaPose, Region2};
 use rfp_phys::FrequencyPlan;
 use std::sync::Arc;
 
-/// Configuration of the 3-D pipeline (see [`PipelineConfig`]).
-pub type RfPrism3DConfig = PipelineConfig<Solver3DConfig>;
+/// Configuration of the 3-D pipeline: the 2-D one's type (see
+/// [`PipelineConfig`]).
+pub type RfPrism3DConfig = PipelineConfig;
 
 /// Result of one 3-D sensing pass (see [`Sensing`]).
 pub type Sensing3DResult = Sensing<TagEstimate3D>;
@@ -63,8 +64,7 @@ pub struct RfPrism3D {
     region: Region2,
     z_range: (f64, f64),
     config: RfPrism3DConfig,
-    /// The multi-start solver seeds of the scene and `config.solver`,
-    /// built whenever either is set (see [`crate::RfPrism`]).
+    /// The multi-start solver seeds of the scene (see [`crate::RfPrism`]).
     pub(crate) seeds: Arc<Solve3DSeeds>,
 }
 
@@ -88,10 +88,10 @@ impl RfPrism3D {
         RfPrism3D { poses, plan, region, z_range, config, seeds }
     }
 
-    /// Overrides the configuration (builder style), rebuilding the seeds.
+    /// Overrides the configuration (builder style); the seeds depend on
+    /// the scene alone, so they are kept.
     pub fn with_config(self, config: RfPrism3DConfig) -> Self {
-        let seeds = Solve3DSeeds::for_scene(self.region, self.z_range, &config.solver, &self.poses);
-        RfPrism3D { config, seeds: Arc::new(seeds), ..self }
+        RfPrism3D { config, ..self }
     }
 
     /// The configured channel plan.
@@ -160,7 +160,7 @@ impl RfPrism3D {
             4,
             reads_per_antenna.iter(),
             |pose, reads, fe, slot| extract_observation_into(pose, reads, extract, fe, slot),
-            |o, c, ws| solve_3d_seeded_warm(o, seeds, c, ws, warm),
+            |o, ws| solve_3d_seeded_warm(o, seeds, &self.config.solver, ws, warm),
         )
     }
 

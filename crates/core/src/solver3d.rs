@@ -21,78 +21,12 @@
 use crate::lm::LmCore;
 use crate::model::AntennaObservation;
 use crate::obs;
-use crate::solver::{seeds_for_scene, solve, Knobs, SceneDim, Seeds, Workspace};
+use crate::solver::{
+    seeds_for_scene, solve, SceneDim, Seeds, SolverConfig, Workspace, INTERCEPT_SIGMA,
+    SLOPE_SIGMA,
+};
 use rfp_geom::{angle, AntennaPose, Region2, Vec3};
 use rfp_phys::propagation;
-
-/// Configuration for [`solve_3d`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Solver3DConfig {
-    /// Expected slope noise (rad/Hz).
-    pub slope_sigma: f64,
-    /// Expected intercept noise (rad).
-    pub intercept_sigma: f64,
-    /// Multi-start grid over (x, y).
-    pub position_starts: (usize, usize),
-    /// Multi-start levels over z within `z_range`.
-    pub z_starts: usize,
-    /// Sets the dipole scan: the polar ring count over the half-sphere
-    /// (clamped to ≥ 3), each ring scanned at `2 · rings` azimuths, so
-    /// `rings × 2·rings` directions — 72 at the default of 6.
-    pub dipole_starts: usize,
-    /// Maximum LM iterations per start.
-    pub max_iterations: usize,
-    /// Relative cost tolerance.
-    pub tolerance: f64,
-    /// Expected RSSI noise (dB) for ranking candidate modes by
-    /// polarization-mismatch consistency (see
-    /// [`SolverConfig::rssi_sigma_db`](crate::solver::SolverConfig)).
-    /// `f64::INFINITY` disables the penalty.
-    pub rssi_sigma_db: f64,
-    /// Stage-1 beam width of the coarse-to-fine scan (see
-    /// [`SolverConfig::refine_top_k`](crate::solver::SolverConfig)); `None`
-    /// refines every `(x, y, z)` seed.
-    pub refine_top_k: Option<usize>,
-    /// Cost-plateau early exit across the seed beam and the joint
-    /// short-list; `0` disables it (see
-    /// [`SolverConfig::early_exit_rel_tol`](crate::solver::SolverConfig)).
-    pub early_exit_rel_tol: f64,
-    /// Warm-start validation gate tolerance against the coarse-scan floor
-    /// (see
-    /// [`SolverConfig::warm_gate_rel_tol`](crate::solver::SolverConfig)).
-    pub warm_gate_rel_tol: f64,
-}
-
-impl Default for Solver3DConfig {
-    fn default() -> Self {
-        Solver3DConfig {
-            slope_sigma: 1.0e-10,
-            intercept_sigma: 0.08,
-            position_starts: (5, 5),
-            z_starts: 3,
-            dipole_starts: 6,
-            max_iterations: 80,
-            tolerance: 1e-10,
-            rssi_sigma_db: 1.0,
-            refine_top_k: Some(16),
-            early_exit_rel_tol: 0.5,
-            warm_gate_rel_tol: 0.25,
-        }
-    }
-}
-
-impl Solver3DConfig {
-    /// The exhaustive escape hatch: refine every multi-start seed with no
-    /// early exit, reproducing the pre-pruning solver bit-for-bit.
-    #[must_use]
-    pub fn exhaustive() -> Self {
-        Solver3DConfig {
-            refine_top_k: None,
-            early_exit_rel_tol: 0.0,
-            ..Solver3DConfig::default()
-        }
-    }
-}
 
 /// A cross-round warm-start prior for the 3-D solve: the previous round's
 /// disentangled 7-parameter state.
@@ -137,8 +71,6 @@ pub type Solve3DSeeds = Seeds<Spatial>;
 /// its dipole an axis on the half-sphere, scanned in polar rings.
 #[derive(Debug, Clone, Copy)]
 pub struct Spatial {
-    /// Polar ring count of the dipole half-sphere scan.
-    pub(crate) rings: usize,
     /// Expanded vertical bounds of the admissible volume.
     pub(crate) z_bounds: (f64, f64),
 }
@@ -146,8 +78,8 @@ pub struct Spatial {
 impl Spatial {
     /// Polar and azimuth angles `(θ, φ)` of scan direction
     /// `dir = ring·2·rings + azimuth`: rings from near-pole to equator.
-    fn angles(&self, dir: usize) -> (f64, f64) {
-        let rings = self.rings;
+    fn angles(dir: usize) -> (f64, f64) {
+        let rings = Self::SCAN;
         let (ti, pi) = (dir / (2 * rings), dir % (2 * rings));
         let theta = std::f64::consts::FRAC_PI_2 * (ti as f64 + 0.5) / rings as f64;
         let phi = std::f64::consts::TAU * pi as f64 / (2 * rings) as f64;
@@ -162,23 +94,12 @@ impl Solve3DSeeds {
     pub fn for_scene(
         region: Region2,
         z_range: (f64, f64),
-        config: &Solver3DConfig,
+        _config: &SolverConfig,
         poses: &[AntennaPose],
     ) -> Self {
-        let (nx, ny) = config.position_starts;
         let (z_lo, z_hi) = z_range;
-        let z_starts = config.z_starts.max(1);
-        let mut position_starts =
-            Vec::with_capacity(nx.max(1) * ny.max(1) * z_starts);
-        for seed_pos in region.grid(nx.max(1), ny.max(1)) {
-            for zi in 0..z_starts {
-                let z = z_lo + (z_hi - z_lo) * (zi as f64 + 0.5) / z_starts as f64;
-                position_starts.push(seed_pos.with_z(z));
-            }
-        }
-        let rings = config.dipole_starts.max(3);
-        let dim = Spatial { rings, z_bounds: (z_lo - 0.3, z_hi + 0.3) };
-        seeds_for_scene(position_starts, region, dim, poses)
+        let dim = Spatial { z_bounds: (z_lo - 0.3, z_hi + 0.3) };
+        seeds_for_scene(region, z_range, dim, poses)
     }
 }
 
@@ -249,13 +170,8 @@ fn dipole_from_angles(theta: f64, phi: f64) -> Vec3 {
 /// `p = (x, y, z, θ, φ, k_t, b_t)` (dipole `w = (sinθ cosφ, sinθ sinφ,
 /// cosθ)`) — residual `2i` is antenna *i*'s slope equation, `2i+1` its
 /// wrapped intercept equation.
-pub fn residuals_3d(
-    observations: &[AntennaObservation],
-    p: &[f64],
-    config: &Solver3DConfig,
-    out: &mut Vec<f64>,
-) {
-    residuals_and_jacobian_3d(observations, p, config, out, None);
+pub fn residuals_3d(observations: &[AntennaObservation], p: &[f64], out: &mut Vec<f64>) {
+    residuals_and_jacobian_3d(observations, p, out, None);
 }
 
 /// [`residuals_3d`] plus, when `jac` is given, the row-major `2N × 7`
@@ -266,7 +182,6 @@ pub fn residuals_3d(
 pub fn residuals_and_jacobian_3d(
     observations: &[AntennaObservation],
     p: &[f64],
-    config: &Solver3DConfig,
     r: &mut Vec<f64>,
     jac: Option<&mut Vec<f64>>,
 ) {
@@ -293,14 +208,14 @@ pub fn residuals_and_jacobian_3d(
     let mut chunks = observations.chunks_exact(4);
     let mut i = 0usize;
     for c in chunks.by_ref() {
-        joint_row_3d(&c[0], i, pos, w, wt, wp, kt, bt, k1, config, r, jac.as_deref_mut());
-        joint_row_3d(&c[1], i + 1, pos, w, wt, wp, kt, bt, k1, config, r, jac.as_deref_mut());
-        joint_row_3d(&c[2], i + 2, pos, w, wt, wp, kt, bt, k1, config, r, jac.as_deref_mut());
-        joint_row_3d(&c[3], i + 3, pos, w, wt, wp, kt, bt, k1, config, r, jac.as_deref_mut());
+        joint_row_3d(&c[0], i, pos, w, wt, wp, kt, bt, k1, r, jac.as_deref_mut());
+        joint_row_3d(&c[1], i + 1, pos, w, wt, wp, kt, bt, k1, r, jac.as_deref_mut());
+        joint_row_3d(&c[2], i + 2, pos, w, wt, wp, kt, bt, k1, r, jac.as_deref_mut());
+        joint_row_3d(&c[3], i + 3, pos, w, wt, wp, kt, bt, k1, r, jac.as_deref_mut());
         i += 4;
     }
     for o in chunks.remainder() {
-        joint_row_3d(o, i, pos, w, wt, wp, kt, bt, k1, config, r, jac.as_deref_mut());
+        joint_row_3d(o, i, pos, w, wt, wp, kt, bt, k1, r, jac.as_deref_mut());
         i += 1;
     }
 }
@@ -320,13 +235,12 @@ fn joint_row_3d(
     kt: f64,
     bt: f64,
     k1: f64,
-    config: &Solver3DConfig,
     r: &mut Vec<f64>,
     jac: Option<&mut [f64]>,
 ) {
     let ap = o.pose.position();
     let d = ap.distance(pos);
-    r.push((o.slope - propagation::slope_from_distance(d) - kt) / config.slope_sigma);
+    r.push((o.slope - propagation::slope_from_distance(d) - kt) / SLOPE_SIGMA);
     let uw = o.pose.u().dot(w);
     let vw = o.pose.v().dot(w);
     let denom = uw * uw + vw * vw;
@@ -336,14 +250,14 @@ fn joint_row_3d(
     } else {
         (2.0 * uw * vw).atan2(uw * uw - vw * vw)
     };
-    r.push(angle::wrap_pi(o.intercept - theta - bt) / config.intercept_sigma);
+    r.push(angle::wrap_pi(o.intercept - theta - bt) / INTERCEPT_SIGMA);
     if let Some(j) = jac {
         let rs = 2 * i * 7;
-        let g = if d > 1e-12 { -k1 / (d * config.slope_sigma) } else { 0.0 };
+        let g = if d > 1e-12 { -k1 / (d * SLOPE_SIGMA) } else { 0.0 };
         j[rs] = g * (pos.x - ap.x);
         j[rs + 1] = g * (pos.y - ap.y);
         j[rs + 2] = g * (pos.z - ap.z);
-        j[rs + 5] = -1.0 / config.slope_sigma;
+        j[rs + 5] = -1.0 / SLOPE_SIGMA;
         let rb = rs + 7;
         let (dtheta_t, dtheta_p) = if denom < 1e-24 {
             (0.0, 0.0)
@@ -357,9 +271,9 @@ fn joint_row_3d(
                 2.0 * (uw * vwp - vw * uwp) / denom,
             )
         };
-        j[rb + 3] = -dtheta_t / config.intercept_sigma;
-        j[rb + 4] = -dtheta_p / config.intercept_sigma;
-        j[rb + 6] = -1.0 / config.intercept_sigma;
+        j[rb + 3] = -dtheta_t / INTERCEPT_SIGMA;
+        j[rb + 4] = -dtheta_p / INTERCEPT_SIGMA;
+        j[rb + 6] = -1.0 / INTERCEPT_SIGMA;
     }
 }
 
@@ -369,7 +283,6 @@ fn joint_row_3d(
 fn slope_residuals_and_jacobian_3d(
     observations: &[AntennaObservation],
     p: &[f64],
-    config: &Solver3DConfig,
     r: &mut Vec<f64>,
     jac: Option<&mut Vec<f64>>,
 ) {
@@ -388,14 +301,14 @@ fn slope_residuals_and_jacobian_3d(
     let mut chunks = observations.chunks_exact(4);
     let mut i = 0usize;
     for c in chunks.by_ref() {
-        slope_row_3d(&c[0], i, pos, kt, k1, config, r, jac.as_deref_mut());
-        slope_row_3d(&c[1], i + 1, pos, kt, k1, config, r, jac.as_deref_mut());
-        slope_row_3d(&c[2], i + 2, pos, kt, k1, config, r, jac.as_deref_mut());
-        slope_row_3d(&c[3], i + 3, pos, kt, k1, config, r, jac.as_deref_mut());
+        slope_row_3d(&c[0], i, pos, kt, k1, r, jac.as_deref_mut());
+        slope_row_3d(&c[1], i + 1, pos, kt, k1, r, jac.as_deref_mut());
+        slope_row_3d(&c[2], i + 2, pos, kt, k1, r, jac.as_deref_mut());
+        slope_row_3d(&c[3], i + 3, pos, kt, k1, r, jac.as_deref_mut());
         i += 4;
     }
     for o in chunks.remainder() {
-        slope_row_3d(o, i, pos, kt, k1, config, r, jac.as_deref_mut());
+        slope_row_3d(o, i, pos, kt, k1, r, jac.as_deref_mut());
         i += 1;
     }
 }
@@ -411,19 +324,18 @@ fn slope_row_3d(
     pos: Vec3,
     kt: f64,
     k1: f64,
-    config: &Solver3DConfig,
     r: &mut Vec<f64>,
     jac: Option<&mut [f64]>,
 ) {
     let ap = o.pose.position();
     let d = ap.distance(pos);
-    r.push((o.slope - propagation::slope_from_distance(d) - kt) / config.slope_sigma);
+    r.push((o.slope - propagation::slope_from_distance(d) - kt) / SLOPE_SIGMA);
     if let Some(j) = jac {
-        let g = if d > 1e-12 { -k1 / (d * config.slope_sigma) } else { 0.0 };
+        let g = if d > 1e-12 { -k1 / (d * SLOPE_SIGMA) } else { 0.0 };
         j[i * 4] = g * (pos.x - ap.x);
         j[i * 4 + 1] = g * (pos.y - ap.y);
         j[i * 4 + 2] = g * (pos.z - ap.z);
-        j[i * 4 + 3] = -1.0 / config.slope_sigma;
+        j[i * 4 + 3] = -1.0 / SLOPE_SIGMA;
     }
 }
 
@@ -436,7 +348,7 @@ pub fn solve_3d(
     observations: &[AntennaObservation],
     region: Region2,
     z_range: (f64, f64),
-    config: &Solver3DConfig,
+    config: &SolverConfig,
 ) -> Result<TagEstimate3D, Solve3DError> {
     let poses: Vec<AntennaPose> = observations.iter().map(|o| o.pose).collect();
     let seeds = Solve3DSeeds::for_scene(region, z_range, config, &poses);
@@ -459,19 +371,22 @@ pub fn solve_3d(
 pub fn solve_3d_seeded_warm(
     observations: &[AntennaObservation],
     seeds: &Solve3DSeeds,
-    config: &Solver3DConfig,
+    _config: &SolverConfig,
     workspace: &mut Solver3DWorkspace,
     warm: Option<&WarmStart3D>,
 ) -> Result<TagEstimate3D, Solve3DError> {
-    solve(observations, seeds, config, workspace, warm, None)
+    solve(observations, seeds, workspace, warm, None)
 }
 
 impl SceneDim<7, 4> for Spatial {
-    type Config = Solver3DConfig;
     type Warm = WarmStart3D;
     type Estimate = TagEstimate3D;
     type Error = Solve3DError;
     const MIN_ANTENNAS: usize = 4;
+    const GRID: [usize; 3] = [5, 5, 3];
+    const SCAN: usize = 6;
+    const MAX_ITERATIONS: usize = 80;
+    const BEAM: usize = 16;
     const STAGE1_KEEP: usize = 6;
     const STAGE1_DEDUP_M: f64 = 0.10;
     const SHORTLIST: usize = 3;
@@ -482,19 +397,6 @@ impl SceneDim<7, 4> for Spatial {
         obs::id::SOLVER3D_RESIDUAL_EVALS,
         obs::id::SOLVER3D_JACOBIAN_EVALS,
     ];
-
-    fn knobs(c: &Solver3DConfig) -> Knobs {
-        Knobs {
-            slope_sigma: c.slope_sigma,
-            intercept_sigma: c.intercept_sigma,
-            max_iterations: c.max_iterations,
-            tolerance: c.tolerance,
-            rssi_sigma_db: c.rssi_sigma_db,
-            refine_top_k: c.refine_top_k,
-            early_exit_rel_tol: c.early_exit_rel_tol,
-            warm_gate_rel_tol: c.warm_gate_rel_tol,
-        }
-    }
 
     fn too_few(provided: usize) -> Solve3DError {
         Solve3DError::TooFewAntennas { provided }
@@ -507,34 +409,32 @@ impl SceneDim<7, 4> for Spatial {
     fn joint_rows(
         observations: &[AntennaObservation],
         p: &[f64],
-        config: &Solver3DConfig,
         r: &mut Vec<f64>,
         jac: Option<&mut Vec<f64>>,
     ) {
-        residuals_and_jacobian_3d(observations, p, config, r, jac);
+        residuals_and_jacobian_3d(observations, p, r, jac);
     }
 
     fn slope_rows(
         observations: &[AntennaObservation],
         p: &[f64],
-        config: &Solver3DConfig,
         r: &mut Vec<f64>,
         jac: Option<&mut Vec<f64>>,
     ) {
-        slope_residuals_and_jacobian_3d(observations, p, config, r, jac);
+        slope_residuals_and_jacobian_3d(observations, p, r, jac);
     }
 
     fn scan_len(&self) -> usize {
-        self.rings * 2 * self.rings
+        Self::SCAN * 2 * Self::SCAN
     }
 
     fn scan_dipole(&self, dir: usize) -> Vec3 {
-        let (theta, phi) = self.angles(dir);
+        let (theta, phi) = Spatial::angles(dir);
         dipole_from_angles(theta, phi)
     }
 
     fn joint_seed(&self, c: &[f64; 4], dir: usize, bt0: f64) -> [f64; 7] {
-        let (theta, phi) = self.angles(dir);
+        let (theta, phi) = Spatial::angles(dir);
         [c[0], c[1], c[2], theta, phi, c[3], bt0]
     }
 
@@ -559,7 +459,6 @@ impl SceneDim<7, 4> for Spatial {
         observations: &[AntennaObservation],
         p: &[f64; 7],
         cost: f64,
-        _config: &Solver3DConfig,
         _core: &mut LmCore<7>,
     ) -> TagEstimate3D {
         let mut dipole = dipole_from_angles(p[3], p[4]);
@@ -611,7 +510,7 @@ mod tests {
         let dipole = Vec3::new(1.0, 0.2, 0.4).normalized();
         let obs = observations_3d(&scene, truth, dipole, 1);
         let est =
-            solve_3d(&obs, scene.region(), (0.0, 1.0), &Solver3DConfig::default()).unwrap();
+            solve_3d(&obs, scene.region(), (0.0, 1.0), &SolverConfig::default()).unwrap();
         let err_cm = est.position.distance(truth) * 100.0;
         assert!(err_cm < 5.0, "3-D position error {err_cm} cm");
         let axis_err = est.dipole_axis_error(dipole).to_degrees();
@@ -627,7 +526,7 @@ mod tests {
         let dipole = Vec3::new(0.2, 0.5, 1.0).normalized();
         let obs = observations_3d(&scene, truth, dipole, 2);
         let est =
-            solve_3d(&obs, scene.region(), (0.0, 1.5), &Solver3DConfig::default()).unwrap();
+            solve_3d(&obs, scene.region(), (0.0, 1.5), &SolverConfig::default()).unwrap();
         let err_cm = est.position.distance(truth) * 100.0;
         assert!(err_cm < 40.0, "noisy 3-D position error {err_cm} cm");
     }
@@ -641,7 +540,7 @@ mod tests {
         let dipole = Vec3::new(0.3, 0.1, -0.9).normalized(); // points down
         let obs = observations_3d(&scene, truth, dipole, 3);
         let est =
-            solve_3d(&obs, scene.region(), (0.0, 1.0), &Solver3DConfig::default()).unwrap();
+            solve_3d(&obs, scene.region(), (0.0, 1.0), &SolverConfig::default()).unwrap();
         assert!(est.dipole.z >= 0.0);
         assert!(est.dipole_axis_error(dipole).to_degrees() < 10.0);
     }
@@ -651,7 +550,7 @@ mod tests {
         let scene = Scene::four_antenna_3d();
         let obs = observations_3d(&scene, Vec3::new(0.5, 1.5, 0.5), Vec3::X, 4);
         assert_eq!(
-            solve_3d(&obs[..3], scene.region(), (0.0, 1.0), &Solver3DConfig::default())
+            solve_3d(&obs[..3], scene.region(), (0.0, 1.0), &SolverConfig::default())
                 .unwrap_err(),
             Solve3DError::TooFewAntennas { provided: 3 }
         );
@@ -660,7 +559,7 @@ mod tests {
     #[test]
     fn antenna_outside_the_deployment_is_unknown() {
         let scene = Scene::six_antenna_3d();
-        let config = Solver3DConfig::default();
+        let config = SolverConfig::default();
         let seeds =
             Solve3DSeeds::for_scene(scene.region(), (0.0, 1.0), &config, &scene.antenna_poses());
         let mut obs = observations_3d(&scene, Vec3::new(0.5, 1.5, 0.5), Vec3::X, 4);
@@ -684,11 +583,10 @@ mod tests {
         let truth = Vec3::new(0.6, 1.4, 0.5);
         let dipole = Vec3::new(0.7, 0.3, 0.6).normalized();
         let obs = observations_3d(&scene, truth, dipole, 9);
-        let config = Solver3DConfig::default();
         let p = [0.61, 1.39, 0.52, 0.65, 0.42, -1.1e-8, 0.5];
         let mut r = Vec::new();
         let mut jac = Vec::new();
-        residuals_and_jacobian_3d(&obs, &p, &config, &mut r, Some(&mut jac));
+        residuals_and_jacobian_3d(&obs, &p, &mut r, Some(&mut jac));
         // Central-difference steps: x, y, z (m), θ, φ (rad), k_t (rad/Hz),
         // b_t (rad).
         let steps = [1e-4, 1e-4, 1e-4, 1e-4, 1e-4, 1e-13, 1e-4];
@@ -700,9 +598,9 @@ mod tests {
         for j in 0..n {
             let h = steps[j];
             work[j] = p[j] + h;
-            residuals_3d(&obs, &work, &config, &mut r_plus);
+            residuals_3d(&obs, &work, &mut r_plus);
             work[j] = p[j] - h;
-            residuals_3d(&obs, &work, &config, &mut r_minus);
+            residuals_3d(&obs, &work, &mut r_minus);
             work[j] = p[j];
             for i in 0..m {
                 let num = (r_plus[i] - r_minus[i]) / (2.0 * h);
@@ -717,32 +615,6 @@ mod tests {
     }
 
     #[test]
-    fn exhaustive_3d_refines_every_seed_and_pruned_matches() {
-        let scene = Scene::six_antenna_3d();
-        let truth = Vec3::new(0.8, 1.2, 0.4);
-        let dipole = Vec3::new(0.2, 0.5, 1.0).normalized();
-        let obs = observations_3d(&scene, truth, dipole, 2);
-        let exhaustive_cfg = Solver3DConfig::exhaustive();
-        let mut ws = Solver3DWorkspace::default();
-        let seeds =
-            Solve3DSeeds::for_scene(scene.region(), (0.0, 1.5), &exhaustive_cfg, &scene.antenna_poses());
-        let exhaustive =
-            solve_3d_seeded_warm(&obs, &seeds, &exhaustive_cfg, &mut ws, None).unwrap();
-        let ps = ws.prune_stats();
-        assert_eq!(ps.seeds_total, 75);
-        assert_eq!(ps.seeds_refined, 75);
-
-        let pruned_cfg = Solver3DConfig::default();
-        let mut ws2 = Solver3DWorkspace::default();
-        let pruned = solve_3d_seeded_warm(&obs, &seeds, &pruned_cfg, &mut ws2, None).unwrap();
-        let ps2 = ws2.prune_stats();
-        assert_eq!(ps2.seeds_total, 75);
-        assert!(ps2.seeds_refined <= 16, "refined {}", ps2.seeds_refined);
-        assert!(pruned.position.distance(exhaustive.position) < 1e-6);
-        assert!((pruned.cost - exhaustive.cost).abs() <= 1e-6 * (1.0 + exhaustive.cost));
-    }
-
-    #[test]
     fn warm_start_3d_hit_skips_the_scan() {
         let scene = Scene::four_antenna_3d()
             .with_noise(NoiseModel::clean())
@@ -750,7 +622,7 @@ mod tests {
         let truth = Vec3::new(0.5, 1.4, 0.6);
         let dipole = Vec3::new(0.6, 0.3, 0.7).normalized();
         let obs = observations_3d(&scene, truth, dipole, 13);
-        let config = Solver3DConfig::default();
+        let config = SolverConfig::default();
         let seeds =
             Solve3DSeeds::for_scene(scene.region(), (0.0, 1.0), &config, &scene.antenna_poses());
         let mut ws = Solver3DWorkspace::default();

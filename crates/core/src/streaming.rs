@@ -178,7 +178,7 @@ impl<'a> StreamingSession<'a> {
                 extract_laps.lap();
                 extracted
             },
-            |observations, config, solver| {
+            |observations, solver| {
                 // Hold the kinematic state over a few missed/rejected
                 // windows, then re-acquire from scratch rather than
                 // extrapolate stale velocity across a long gap.
@@ -192,7 +192,7 @@ impl<'a> StreamingSession<'a> {
                 let estimate = solve_2d_tracking_warm(
                     observations,
                     &self.prism.seeds,
-                    config,
+                    &config.solver,
                     solver,
                     warm.as_ref(),
                     &mut self.gate,

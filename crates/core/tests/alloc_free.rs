@@ -93,27 +93,26 @@ fn live_bytes() -> isize {
 
 /// Real solver observations so the kernels run against the production
 /// residual/Jacobian closures, not a toy model.
-fn scene_observations() -> (Vec<AntennaObservation>, SolverConfig) {
+fn scene_observations() -> Vec<AntennaObservation> {
     let scene = Scene::standard_2d();
     let tag = SimTag::with_seeded_diversity(9)
         .with_motion(Motion::planar_static(Vec2::new(0.5, 1.5), 0.8));
     let survey = scene.survey(&tag, 17);
-    let obs = scene
+    scene
         .antenna_poses()
         .iter()
         .zip(&survey.per_antenna)
         .map(|(&p, r)| extract_observation(p, r, &ExtractConfig::paper()).expect("usable"))
-        .collect();
-    (obs, SolverConfig::default())
+        .collect()
 }
 
 const P0: [f64; 5] = [0.4, 1.4, 0.6, 5.0e-9, 1.0];
 
 #[test]
 fn analytic_core_is_allocation_free_in_steady_state() {
-    let (obs, config) = scene_observations();
+    let obs = scene_observations();
     let resjac = |p: &[f64], r: &mut Vec<f64>, jac: Option<&mut Vec<f64>>| {
-        residuals_and_jacobian_2d(&obs, p, &config, r, jac);
+        residuals_and_jacobian_2d(&obs, p, r, jac);
     };
     let mut ws = LmWorkspace::default();
     // First solve sizes every buffer.
@@ -130,9 +129,9 @@ fn analytic_core_is_allocation_free_in_steady_state() {
 
 #[test]
 fn numeric_core_is_allocation_free_in_steady_state() {
-    let (obs, config) = scene_observations();
+    let obs = scene_observations();
     let residual =
-        |p: &[f64], out: &mut Vec<f64>| residuals_2d(&obs, p, &config, out);
+        |p: &[f64], out: &mut Vec<f64>| residuals_2d(&obs, p, out);
     let steps = [1e-4, 1e-4, 1e-4, 1e-12, 1e-4];
     let mut ws = LmWorkspace::default();
     levenberg_marquardt_with(&mut ws, &residual, P0.to_vec(), &steps, 60, 1e-12);
@@ -389,7 +388,7 @@ fn lane_solve_2d_is_allocation_free_cold_and_warm() {
 #[test]
 fn lane_solve_3d_is_allocation_free_cold_and_warm() {
     use rfp_core::solver3d::{
-        solve_3d_seeded_warm, Solve3DSeeds, Solver3DConfig, Solver3DWorkspace, WarmStart3D,
+        solve_3d_seeded_warm, Solve3DSeeds, Solver3DWorkspace, WarmStart3D,
     };
     let scene = Scene::six_antenna_3d();
     let tag = SimTag::nominal(1).with_motion(Motion::Static {
@@ -403,7 +402,7 @@ fn lane_solve_3d_is_allocation_free_cold_and_warm() {
         .zip(&survey.per_antenna)
         .map(|(&p, r)| extract_observation(p, r, &ExtractConfig::paper()).expect("usable"))
         .collect();
-    let config = Solver3DConfig::default();
+    let config = SolverConfig::default();
     let seeds =
         Solve3DSeeds::for_scene(scene.region(), (0.0, 1.0), &config, &scene.antenna_poses());
     let mut ws = Solver3DWorkspace::default();

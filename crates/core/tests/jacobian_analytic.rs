@@ -11,13 +11,11 @@ use rfp_core::solver::{
     residuals_2d, residuals_and_jacobian_2d, solve_2d, solve_2d_seeded_warm, SolveSeeds,
     SolveStats, SolverConfig, SolverWorkspace, TagEstimate2D,
 };
-use rfp_core::solver3d::{
-    residuals_3d, residuals_and_jacobian_3d, solve_3d, Solver3DConfig, TagEstimate3D,
-};
+use rfp_core::solver3d::{residuals_3d, residuals_and_jacobian_3d, solve_3d, TagEstimate3D};
 use rfp_geom::{angle, AntennaPose, Region2, Vec2, Vec3};
 use rfp_oracle::solver::{
-    solve_2d_reference, solve_3d_reference, Jacobian, Reference2DSeeds, Reference2DWorkspace,
-    Reference3DSeeds, Reference3DWorkspace,
+    solve_2d_reference, solve_3d_reference, Jacobian, Reference2DConfig, Reference2DSeeds,
+    Reference2DWorkspace, Reference3DConfig, Reference3DSeeds, Reference3DWorkspace,
 };
 use rfp_phys::polarization::{orientation_phase, planar_dipole};
 use rfp_phys::propagation;
@@ -30,7 +28,7 @@ const STEPS_3D: [f64; 7] = [1e-4, 1e-4, 1e-4, 1e-4, 1e-4, 1e-13, 1e-4];
 /// The oracle's numeric-Jacobian solve under the default configuration,
 /// seeded as [`solve_2d`] seeds the facade, with its LM work counters.
 fn oracle_numeric_2d(obs: &[AntennaObservation], region: Region2) -> (TagEstimate2D, SolveStats) {
-    let config = SolverConfig::default();
+    let config = Reference2DConfig::default();
     let poses: Vec<AntennaPose> = obs.iter().map(|o| o.pose).collect();
     let seeds = Reference2DSeeds::for_scene(region, &config, &poses);
     let mut ws = Reference2DWorkspace::default();
@@ -41,7 +39,7 @@ fn oracle_numeric_2d(obs: &[AntennaObservation], region: Region2) -> (TagEstimat
 /// The oracle's numeric-Jacobian 3-D solve under the default
 /// configuration, seeded as [`solve_3d`] seeds the facade.
 fn oracle_numeric_3d(obs: &[AntennaObservation], region: Region2, z: (f64, f64)) -> TagEstimate3D {
-    let config = Solver3DConfig::default();
+    let config = Reference3DConfig::default();
     let poses: Vec<AntennaPose> = obs.iter().map(|o| o.pose).collect();
     let seeds = Reference3DSeeds::for_scene(region, z, &config, &poses);
     let mut ws = Reference3DWorkspace::default();
@@ -151,13 +149,12 @@ proptest! {
             kt,
             bt,
         );
-        let config = SolverConfig::default();
         let p = [x + dx, y + dy, alpha + dalpha, kt, bt + dbt];
         let mut r = Vec::new();
         let mut jac = Vec::new();
-        residuals_and_jacobian_2d(&obs, &p, &config, &mut r, Some(&mut jac));
+        residuals_and_jacobian_2d(&obs, &p, &mut r, Some(&mut jac));
         assert_jacobian_matches(
-            |q: &[f64], out: &mut Vec<f64>| residuals_2d(&obs, q, &config, out),
+            |q: &[f64], out: &mut Vec<f64>| residuals_2d(&obs, q, out),
             &jac,
             &p,
             &STEPS_2D,
@@ -192,7 +189,6 @@ proptest! {
             prop_assume!(uw * uw + vw * vw > 1e-2);
         }
         let obs = observations_from_truth(&poses, Vec3::new(x, y, z), w, kt, bt);
-        let config = Solver3DConfig::default();
         let p = [
             x + dpos,
             y - dpos,
@@ -204,9 +200,9 @@ proptest! {
         ];
         let mut r = Vec::new();
         let mut jac = Vec::new();
-        residuals_and_jacobian_3d(&obs, &p, &config, &mut r, Some(&mut jac));
+        residuals_and_jacobian_3d(&obs, &p, &mut r, Some(&mut jac));
         assert_jacobian_matches(
-            |q: &[f64], out: &mut Vec<f64>| residuals_3d(&obs, q, &config, out),
+            |q: &[f64], out: &mut Vec<f64>| residuals_3d(&obs, q, out),
             &jac,
             &p,
             &STEPS_3D,
@@ -259,7 +255,7 @@ fn pinned_analytic_numeric_agreement_3d() {
     let obs =
         observations_from_truth(&poses, Vec3::new(0.6, 1.4, 0.7), w, -2.3e-8, 1.1);
     let analytic =
-        solve_3d(&obs, scene.region(), (0.0, 1.5), &Solver3DConfig::default()).unwrap();
+        solve_3d(&obs, scene.region(), (0.0, 1.5), &SolverConfig::default()).unwrap();
     let numeric = oracle_numeric_3d(&obs, scene.region(), (0.0, 1.5));
     assert!(analytic.position.distance(numeric.position) < 1e-9);
     assert!(analytic.dipole_axis_error(numeric.dipole) < 1e-9);
@@ -323,7 +319,7 @@ fn numeric_fallback_3d_converges_to_analytic_result() {
         .map(|(&p, r)| extract_observation(p, r, &ExtractConfig::paper()).unwrap())
         .collect();
     let analytic =
-        solve_3d(&obs, scene.region(), (0.0, 1.0), &Solver3DConfig::default()).unwrap();
+        solve_3d(&obs, scene.region(), (0.0, 1.0), &SolverConfig::default()).unwrap();
     let numeric = oracle_numeric_3d(&obs, scene.region(), (0.0, 1.0));
     assert!(analytic.position.distance(numeric.position) < 1e-6);
     assert!(analytic.dipole_axis_error(numeric.dipole) < 1e-6);

@@ -4,12 +4,14 @@
 //! solver facades must reproduce the frozen pre-refactor solvers in
 //! `rfp_oracle::solver` bit-for-bit — same refinements, same sort
 //! orders, same warm-gate decisions, same final estimate down to the last
-//! ulp. Every configuration axis gets a pin: exhaustive vs pruned scans,
-//! RSSI penalty on/off, the facade's geometry tables vs the oracle's
-//! direct evaluation, observations from a subset of the seeds' antennas,
-//! and warm starts both fresh (gate hit) and teleported-stale (gate miss
-//! fallback). The oracle builds its own seeds, so every pin also checks
-//! the facade's seed construction against an independent copy. Below the
+//! ulp. The facade has one configuration, the paper's, and the oracle
+//! runs at its default (the same values, kept as fields of its own
+//! config types). Every input axis gets a pin: the facade's geometry
+//! tables vs the oracle's direct evaluation, observations from a subset of
+//! the seeds' antennas, the twin-α tie-break, and warm starts both fresh
+//! (gate hit) and teleported-stale (gate miss fallback). The oracle builds
+//! its own seeds, so every pin also checks the facade's seed construction
+//! against an independent copy. Below the
 //! facades, `LmCore::refine` is pinned against the oracle's dynamic
 //! analytic LM core, on the same model as its lane-tally check.
 
@@ -21,12 +23,12 @@ use rfp_core::solver::{
     TagEstimate2D, WarmGate, WarmStart,
 };
 use rfp_core::solver3d::{
-    solve_3d_seeded_warm, Solve3DSeeds, Solver3DConfig, Solver3DWorkspace, TagEstimate3D,
-    WarmStart3D,
+    solve_3d_seeded_warm, Solve3DSeeds, Solver3DWorkspace, TagEstimate3D, WarmStart3D,
 };
 use rfp_geom::{AntennaPose, Vec2, Vec3};
 use rfp_oracle::solver::{
-    levenberg_marquardt_analytic_with, solve_2d_reference, solve_3d_reference, Jacobian, LmWorkspace, Reference2DSeeds, Reference2DWorkspace,
+    levenberg_marquardt_analytic_with, solve_2d_reference, solve_3d_reference, Jacobian,
+    LmWorkspace, Reference2DConfig, Reference2DSeeds, Reference2DWorkspace, Reference3DConfig,
     Reference3DSeeds, Reference3DWorkspace,
 };
 use rfp_phys::polarization::{orientation_phase, planar_dipole, projection_magnitude};
@@ -135,56 +137,59 @@ fn assert_bits_3d(facade: &TagEstimate3D, oracle: &TagEstimate3D, what: &str) {
     }
 }
 
-/// Runs facade and oracle against the same scene/config/warm input, each
-/// with its own seeds, and pins the results bit-for-bit. The facade always
-/// seeds from its geometry tables; `with_geometry` controls whether the
-/// oracle does too, or evaluates the seed geometry directly.
+/// Runs facade and oracle (at its default configuration) against the same
+/// scene and warm input, each with its own seeds, and pins the results
+/// bit-for-bit. The facade always seeds from its geometry tables;
+/// `with_geometry` controls whether the oracle does too, or evaluates the
+/// seed geometry directly.
 fn pin_2d(
     obs: &[AntennaObservation],
     scene: &Scene,
-    config: &SolverConfig,
     warm: Option<&WarmStart>,
     with_geometry: bool,
     what: &str,
 ) {
     let (region, poses) = (scene.region(), scene.antenna_poses());
-    let seeds = SolveSeeds::for_scene(region, config, &poses);
+    let (config, oracle_config) = (SolverConfig::default(), Reference2DConfig::default());
+    let seeds = SolveSeeds::for_scene(region, &config, &poses);
     let oracle_seeds = if with_geometry {
-        Reference2DSeeds::for_scene(region, config, &poses)
+        Reference2DSeeds::for_scene(region, &oracle_config, &poses)
     } else {
-        Reference2DSeeds::new(region, config)
+        Reference2DSeeds::new(region, &oracle_config)
     };
     let mut ws = SolverWorkspace::default();
-    let facade = solve_2d_seeded_warm(obs, &seeds, config, &mut ws, warm).expect("solvable");
+    let facade = solve_2d_seeded_warm(obs, &seeds, &config, &mut ws, warm).expect("solvable");
     let mut oracle_ws = Reference2DWorkspace::default();
-    let oracle =
-        solve_2d_reference(obs, &oracle_seeds, config, Jacobian::Analytic, &mut oracle_ws, warm)
-            .expect("solvable");
+    let oracle = solve_2d_reference(
+        obs, &oracle_seeds, &oracle_config, Jacobian::Analytic, &mut oracle_ws, warm,
+    )
+    .expect("solvable");
     assert_bits_2d(&facade, &oracle, what);
 }
 
 fn pin_3d(
     obs: &[AntennaObservation],
     scene: &Scene,
-    config: &Solver3DConfig,
     warm: Option<&WarmStart3D>,
     with_geometry: bool,
     what: &str,
 ) {
     let z_range = (0.0, 1.0);
     let (region, poses) = (scene.region(), scene.antenna_poses());
-    let seeds = Solve3DSeeds::for_scene(region, z_range, config, &poses);
+    let (config, oracle_config) = (SolverConfig::default(), Reference3DConfig::default());
+    let seeds = Solve3DSeeds::for_scene(region, z_range, &config, &poses);
     let oracle_seeds = if with_geometry {
-        Reference3DSeeds::for_scene(region, z_range, config, &poses)
+        Reference3DSeeds::for_scene(region, z_range, &oracle_config, &poses)
     } else {
-        Reference3DSeeds::new(region, z_range, config)
+        Reference3DSeeds::new(region, z_range, &oracle_config)
     };
     let mut ws = Solver3DWorkspace::default();
-    let facade = solve_3d_seeded_warm(obs, &seeds, config, &mut ws, warm).expect("solvable");
+    let facade = solve_3d_seeded_warm(obs, &seeds, &config, &mut ws, warm).expect("solvable");
     let mut oracle_ws = Reference3DWorkspace::default();
-    let oracle =
-        solve_3d_reference(obs, &oracle_seeds, config, Jacobian::Analytic, &mut oracle_ws, warm)
-            .expect("solvable");
+    let oracle = solve_3d_reference(
+        obs, &oracle_seeds, &oracle_config, Jacobian::Analytic, &mut oracle_ws, warm,
+    )
+    .expect("solvable");
     assert_bits_3d(&facade, &oracle, what);
 }
 
@@ -204,26 +209,13 @@ fn scene_3d() -> (Scene, Vec<AntennaObservation>) {
 #[test]
 fn default_wide4_matches_reference_2d() {
     let (scene, obs) = scene_2d();
-    pin_2d(&obs, &scene, &SolverConfig::default(), None, true, "default Wide4");
-}
-
-#[test]
-fn exhaustive_matches_reference_2d() {
-    let (scene, obs) = scene_2d();
-    pin_2d(&obs, &scene, &SolverConfig::exhaustive(), None, true, "exhaustive");
-}
-
-#[test]
-fn rssi_disabled_matches_reference_2d() {
-    let (scene, obs) = scene_2d();
-    let config = SolverConfig { rssi_sigma_db: f64::INFINITY, ..SolverConfig::default() };
-    pin_2d(&obs, &scene, &config, None, true, "rssi disabled");
+    pin_2d(&obs, &scene, None, true, "default Wide4");
 }
 
 #[test]
 fn table_free_seeds_match_reference_2d() {
     let (scene, obs) = scene_2d();
-    pin_2d(&obs, &scene, &SolverConfig::default(), None, false, "no geometry tables");
+    pin_2d(&obs, &scene, None, false, "no geometry tables");
 }
 
 #[test]
@@ -234,7 +226,7 @@ fn fresh_warm_start_matches_reference_2d() {
     let mut ws = SolverWorkspace::default();
     let cold = solve_2d_seeded_warm(&obs, &seeds, &config, &mut ws, None).expect("solvable");
     let warm = WarmStart::from_estimate(&cold);
-    pin_2d(&obs, &scene, &config, Some(&warm), true, "fresh warm start");
+    pin_2d(&obs, &scene, Some(&warm), true, "fresh warm start");
 }
 
 #[test]
@@ -248,7 +240,7 @@ fn teleported_warm_start_matches_reference_2d() {
         kt: 4.0e-8,
         bt: 0.3,
     };
-    pin_2d(&obs, &scene, &SolverConfig::default(), Some(&stale), true, "stale warm start");
+    pin_2d(&obs, &scene, Some(&stale), true, "stale warm start");
 }
 
 /// The twin-α disambiguation path: with only three antennas the wrapped
@@ -259,7 +251,7 @@ fn three_antenna_twin_alpha_matches_reference_2d() {
     let (scene, obs) = scene_2d();
     // The standard scene has exactly three antennas, so both solvers seed
     // from tables of the full deployment.
-    pin_2d(&obs[..3], &scene, &SolverConfig::default(), None, true, "twin-α with 3 antennas");
+    pin_2d(&obs[..3], &scene, None, true, "twin-α with 3 antennas");
 }
 
 /// Seeds built for four planar antennas, observations from three of them
@@ -287,16 +279,16 @@ fn dropped_antenna_matches_reference_2d() {
             -30.0 - 40.0 * d.log10() + 20.0 * projection_magnitude(&pose, w).log10();
         o
     };
-    let config = SolverConfig::default();
+    let (config, oracle_config) = (SolverConfig::default(), Reference2DConfig::default());
     let region = scene.region();
     let seeds = SolveSeeds::for_scene(region, &config, &poses);
-    let oracle_seeds = Reference2DSeeds::for_scene(region, &config, &poses);
+    let oracle_seeds = Reference2DSeeds::for_scene(region, &oracle_config, &poses);
     let (mut ws, mut oracle_ws) = (SolverWorkspace::default(), Reference2DWorkspace::default());
     for order in [[0, 1, 3], [3, 0, 1]] {
         let obs: Vec<AntennaObservation> = order.iter().map(|&i| observation(poses[i])).collect();
         let facade = solve_2d_seeded_warm(&obs, &seeds, &config, &mut ws, None);
         let oracle = solve_2d_reference(
-            &obs, &oracle_seeds, &config, Jacobian::Analytic, &mut oracle_ws, None,
+            &obs, &oracle_seeds, &oracle_config, Jacobian::Analytic, &mut oracle_ws, None,
         );
         let what = format!("antennas {order:?} of 4");
         assert_bits_2d(&facade.expect("solvable"), &oracle.expect("solvable"), &what);
@@ -321,12 +313,14 @@ fn tracking_gate_period_one_matches_reference_2d() {
         solve_2d_tracking_warm(&obs, &seeds, &config, &mut gated_ws, Some(&warm), &mut gate)
             .expect("solvable");
 
-    let oracle_seeds = Reference2DSeeds::for_scene(scene.region(), &config, &scene.antenna_poses());
+    let oracle_config = Reference2DConfig::default();
+    let oracle_seeds =
+        Reference2DSeeds::for_scene(scene.region(), &oracle_config, &scene.antenna_poses());
     let mut oracle_ws = Reference2DWorkspace::default();
     let oracle = solve_2d_reference(
         &obs,
         &oracle_seeds,
-        &config,
+        &oracle_config,
         Jacobian::Analytic,
         &mut oracle_ws,
         Some(&warm),
@@ -361,38 +355,25 @@ fn dirty_workspace_reuse_is_bit_identical_2d() {
 #[test]
 fn default_wide4_matches_reference_3d() {
     let (scene, obs) = scene_3d();
-    pin_3d(&obs, &scene, &Solver3DConfig::default(), None, true, "default Wide4 3-D");
-}
-
-#[test]
-fn exhaustive_matches_reference_3d() {
-    let (scene, obs) = scene_3d();
-    pin_3d(&obs, &scene, &Solver3DConfig::exhaustive(), None, true, "exhaustive 3-D");
+    pin_3d(&obs, &scene, None, true, "default Wide4 3-D");
 }
 
 #[test]
 fn table_free_seeds_match_reference_3d() {
     let (scene, obs) = scene_3d();
-    pin_3d(&obs, &scene, &Solver3DConfig::default(), None, false, "no geometry tables 3-D");
+    pin_3d(&obs, &scene, None, false, "no geometry tables 3-D");
 }
 
 #[test]
 fn fresh_warm_start_matches_reference_3d() {
     let (scene, obs) = scene_3d();
-    let config = Solver3DConfig::default();
+    let config = SolverConfig::default();
     let seeds =
         Solve3DSeeds::for_scene(scene.region(), (0.0, 1.0), &config, &scene.antenna_poses());
     let mut ws = Solver3DWorkspace::default();
     let cold = solve_3d_seeded_warm(&obs, &seeds, &config, &mut ws, None).expect("solvable");
     let warm = WarmStart3D::from_estimate(&cold);
-    pin_3d(&obs, &scene, &config, Some(&warm), true, "fresh warm start 3-D");
-}
-
-#[test]
-fn rssi_disabled_matches_reference_3d() {
-    let (scene, obs) = scene_3d();
-    let config = Solver3DConfig { rssi_sigma_db: f64::INFINITY, ..Solver3DConfig::default() };
-    pin_3d(&obs, &scene, &config, None, true, "rssi disabled 3-D");
+    pin_3d(&obs, &scene, Some(&warm), true, "fresh warm start 3-D");
 }
 
 #[test]
@@ -404,7 +385,7 @@ fn teleported_warm_start_matches_reference_3d() {
         kt: 5.0e-8,
         bt: 1.1,
     };
-    pin_3d(&obs, &scene, &Solver3DConfig::default(), Some(&stale), true, "stale warm 3-D");
+    pin_3d(&obs, &scene, Some(&stale), true, "stale warm 3-D");
 }
 
 /// Four of the six antennas against tables built for all six — what a
@@ -414,9 +395,7 @@ fn teleported_warm_start_matches_reference_3d() {
 #[test]
 fn four_antenna_fallback_matches_reference_3d() {
     let (scene, obs) = scene_3d();
-    for config in [Solver3DConfig::default(), Solver3DConfig::exhaustive()] {
-        pin_3d(&obs[..4], &scene, &config, None, true, "4 of 6 antennas");
-    }
+    pin_3d(&obs[..4], &scene, None, true, "4 of 6 antennas");
 }
 
 /// Workspace reuse across 3-D solves must not perturb results: nothing
@@ -427,7 +406,7 @@ fn dirty_workspace_reuse_is_bit_identical_3d() {
     let (_, obs_other) =
         observations_3d(Vec3::new(0.3, 1.7, 0.8), Vec3::new(-0.7, 0.2, 0.4), 58)
             .expect("3-D scene extracts");
-    let config = Solver3DConfig::default();
+    let config = SolverConfig::default();
     let seeds =
         Solve3DSeeds::for_scene(scene.region(), (0.0, 1.0), &config, &scene.antenna_poses());
 
@@ -515,8 +494,7 @@ fn lane_tallies_count_blocks_and_remainders() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Randomized scenes, pruned and exhaustive scans: the facade is the
-    /// oracle bit-for-bit.
+    /// Randomized scenes: the facade is the oracle bit-for-bit.
     #[test]
     fn facade_matches_reference_2d(
         x in -1.2f64..1.2,
@@ -525,20 +503,17 @@ proptest! {
         material_idx in 0usize..8,
         seed in 0u64..1000,
         clutter in proptest::bool::ANY,
-        exhaustive in proptest::bool::ANY,
     ) {
         let Some((scene, obs)) = observations_2d(x, y, alpha, material_idx, seed, clutter)
         else { return Ok(()) };
-        let config = if exhaustive { SolverConfig::exhaustive() } else { SolverConfig::default() };
-        pin_2d(&obs, &scene, &config, None, true, "randomized 2-D");
+        pin_2d(&obs, &scene, None, true, "randomized 2-D");
     }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// Randomized 3-D scenes, pruned and exhaustive scans: the facade is the
-    /// oracle bit-for-bit.
+    /// Randomized 3-D scenes: the facade is the oracle bit-for-bit.
     #[test]
     fn facade_matches_reference_3d(
         x in 0.2f64..1.0,
@@ -548,13 +523,10 @@ proptest! {
         dy in -1.0f64..1.0,
         dz in 0.1f64..1.0,
         seed in 0u64..1000,
-        exhaustive in proptest::bool::ANY,
     ) {
         let Some((scene, obs)) =
             observations_3d(Vec3::new(x, y, z), Vec3::new(dx, dy, dz), seed)
         else { return Ok(()) };
-        let config =
-            if exhaustive { Solver3DConfig::exhaustive() } else { Solver3DConfig::default() };
-        pin_3d(&obs, &scene, &config, None, true, "randomized 3-D");
+        pin_3d(&obs, &scene, None, true, "randomized 3-D");
     }
 }

@@ -1,11 +1,12 @@
 //! The pipelines own their solver seeds: whatever order its builders ran
 //! in, every entry point of a prism returns, bit for bit, the estimate of
 //! a layered re-drive — extract each antenna, then solve against seeds
-//! built independently from the prism's region and configuration.
+//! built independently from the prism's scene, at the paper's
+//! configuration.
 
 use rfp_core::model::{extract_observation, AntennaObservation, ExtractConfig};
 use rfp_core::solver::{solve_2d_seeded_warm, SolveSeeds, SolverConfig, SolverWorkspace};
-use rfp_core::solver3d::{solve_3d_seeded_warm, Solve3DSeeds, Solver3DConfig, Solver3DWorkspace};
+use rfp_core::solver3d::{solve_3d_seeded_warm, Solve3DSeeds, Solver3DWorkspace};
 use rfp_core::{InventorySensor, ItemOutcome, RfPrism, RfPrism3D, RfPrism3DConfig, RfPrismConfig};
 use rfp_core::{TagEstimate2D, TagEstimate3D, WarmStart, WarmStart3D};
 use rfp_dsp::preprocess::RawRead;
@@ -33,8 +34,8 @@ fn observations(scene: &Scene, reads: &[Vec<RawRead>]) -> Vec<AntennaObservation
 fn prism_seeds_follow_both_builder_orders_2d() {
     let scene = Scene::standard_2d();
     let (poses, plan, region) = (scene.antenna_poses(), scene.reader().plan, scene.region());
-    let solver = SolverConfig { position_starts: (4, 5), ..SolverConfig::default() };
-    let config = RfPrismConfig { solver, ..RfPrismConfig::paper() };
+    let solver = SolverConfig::default();
+    let config = RfPrismConfig::paper();
     let tag = SimTag::with_seeded_diversity(9)
         .with_motion(Motion::planar_static(Vec2::new(0.7, 1.8), 0.9));
     let reads = scene.survey(&tag, 4).per_antenna;
@@ -72,8 +73,8 @@ fn prism_seeds_follow_both_builder_orders_2d() {
 fn prism_seeds_follow_the_config_3d() {
     let scene = Scene::six_antenna_3d();
     let (poses, region, z_range) = (scene.antenna_poses(), scene.region(), (0.0, 1.5));
-    let solver = Solver3DConfig { position_starts: (4, 6), ..Solver3DConfig::default() };
-    let config = RfPrism3DConfig { solver, ..RfPrism3DConfig::paper() };
+    let solver = SolverConfig::default();
+    let config = RfPrism3DConfig::paper();
     let tag = SimTag::with_seeded_diversity(3).with_motion(Motion::Static {
         position: Vec3::new(0.8, 1.6, 0.7),
         dipole: Vec3::new(0.9, 0.1, 0.5).normalized(),

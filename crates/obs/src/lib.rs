@@ -59,5 +59,5 @@ pub use health::{Health, HealthReason, HealthReport};
 pub use json::{JsonError, JsonValue};
 pub use metrics::{Histogram, MetricDef, MetricKind, Registry};
 pub use recorder::{Recorder, SpanGuard};
-pub use report::{HistogramEntry, RunReport, SpanEntry, TelemetryFrame, MIN_SCHEMA_VERSION, SCHEMA_VERSION};
+pub use report::{HistogramEntry, RunReport, SpanEntry, TelemetryFrame, SCHEMA_VERSION};
 pub use span::{SpanNode, SpanTree};

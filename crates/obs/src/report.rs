@@ -20,11 +20,8 @@ use std::path::Path;
 ///
 /// History: v1 = PR 3 (counters/gauges/spans/histograms); v2 adds
 /// histogram `help` + estimated `p50`/`p90`/`p99` and the telemetry-frame
-/// record. Readers accept v1 documents (the added fields default).
+/// record. Readers accept only the current version.
 pub const SCHEMA_VERSION: u64 = 2;
-
-/// Oldest schema version [`RunReport::from_json`] still reads.
-pub const MIN_SCHEMA_VERSION: u64 = 1;
 
 /// One aggregated span in a report: its `/`-joined stage path plus the
 /// entry count and total time, in DFS first-entry order.
@@ -43,8 +40,7 @@ pub struct SpanEntry {
 pub struct HistogramEntry {
     /// Metric name.
     pub name: String,
-    /// One-line help text from the descriptor table (empty when read from
-    /// a v1 document, which did not carry it).
+    /// One-line help text from the descriptor table.
     pub help: String,
     /// Total observation count.
     pub count: u64,
@@ -54,8 +50,7 @@ pub struct HistogramEntry {
     pub min: Option<f64>,
     /// Largest observation (`None` when empty).
     pub max: Option<f64>,
-    /// Estimated median (bucket interpolation; `None` when empty or when
-    /// read from a v1 document).
+    /// Estimated median (bucket interpolation; `None` when empty).
     pub p50: Option<f64>,
     /// Estimated 90th percentile.
     pub p90: Option<f64>,
@@ -215,9 +210,9 @@ impl RunReport {
             .get("schema_version")
             .and_then(JsonValue::as_u64)
             .ok_or_else(|| schema_err("missing schema_version"))?;
-        if !(MIN_SCHEMA_VERSION..=SCHEMA_VERSION).contains(&version) {
+        if version != SCHEMA_VERSION {
             return Err(schema_err(&format!(
-                "unsupported schema_version {version} (expected {MIN_SCHEMA_VERSION}..={SCHEMA_VERSION})"
+                "unsupported schema_version {version} (expected {SCHEMA_VERSION})"
             )));
         }
         let name = v
@@ -301,12 +296,10 @@ impl RunReport {
                         .and_then(JsonValue::as_str)
                         .ok_or_else(|| schema_err("histogram missing name"))?
                         .to_string(),
-                    // `help` and the quantile estimates were added in v2;
-                    // v1 documents simply lack them.
                     help: h
                         .get("help")
                         .and_then(JsonValue::as_str)
-                        .unwrap_or_default()
+                        .ok_or_else(|| schema_err("histogram missing help"))?
                         .to_string(),
                     count: h
                         .get("count")
@@ -520,7 +513,7 @@ impl TelemetryFrame {
             .get("schema_version")
             .and_then(JsonValue::as_u64)
             .ok_or_else(|| schema_err("missing schema_version"))?;
-        if !(MIN_SCHEMA_VERSION..=SCHEMA_VERSION).contains(&version) {
+        if version != SCHEMA_VERSION {
             return Err(schema_err(&format!("unsupported schema_version {version}")));
         }
         let seq = v
@@ -656,12 +649,15 @@ mod tests {
 
     #[test]
     fn version_mismatch_is_rejected() {
-        let mut report_json = sample_report().to_json();
-        if let JsonValue::Obj(pairs) = &mut report_json {
-            pairs[0].1 = JsonValue::Num(999.0);
+        // A future version, and v1 (whose histograms had no `help`).
+        for version in [999.0, 1.0] {
+            let mut report_json = sample_report().to_json();
+            if let JsonValue::Obj(pairs) = &mut report_json {
+                pairs[0].1 = JsonValue::Num(version);
+            }
+            let err = RunReport::from_json(&report_json.to_pretty()).unwrap_err();
+            assert!(err.message.contains("schema_version"));
         }
-        let err = RunReport::from_json(&report_json.to_pretty()).unwrap_err();
-        assert!(err.message.contains("schema_version"));
     }
 
     #[test]
@@ -684,32 +680,6 @@ mod tests {
         assert!(!s.contains("nonexistent"));
         // ...but histograms with data show up.
         assert!(s.contains("solve.latency_us"));
-    }
-
-    #[test]
-    fn reads_v1_documents_with_defaults() {
-        // A schema-v1 histogram entry: no help, no quantile estimates.
-        let v1 = r#"{
-  "schema_version": 1,
-  "name": "sense",
-  "meta": {},
-  "spans": [],
-  "counters": {"solver.iterations": 3},
-  "gauges": {},
-  "histograms": [
-    {"name": "solve.latency_us", "count": 1, "sum": 40, "min": 40, "max": 40,
-     "bounds": [100, 1000], "buckets": [1, 0, 0]}
-  ]
-}"#;
-        let report = RunReport::from_json(v1).unwrap();
-        assert_eq!(report.counters[0], ("solver.iterations".to_string(), 3));
-        let h = &report.histograms[0];
-        assert_eq!(h.help, "");
-        assert_eq!(h.p50, None);
-        assert_eq!(h.count, 1);
-        // Re-serializing upgrades the stamp to the current version.
-        let v = report.to_json();
-        assert_eq!(v.get("schema_version").and_then(JsonValue::as_u64), Some(SCHEMA_VERSION));
     }
 
     #[test]

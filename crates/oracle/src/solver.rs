@@ -19,18 +19,145 @@
 //! that the [`WarmGate`](rfp_core::solver::WarmGate) cached-floor fast
 //! path is omitted — the gate only skips work, it never changes which
 //! optimum wins, so the un-cached flow here is the semantic ground truth —
-//! and that the oracle builds its own seeds ([`Reference2DSeeds`],
+//! that the oracle builds its own seeds ([`Reference2DSeeds`],
 //! [`Reference3DSeeds`]) and takes its [`Jacobian`] mode as a parameter,
-//! since the shipped configurations carry no Jacobian choice.
+//! since the shipped configurations carry no Jacobian choice, and that it
+//! keeps its own copies of the solver configurations
+//! ([`Reference2DConfig`], [`Reference3DConfig`]: the fields, defaults
+//! and `exhaustive()` the facade's `SolverConfig` and `Solver3DConfig`
+//! had before the facade's values became constants), so the tests can
+//! still reach the refine-everything scan.
 //!
 //! Do not "improve" this module — its value is that it does not change.
 
 use rfp_core::model::AntennaObservation;
-use rfp_core::solver::{SolveError, SolveStats, SolverConfig, TagEstimate2D, WarmStart};
-use rfp_core::solver3d::{Solve3DError, Solver3DConfig, TagEstimate3D, WarmStart3D};
+use rfp_core::solver::{SolveError, SolveStats, TagEstimate2D, WarmStart};
+use rfp_core::solver3d::{Solve3DError, TagEstimate3D, WarmStart3D};
 use rfp_geom::{angle, AntennaPose, Region2, Vec2, Vec3};
 use rfp_phys::polarization::{orientation_phase, planar_dipole, projection_magnitude};
 use rfp_phys::propagation;
+
+// ---------------------------------------------------------------------------
+// Configurations
+// ---------------------------------------------------------------------------
+
+/// Configuration of the 2-D oracle: a frozen copy of the facade's former
+/// 2-D `SolverConfig`, whose default is the paper's configuration.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Reference2DConfig {
+    /// Expected slope noise (rad/Hz); weights the slope residuals.
+    pub slope_sigma: f64,
+    /// Expected intercept noise (rad); weights the intercept residuals.
+    pub intercept_sigma: f64,
+    /// Multi-start position grid (nx, ny) over the working region.
+    pub position_starts: (usize, usize),
+    /// Sets the orientation scan: `max(8 · orientation_starts, 24)`
+    /// evenly spaced α seeds in `[0, π)`.
+    pub orientation_starts: usize,
+    /// Maximum LM iterations per start.
+    pub max_iterations: usize,
+    /// Relative cost-decrease tolerance for LM convergence.
+    pub tolerance: f64,
+    /// Expected RSSI noise (dB) of the mode penalty; `f64::INFINITY`
+    /// disables the penalty.
+    pub rssi_sigma_db: f64,
+    /// Stage-1 beam width; `None` refines every seed.
+    pub refine_top_k: Option<usize>,
+    /// Cost-plateau early exit; `0` disables it.
+    pub early_exit_rel_tol: f64,
+    /// Warm-start validation gate tolerance against the coarse-scan floor.
+    pub warm_gate_rel_tol: f64,
+}
+
+impl Default for Reference2DConfig {
+    fn default() -> Self {
+        Reference2DConfig {
+            slope_sigma: 1.0e-10,
+            intercept_sigma: 0.08,
+            position_starts: (6, 6),
+            orientation_starts: 6,
+            max_iterations: 60,
+            tolerance: 1e-10,
+            rssi_sigma_db: 1.0,
+            refine_top_k: Some(8),
+            early_exit_rel_tol: 0.5,
+            warm_gate_rel_tol: 0.25,
+        }
+    }
+}
+
+impl Reference2DConfig {
+    /// Refine every multi-start seed with no early exit: the pre-pruning
+    /// scan.
+    #[must_use]
+    pub fn exhaustive() -> Self {
+        Reference2DConfig {
+            refine_top_k: None,
+            early_exit_rel_tol: 0.0,
+            ..Reference2DConfig::default()
+        }
+    }
+}
+
+/// Configuration of the 3-D oracle: a frozen copy of the facade's former
+/// `Solver3DConfig`, whose default is the paper's configuration.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Reference3DConfig {
+    /// Expected slope noise (rad/Hz).
+    pub slope_sigma: f64,
+    /// Expected intercept noise (rad).
+    pub intercept_sigma: f64,
+    /// Multi-start grid over (x, y).
+    pub position_starts: (usize, usize),
+    /// Multi-start levels over z within `z_range`.
+    pub z_starts: usize,
+    /// Polar ring count of the dipole scan (clamped to ≥ 3), each ring
+    /// scanned at `2 · rings` azimuths.
+    pub dipole_starts: usize,
+    /// Maximum LM iterations per start.
+    pub max_iterations: usize,
+    /// Relative cost tolerance.
+    pub tolerance: f64,
+    /// Expected RSSI noise (dB); `f64::INFINITY` disables the penalty.
+    pub rssi_sigma_db: f64,
+    /// Stage-1 beam width; `None` refines every `(x, y, z)` seed.
+    pub refine_top_k: Option<usize>,
+    /// Cost-plateau early exit; `0` disables it.
+    pub early_exit_rel_tol: f64,
+    /// Warm-start validation gate tolerance against the coarse-scan floor.
+    pub warm_gate_rel_tol: f64,
+}
+
+impl Default for Reference3DConfig {
+    fn default() -> Self {
+        Reference3DConfig {
+            slope_sigma: 1.0e-10,
+            intercept_sigma: 0.08,
+            position_starts: (5, 5),
+            z_starts: 3,
+            dipole_starts: 6,
+            max_iterations: 80,
+            tolerance: 1e-10,
+            rssi_sigma_db: 1.0,
+            refine_top_k: Some(16),
+            early_exit_rel_tol: 0.5,
+            warm_gate_rel_tol: 0.25,
+        }
+    }
+}
+
+impl Reference3DConfig {
+    /// Refine every multi-start seed with no early exit: the pre-pruning
+    /// scan.
+    #[must_use]
+    pub fn exhaustive() -> Self {
+        Reference3DConfig {
+            refine_top_k: None,
+            early_exit_rel_tol: 0.0,
+            ..Reference3DConfig::default()
+        }
+    }
+}
 
 /// How the oracle's LM refinements obtain the Jacobian of the residuals.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -106,7 +233,7 @@ impl SeedGeometry {
 
 impl Reference2DSeeds {
     /// The seeds for `region` under `config`, without geometry tables.
-    pub fn new(region: Region2, config: &SolverConfig) -> Self {
+    pub fn new(region: Region2, config: &Reference2DConfig) -> Self {
         let (nx, ny) = config.position_starts;
         Reference2DSeeds {
             position_starts: region.grid(nx.max(1), ny.max(1)).map(|p| p.with_z(0.0)).collect(),
@@ -117,7 +244,7 @@ impl Reference2DSeeds {
     }
 
     /// [`Reference2DSeeds::new`] plus the geometry tables of `poses`.
-    pub fn for_scene(region: Region2, config: &SolverConfig, poses: &[AntennaPose]) -> Self {
+    pub fn for_scene(region: Region2, config: &Reference2DConfig, poses: &[AntennaPose]) -> Self {
         let mut seeds = Self::new(region, config);
         let n = seeds.alpha_steps;
         let dipoles = (0..n).map(|a| planar_dipole(std::f64::consts::PI * a as f64 / n as f64));
@@ -128,7 +255,7 @@ impl Reference2DSeeds {
 
 impl Reference3DSeeds {
     /// The seeds for the `region × z_range` box, without geometry tables.
-    pub fn new(region: Region2, z_range: (f64, f64), config: &Solver3DConfig) -> Self {
+    pub fn new(region: Region2, z_range: (f64, f64), config: &Reference3DConfig) -> Self {
         let (nx, ny) = config.position_starts;
         let (z_lo, z_hi) = z_range;
         let z_starts = config.z_starts.max(1);
@@ -152,7 +279,7 @@ impl Reference3DSeeds {
     pub fn for_scene(
         region: Region2,
         z_range: (f64, f64),
-        config: &Solver3DConfig,
+        config: &Reference3DConfig,
         poses: &[AntennaPose],
     ) -> Self {
         let mut seeds = Self::new(region, z_range, config);
@@ -545,7 +672,7 @@ fn pooled(pool: &mut Vec<Vec<f64>>) -> Vec<f64> {
 }
 
 /// True when the multi-start scan runs the legacy exhaustive loop.
-fn is_exhaustive_2d(config: &SolverConfig) -> bool {
+fn is_exhaustive_2d(config: &Reference2DConfig) -> bool {
     config.refine_top_k.is_none() && config.early_exit_rel_tol <= 0.0
 }
 
@@ -560,7 +687,7 @@ fn is_exhaustive_2d(config: &SolverConfig) -> bool {
 pub fn solve_2d_reference(
     observations: &[AntennaObservation],
     seeds: &Reference2DSeeds,
-    config: &SolverConfig,
+    config: &Reference2DConfig,
     jacobian: Jacobian,
     workspace: &mut Reference2DWorkspace,
     warm: Option<&WarmStart>,
@@ -772,7 +899,7 @@ fn coarse_seed_cost_2d(
     geometry: Option<&SeedGeometry>,
     s: usize,
     seed_pos: Vec2,
-    config: &SolverConfig,
+    config: &Reference2DConfig,
 ) -> (f64, f64) {
     let n_obs = observations.len();
     let mut cost = 0.0;
@@ -812,7 +939,7 @@ fn coarse_seed_cost_2d(
 fn scan_alphas_2d(
     observations: &[AntennaObservation],
     geometry: Option<&SeedGeometry>,
-    config: &SolverConfig,
+    config: &Reference2DConfig,
     alpha_steps: usize,
     candidate: (f64, f64, f64),
     dists: &mut Vec<f64>,
@@ -875,7 +1002,7 @@ fn build_estimate_2d(
     observations: &[AntennaObservation],
     p: &[f64],
     cost: f64,
-    config: &SolverConfig,
+    config: &Reference2DConfig,
     jacobian: Jacobian,
     scratch: &mut UncertScratch,
 ) -> TagEstimate2D {
@@ -905,7 +1032,7 @@ const SLOPE_STEPS_2D: [f64; 3] = [1e-4, 1e-4, 1e-13];
 fn refine_joint_2d(
     lm: &mut LmWorkspace,
     observations: &[AntennaObservation],
-    config: &SolverConfig,
+    config: &Reference2DConfig,
     jacobian: Jacobian,
     p0: Vec<f64>,
 ) -> (Vec<f64>, f64) {
@@ -937,7 +1064,7 @@ fn refine_joint_2d(
 fn refine_slope_2d(
     lm: &mut LmWorkspace,
     observations: &[AntennaObservation],
-    config: &SolverConfig,
+    config: &Reference2DConfig,
     jacobian: Jacobian,
     p0: Vec<f64>,
 ) -> (Vec<f64>, f64) {
@@ -972,7 +1099,7 @@ fn refine_slope_2d(
 fn estimate_uncertainty(
     observations: &[AntennaObservation],
     p: &[f64],
-    config: &SolverConfig,
+    config: &Reference2DConfig,
     jacobian: Jacobian,
     scratch: &mut UncertScratch,
 ) -> (f64, f64, [[f64; 2]; 2]) {
@@ -1127,7 +1254,7 @@ where
 fn residuals_and_jacobian_2d(
     observations: &[AntennaObservation],
     p: &[f64],
-    config: &SolverConfig,
+    config: &Reference2DConfig,
     r: &mut Vec<f64>,
     jac: Option<&mut Vec<f64>>,
 ) {
@@ -1183,7 +1310,7 @@ fn residuals_and_jacobian_2d(
 fn slope_residuals_and_jacobian_2d(
     observations: &[AntennaObservation],
     p: &[f64],
-    config: &SolverConfig,
+    config: &Reference2DConfig,
     r: &mut Vec<f64>,
     jac: Option<&mut Vec<f64>>,
 ) {
@@ -1277,7 +1404,7 @@ impl Reference3DWorkspace {
 }
 
 /// True when the multi-start scan runs the legacy exhaustive loop.
-fn is_exhaustive_3d(config: &Solver3DConfig) -> bool {
+fn is_exhaustive_3d(config: &Reference3DConfig) -> bool {
     config.refine_top_k.is_none() && config.early_exit_rel_tol <= 0.0
 }
 
@@ -1298,7 +1425,7 @@ fn dipole_from_angles(theta: f64, phi: f64) -> Vec3 {
 pub fn solve_3d_reference(
     observations: &[AntennaObservation],
     seeds: &Reference3DSeeds,
-    config: &Solver3DConfig,
+    config: &Reference3DConfig,
     jacobian: Jacobian,
     workspace: &mut Reference3DWorkspace,
     warm: Option<&WarmStart3D>,
@@ -1533,7 +1660,7 @@ fn coarse_seed_cost_3d(
     geometry: Option<&SeedGeometry>,
     s: usize,
     pos: Vec3,
-    config: &Solver3DConfig,
+    config: &Reference3DConfig,
 ) -> (f64, f64) {
     let n_obs = observations.len();
     let mut cost = 0.0;
@@ -1580,7 +1707,7 @@ fn coarse_seed_cost_3d(
 fn scan_dipoles_3d(
     observations: &[AntennaObservation],
     geometry: Option<&SeedGeometry>,
-    config: &Solver3DConfig,
+    config: &Reference3DConfig,
     rings: usize,
     candidate: (f64, f64, f64, f64),
     dists: &mut Vec<f64>,
@@ -1670,7 +1797,7 @@ const SLOPE_STEPS_3D: [f64; 4] = [1e-4, 1e-4, 1e-4, 1e-13];
 fn refine_joint_3d(
     lm: &mut LmWorkspace,
     observations: &[AntennaObservation],
-    config: &Solver3DConfig,
+    config: &Reference3DConfig,
     jacobian: Jacobian,
     p0: Vec<f64>,
 ) -> (Vec<f64>, f64) {
@@ -1702,7 +1829,7 @@ fn refine_joint_3d(
 fn refine_slope_3d(
     lm: &mut LmWorkspace,
     observations: &[AntennaObservation],
-    config: &Solver3DConfig,
+    config: &Reference3DConfig,
     jacobian: Jacobian,
     p0: Vec<f64>,
 ) -> (Vec<f64>, f64) {
@@ -1735,7 +1862,7 @@ fn refine_slope_3d(
 fn residuals_and_jacobian_3d(
     observations: &[AntennaObservation],
     p: &[f64],
-    config: &Solver3DConfig,
+    config: &Reference3DConfig,
     r: &mut Vec<f64>,
     jac: Option<&mut Vec<f64>>,
 ) {
@@ -1798,7 +1925,7 @@ fn residuals_and_jacobian_3d(
 fn slope_residuals_and_jacobian_3d(
     observations: &[AntennaObservation],
     p: &[f64],
-    config: &Solver3DConfig,
+    config: &Reference3DConfig,
     r: &mut Vec<f64>,
     jac: Option<&mut Vec<f64>>,
 ) {
@@ -1919,7 +2046,7 @@ mod tests {
             .zip(&survey.per_antenna)
             .map(|(&p, r)| extract_observation(p, r, &ExtractConfig::paper()).unwrap())
             .collect();
-        let config = SolverConfig::default();
+        let config = Reference2DConfig::default();
         let seeds = Reference2DSeeds::for_scene(region(), &config, &scene.antenna_poses());
         let mut ws = Reference2DWorkspace::default();
         let est =
@@ -1942,7 +2069,7 @@ mod tests {
             .zip(&survey.per_antenna)
             .map(|(&p, r)| extract_observation(p, r, &ExtractConfig::paper()).unwrap())
             .collect();
-        let config = Solver3DConfig::default();
+        let config = Reference3DConfig::default();
         let seeds = Reference3DSeeds::for_scene(
             scene.region(),
             (0.0, 1.0),

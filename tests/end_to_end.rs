@@ -200,7 +200,8 @@ fn multipath_suppression_recovers_accuracy() {
 /// slope redundancy — see the `ablation_antennas_3d` bench).
 #[test]
 fn three_dimensional_sensing() {
-    use rf_prism::core::solver3d::{solve_3d, Solver3DConfig};
+    use rf_prism::core::solver3d::solve_3d;
+    use rf_prism::core::SolverConfig;
     let scene = Scene::six_antenna_3d();
     let truth = Vec3::new(0.6, 1.5, 0.6);
     let dipole = Vec3::new(0.8, 0.1, 0.6).normalized();
@@ -220,7 +221,7 @@ fn three_dimensional_sensing() {
             .expect("usable")
         })
         .collect();
-    let est = solve_3d(&observations, scene.region(), (0.0, 1.5), &Solver3DConfig::default())
+    let est = solve_3d(&observations, scene.region(), (0.0, 1.5), &SolverConfig::default())
         .expect("solvable");
     assert!(est.position.distance(truth) < 0.4, "3-D error {}", est.position.distance(truth));
 }

@@ -236,8 +236,14 @@ const HOSTILE_VALUES: [f64; 6] = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 1e
 /// front end's last slot, past it, and the largest index.
 const HOSTILE_CHANNELS: [usize; 4] = [50, 65_535, 65_536, usize::MAX];
 
+/// The finite offsets a hostile read's frequency takes, in Hz: a
+/// neighbouring channel's spacing, past the band's edges, past 0 Hz, and
+/// far off.
+const FREQUENCY_OFFSETS_HZ: [f64; 8] = [10e6, -10e6, 250e6, 900e6, -900e6, -910e6, -2e9, 1e12];
+
 /// The number of ways [`corrupt`] can break a read.
-const READ_KINDS: usize = 4 * HOSTILE_VALUES.len() + HOSTILE_CHANNELS.len() + 1;
+const READ_KINDS: usize =
+    4 * HOSTILE_VALUES.len() + HOSTILE_CHANNELS.len() + FREQUENCY_OFFSETS_HZ.len() + 1;
 
 /// The number of ways [`corrupt_survey`] can break a survey: a read
 /// broken by [`corrupt`], one antenna's reads in reverse order, or one
@@ -245,10 +251,12 @@ const READ_KINDS: usize = 4 * HOSTILE_VALUES.len() + HOSTILE_CHANNELS.len() + 1;
 const HOSTILE_KINDS: usize = READ_KINDS + 2;
 
 /// Breaks `read` in way `kind`: its phase, frequency, RSSI or timestamp
-/// takes a hostile value, its channel a hostile index, or (the last kind)
-/// its phase moves a radian while its phase code stays behind.
+/// takes a hostile value, its channel a hostile index, its frequency a
+/// finite offset, or (the last kind) its phase moves a radian while its
+/// phase code stays behind.
 fn corrupt(read: &mut RawRead, kind: usize) {
     let fields = 4 * HOSTILE_VALUES.len();
+    let channels = fields + HOSTILE_CHANNELS.len();
     if kind < fields {
         let value = HOSTILE_VALUES[kind % HOSTILE_VALUES.len()];
         match kind / HOSTILE_VALUES.len() {
@@ -257,8 +265,10 @@ fn corrupt(read: &mut RawRead, kind: usize) {
             2 => read.rssi_dbm = value,
             _ => read.timestamp_s = value,
         }
-    } else if kind < fields + HOSTILE_CHANNELS.len() {
+    } else if kind < channels {
         read.channel = HOSTILE_CHANNELS[kind - fields];
+    } else if kind < channels + FREQUENCY_OFFSETS_HZ.len() {
+        read.frequency_hz += FREQUENCY_OFFSETS_HZ[kind - channels];
     } else {
         read.phase = (read.phase + 1.0) % std::f64::consts::TAU;
     }
@@ -381,7 +391,8 @@ proptest! {
     /// Hostile input at every public entry point: one read, or every read
     /// of one antenna, of a seeded survey gets a non-finite or ±1e300
     /// phase, frequency, RSSI or timestamp, a −0.0 in one of them, an
-    /// out-of-range channel or a stale phase code; or one antenna's reads
+    /// out-of-range channel, a frequency offset by ±10 MHz to +1 THz (past
+    /// 0 Hz included) or a stale phase code; or one antenna's reads
     /// arrive in reverse order, or one read is stamped before its
     /// predecessor. `sense`, `sense_warm`, `take_stock` (identifier and
     /// calibration installed, so the material path runs), a fresh
