@@ -174,6 +174,14 @@ metrics! {
         "solver.chol_failures",
         "damped normal equations rejected as non-positive-definite"
     ),
+    SOLVER_SCAN_SEEDS: counter(
+        "solver.scan_seeds",
+        "closed-form b_t seeds the orientation scans computed"
+    ),
+    SOLVER_SCAN_EXACT: counter(
+        "solver.scan_exact",
+        "scan directions whose cost the orientation scans evaluated exactly"
+    ),
 }
 
 #[cfg(feature = "obs")]

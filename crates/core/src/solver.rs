@@ -403,16 +403,10 @@ pub struct Workspace<const J: usize, const S: usize> {
     /// Stage-1 refined candidates `(params, cost, seed index)`.
     position_candidates: Vec<([f64; S], f64, usize)>,
     /// `(coarse cost, seed index, k_t seed)` ranking of the coarse-to-fine
-    /// scan.
+    /// scan; only its beam prefix is sorted.
     coarse: Vec<(f64, usize, f64)>,
-    /// `(direction index, b_t seed, ranking cost)` per scan direction,
-    /// sorted best-first. The `b_t` seeds depend only on the observations
-    /// and the direction, so the first scan of a solve computes them and
-    /// later scans of the same solve keep them; emptied at every solve
-    /// entry.
-    ranked: Vec<(usize, f64, f64)>,
-    /// Per-antenna rows of the current scan candidate.
-    rows: ScanRows,
+    /// The orientation scan's state.
+    scan: ScanState,
     /// Stage-3 refined candidates; the winner is extracted by index.
     refined: Vec<([f64; J], f64)>,
     /// Each observation's column in the seeds' geometry tables, mapped by
@@ -428,14 +422,52 @@ pub struct Workspace<const J: usize, const S: usize> {
 /// The 2-D solver's workspace (see [`Workspace`]).
 pub type SolverWorkspace = Workspace<5, 3>;
 
-/// Per-antenna rows of the orientation scan at one candidate.
+/// The orientation scan's buffers (see [`scan`]). Every column is sized
+/// exactly: one entry per antenna, per scan direction, or per short-list
+/// slot (plus the one the selection needs).
 #[derive(Debug, Default)]
-struct ScanRows {
-    /// Distances to the candidate position.
+struct ScanState {
+    /// Distances from each antenna to the current candidate.
     dists: Vec<f64>,
     /// `rssiᵢ + 40·log10(dᵢ)` — the direction-independent half of the RSSI
     /// penalty, hoisted out of the scan.
     rssi_base: Vec<f64>,
+    /// Per antenna, `bᵢ − θ_orient` of the direction whose intercept bound
+    /// is being computed, wrapped into `[0, 2π)`.
+    offsets: Vec<f64>,
+    /// Per scan direction, its intercept bound and its `b_t` seed. Both
+    /// depend on the observations and the direction only, so the first
+    /// scan of a solve fills the column and later scans of the same solve
+    /// keep it.
+    dirs: Vec<ScanDir>,
+    /// The scan's best `(direction index, b_t seed, cost)` entries,
+    /// best-first: the short-list the joint refinements start from.
+    ranked: Vec<(usize, f64, f64)>,
+    /// `b_t` seeds computed in the current solve.
+    seeds: u64,
+    /// Directions whose cost was evaluated exactly in the current solve.
+    exact: u64,
+}
+
+impl ScanState {
+    /// Forgets the previous solve: its bounds and seeds belong to its
+    /// observations.
+    fn reset(&mut self) {
+        self.dirs.clear();
+        self.seeds = 0;
+        self.exact = 0;
+    }
+}
+
+/// One scan direction's per-solve state.
+#[derive(Debug, Clone, Copy)]
+struct ScanDir {
+    /// Lower bound on the direction's intercept cost over every `b_t`
+    /// (see [`intercept_bound`]).
+    lb: f64,
+    /// The direction's closed-form `b_t` seed; NaN until the direction is
+    /// first evaluated exactly.
+    bt: f64,
 }
 
 impl<const J: usize, const S: usize> Workspace<J, S> {
@@ -767,6 +799,8 @@ pub(crate) fn solve<D: SceneDim<J, S>, const J: usize, const S: usize>(
             (obs::id::SOLVER_CHOL_FAILURES, step_work.chol_failures),
             (obs::id::SOLVER_WARM_HITS, u64::from(warm_hit)),
             (obs::id::SOLVER_WARM_MISSES, u64::from(warm_miss)),
+            (obs::id::SOLVER_SCAN_SEEDS, workspace.scan.seeds),
+            (obs::id::SOLVER_SCAN_EXACT, workspace.scan.exact),
         ]);
     }
     Ok(D::estimate(observations, &p, cost, &mut workspace.joint))
@@ -787,8 +821,7 @@ fn search<D: SceneDim<J, S>, const J: usize, const S: usize>(
         slope,
         position_candidates,
         coarse,
-        ranked,
-        rows,
+        scan: scan_state,
         refined,
         columns,
         lanes,
@@ -797,8 +830,9 @@ fn search<D: SceneDim<J, S>, const J: usize, const S: usize>(
     let columns = &columns[..];
     position_candidates.clear();
     refined.clear();
-    // The scan's b_t seeds are keyed by the observations of *this* solve.
-    ranked.clear();
+    // The scan's bounds and b_t seeds are keyed by the observations of
+    // *this* solve.
+    scan_state.reset();
     let joint_model = JointRows::<D, J, S> { observations, dim: PhantomData };
     let slope_model = SlopeRows::<D, J, S> { observations, dim: PhantomData };
 
@@ -835,7 +869,7 @@ fn search<D: SceneDim<J, S>, const J: usize, const S: usize>(
     };
     let mut coarse_ready = cached_floor.is_none();
     if coarse_ready {
-        rank_coarse(observations, seeds, columns, coarse, lanes);
+        rank_coarse(observations, seeds, columns, D::BEAM, coarse, lanes);
     }
 
     // Warm start: refine the prior first and gate the result against the
@@ -865,15 +899,15 @@ fn search<D: SceneDim<J, S>, const J: usize, const S: usize>(
         };
         if !accept {
             if !coarse_ready {
-                rank_coarse(observations, seeds, columns, coarse, lanes);
+                rank_coarse(observations, seeds, columns, D::BEAM, coarse, lanes);
                 coarse_ready = true;
             }
             let (_, best_seed, best_kt) = coarse[0];
             let p0 = slope_seed(seeds.position_starts[best_seed], best_kt);
             let (sp, _) = slope.refine(&slope_model, p0, D::MAX_ITERATIONS, TOLERANCE);
             seeds_refined += 1;
-            scan(observations, seeds, columns, &sp, rows, ranked);
-            let floor = ranked.first().map_or(f64::INFINITY, |&(_, _, c)| c);
+            scan(observations, seeds, columns, &sp, scan_state);
+            let floor = scan_state.ranked.first().map_or(f64::INFINITY, |&(_, _, c)| c);
             if let Some(g) = gate.as_deref_mut() {
                 g.anchor(floor);
             }
@@ -892,7 +926,7 @@ fn search<D: SceneDim<J, S>, const J: usize, const S: usize>(
     // A deferred coarse ranking is needed after all (warm gate missed, or
     // the prior was absent) for the stage-1 beam.
     if !coarse_ready {
-        rank_coarse(observations, seeds, columns, coarse, lanes);
+        rank_coarse(observations, seeds, columns, D::BEAM, coarse, lanes);
     }
 
     // Stage 1: slope-only position solve of the beam of coarse-ranked
@@ -953,9 +987,9 @@ fn search<D: SceneDim<J, S>, const J: usize, const S: usize>(
     let mut best_inside: Option<(usize, f64)> = None;
     let mut best_any: Option<(usize, f64)> = None;
     for &(c, _, _) in &position_candidates[..kept.max(1)] {
-        scan(observations, seeds, columns, &c, rows, ranked);
+        scan(observations, seeds, columns, &c, scan_state);
         let _refine_span = obs::span("joint_refine");
-        for (rank, &(dir, bt0, scan_cost)) in ranked.iter().take(D::SHORTLIST).enumerate() {
+        for (rank, &(dir, bt0, scan_cost)) in scan_state.ranked.iter().enumerate() {
             // Plateau exit across the joint short-list — but always refine
             // at least two directions per candidate, so the twin-mode
             // disambiguation (truth vs its RSSI-implausible mirror) never
@@ -1003,8 +1037,10 @@ fn slope_seed<const S: usize>(seed: Vec3, kt: f64) -> [f64; S] {
 /// every position seed scored by its *unrefined* slope cost — an O(N)
 /// table lookup per seed, over the table columns of the antennas present.
 /// Ties break towards grid order; the explicit (cost, index) key makes
-/// the ordering total, so the unstable (allocation-free) sort is
-/// deterministic.
+/// the ordering total, so the unstable (allocation-free) selection and
+/// sort are deterministic. Only the first `beam` entries are read (the
+/// floor reads the first), so only that prefix is selected and sorted;
+/// it holds exactly what a full sort puts there.
 ///
 /// The ranking evaluates 4 seeds per pass over the slope table: the two
 /// per-seed accumulations (`k_t` seed mean, then the cost) run in 4
@@ -1015,6 +1051,7 @@ fn rank_coarse<D>(
     observations: &[AntennaObservation],
     seeds: &Seeds<D>,
     columns: &[usize],
+    beam: usize,
     coarse: &mut Vec<(f64, usize, f64)>,
     lanes: &mut LaneStats,
 ) {
@@ -1050,9 +1087,14 @@ fn rank_coarse<D>(
         coarse.push((cost, idx, kt0));
     }
     lanes.scalar_rows += (n_seeds - s) as u64;
-    coarse.sort_unstable_by(|a, b| {
+    let by_key = |a: &(f64, usize, f64), b: &(f64, usize, f64)| {
         a.0.partial_cmp(&b.0).expect("finite costs").then_with(|| a.1.cmp(&b.1))
-    });
+    };
+    if coarse.len() > beam {
+        coarse.select_nth_unstable_by(beam, by_key);
+    }
+    let prefix = beam.min(coarse.len());
+    coarse[..prefix].sort_unstable_by(by_key);
 }
 
 /// The cheap stage-1 score of grid seed `s`: the closed-form `k_t` seed,
@@ -1076,82 +1118,253 @@ fn coarse_seed_cost(
     (kt0, cost)
 }
 
-/// Stage 2 at one stage-1 candidate `c` (position + `k_t`): ranks every
-/// scan direction by the full cost (slope + wrapped intercept + RSSI mode
-/// penalty) and leaves `ranked` sorted best-first. Everything
-/// direction-independent — the per-antenna distances, the slope half of
-/// the cost and the RSSI penalty's `rssiᵢ + 40·log10(dᵢ)` base — is
-/// hoisted out of the scan, and the orientation/projection rows are read
-/// from the geometry tables' columns of the antennas present.
+/// Relative and absolute slack the scan takes off each direction's bound
+/// (see [`scan`]): orders of magnitude above the rounding of either sum
+/// (about 1e-15 relative, 1e-11 absolute), so a bound computed in floating
+/// point stays at or below the exact cost computed in floating point.
+const BOUND_SLACK: f64 = 1e-9;
+
+/// Stage 2 at one stage-1 candidate `c` (position + `k_t`): leaves in
+/// `state.ranked` the `SHORTLIST` scan directions of least full cost
+/// (slope + wrapped intercept + RSSI mode penalty) at their closed-form
+/// `b_t` seeds, best-first by `(cost, direction index)` — exactly the
+/// first entries a full sort of every direction would give, bit for bit,
+/// while seeding and costing only a few directions exactly.
 ///
-/// The first scan of a solve (`ranked` empty) computes each direction's
-/// closed-form `b_t` seed, the circular mean of `bᵢ − θ_orient`; it
-/// depends on the observations and the direction only, so later scans of
-/// the same solve keep the seeds already in `ranked` and only re-cost
-/// them. Each cost is computed independently and the (cost, direction)
-/// sort key is a total order, so a re-costed scan ranks exactly as a fresh
-/// one would, bit for bit.
+/// Everything direction-independent — the per-antenna distances, the
+/// slope half of the cost and the RSSI penalty's `rssiᵢ + 40·log10(dᵢ)`
+/// base — is hoisted out of the scan, and the orientation/projection rows
+/// are read from the geometry tables' columns of the antennas present.
+/// Each direction has a lower bound on its cost that needs no trig: the
+/// slope cost, plus the direction's intercept bound (valid for every
+/// `b_t`, [`intercept_bound`]), plus its RSSI penalty, less
+/// [`BOUND_SLACK`]. The scan
+///
+/// 1. bounds every direction and evaluates exactly the `SHORTLIST`
+///    directions with the smallest `(bound, direction)` keys;
+/// 2. then evaluates exactly any other direction whose bound does not
+///    strictly exceed the current `SHORTLIST`-th `(cost, direction)` key,
+///    keeping the best `SHORTLIST`. A direction it skips has a cost above
+///    that key, so it could not have entered. When even the next-smallest
+///    bound exceeds the key — nearly every scan — no other direction is
+///    looked at again.
+///
+/// A NaN bound is taken as −∞, so it falls through to exact evaluation.
+/// The first scan of a solve computes every direction's intercept bound;
+/// a direction's `b_t` seed (the circular mean of `bᵢ − θ_orient`) is
+/// computed the first time the direction is evaluated exactly. Both depend
+/// on the observations and the direction only, so later scans of the same
+/// solve keep them. Each cost is computed independently, by the
+/// expressions a full scan uses, so the short-list does not depend on
+/// which directions were evaluated or in what order.
 fn scan<D: SceneDim<J, S>, const J: usize, const S: usize>(
     observations: &[AntennaObservation],
     seeds: &Seeds<D>,
     columns: &[usize],
     c: &[f64; S],
-    rows: &mut ScanRows,
-    ranked: &mut Vec<(usize, f64, f64)>,
+    state: &mut ScanState,
 ) {
-    let g = &seeds.geometry;
-    let (pos, kt) = (position::<S>(c), c[S - 1]);
-    let ScanRows { dists, rssi_base } = rows;
-    dists.clear();
-    let mut slope_cost = 0.0;
-    for o in observations {
-        let d = o.pose.position().distance(pos);
-        let rs = (o.slope - propagation::slope_from_distance(d) - kt) / SLOPE_SIGMA;
-        slope_cost += rs * rs;
-        dists.push(d);
-    }
-    // The direction-independent half of the RSSI penalty. Entries for
-    // unreadable distances may be NaN/−∞, but the penalty's guards return
-    // before reading them — exactly as the unhoisted kernel returned
-    // before computing the term at all.
-    rssi_base.clear();
-    for (o, &d) in observations.iter().zip(dists.iter()) {
-        rssi_base.push(o.mean_rssi_dbm + 40.0 * d.log10());
-    }
+    let ScanState { dists, rssi_base, offsets, dirs, ranked, seeds: seeded, exact } = state;
+    let at = ScanAt::new(observations, &seeds.geometry, columns, c, dists, rssi_base);
     // Rank directions by full cost at this position; spurious twin-mode
     // basins often fit the phases *better* than the true mode under noise,
     // so the RSSI mode penalty is applied already in the ranking —
     // otherwise they crowd truth out of the refinement short-list entirely.
     let _scan_span = obs::span(D::SPANS.1);
-    let seeded = !ranked.is_empty();
-    if !seeded {
-        ranked.extend((0..seeds.dim.scan_len()).map(|dir| (dir, 0.0, 0.0)));
-    }
-    for entry in ranked.iter_mut() {
-        let dir = entry.0;
-        let orow = g.row(&g.orient, dir);
-        if !seeded {
-            entry.1 = angle::circular_mean(
-                observations.iter().zip(columns).map(|(o, &c)| o.intercept - orow[c]),
-            )
-            .unwrap_or(0.0);
+    let g = &seeds.geometry;
+    let n_dirs = seeds.dim.scan_len();
+    if dirs.is_empty() {
+        dirs.reserve_exact(n_dirs);
+        for dir in 0..n_dirs {
+            let lb = intercept_bound(observations, columns, g.row(&g.orient, dir), offsets);
+            dirs.push(ScanDir { lb, bt: f64::NAN });
         }
-        let bt0 = entry.1;
-        let mut cost = slope_cost;
-        for (o, &c) in observations.iter().zip(columns) {
+    }
+    let mut evaluate = |dir: usize, state: &mut ScanDir, bound: f64| {
+        if state.bt.is_nan() {
+            state.bt = at.bt_seed(dir);
+            *seeded += 1;
+        }
+        let cost = at.cost(dir, state.bt);
+        *exact += 1;
+        debug_assert!(
+            cost >= bound || cost.is_nan(),
+            "direction {dir}: cost {cost} below its bound {bound}"
+        );
+        (dir, state.bt, cost)
+    };
+    let k = D::SHORTLIST;
+    // 1. The k smallest bound keys, evaluated exactly, and the next one.
+    ranked.clear();
+    ranked.reserve_exact(k + 1);
+    for (dir, d) in dirs.iter().enumerate() {
+        keep_least(ranked, (dir, f64::NAN, at.bound(dir, d.lb)), k + 1);
+    }
+    let next = if ranked.len() > k { ranked.pop() } else { None };
+    let selected = ranked.last().map(|&(dir, _, b)| (b, dir));
+    for entry in ranked.iter_mut() {
+        *entry = evaluate(entry.0, &mut dirs[entry.0], entry.2);
+    }
+    ranked.sort_unstable_by(|a, b| key_order((a.2, a.0), (b.2, b.0)));
+    // 2. Any other direction whose bound does not exceed the k-th key. No
+    //    unselected direction's bound key is below the next one's.
+    let (Some((next_dir, _, next_bound)), Some(selected)) = (next, selected) else { return };
+    let kth = |ranked: &[(usize, f64, f64)]| {
+        let &(dir, _, cost) = ranked.last().expect("a full short-list");
+        (cost, dir)
+    };
+    if key_order((next_bound, next_dir), kth(ranked)).is_gt() {
+        return;
+    }
+    for (dir, d) in dirs.iter_mut().enumerate() {
+        let b = (at.bound(dir, d.lb), dir);
+        if key_order(b, selected).is_gt() && key_order(b, kth(ranked)).is_le() {
+            let entry = evaluate(dir, d, b.0);
+            keep_least(ranked, entry, k);
+        }
+    }
+}
+
+/// The scan's total order on `(cost, direction index)` keys; ties on
+/// cost break towards the lower index, as a stable sort of the directions
+/// in index order would.
+fn key_order(a: (f64, usize), b: (f64, usize)) -> std::cmp::Ordering {
+    a.0.partial_cmp(&b.0).expect("finite costs").then_with(|| a.1.cmp(&b.1))
+}
+
+/// Inserts `entry` into `list` — kept sorted by its `(cost, direction)`
+/// key ([`key_order`]) and at most `cap` long — unless `cap` entries
+/// already precede it.
+fn keep_least(list: &mut Vec<(usize, f64, f64)>, entry: (usize, f64, f64), cap: usize) {
+    let key = (entry.2, entry.0);
+    if list.len() == cap {
+        match list.last() {
+            Some(&(dir, _, c)) if key_order(key, (c, dir)).is_lt() => {
+                list.pop();
+            }
+            _ => return,
+        }
+    }
+    let at = list.partition_point(|&(dir, _, c)| key_order((c, dir), key).is_lt());
+    list.insert(at, entry);
+}
+
+/// A lower bound, for every `b_t`, on the intercept cost
+/// `Σᵢ wrap_pi(xᵢ − b_t)²/σ_b²` of the scan direction whose
+/// `θ_orient(Aᵢ, w)` row is `orow`, with `xᵢ = bᵢ − θ_orient(Aᵢ, w)`:
+/// `(1/n)·Σᵢ<ⱼ d(xᵢ, xⱼ)²/σ_b²`, where `d` is the distance on the circle.
+/// It needs no trig: each `xᵢ` is wrapped into `[0, 2π)` once (in
+/// `offsets`), and `d = min(|xᵢ − xⱼ|, 2π − |xᵢ − xⱼ|)` per pair.
+///
+/// Proof: cut the circle opposite `b_t` and let `zᵢ` be the representative
+/// of `xᵢ` in `(b_t − π, b_t + π]`, so that `wrap_pi(xᵢ − b_t) = zᵢ − b_t`.
+/// Then `Σ(zᵢ − b_t)² ≥ Σ(zᵢ − z̄)² = (1/n)·Σᵢ<ⱼ(zᵢ − zⱼ)² ≥
+/// (1/n)·Σᵢ<ⱼ d(xᵢ, xⱼ)²`: the mean minimizes the sum of squares, and two
+/// representatives are never closer than the shortest way round the
+/// circle. The period is the floating-point `τ` the wraps use, so only
+/// rounding separates the two sides, and [`BOUND_SLACK`] covers it.
+fn intercept_bound(
+    observations: &[AntennaObservation],
+    columns: &[usize],
+    orow: &[f64],
+    offsets: &mut Vec<f64>,
+) -> f64 {
+    use std::f64::consts::TAU;
+    offsets.clear();
+    let x = observations.iter().zip(columns).map(|(o, &c)| angle::wrap_tau(o.intercept - orow[c]));
+    offsets.extend(x);
+    let mut sum = 0.0;
+    for (i, &xi) in offsets.iter().enumerate() {
+        for &xj in &offsets[i + 1..] {
+            let a = (xi - xj).abs();
+            let d = a.min(TAU - a);
+            sum += d * d;
+        }
+    }
+    sum / (observations.len() as f64 * INTERCEPT_SIGMA * INTERCEPT_SIGMA)
+}
+
+/// The direction-independent terms of one scan candidate: its slope cost
+/// and the hoisted per-antenna rows of the RSSI penalty.
+struct ScanAt<'a> {
+    observations: &'a [AntennaObservation],
+    geometry: &'a SeedGeometry,
+    columns: &'a [usize],
+    dists: &'a [f64],
+    rssi_base: &'a [f64],
+    slope_cost: f64,
+}
+
+impl<'a> ScanAt<'a> {
+    /// The candidate `c` (position + `k_t`), filling the hoisted rows into
+    /// `dists` and `rssi_base`.
+    fn new<const S: usize>(
+        observations: &'a [AntennaObservation],
+        geometry: &'a SeedGeometry,
+        columns: &'a [usize],
+        c: &[f64; S],
+        dists: &'a mut Vec<f64>,
+        rssi_base: &'a mut Vec<f64>,
+    ) -> Self {
+        let (pos, kt) = (position::<S>(c), c[S - 1]);
+        dists.clear();
+        let mut slope_cost = 0.0;
+        for o in observations {
+            let d = o.pose.position().distance(pos);
+            let rs = (o.slope - propagation::slope_from_distance(d) - kt) / SLOPE_SIGMA;
+            slope_cost += rs * rs;
+            dists.push(d);
+        }
+        // The direction-independent half of the RSSI penalty. Entries for
+        // unreadable distances may be NaN/−∞, but the penalty's guards
+        // return before reading them — exactly as the unhoisted kernel
+        // returned before computing the term at all.
+        rssi_base.clear();
+        for (o, &d) in observations.iter().zip(dists.iter()) {
+            rssi_base.push(o.mean_rssi_dbm + 40.0 * d.log10());
+        }
+        ScanAt { observations, geometry, columns, dists, rssi_base, slope_cost }
+    }
+
+    /// The RSSI mode penalty of direction `dir`.
+    fn penalty(&self, dir: usize) -> f64 {
+        let g = self.geometry;
+        let (prow, pdbrow) = (g.row(&g.proj, dir), g.row(&g.proj_db, dir));
+        let (observations, columns) = (self.observations, self.columns);
+        rssi_penalty_hoisted(observations, columns, self.rssi_base, self.dists, prow, pdbrow)
+    }
+
+    /// The lower bound on direction `dir`'s cost at any `b_t`, given its
+    /// intercept bound `lb`, with [`BOUND_SLACK`] taken off; −∞ for NaN.
+    fn bound(&self, dir: usize, lb: f64) -> f64 {
+        let b = (self.slope_cost + lb + self.penalty(dir)) * (1.0 - BOUND_SLACK) - BOUND_SLACK;
+        if b.is_nan() {
+            f64::NEG_INFINITY
+        } else {
+            b
+        }
+    }
+
+    /// Direction `dir`'s closed-form `b_t` seed: the circular mean of
+    /// `bᵢ − θ_orient`.
+    fn bt_seed(&self, dir: usize) -> f64 {
+        let orow = self.geometry.row(&self.geometry.orient, dir);
+        angle::circular_mean(
+            self.observations.iter().zip(self.columns).map(|(o, &c)| o.intercept - orow[c]),
+        )
+        .unwrap_or(0.0)
+    }
+
+    /// Direction `dir`'s full cost at `b_t` seed `bt0`.
+    fn cost(&self, dir: usize, bt0: f64) -> f64 {
+        let orow = self.geometry.row(&self.geometry.orient, dir);
+        let mut cost = self.slope_cost;
+        for (o, &c) in self.observations.iter().zip(self.columns) {
             let rb = angle::wrap_pi(o.intercept - orow[c] - bt0) / INTERCEPT_SIGMA;
             cost += rb * rb;
         }
-        let (prow, pdbrow) = (g.row(&g.proj, dir), g.row(&g.proj_db, dir));
-        cost += rssi_penalty_hoisted(observations, columns, rssi_base, dists, prow, pdbrow);
-        entry.2 = cost;
+        cost + self.penalty(dir)
     }
-    // Directions were first pushed in ascending index order, so breaking
-    // cost ties on the index reproduces a stable sort of a fresh scan
-    // while keeping the unstable sort allocation-free.
-    ranked.sort_unstable_by(|a, b| {
-        a.2.partial_cmp(&b.2).expect("finite costs").then_with(|| a.0.cmp(&b.0))
-    });
 }
 
 /// The joint disentangling problem of scene dimension `D` as a
@@ -1855,5 +2068,247 @@ mod tests {
             assert!((est.cost - cold.cost).abs() <= 1e-6 * (1.0 + cold.cost));
         }
         assert!(est.position.distance(cold.position) < 1e-3);
+    }
+}
+
+/// Pins of the orientation scan's exact top-k against the full sort it
+/// replaced, which survives here only: every direction seeded, costed and
+/// sorted. Each pin scans every grid seed (at its closed-form `k_t`) and
+/// the stage-1 candidates of a full solve, all through one solve's scan
+/// state, so later scans reuse the bounds and seeds of earlier ones.
+#[cfg(test)]
+mod scan_pin {
+    use super::*;
+    use crate::model::{extract_observation, ExtractConfig};
+    use crate::solver3d::Solve3DSeeds;
+    use proptest::prelude::*;
+    use rfp_phys::Material;
+    use rfp_sim::{Motion, MultipathEnvironment, Scene, SimTag};
+
+    /// The scan before the exact top-k, with fresh `b_t` seeds: every
+    /// direction's `(direction, b_t seed, cost)`, sorted by
+    /// `(cost, direction)`.
+    fn full_sort_scan<D: SceneDim<J, S>, const J: usize, const S: usize>(
+        observations: &[AntennaObservation],
+        seeds: &Seeds<D>,
+        columns: &[usize],
+        c: &[f64; S],
+    ) -> Vec<(usize, f64, f64)> {
+        let g = &seeds.geometry;
+        let (pos, kt) = (position::<S>(c), c[S - 1]);
+        let mut dists = Vec::new();
+        let mut slope_cost = 0.0;
+        for o in observations {
+            let d = o.pose.position().distance(pos);
+            let rs = (o.slope - propagation::slope_from_distance(d) - kt) / SLOPE_SIGMA;
+            slope_cost += rs * rs;
+            dists.push(d);
+        }
+        let rssi_base: Vec<f64> = observations
+            .iter()
+            .zip(&dists)
+            .map(|(o, &d)| o.mean_rssi_dbm + 40.0 * d.log10())
+            .collect();
+        let mut ranked: Vec<(usize, f64, f64)> = (0..seeds.dim.scan_len())
+            .map(|dir| {
+                let orow = g.row(&g.orient, dir);
+                let bt0 = angle::circular_mean(
+                    observations.iter().zip(columns).map(|(o, &c)| o.intercept - orow[c]),
+                )
+                .unwrap_or(0.0);
+                let mut cost = slope_cost;
+                for (o, &c) in observations.iter().zip(columns) {
+                    let rb = angle::wrap_pi(o.intercept - orow[c] - bt0) / INTERCEPT_SIGMA;
+                    cost += rb * rb;
+                }
+                let (prow, pdbrow) = (g.row(&g.proj, dir), g.row(&g.proj_db, dir));
+                cost +=
+                    rssi_penalty_hoisted(observations, columns, &rssi_base, &dists, prow, pdbrow);
+                (dir, bt0, cost)
+            })
+            .collect();
+        ranked.sort_unstable_by(|a, b| {
+            a.2.partial_cmp(&b.2).expect("finite costs").then_with(|| a.0.cmp(&b.0))
+        });
+        ranked
+    }
+
+    /// What one scene's pin saw.
+    #[derive(Debug, Default)]
+    struct Seen {
+        scans: usize,
+        /// Scans that evaluated more directions than the short-list holds.
+        widened: usize,
+    }
+
+    /// Scans every grid seed and every stage-1 candidate of a cold solve
+    /// of `observations` in one solve's state, and pins each short-list
+    /// to the full sort's first `SHORTLIST` entries bit for bit, and
+    /// every direction's bound at or below its exact cost.
+    fn pin<D: SceneDim<J, S>, const J: usize, const S: usize>(
+        observations: &[AntennaObservation],
+        seeds: &Seeds<D>,
+        what: &str,
+    ) -> Seen {
+        let mut ws = Workspace::<J, S>::default();
+        assert!(solve(observations, seeds, &mut ws, None, None).is_ok(), "{what}: solvable");
+        let mut candidates: Vec<[f64; S]> = ws.position_candidates.iter().map(|c| c.0).collect();
+        let mut columns = Vec::new();
+        assert!(seeds.geometry.map_columns(observations, &mut columns));
+        for (s, &start) in seeds.position_starts.iter().enumerate() {
+            let (kt0, _) = coarse_seed_cost(observations, &seeds.geometry, &columns, s);
+            candidates.push(slope_seed(start, kt0));
+        }
+        let mut state = ScanState::default();
+        state.reset();
+        let (mut dists, mut rssi_base) = (Vec::new(), Vec::new());
+        let mut seen = Seen::default();
+        for c in &candidates {
+            let exact_before = state.exact;
+            scan(observations, seeds, &columns, c, &mut state);
+            let full = full_sort_scan(observations, seeds, &columns, c);
+            let k = D::SHORTLIST.min(full.len());
+            assert_eq!(state.ranked.len(), k, "{what}");
+            for (got, want) in state.ranked.iter().zip(&full) {
+                assert_eq!(got.0, want.0, "{what}: direction at {c:?}");
+                assert_eq!(got.1.to_bits(), want.1.to_bits(), "{what}: b_t seed at {c:?}");
+                assert_eq!(got.2.to_bits(), want.2.to_bits(), "{what}: cost at {c:?}");
+            }
+            let at = ScanAt::new(
+                observations,
+                &seeds.geometry,
+                &columns,
+                c,
+                &mut dists,
+                &mut rssi_base,
+            );
+            for &(dir, _, cost) in &full {
+                let bound = at.bound(dir, state.dirs[dir].lb);
+                assert!(bound <= cost, "{what}: direction {dir} bound {bound} above cost {cost}");
+            }
+            seen.scans += 1;
+            seen.widened += usize::from(state.exact - exact_before > k as u64);
+        }
+        seen
+    }
+
+    fn observations(scene: &Scene, tag: &SimTag, seed: u64) -> Option<Vec<AntennaObservation>> {
+        let survey = scene.survey(tag, seed);
+        scene
+            .antenna_poses()
+            .iter()
+            .zip(&survey.per_antenna)
+            .map(|(&p, r)| extract_observation(p, r, &ExtractConfig::paper()).ok())
+            .collect()
+    }
+
+    /// `observations` with their intercepts spread round the circle, far
+    /// from any dipole's pattern: the bounds loosen, and scans evaluate
+    /// past their short-lists.
+    fn scattered(observations: &[AntennaObservation], seed: u64) -> Vec<AntennaObservation> {
+        let mut out = observations.to_vec();
+        for (i, o) in out.iter_mut().enumerate() {
+            o.intercept = angle::wrap_tau(2.3 * i as f64 + 0.7 * seed as f64);
+        }
+        out
+    }
+
+    fn tag_2d(x: f64, y: f64, alpha: f64, seed: u64) -> SimTag {
+        SimTag::with_seeded_diversity(seed)
+            .attached_to(Material::CLASSES[seed as usize % Material::CLASSES.len()])
+            .with_motion(Motion::planar_static(Vec2::new(x, y), alpha))
+    }
+
+    fn seeds_2d(scene: &Scene) -> SolveSeeds {
+        SolveSeeds::for_scene(scene.region(), &SolverConfig::default(), &scene.antenna_poses())
+    }
+
+    const TAGS_2D: [(f64, f64, f64); 4] =
+        [(0.3, 1.7, 0.8), (-0.4, 0.9, 2.6), (1.1, 2.2, 1.4), (0.5, 1.5, 0.1)];
+
+    #[test]
+    fn pruned_scan_matches_the_full_sort_2d() {
+        let clean = Scene::standard_2d();
+        // A fourth antenna the observations lack, as if extraction had
+        // dropped it: the solve reads three of the tables' four columns.
+        let mut poses = clean.antenna_poses();
+        let target = clean.region().center().with_z(0.0);
+        poses.push(AntennaPose::looking_at(Vec3::new(1.5, 0.0, 0.6), target, 1.2));
+        let dropped = SolveSeeds::for_scene(clean.region(), &SolverConfig::default(), &poses);
+        let mut seen = Seen::default();
+        let mut tally = |s: Seen| {
+            seen.scans += s.scans;
+            seen.widened += s.widened;
+        };
+        for (i, &(x, y, alpha)) in TAGS_2D.iter().enumerate() {
+            let seed = 40 + i as u64;
+            let cluttered = clean
+                .clone()
+                .with_environment(MultipathEnvironment::cluttered(3, seed ^ 0x5d));
+            for (scene, what) in [(&clean, "standard_2d"), (&cluttered, "cluttered")] {
+                let obs = observations(scene, &tag_2d(x, y, alpha, seed), seed * 7)
+                    .expect("every antenna extracts");
+                tally(pin(&obs, &seeds_2d(scene), what));
+                let permuted = [obs[2].clone(), obs[0].clone(), obs[1].clone()];
+                tally(pin(&obs, &dropped, &format!("{what}, 3 of 4 antennas")));
+                tally(pin(&permuted, &dropped, &format!("{what}, 3 of 4 antennas permuted")));
+                // A non-finite RSSI: every penalty is then 0.
+                let mut blind = obs.clone();
+                blind[i % obs.len()].mean_rssi_dbm = f64::NAN;
+                tally(pin(&blind, &seeds_2d(scene), &format!("{what}, NaN RSSI")));
+                tally(pin(&scattered(&obs, seed), &seeds_2d(scene), &format!("{what}, scattered")));
+            }
+        }
+        assert!(seen.scans > 1000, "{} 2-D scans", seen.scans);
+        assert!(seen.widened > 0, "no 2-D scan evaluated past its short-list");
+    }
+
+    #[test]
+    fn pruned_scan_matches_the_full_sort_3d() {
+        let config = SolverConfig::default();
+        let room = Scene::six_antenna_3d().with_environment(MultipathEnvironment::cluttered(6, 6));
+        let four = Scene::four_antenna_3d();
+        let tags = [
+            (Vec3::new(0.8, 1.2, 0.4), Vec3::new(0.2, 0.5, 1.0)),
+            (Vec3::new(1.5, 2.0, 1.1), Vec3::new(1.0, -0.3, 0.2)),
+            (Vec3::new(0.4, 0.9, 0.7), Vec3::new(-0.6, 0.6, 0.5)),
+        ];
+        let mut widened = 0;
+        for (i, &(position, dipole)) in tags.iter().enumerate() {
+            let tag = SimTag::with_seeded_diversity(60 + i as u64)
+                .attached_to(Material::CLASSES[i])
+                .with_motion(Motion::Static { position, dipole: dipole.normalized() });
+            for (scene, what) in [(&room, "six-antenna cluttered room"), (&four, "four antennas")] {
+                let obs = observations(scene, &tag, 90 + i as u64).expect("every antenna extracts");
+                let poses = scene.antenna_poses();
+                let seeds = Solve3DSeeds::for_scene(scene.region(), (0.0, 1.5), &config, &poses);
+                widened += pin(&obs, &seeds, what).widened;
+                let what = format!("{what}, scattered");
+                widened += pin(&scattered(&obs, i as u64), &seeds, &what).widened;
+            }
+        }
+        assert!(widened > 0, "no 3-D scan evaluated past its short-list");
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// Random 2-D tags, clean and cluttered: the same pin.
+        #[test]
+        fn pruned_scan_matches_the_full_sort_on_random_2d_tags(
+            x in -1.2f64..1.2,
+            y in 0.8f64..2.4,
+            alpha in 0.0f64..3.1,
+            seed in 0u64..1000,
+            clutter in proptest::bool::ANY,
+        ) {
+            let mut scene = Scene::standard_2d();
+            if clutter {
+                scene = scene.with_environment(MultipathEnvironment::cluttered(3, seed ^ 0x5d));
+            }
+            if let Some(obs) = observations(&scene, &tag_2d(x, y, alpha, seed), seed) {
+                pin(&obs, &seeds_2d(&scene), "random tag");
+            }
+        }
     }
 }

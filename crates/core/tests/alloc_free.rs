@@ -431,6 +431,64 @@ fn lane_solve_3d_is_allocation_free_cold_and_warm() {
     assert_eq!(allocs, 0, "3-D lane solve of 5 of 6 antennas allocated {allocs} times");
 }
 
+/// What a warmed 3-D solver workspace holds: in the benchmark's
+/// six-antenna cluttered room, after cold, warm and five-antenna solves of
+/// eight tags, at most 6,500 bytes of heap (6,256 measured) — its two LM
+/// cores' residual and Jacobian buffers, the seed ranking, the stage-1 and
+/// joint candidate lists and the orientation scan's state. The scan keeps
+/// two numbers per direction (72 in 3-D, 1,152 bytes) and a selection of
+/// four `(direction, b_t seed, cost)` entries; when it kept that entry for
+/// every direction (1,728 bytes), the workspace held 6,688 bytes.
+#[test]
+fn warmed_3d_solver_workspace_holds_at_most_6_500_bytes() {
+    use rfp_core::solver3d::{
+        solve_3d_seeded_warm, Solve3DSeeds, Solver3DWorkspace, WarmStart3D,
+    };
+    let scene = Scene::six_antenna_3d()
+        .with_environment(rfp_sim::MultipathEnvironment::cluttered(6, 6));
+    let config = SolverConfig::default();
+    let seeds =
+        Solve3DSeeds::for_scene(scene.region(), (0.0, 1.5), &config, &scene.antenna_poses());
+    let tags: Vec<Vec<AntennaObservation>> = (0..8u64)
+        .filter_map(|i| {
+            let t = i as f64;
+            let position = rfp_geom::Vec3::new(0.3 + 0.2 * t, 0.8 + 0.15 * t, 0.2 + 0.15 * t);
+            let dipole = rfp_geom::Vec3::new(0.4 - 0.1 * t, 0.6, 0.3 + 0.1 * t);
+            let tag = SimTag::with_seeded_diversity(70 + i)
+                .with_motion(Motion::Static { position, dipole: dipole.normalized() });
+            let survey = scene.survey(&tag, 100 + i);
+            scene
+                .antenna_poses()
+                .iter()
+                .zip(&survey.per_antenna)
+                .map(|(&p, r)| extract_observation(p, r, &ExtractConfig::paper()).ok())
+                .collect()
+        })
+        .collect();
+    assert!(tags.len() >= 6, "{} tags extracted", tags.len());
+    let fives: Vec<Vec<AntennaObservation>> = tags
+        .iter()
+        .enumerate()
+        .map(|(i, obs)| {
+            let mut five = obs.clone();
+            five.remove(i % obs.len());
+            five
+        })
+        .collect();
+
+    let before = live_bytes();
+    let mut ws = Solver3DWorkspace::default();
+    for (obs, five) in tags.iter().zip(&fives) {
+        let cold = solve_3d_seeded_warm(obs, &seeds, &config, &mut ws, None).expect("solvable");
+        let warm = WarmStart3D::from_estimate(&cold);
+        solve_3d_seeded_warm(obs, &seeds, &config, &mut ws, Some(&warm)).expect("solvable");
+        solve_3d_seeded_warm(five, &seeds, &config, &mut ws, None).expect("solvable");
+    }
+    let held = live_bytes() - before;
+    assert!(held <= 6_500, "a warmed 3-D solver workspace holds {held} bytes");
+    drop(ws);
+}
+
 /// The quantized-code trig tables live inline in a static (`OnceLock`
 /// with in-place storage): building them touches the heap zero times, so
 /// "construction is one-time" holds trivially — there is nothing to free

@@ -211,6 +211,13 @@ fn counters_are_consistent_with_results() {
         assert!(m.counter(obs::id::SOLVER2D_ITERATIONS) > 0);
         assert!(m.counter(obs::id::SOLVER2D_RESIDUAL_EVALS) > 0);
     }
+    // Every cold solve scans at least once, and a scan evaluates at least
+    // its short-list (4 of the 48 directions in 2-D) exactly, seeding each
+    // direction at most once per solve.
+    let (seeds, exact) =
+        (m.counter(obs::id::SOLVER_SCAN_SEEDS), m.counter(obs::id::SOLVER_SCAN_EXACT));
+    assert!(exact >= 4 * ok, "{exact} exact scan evaluations in {ok} solves");
+    assert!((4 * ok..=exact.min(48 * ok)).contains(&seeds), "{seeds} seeds in {ok} solves");
 }
 
 /// A run report produced from a real observed run survives a JSON

@@ -4,9 +4,9 @@
 //! with axis `a` and unwrapped axis `U`:
 //!
 //! * the **fold**: the read is shifted by π iff
-//!   `wrapped_distance(p, a) > FRAC_PI_2`;
+//!   `angle::distance(p, a) > FRAC_PI_2`;
 //! * the **vote**: the read backs the unwrapped axis iff
-//!   `wrapped_distance(p, U) <= FRAC_PI_2`.
+//!   `angle::distance(p, U) <= FRAC_PI_2`.
 //!
 //! For a read on the reader's phase grid both come from one sign test.
 //! The fold-table entry `[sin p, cos p]` is loaded anyway, and the axis's
@@ -28,7 +28,7 @@
 //!   half-angle; the table's sine and cosine are libm, within an ulp;
 //!   the two products and the sum round three times. So
 //!   `|dot − cos(p − a)| ≤ 2.1e-15`;
-//! * `wrapped_distance(p, a)` on `p ∈ [0, τ)` and `a ∈ [−π/2, π/2]`
+//! * `angle::distance(p, a)` on `p ∈ [0, τ)` and `a ∈ [−π/2, π/2]`
 //!   rounds the difference once, shifts it by at most two `TAU`s (each
 //!   within `2.5e-16` of 2π, the add rounding once) and compares against
 //!   `FRAC_PI_2`: within `1.9e-15` of the true distance.
@@ -43,17 +43,17 @@
 //! carries `|ε| < 3e-14` there (each of its three roundings is at most
 //! half an ulp of 64), so every real window certifies. Then
 //! `cos(p − U)` is within `|ε|` of `(−1)^j · cos(p − a)`, and
-//! `wrapped_distance(p, U)` is within `1.2e-14` of the true distance
+//! `angle::distance(p, U)` is within `1.2e-14` of the true distance
 //! (`|p − U| < 72`: a rounding of `7.1e-15`, up to twelve `TAU` errors).
 //! The parity vote agrees with the exact one whenever `|dot| > 1.04e-12`.
 //!
 //! [`MARGIN`], `1e-9`, sits about 960× above that bound. A read whose
 //! `|dot|` falls inside it, and every read off the grid, takes the exact
-//! path: both `wrapped_distance` evaluations. A channel whose parity does
+//! path: both `angle::distance` evaluations. A channel whose parity does
 //! not certify counts every vote exactly. So every decision, and every
 //! output bit with it, is the one the two distances give.
 
-use crate::preprocess::wrapped_distance;
+use rfp_geom::angle;
 use std::f64::consts::{FRAC_PI_2, PI};
 
 /// `|dot|` at or below which a read takes the exact path: about 960×
@@ -119,7 +119,7 @@ impl FoldAxis {
     /// the axis.
     #[inline]
     pub(crate) fn exact_shift(&self, phase: f64) -> bool {
-        wrapped_distance(phase, self.axis) > FRAC_PI_2
+        angle::distance(phase, self.axis) > FRAC_PI_2
     }
 }
 
@@ -142,17 +142,17 @@ pub(crate) fn vote_parity(axis: f64, unwrapped: f64) -> Option<bool> {
 /// axis.
 #[inline]
 pub(crate) fn exact_vote(phase: f64, unwrapped: f64) -> bool {
-    wrapped_distance(phase, unwrapped) <= FRAC_PI_2
+    angle::distance(phase, unwrapped) <= FRAC_PI_2
 }
 
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use crate::preprocess::{preprocess_reads_with, wrap_tau, PreprocessConfig, RawRead};
+    use crate::preprocess::{preprocess_reads_with, PreprocessConfig, RawRead};
     use crate::trig::{self, PHASE_CODES, PHASE_LSB_RAD};
     use crate::{FrontEndWorkspace, StreamingWindow};
     use rand::{rngs::StdRng, Rng, SeedableRng};
-    use rfp_geom::{angle, Vec2};
+    use rfp_geom::Vec2;
     use std::cell::Cell;
 
     thread_local! {
@@ -182,13 +182,13 @@ pub(crate) mod tests {
     /// the previous channel's unwrapped axis sits `j` periods (plus 0.3)
     /// away.
     fn unwrapped(fold: &FoldAxis, j: i32) -> f64 {
-        let mut col = [fold.axis + j as f64 * PI + 0.3, wrap_tau(fold.axis)];
+        let mut col = [fold.axis + j as f64 * PI + 0.3, angle::wrap_tau(fold.axis)];
         angle::unwrap_in_place_period(&mut col, PI);
         col[1]
     }
 
     /// Asserts that every code the sign test decides against `fold`
-    /// decides as `wrapped_distance` does, and that the parity vote of
+    /// decides as `angle::distance` does, and that the parity vote of
     /// each code in `vote_codes` is the exact vote against the unwrapped
     /// axes up to six turns away. Returns how many codes took the exact
     /// path.
@@ -200,7 +200,7 @@ pub(crate) mod tests {
             match fold.sign_test(Some(c as u16), table) {
                 Some(shift) => assert_eq!(
                     shift,
-                    wrapped_distance(p, fold.axis) > FRAC_PI_2,
+                    angle::distance(p, fold.axis) > FRAC_PI_2,
                     "{ctx}: code {c} against axis {:e}",
                     fold.axis
                 ),
@@ -224,7 +224,7 @@ pub(crate) mod tests {
     /// Pin: on axes a few ulps either side of every code's fold boundary,
     /// on the two axes of a ±0.0 double-angle sine with a negative cosine
     /// and on random axes, every code the sign test decides is decided as
-    /// `wrapped_distance` decides it, and the parity vote is the exact
+    /// `angle::distance` decides it, and the parity vote is the exact
     /// vote up to six turns away.
     #[test]
     fn sign_test_and_parity_decide_as_the_exact_distances() {

@@ -341,7 +341,7 @@ fn finish(
     // channel by channel).
     ws.phase_col.clear();
     for &s in &ws.order {
-        ws.phase_col.push(wrap_tau(ws.axis[s]));
+        ws.phase_col.push(angle::wrap_tau(ws.axis[s]));
     }
     angle::unwrap_in_place_period(&mut ws.phase_col, PI);
     for (k, &s) in ws.order.iter().enumerate() {
@@ -484,72 +484,6 @@ pub(crate) fn order_channels(
     });
 }
 
-/// `angle::wrap_tau(theta)`, fast-pathed for the hot loops.
-///
-/// `angle::wrap_tau` reaches `f64::rem_euclid`, whose `%` is a libm
-/// `fmod` call — the single most expensive operation left in the
-/// per-read and per-channel loops once the trig is table-backed. For
-/// `|θ| < τ` (every real window: raw phases live in `[0, 2π)`, channel
-/// axes in `(-π, π]`) the `rem_euclid` reduces to at most one add of
-/// `τ`, which this helper replays branch by branch:
-///
-/// * `θ ∈ [0, τ)`: `fmod(θ, τ) = θ` exactly, and `rem_euclid` returns it
-///   unchanged — as does the fast path.
-/// * `θ ∈ (-τ, 0)`: `fmod(θ, τ) = θ` exactly (fmod is exact and keeps
-///   the sign), then `rem_euclid` computes the *floating* add `θ + τ` —
-///   the identical expression the fast path evaluates, so even when that
-///   add rounds (tiny `|θ|` → exactly `τ`) both paths round the same way.
-///
-/// The subsequent `≥ τ` adjustment is copied verbatim from `wrap_tau`,
-/// so the fast path is **bit-identical** to it on its range; anything
-/// else (|θ| ≥ τ, NaN) falls back to the real thing. The frozen
-/// reference path keeps calling `angle`, and the bit-identity property
-/// suites compare the two implementations on every window they
-/// generate.
-#[inline(always)]
-pub(crate) fn wrap_tau(theta: f64) -> f64 {
-    use std::f64::consts::TAU;
-    if theta > -TAU && theta < TAU {
-        let w = if theta < 0.0 { theta + TAU } else { theta };
-        if w >= TAU {
-            w - TAU
-        } else {
-            w
-        }
-    } else {
-        angle::wrap_tau(theta)
-    }
-}
-
-/// `angle::distance(a, b)` on the [`wrap_tau`] fast path: the `> π`
-/// adjustment and the absolute value are copied verbatim from
-/// `wrap_pi`/`distance`, so it is bit-identical to `angle::distance`.
-/// The π-fold decisions' exact path evaluates it (the `fold` module).
-///
-/// A read's phase in `[0, τ)` against a channel axis in `(−π/2, π/2]` or
-/// an unwrapped axis often differs by a little over a turn, about a
-/// quarter of the differences on a standard stream. For a difference `d` in
-/// `[τ, 2τ)` or `(−2τ, −τ]`, `rem_euclid`'s `fmod` returns `d ∓ τ`, and
-/// that subtraction is exact (Sterbenz), so one shift by τ lands `d` in
-/// the fast range with the remainder's bits and no libm call. The one
-/// exception, `d = −τ`, gives `+0.0` where `fmod` gives `−0.0`, and the
-/// `abs` erases the sign.
-#[inline(always)]
-pub(crate) fn wrapped_distance(a: f64, b: f64) -> f64 {
-    use std::f64::consts::{PI, TAU};
-    let d = a - b;
-    let d = if (TAU..2.0 * TAU).contains(&d) {
-        d - TAU
-    } else if d <= -TAU && d > -2.0 * TAU {
-        d + TAU
-    } else {
-        d
-    };
-    let w = wrap_tau(d);
-    let w = if w > PI { w - TAU } else { w };
-    w.abs()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -666,29 +600,6 @@ mod tests {
         let cfg = PreprocessConfig::default();
         let coded_obs = preprocess_reads(&reads, &cfg).unwrap();
         assert_eq!(coded_obs, preprocess_reads(&stripped, &cfg).unwrap());
-    }
-
-    /// `wrapped_distance` is `angle::distance` bit for bit, across the
-    /// one-turn shifts either side of the fast range, their edges, and the
-    /// `fmod` range beyond them.
-    #[test]
-    fn wrapped_distance_is_angle_distance() {
-        use std::f64::consts::TAU;
-        let mut diffs: Vec<f64> =
-            (0..=4000).map(|i| -5.0 * TAU + 10.0 * TAU * i as f64 / 4000.0).collect();
-        for edge in [TAU, -TAU, 2.0 * TAU, -2.0 * TAU] {
-            diffs.extend((-2i64..=2).map(|k| f64::from_bits((edge.to_bits() as i64 + k) as u64)));
-        }
-        for d in diffs {
-            for b in [0.0, -1.3, 2.9, 7.5] {
-                let a = d + b;
-                assert_eq!(
-                    wrapped_distance(a, b).to_bits(),
-                    angle::distance(a, b).to_bits(),
-                    "{a} vs {b}"
-                );
-            }
-        }
     }
 
     /// The workspace tallies which source served each per-read phasor.

@@ -62,7 +62,7 @@ use std::collections::VecDeque;
 use std::f64::consts::PI;
 
 use crate::fold::{self, FoldAxis};
-use crate::preprocess::{order_channels, wrap_tau, ChannelObservation, PreprocessError, RawRead};
+use crate::preprocess::{order_channels, ChannelObservation, PreprocessError, RawRead};
 use crate::trig;
 use crate::workspace::FrontEndWorkspace;
 use rfp_geom::angle;
@@ -399,7 +399,7 @@ impl StreamingWindow {
         // its exact count.
         self.phase_col.clear();
         for &s in &self.order {
-            self.phase_col.push(wrap_tau(self.channels[s].axis));
+            self.phase_col.push(angle::wrap_tau(self.channels[s].axis));
         }
         angle::unwrap_in_place_period(&mut self.phase_col, PI);
         let (mut votes, mut total) = (0usize, 0usize);

@@ -11,6 +11,28 @@ use std::f64::consts::{PI, TAU};
 
 /// Wraps an angle into `[0, 2π)`.
 ///
+/// The definition is `θ.rem_euclid(τ)`, with a result of exactly `τ`
+/// (a tiny negative `θ` whose `θ + τ` rounds up) mapped to `0`. Its `%` is
+/// a libm `fmod` call, the most expensive step of a wrap, so for
+/// `|θ| < 2τ` — every phase, intercept and residual the pipeline wraps —
+/// the remainder is replayed without it, **bit for bit**:
+///
+/// * `θ ∈ (−τ, τ)`: `fmod(θ, τ) = θ` exactly (fmod is exact and keeps the
+///   sign). `rem_euclid` returns `θ` when it is not negative (`−0.0`
+///   included, which stays `−0.0`) and otherwise the *floating* add
+///   `θ + τ` — the expression the fast path evaluates, so even when that
+///   add rounds (tiny `|θ|` → exactly `τ`) both round the same way.
+/// * `θ ∈ [τ, 2τ)`: `fmod` returns `θ − τ`, which the fast path computes
+///   exactly: `τ ≤ θ ≤ 2τ`, so the subtraction is exact by Sterbenz's
+///   lemma, and the result is in `[0, τ)`.
+/// * `θ ∈ (−2τ, −τ)`: `fmod` returns `θ + τ`, exact by the same lemma and
+///   negative, and `rem_euclid` then adds `τ` in floating point; the fast
+///   path shifts by the same exact `τ` first and then makes that add.
+///
+/// `θ = −τ` takes the `rem_euclid` path: `fmod` gives `−0.0` there, which
+/// `rem_euclid` returns, where the shift would give `+0.0`. So does
+/// everything else — `|θ| ≥ 2τ`, ±∞ and NaN.
+///
 /// ```
 /// use rfp_geom::angle::wrap_tau;
 /// use std::f64::consts::{PI, TAU};
@@ -19,7 +41,19 @@ use std::f64::consts::{PI, TAU};
 /// ```
 #[inline]
 pub fn wrap_tau(theta: f64) -> f64 {
-    let w = theta.rem_euclid(TAU);
+    let w = if theta > -TAU && theta < TAU {
+        if theta < 0.0 {
+            theta + TAU
+        } else {
+            theta
+        }
+    } else if (TAU..2.0 * TAU).contains(&theta) {
+        theta - TAU
+    } else if theta < -TAU && theta > -2.0 * TAU {
+        (theta + TAU) + TAU
+    } else {
+        theta.rem_euclid(TAU)
+    };
     // rem_euclid can return TAU itself when theta is a tiny negative number.
     if w >= TAU {
         w - TAU
@@ -226,6 +260,79 @@ mod tests {
             assert!((0.0..TAU).contains(&w), "theta={theta} w={w}");
             // Same point on the circle.
             assert!(((w - theta) / TAU - ((w - theta) / TAU).round()).abs() < 1e-9);
+        }
+    }
+
+    /// `wrap_tau` as defined, on `rem_euclid` alone.
+    fn wrap_tau_reference(theta: f64) -> f64 {
+        let w = theta.rem_euclid(TAU);
+        if w >= TAU {
+            w - TAU
+        } else {
+            w
+        }
+    }
+
+    fn wrap_pi_reference(theta: f64) -> f64 {
+        let w = wrap_tau_reference(theta);
+        if w > PI {
+            w - TAU
+        } else {
+            w
+        }
+    }
+
+    /// `x` moved by `k` ulps along the bit patterns of its sign.
+    fn ulps(x: f64, k: i64) -> f64 {
+        f64::from_bits((x.to_bits() as i64 + k) as u64)
+    }
+
+    /// The fast paths of `wrap_tau`, `wrap_pi` and `distance` return the
+    /// bits of the `rem_euclid` definition: at ±0.0, subnormals, 64 ulps
+    /// either side of ±π, ±3π, ±τ and ±2τ (the edges of every fast
+    /// range), far out, at NaN and ±∞, and at random angles in ±20π.
+    #[test]
+    fn wraps_match_the_rem_euclid_reference_bit_for_bit() {
+        let mut inputs = vec![
+            0.0,
+            -0.0,
+            f64::MIN_POSITIVE,
+            -f64::MIN_POSITIVE,
+            f64::from_bits(1),
+            -f64::from_bits(1),
+            f64::MIN_POSITIVE / 3.0,
+            -f64::MIN_POSITIVE / 7.0,
+            1e300,
+            -1e300,
+            f64::NAN,
+            -f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+        ];
+        for edge in [PI, 3.0 * PI, TAU, 2.0 * TAU] {
+            for x in [edge, -edge] {
+                inputs.extend((-64..=64).map(|k| ulps(x, k)));
+            }
+        }
+        // SplitMix64, for seeded angles without a dependency.
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = || {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        };
+        let mut unit = || (next() >> 11) as f64 / (1u64 << 53) as f64;
+        inputs.extend((0..100_000).map(|_| 20.0 * PI * (2.0 * unit() - 1.0)));
+        let others = [0.0, -0.0, 1.3, -2.9, 7.5, PI, -TAU];
+        for &x in &inputs {
+            assert_eq!(wrap_tau(x).to_bits(), wrap_tau_reference(x).to_bits(), "wrap_tau({x:e})");
+            assert_eq!(wrap_pi(x).to_bits(), wrap_pi_reference(x).to_bits(), "wrap_pi({x:e})");
+            for b in others {
+                let reference = wrap_pi_reference(x - b).abs();
+                assert_eq!(distance(x, b).to_bits(), reference.to_bits(), "distance({x:e}, {b})");
+            }
         }
     }
 
