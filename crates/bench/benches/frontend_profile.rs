@@ -1,6 +1,6 @@
 //! Front-end profile: what one antenna window's DSP front end costs,
-//! stage by stage — pre-processing (group, circular-average, π-fold,
-//! unwrap), the fused unwrap+OLS raw fit, and the robust
+//! stage by stage — pre-processing (group, circular-average, π vote,
+//! unwrap), the raw OLS fit over the emitted columns, and the robust
 //! multipath-rejecting fit — comparing the workspace kernels against the
 //! frozen pre-rework allocating implementations in [`rfp_oracle::frontend`]
 //! (DESIGN.md §6).
@@ -16,7 +16,7 @@
 //! The two paths compute the same observation (the property suite
 //! `frontend_workspace` pins them together); the difference is purely
 //! data layout and algorithmic discipline: flat SoA per-channel columns
-//! reused across windows, raw-fit sums accumulated during the unwrap,
+//! reused across windows, fit columns written as the observations are,
 //! `select_nth_unstable` medians and an incrementally-downdated refit —
 //! versus `BTreeMap` grouping, per-channel `Vec`s, sorting medians and a
 //! full refit per rejection round.

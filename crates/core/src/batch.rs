@@ -50,10 +50,6 @@ use std::sync::Arc;
 /// [`RfPrism::sense`] takes them.
 pub type TagReads = Vec<Vec<RawRead>>;
 
-/// Multi-round raw reads for one tag, as [`RfPrism::sense_rounds`] takes
-/// them: `rounds[r][i]` is antenna *i*'s reads during round *r*.
-pub type TagRounds = Vec<Vec<Vec<RawRead>>>;
-
 /// A shared handle to an [`RfPrism`]'s solver seeds, for
 /// [`RfPrism::sense_reusing`] and [`RfPrism::sense_batch_warm`]: taking
 /// one costs a reference-count increment, and it keeps the seeds of the
@@ -125,24 +121,6 @@ impl RfPrism {
             tags.iter().zip(warms.iter().map(Option::as_ref)).collect();
         fan_out("sense_batch", &items, jobs, SenseWorkspace::default, |(reads, warm), workspace| {
             self.sense_with(reads.as_ref(), &cache.seeds, workspace, *warm)
-        })
-    }
-
-    /// Senses many tags from multiple hop rounds each, in parallel:
-    /// `tags[t]` holds tag *t*'s rounds, and index *t* of the result is
-    /// exactly what [`RfPrism::sense_rounds`] would return for them,
-    /// bit-for-bit, at any `jobs` (same semantics as
-    /// [`RfPrism::sense_batch`]).
-    pub fn sense_rounds_batch<T>(
-        &self,
-        tags: &[T],
-        jobs: usize,
-    ) -> Vec<Result<SensingResult, SenseError>>
-    where
-        T: AsRef<[Vec<Vec<RawRead>>]> + Sync,
-    {
-        fan_out("sense_rounds_batch", tags, jobs, SenseWorkspace::default, |rounds, workspace| {
-            self.sense_rounds_with(rounds.as_ref(), workspace)
         })
     }
 }

@@ -69,11 +69,11 @@ pub mod streaming;
 pub mod tracking;
 
 pub use antenna_cal::AntennaCalibration;
-pub use batch::{BatchCache, BatchCache3D, TagReads, TagRounds};
+pub use batch::{BatchCache, BatchCache3D, TagReads};
 pub use calibration::{CalibrationDb, DeviceCalibration};
 pub use detector::{DetectorConfig, MobilityVerdict};
 pub use inventory::{InventorySensor, ItemOutcome, ItemReport};
-pub use lm::{LaneStats, LmCore, ResidualModel, StepStats};
+pub use lm::{LmCore, ResidualModel, StepStats};
 pub use material::{MaterialFeatures, MaterialIdentifier};
 pub use model::AntennaObservation;
 pub use pipeline::{RfPrism, RfPrismConfig, SenseError, SenseWorkspace, SensingResult};

@@ -21,7 +21,7 @@
 //! operation runs in the same order as the dynamic core, so results are
 //! **bit-identical**.
 //!
-//! # Lane accounting
+//! # Row lanes
 //!
 //! The residual models evaluate antenna rows in explicit 4-wide lanes
 //! (each lane computes one independent row; rows are written in antenna
@@ -29,10 +29,7 @@
 //! matches a plain row loop). The normal-equation assembly (`JᵀJ`/`Jᵀr`)
 //! runs the same discipline: 4 residual rows per pass, one independent
 //! accumulator per matrix entry, lane products reduced in row order — so
-//! the blocked assembly is bit-identical to the scalar `m×P` loop. The
-//! core counts full 4-row blocks and leftover scalar rows per evaluation
-//! into [`LaneStats`]; the solvers surface the tallies through the
-//! `solver.lane_*` observability counters.
+//! the blocked assembly is bit-identical to the scalar `m×P` loop.
 //!
 //! # Damped steps
 //!
@@ -45,42 +42,6 @@
 //! operations, in its order.
 
 use crate::solver::SolveStats;
-
-/// Lane-utilization counters of the 4-wide hot paths, accumulated
-/// monotonically (snapshot and diff with [`LaneStats::since`]).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct LaneStats {
-    /// Full 4-seed blocks evaluated by the coarse seed ranking.
-    pub seed_blocks: u64,
-    /// Full 4-row blocks evaluated by residual/Jacobian passes.
-    pub row_blocks: u64,
-    /// Rows (or seeds) processed outside a full 4-wide block — the loop
-    /// remainders of residual passes and of the coarse seed ranking.
-    pub scalar_rows: u64,
-}
-
-impl LaneStats {
-    /// The tallies accumulated since `earlier` was snapshotted.
-    #[must_use]
-    pub fn since(self, earlier: LaneStats) -> LaneStats {
-        LaneStats {
-            seed_blocks: self.seed_blocks - earlier.seed_blocks,
-            row_blocks: self.row_blocks - earlier.row_blocks,
-            scalar_rows: self.scalar_rows - earlier.scalar_rows,
-        }
-    }
-
-    /// Element-wise sum of two tallies (for aggregating a workspace's
-    /// cores into one snapshot).
-    #[must_use]
-    pub fn merged(self, other: LaneStats) -> LaneStats {
-        LaneStats {
-            seed_blocks: self.seed_blocks + other.seed_blocks,
-            row_blocks: self.row_blocks + other.row_blocks,
-            scalar_rows: self.scalar_rows + other.scalar_rows,
-        }
-    }
-}
 
 /// Work counters of the λ-retry step machinery, accumulated monotonically
 /// (snapshot and diff with [`StepStats::since`]). These feed the
@@ -155,7 +116,6 @@ pub struct LmCore<const P: usize> {
     /// Gradient `Jᵀr`.
     jtr: [f64; P],
     stats: SolveStats,
-    lanes: LaneStats,
     steps: StepStats,
 }
 
@@ -169,7 +129,6 @@ impl<const P: usize> Default for LmCore<P> {
             chol: [[0.0; P]; P],
             jtr: [0.0; P],
             stats: SolveStats::default(),
-            lanes: LaneStats::default(),
             steps: StepStats::default(),
         }
     }
@@ -183,23 +142,10 @@ impl<const P: usize> LmCore<P> {
         self.stats
     }
 
-    /// Snapshot of the lane-utilization counters (diff with
-    /// [`LaneStats::since`]).
-    pub fn lane_stats(&self) -> LaneStats {
-        self.lanes
-    }
-
     /// Snapshot of the λ-retry step counters (diff with
     /// [`StepStats::since`]).
     pub fn step_stats(&self) -> StepStats {
         self.steps
-    }
-
-    /// Charges one pass over `rows` residual rows to the lane tallies:
-    /// full 4-row blocks plus the scalar remainder.
-    fn charge_lanes(&mut self, rows: usize) {
-        self.lanes.row_blocks += (rows / 4) as u64;
-        self.lanes.scalar_rows += (rows % 4) as u64;
     }
 
     /// Assembles the normal equations `JᵀJ` / `Jᵀr` from the current
@@ -207,8 +153,7 @@ impl<const P: usize> LmCore<P> {
     /// 4 per pass; every `JᵀJ`/`Jᵀr` entry keeps its own independent
     /// accumulator and the four lane products are reduced in row order,
     /// so each partial sum — and therefore every bit of the result —
-    /// matches the scalar loop. The refinements charge assembly rows to
-    /// the lane tallies like model-evaluation rows.
+    /// matches the scalar loop.
     #[allow(clippy::needless_range_loop)] // index loops mirror the frozen core verbatim
     fn assemble_normal_equations(&mut self, m: usize) {
         self.jtj = [[0.0; P]; P];
@@ -272,7 +217,6 @@ impl<const P: usize> LmCore<P> {
         self.stats.jacobian_evals += 1;
         let mut cost: f64 = self.r.iter().map(|v| v * v).sum();
         let m = self.r.len();
-        self.charge_lanes(m);
         debug_assert_eq!(self.jac.len(), m * P);
 
         let mut lambda = 1e-3;
@@ -286,12 +230,10 @@ impl<const P: usize> LmCore<P> {
                 model.eval(&p, &mut self.r, Some(&mut self.jac));
                 self.stats.residual_evals += 1;
                 self.stats.jacobian_evals += 1;
-                self.charge_lanes(m);
             }
             // Assemble the normal equations once; the λ retries below
             // reuse them and only re-damp the diagonal.
             self.assemble_normal_equations(m);
-            self.charge_lanes(m);
 
             for attempt in 0..8 {
                 if attempt > 0 {
@@ -313,7 +255,6 @@ impl<const P: usize> LmCore<P> {
                 let candidate: [f64; P] = std::array::from_fn(|a| p[a] + delta[a]);
                 model.eval(&candidate, &mut self.r_plus, None);
                 self.stats.residual_evals += 1;
-                self.charge_lanes(m);
                 let new_cost: f64 = self.r_plus.iter().map(|v| v * v).sum();
                 if new_cost < cost {
                     let rel_drop = (cost - new_cost) / cost.max(1e-300);
@@ -340,9 +281,9 @@ impl<const P: usize> LmCore<P> {
     /// assembled and Cholesky-factored as a refinement iteration does, and
     /// column *k* obtained by back-substituting the *k*-th unit vector.
     /// `None` when `JᵀJ` is not numerically positive definite or a
-    /// diagonal entry comes out negative or non-finite. Charges no work,
-    /// lane or step counter: it is a read-out of the solution, not part of
-    /// the search.
+    /// diagonal entry comes out negative or non-finite. Charges no work
+    /// or step counter: it is a read-out of the solution, not part of the
+    /// search.
     pub(crate) fn covariance<M: ResidualModel<P>>(
         &mut self,
         model: &M,

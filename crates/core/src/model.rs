@@ -38,11 +38,6 @@ pub struct AntennaObservation {
     pub intercept: f64,
     /// Residual standard deviation of the (inlier) line fit, radians.
     pub residual_std: f64,
-    /// Residual standard deviation *before* outlier rejection, radians —
-    /// the error detector's mobility indicator.
-    pub raw_residual_std: f64,
-    /// R² of the raw (pre-rejection) fit.
-    pub raw_r_squared: f64,
     /// Fraction of channels kept as inliers by the multipath suppression.
     pub inlier_fraction: f64,
     /// Per-channel observations (all channels, sorted by frequency).
@@ -97,8 +92,6 @@ impl AntennaObservation {
             slope: 0.0,
             intercept: 0.0,
             residual_std: 0.0,
-            raw_residual_std: 0.0,
-            raw_r_squared: 0.0,
             inlier_fraction: 0.0,
             channels: Vec::new(),
             channel_inliers: Vec::new(),
@@ -197,9 +190,9 @@ pub fn extract_observation_into(
 
 /// The fit tail of batch and streaming extraction, run once the front end
 /// has filled `out.channels` and the fit columns of `ws`: the 5-channel
-/// check, the raw fit, the robust fit and its inlier mask when
-/// `config.suppress_multipath` (every channel an inlier otherwise), then
-/// the observation's fitted-line fields.
+/// check, then the robust fit and its inlier mask when
+/// `config.suppress_multipath`, the raw fit with every channel an inlier
+/// otherwise, then the observation's fitted-line fields.
 ///
 /// # Errors
 ///
@@ -217,10 +210,6 @@ pub(crate) fn fit_observation(
     }
     counter_add(FRONTEND_CHANNELS, n as u64);
 
-    // Raw fit from the sums the front end already accumulated while
-    // unwrapping — no second pass over the columns.
-    let raw_fit = ws.raw_fit()?;
-
     out.channel_inliers.clear();
     let (fit, inlier_fraction) = if config.suppress_multipath {
         let (xs, ys, fit_ws) = ws.fit_columns();
@@ -229,19 +218,17 @@ pub(crate) fn fit_observation(
         (summary.fit, summary.inlier_fraction(n))
     } else {
         out.channel_inliers.resize(n, true);
-        (raw_fit, 1.0)
+        (ws.raw_fit()?, 1.0)
     };
-    finish_observation(pose, &raw_fit, &fit, inlier_fraction, out);
+    finish_observation(pose, &fit, inlier_fraction, out);
     Ok(())
 }
 
-/// Fills the fitted-line fields of `out` from the raw fit and the
-/// accepted (robust or raw) fit. `out.channels` and `out.channel_inliers`
-/// must already be populated — the inlier-mean RSSI is computed from them
-/// here.
+/// Fills the fitted-line fields of `out` from the accepted (robust or
+/// raw) fit. `out.channels` and `out.channel_inliers` must already be
+/// populated — the inlier-mean RSSI is computed from them here.
 fn finish_observation(
     pose: AntennaPose,
-    raw_fit: &rfp_dsp::linfit::LineFit,
     fit: &rfp_dsp::linfit::LineFit,
     inlier_fraction: f64,
     out: &mut AntennaObservation,
@@ -259,8 +246,6 @@ fn finish_observation(
     out.slope = fit.slope;
     out.intercept = angle::wrap_tau(fit.intercept);
     out.residual_std = fit.residual_std;
-    out.raw_residual_std = raw_fit.residual_std;
-    out.raw_r_squared = raw_fit.r_squared;
     out.inlier_fraction = inlier_fraction;
     out.mean_rssi_dbm = rssi_sum / rssi_n.max(1) as f64;
     out.unwrapped_intercept = fit.intercept;

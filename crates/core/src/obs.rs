@@ -154,18 +154,6 @@ metrics! {
         "streaming.stale_tags",
         "tags with no estimate in the last window"
     ),
-    SOLVER_LANE_SEED_BLOCKS: counter(
-        "solver.lane_seed_blocks",
-        "4-seed blocks scored by the wide coarse-ranking lanes"
-    ),
-    SOLVER_LANE_ROW_BLOCKS: counter(
-        "solver.lane_row_blocks",
-        "4-row antenna blocks evaluated by the wide residual lanes"
-    ),
-    SOLVER_LANE_SCALAR_ROWS: counter(
-        "solver.lane_scalar_rows",
-        "seeds/rows handled by the scalar remainder of a 4-wide loop"
-    ),
     SOLVER_LAMBDA_RETRIES: counter(
         "solver.lambda_retries",
         "damped-step lambda retries beyond each iteration's first attempt"

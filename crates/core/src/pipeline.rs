@@ -604,17 +604,8 @@ impl RfPrism {
     /// As [`RfPrism::sense`]; additionally returns
     /// [`SenseError::TooFewObservations`] if *no* round was usable.
     pub fn sense_rounds(&self, rounds: &[Vec<Vec<RawRead>>]) -> Result<SensingResult, SenseError> {
-        self.sense_rounds_with(rounds, &mut SenseWorkspace::default())
-    }
-
-    /// [`RfPrism::sense_rounds`] with a reusable workspace; bit-identical
-    /// results (see `crate::batch`).
-    pub(crate) fn sense_rounds_with(
-        &self,
-        rounds: &[Vec<Vec<RawRead>>],
-        workspace: &mut SenseWorkspace,
-    ) -> Result<SensingResult, SenseError> {
         use rfp_geom::angle;
+        let workspace = &mut SenseWorkspace::default();
         let _sense_span = obs::timed_span("sense_rounds", &[obs::id::SENSE_LATENCY_US]);
         obs::counter_add(obs::id::PIPELINE_WINDOWS_TOTAL, 1);
         let mut per_round: Vec<Vec<AntennaObservation>> = Vec::new();

@@ -59,7 +59,7 @@
 //! `rfp-oracle` crate (`rfp_oracle::solver`) as the bit-exact oracle the
 //! facade is pinned against (see DESIGN.md §6).
 
-use crate::lm::{LaneStats, LmCore, ResidualModel, StepStats};
+use crate::lm::{LmCore, ResidualModel, StepStats};
 use crate::model::AntennaObservation;
 use crate::obs;
 use rfp_geom::{angle, AntennaPose, Region2, Vec2, Vec3};
@@ -414,9 +414,6 @@ pub struct Workspace<const J: usize, const S: usize> {
     columns: Vec<usize>,
     /// Pruning / warm-start effectiveness tallies.
     prune: PruneStats,
-    /// Lane tallies of the coarse seed ranking (the LM cores keep their
-    /// own row tallies).
-    lanes: LaneStats,
 }
 
 /// The 2-D solver's workspace (see [`Workspace`]).
@@ -489,15 +486,6 @@ impl<const J: usize, const S: usize> Workspace<J, S> {
     /// (diff with [`PruneStats::since`]).
     pub fn prune_stats(&self) -> PruneStats {
         self.prune
-    }
-
-    /// Snapshot of the 4-wide lane tallies: the coarse seed-ranking blocks
-    /// plus both LM cores' residual-row blocks (diff with
-    /// [`LaneStats::since`]).
-    pub fn lane_stats(&self) -> LaneStats {
-        self.lanes
-            .merged(self.joint.lane_stats())
-            .merged(self.slope.lane_stats())
     }
 
     /// Snapshot of the damped-step tallies — λ retries and factorization
@@ -768,8 +756,7 @@ pub(crate) fn solve<D: SceneDim<J, S>, const J: usize, const S: usize>(
         return Err(D::unknown_antenna());
     }
     let _solve_span = obs::timed_span(D::SPANS.0, &[obs::id::SOLVE_LATENCY_US]);
-    let before = obs::active()
-        .then(|| (workspace.stats(), workspace.lane_stats(), workspace.step_stats()));
+    let before = obs::active().then(|| (workspace.stats(), workspace.step_stats()));
     let (p, cost, seeds_refined, warm_hit) =
         search(observations, seeds, workspace, warm, gate);
     let seeds_total = seeds.position_starts.len() as u64;
@@ -779,9 +766,8 @@ pub(crate) fn solve<D: SceneDim<J, S>, const J: usize, const S: usize>(
     prune.seeds_refined += seeds_refined;
     prune.warm_start_hits += u64::from(warm_hit);
     prune.warm_start_misses += u64::from(warm_miss);
-    if let Some((stats, lanes, steps)) = before {
+    if let Some((stats, steps)) = before {
         let work = workspace.stats().since(stats);
-        let lane_work = workspace.lane_stats().since(lanes);
         let step_work = workspace.step_stats().since(steps);
         let [solves, iterations, residual_evals, jacobian_evals] = D::COUNTERS;
         obs::counters_add(&[
@@ -792,9 +778,6 @@ pub(crate) fn solve<D: SceneDim<J, S>, const J: usize, const S: usize>(
             (obs::id::SOLVER_SEEDS_TOTAL, seeds_total),
             (obs::id::SOLVER_SEEDS_REFINED, seeds_refined),
             (obs::id::SOLVER_SEEDS_PRUNED, seeds_total.saturating_sub(seeds_refined)),
-            (obs::id::SOLVER_LANE_SEED_BLOCKS, lane_work.seed_blocks),
-            (obs::id::SOLVER_LANE_ROW_BLOCKS, lane_work.row_blocks),
-            (obs::id::SOLVER_LANE_SCALAR_ROWS, lane_work.scalar_rows),
             (obs::id::SOLVER_LAMBDA_RETRIES, step_work.lambda_retries),
             (obs::id::SOLVER_CHOL_FAILURES, step_work.chol_failures),
             (obs::id::SOLVER_WARM_HITS, u64::from(warm_hit)),
@@ -824,7 +807,6 @@ fn search<D: SceneDim<J, S>, const J: usize, const S: usize>(
         scan: scan_state,
         refined,
         columns,
-        lanes,
         ..
     } = workspace;
     let columns = &columns[..];
@@ -869,7 +851,7 @@ fn search<D: SceneDim<J, S>, const J: usize, const S: usize>(
     };
     let mut coarse_ready = cached_floor.is_none();
     if coarse_ready {
-        rank_coarse(observations, seeds, columns, D::BEAM, coarse, lanes);
+        rank_coarse(observations, seeds, columns, D::BEAM, coarse);
     }
 
     // Warm start: refine the prior first and gate the result against the
@@ -899,7 +881,7 @@ fn search<D: SceneDim<J, S>, const J: usize, const S: usize>(
         };
         if !accept {
             if !coarse_ready {
-                rank_coarse(observations, seeds, columns, D::BEAM, coarse, lanes);
+                rank_coarse(observations, seeds, columns, D::BEAM, coarse);
                 coarse_ready = true;
             }
             let (_, best_seed, best_kt) = coarse[0];
@@ -926,7 +908,7 @@ fn search<D: SceneDim<J, S>, const J: usize, const S: usize>(
     // A deferred coarse ranking is needed after all (warm gate missed, or
     // the prior was absent) for the stage-1 beam.
     if !coarse_ready {
-        rank_coarse(observations, seeds, columns, D::BEAM, coarse, lanes);
+        rank_coarse(observations, seeds, columns, D::BEAM, coarse);
     }
 
     // Stage 1: slope-only position solve of the beam of coarse-ranked
@@ -1053,7 +1035,6 @@ fn rank_coarse<D>(
     columns: &[usize],
     beam: usize,
     coarse: &mut Vec<(f64, usize, f64)>,
-    lanes: &mut LaneStats,
 ) {
     let _rank_span = obs::span("seed_rank");
     coarse.clear();
@@ -1079,14 +1060,12 @@ fn rank_coarse<D>(
         for l in 0..4 {
             coarse.push((cost[l], s + l, kt0[l]));
         }
-        lanes.seed_blocks += 1;
         s += 4;
     }
     for idx in s..n_seeds {
         let (kt0, cost) = coarse_seed_cost(observations, g, columns, idx);
         coarse.push((cost, idx, kt0));
     }
-    lanes.scalar_rows += (n_seeds - s) as u64;
     let by_key = |a: &(f64, usize, f64), b: &(f64, usize, f64)| {
         a.0.partial_cmp(&b.0).expect("finite costs").then_with(|| a.1.cmp(&b.1))
     };

@@ -122,32 +122,6 @@ fn batch_cache_is_reusable_across_calls() {
 }
 
 #[test]
-fn rounds_batch_matches_sequential() {
-    let scene = Scene::standard_2d();
-    let prism = RfPrism::new(scene.antenna_poses(), scene.reader().plan)
-        .with_region(scene.region());
-    let mut rng = StdRng::seed_from_u64(5);
-    let tags: Vec<Vec<_>> = (0..10)
-        .map(|i| {
-            let pos = Vec2::new(rng.gen_range(-0.4..1.4), rng.gen_range(0.6..2.4));
-            let alpha = rng.gen_range(0.0..std::f64::consts::PI);
-            let tag = SimTag::with_seeded_diversity(100 + i)
-                .with_motion(Motion::planar_static(pos, alpha));
-            (0..3)
-                .map(|r| scene.survey(&tag, 1000 + i * 10 + r).per_antenna)
-                .collect()
-        })
-        .collect();
-    let sequential: Vec<_> = tags.iter().map(|rounds| prism.sense_rounds(rounds)).collect();
-    for jobs in [1, 2, 8] {
-        let batch = prism.sense_rounds_batch(&tags, jobs);
-        for (i, (b, s)) in batch.iter().zip(&sequential).enumerate() {
-            assert_identical(b, s, i);
-        }
-    }
-}
-
-#[test]
 fn batch_3d_matches_sequential() {
     use rfp_geom::Vec3;
     let scene = Scene::six_antenna_3d();

@@ -13,7 +13,7 @@
 //! its own seeds, so every pin also checks the facade's seed construction
 //! against an independent copy. Below the
 //! facades, `LmCore::refine` is pinned against the oracle's dynamic
-//! analytic LM core, on the same model as its lane-tally check.
+//! analytic LM core on a small line model.
 
 use proptest::prelude::*;
 use rfp_core::lm::{LmCore, ResidualModel};
@@ -420,7 +420,7 @@ fn dirty_workspace_reuse_is_bit_identical_3d() {
 }
 
 // ---------------------------------------------------------------------------
-// LM core pins and lane accounting
+// LM core pins
 // ---------------------------------------------------------------------------
 
 /// Fit y = a·x + b over 10 points — a tiny 2-parameter model whose
@@ -469,22 +469,6 @@ fn analytic_refine_matches_dynamic_core_bitwise() {
     assert!((p[0] - 2.0).abs() < 1e-8 && (p[1] + 3.0).abs() < 1e-8);
     // Identical work accounting, too.
     assert_eq!(core.stats(), ws.stats());
-}
-
-#[test]
-fn lane_tallies_count_blocks_and_remainders() {
-    let model = line_model();
-    let mut core = LmCore::<2>::default();
-    core.refine(&model, [0.0, 0.0], 100, 1e-14);
-    let lanes = core.lane_stats();
-    // 10 rows per pass → 2 full blocks + 2 scalar rows each.
-    assert!(lanes.row_blocks > 0);
-    assert_eq!(lanes.scalar_rows, lanes.row_blocks);
-    // Every model evaluation and every normal-equation assembly (one
-    // per iteration) is one 10-row pass.
-    let stats = core.stats();
-    let passes = stats.residual_evals + stats.iterations;
-    assert_eq!(4 * lanes.row_blocks + lanes.scalar_rows, 10 * passes);
 }
 
 // ---------------------------------------------------------------------------

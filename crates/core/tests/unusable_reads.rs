@@ -3,8 +3,12 @@
 //! streaming sensing each return, bit for bit, the estimate of the same
 //! reads with the bad one removed by hand. A channel's first read at
 //! 1e300 Hz overflows its antenna's line fit, and costs that antenna only.
+//! A window whose frequencies leave no line to fit fails its extraction
+//! with a pinned error variant.
 
+use rfp_core::model::{extract_observation, ExtractConfig, ExtractError};
 use rfp_core::{RfPrism, RfPrism3D, SenseError, SensingResult, TagEstimate2D, TagEstimate3D};
+use rfp_dsp::linfit::FitError;
 use rfp_dsp::preprocess::RawRead;
 use rfp_geom::{Vec2, Vec3};
 use rfp_sim::{Motion, Scene, SimTag};
@@ -185,4 +189,49 @@ fn unusable_read_costs_only_itself_streaming() {
     };
     let [far, emptied] = far_first_read(&rounds[0].per_antenna, 2);
     assert_eq!(advance(&far), advance(&emptied));
+}
+
+/// `reads` with every read of its `k` lowest channel ids moved to `hz`.
+fn channels_at(reads: &[RawRead], k: usize, hz: f64) -> Vec<RawRead> {
+    let mut ids: Vec<usize> = reads.iter().map(|r| r.channel).collect();
+    ids.sort_unstable();
+    ids.dedup();
+    let moved = &ids[..k];
+    reads
+        .iter()
+        .map(|r| RawRead {
+            frequency_hz: if moved.contains(&r.channel) { hz } else { r.frequency_hz },
+            ..*r
+        })
+        .collect()
+}
+
+/// Pin: at the paper configuration, a 50-channel window with no line to
+/// fit fails with `Fit(DegenerateX)` when every channel reads at one
+/// frequency or when 1 or 3 channels read at 1e150 Hz, and with
+/// `Fit(NonFinite)` when 1, 3 or 30 channels read at 1e200 or 1e300 Hz
+/// (their squared offsets overflow).
+#[test]
+fn unfittable_windows_fail_with_a_pinned_variant() {
+    let scene = Scene::standard_2d();
+    let tag = SimTag::with_seeded_diversity(5)
+        .with_motion(Motion::planar_static(Vec2::new(0.3, 1.4), 0.4));
+    let reads = scene.survey(&tag, 1).per_antenna.swap_remove(1);
+    let pose = scene.antenna_poses()[1];
+    let error = |reads: &[RawRead]| {
+        extract_observation(pose, reads, &ExtractConfig::paper()).map(|_| ()).unwrap_err()
+    };
+    let one_frequency: Vec<RawRead> =
+        reads.iter().map(|r| RawRead { frequency_hz: 915.25e6, ..*r }).collect();
+    assert_eq!(error(&one_frequency), ExtractError::Fit(FitError::DegenerateX));
+    for k in [1, 3] {
+        let degenerate = error(&channels_at(&reads, k, 1e150));
+        assert_eq!(degenerate, ExtractError::Fit(FitError::DegenerateX), "{k} at 1e150 Hz");
+    }
+    for k in [1, 3, 30] {
+        for hz in [1e200, 1e300] {
+            let overflowed = error(&channels_at(&reads, k, hz));
+            assert_eq!(overflowed, ExtractError::Fit(FitError::NonFinite), "{k} at {hz:e} Hz");
+        }
+    }
 }

@@ -1,19 +1,17 @@
-//! Certified π-fold decisions: one phasor sign test per read.
+//! Certified π-vote decisions: one phasor sign test per read.
 //!
-//! The front end makes two decisions per read of phase `p` on a channel
-//! with axis `a` and unwrapped axis `U`:
-//!
-//! * the **fold**: the read is shifted by π iff
-//!   `angle::distance(p, a) > FRAC_PI_2`;
-//! * the **vote**: the read backs the unwrapped axis iff
-//!   `angle::distance(p, U) <= FRAC_PI_2`.
+//! The front end's π majority vote decides, for each read of phase `p`
+//! on a channel with axis `a` and unwrapped axis `U`, whether the read
+//! backs the unwrapped axis: iff `angle::distance(p, U) <= FRAC_PI_2`.
+//! It goes through the read's **fold**, whether it lies on the far side
+//! of its own axis: iff `angle::distance(p, a) > FRAC_PI_2`.
 //!
 //! For a read on the reader's phase grid both come from one sign test.
-//! The fold-table entry `[sin p, cos p]` is loaded anyway, and the axis's
+//! The fold-table entry `[sin p, cos p]` is one load, and the axis's
 //! unit vector `[sin a, cos a]` comes from the pass-1 double-angle
 //! resultant by the half-angle formula (square roots and a division, no
 //! libm), so `dot = sin p·sin a + cos p·cos a ≈ cos(p − a)` and the read
-//! is shifted iff `dot < 0`. The unwrap moves each axis by a whole number
+//! folds iff `dot < 0`. The unwrap moves each axis by a whole number
 //! `j = round((U − a)/π)` of periods, so `U` and `a` share their fold
 //! boundary and the vote is the fold decision flipped when `j` is odd.
 //!
@@ -49,9 +47,9 @@
 //!
 //! [`MARGIN`], `1e-9`, sits about 960× above that bound. A read whose
 //! `|dot|` falls inside it, and every read off the grid, takes the exact
-//! path: both `angle::distance` evaluations. A channel whose parity does
-//! not certify counts every vote exactly. So every decision, and every
-//! output bit with it, is the one the two distances give.
+//! path: [`exact_vote`], the distance to `U`. A channel whose parity does
+//! not certify counts every vote exactly. So every vote, and every output
+//! bit with it, is the one the exact distance gives.
 
 use rfp_geom::angle;
 use std::f64::consts::{FRAC_PI_2, PI};
@@ -104,7 +102,7 @@ impl FoldAxis {
     #[inline(always)]
     pub(crate) fn sign_test(&self, code: Option<u16>, table: &[[f64; 2]]) -> Option<bool> {
         let decided = code.and_then(|c| {
-            let [sin, cos] = table[(c as usize) << 1];
+            let [sin, cos] = table[c as usize];
             let dot = sin * self.unit[0] + cos * self.unit[1];
             (dot.abs() > MARGIN).then_some(dot < 0.0)
         });
@@ -113,13 +111,6 @@ impl FoldAxis {
             tests::EXACT_READS.with(|n| n.set(n.get() + 1));
         }
         decided
-    }
-
-    /// The exact fold decision: whether `phase` lies more than π/2 from
-    /// the axis.
-    #[inline]
-    pub(crate) fn exact_shift(&self, phase: f64) -> bool {
-        angle::distance(phase, self.axis) > FRAC_PI_2
     }
 }
 

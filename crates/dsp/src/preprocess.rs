@@ -29,18 +29,18 @@
 //! * per channel: the axis, the channel order (a walk over the channel
 //!   ids when frequency rises with them, a `(frequency, channel)` sort
 //!   otherwise) and the period-π unwrap of the axes;
-//! * **Pass 2** folds each read onto its channel axis and casts its π
-//!   vote against the unwrapped axis: one phasor sign test per read on
-//!   the reader grid, the vote following from the unwrap's parity (the
-//!   crate-private `fold` module certifies both; a read inside its
-//!   margin or off the grid takes the two exact distances).
+//! * **Pass 2** casts each read's π vote against its channel's unwrapped
+//!   axis: one phasor sign test per read on the reader grid, the vote
+//!   following from the unwrap's parity (the crate-private `fold` module
+//!   certifies it; a read inside its margin or off the grid takes the
+//!   exact distance).
 //!
 //! Per-read trigonometry has one path: reads that carry their 12-bit
 //! reader phase code are looked up in the exact phase-code tables of
 //! [`crate::trig`] (bit-identical to libm by construction), and every
-//! other read calls libm. The lookups are fused into the two passes, so
-//! every per-channel sum keeps the reference summation order — and hence
-//! its bits.
+//! other read calls libm. The lookups are fused into pass 1, so every
+//! per-channel sum keeps the reference summation order — and hence its
+//! bits.
 
 use crate::fold::{self, FoldAxis};
 use crate::trig::{self, PHASE_CODES, PHASE_LSB_RAD};
@@ -113,9 +113,6 @@ pub struct ChannelObservation {
     pub rssi_dbm: f64,
     /// Number of raw reads aggregated.
     pub read_count: usize,
-    /// Circular spread of the (π-corrected) reads, radians — a per-channel
-    /// quality indicator.
-    pub phase_spread: f64,
 }
 
 /// Configuration for [`preprocess_reads`]: none. The front end has one
@@ -183,10 +180,8 @@ pub fn preprocess_reads(
 /// [`preprocess_reads`] against caller-owned scratch: per-channel
 /// aggregation runs over the workspace's flat SoA accumulator columns
 /// (two passes over the raw reads — no per-channel `Vec`s, no map; see
-/// the module docs), the
-/// unwrap operates in the workspace's phase column, and writing the final
-/// observations simultaneously feeds the fused unwrap+OLS accumulator
-/// ([`FrontEndWorkspace::raw_fit`]) and the fit columns
+/// the module docs), the unwrap operates in the workspace's phase column,
+/// and writing the final observations fills the fit columns
 /// ([`FrontEndWorkspace::fit_columns`]). `out` is cleared and refilled;
 /// in steady state (buffer capacities reached) the call performs **zero**
 /// heap allocations.
@@ -308,7 +303,7 @@ impl Run {
 }
 
 /// Everything after pass 1: per-channel axes, the channel order, the
-/// cross-channel unwrap, pass 2 (fold and π vote) and the emit.
+/// cross-channel unwrap, pass 2 (the π vote) and the emit.
 fn finish(
     ws: &mut FrontEndWorkspace,
     reads: &[RawRead],
@@ -347,32 +342,19 @@ fn finish(
     for (k, &s) in ws.order.iter().enumerate() {
         ws.unwrapped[s] = ws.phase_col[k];
     }
-    // Pass 2: fold every read onto its channel axis, accumulating the
-    // folded resultant for the per-channel spread, and cast its vote
-    // against the unwrapped axis. The unwrap needs only the pass-1 axes,
-    // so one pass serves both; the fold sums still accumulate in input
-    // order (bit-identical sums, as in pass 1). A grid read is decided by
-    // one sign test against the axis's unit vector (`fold`), and its vote
-    // is that decision flipped when the unwrap moved the axis by an odd
-    // number of periods; a read inside the sign test's margin, or off the
-    // grid, takes both exact distances. A table hit is one load indexed
-    // by code and fold decision.
-    let FrontEndWorkspace {
-        read_slot, axis, unwrapped, acc_sin, acc_cos, fold_sin, fold_cos, trig_hits, ..
-    } = &mut *ws;
+    // Pass 2: cast every read's vote against its channel's unwrapped axis.
+    // The unwrap needs only the pass-1 axes, so one pass suffices. A grid
+    // read is decided by one sign test against the axis's unit vector
+    // (`fold`), and its vote is that decision flipped when the unwrap moved
+    // the axis by an odd number of periods; a read inside the sign test's
+    // margin, or off the grid, takes the exact distance.
+    let FrontEndWorkspace { read_slot, axis, unwrapped, acc_sin, acc_cos, .. } = &*ws;
     let fold_table = trig::fold_table();
     let mut votes_axis = 0usize;
-    // As in pass 1, the fold sums of the current channel's run live in
-    // registers until the slot changes.
     let mut cur = u32::MAX;
     let (mut fold, mut vote_axis, mut odd) = (FoldAxis::default(), 0.0, false);
-    let (mut run_sin, mut run_cos) = (0.0, 0.0);
     for (r, &s) in reads.iter().zip(read_slot.iter()) {
         if s != cur {
-            if cur != u32::MAX {
-                fold_sin[cur as usize] = run_sin;
-                fold_cos[cur as usize] = run_cos;
-            }
             cur = s;
             let s = s as usize;
             vote_axis = unwrapped[s];
@@ -383,39 +365,23 @@ fn finish(
                 fold.unit = [0.0; 2];
                 false
             });
-            (run_sin, run_cos) = (fold_sin[s], fold_cos[s]);
         }
-        let p = r.phase;
-        let code = r.table_code();
-        let (shift, vote) = match fold.sign_test(code, fold_table) {
-            Some(shift) => (shift, shift == odd),
-            None => (fold.exact_shift(p), fold::exact_vote(p, vote_axis)),
+        let vote = match fold.sign_test(r.table_code(), fold_table) {
+            Some(shift) => shift == odd,
+            None => fold::exact_vote(r.phase, vote_axis),
         };
-        let [sin, cos] = trig::fold_phasor(p, code, shift, fold_table, trig_hits);
-        run_sin += sin;
-        run_cos += cos;
         votes_axis += vote as usize;
     }
-    if cur != u32::MAX {
-        fold_sin[cur as usize] = run_sin;
-        fold_cos[cur as usize] = run_cos;
-    }
-    let mut votes_total = 0usize;
-    for &s in &ws.order {
-        let (sin, cos) = (ws.fold_sin[s], ws.fold_cos[s]);
-        let r = ((sin * sin + cos * cos).sqrt() / ws.count[s] as f64).min(1.0);
-        ws.spread[s] = (-2.0 * r.max(1e-300).ln()).sqrt();
-        votes_total += ws.count[s];
-    }
+    // Every read is usable, so every read votes.
+    let votes_total = reads.len();
     if 2 * votes_axis < votes_total {
         for p in &mut ws.phase_col {
             *p += PI;
         }
     }
 
-    // Emit the final observations; the same loop feeds the fused
-    // unwrap+OLS accumulator and the (freq, phase) fit columns, so the
-    // raw line fit afterwards needs no further pass over the window.
+    // Emit the final observations; the same loop fills the (freq, phase)
+    // fit columns.
     for k in 0..ws.order.len() {
         let s = ws.order[k];
         let freq = ws.first_freq[s];
@@ -426,7 +392,6 @@ fn finish(
             phase,
             rssi_dbm: ws.sum_rssi[s] / ws.count[s] as f64,
             read_count: ws.count[s],
-            phase_spread: ws.spread[s],
         });
         ws.emit(freq, phase);
     }
@@ -534,7 +499,6 @@ mod tests {
         ];
         let obs = preprocess_reads(&reads, &PreprocessConfig::default()).unwrap();
         assert!((obs[0].phase - 0.5).abs() < 0.05, "phase={}", obs[0].phase);
-        assert!(obs[0].phase_spread < 0.1);
     }
 
     #[test]
@@ -605,8 +569,8 @@ mod tests {
     /// The workspace tallies which source served each per-read phasor.
     #[test]
     fn trig_hit_counters_split_table_and_libm_fallback() {
-        // 3 coded + 2 continuous reads on one channel: two phasor passes
-        // (double-angle + fold) over every read.
+        // 3 coded + 2 continuous reads on one channel: one phasor per read
+        // (pass 1's double angle).
         let reads = vec![
             quantized_read(0, 0.4),
             quantized_read(0, 0.41),
@@ -618,12 +582,12 @@ mod tests {
         let mut out = Vec::new();
         preprocess_reads_with(&mut ws, &reads, &PreprocessConfig::default(), &mut out)
             .unwrap();
-        assert_eq!(ws.trig_hits(), [6, 4]);
+        assert_eq!(ws.trig_hits(), [3, 2]);
 
         // A code that no longer reproduces its read's phase is ignored.
         let stale = RawRead { phase: angle::wrap_tau(reads[0].phase + 0.3), ..reads[0] };
         preprocess_reads_with(&mut ws, &[stale, reads[1]], &PreprocessConfig::default(), &mut out)
             .unwrap();
-        assert_eq!(ws.trig_hits(), [2, 2]);
+        assert_eq!(ws.trig_hits(), [1, 1]);
     }
 }

@@ -7,8 +7,7 @@
 //!
 //! Every extract is bit-identical to [`preprocess_reads_with`] on the
 //! window's retained reads, taken in the order they were pushed — its
-//! observations and the fit columns and raw-fit sums it leaves in the
-//! workspace:
+//! observations and the fit columns it leaves in the workspace:
 //!
 //! * a push adds the read's phasor and RSSI to its channel's running
 //!   sums, in push order — the order in which the batch pass sums a
@@ -18,15 +17,14 @@
 //!   Subtracting an expired read instead would leave rounding residue
 //!   that floating point cannot undo (an expired RSSI of 1e300 would take
 //!   the whole sum with it);
-//! * at extract, each channel whose reads changed derives its axis, folds
-//!   its reads onto it and reads off its spread, with the batch
-//!   expressions in the batch order and the batch's fold decisions (one
-//!   sign test per grid read, the exact distance otherwise). The π
-//!   majority vote of a channel whose reads the sign test all decided is
-//!   its tally of shifted reads, or of the rest, by the parity of its
-//!   unwrap; any other channel recounts exactly when its reads or
-//!   unwrapped axis changed. The tallies are integers, so a kept count is
-//!   the count a recount would give.
+//! * at extract, each channel whose reads changed derives its axis with
+//!   the batch expressions and counts the reads the sign test folds (the
+//!   batch's fold decisions), stopping at the first read the sign test
+//!   leaves undecided. The π majority vote of a channel whose reads the
+//!   sign test all decided is its tally of shifted reads, or of the rest,
+//!   by the parity of its unwrap; any other channel recounts exactly when
+//!   its reads or unwrapped axis changed. The tallies are integers, so a
+//!   kept count is the count a recount would give.
 //!
 //! The extract stops where [`preprocess_reads_with`] stops: the line fits
 //! that follow are the batch extraction's own fit tail
@@ -42,12 +40,12 @@
 //! A retained read is 32 bytes: its timestamp, phase, RSSI and frequency.
 //! Its channel is implied by the per-channel ring that holds it, and its
 //! phase code is recovered from its phase. Phasors are looked up where
-//! they are used — the push adds the accumulator phasor, a rebuild looks
-//! it up again, the fold pass looks up the fold phasors — with the batch
-//! passes' phasor helpers, through the phase-code tables when the phase
-//! sits on the reader grid and libm otherwise. Every table entry is libm
-//! on the same expression, so the lookup is bit-identical whether or not
-//! the read carried its code. A channel keeps the timestamp and frequency
+//! they are used — the push adds the accumulator phasor and a rebuild
+//! looks it up again — with the batch pass's phasor helper, through the
+//! phase-code tables when the phase sits on the reader grid and libm
+//! otherwise. Every table entry is libm on the same expression, so the
+//! lookup is bit-identical whether or not the read carried its code. A
+//! channel keeps the timestamp and frequency
 //! of its oldest read inline, so expiry passes over an in-order channel
 //! with nothing to expire, and channel ordering and emit never touch the
 //! ring. A full ring grows by a quarter of its length (plus four), so a
@@ -111,10 +109,9 @@ struct ChannelState {
     /// Some retained read is older than a read pushed before it, so
     /// expiry cannot stop at the first read it keeps.
     unordered: bool,
-    /// The reads changed since `axis` and `spread` were derived.
+    /// The reads changed since `axis` and `votes` were derived.
     dirty: bool,
     axis: f64,
-    spread: f64,
     votes: Votes,
 }
 
@@ -158,35 +155,26 @@ impl ChannelState {
         self.dirty = true;
     }
 
-    /// Derives the axis from the running sums and the spread from one
-    /// fold pass over the reads: the batch per-slot expressions, with the
-    /// fold sums accumulated in the batch order and each read's fold
-    /// decided as batch pass 2 decides it.
-    fn derive(&mut self, hits: &mut [u64; 2]) {
-        let n = self.fifo.len();
-        let fold = FoldAxis::new(self.acc_sin, self.acc_cos, n, self.fifo[0].phase);
+    /// Derives the axis from the running sums, with the batch per-slot
+    /// expressions, and counts the reads the sign test folds, as batch
+    /// pass 2 decides them. The first read the sign test leaves undecided
+    /// ends the count: the channel's votes are then counted exactly.
+    fn derive(&mut self) {
+        let fold = FoldAxis::new(self.acc_sin, self.acc_cos, self.fifo.len(), self.fifo[0].phase);
         self.axis = fold.axis;
-        let table = trig::fold_table();
-        let (mut fold_sin, mut fold_cos) = (0.0, 0.0);
-        let (mut shifted, mut exact) = (0usize, false);
-        for sr in &self.fifo {
-            let code = trig::code_for_phase(sr.phase);
-            let shift = match fold.sign_test(code, table) {
-                Some(shift) => shift,
-                None => {
-                    exact = true;
-                    fold.exact_shift(sr.phase)
-                }
-            };
-            let [s, c] = trig::fold_phasor(sr.phase, code, shift, table, hits);
-            fold_sin += s;
-            fold_cos += c;
-            shifted += shift as usize;
-        }
-        let fr = ((fold_sin * fold_sin + fold_cos * fold_cos).sqrt() / n as f64).min(1.0);
-        self.spread = (-2.0 * fr.max(1e-300).ln()).sqrt();
-        self.votes = if exact { Votes::default() } else { Votes::Parity { shifted } };
         self.dirty = false;
+        let table = trig::fold_table();
+        let mut shifted = 0usize;
+        for sr in &self.fifo {
+            match fold.sign_test(trig::code_for_phase(sr.phase), table) {
+                Some(shift) => shifted += shift as usize,
+                None => {
+                    self.votes = Votes::default();
+                    return;
+                }
+            }
+        }
+        self.votes = Votes::Parity { shifted };
     }
 
     /// The channel's π votes against its unwrapped axis: a parity lookup
@@ -258,8 +246,7 @@ impl StreamingWindow {
     /// Returns and resets the trig tallies (`[table lookups, libm
     /// calls]`), one per phasor looked up where it is used: the
     /// accumulator phasor of each pushed read and of each read a rebuild
-    /// re-accumulates, and the fold phasor of each read a channel folds at
-    /// extract.
+    /// re-accumulates.
     pub fn take_trig_hits(&mut self) -> [u64; 2] {
         std::mem::take(&mut self.trig_hits)
     }
@@ -353,9 +340,9 @@ impl StreamingWindow {
     /// Runs the window's front end: per-channel aggregation (re-derived
     /// only for channels whose reads changed), cross-channel unwrap and π
     /// majority vote. `out` is cleared and refilled with the per-channel
-    /// observations (sorted by frequency), and `ws` with the fit columns
-    /// and raw-fit sums, exactly as [`preprocess_reads_with`] fills them on
-    /// the retained reads; the line fits that follow run on `ws`, so one
+    /// observations (sorted by frequency), and `ws` with the fit columns,
+    /// exactly as [`preprocess_reads_with`] fills them on the retained
+    /// reads; the line fits that follow run on `ws`, so one
     /// workspace serves every window of a session. In steady state (all
     /// buffer capacities reached) the call performs zero heap allocations.
     ///
@@ -374,7 +361,7 @@ impl StreamingWindow {
             if !ch.fifo.is_empty() {
                 kept += 1;
                 if ch.dirty {
-                    ch.derive(&mut self.trig_hits);
+                    ch.derive();
                 }
             }
         }
@@ -414,8 +401,8 @@ impl StreamingWindow {
             }
         }
 
-        // Emit the observations and feed the fused unwrap+OLS sums + fit
-        // columns, as the batch emit loop does.
+        // Emit the observations and fill the fit columns, as the batch
+        // emit loop does.
         ws.reset_channels();
         out.clear();
         for (k, &s) in self.order.iter().enumerate() {
@@ -427,7 +414,6 @@ impl StreamingWindow {
                 phase,
                 rssi_dbm: ch.sum_rssi / ch.fifo.len() as f64,
                 read_count: ch.fifo.len(),
-                phase_spread: ch.spread,
             });
             ws.emit(ch.first_freq, phase);
         }
@@ -520,7 +506,6 @@ mod tests {
         for (s, b) in out.iter().zip(&batch) {
             assert_eq!(s.channel, b.channel, "{ctx}");
             assert_eq!(s.phase.to_bits(), b.phase.to_bits(), "{ctx}: ch {}", s.channel);
-            assert_eq!(s.phase_spread.to_bits(), b.phase_spread.to_bits(), "{ctx}");
             assert_eq!(s.rssi_dbm.to_bits(), b.rssi_dbm.to_bits(), "{ctx}: ch {}", s.channel);
             assert_eq!(s.read_count, b.read_count, "{ctx}");
         }
@@ -539,13 +524,12 @@ mod tests {
         assert_eq!(std::mem::size_of::<StoredRead>(), 32);
     }
 
-    /// A channel's state is no larger than it was with the recount cache
-    /// (a `usize` tally and its `f64` axis): the channel id's 32 bits make
+    /// A channel's state fits in 112 bytes: the channel id's 32 bits make
     /// room for the vote bookkeeping's tag.
     #[test]
-    fn channel_state_is_at_most_120_bytes() {
+    fn channel_state_is_at_most_112_bytes() {
         let size = std::mem::size_of::<ChannelState>();
-        assert!(size <= 120, "{size} bytes");
+        assert!(size <= 112, "{size} bytes");
     }
 
     /// A freshly filled window (no expiry yet) is bit-identical to the

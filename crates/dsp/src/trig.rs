@@ -2,29 +2,28 @@
 //!
 //! Profiling after the SoA rework showed the front end's `preprocess`
 //! stage is *trig-bound*: the π-jump correction evaluates a libm
-//! `sin`/`cos` pair per raw read in the double-angle pass and again in
-//! the fold pass, and those calls dominate the stage. This module
-//! breaks that bound without giving up a single bit of accuracy on real
-//! reader data, by exploiting the structure of the input.
+//! `sin`/`cos` pair per raw read, and those calls dominate the stage.
+//! This module breaks that bound without giving up a single bit of
+//! accuracy on real reader data, by exploiting the structure of the
+//! input.
 //!
 //! An EPC Gen2 / LLRP reader reports phase on a 12-bit grid: every
 //! reported phase is exactly `c · 2π/4096` for a code `c ∈ 0..4096` (the
 //! LSB is `2π · 2⁻¹²`, whose mantissa is exact, so the grid points are
 //! exact f64 products). When a [`RawRead`](crate::preprocess::RawRead)
-//! carries its code, every trig value the front end needs — `sin/cos(p)`,
-//! `sin/cos(2·p)` for the double-angle trick and `sin/cos(p + π)` for the
-//! fold pass — is one of `3 × 4096` precomputed `[sin, cos]` pairs, held
-//! in two interleaved tables: the double-angle table by code, and the
-//! fold table by `2·code + shift`, so the fold pass selects the base or
-//! π-shifted pair by address instead of by branch. The tables are
-//! filled by calling libm **on the exact expressions the front end would
-//! otherwise evaluate**, so a table lookup is bit-identical to libm *by
-//! construction*; the `table_matches_libm_for_every_code` test proves it
-//! exhaustively for all 4096 codes rather than by sampling. Reads without
-//! a code, or whose code does not reproduce their phase, call libm, so
-//! the front end is bit-identical to libm on every input.
+//! carries its code, every trig value the front end needs —
+//! `sin/cos(2·p)` for the double-angle trick and `sin/cos(p)`, the π
+//! vote's sign-test operand — is one of `2 × 4096` precomputed
+//! `[sin, cos]` pairs, held in two interleaved tables indexed by code.
+//! The tables are filled by calling libm **on the exact expressions the
+//! front end would otherwise evaluate**, so a table lookup is
+//! bit-identical to libm *by construction*; the
+//! `table_matches_libm_for_every_code` test proves it exhaustively for
+//! all 4096 codes rather than by sampling. Reads without a code, or whose
+//! code does not reproduce their phase, call libm, so the front end is
+//! bit-identical to libm on every input.
 
-use std::f64::consts::{PI, TAU};
+use std::f64::consts::TAU;
 use std::sync::OnceLock;
 
 /// Number of points on the reader's phase grid (12-bit LLRP `PhaseAngle`).
@@ -50,34 +49,30 @@ pub(crate) mod hit {
 /// for the grid phase `p = c · LSB` of code `c`:
 ///
 /// * `double[c]` — the doubled angle `2·p` (the π-jump accumulation);
-/// * `fold[2c + shift]` — `p` itself at `shift = 0` and the π-shifted
-///   `p + π` at `shift = 1`, so the fold pass looks its phasor up by code
-///   and fold decision in one index instead of branching between tables.
+/// * `fold[c]` — `p` itself (the π vote's sign test).
 struct PhaseTables {
     double: [[f64; 2]; PHASE_CODES],
-    fold: [[f64; 2]; 2 * PHASE_CODES],
+    fold: [[f64; 2]; PHASE_CODES],
 }
 
 static TABLES: OnceLock<PhaseTables> = OnceLock::new();
 
 /// The shared tables, built once on first use (inline in the static — no
-/// heap allocation, 192 KiB total).
+/// heap allocation, 128 KiB total).
 fn tables() -> &'static PhaseTables {
     TABLES.get_or_init(|| {
         let mut t = PhaseTables {
             double: [[0.0; 2]; PHASE_CODES],
-            fold: [[0.0; 2]; 2 * PHASE_CODES],
+            fold: [[0.0; 2]; PHASE_CODES],
         };
         for c in 0..PHASE_CODES {
             // Each entry evaluates libm on the *same expression* the
             // scalar fallback computes from a grid phase, so equality is
-            // bitwise by construction. Note `2.0 * p` and `p + PI` leave
-            // the grid (doubling is exact; the π shift rounds once) —
-            // exactly as they do in the scalar code.
+            // bitwise by construction. Note `2.0 * p` leaves the grid
+            // (doubling is exact) — exactly as it does in the scalar code.
             let p = c as f64 * PHASE_LSB_RAD;
             t.double[c] = [(2.0 * p).sin(), (2.0 * p).cos()];
-            t.fold[2 * c] = [p.sin(), p.cos()];
-            t.fold[2 * c + 1] = [(p + PI).sin(), (p + PI).cos()];
+            t.fold[c] = [p.sin(), p.cos()];
         }
         t
     })
@@ -122,9 +117,8 @@ pub(crate) fn double_table() -> &'static [[f64; 2]] {
     &tables().double
 }
 
-/// The fold table as a slice of `[sin, cos]` pairs indexed by
-/// `2·code + shift`, for hot loops that hoist the table out of the
-/// per-read work.
+/// The fold table as a slice of `[sin, cos]` pairs indexed by code, for
+/// hot loops that hoist the table out of the per-read work.
 #[inline]
 pub(crate) fn fold_table() -> &'static [[f64; 2]] {
     &tables().fold
@@ -156,46 +150,12 @@ pub(crate) fn acc_phasor(
     }
 }
 
-/// The fold phasor `[sin, cos]` of a read of phase `p` folded onto its
-/// channel axis: of `p + π` when `shift`, of `p` otherwise, looked up
-/// like [`acc_phasor`] in `table` ([`fold_table`]) by `code` and fold
-/// decision.
-#[inline(always)]
-pub(crate) fn fold_phasor(
-    phase: f64,
-    code: Option<u16>,
-    shift: bool,
-    table: &[[f64; 2]],
-    hits: &mut [u64; 2],
-) -> [f64; 2] {
-    match code {
-        Some(code) => {
-            hits[hit::TABLE] += 1;
-            table[((code as usize) << 1) | shift as usize]
-        }
-        None => {
-            hits[hit::LIBM] += 1;
-            let folded = if shift { phase + PI } else { phase };
-            [folded.sin(), folded.cos()]
-        }
-    }
-}
-
-/// The fold-table entry for `code`: `(sin, cos)` of the grid phase when
-/// `shift` is false, of the π-shifted grid phase when it is true —
-/// bit-equal to `(q.sin(), q.cos())` for `q = c·LSB` or `q = c·LSB + π`.
-/// Codes are taken modulo 4096.
-#[inline]
-pub(crate) fn fold_sin_cos(code: u16, shift: bool) -> (f64, f64) {
-    let [sin, cos] = fold_table()[((code as usize % PHASE_CODES) << 1) | shift as usize];
-    (sin, cos)
-}
-
 /// Table lookup of `(sin, cos)` of the grid phase for `code`, bit-equal
 /// to `((c·LSB).sin(), (c·LSB).cos())`. Codes are taken modulo 4096.
 #[inline]
 pub fn table_sin_cos(code: u16) -> (f64, f64) {
-    fold_sin_cos(code, false)
+    let [sin, cos] = fold_table()[code as usize % PHASE_CODES];
+    (sin, cos)
 }
 
 /// Table lookup of `(sin, cos)` of the **doubled** grid phase for
@@ -209,16 +169,6 @@ pub fn table_sin_cos(code: u16) -> (f64, f64) {
 pub fn table_double_sin_cos(code: u16) -> (f64, f64) {
     let [sin, cos] = double_table()[code as usize % PHASE_CODES];
     (sin, cos)
-}
-
-/// Table lookup of `(sin, cos)` of the **π-shifted** grid phase for
-/// `code`, bit-equal to `(((c·LSB)+π).sin(), ((c·LSB)+π).cos())` — the
-/// fold-pass value for a read folded onto the opposite cluster. The
-/// shift is a plain f64 add of `π` (itself off-grid), matching the
-/// scalar `folded = p + PI` expression exactly.
-#[inline]
-pub fn table_shift_sin_cos(code: u16) -> (f64, f64) {
-    fold_sin_cos(code, true)
 }
 
 #[cfg(test)]
@@ -270,30 +220,6 @@ mod tests {
                 "double-angle cos table diverges from libm at phase code {c} \
                  (doubled angle {d:e}): table {tc:e} vs libm {:e}",
                 d.cos()
-            );
-        }
-    }
-
-    /// Exhaustive bit-identity for the π-shift (fold) table: every
-    /// code's entry equals libm on `(c·LSB) + π`.
-    #[test]
-    fn shift_table_matches_libm_for_every_code() {
-        for c in 0..PHASE_CODES as u16 {
-            let f = c as f64 * PHASE_LSB_RAD + PI;
-            let (ts, tc) = table_shift_sin_cos(c);
-            assert_eq!(
-                ts.to_bits(),
-                f.sin().to_bits(),
-                "π-shift sin table diverges from libm at phase code {c} \
-                 (shifted phase {f:e}): table {ts:e} vs libm {:e}",
-                f.sin()
-            );
-            assert_eq!(
-                tc.to_bits(),
-                f.cos().to_bits(),
-                "π-shift cos table diverges from libm at phase code {c} \
-                 (shifted phase {f:e}): table {tc:e} vs libm {:e}",
-                f.cos()
             );
         }
     }

@@ -23,10 +23,8 @@
 //! * [`FrontEndWorkspace`] — everything above plus the pre-processing
 //!   stage's per-channel accumulator columns (struct-of-arrays: one flat
 //!   `f64`/`usize` column per quantity instead of a map of per-channel
-//!   `Vec`s) and the fused unwrap+OLS accumulator: while the final
-//!   unwrapped phase column is written out, running `Σx, Σy, Σxy, Σx²`
-//!   sums are updated so the raw line fit afterwards is O(1) instead of
-//!   another pass with fresh allocations.
+//!   `Vec`s) and the fit columns the final observations are written to,
+//!   which the line fits read without fresh allocations.
 //!
 //! The allocating public APIs (`preprocess_reads`, `robust_line_fit`, …)
 //! now delegate to these kernels against a temporary workspace, so both
@@ -273,27 +271,19 @@ pub struct FrontEndWorkspace {
     pub(crate) acc_cos: Vec<f64>,
     /// slot → recovered per-channel axis.
     pub(crate) axis: Vec<f64>,
-    /// slot → circular spread after folding onto the axis.
-    pub(crate) spread: Vec<f64>,
-    /// slot → Σ sin(folded) (the spread pass).
-    pub(crate) fold_sin: Vec<f64>,
-    /// slot → Σ cos(folded).
-    pub(crate) fold_cos: Vec<f64>,
     /// slot → unwrapped axis (for the global majority vote).
     pub(crate) unwrapped: Vec<f64>,
     /// Slots ascending by (frequency, channel).
     pub(crate) order: Vec<usize>,
     /// Phase column in sorted order (unwrap operates in place here).
     pub(crate) phase_col: Vec<f64>,
-    /// read index → slot (recorded in pass 1, reused by the fold and
-    /// vote passes instead of re-looking channels up).
+    /// read index → slot (recorded in pass 1, reused by the vote pass
+    /// instead of re-looking channels up).
     pub(crate) read_slot: Vec<u32>,
     /// The usable reads of a call whose input held an unusable one.
     pub(crate) usable_reads: Vec<RawRead>,
     /// Per-call trig tallies: `[table lookups, libm calls]`.
     pub(crate) trig_hits: [u64; 2],
-    /// Fused unwrap+OLS running sums over the final (freq, phase) points.
-    raw: OlsSums,
     /// Frequency column of the final observations (fit abscissa).
     fit_x: Vec<f64>,
     /// Unwrapped phase column of the final observations (fit ordinate).
@@ -314,27 +304,31 @@ impl FrontEndWorkspace {
     }
 
     /// Trig tallies of the last pre-processing call: `[table lookups,
-    /// libm calls]`, one per per-read phasor computed (two per read:
-    /// double-angle and fold). Feeds the
+    /// libm calls]`, one per read (its double-angle phasor). Feeds the
     /// `frontend.trig_*` observability counters.
     #[inline]
     pub fn trig_hits(&self) -> [u64; 2] {
         self.trig_hits
     }
 
-    /// Raw (non-robust) line fit over the last pre-processed or extracted
-    /// window, solved from the fused unwrap+OLS sums — no extra pass over
-    /// the points for the estimate, one streamed pass for the diagnostics.
+    /// Raw (non-robust) line fit over the fit columns of the last
+    /// pre-processed or extracted window: least-squares sums anchored at
+    /// the first frequency, accumulated in column order, then one streamed
+    /// pass for the diagnostics.
     ///
     /// # Errors
     ///
-    /// As [`crate::linfit::ols`]: [`FitError::TooFewPoints`] or
-    /// [`FitError::DegenerateX`].
+    /// As [`OlsSums::solve`]: [`FitError::TooFewPoints`],
+    /// [`FitError::DegenerateX`] or [`FitError::NonFinite`].
     pub fn raw_fit(&self) -> Result<LineFit, FitError> {
-        let (slope, intercept) = self.raw.solve()?;
+        let mut raw = OlsSums::anchored(self.fit_x.first().copied().unwrap_or(0.0));
+        for (&x, &y) in self.fit_x.iter().zip(&self.fit_y) {
+            raw.add(x, y);
+        }
+        let (slope, intercept) = raw.solve()?;
         let (r_squared, residual_std) =
-            fit_diagnostics(&self.fit_x, &self.fit_y, slope, intercept, self.raw.ybar());
-        Ok(LineFit { slope, intercept, r_squared, residual_std, n: self.raw.n })
+            fit_diagnostics(&self.fit_x, &self.fit_y, slope, intercept, raw.ybar());
+        Ok(LineFit { slope, intercept, r_squared, residual_std, n: raw.n })
     }
 
     /// Resets the per-call state, keeping every buffer's capacity. Called
@@ -351,9 +345,6 @@ impl FrontEndWorkspace {
         self.acc_sin.clear();
         self.acc_cos.clear();
         self.axis.clear();
-        self.spread.clear();
-        self.fold_sin.clear();
-        self.fold_cos.clear();
         self.unwrapped.clear();
         self.order.clear();
         self.phase_col.clear();
@@ -361,7 +352,6 @@ impl FrontEndWorkspace {
         self.trig_hits = [0; 2];
         self.fit_x.clear();
         self.fit_y.clear();
-        self.raw = OlsSums::default();
     }
 
     /// Slot of `channel`, allocating a fresh slot on first sight.
@@ -384,9 +374,6 @@ impl FrontEndWorkspace {
         self.acc_sin.push(0.0);
         self.acc_cos.push(0.0);
         self.axis.push(0.0);
-        self.spread.push(0.0);
-        self.fold_sin.push(0.0);
-        self.fold_cos.push(0.0);
         self.unwrapped.push(0.0);
         slot
     }
@@ -397,16 +384,10 @@ impl FrontEndWorkspace {
         self.chan.len()
     }
 
-    /// Appends one final `(frequency, phase)` observation point, updating
-    /// the fused OLS sums and the fit columns in the same pass — this is
-    /// the "unwrap+OLS accumulator" fusion: called while the unwrapped
-    /// phase column is being written out.
+    /// Appends one final `(frequency, phase)` observation point to the
+    /// fit columns.
     #[inline]
     pub(crate) fn emit(&mut self, freq: f64, phase: f64) {
-        if self.raw.n == 0 {
-            self.raw = OlsSums::anchored(freq);
-        }
-        self.raw.add(freq, phase);
         self.fit_x.push(freq);
         self.fit_y.push(phase);
     }

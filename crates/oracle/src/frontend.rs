@@ -41,7 +41,11 @@ pub fn preprocess_reads(
     let mut per_channel_reads: Vec<Vec<f64>> = Vec::with_capacity(by_channel.len());
     for (channel, reads) in by_channel {
         let phases: Vec<f64> = reads.iter().map(|r| r.phase).collect();
+        // Nothing reads the spread, but this oracle is `frontend_profile`'s
+        // timing reference: its work must stay as it was, or every
+        // committed speed-up ratio would move.
         let (phase, spread) = channel_axis(&phases);
+        std::hint::black_box(spread);
         let rssi = reads.iter().map(|r| r.rssi_dbm).sum::<f64>() / reads.len() as f64;
         observations.push(ChannelObservation {
             channel,
@@ -49,7 +53,6 @@ pub fn preprocess_reads(
             phase: angle::wrap_tau(phase),
             rssi_dbm: rssi,
             read_count: reads.len(),
-            phase_spread: spread,
         });
         per_channel_reads.push(phases);
     }

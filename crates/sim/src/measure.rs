@@ -257,6 +257,10 @@ mod tests {
         );
     }
 
+    /// Reader noise spreads the reads of a channel and a clean scene does
+    /// not. The spread is the mean, over antenna 0's channels, of the
+    /// circular std of a channel's doubled phases (doubling folds the π
+    /// jumps away), halved back to phase radians.
     #[test]
     fn noise_widens_phase_spread() {
         let tag = static_tag(0.5, 1.5, 0.0);
@@ -265,9 +269,18 @@ mod tests {
             .with_reader(ReaderConfig::ideal())
             .survey(&tag, 4);
         let spread = |s: &HopSurvey| {
-            let obs =
-                preprocess_reads(&s.per_antenna[0], &PreprocessConfig::default()).unwrap();
-            obs.iter().map(|o| o.phase_spread).sum::<f64>() / obs.len() as f64
+            let reads = &s.per_antenna[0];
+            let mut channels: Vec<usize> = reads.iter().map(|r| r.channel).collect();
+            channels.sort_unstable();
+            channels.dedup();
+            let total: f64 = channels
+                .iter()
+                .map(|&c| {
+                    let doubled = reads.iter().filter(|r| r.channel == c).map(|r| 2.0 * r.phase);
+                    angle::circular_std(doubled).expect("a channel holds reads") / 2.0
+                })
+                .sum();
+            total / channels.len() as f64
         };
         assert!(spread(&clean) < 1e-6);
         let sp = spread(&noisy);

@@ -67,7 +67,7 @@ pub mod prelude {
         BatchCache, BatchCache3D, CalibrationDb, DeviceCalibration, MaterialFeatures,
         MaterialIdentifier, MobilityVerdict, PruneStats, RfPrism, RfPrismConfig, SenseError,
         SenseWorkspace, SensingResult, SolveStats, SolverConfig, StreamingSession,
-        TagEstimate2D, TagReads, TagRounds, WarmStart, WarmStart3D,
+        TagEstimate2D, TagReads, WarmStart, WarmStart3D,
     };
     pub use rfp_geom::{AntennaPose, Region2, Vec2, Vec3};
     pub use rfp_phys::{FrequencyPlan, Material, TagElectrical};
