@@ -291,7 +291,10 @@ fn profile_pool(pool: &[Vec<RawRead>], warmup: usize, repeats: usize) -> Vec<Sta
         ),
     );
 
-    // End-to-end window: everything an extraction's front end runs.
+    // End-to-end window: everything an extraction's front end runs — for
+    // the frozen reference, the raw OLS fit its extraction also ran; for
+    // the workspace, only the pre-processing and the robust fit, since
+    // extraction under multipath suppression skips the raw fit.
     let window = Stage::new(
         "window",
         time_us(
@@ -315,7 +318,6 @@ fn profile_pool(pool: &[Vec<RawRead>], warmup: usize, repeats: usize) -> Vec<Sta
                 timed(|| {
                     preprocess_reads_with(&mut ws, black_box(&pool[i]), &pre, &mut out)
                         .expect("usable");
-                    black_box(ws.raw_fit().expect("fittable"));
                     let (wxs, wys, fit_ws) = ws.fit_columns();
                     black_box(robust_line_fit_with(fit_ws, wxs, wys, &robust).expect("fittable"));
                 })

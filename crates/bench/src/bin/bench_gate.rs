@@ -53,7 +53,9 @@
 //!   cancels).
 //!   When the snapshot carries `obs_overhead_p50` (profile built with
 //!   `--features obs`), recording continuous telemetry must cost ≤5%
-//!   advance p50 over inert probes.
+//!   advance p50 over inert probes: the mean of the two slice-order
+//!   groups' median paired differences over the inert p50 (see
+//!   `streaming_profile`).
 //! - **history** (`--history <ledger.jsonl>`) — same-run ratios, higher
 //!   is better: the solver's cold and warm floors against the frozen
 //!   oracle's cold floor (both dimensions) and, when `--streaming` is
@@ -165,6 +167,16 @@ fn load(path: &str) -> Result<JsonValue, String> {
     JsonValue::parse(&text).map_err(|e| format!("parse {path}: {e}"))
 }
 
+/// A speed ratio's drop below its reference, `drop_pct` percent of it,
+/// in words: a drop is slower, a negative drop faster.
+fn slower_or_faster(drop_pct: f64) -> String {
+    if drop_pct > 0.0 {
+        format!("{drop_pct:.1}% slower")
+    } else {
+        format!("{:.1}% faster", 0.0 - drop_pct)
+    }
+}
+
 /// How far the ratio `now` fell below `base`, as a percentage, printed
 /// with a verdict; true when within the threshold.
 fn ratio_ok(label: &str, base: f64, now: f64, threshold_pct: f64) -> bool {
@@ -172,7 +184,8 @@ fn ratio_ok(label: &str, base: f64, now: f64, threshold_pct: f64) -> bool {
     let ok = drop_pct <= threshold_pct;
     let verdict = if ok { "ok" } else { "REGRESSED" };
     println!(
-        "  {label}: committed ×{base:.2}, fresh ×{now:.2} ({drop_pct:+.1}% slower) — {verdict}"
+        "  {label}: committed ×{base:.2}, fresh ×{now:.2} ({}) — {verdict}",
+        slower_or_faster(drop_pct)
     );
     ok
 }
@@ -281,7 +294,8 @@ fn check_frontend(
     let delta_pct = (base - now) / base * 100.0;
     let window_ok = delta_pct <= threshold_pct;
     println!(
-        "  frontend standard window: committed ×{base:.2}, fresh ×{now:.2} ({delta_pct:+.1}% slower) — {}",
+        "  frontend standard window: committed ×{base:.2}, fresh ×{now:.2} ({}) — {}",
+        slower_or_faster(delta_pct),
         if window_ok { "ok" } else { "REGRESSED" }
     );
     Ok(fit_ok & pre_ok & window_ok)
@@ -431,7 +445,8 @@ fn check_history(
         let metric_ok = drop_pct <= threshold_pct;
         println!(
             "  history: {field} ×{now:.2} vs best recorded ×{best:.2} over {comparable} \
-             comparable runs ({drop_pct:+.1}% slower) — {}",
+             comparable runs ({}) — {}",
+            slower_or_faster(drop_pct),
             if metric_ok { "ok" } else { "REGRESSED" }
         );
         ok &= metric_ok;
@@ -600,5 +615,19 @@ fn main() -> ExitCode {
         ExitCode::SUCCESS
     } else {
         fail("perf gate failed")
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::slower_or_faster;
+
+    /// The label follows the sign: a ratio under its reference is slower,
+    /// one over it faster.
+    #[test]
+    fn change_label_matches_its_sign() {
+        assert_eq!(slower_or_faster(12.34), "12.3% slower");
+        assert_eq!(slower_or_faster(-22.9), "22.9% faster");
+        assert_eq!(slower_or_faster(0.0), "0.0% faster");
     }
 }

@@ -18,8 +18,9 @@
 //! step/trial buffers in fixed-size arrays: no bounds checks in the
 //! `P`-indexed kernels, no `clear`/`resize` churn per refinement, and
 //! loop trip counts the compiler can fully unroll. Every floating-point
-//! operation runs in the same order as the dynamic core, so results are
-//! **bit-identical**.
+//! operation that reaches a result runs in the same order as the dynamic
+//! core, so results are **bit-identical**; the core only skips the
+//! repeated evaluations below.
 //!
 //! # Row lanes
 //!
@@ -40,6 +41,24 @@
 //! at 1e-12) once a step is accepted. Every attempt copies, damps and
 //! factors the `P×P` system afresh — exactly the frozen core's
 //! operations, in its order.
+//!
+//! # One evaluation per point
+//!
+//! The frozen core evaluates an accepted trial point twice: residuals
+//! only as the trial, then fused with its Jacobian at the top of the next
+//! iteration. Here every trial is evaluated fused, its Jacobian written
+//! straight into the Jacobian buffer, which the attempts no longer read
+//! once `JᵀJ`/`Jᵀr` are assembled; an accepted trial's evaluation is the
+//! next iteration's. A damped step that rounds away entirely (every
+//! `p[a] + δ[a]` bitwise `p[a]`), or onto the very trial point the
+//! previous attempt rejected (near convergence two λ retries can round to
+//! the same bits), is rejected without an evaluation: the model is a
+//! pure function, so the trial would reproduce a cost that already
+//! failed to lower the current one. The visited points, costs and λ
+//! schedule are the frozen core's, so estimates keep their bits; only
+//! the work counters differ. `residual_evals` counts evaluations, each of
+//! them fused, so `jacobian_evals` equals it, while `iterations` and
+//! `lambda_retries` count exactly what the frozen core counts.
 
 use crate::solver::SolveStats;
 
@@ -91,9 +110,12 @@ pub trait ResidualModel<const P: usize> {
     /// Fills `r` with the residuals at `p` and, when `jac` is given, the
     /// row-major `m × P` Jacobian `∂r/∂p` in the same fused pass.
     ///
-    /// Must fully overwrite both buffers (`clear` + fill). When `jac` is
-    /// `None` only the residuals are needed (the trial points of the λ
-    /// retries).
+    /// Must fully overwrite both buffers (`clear` + fill), and must be a
+    /// pure function of `p`: [`LmCore::refine`] evaluates a point once,
+    /// always with the Jacobian, and rejects without an evaluation a
+    /// trial point bitwise equal to the current one or to the trial it
+    /// just rejected. `None` serves callers that need the residuals
+    /// alone; they must be the same residuals.
     fn eval(&self, p: &[f64; P], r: &mut Vec<f64>, jac: Option<&mut Vec<f64>>);
 }
 
@@ -204,7 +226,9 @@ impl<const P: usize> LmCore<P> {
     /// residual+Jacobian. The damping/retry policy and every
     /// floating-point operation match the frozen dynamic core
     /// `rfp_oracle::solver::levenberg_marquardt_analytic_with` exactly, so
-    /// results are bit-identical to it.
+    /// results are bit-identical to it. Each point it visits is evaluated
+    /// once, residuals and Jacobian fused (module docs, *One evaluation
+    /// per point*).
     pub fn refine<M: ResidualModel<P>>(
         &mut self,
         model: &M,
@@ -220,21 +244,18 @@ impl<const P: usize> LmCore<P> {
         debug_assert_eq!(self.jac.len(), m * P);
 
         let mut lambda = 1e-3;
-        // The Jacobian from the initial fused evaluation is current; after
-        // an accepted step it goes stale and the next iteration re-fuses.
-        let mut jac_fresh = true;
 
         'iterate: for _ in 0..max_iterations {
             self.stats.iterations += 1;
-            if !jac_fresh {
-                model.eval(&p, &mut self.r, Some(&mut self.jac));
-                self.stats.residual_evals += 1;
-                self.stats.jacobian_evals += 1;
-            }
-            // Assemble the normal equations once; the λ retries below
-            // reuse them and only re-damp the diagonal.
+            // `r` and `jac` hold the evaluation at `p`: the initial one or
+            // the accepted trial's. Assemble the normal equations once;
+            // the λ retries below reuse them and only re-damp the
+            // diagonal.
             self.assemble_normal_equations(m);
 
+            // The point evaluated last: `p`, until an attempt below
+            // rejects a trial.
+            let mut last = p;
             for attempt in 0..8 {
                 if attempt > 0 {
                     self.steps.lambda_retries += 1;
@@ -253,8 +274,16 @@ impl<const P: usize> LmCore<P> {
                 let mut delta = self.jtr.map(|g| -g);
                 cholesky_solve(&self.chol, &mut delta);
                 let candidate: [f64; P] = std::array::from_fn(|a| p[a] + delta[a]);
-                model.eval(&candidate, &mut self.r_plus, None);
+                // A step that rounds away, or onto the trial the previous
+                // attempt rejected, would reproduce a cost already found
+                // too high: reject it unevaluated.
+                if same_bits(&candidate, &p) || same_bits(&candidate, &last) {
+                    lambda *= 4.0;
+                    continue;
+                }
+                model.eval(&candidate, &mut self.r_plus, Some(&mut self.jac));
                 self.stats.residual_evals += 1;
+                self.stats.jacobian_evals += 1;
                 let new_cost: f64 = self.r_plus.iter().map(|v| v * v).sum();
                 if new_cost < cost {
                     let rel_drop = (cost - new_cost) / cost.max(1e-300);
@@ -265,9 +294,9 @@ impl<const P: usize> LmCore<P> {
                     if rel_drop < tolerance {
                         return (p, cost);
                     }
-                    jac_fresh = false;
                     continue 'iterate;
                 }
+                last = candidate;
                 lambda *= 4.0;
             }
             // No attempt lowered the cost.
@@ -309,6 +338,11 @@ impl<const P: usize> LmCore<P> {
         }
         Some(cov)
     }
+}
+
+/// Whether two points are equal bit for bit.
+fn same_bits<const P: usize>(a: &[f64; P], b: &[f64; P]) -> bool {
+    a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
 }
 
 /// In-place Cholesky factorization `A = LLᵀ`; on success the lower

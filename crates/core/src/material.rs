@@ -45,6 +45,16 @@ pub struct MaterialFeatures {
     pub theta_material: Vec<f64>,
 }
 
+/// One channel's accumulator in [`MaterialFeatures::extract`]: the sum of
+/// the antennas' centred curve values at the channel, their count and
+/// the channel's frequency.
+#[derive(Debug, Clone, Copy, Default)]
+struct ChannelSum {
+    sum: f64,
+    count: usize,
+    freq: f64,
+}
+
 impl MaterialFeatures {
     /// Extracts features from a solved sensing pass.
     ///
@@ -66,6 +76,13 @@ impl MaterialFeatures {
     /// `channel_count` fixes the feature dimensionality (the classifier
     /// needs constant-length vectors even if some channels were dropped).
     ///
+    /// A call allocates only its dense columns (the unwrapped device
+    /// curve, one per-channel accumulator, the de-lining line's two
+    /// columns and the output): the calibration curve is unwrapped as it
+    /// streams out of the calibration ([`angle::Unwrapper`]), and each
+    /// antenna's arbitrary constant is its curve's mean, taken in a first
+    /// pass over its inlier channels before the second accumulates.
+    ///
     /// # Panics
     ///
     /// Panics if `observations` is empty or `channel_count` is zero.
@@ -85,76 +102,78 @@ impl MaterialFeatures {
 
         // Unwrap the stored (mod 2π) calibration curve across channels: the
         // device response is smooth, ~0.02 rad between adjacent channels.
-        // The unwrapped curve lands in a dense per-channel column (indexed
-        // directly below — calibration channels come out of `iter()` in
-        // ascending order, which the unwrap needs).
-        let cal_samples: Vec<(usize, f64, f64)> = calibration.iter().collect();
-        let mut cal_phases: Vec<f64> = cal_samples.iter().map(|&(_, _, v)| v).collect();
-        angle::unwrap_in_place(&mut cal_phases);
+        // Calibration channels come out of `iter()` in ascending order,
+        // which the unwrap needs, and stream straight into a dense
+        // per-channel column (indexed directly below). Every sample is
+        // fed, those past `channel_count` too: a sample's unwrap depends on
+        // the samples before it.
         let mut device0 = vec![f64::NAN; channel_count];
-        for (&(ch, _, _), &v) in cal_samples.iter().zip(&cal_phases) {
+        let mut unwrapper = angle::Unwrapper::default();
+        for (ch, _, phase) in calibration.iter() {
+            let v = unwrapper.push(phase);
             if ch < channel_count {
                 device0[ch] = v;
             }
         }
 
         let w = planar_dipole(estimate.orientation);
-        let mut acc = vec![0.0f64; channel_count];
-        let mut counts = vec![0usize; channel_count];
-        let mut freqs = vec![0.0f64; channel_count];
-        let mut curve = Vec::new();
+        let device0 = &device0;
+        let mut channels = vec![ChannelSum::default(); channel_count];
         for obs in observations {
             let d = obs.pose.position().distance(estimate.position.with_z(0.0));
             let k_prop = propagation::slope_from_distance(d);
             let theta_orient = orientation_phase(&obs.pose, w);
             // This antenna's continuous material curve (arbitrary constant
-            // offset: unwrap constants, orientation error).
-            curve.clear();
-            for (c, &inlier) in obs.channels.iter().zip(&obs.channel_inliers) {
-                if !inlier || c.channel >= channel_count {
-                    continue;
-                }
-                let dev0 = device0[c.channel];
-                if dev0.is_nan() {
-                    continue;
-                }
-                let v = c.phase - k_prop * c.frequency_hz - theta_orient - dev0;
-                curve.push((c.channel, c.frequency_hz, v));
-            }
-            if curve.is_empty() {
+            // offset: unwrap constants, orientation error) over its inlier
+            // channels that the calibration covers, as `(channel,
+            // frequency, value)`.
+            let curve = || {
+                obs.channels.iter().zip(&obs.channel_inliers).filter_map(move |(c, &inlier)| {
+                    if !inlier || c.channel >= channel_count {
+                        return None;
+                    }
+                    let dev0 = device0[c.channel];
+                    if dev0.is_nan() {
+                        return None;
+                    }
+                    let v = c.phase - k_prop * c.frequency_hz - theta_orient - dev0;
+                    Some((c.channel, c.frequency_hz, v))
+                })
+            };
+            // A first pass takes the curve's mean, this antenna's arbitrary
+            // constant; the second removes it before accumulating.
+            let mut len = 0usize;
+            let sum: f64 = curve().map(|(_, _, v)| v).inspect(|_| len += 1).sum();
+            if len == 0 {
                 continue;
             }
-            // Remove this antenna's arbitrary constant before accumulating.
-            let mean = curve.iter().map(|&(_, _, v)| v).sum::<f64>() / curve.len() as f64;
-            for &(ch, f, v) in &curve {
-                acc[ch] += v - mean;
-                counts[ch] += 1;
-                freqs[ch] = f;
+            let mean = sum / len as f64;
+            for (ch, f, v) in curve() {
+                let slot = &mut channels[ch];
+                slot.sum += v - mean;
+                slot.count += 1;
+                slot.freq = f;
             }
         }
 
         // Channel-wise average, then de-line over frequency.
-        let mut xs = Vec::new();
-        let mut ys = Vec::new();
-        let mut averaged = vec![f64::NAN; channel_count];
-        for ch in 0..channel_count {
-            if counts[ch] > 0 {
-                let v = acc[ch] / counts[ch] as f64;
-                averaged[ch] = v;
-                xs.push(freqs[ch]);
-                ys.push(v);
-            }
+        let mut xs = Vec::with_capacity(channel_count);
+        let mut ys = Vec::with_capacity(channel_count);
+        for slot in channels.iter().filter(|slot| slot.count > 0) {
+            xs.push(slot.freq);
+            ys.push(slot.sum / slot.count as f64);
         }
         let theta_material: Vec<f64> = match rfp_dsp::linfit::ols(&xs, &ys) {
-            Ok(fit) => (0..channel_count)
-                .map(|ch| {
-                    if counts[ch] > 0 {
-                        averaged[ch] - fit.predict(freqs[ch])
-                    } else {
-                        0.0
-                    }
-                })
-                .collect(),
+            Ok(fit) => {
+                let mut averaged = ys.iter();
+                channels
+                    .iter()
+                    .map(|slot| match slot.count {
+                        0 => 0.0,
+                        _ => averaged.next().expect("one average per channel") - fit.predict(slot.freq),
+                    })
+                    .collect()
+            }
             Err(_) => vec![0.0; channel_count],
         };
 
@@ -235,6 +254,97 @@ mod tests {
     use rfp_dsp::preprocess::RawRead;
     use rfp_geom::Vec2;
     use rfp_sim::{Motion, NoiseModel, ReaderConfig, Scene, SimTag};
+
+    /// `MaterialFeatures::extract` as it was written before its
+    /// accumulator rework (per-call calibration copies, a per-antenna
+    /// curve buffer and separate per-channel columns), kept verbatim as
+    /// the reference the rework is pinned to bit for bit.
+    fn extract_reference(
+        observations: &[AntennaObservation],
+        estimate: &TagEstimate2D,
+        calibration: &DeviceCalibration,
+        channel_count: usize,
+    ) -> MaterialFeatures {
+        let kt_material = estimate.kt - calibration.kt0();
+        let bt_material = angle::wrap_pi(estimate.bt - calibration.bt0());
+
+        // Unwrap the stored (mod 2π) calibration curve across channels: the
+        // device response is smooth, ~0.02 rad between adjacent channels.
+        // The unwrapped curve lands in a dense per-channel column (indexed
+        // directly below — calibration channels come out of `iter()` in
+        // ascending order, which the unwrap needs).
+        let cal_samples: Vec<(usize, f64, f64)> = calibration.iter().collect();
+        let mut cal_phases: Vec<f64> = cal_samples.iter().map(|&(_, _, v)| v).collect();
+        angle::unwrap_in_place(&mut cal_phases);
+        let mut device0 = vec![f64::NAN; channel_count];
+        for (&(ch, _, _), &v) in cal_samples.iter().zip(&cal_phases) {
+            if ch < channel_count {
+                device0[ch] = v;
+            }
+        }
+
+        let w = planar_dipole(estimate.orientation);
+        let mut acc = vec![0.0f64; channel_count];
+        let mut counts = vec![0usize; channel_count];
+        let mut freqs = vec![0.0f64; channel_count];
+        let mut curve = Vec::new();
+        for obs in observations {
+            let d = obs.pose.position().distance(estimate.position.with_z(0.0));
+            let k_prop = propagation::slope_from_distance(d);
+            let theta_orient = orientation_phase(&obs.pose, w);
+            // This antenna's continuous material curve (arbitrary constant
+            // offset: unwrap constants, orientation error).
+            curve.clear();
+            for (c, &inlier) in obs.channels.iter().zip(&obs.channel_inliers) {
+                if !inlier || c.channel >= channel_count {
+                    continue;
+                }
+                let dev0 = device0[c.channel];
+                if dev0.is_nan() {
+                    continue;
+                }
+                let v = c.phase - k_prop * c.frequency_hz - theta_orient - dev0;
+                curve.push((c.channel, c.frequency_hz, v));
+            }
+            if curve.is_empty() {
+                continue;
+            }
+            // Remove this antenna's arbitrary constant before accumulating.
+            let mean = curve.iter().map(|&(_, _, v)| v).sum::<f64>() / curve.len() as f64;
+            for &(ch, f, v) in &curve {
+                acc[ch] += v - mean;
+                counts[ch] += 1;
+                freqs[ch] = f;
+            }
+        }
+
+        // Channel-wise average, then de-line over frequency.
+        let mut xs = Vec::new();
+        let mut ys = Vec::new();
+        let mut averaged = vec![f64::NAN; channel_count];
+        for ch in 0..channel_count {
+            if counts[ch] > 0 {
+                let v = acc[ch] / counts[ch] as f64;
+                averaged[ch] = v;
+                xs.push(freqs[ch]);
+                ys.push(v);
+            }
+        }
+        let theta_material: Vec<f64> = match rfp_dsp::linfit::ols(&xs, &ys) {
+            Ok(fit) => (0..channel_count)
+                .map(|ch| {
+                    if counts[ch] > 0 {
+                        averaged[ch] - fit.predict(freqs[ch])
+                    } else {
+                        0.0
+                    }
+                })
+                .collect(),
+            Err(_) => vec![0.0; channel_count],
+        };
+
+        MaterialFeatures { kt_material, bt_material, theta_material }
+    }
 
     fn clean_scene() -> Scene {
         Scene::standard_2d()
@@ -358,6 +468,84 @@ mod tests {
         let coded = features_with(false);
         let stripped = features_with(true);
         assert_eq!(coded, stripped, "table lookups must not perturb features");
+    }
+
+    /// `obs` without the channels in `dropped`.
+    fn without_channels(obs: &AntennaObservation, dropped: &[usize]) -> AntennaObservation {
+        let kept = |c: &rfp_dsp::ChannelObservation| !dropped.contains(&c.channel);
+        let mut o = obs.clone();
+        o.channel_inliers =
+            obs.channels.iter().zip(&obs.channel_inliers).filter(|(c, _)| kept(c)).map(|(_, &i)| i).collect();
+        o.channels.retain(kept);
+        o
+    }
+
+    /// The features' bits.
+    fn feature_bits(f: &MaterialFeatures) -> Vec<u64> {
+        [f.kt_material, f.bt_material].iter().chain(&f.theta_material).map(|v| v.to_bits()).collect()
+    }
+
+    /// Pin: `extract` reproduces the pre-rework body bit for bit on
+    /// calibrated tags of four materials, in a clean room, with the
+    /// default read noise and in a cluttered room (robust fits that reject
+    /// channels); with channels missing from the calibration, missing from
+    /// the sensing pass (different ones per antenna) or both; and at a
+    /// `channel_count` below, equal to and above the plan's 50, down to a
+    /// single channel (too few to de-line).
+    #[test]
+    fn extract_matches_the_reference_bit_for_bit() {
+        use rfp_sim::MultipathEnvironment;
+        let scenes = [
+            ("clean", clean_scene()),
+            ("noisy", Scene::standard_2d()),
+            ("cluttered", Scene::standard_2d().with_environment(MultipathEnvironment::cluttered(3, 5))),
+        ];
+        let materials = [Material::Glass, Material::Water, Material::Wood, Material::Plastic];
+        let calib_pos = Vec2::new(0.5, 1.0);
+        let mut pinned = 0;
+        for (label, scene) in &scenes {
+            for (k, &material) in materials.iter().enumerate() {
+                let seed = 20 + k as u64;
+                let bare = SimTag::with_seeded_diversity(seed)
+                    .with_motion(Motion::planar_static(calib_pos, 0.0));
+                let calib_obs = observations_for(scene, &bare, seed);
+                let loaded = bare.attached_to(material).with_motion(Motion::planar_static(
+                    Vec2::new(-0.6 + 0.4 * k as f64, 1.3 + 0.2 * k as f64),
+                    0.4 * k as f64,
+                ));
+                let obs = observations_for(scene, &loaded, seed + 100);
+                let est = solve_2d(&obs, scene.region(), &SolverConfig::default()).unwrap();
+
+                let gappy_calib: Vec<AntennaObservation> =
+                    calib_obs.iter().map(|o| without_channels(o, &[0, 3, 4, 20, 41])).collect();
+                let gappy_pass: Vec<AntennaObservation> = obs
+                    .iter()
+                    .enumerate()
+                    .map(|(a, o)| without_channels(o, &[7 + a, 8, 30 + 5 * a, 49]))
+                    .collect();
+                let full = DeviceCalibration::from_observations(&calib_obs, calib_pos, 0.0);
+                let gappy = DeviceCalibration::from_observations(&gappy_calib, calib_pos, 0.0);
+                let cases = [
+                    ("full", &full, &obs),
+                    ("calibration gaps", &gappy, &obs),
+                    ("pass gaps", &full, &gappy_pass),
+                    ("both gaps", &gappy, &gappy_pass),
+                ];
+                for (case, calibration, pass) in cases {
+                    for channel_count in [50, 64, 40, 7, 1] {
+                        let actual = MaterialFeatures::extract(pass, &est, calibration, channel_count);
+                        let expected = extract_reference(pass, &est, calibration, channel_count);
+                        let what = format!("{label} {material:?}, {case}, {channel_count} channels");
+                        assert_eq!(feature_bits(&actual), feature_bits(&expected), "{what}");
+                        pinned += 1;
+                    }
+                }
+            }
+        }
+        assert_eq!(pinned, 3 * 4 * 4 * 5);
+        // The cluttered room rejects channels, so inlier masks are exercised.
+        let cluttered = observations_for(&scenes[2].1, &SimTag::with_seeded_diversity(20), 20);
+        assert!(cluttered.iter().any(|o| o.channel_inliers.iter().any(|&i| !i)));
     }
 
     #[test]

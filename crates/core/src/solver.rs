@@ -99,11 +99,13 @@ const WARM_GATE_REL_TOL: f64 = 0.25;
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SolveStats {
     /// Residual-vector evaluations (each is a full pass over the
-    /// residuals).
+    /// residuals). [`LmCore`] evaluates each point it visits once: the
+    /// starting point and every trial whose step does not round away.
     pub residual_evals: u64,
-    /// Jacobian evaluations. Analytic: fused with one residual pass.
-    /// Numeric (oracle only): assembled from `2·n_params` sweeps, charged
-    /// to `residual_evals`.
+    /// Jacobian evaluations. Analytic: fused with a residual pass, and in
+    /// [`LmCore`] every evaluation is fused, so this equals
+    /// `residual_evals`. Numeric (oracle only): assembled from
+    /// `2·n_params` sweeps, charged to `residual_evals`.
     pub jacobian_evals: u64,
     /// LM iterations across all starts.
     pub iterations: u64,

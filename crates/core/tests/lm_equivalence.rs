@@ -13,17 +13,21 @@
 //! its own seeds, so every pin also checks the facade's seed construction
 //! against an independent copy. Below the
 //! facades, `LmCore::refine` is pinned against the oracle's dynamic
-//! analytic LM core on a small line model.
+//! analytic LM core on a small line model, and its work accounting on
+//! that model and the 2-D and 3-D joint and slope problems: the core
+//! evaluates the oracle's points, each once, with one residual and one
+//! Jacobian evaluation per point.
 
 use proptest::prelude::*;
 use rfp_core::lm::{LmCore, ResidualModel};
 use rfp_core::model::{extract_observation, AntennaObservation, ExtractConfig};
 use rfp_core::solver::{
-    solve_2d_seeded_warm, solve_2d_tracking_warm, SolveSeeds, SolverConfig, SolverWorkspace,
-    TagEstimate2D, WarmGate, WarmStart,
+    residuals_and_jacobian_2d, solve_2d_seeded_warm, solve_2d_tracking_warm, SolveSeeds,
+    SolverConfig, SolverWorkspace, TagEstimate2D, WarmGate, WarmStart,
 };
 use rfp_core::solver3d::{
-    solve_3d_seeded_warm, Solve3DSeeds, Solver3DWorkspace, TagEstimate3D, WarmStart3D,
+    residuals_and_jacobian_3d, solve_3d_seeded_warm, Solve3DSeeds, Solver3DWorkspace,
+    TagEstimate3D, WarmStart3D,
 };
 use rfp_geom::{AntennaPose, Vec2, Vec3};
 use rfp_oracle::solver::{
@@ -34,6 +38,8 @@ use rfp_oracle::solver::{
 use rfp_phys::polarization::{orientation_phase, planar_dipole, projection_magnitude};
 use rfp_phys::{propagation, Material};
 use rfp_sim::{Motion, MultipathEnvironment, Scene, SimTag};
+use std::cell::RefCell;
+use std::collections::HashSet;
 
 // ---------------------------------------------------------------------------
 // Helpers
@@ -450,16 +456,41 @@ fn line_model() -> Line {
     Line { data: (0..10).map(|i| (i as f64, 2.0 * i as f64 - 3.0)).collect() }
 }
 
+/// A [`ResidualModel`] that records, bitwise, every point it is handed.
+struct Counting<'a, M> {
+    model: &'a M,
+    points: RefCell<Vec<Vec<u64>>>,
+}
+
+impl<'a, M> Counting<'a, M> {
+    fn new(model: &'a M) -> Self {
+        Counting { model, points: RefCell::new(Vec::new()) }
+    }
+
+    /// The points handed to `eval` so far, in call order.
+    fn points(&self) -> Vec<Vec<u64>> {
+        self.points.borrow().clone()
+    }
+}
+
+impl<M: ResidualModel<P>, const P: usize> ResidualModel<P> for Counting<'_, M> {
+    fn eval(&self, p: &[f64; P], r: &mut Vec<f64>, jac: Option<&mut Vec<f64>>) {
+        self.points.borrow_mut().push(p.iter().map(|v| v.to_bits()).collect());
+        self.model.eval(p, r, jac);
+    }
+}
+
 #[test]
 fn analytic_refine_matches_dynamic_core_bitwise() {
-    let model = line_model();
+    let line = line_model();
+    let model = Counting::new(&line);
     let mut core = LmCore::<2>::default();
     let (p, cost) = core.refine(&model, [0.0, 0.0], 100, 1e-14);
 
     let mut ws = LmWorkspace::default();
     let resjac = |p: &[f64], r: &mut Vec<f64>, jac: Option<&mut Vec<f64>>| {
         let pa = [p[0], p[1]];
-        model.eval(&pa, r, jac);
+        line.eval(&pa, r, jac);
     };
     let (pd, costd) =
         levenberg_marquardt_analytic_with(&mut ws, &resjac, vec![0.0, 0.0], 100, 1e-14);
@@ -467,8 +498,163 @@ fn analytic_refine_matches_dynamic_core_bitwise() {
     assert_eq!(p[1].to_bits(), pd[1].to_bits());
     assert_eq!(cost.to_bits(), costd.to_bits());
     assert!((p[0] - 2.0).abs() < 1e-8 && (p[1] + 3.0).abs() < 1e-8);
-    // Identical work accounting, too.
-    assert_eq!(core.stats(), ws.stats());
+    // The oracle's iterations, and one fused evaluation per `eval` call.
+    let (stats, evals) = (core.stats(), model.points().len() as u64);
+    assert_eq!(stats.iterations, ws.stats().iterations);
+    assert_eq!(stats.residual_evals, evals);
+    assert_eq!(stats.jacobian_evals, evals);
+}
+
+/// The solver's LM tolerance (`rfp_core::solver`'s private `TOLERANCE`).
+const SOLVER_TOLERANCE: f64 = 1e-10;
+
+/// Refines `model` from `start` on `LmCore` and on the oracle's dynamic
+/// core, both recording the points they evaluate, and pins the
+/// evaluation accounting: the same result bits and iterations; no point
+/// evaluated twice by the core; the core's points are the oracle's with
+/// its repeats dropped (an accepted trial re-evaluated as the next
+/// iteration's point, a trial whose step rounded away or onto the
+/// previous attempt's trial); and one residual and one Jacobian
+/// evaluation per point. Returns the number of oracle evaluations the
+/// core did not repeat.
+fn pin_evaluations<M: ResidualModel<P>, const P: usize>(
+    model: &M,
+    start: [f64; P],
+    max_iterations: usize,
+    what: &str,
+) -> usize {
+    let counting = Counting::new(model);
+    let mut core = LmCore::<P>::default();
+    let (p, cost) = core.refine(&counting, start, max_iterations, SOLVER_TOLERANCE);
+    let visited = counting.points();
+
+    let oracle = Counting::new(model);
+    let resjac = |q: &[f64], r: &mut Vec<f64>, jac: Option<&mut Vec<f64>>| {
+        let q: [f64; P] = q.try_into().expect("P parameters");
+        oracle.eval(&q, r, jac);
+    };
+    let mut ws = LmWorkspace::default();
+    let (pd, costd) = levenberg_marquardt_analytic_with(
+        &mut ws, &resjac, start.to_vec(), max_iterations, SOLVER_TOLERANCE,
+    );
+    for (a, (x, y)) in p.iter().zip(&pd).enumerate() {
+        assert_eq!(x.to_bits(), y.to_bits(), "{what}: parameter {a}");
+    }
+    assert_eq!(cost.to_bits(), costd.to_bits(), "{what}: cost");
+
+    let mut seen = HashSet::new();
+    for (k, point) in visited.iter().enumerate() {
+        assert!(seen.insert(point.clone()), "{what}: evaluation {k} repeats a point");
+    }
+    let oracle_points = oracle.points();
+    let mut seen = HashSet::new();
+    let distinct: Vec<Vec<u64>> =
+        oracle_points.iter().filter(|q| seen.insert((*q).clone())).cloned().collect();
+    assert_eq!(distinct, visited, "{what}: the oracle's points without repeats");
+
+    let stats = core.stats();
+    assert_eq!(stats.iterations, ws.stats().iterations, "{what}: iterations");
+    assert_eq!(stats.residual_evals, visited.len() as u64, "{what}: residual evals");
+    assert_eq!(stats.jacobian_evals, visited.len() as u64, "{what}: jacobian evals");
+    oracle_points.len() - visited.len()
+}
+
+/// The joint 2-D problem through `residuals_and_jacobian_2d`.
+struct Joint2D<'a>(&'a [AntennaObservation]);
+
+impl ResidualModel<5> for Joint2D<'_> {
+    fn eval(&self, p: &[f64; 5], r: &mut Vec<f64>, jac: Option<&mut Vec<f64>>) {
+        residuals_and_jacobian_2d(self.0, p, r, jac);
+    }
+}
+
+/// The joint 3-D problem through `residuals_and_jacobian_3d`.
+struct Joint3D<'a>(&'a [AntennaObservation]);
+
+impl ResidualModel<7> for Joint3D<'_> {
+    fn eval(&self, p: &[f64; 7], r: &mut Vec<f64>, jac: Option<&mut Vec<f64>>) {
+        residuals_and_jacobian_3d(self.0, p, r, jac);
+    }
+}
+
+/// A joint kernel's slope rows (the even ones) as a stage-1 problem in
+/// the `S` joint parameters `free` (the position and `k_t`); the other
+/// parameters hold their values in `fixed`, and the slope rows do not
+/// read them.
+struct SlopeRows<'a, const J: usize, const S: usize> {
+    observations: &'a [AntennaObservation],
+    kernel: Kernel,
+    fixed: [f64; J],
+    free: [usize; S],
+    scratch: RefCell<(Vec<f64>, Vec<f64>)>,
+}
+
+type Kernel = fn(&[AntennaObservation], &[f64], &mut Vec<f64>, Option<&mut Vec<f64>>);
+
+impl<'a, const J: usize, const S: usize> SlopeRows<'a, J, S> {
+    fn new(observations: &'a [AntennaObservation], kernel: Kernel, free: [usize; S]) -> Self {
+        let (fixed, scratch) = ([0.0; J], RefCell::new((Vec::new(), Vec::new())));
+        SlopeRows { observations, kernel, fixed, free, scratch }
+    }
+}
+
+impl<const J: usize, const S: usize> ResidualModel<S> for SlopeRows<'_, J, S> {
+    fn eval(&self, p: &[f64; S], r: &mut Vec<f64>, jac: Option<&mut Vec<f64>>) {
+        let mut full = self.fixed;
+        for (&a, &v) in self.free.iter().zip(p) {
+            full[a] = v;
+        }
+        let (rows, columns) = &mut *self.scratch.borrow_mut();
+        (self.kernel)(self.observations, &full, rows, jac.is_some().then_some(columns));
+        r.clear();
+        r.extend(rows.iter().step_by(2));
+        if let Some(jac) = jac {
+            jac.clear();
+            for row in columns.chunks_exact(J).step_by(2) {
+                jac.extend(self.free.iter().map(|&a| row[a]));
+            }
+        }
+    }
+}
+
+/// No refinement hands `eval` the same point twice: over the line model
+/// and the 2-D and 3-D joint and slope problems, from spread-out cold
+/// starts at the solver's iteration caps and tolerance, `LmCore`
+/// evaluates exactly the oracle's points once each, and the sweep meets
+/// both kinds of repeat the oracle makes.
+#[test]
+fn refine_evaluates_each_point_once() {
+    let mut skipped = pin_evaluations(&line_model(), [0.0, 0.0], 100, "line");
+
+    let (_, near) = scene_2d();
+    let (_, far) = observations_2d(-0.8, 2.1, 2.2, 5, 77, false).expect("standard scene extracts");
+    for (s, obs) in [near, far].iter().enumerate() {
+        let joint = Joint2D(obs);
+        let slope = SlopeRows::<5, 3>::new(obs, residuals_and_jacobian_2d, [0, 1, 3]);
+        for (k, (x, y)) in [(-1.0, 1.0), (0.0, 1.5), (1.0, 2.0), (-0.5, 2.5)].into_iter().enumerate() {
+            let what = format!("2-D scene {s} start {k}");
+            skipped += pin_evaluations(&slope, [x, y, 0.0], 60, &format!("{what} slope"));
+            for alpha in [0.3, 1.6, 2.8] {
+                let start = [x, y, alpha, 0.0, 1.0];
+                skipped += pin_evaluations(&joint, start, 60, &format!("{what} α {alpha} joint"));
+            }
+        }
+    }
+
+    let (_, obs) = scene_3d();
+    let joint = Joint3D(&obs);
+    let slope = SlopeRows::<7, 4>::new(&obs, residuals_and_jacobian_3d, [0, 1, 2, 5]);
+    for (k, (x, y, z)) in
+        [(0.3, 0.8, 0.2), (0.9, 1.5, 0.7), (0.5, 1.2, 0.9)].into_iter().enumerate()
+    {
+        let what = format!("3-D start {k}");
+        skipped += pin_evaluations(&slope, [x, y, z, 0.0], 80, &format!("{what} slope"));
+        for (theta, phi) in [(0.8, 0.5), (1.2, 2.0)] {
+            let start = [x, y, z, theta, phi, 0.0, 1.0];
+            skipped += pin_evaluations(&joint, start, 80, &format!("{what} joint"));
+        }
+    }
+    assert!(skipped > 0, "the sweep meets repeated points");
 }
 
 // ---------------------------------------------------------------------------

@@ -226,6 +226,22 @@ pub fn theil_sen_with(
     xs: &[f64],
     ys: &[f64],
 ) -> Result<LineFit, FitError> {
+    let (slope, intercept) = theil_sen_line(ws, xs, ys)?;
+    Ok(theil_sen_fit(xs, ys, slope, intercept))
+}
+
+/// [`theil_sen_with`]'s line alone, `(slope, intercept)`: no mean of the
+/// ordinates and no diagnostics passes. The robust fit seeds from it,
+/// since its rejection rounds read only the line.
+///
+/// # Errors
+///
+/// As [`theil_sen`].
+pub(crate) fn theil_sen_line(
+    ws: &mut FitWorkspace,
+    xs: &[f64],
+    ys: &[f64],
+) -> Result<(f64, f64), FitError> {
     if xs.len() != ys.len() {
         return Err(FitError::LengthMismatch);
     }
@@ -233,7 +249,22 @@ pub fn theil_sen_with(
         return Err(FitError::TooFewPoints);
     }
     let slope = median_slope(&mut ws.slopes, xs, ys)?;
-    theil_sen_from_slope(ws, xs, ys, slope)
+    // The intercept is the median of `y − slope·x`.
+    ws.scratch.clear();
+    ws.scratch.extend(xs.iter().zip(ys).map(|(&x, &y)| y - slope * x));
+    if ws.scratch.iter().any(|v| v.is_nan()) {
+        return Err(FitError::NonFinite);
+    }
+    let intercept = stats::median_in_place(&mut ws.scratch).expect("nonempty");
+    Ok((slope, intercept))
+}
+
+/// The Theil–Sen [`LineFit`] of the line `(slope, intercept)` over
+/// `(xs, ys)`: the shared diagnostics about the plain mean of `ys`.
+pub(crate) fn theil_sen_fit(xs: &[f64], ys: &[f64], slope: f64, intercept: f64) -> LineFit {
+    let ybar = stats::mean(ys).expect("nonempty");
+    let (r_squared, residual_std) = fit_diagnostics(xs, ys, slope, intercept, ybar);
+    LineFit { slope, intercept, r_squared, residual_std, n: xs.len() }
 }
 
 /// Half-width of the pilot band, in residual σ of the trimmed pilot line
@@ -452,26 +483,6 @@ fn sample_band(slopes: &[f64]) -> Option<(f64, f64)> {
         lo
     };
     Some((lo, hi))
-}
-
-/// Completes a Theil–Sen fit from its median pairwise `slope`: intercept
-/// is the median of `y − slope·x`, diagnostics are the shared ones.
-fn theil_sen_from_slope(
-    ws: &mut FitWorkspace,
-    xs: &[f64],
-    ys: &[f64],
-    slope: f64,
-) -> Result<LineFit, FitError> {
-    ws.scratch.clear();
-    ws.scratch.extend(xs.iter().zip(ys).map(|(&x, &y)| y - slope * x));
-    if ws.scratch.iter().any(|v| v.is_nan()) {
-        return Err(FitError::NonFinite);
-    }
-    let intercept = stats::median_in_place(&mut ws.scratch).expect("nonempty");
-
-    let ybar = stats::mean(ys).expect("nonempty");
-    let (r_squared, residual_std) = fit_diagnostics(xs, ys, slope, intercept, ybar);
-    Ok(LineFit { slope, intercept, r_squared, residual_std, n: xs.len() })
 }
 
 #[cfg(test)]

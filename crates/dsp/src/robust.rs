@@ -13,6 +13,9 @@
 //! residual exceeds `threshold × scale`, refit with OLS, and iterate until
 //! the inlier set stabilizes. A floor on the scale prevents the rejection
 //! from eating legitimate noise when the data is already clean.
+//!
+//! Each round computes only what the next round or the result reads
+//! (see [`robust_line_fit_with`]).
 
 use crate::linfit::{self, FitError, LineFit};
 use crate::stats;
@@ -129,6 +132,17 @@ impl RobustSummary {
 /// refitting the inlier subset from scratch. Zero heap allocations once
 /// the workspace buffers are sized.
 ///
+/// The rounds read only the current line, so the Theil–Sen seed skips
+/// its diagnostics (they are computed only when `max_iterations` is 0 and
+/// the seed is the result), and the refit's diagnostics are computed once,
+/// after the last round. The cutoff `threshold × max(MAD·1.4826,
+/// scale_floor)` is never below `threshold × scale_floor` when both
+/// factors are positive (rounding is monotone), so a round whose
+/// |residuals| are all within that keeps every point whatever the MAD is,
+/// and skips its two selections; a NaN, zero or negative factor always
+/// takes the MAD. The mask, line and iteration count are those of the
+/// full computation.
+///
 /// The refit solution comes from the downdated normal equations rather
 /// than a freshly centered two-pass OLS, so the result can differ from
 /// the pre-rework implementation in the last couple of ulps (the
@@ -145,12 +159,17 @@ pub fn robust_line_fit_with(
     ys: &[f64],
     config: &RobustFitConfig,
 ) -> Result<RobustSummary, FitError> {
-    let mut current = linfit::theil_sen_with(ws, xs, ys)?;
+    // The rounds read only the seed's line; its diagnostics are computed
+    // only when no round replaces it.
+    let (mut slope, mut intercept) = linfit::theil_sen_line(ws, xs, ys)?;
     let n = xs.len();
-    let min_inliers = ((n as f64 * config.min_inlier_fraction).ceil() as usize).max(2);
     ws.inliers.clear();
     ws.inliers.resize(n, true);
-    let mut inlier_count = n;
+    if config.max_iterations == 0 {
+        let fit = linfit::theil_sen_fit(xs, ys, slope, intercept);
+        return Ok(RobustSummary { fit, iterations: 0, inlier_count: n });
+    }
+    let min_inliers = ((n as f64 * config.min_inlier_fraction).ceil() as usize).max(2);
     let mut iterations = 0;
 
     // Full-set sums, downdated per round by the excluded points.
@@ -158,21 +177,31 @@ pub fn robust_line_fit_with(
     for (&x, &y) in xs.iter().zip(ys) {
         all.add(x, y);
     }
+    // The least cutoff the MAD can set, when both factors are positive: a
+    // round whose residuals all sit within it keeps every point whatever
+    // the MAD is, so it skips the MAD's two selections.
+    let floor_cutoff = (config.threshold > 0.0 && config.scale_floor > 0.0)
+        .then_some(config.threshold * config.scale_floor);
 
+    let mut sums = all;
     for _ in 0..config.max_iterations {
         iterations += 1;
         ws.resid.clear();
-        ws.resid.resize(n, 0.0);
-        current.residuals_into(xs, ys, &mut ws.resid);
+        ws.resid.extend(xs.iter().zip(ys).map(|(&x, &y)| y - (slope * x + intercept)));
         ws.abs_res.clear();
         ws.abs_res.extend(ws.resid.iter().map(|r| r.abs()));
         if ws.abs_res.iter().any(|r| r.is_nan()) {
             return Err(FitError::NonFinite);
         }
-        let scale = (stats::mad_with(&ws.resid, &mut ws.scratch).unwrap_or(0.0)
-            * stats::MAD_TO_SIGMA)
-            .max(config.scale_floor);
-        let cutoff = config.threshold * scale;
+        let cutoff = match floor_cutoff {
+            Some(floor) if ws.abs_res.iter().all(|&ar| ar <= floor) => floor,
+            _ => {
+                let scale = (stats::mad_with(&ws.resid, &mut ws.scratch).unwrap_or(0.0)
+                    * stats::MAD_TO_SIGMA)
+                    .max(config.scale_floor);
+                config.threshold * scale
+            }
+        };
 
         // The cutoff alone decides the mask whenever it keeps at least
         // `min_inliers` points: those points then fill the first ranks of
@@ -202,28 +231,27 @@ pub fn robust_line_fit_with(
         // Incremental refit: subtract the excluded points from the
         // full-set sums (typically a handful) rather than re-accumulating
         // the inlier subset.
-        let mut sums = all;
+        sums = all;
         for (i, &keep) in ws.inliers_next.iter().enumerate() {
             if !keep {
                 sums.remove(xs[i], ys[i]);
             }
         }
-        let (slope, intercept) = sums.solve()?;
-        let ybar = sums.ybar();
-        let (r_squared, residual_std) =
-            masked_fit_diagnostics(xs, ys, &ws.inliers_next, slope, intercept, ybar);
-        let refit = LineFit { slope, intercept, r_squared, residual_std, n: sums.n };
+        (slope, intercept) = sums.solve()?;
 
         let converged = ws.inliers_next == ws.inliers;
         std::mem::swap(&mut ws.inliers, &mut ws.inliers_next);
-        inlier_count = sums.n;
-        current = refit;
         if converged {
             break;
         }
     }
 
-    Ok(RobustSummary { fit: current, iterations, inlier_count })
+    // Only the last round's diagnostics are returned: one pass over its
+    // mask and line.
+    let (r_squared, residual_std) =
+        masked_fit_diagnostics(xs, ys, &ws.inliers, slope, intercept, sums.ybar());
+    let fit = LineFit { slope, intercept, r_squared, residual_std, n: sums.n };
+    Ok(RobustSummary { fit, iterations, inlier_count: sums.n })
 }
 
 #[cfg(test)]

@@ -539,6 +539,92 @@ fn robust_floor_ranking_matches_reference() {
     assert!((actual.fit.slope - expected.fit.slope).abs() <= slope_tol);
 }
 
+/// Robust fit of `(xs, ys)` under `config` against the reference: the
+/// same inlier mask and iteration count, and the line within the
+/// property suite's bound (the incremental refit re-associates the OLS
+/// sums).
+fn assert_robust_matches_reference(xs: &[f64], ys: &[f64], config: &RobustFitConfig, ctx: &str) {
+    let actual = robust_line_fit(xs, ys, config).unwrap();
+    let expected = reference::robust_line_fit(xs, ys, config).unwrap();
+    assert_eq!(actual.inliers, expected.inliers, "{ctx}");
+    assert_eq!(actual.iterations, expected.iterations, "{ctx}");
+    let (a, e) = (actual.fit, expected.fit);
+    assert!((a.slope - e.slope).abs() <= 1e-9 * (1.0 + e.slope.abs()), "{ctx}: {a:?} vs {e:?}");
+    assert!(
+        (a.intercept - e.intercept).abs() <= 1e-9 * (1.0 + e.intercept.abs()),
+        "{ctx}: {a:?} vs {e:?}"
+    );
+}
+
+/// A window on the exact line `y = x/2` over x = 0..50 whose Theil–Sen seed
+/// is that line bit for bit, so each residual of the first round is
+/// exactly the offset it was given. Point 0 sits `edge` above the line (or
+/// below, for a negative `edge`), the largest residual; the others sit
+/// `±noise` off it in a parity pattern (`noise` 0: on the line). With
+/// noise the MAD sets a cutoff above `edge`; without it the floor does.
+fn edge_window(edge: f64, noise: f64) -> (Vec<f64>, Vec<f64>) {
+    let xs: Vec<f64> = (0..50).map(f64::from).collect();
+    let sign = edge.signum();
+    let ys = xs
+        .iter()
+        .enumerate()
+        .map(|(i, &x)| match i {
+            0 => edge,
+            _ if i % 2 == 0 => 0.5 * x + sign * noise,
+            _ => 0.5 * x - sign * noise,
+        })
+        .collect();
+    (xs, ys)
+}
+
+/// The robust fit skips the residual MAD when every residual is within
+/// `threshold × scale_floor`, the least cutoff the MAD can set. At that
+/// edge, one ulp below and one ulp above it (above, the MAD is taken),
+/// with the floor or the MAD setting the cutoff, above the line and
+/// below it, the mask is the reference's; so it is with `scale_floor` 0,
+/// negative or NaN and with both factors negative (their product is the
+/// positive edge, yet the MAD is always taken), and with no rounds at all
+/// (the Theil–Sen seed itself, all points kept).
+#[test]
+fn robust_floor_edge_matches_reference() {
+    let default = RobustFitConfig::default();
+    let bound = default.threshold * default.scale_floor;
+    let ulp = |x: f64, k: i64| f64::from_bits((x.to_bits() as i64 + k) as u64);
+    let mut rejected = 0;
+    for (label, edge) in [("at", bound), ("one ulp below", ulp(bound, -1)), ("one ulp above", ulp(bound, 1))]
+    {
+        for sign in [1.0, -1.0] {
+            for noise in [0.0, 2f64.powi(-6)] {
+                let (xs, ys) = edge_window(sign * edge, noise);
+                let seed = theil_sen(&xs, &ys).unwrap();
+                assert_eq!((seed.slope, seed.intercept), (0.5, 0.0), "exact seed");
+                let ctx = format!("{label} {}, noise {noise}", if sign > 0.0 { "above" } else { "below" });
+                assert_robust_matches_reference(&xs, &ys, &default, &ctx);
+                rejected += !robust_line_fit(&xs, &ys, &default).unwrap().inliers[0] as usize;
+                let factors = [
+                    (default.threshold, 0.0),
+                    (default.threshold, -default.scale_floor),
+                    (default.threshold, f64::NAN),
+                    (-default.threshold, -default.scale_floor),
+                ];
+                for (threshold, scale_floor) in factors {
+                    let config = RobustFitConfig { threshold, scale_floor, ..default };
+                    let ctx = format!("{ctx}, threshold {threshold}, scale_floor {scale_floor}");
+                    assert_robust_matches_reference(&xs, &ys, &config, &ctx);
+                }
+                let config = RobustFitConfig { max_iterations: 0, ..default };
+                let actual = robust_line_fit(&xs, &ys, &config).unwrap();
+                let expected = reference::robust_line_fit(&xs, &ys, &config).unwrap();
+                assert_eq!(actual, expected, "{ctx}, no rounds");
+                assert_eq!(fit_bits(&actual.fit), fit_bits(&seed), "{ctx}, no rounds");
+            }
+        }
+    }
+    // Point 0 falls out only one ulp beyond a cutoff the floor sets,
+    // above the line and below it.
+    assert_eq!(rejected, 2);
+}
+
 /// A grid read of `code` (taken modulo 4096) on `channel` at `t`.
 fn grid_read(channel: usize, code: usize, t: f64) -> RawRead {
     let code = (code % trig::PHASE_CODES) as u16;

@@ -185,6 +185,7 @@ where
 /// This is the classic 1-D phase unwrapping used after sorting samples by
 /// frequency: channel spacing is 500 kHz so the true phase increment between
 /// adjacent channels is far below π for any realistic antenna–tag distance.
+/// It runs [`Unwrapper`] over the samples.
 ///
 /// ```
 /// use rfp_geom::angle::unwrap_in_place;
@@ -194,11 +195,41 @@ where
 /// assert!((v[1] - (6.1 + 0.2 + 0.4)).abs() < 1e-9 || v[1] > 6.1); // continued past 2π
 /// ```
 pub fn unwrap_in_place(phases: &mut [f64]) {
-    let mut offset = 0.0f64;
-    for i in 1..phases.len() {
-        let raw = phases[i] + offset;
-        let prev = phases[i - 1];
-        let mut corrected = raw;
+    let mut unwrapper = Unwrapper::default();
+    for phase in phases {
+        *phase = unwrapper.push(*phase);
+    }
+}
+
+/// Streaming phase unwrapping: feeds wrapped samples one at a time and
+/// returns each unwrapped, bit for bit what [`unwrap_in_place`] writes at
+/// the same position of the same sequence, without a buffer.
+///
+/// The first sample passes through; each later one is shifted by the
+/// previous sample's offset and then by whole turns until its difference
+/// to the previous unwrapped sample lies in `(-π, π]`.
+///
+/// ```
+/// use rfp_geom::angle::Unwrapper;
+/// let mut u = Unwrapper::default();
+/// let out: Vec<f64> = [6.1, 0.2, 0.6].into_iter().map(|p| u.push(p)).collect();
+/// assert!(out.windows(2).all(|w| (w[1] - w[0]).abs() <= std::f64::consts::PI));
+/// ```
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Unwrapper {
+    /// The previous unwrapped sample and the offset it was shifted by;
+    /// `None` before the first sample.
+    last: Option<(f64, f64)>,
+}
+
+impl Unwrapper {
+    /// Unwraps the next sample of the sequence.
+    pub fn push(&mut self, phase: f64) -> f64 {
+        let Some((prev, offset)) = self.last else {
+            self.last = Some((phase, 0.0));
+            return phase;
+        };
+        let mut corrected = phase + offset;
         let d = corrected - prev;
         let jumps = (d / TAU).round();
         corrected -= jumps * TAU;
@@ -209,8 +240,8 @@ pub fn unwrap_in_place(phases: &mut [f64]) {
         } else if d <= -PI {
             corrected += TAU;
         }
-        offset = corrected - phases[i];
-        phases[i] = corrected;
+        self.last = Some((corrected, corrected - phase));
+        corrected
     }
 }
 
@@ -413,6 +444,57 @@ mod tests {
         let un = unwrapped(&wrapped);
         for w in un.windows(2) {
             assert!((w[1] - w[0] + 0.3).abs() < 1e-9);
+        }
+    }
+
+    /// The slice unwrap as it was written before [`Unwrapper`]: one
+    /// running offset over the slice.
+    fn unwrap_reference(phases: &mut [f64]) {
+        let mut offset = 0.0f64;
+        for i in 1..phases.len() {
+            let raw = phases[i] + offset;
+            let prev = phases[i - 1];
+            let mut corrected = raw;
+            let d = corrected - prev;
+            let jumps = (d / TAU).round();
+            corrected -= jumps * TAU;
+            let d = corrected - prev;
+            if d > PI {
+                corrected -= TAU;
+            } else if d <= -PI {
+                corrected += TAU;
+            }
+            offset = corrected - phases[i];
+            phases[i] = corrected;
+        }
+    }
+
+    /// The streaming unwrap reproduces the slice loop bit for bit: wrapped
+    /// lines of every steepness (so each shift and half-turn branch runs),
+    /// samples many turns off, exact ±π steps, signed zeros and NaN.
+    #[test]
+    fn unwrapper_matches_the_slice_loop_bit_for_bit() {
+        let mut sequences: Vec<Vec<f64>> = (0..64)
+            .map(|k| {
+                let slope = -3.1 + 0.1 * k as f64;
+                (0..50).map(|i| wrap_tau(slope * i as f64 + 0.3 * k as f64)).collect()
+            })
+            .collect();
+        sequences.push(vec![0.0, 40.0 * TAU + 0.1, -17.0 * TAU, 3.0, -3.0, 1e9, -1e-300]);
+        sequences.push(vec![0.0, PI, 0.0, -PI, 2.0 * PI, 0.0]);
+        sequences.push(vec![-0.0, -0.0, 0.0, -0.0, TAU, -TAU]);
+        sequences.push(vec![1.0, f64::NAN, 2.0, 3.0]);
+        sequences.push(vec![f64::NAN, 1.0, 2.0]);
+        for seq in sequences {
+            let mut expected = seq.clone();
+            unwrap_reference(&mut expected);
+            let mut u = Unwrapper::default();
+            let streamed: Vec<u64> = seq.iter().map(|&p| u.push(p).to_bits()).collect();
+            let mut in_place = seq.clone();
+            unwrap_in_place(&mut in_place);
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(streamed, bits(&expected), "{seq:?}");
+            assert_eq!(bits(&in_place), bits(&expected), "{seq:?}");
         }
     }
 
