@@ -71,9 +71,9 @@ impl DeviceCalibration {
             }
             // Device line of this antenna (offset cancels in the slope; the
             // intercept is kept modulo 2π).
-            if let Ok(fit) = linfit::ols(&xs, &ys) {
-                kt0s.push(fit.slope);
-                bt0s.push(fit.intercept);
+            if let Ok((slope, intercept)) = linfit::ols_line(&xs, &ys) {
+                kt0s.push(slope);
+                bt0s.push(intercept);
             }
         }
 

@@ -163,14 +163,17 @@ impl MaterialFeatures {
             xs.push(slot.freq);
             ys.push(slot.sum / slot.count as f64);
         }
-        let theta_material: Vec<f64> = match rfp_dsp::linfit::ols(&xs, &ys) {
-            Ok(fit) => {
+        let theta_material: Vec<f64> = match rfp_dsp::linfit::ols_line(&xs, &ys) {
+            Ok((slope, intercept)) => {
                 let mut averaged = ys.iter();
                 channels
                     .iter()
                     .map(|slot| match slot.count {
                         0 => 0.0,
-                        _ => averaged.next().expect("one average per channel") - fit.predict(slot.freq),
+                        _ => {
+                            averaged.next().expect("one average per channel")
+                                - (slope * slot.freq + intercept)
+                        }
                     })
                     .collect()
             }

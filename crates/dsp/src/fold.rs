@@ -295,10 +295,21 @@ pub(crate) mod tests {
         tags: u64,
         motion: impl Fn(u64) -> rfp_sim::Motion,
     ) -> Vec<Vec<RawRead>> {
+        tag_windows(scene, tags, |k| {
+            rfp_sim::SimTag::with_seeded_diversity(k).with_motion(motion(k))
+        })
+    }
+
+    /// Every antenna window of a survey of tags `tag(0..tags)` in `scene`,
+    /// tag `k` surveyed at seed `31 + k`.
+    pub(crate) fn tag_windows(
+        scene: &rfp_sim::Scene,
+        tags: u64,
+        tag: impl Fn(u64) -> rfp_sim::SimTag,
+    ) -> Vec<Vec<RawRead>> {
         let mut windows = Vec::new();
         for k in 0..tags {
-            let tag = rfp_sim::SimTag::with_seeded_diversity(k).with_motion(motion(k));
-            for reads in scene.survey(&tag, 31 + k).per_antenna {
+            for reads in scene.survey(&tag(k), 31 + k).per_antenna {
                 windows.push(
                     reads
                         .iter()

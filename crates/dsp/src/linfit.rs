@@ -5,7 +5,9 @@
 //! so line fitting quality directly bounds sensing accuracy. Three fitters
 //! are provided:
 //!
-//! * [`ols`] — ordinary least squares, the default for clean channels;
+//! * [`ols`] — ordinary least squares, the default for clean channels
+//!   ([`ols_line`] is its line alone, for callers that read no
+//!   diagnostics);
 //! * [`weighted_ols`] — per-point weights (e.g. read counts per channel);
 //! * [`theil_sen`] — median-of-slopes, used to seed the robust multipath
 //!   rejection with an estimate that tolerates up to ~29 % corrupted
@@ -113,6 +115,28 @@ impl std::error::Error for FitError {}
 /// # Ok::<(), rfp_dsp::linfit::FitError>(())
 /// ```
 pub fn ols(xs: &[f64], ys: &[f64]) -> Result<LineFit, FitError> {
+    let (slope, intercept) = ols_line(xs, ys)?;
+    Ok(line_fit(xs, ys, slope, intercept))
+}
+
+/// [`ols`]'s line alone, `(slope, intercept)`, with the same arithmetic
+/// and errors: no diagnostics passes. For callers that read only the
+/// line.
+///
+/// # Errors
+///
+/// As [`ols`].
+///
+/// # Example
+///
+/// ```
+/// use rfp_dsp::linfit::{ols, ols_line};
+/// let (xs, ys) = ([0.0, 1.0, 2.0], [1.0, 3.1, 4.9]);
+/// let fit = ols(&xs, &ys)?;
+/// assert_eq!(ols_line(&xs, &ys)?, (fit.slope, fit.intercept));
+/// # Ok::<(), rfp_dsp::linfit::FitError>(())
+/// ```
+pub fn ols_line(xs: &[f64], ys: &[f64]) -> Result<(f64, f64), FitError> {
     // Streamed unit-weight specialization of [`weighted_ols`]: identical
     // arithmetic (multiplying by a 1.0 weight is exact), no weight vector.
     if xs.len() != ys.len() {
@@ -134,9 +158,7 @@ pub fn ols(xs: &[f64], ys: &[f64]) -> Result<LineFit, FitError> {
         return Err(FitError::DegenerateX);
     }
     let slope = sxy / sxx;
-    let intercept = ybar - slope * xbar;
-    let (r_squared, residual_std) = fit_diagnostics(xs, ys, slope, intercept, ybar);
-    Ok(LineFit { slope, intercept, r_squared, residual_std, n: xs.len() })
+    Ok((slope, ybar - slope * xbar))
 }
 
 /// Weighted least-squares line fit.
@@ -227,12 +249,11 @@ pub fn theil_sen_with(
     ys: &[f64],
 ) -> Result<LineFit, FitError> {
     let (slope, intercept) = theil_sen_line(ws, xs, ys)?;
-    Ok(theil_sen_fit(xs, ys, slope, intercept))
+    Ok(line_fit(xs, ys, slope, intercept))
 }
 
 /// [`theil_sen_with`]'s line alone, `(slope, intercept)`: no mean of the
-/// ordinates and no diagnostics passes. The robust fit seeds from it,
-/// since its rejection rounds read only the line.
+/// ordinates and no diagnostics passes.
 ///
 /// # Errors
 ///
@@ -242,13 +263,26 @@ pub(crate) fn theil_sen_line(
     xs: &[f64],
     ys: &[f64],
 ) -> Result<(f64, f64), FitError> {
-    if xs.len() != ys.len() {
-        return Err(FitError::LengthMismatch);
-    }
-    if xs.len() < 2 {
-        return Err(FitError::TooFewPoints);
-    }
-    let slope = median_slope(&mut ws.slopes, xs, ys)?;
+    let pilot = pilot(ws, xs, ys)?;
+    theil_sen_line_from(ws, xs, ys, pilot)
+}
+
+/// [`theil_sen_line`] on columns that [`pilot`] checked, with the pilot
+/// band it read. The robust fit seeds from it, since its rejection rounds
+/// read only the line.
+///
+/// # Errors
+///
+/// [`FitError::DegenerateX`] when every abscissa coincides,
+/// [`FitError::NonFinite`] when a NaN reaches a median.
+pub(crate) fn theil_sen_line_from(
+    ws: &mut FitWorkspace,
+    xs: &[f64],
+    ys: &[f64],
+    pilot: Option<Pilot>,
+) -> Result<(f64, f64), FitError> {
+    let pairs = xs.len() * (xs.len() - 1) / 2;
+    let slope = median_slope(&mut ws.slopes[..pairs], xs, ys, pilot)?;
     // The intercept is the median of `y − slope·x`.
     ws.scratch.clear();
     ws.scratch.extend(xs.iter().zip(ys).map(|(&x, &y)| y - slope * x));
@@ -259,9 +293,9 @@ pub(crate) fn theil_sen_line(
     Ok((slope, intercept))
 }
 
-/// The Theil–Sen [`LineFit`] of the line `(slope, intercept)` over
-/// `(xs, ys)`: the shared diagnostics about the plain mean of `ys`.
-pub(crate) fn theil_sen_fit(xs: &[f64], ys: &[f64], slope: f64, intercept: f64) -> LineFit {
+/// The [`LineFit`] of the line `(slope, intercept)` over `(xs, ys)`: the
+/// shared diagnostics about the plain mean of `ys`.
+pub(crate) fn line_fit(xs: &[f64], ys: &[f64], slope: f64, intercept: f64) -> LineFit {
     let ybar = stats::mean(ys).expect("nonempty");
     let (r_squared, residual_std) = fit_diagnostics(xs, ys, slope, intercept, ybar);
     LineFit { slope, intercept, r_squared, residual_std, n: xs.len() }
@@ -279,24 +313,78 @@ const SAMPLE: usize = 128;
 /// sample's median.
 const SAMPLE_RANKS: usize = 14;
 
-/// The median of the pairwise slopes of `(xs, ys)` (lengths equal, at
-/// least two points), with `slopes` as the pair buffer.
-fn median_slope(slopes: &mut Vec<f64>, xs: &[f64], ys: &[f64]) -> Result<f64, FitError> {
-    let n = xs.len();
-    let pairs = n * (n - 1) / 2;
-    if slopes.len() < pairs {
-        // Exact growth keeps the buffer at the largest window's pair
-        // count, whatever window sizes came before it.
-        slopes.reserve_exact(pairs - slopes.len());
-        slopes.resize(pairs, 0.0);
+/// The pilot band of a window's pairwise slopes, and the extents of its
+/// columns, which the robust fit's certificate reads
+/// ([`robust`](crate::robust)).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Pilot {
+    /// The trimmed least-squares slope the band is centred on.
+    pub(crate) slope: f64,
+    /// The band's half-width.
+    half: f64,
+    /// `max x − min x`.
+    pub(crate) x_span: f64,
+    /// `max |x|`.
+    pub(crate) x_abs: f64,
+    /// `max |y|`.
+    pub(crate) y_abs: f64,
+}
+
+impl Pilot {
+    /// The band `[slope − half/k, slope + half/k]`: the pilot band for
+    /// `k = 1`, a narrower one around the same slope for `k > 1`. It holds
+    /// `slope` (rounding is monotone).
+    #[inline]
+    pub(crate) fn band(&self, k: f64) -> (f64, f64) {
+        let half = self.half / k;
+        (self.slope - half, self.slope + half)
     }
-    let slopes = &mut slopes[..pairs];
+}
+
+/// Checks `(xs, ys)` for a line fit, sizes the pair buffer of `ws` for
+/// their pairs and reads their pilot band: `None` when a column or its
+/// span is not finite.
+///
+/// # Errors
+///
+/// [`FitError::LengthMismatch`] and [`FitError::TooFewPoints`], in that
+/// order, before anything zips the columns.
+pub(crate) fn pilot(
+    ws: &mut FitWorkspace,
+    xs: &[f64],
+    ys: &[f64],
+) -> Result<Option<Pilot>, FitError> {
+    if xs.len() != ys.len() {
+        return Err(FitError::LengthMismatch);
+    }
+    if xs.len() < 2 {
+        return Err(FitError::TooFewPoints);
+    }
+    let pairs = xs.len() * (xs.len() - 1) / 2;
+    if ws.slopes.len() < pairs {
+        // Exact growth keeps the buffer at the largest window's pair
+        // count, whatever window sizes came before it, and whether or not
+        // a window's slopes are stored.
+        ws.slopes.reserve_exact(pairs - ws.slopes.len());
+        ws.slopes.resize(pairs, 0.0);
+    }
+    Ok(pilot_band(xs, ys))
+}
+
+/// The median of the pairwise slopes of `(xs, ys)` (lengths equal, at
+/// least two points), with `slopes` as the pair buffer (one slot per
+/// pair) and `pilot` the columns' pilot band.
+fn median_slope(
+    slopes: &mut [f64],
+    xs: &[f64],
+    ys: &[f64],
+    pilot: Option<Pilot>,
+) -> Result<f64, FitError> {
     // Finite columns with finite spans keep every pair's dx and dy finite,
     // so no valid slope is NaN and NaN marks exactly the invalid pairs.
     // Columns without a pilot band, the non-finite ones among them, take
     // an empty band and are checked for NaN slopes.
-    let pilot = pilot_band(xs, ys);
-    let (lo, hi) = pilot.unwrap_or((f64::NAN, f64::NAN));
+    let (lo, hi) = pilot.map_or((f64::NAN, f64::NAN), |p| p.band(1.0));
     let (valid, below, inside) = sweep(xs, ys, lo, hi, slopes);
     if valid == 0 {
         return Err(FitError::DegenerateX);
@@ -321,6 +409,35 @@ fn median_slope(slopes: &mut Vec<f64>, xs: &[f64], ys: &[f64]) -> Result<f64, Fi
     tests::tally(|t| t.full += 1);
     let kept = compact(slopes, |v| !v.is_nan());
     Ok(stats::median_in_place(&mut slopes[..kept]).expect("a valid slope"))
+}
+
+/// Whether each band `[lo, hi]` of `bands` covers the median rank(s) of
+/// the valid pairwise slopes of `(xs, ys)` (lengths equal, at least two
+/// points): [`sweep`]'s division and counts, with no slope stored. A
+/// covering band holds the median pairwise slope, which [`median_slope`]
+/// returns whatever path it takes.
+pub(crate) fn bands_cover<const K: usize>(
+    xs: &[f64],
+    ys: &[f64],
+    bands: [(f64, f64); K],
+) -> [bool; K] {
+    let mut valid = 0usize;
+    // Per band: slopes below `lo`, and slopes at most `hi`.
+    let (mut below, mut upto) = ([0usize; K], [0usize; K]);
+    for i in 0..xs.len() - 1 {
+        let (xi, yi) = (xs[i], ys[i]);
+        for (&xj, &yj) in xs[i + 1..].iter().zip(&ys[i + 1..]) {
+            let dx = xj - xi;
+            let ok = dx.abs() > 0.0;
+            let v = if ok { (yj - yi) / dx } else { f64::NAN };
+            valid += ok as usize;
+            for (k, &(lo, hi)) in bands.iter().enumerate() {
+                below[k] += (v < lo) as usize;
+                upto[k] += (v <= hi) as usize;
+            }
+        }
+    }
+    std::array::from_fn(|k| stats::band_covers(below[k], upto[k] - below[k], valid))
 }
 
 /// Stores the slope of every pair `i < j` at its index of `slopes` (row
@@ -394,7 +511,7 @@ fn compact(slopes: &mut [f64], keep: impl Fn(f64) -> bool) -> usize {
 /// without the points beyond [`PILOT_TRIM`] σ of it, of half-width
 /// [`PILOT_HALF_WIDTH`] · σ / x-span (σ the refit's). `None` when a column
 /// or its span is not finite.
-fn pilot_band(xs: &[f64], ys: &[f64]) -> Option<(f64, f64)> {
+fn pilot_band(xs: &[f64], ys: &[f64]) -> Option<Pilot> {
     let (mut x_lo, mut x_hi, mut y_lo, mut y_hi) =
         (f64::INFINITY, f64::NEG_INFINITY, f64::INFINITY, f64::NEG_INFINITY);
     let mut finite = true;
@@ -409,9 +526,15 @@ fn pilot_band(xs: &[f64], ys: &[f64]) -> Option<(f64, f64)> {
     let all = PilotLine::fit(xs, ys, |_, _| true)?;
     let cut = PILOT_TRIM * all.sigma;
     let line = PilotLine::fit(xs, ys, |dx, dy| all.residual(dx, dy).abs() <= cut).unwrap_or(all);
-    let half = PILOT_HALF_WIDTH * line.sigma / x_span;
-    let band = (line.slope - half, line.slope + half);
-    (band.0.is_finite() && band.1.is_finite()).then_some(band)
+    let pilot = Pilot {
+        slope: line.slope,
+        half: PILOT_HALF_WIDTH * line.sigma / x_span,
+        x_span,
+        x_abs: x_lo.abs().max(x_hi.abs()),
+        y_abs: y_lo.abs().max(y_hi.abs()),
+    };
+    let (lo, hi) = pilot.band(1.0);
+    (lo.is_finite() && hi.is_finite()).then_some(pilot)
 }
 
 /// A least-squares line `dy ≈ intercept + slope · dx` in coordinates
@@ -541,6 +664,48 @@ mod tests {
             ols(&[2.0, 2.0, 2.0], &[1.0, 2.0, 3.0]).unwrap_err(),
             FitError::DegenerateX
         );
+    }
+
+    /// Pin: `ols_line` is `ols`'s line bit for bit, and its error, on
+    /// random lines (reader-plan or small abscissae, in order or not) and
+    /// on degenerate inputs: too few points, mismatched lengths, coincident
+    /// abscissae, NaN and ∞ values, and sums that overflow.
+    #[test]
+    fn ols_line_is_the_line_of_ols() {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let line = |xs: &[f64], ys: &[f64]| {
+            let bits = |(s, b): (f64, f64)| (s.to_bits(), b.to_bits());
+            assert_eq!(
+                ols_line(xs, ys).map(bits),
+                ols(xs, ys).map(|f| bits((f.slope, f.intercept))),
+                "{xs:?}, {ys:?}"
+            );
+        };
+        let mut rng = StdRng::seed_from_u64(5);
+        for _ in 0..500 {
+            let n = rng.gen_range(2..60usize);
+            let hz = rng.gen_bool(0.5);
+            let xs: Vec<f64> = (0..n)
+                .map(|i| if hz { 902.75e6 + 5e5 * i as f64 } else { rng.gen_range(-9.0..9.0) })
+                .collect();
+            let ys: Vec<f64> = xs.iter().map(|x| 1e-7 * x + rng.gen_range(-40.0..40.0)).collect();
+            line(&xs, &ys);
+        }
+        let (nan, inf) = (f64::NAN, f64::INFINITY);
+        let degenerate: [(&[f64], &[f64]); 9] = [
+            (&[], &[]),
+            (&[1.0], &[1.0]),
+            (&[1.0, 2.0], &[1.0]),
+            (&[2.0, 2.0, 2.0], &[1.0, 2.0, 3.0]),
+            (&[0.0, 1.0, 2.0], &[1.0, nan, 3.0]),
+            (&[0.0, nan, 2.0], &[1.0, 2.0, 3.0]),
+            (&[0.0, 1.0, 2.0], &[1.0, inf, 3.0]),
+            (&[0.0, 1.0, 1e300], &[1.0, 2.0, 3.0]),
+            (&[-1e300, 1e300], &[1.0, 2.0]),
+        ];
+        for (xs, ys) in degenerate {
+            line(xs, ys);
+        }
     }
 
     #[test]

@@ -33,7 +33,10 @@
 //!   axis: one phasor sign test per read on the reader grid, the vote
 //!   following from the unwrap's parity (the crate-private `fold` module
 //!   certifies it; a read inside its margin or off the grid takes the
-//!   exact distance).
+//!   exact distance). The flip is the only reader of the count, so the
+//!   pass stops at the first change of channel where the reads left can
+//!   no longer change the majority (on the paper's survey windows, after
+//!   about 60% of the votes).
 //!
 //! Per-read trigonometry has one path: reads that carry their 12-bit
 //! reader phase code are looked up in the exact phase-code tables of
@@ -46,6 +49,7 @@ use crate::fold::{self, FoldAxis};
 use crate::trig::{self, PHASE_CODES, PHASE_LSB_RAD};
 use crate::workspace::FrontEndWorkspace;
 use rfp_geom::angle;
+use std::f64::consts::PI;
 
 /// Most channels a plan may declare, and one past the largest channel
 /// index a read may carry: LLRP channel indices are 16-bit.
@@ -309,13 +313,28 @@ fn finish(
     reads: &[RawRead],
     out: &mut Vec<ChannelObservation>,
 ) -> Result<(), PreprocessError> {
-    use std::f64::consts::PI;
-
     out.clear();
     // Every slot holds a usable read.
     if ws.slots() == 0 {
         return Err(PreprocessError::NoUsableChannels);
     }
+    unwrap_axes(ws);
+    // The single global π ambiguity is resolved by a majority vote over
+    // *every* raw read (far more robust than voting channel by channel).
+    if pi_flip(ws, reads) {
+        for p in &mut ws.phase_col {
+            *p += PI;
+        }
+    }
+    emit(ws, out);
+    Ok(())
+}
+
+/// The per-channel axes, the channel order and the unwrap: fills the
+/// phase column in channel order with the per-channel axes, which are
+/// only known modulo π, unwrapped with period π into a continuous curve,
+/// and `unwrapped` with each slot's unwrapped axis.
+fn unwrap_axes(ws: &mut FrontEndWorkspace) {
     // Per-slot axis: circular_mean(2p).unwrap_or(2·p₀) / 2, streamed; the
     // resultant's columns take the axis's unit vector for pass 2.
     for s in 0..ws.slots() {
@@ -329,11 +348,6 @@ fn finish(
         order_channels(order, slot_of, chan.len(), |s| chan[s], |_| true, |s| first_freq[s]);
     }
 
-    // Wrapped per-channel phases in channel order. The per-channel axes
-    // are only known modulo π: unwrap them with period π into a
-    // continuous curve, then resolve the single global π ambiguity by a
-    // majority vote over *every* raw read (far more robust than voting
-    // channel by channel).
     ws.phase_col.clear();
     for &s in &ws.order {
         ws.phase_col.push(angle::wrap_tau(ws.axis[s]));
@@ -342,19 +356,32 @@ fn finish(
     for (k, &s) in ws.order.iter().enumerate() {
         ws.unwrapped[s] = ws.phase_col[k];
     }
-    // Pass 2: cast every read's vote against its channel's unwrapped axis.
-    // The unwrap needs only the pass-1 axes, so one pass suffices. A grid
-    // read is decided by one sign test against the axis's unit vector
-    // (`fold`), and its vote is that decision flipped when the unwrap moved
-    // the axis by an odd number of periods; a read inside the sign test's
-    // margin, or off the grid, takes the exact distance.
-    let FrontEndWorkspace { read_slot, axis, unwrapped, acc_sin, acc_cos, .. } = &*ws;
+}
+
+/// Pass 2: whether fewer than half the reads back their channel's
+/// unwrapped axis, so the curve flips by π. Every read is usable, so every
+/// read votes. The unwrap needs only the pass-1 axes, so one pass
+/// suffices. A grid read is decided by one sign test against the axis's
+/// unit vector (`fold`), and its vote is that decision flipped when the
+/// unwrap moved the axis by an odd number of periods; a read inside the
+/// sign test's margin, or off the grid, takes the exact distance.
+///
+/// The flip is the only reader of the count, so the pass stops at the
+/// first change of channel where the reads left cannot change it: when
+/// `2·votes ≥ total` no flip is possible, and when
+/// `2·(votes + left) < total` the flip is certain.
+fn pi_flip(ws: &FrontEndWorkspace, reads: &[RawRead]) -> bool {
+    let FrontEndWorkspace { read_slot, axis, unwrapped, acc_sin, acc_cos, .. } = ws;
     let fold_table = trig::fold_table();
-    let mut votes_axis = 0usize;
+    let total = reads.len();
+    let mut votes = 0usize;
     let mut cur = u32::MAX;
     let (mut fold, mut vote_axis, mut odd) = (FoldAxis::default(), 0.0, false);
-    for (r, &s) in reads.iter().zip(read_slot.iter()) {
+    for (i, (r, &s)) in reads.iter().zip(read_slot.iter()).enumerate() {
         if s != cur {
+            if 2 * votes >= total || 2 * (votes + (total - i)) < total {
+                break;
+            }
             cur = s;
             let s = s as usize;
             vote_axis = unwrapped[s];
@@ -366,22 +393,20 @@ fn finish(
                 false
             });
         }
+        #[cfg(test)]
+        tests::VOTES_CAST.with(|n| n.set(n.get() + 1));
         let vote = match fold.sign_test(r.table_code(), fold_table) {
             Some(shift) => shift == odd,
             None => fold::exact_vote(r.phase, vote_axis),
         };
-        votes_axis += vote as usize;
+        votes += vote as usize;
     }
-    // Every read is usable, so every read votes.
-    let votes_total = reads.len();
-    if 2 * votes_axis < votes_total {
-        for p in &mut ws.phase_col {
-            *p += PI;
-        }
-    }
+    2 * votes < total
+}
 
-    // Emit the final observations; the same loop fills the (freq, phase)
-    // fit columns.
+/// Emits the final observations; the same loop fills the (freq, phase)
+/// fit columns.
+fn emit(ws: &mut FrontEndWorkspace, out: &mut Vec<ChannelObservation>) {
     for k in 0..ws.order.len() {
         let s = ws.order[k];
         let freq = ws.first_freq[s];
@@ -395,7 +420,6 @@ fn finish(
         });
         ws.emit(freq, phase);
     }
-    Ok(())
 }
 
 /// Fills `order` with the slots among `0..slots` that `kept` selects,
@@ -452,7 +476,13 @@ pub(crate) fn order_channels(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::f64::consts::PI;
+    use rand::{rngs::StdRng, Rng, SeedableRng};
+    use std::cell::Cell;
+
+    thread_local! {
+        /// Reads whose π vote pass 2 cast on this thread.
+        pub(super) static VOTES_CAST: Cell<usize> = const { Cell::new(0) };
+    }
 
     fn read(channel: usize, phase: f64) -> RawRead {
         RawRead {
@@ -589,5 +619,178 @@ mod tests {
         preprocess_reads_with(&mut ws, &[stale, reads[1]], &PreprocessConfig::default(), &mut out)
             .unwrap();
         assert_eq!(ws.trig_hits(), [1, 1]);
+    }
+
+    /// Pass 2 as it was before the decided vote: it counts every read's
+    /// vote.
+    fn pi_flip_counting_every_vote(ws: &FrontEndWorkspace, reads: &[RawRead]) -> bool {
+        let FrontEndWorkspace { read_slot, axis, unwrapped, acc_sin, acc_cos, .. } = ws;
+        let fold_table = trig::fold_table();
+        let mut votes_axis = 0usize;
+        let mut cur = u32::MAX;
+        let (mut fold, mut vote_axis, mut odd) = (FoldAxis::default(), 0.0, false);
+        for (r, &s) in reads.iter().zip(read_slot.iter()) {
+            if s != cur {
+                cur = s;
+                let s = s as usize;
+                vote_axis = unwrapped[s];
+                fold = FoldAxis { axis: axis[s], unit: [acc_sin[s], acc_cos[s]] };
+                // A parity that does not certify sends the whole run to the
+                // exact path.
+                odd = fold::vote_parity(fold.axis, vote_axis).unwrap_or_else(|| {
+                    fold.unit = [0.0; 2];
+                    false
+                });
+            }
+            let vote = match fold.sign_test(r.table_code(), fold_table) {
+                Some(shift) => shift == odd,
+                None => fold::exact_vote(r.phase, vote_axis),
+            };
+            votes_axis += vote as usize;
+        }
+        // Every read is usable, so every read votes.
+        let votes_total = reads.len();
+        2 * votes_axis < votes_total
+    }
+
+    /// The observations and fit columns of the front end on `reads` with
+    /// a pass 2 that counts every vote.
+    fn counting_every_vote(
+        reads: &[RawRead],
+    ) -> Option<(Vec<ChannelObservation>, Vec<f64>, Vec<f64>)> {
+        let mut ws = FrontEndWorkspace::default();
+        let usable: Vec<RawRead> = reads.iter().filter(|r| r.is_usable()).copied().collect();
+        assert!(accumulate(&mut ws, &usable));
+        if ws.slots() == 0 {
+            return None;
+        }
+        unwrap_axes(&mut ws);
+        if pi_flip_counting_every_vote(&ws, &usable) {
+            for p in &mut ws.phase_col {
+                *p += PI;
+            }
+        }
+        let mut out = Vec::new();
+        emit(&mut ws, &mut out);
+        let (xs, ys, _) = ws.fit_columns();
+        Some((out, xs.to_vec(), ys.to_vec()))
+    }
+
+    /// Asserts that the front end on `reads` equals, bit for bit, the one
+    /// whose pass 2 counts every vote: every observation and fit column.
+    /// Returns how many votes pass 2 cast.
+    fn assert_decides_as_every_vote(reads: &[RawRead], ctx: &str) -> usize {
+        let (mut ws, mut out) = (FrontEndWorkspace::default(), Vec::new());
+        VOTES_CAST.with(|n| n.set(0));
+        let result = preprocess_reads_with(&mut ws, reads, &PreprocessConfig::default(), &mut out);
+        let cast = VOTES_CAST.with(Cell::get);
+        let Some((expected, xs, ys)) = counting_every_vote(reads) else {
+            assert_eq!(result, Err(PreprocessError::NoUsableChannels), "{ctx}");
+            return cast;
+        };
+        assert_eq!(result, Ok(()), "{ctx}");
+        let bits = |o: &ChannelObservation| {
+            (o.channel, [o.frequency_hz, o.phase, o.rssi_dbm].map(f64::to_bits), o.read_count)
+        };
+        let actual: Vec<_> = out.iter().map(bits).collect();
+        assert_eq!(actual, expected.iter().map(bits).collect::<Vec<_>>(), "{ctx}");
+        let (fit_x, fit_y, _) = ws.fit_columns();
+        let col = |c: &[f64]| c.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!((col(fit_x), col(fit_y)), (col(&xs), col(&ys)), "{ctx}");
+        cast
+    }
+
+    /// A window over channels `0..votes.len()` on gently rising phases,
+    /// channel `c` holding `reads[c]` reads of which `votes[c]` back its
+    /// axis and the rest are π-jumped, in channel runs (an unjumped read
+    /// first). Grid reads with their codes when `coded`.
+    fn vote_window(reads: &[usize], votes: &[usize], coded: bool) -> Vec<RawRead> {
+        let mut window = Vec::new();
+        for (c, (&n, &v)) in reads.iter().zip(votes).enumerate() {
+            for k in 0..n {
+                let p = 0.3 + 0.15 * c as f64 + if k < v { 0.0 } else { PI };
+                window.push(if coded { quantized_read(c, p) } else { read(c, p) });
+            }
+        }
+        window
+    }
+
+    /// Pin: pass 2's early stop leaves every observation and fit column
+    /// of the full count: votes tied, one read either side of a tie,
+    /// flipping and not, decided at the first channel, at the last and
+    /// never, through the unusable-read restart, and on survey and random
+    /// windows. The designed windows stop where the rule says.
+    #[test]
+    fn decided_vote_matches_counting_every_vote() {
+        // (reads per channel, votes per channel, votes the pass casts).
+        let four = [4usize; 8];
+        let designed: [(&[usize], &[usize], usize); 10] = [
+            // A tie: half the reads back the axis, no flip, decided once
+            // the first four channels hold 16 votes.
+            (&four, &[4, 4, 4, 4, 0, 0, 0, 0], 16),
+            // One read either side of the tie: 15 votes flip, decided once
+            // the reads left cannot reach 16; 17 do not, decided at the
+            // first change of channel past the 16th vote.
+            (&four, &[1, 1, 1, 0, 0, 4, 4, 4], 20),
+            (&four, &[3, 4, 4, 4, 2, 0, 0, 0], 20),
+            // An odd count: 16 of 33 flip, counted to the last read; 17 do
+            // not.
+            (&[5, 4, 4, 4, 4, 4, 4, 4], &[5, 4, 4, 3, 0, 0, 0, 0], 33),
+            (&[5, 4, 4, 4, 4, 4, 4, 4], &[5, 4, 4, 4, 0, 0, 0, 0], 17),
+            // Decided at the first channel, without and with a flip.
+            (&[20, 4, 4, 4, 4], &[20, 0, 0, 0, 0], 20),
+            (&[20, 4, 4, 4, 4], &[0, 4, 4, 4, 4], 20),
+            // Decided at the last channel, without and with a flip.
+            (&four, &[2, 2, 2, 2, 2, 3, 3, 0], 28),
+            (&four, &[1, 1, 2, 1, 1, 2, 3, 4], 28),
+            // Never decided early: a tie reached at the last read.
+            (&four, &[2, 2, 2, 2, 2, 2, 2, 2], 32),
+        ];
+        for (i, &(reads, votes, cast)) in designed.iter().enumerate() {
+            for coded in [false, true] {
+                let window = vote_window(reads, votes, coded);
+                let ctx = format!("window {i}, coded {coded}");
+                assert_eq!(assert_decides_as_every_vote(&window, &ctx), cast, "{ctx}");
+                // The restart on the usable reads decides the same way.
+                let mut hostile = window.clone();
+                hostile.insert(3, RawRead { phase: f64::NAN, ..window[0] });
+                hostile.push(RawRead { channel: MAX_CHANNELS, ..window[1] });
+                let ctx = format!("{ctx}, with unusable reads");
+                assert_eq!(assert_decides_as_every_vote(&hostile, &ctx), cast, "{ctx}");
+            }
+        }
+        // The flip itself: the tie keeps the axis, one vote fewer flips it.
+        let phase = |votes: &[usize]| {
+            preprocess_reads(&vote_window(&four, votes, false), &PreprocessConfig::default())
+                .unwrap()[0]
+                .phase
+        };
+        assert!((phase(&[4, 4, 4, 4, 0, 0, 0, 0]) - 0.3).abs() < 1e-9);
+        assert!((phase(&[4, 4, 4, 3, 0, 0, 0, 0]) - (0.3 + PI)).abs() < 1e-9);
+
+        // Survey windows, and random windows whose channels revisit.
+        let mut cast = 0;
+        let mut total = 0;
+        for (i, window) in crate::fold::tests::standard_survey_windows(4).iter().enumerate() {
+            cast += assert_decides_as_every_vote(window, &format!("survey window {i}"));
+            total += window.len();
+        }
+        assert!(cast < total, "survey windows decide early: {cast} of {total} votes cast");
+        let mut rng = StdRng::seed_from_u64(7);
+        for i in 0..200 {
+            let window: Vec<RawRead> = (0..rng.gen_range(1..=40))
+                .map(|_| {
+                    let c = rng.gen_range(0..6usize);
+                    let p = 0.3 + 0.15 * c as f64 + if rng.gen_bool(0.3) { PI } else { 0.0 };
+                    if i % 2 == 0 {
+                        quantized_read(c, p)
+                    } else {
+                        read(c, p)
+                    }
+                })
+                .collect();
+            assert_decides_as_every_vote(&window, &format!("random window {i}"));
+        }
+        assert_decides_as_every_vote(&[], "empty window");
     }
 }

@@ -231,6 +231,18 @@ pub struct FitWorkspace {
 }
 
 impl FitWorkspace {
+    /// Sizes the columns a rejection round fills for `n` points as the
+    /// round would. A window certified clean runs no round, and the next
+    /// window that does then finds them sized, so it allocates nothing.
+    pub(crate) fn size_rounds(&mut self, n: usize) {
+        for col in [&mut self.resid, &mut self.abs_res] {
+            col.clear();
+            col.reserve(n);
+        }
+        self.inliers_next.clear();
+        self.inliers_next.reserve(n);
+    }
+
     /// Inlier mask of the most recent
     /// [`robust_line_fit_with`](crate::robust::robust_line_fit_with) call
     /// (same order as its input points).
