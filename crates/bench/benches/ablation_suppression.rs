@@ -44,7 +44,7 @@ fn main() {
 
             bias[0].push(to_cm(linfit::ols(&xs, &ys).unwrap().slope));
             bias[1].push(to_cm(linfit::theil_sen(&xs, &ys).unwrap().slope));
-            bias[2].push(to_cm(huber_line_fit(&xs, &ys, 0.03, 12).unwrap().slope));
+            bias[2].push(to_cm(huber_line_fit(&xs, &ys, 0.03, 12).unwrap().0));
             bias[3].push(to_cm(
                 robust_line_fit(&xs, &ys, &RobustFitConfig::default()).unwrap().fit.slope,
             ));

@@ -271,7 +271,7 @@ fn profile_pool(pool: &[Vec<RawRead>], warmup: usize, repeats: usize) -> Vec<Sta
             |i| {
                 let (xs, ys) = &columns[i];
                 timed(|| {
-                    black_box(reference::robust_line_fit(xs, ys, &robust).expect("fittable"));
+                    black_box(reference::robust_line_fit(xs, ys).expect("fittable"));
                 })
             },
             warmup,
@@ -306,7 +306,7 @@ fn profile_pool(pool: &[Vec<RawRead>], warmup: usize, repeats: usize) -> Vec<Sta
                     let xs: Vec<f64> = channels.iter().map(|c| c.frequency_hz).collect();
                     let ys: Vec<f64> = channels.iter().map(|c| c.phase).collect();
                     black_box(reference::ols(&xs, &ys).expect("fittable"));
-                    black_box(reference::robust_line_fit(&xs, &ys, &robust).expect("fittable"));
+                    black_box(reference::robust_line_fit(&xs, &ys).expect("fittable"));
                 })
             },
             warmup,

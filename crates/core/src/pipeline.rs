@@ -197,12 +197,45 @@ impl<W> SensingWorkspace<W> {
     }
 
     /// One sensing pass with antennas at `poses`, shared by batch and
-    /// streaming: `extract` each antenna's observation from its entry of
-    /// `inputs` (raw reads, or a sliding window), require `min_antennas`
-    /// usable ones, run the error detector and hand the observations to
-    /// `solve` (with the solver scratch). The caller opens the pass's span,
-    /// which times `sense.latency_us` too.
+    /// streaming: the [`extract_and_detect`](Self::extract_and_detect)
+    /// step, then `solve` (with the solver scratch) on the observations it
+    /// keeps. The caller opens the pass's span, which times
+    /// `sense.latency_us` too.
     pub(crate) fn sense<E, S, I>(
+        &mut self,
+        poses: &[AntennaPose],
+        config: &PipelineConfig,
+        min_antennas: usize,
+        inputs: impl ExactSizeIterator<Item = I>,
+        extract: impl FnMut(
+            AntennaPose,
+            I,
+            &mut FrontEndWorkspace,
+            &mut AntennaObservation,
+        ) -> Result<(), ExtractError>,
+        solve: impl FnOnce(&[AntennaObservation], &mut W) -> Result<E, S>,
+    ) -> Result<Sensing<E>, SensingError<S>> {
+        obs::counter_add(obs::id::PIPELINE_WINDOWS_TOTAL, 1);
+        let (observations, verdict) =
+            self.extract_and_detect(poses, config, min_antennas, inputs, extract)?;
+        match solve(&observations, &mut self.solver) {
+            Ok(estimate) => {
+                obs::counter_add(obs::id::PIPELINE_WINDOWS_OK, 1);
+                Ok(Sensing { estimate, observations, verdict })
+            }
+            Err(e) => {
+                self.recycle_observations(observations);
+                Err(SensingError::Solve(e))
+            }
+        }
+    }
+
+    /// The sensing pass up to the solve: `extract` each antenna's
+    /// observation from its entry of `inputs` (raw reads, or a sliding
+    /// window), require `min_antennas` usable ones, and run the error
+    /// detector. Returns the observations with the detector's verdict, or
+    /// the error that ends the pass (never [`SensingError::Solve`]).
+    fn extract_and_detect<S, I>(
         &mut self,
         poses: &[AntennaPose],
         config: &PipelineConfig,
@@ -214,9 +247,7 @@ impl<W> SensingWorkspace<W> {
             &mut FrontEndWorkspace,
             &mut AntennaObservation,
         ) -> Result<(), ExtractError>,
-        solve: impl FnOnce(&[AntennaObservation], &mut W) -> Result<E, S>,
-    ) -> Result<Sensing<E>, SensingError<S>> {
-        obs::counter_add(obs::id::PIPELINE_WINDOWS_TOTAL, 1);
+    ) -> Result<(Vec<AntennaObservation>, MobilityVerdict), SensingError<S>> {
         if inputs.len() != poses.len() {
             return Err(SensingError::AntennaCountMismatch {
                 expected: poses.len(),
@@ -257,17 +288,7 @@ impl<W> SensingWorkspace<W> {
                 return Err(SensingError::TagMoving { worst_residual_std });
             }
         }
-
-        match solve(&observations, &mut self.solver) {
-            Ok(estimate) => {
-                obs::counter_add(obs::id::PIPELINE_WINDOWS_OK, 1);
-                Ok(Sensing { estimate, observations, verdict })
-            }
-            Err(e) => {
-                self.recycle_observations(observations);
-                Err(SensingError::Solve(e))
-            }
-        }
+        Ok((observations, verdict))
     }
 }
 
@@ -608,60 +629,34 @@ impl RfPrism {
         let workspace = &mut SenseWorkspace::default();
         let _sense_span = obs::timed_span("sense_rounds", &[obs::id::SENSE_LATENCY_US]);
         obs::counter_add(obs::id::PIPELINE_WINDOWS_TOTAL, 1);
+        let extract = &self.config.extract;
         let mut per_round: Vec<Vec<AntennaObservation>> = Vec::new();
         let mut last_moving: Option<f64> = None;
         for reads in rounds {
-            if reads.len() != self.poses.len() {
-                for v in per_round.drain(..) {
-                    workspace.recycle_observations(v);
+            // A round is usable only when every antenna extracts.
+            match workspace.extract_and_detect(
+                &self.poses,
+                &self.config,
+                self.poses.len(),
+                reads.iter(),
+                |pose, reads, fe, slot| extract_observation_into(pose, reads, extract, fe, slot),
+            ) {
+                Ok((observations, _)) => per_round.push(observations),
+                Err(SenseError::TooFewObservations { .. }) => {
+                    obs::counter_add(obs::id::PIPELINE_ROUNDS_SKIPPED, 1);
                 }
-                return Err(SenseError::AntennaCountMismatch {
-                    expected: self.poses.len(),
-                    got: reads.len(),
-                });
-            }
-            let _extract_span = obs::span("extract");
-            let mut observations = workspace.take_observations();
-            let mut complete = true;
-            for (pose, r) in self.poses.iter().zip(reads) {
-                let mut slot = workspace.take_slot(*pose);
-                match extract_observation_into(
-                    *pose,
-                    r,
-                    &self.config.extract,
-                    &mut workspace.frontend,
-                    &mut slot,
-                ) {
-                    Ok(()) => observations.push(slot),
-                    Err(_) => {
-                        workspace.recycle_slot(slot);
-                        obs::counter_add(obs::id::PIPELINE_EXTRACT_FAILURES, 1);
-                        complete = false;
-                        break;
-                    }
-                }
-            }
-            if !complete {
-                obs::counter_add(obs::id::PIPELINE_ROUNDS_SKIPPED, 1);
-                workspace.recycle_observations(observations);
-                continue;
-            }
-            match assess(&observations, &self.config.detector) {
-                MobilityVerdict::Moving { worst_residual_std } if self.config.reject_moving => {
+                Err(SenseError::TagMoving { worst_residual_std }) => {
                     obs::counter_add(obs::id::PIPELINE_ROUNDS_SKIPPED, 1);
                     last_moving = Some(worst_residual_std);
-                    workspace.recycle_observations(observations);
                 }
-                _ => per_round.push(observations),
+                Err(e) => return Err(e),
             }
         }
         if per_round.is_empty() {
-            if let Some(worst_residual_std) = last_moving {
-                obs::counter_add(obs::id::PIPELINE_WINDOWS_MOVING_REJECTED, 1);
-                return Err(SenseError::TagMoving { worst_residual_std });
-            }
-            obs::counter_add(obs::id::PIPELINE_WINDOWS_TOO_FEW_OBS, 1);
-            return Err(SenseError::TooFewObservations { usable: 0, first_error: None });
+            return Err(match last_moving {
+                Some(worst_residual_std) => SenseError::TagMoving { worst_residual_std },
+                None => SenseError::TooFewObservations { usable: 0, first_error: None },
+            });
         }
 
         // Merge per antenna across rounds, in place in round 0's
@@ -678,24 +673,14 @@ impl RfPrism {
             obs.intercept = intercept;
         }
         let merged = per_round.swap_remove(0);
-        for v in per_round.drain(..) {
-            workspace.recycle_observations(v);
-        }
         let verdict = assess(&merged, &self.config.detector);
-        obs::verdict(&verdict);
-        let estimate = match solve_2d_seeded_warm(
+        let estimate = solve_2d_seeded_warm(
             &merged,
             &self.seeds,
             &self.config.solver,
             &mut workspace.solver,
             None,
-        ) {
-            Ok(e) => e,
-            Err(e) => {
-                workspace.recycle_observations(merged);
-                return Err(e.into());
-            }
-        };
+        )?;
         obs::counter_add(obs::id::PIPELINE_WINDOWS_OK, 1);
         Ok(SensingResult { estimate, observations: merged, verdict })
     }

@@ -10,7 +10,7 @@
 use rfp_core::obs;
 use rfp_core::RfPrism;
 use rfp_geom::Vec2;
-use rfp_obs::{recorder, MetricKind, Recorder, Registry, TelemetryFrame};
+use rfp_obs::{recorder, JsonValue, MetricKind, Recorder, Registry, TelemetryFrame};
 use rfp_sim::{Motion, Scene, SimTag};
 
 /// Drives `rounds` simulated rounds of a clean static tag through one
@@ -137,8 +137,12 @@ fn health_folds_healthy_over_a_clean_replay() {
         );
         let frame = TelemetryFrame::from_delta(k as u64, k as u64 + 1, tick, Some(report));
         let line = frame.to_jsonl_line();
-        let back = TelemetryFrame::from_json(&line).expect("frame parses");
-        assert_eq!(back, frame, "frame round-trips");
+        let back = JsonValue::parse(&line).expect("frame parses");
+        assert_eq!(back, frame.to_json(), "frame round-trips");
+        assert_eq!(back.get("seq").and_then(JsonValue::as_u64), Some(k as u64));
+        assert_eq!(back.get("tick").and_then(JsonValue::as_u64), Some(k as u64 + 1));
+        let verdict = back.get("health").and_then(|h| h.get("verdict"));
+        assert_eq!(verdict.and_then(JsonValue::as_str), Some("healthy"));
         assert!(!line.contains('\n'), "JSONL frames are single lines");
     }
 }

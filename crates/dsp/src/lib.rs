@@ -9,9 +9,9 @@
 //!   2π unwrapping across channels, in two passes over the reads. It has
 //!   one mode, the paper's: the correction always runs, and every channel
 //!   with a usable read is kept.
-//! * [`linfit`] — ordinary/weighted least-squares and Theil–Sen line fits
-//!   (one vectorizable sweep over the pairs, the median selected inside a
-//!   band around a trimmed least-squares pilot slope) with goodness-of-fit
+//! * [`linfit`] — ordinary least-squares and Theil–Sen line fits (one
+//!   vectorizable sweep over the pairs, the median selected inside a band
+//!   around a trimmed least-squares pilot slope) with goodness-of-fit
 //!   diagnostics. Linear fitting is the workhorse of
 //!   the whole system: the multi-frequency model (paper Eq. 6) reduces each
 //!   antenna's observation to the slope and intercept of a line.
@@ -68,7 +68,7 @@ pub mod streaming;
 pub mod trig;
 pub mod workspace;
 
-pub use linfit::{ols, theil_sen_with, weighted_ols, LineFit};
+pub use linfit::{ols, theil_sen_with, LineFit};
 pub use preprocess::{
     preprocess_reads, preprocess_reads_with, ChannelObservation, PreprocessConfig, RawRead,
 };
@@ -79,13 +79,14 @@ pub use workspace::{FitWorkspace, FrontEndWorkspace, OlsSums};
 /// Configuration of the front end, from raw reads to a fitted line: the
 /// fit tail of the batch extraction and of a streaming session
 /// (`rfp_core::model`, which re-exports this type) runs on it. Build it
-/// from [`ExtractConfig::paper`]; the pre-processing itself has no
-/// options.
+/// from [`ExtractConfig::paper`]; the pre-processing and the robust fit
+/// have no options.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ExtractConfig {
     /// Pre-processing options: none (see [`PreprocessConfig`]).
     pub preprocess: PreprocessConfig,
-    /// Robust-fit (multipath suppression) options.
+    /// Robust-fit (multipath suppression) options: none (see
+    /// [`RobustFitConfig`]).
     pub robust: RobustFitConfig,
     /// When false, skip outlier rejection entirely (used by the Fig. 12
     /// "Multipath without suppression" arm).

@@ -2,19 +2,19 @@
 //!
 //! The multi-frequency phase model (paper Eq. 6) turns every antenna's
 //! 50-channel observation into the slope and intercept of a straight line,
-//! so line fitting quality directly bounds sensing accuracy. Three fitters
+//! so line fitting quality directly bounds sensing accuracy. Two fitters
 //! are provided:
 //!
 //! * [`ols`] — ordinary least squares, the default for clean channels
 //!   ([`ols_line`] is its line alone, for callers that read no
 //!   diagnostics);
-//! * [`weighted_ols`] — per-point weights (e.g. read counts per channel);
 //! * [`theil_sen`] — median-of-slopes, used to seed the robust multipath
 //!   rejection with an estimate that tolerates up to ~29 % corrupted
 //!   channels. One vectorizable sweep stores every pairwise slope, and the
 //!   median is selected inside a narrow value band around a trimmed
 //!   least-squares pilot slope ([`theil_sen_with`]), so only the ~12 % of
-//!   pairwise slopes near it take part in the selection.
+//!   pairwise slopes near it take part in the selection; when the band
+//!   misses the median, every pairwise slope does.
 
 use crate::stats;
 use crate::workspace::{fit_diagnostics, FitWorkspace};
@@ -41,29 +41,6 @@ impl LineFit {
     #[inline]
     pub fn predict(&self, x: f64) -> f64 {
         self.slope * x + self.intercept
-    }
-
-    /// Residuals `y − prediction` for the given data.
-    ///
-    /// Allocates a fresh vector per call — kept for external callers'
-    /// convenience. Hot paths inside this workspace use
-    /// [`LineFit::residuals_into`] instead.
-    pub fn residuals(&self, xs: &[f64], ys: &[f64]) -> Vec<f64> {
-        xs.iter().zip(ys).map(|(&x, &y)| y - self.predict(x)).collect()
-    }
-
-    /// Writes the residuals `y − prediction` into `out` without
-    /// allocating. `out` must already have the points' length.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `xs`, `ys` and `out` lengths disagree.
-    pub fn residuals_into(&self, xs: &[f64], ys: &[f64], out: &mut [f64]) {
-        assert_eq!(xs.len(), ys.len(), "xs/ys length mismatch");
-        assert_eq!(xs.len(), out.len(), "output length mismatch");
-        for ((&x, &y), o) in xs.iter().zip(ys).zip(out.iter_mut()) {
-            *o = y - self.predict(x);
-        }
     }
 }
 
@@ -137,8 +114,6 @@ pub fn ols(xs: &[f64], ys: &[f64]) -> Result<LineFit, FitError> {
 /// # Ok::<(), rfp_dsp::linfit::FitError>(())
 /// ```
 pub fn ols_line(xs: &[f64], ys: &[f64]) -> Result<(f64, f64), FitError> {
-    // Streamed unit-weight specialization of [`weighted_ols`]: identical
-    // arithmetic (multiplying by a 1.0 weight is exact), no weight vector.
     if xs.len() != ys.len() {
         return Err(FitError::LengthMismatch);
     }
@@ -159,47 +134,6 @@ pub fn ols_line(xs: &[f64], ys: &[f64]) -> Result<(f64, f64), FitError> {
     }
     let slope = sxy / sxx;
     Ok((slope, ybar - slope * xbar))
-}
-
-/// Weighted least-squares line fit.
-///
-/// # Errors
-///
-/// As [`ols`], plus [`FitError::BadWeights`] when a weight is negative or
-/// all weights are zero.
-pub fn weighted_ols(xs: &[f64], ys: &[f64], weights: &[f64]) -> Result<LineFit, FitError> {
-    if xs.len() != ys.len() || xs.len() != weights.len() {
-        return Err(FitError::LengthMismatch);
-    }
-    if xs.len() < 2 {
-        return Err(FitError::TooFewPoints);
-    }
-    if weights.iter().any(|&w| w < 0.0) {
-        return Err(FitError::BadWeights);
-    }
-    let wsum: f64 = weights.iter().sum();
-    if wsum <= 0.0 {
-        return Err(FitError::BadWeights);
-    }
-    let xbar = xs.iter().zip(weights).map(|(x, w)| x * w).sum::<f64>() / wsum;
-    let ybar = ys.iter().zip(weights).map(|(y, w)| y * w).sum::<f64>() / wsum;
-    let mut sxx = 0.0;
-    let mut sxy = 0.0;
-    for ((&x, &y), &w) in xs.iter().zip(ys).zip(weights) {
-        sxx += w * (x - xbar) * (x - xbar);
-        sxy += w * (x - xbar) * (y - ybar);
-    }
-    if sxx <= 0.0 {
-        return Err(FitError::DegenerateX);
-    }
-    let slope = sxy / sxx;
-    let intercept = ybar - slope * xbar;
-
-    // Unweighted diagnostics over the supplied points (weights affect the
-    // estimate, not the reported residual scale), streamed without a
-    // residual vector.
-    let (r_squared, residual_std) = fit_diagnostics(xs, ys, slope, intercept, ybar);
-    Ok(LineFit { slope, intercept, r_squared, residual_std, n: xs.len() })
 }
 
 /// Theil–Sen estimator: slope is the median of all pairwise slopes,
@@ -233,11 +167,9 @@ pub fn theil_sen(xs: &[f64], ys: &[f64]) -> Result<LineFit, FitError> {
 ///    compacted in place to the front of the buffer and the median is
 ///    selected among them, shifted by the count below
 ///    (`stats::band_median`);
-/// 3. otherwise a second band is read off an evenly spaced sample of the
-///    stored slopes, then counted, compacted and selected the same way;
-/// 4. otherwise every valid slope is selected.
+/// 3. otherwise every valid slope is selected.
 ///
-/// A band partitions the slopes by value, so each path reads out the
+/// A band partitions the slopes by value, so both paths read out the
 /// order statistics a selection over every slope picks.
 ///
 /// # Errors
@@ -307,11 +239,6 @@ const PILOT_HALF_WIDTH: f64 = 0.75;
 /// A point further than this many σ from the least-squares line sits out
 /// the pilot line's refit.
 const PILOT_TRIM: f64 = 2.0;
-/// Stored slopes sampled, evenly spaced, for the second band.
-const SAMPLE: usize = 128;
-/// The second band spans this many sample ranks each side of the
-/// sample's median.
-const SAMPLE_RANKS: usize = 14;
 
 /// The pilot band of a window's pairwise slopes, and the extents of its
 /// columns, which the robust fit's certificate reads
@@ -394,16 +321,6 @@ fn median_slope(
     }
     if let Some(median) = band_select(slopes, lo, hi, below, inside, valid) {
         return Ok(median);
-    }
-    if let Some((lo, hi)) = sample_band(slopes) {
-        let (mut below, mut inside) = (0usize, 0usize);
-        for &v in slopes.iter() {
-            below += (v < lo) as usize;
-            inside += ((v >= lo) & (v <= hi)) as usize;
-        }
-        if let Some(median) = band_select(slopes, lo, hi, below, inside, valid) {
-            return Ok(median);
-        }
     }
     #[cfg(test)]
     tests::tally(|t| t.full += 1);
@@ -576,38 +493,6 @@ impl PilotLine {
     }
 }
 
-/// The second band: the values [`SAMPLE_RANKS`] ranks either side of the
-/// median of [`SAMPLE`] evenly spaced stored slopes (invalid pairs
-/// skipped). `None` when the buffer holds fewer than [`SAMPLE`] pairs.
-fn sample_band(slopes: &[f64]) -> Option<(f64, f64)> {
-    let len = slopes.len();
-    if len < SAMPLE {
-        return None;
-    }
-    #[cfg(test)]
-    tests::tally(|t| t.sampled += 1);
-    let mut sample = [0.0; SAMPLE];
-    let mut m = 0usize;
-    for k in 0..SAMPLE {
-        let v = slopes[(2 * k + 1) * len / (2 * SAMPLE)];
-        sample[m] = v;
-        m += !v.is_nan() as usize;
-    }
-    if m == 0 {
-        return None;
-    }
-    let sample = &mut sample[..m];
-    let lo_rank = ((m - 1) / 2).saturating_sub(SAMPLE_RANKS);
-    let hi_rank = (m / 2 + SAMPLE_RANKS).min(m - 1);
-    let (_, &mut lo, upper) = sample.select_nth_unstable_by(lo_rank, f64::total_cmp);
-    let hi = if hi_rank > lo_rank {
-        *upper.select_nth_unstable_by(hi_rank - lo_rank - 1, f64::total_cmp).1
-    } else {
-        lo
-    };
-    Some((lo, hi))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -618,8 +503,6 @@ mod tests {
     pub(super) struct Tally {
         /// Pair slopes divided.
         pub divided: usize,
-        /// Second bands read off the stored slopes.
-        pub sampled: usize,
         /// Selections over every valid slope.
         pub full: usize,
     }
@@ -724,30 +607,6 @@ mod tests {
     }
 
     #[test]
-    fn weighted_ols_ignores_zero_weight_points() {
-        let xs = [0.0, 1.0, 2.0, 3.0];
-        let ys = [0.0, 1.0, 2.0, 100.0];
-        let w = [1.0, 1.0, 1.0, 0.0];
-        let fit = weighted_ols(&xs, &ys, &w).unwrap();
-        assert!((fit.slope - 1.0).abs() < 1e-12);
-        assert!((fit.intercept).abs() < 1e-12);
-    }
-
-    #[test]
-    fn weighted_ols_bad_weights() {
-        let xs = [0.0, 1.0];
-        let ys = [0.0, 1.0];
-        assert_eq!(
-            weighted_ols(&xs, &ys, &[-1.0, 1.0]).unwrap_err(),
-            FitError::BadWeights
-        );
-        assert_eq!(
-            weighted_ols(&xs, &ys, &[0.0, 0.0]).unwrap_err(),
-            FitError::BadWeights
-        );
-    }
-
-    #[test]
     fn constant_y_gives_zero_slope_full_r2() {
         let xs = [0.0, 1.0, 2.0];
         let ys = [5.0, 5.0, 5.0];
@@ -805,10 +664,9 @@ mod tests {
     /// Pin: a noisy line, and the same line with a block of 14 channels
     /// 6 rad off it on either side (the block pulls the least-squares
     /// slope off the median pairwise slope), read out the full
-    /// selection's bits with no full selection, dividing each of the
-    /// 1,225 pairs once.
+    /// selection's bits, dividing each of the 1,225 pairs once.
     #[test]
-    fn one_sided_outliers_read_out_the_full_selection_without_one() {
+    fn one_sided_outliers_read_out_the_full_selection() {
         let (xs, clean) = noisy_line();
         let mut ws = FitWorkspace::default();
         for shift in [0.0, 6.0, -6.0] {
@@ -825,7 +683,7 @@ mod tests {
             if shift != 0.0 {
                 assert!((ols_slope - expected).abs() > 1e-8, "shift {shift}: OLS {ols_slope}");
             }
-            assert_eq!((t.divided, t.full), (1225, 0), "shift {shift}: {t:?}");
+            assert_eq!(t.divided, 1225, "shift {shift}: {t:?}");
         }
     }
 
@@ -848,8 +706,9 @@ mod tests {
 
     /// Pin: over the antenna windows of 64 static tags in `standard_2d`
     /// and of 32 in the six-antenna 3-D scene's cluttered room, the pilot
-    /// band misses under 10% of the medians, at most 2% take the full
-    /// selection, and every pair is divided once.
+    /// band misses at most 2% of the medians (each miss takes the full
+    /// selection, so under 10% miss and at most 2% select every slope),
+    /// and every pair is divided once.
     #[test]
     fn survey_windows_select_in_a_band_and_divide_each_pair_once() {
         use crate::fold::tests::{standard_survey_windows, survey_windows};
@@ -891,35 +750,13 @@ mod tests {
             let all = windows.len();
             assert!(fits * 10 >= all * 9, "{label}: {fits} of {all} windows fit");
             assert_eq!(t.divided, pairs, "{label}");
-            assert!(t.sampled * 10 < fits, "{label}: {t:?} over {fits} windows");
             assert!(t.full * 50 <= fits, "{label}: {t:?} over {fits} windows");
         }
     }
 
     #[test]
-    fn predict_and_residuals() {
+    fn predict_evaluates_the_line() {
         let fit = ols(&[0.0, 1.0], &[1.0, 3.0]).unwrap();
         assert!((fit.predict(2.0) - 5.0).abs() < 1e-12);
-        let r = fit.residuals(&[0.0, 1.0], &[1.0, 3.0]);
-        assert!(r.iter().all(|x| x.abs() < 1e-12));
-    }
-
-    #[test]
-    fn residuals_into_matches_residuals() {
-        let xs = [0.0, 1.0, 2.0, 3.0];
-        let ys = [1.0, 2.9, 5.2, 6.8];
-        let fit = ols(&xs, &ys).unwrap();
-        let alloc = fit.residuals(&xs, &ys);
-        let mut buf = [0.0; 4];
-        fit.residuals_into(&xs, &ys, &mut buf);
-        assert_eq!(alloc.as_slice(), buf.as_slice());
-    }
-
-    #[test]
-    #[should_panic(expected = "output length mismatch")]
-    fn residuals_into_length_checked() {
-        let fit = ols(&[0.0, 1.0], &[1.0, 3.0]).unwrap();
-        let mut buf = [0.0; 3];
-        fit.residuals_into(&[0.0, 1.0], &[1.0, 3.0], &mut buf);
     }
 }

@@ -150,27 +150,6 @@ pub(crate) fn acc_phasor(
     }
 }
 
-/// Table lookup of `(sin, cos)` of the grid phase for `code`, bit-equal
-/// to `((c·LSB).sin(), (c·LSB).cos())`. Codes are taken modulo 4096.
-#[inline]
-pub fn table_sin_cos(code: u16) -> (f64, f64) {
-    let [sin, cos] = fold_table()[code as usize % PHASE_CODES];
-    (sin, cos)
-}
-
-/// Table lookup of `(sin, cos)` of the **doubled** grid phase for
-/// `code`, bit-equal to `((2.0·(c·LSB)).sin(), (2.0·(c·LSB)).cos())` —
-/// the double-angle accumulation of the π-jump correction. Indexed by
-/// the *original* code: `2·p` leaves the grid (e.g. `2·(c·LSB)` is not
-/// the grid point of code `2c mod 4096` once the doubled angle exceeds
-/// 2π and the scalar code does *not* re-wrap), so a dedicated table is
-/// required for bit-identity.
-#[inline]
-pub fn table_double_sin_cos(code: u16) -> (f64, f64) {
-    let [sin, cos] = double_table()[code as usize % PHASE_CODES];
-    (sin, cos)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -181,7 +160,7 @@ mod tests {
     fn table_matches_libm_for_every_code() {
         for c in 0..PHASE_CODES as u16 {
             let p = c as f64 * PHASE_LSB_RAD;
-            let (ts, tc) = table_sin_cos(c);
+            let [ts, tc] = fold_table()[c as usize];
             assert_eq!(
                 ts.to_bits(),
                 p.sin().to_bits(),
@@ -206,7 +185,7 @@ mod tests {
     fn double_angle_table_matches_libm_for_every_code() {
         for c in 0..PHASE_CODES as u16 {
             let d = 2.0 * (c as f64 * PHASE_LSB_RAD);
-            let (ts, tc) = table_double_sin_cos(c);
+            let [ts, tc] = double_table()[c as usize];
             assert_eq!(
                 ts.to_bits(),
                 d.sin().to_bits(),
@@ -255,7 +234,7 @@ mod tests {
     fn warm_tables_is_idempotent() {
         warm_tables();
         warm_tables();
-        let (s, _) = table_sin_cos(1024);
+        let [s, _] = fold_table()[1024];
         assert_eq!(s.to_bits(), (1024.0 * PHASE_LSB_RAD).sin().to_bits());
     }
 }

@@ -7,7 +7,7 @@
 //! dashboard or operator can see *which* ceiling was crossed and by how
 //! much. The rules themselves live with the metric ids they read (the
 //! streaming engine's in `rfp_core::obs`); this module only carries and
-//! parses their verdicts, inside [`crate::TelemetryFrame`]s.
+//! serializes their verdicts, inside [`crate::TelemetryFrame`]s.
 
 use crate::json::JsonValue;
 
@@ -30,16 +30,6 @@ impl Health {
             Health::Healthy => "healthy",
             Health::Degraded => "degraded",
             Health::Unhealthy => "unhealthy",
-        }
-    }
-
-    /// Parses a wire name produced by [`as_str`](Self::as_str).
-    pub fn from_str_opt(s: &str) -> Option<Health> {
-        match s {
-            "healthy" => Some(Health::Healthy),
-            "degraded" => Some(Health::Degraded),
-            "unhealthy" => Some(Health::Unhealthy),
-            _ => None,
         }
     }
 }
@@ -90,30 +80,37 @@ impl HealthReport {
             ),
         ])
     }
-
-    /// Parses a report previously produced by [`to_json`](Self::to_json).
-    pub fn from_json(v: &JsonValue) -> Option<HealthReport> {
-        let verdict = Health::from_str_opt(v.get("verdict")?.as_str()?)?;
-        let reasons = v
-            .get("reasons")?
-            .as_arr()?
-            .iter()
-            .map(|r| {
-                Some(HealthReason {
-                    rule: r.get("rule")?.as_str()?.to_string(),
-                    level: Health::from_str_opt(r.get("level")?.as_str()?)?,
-                    value: r.get("value")?.as_f64()?,
-                    threshold: r.get("threshold")?.as_f64()?,
-                })
-            })
-            .collect::<Option<Vec<_>>>()?;
-        Some(HealthReport { verdict, reasons })
-    }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// The report a parsed JSON value holds, read back field by field.
+    pub(crate) fn read_health(v: &JsonValue) -> HealthReport {
+        let level = |v: &JsonValue, k: &str| {
+            let name = v.get(k).and_then(JsonValue::as_str).unwrap();
+            [Health::Healthy, Health::Degraded, Health::Unhealthy]
+                .into_iter()
+                .find(|h| h.as_str() == name)
+                .unwrap()
+        };
+        HealthReport {
+            verdict: level(v, "verdict"),
+            reasons: v
+                .get("reasons")
+                .and_then(JsonValue::as_arr)
+                .unwrap()
+                .iter()
+                .map(|r| HealthReason {
+                    rule: r.get("rule").and_then(JsonValue::as_str).unwrap().into(),
+                    level: level(r, "level"),
+                    value: r.get("value").and_then(JsonValue::as_f64).unwrap(),
+                    threshold: r.get("threshold").and_then(JsonValue::as_f64).unwrap(),
+                })
+                .collect(),
+        }
+    }
 
     #[test]
     fn report_round_trips_through_json() {
@@ -135,19 +132,18 @@ mod tests {
             ],
         };
         let v = report.to_json();
-        assert_eq!(HealthReport::from_json(&v).unwrap(), report);
+        assert_eq!(read_health(&v), report);
         // Canonical through the parser too.
         let reparsed = JsonValue::parse(&v.to_compact()).unwrap();
-        assert_eq!(HealthReport::from_json(&reparsed).unwrap(), report);
+        assert_eq!(reparsed, v);
+        assert_eq!(read_health(&reparsed), report);
     }
 
     #[test]
     fn health_ordering_and_names() {
         assert!(Health::Healthy < Health::Degraded);
         assert!(Health::Degraded < Health::Unhealthy);
-        for h in [Health::Healthy, Health::Degraded, Health::Unhealthy] {
-            assert_eq!(Health::from_str_opt(h.as_str()), Some(h));
-        }
-        assert_eq!(Health::from_str_opt("bogus"), None);
+        let names = [Health::Healthy, Health::Degraded, Health::Unhealthy].map(Health::as_str);
+        assert_eq!(names, ["healthy", "degraded", "unhealthy"]);
     }
 }

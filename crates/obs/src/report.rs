@@ -3,13 +3,14 @@
 //! table, and a Prometheus-style text exposition.
 //!
 //! The JSON schema is stable and versioned (`schema_version`, currently
-//! [`SCHEMA_VERSION`]); [`RunReport::to_json`] / [`RunReport::from_json`]
-//! round-trip exactly, which the schema test pins. Bench snapshot writers
+//! [`SCHEMA_VERSION`]); [`RunReport::to_json`]'s document reads back
+//! through [`JsonValue::parse`] exactly, field for field, which the schema
+//! test pins. Bench snapshot writers
 //! reuse the same serializer through [`snapshot`] / [`write_json`] so every
 //! machine-readable artifact this workspace emits shares one format.
 
 use crate::health::HealthReport;
-use crate::json::{JsonError, JsonValue};
+use crate::json::JsonValue;
 use crate::metrics::{MetricKind, Registry};
 use crate::recorder::Recorder;
 use std::io;
@@ -20,7 +21,7 @@ use std::path::Path;
 ///
 /// History: v1 = PR 3 (counters/gauges/spans/histograms); v2 adds
 /// histogram `help` + estimated `p50`/`p90`/`p99` and the telemetry-frame
-/// record. Readers accept only the current version.
+/// record. A reader should accept only the current version.
 pub const SCHEMA_VERSION: u64 = 2;
 
 /// One aggregated span in a report: its `/`-joined stage path plus the
@@ -195,131 +196,6 @@ impl RunReport {
             ("gauges", gauges),
             ("histograms", histograms),
         ])
-    }
-
-    /// Reconstructs a report from its JSON document.
-    ///
-    /// # Errors
-    ///
-    /// [`JsonError`] on malformed JSON or a schema mismatch (missing
-    /// fields, wrong `schema_version`).
-    pub fn from_json(text: &str) -> Result<RunReport, JsonError> {
-        let v = JsonValue::parse(text)?;
-        let schema_err = |message: &str| JsonError { offset: 0, message: message.to_string() };
-        let version = v
-            .get("schema_version")
-            .and_then(JsonValue::as_u64)
-            .ok_or_else(|| schema_err("missing schema_version"))?;
-        if version != SCHEMA_VERSION {
-            return Err(schema_err(&format!(
-                "unsupported schema_version {version} (expected {SCHEMA_VERSION})"
-            )));
-        }
-        let name = v
-            .get("name")
-            .and_then(JsonValue::as_str)
-            .ok_or_else(|| schema_err("missing name"))?
-            .to_string();
-        let meta = v
-            .get("meta")
-            .and_then(JsonValue::as_obj)
-            .ok_or_else(|| schema_err("missing meta"))?
-            .iter()
-            .map(|(k, val)| {
-                val.as_str()
-                    .map(|s| (k.clone(), s.to_string()))
-                    .ok_or_else(|| schema_err("meta values must be strings"))
-            })
-            .collect::<Result<Vec<_>, _>>()?;
-        let spans = v
-            .get("spans")
-            .and_then(JsonValue::as_arr)
-            .ok_or_else(|| schema_err("missing spans"))?
-            .iter()
-            .map(|s| {
-                Ok(SpanEntry {
-                    path: s
-                        .get("path")
-                        .and_then(JsonValue::as_str)
-                        .ok_or_else(|| schema_err("span missing path"))?
-                        .to_string(),
-                    count: s
-                        .get("count")
-                        .and_then(JsonValue::as_u64)
-                        .ok_or_else(|| schema_err("span missing count"))?,
-                    total_ns: s
-                        .get("total_ns")
-                        .and_then(JsonValue::as_u64)
-                        .ok_or_else(|| schema_err("span missing total_ns"))?,
-                })
-            })
-            .collect::<Result<Vec<_>, JsonError>>()?;
-        let counters = v
-            .get("counters")
-            .and_then(JsonValue::as_obj)
-            .ok_or_else(|| schema_err("missing counters"))?
-            .iter()
-            .map(|(k, val)| {
-                val.as_u64()
-                    .map(|n| (k.clone(), n))
-                    .ok_or_else(|| schema_err("counter values must be non-negative integers"))
-            })
-            .collect::<Result<Vec<_>, _>>()?;
-        let gauges = v
-            .get("gauges")
-            .and_then(JsonValue::as_obj)
-            .ok_or_else(|| schema_err("missing gauges"))?
-            .iter()
-            .map(|(k, val)| {
-                val.as_f64()
-                    .map(|n| (k.clone(), n))
-                    .ok_or_else(|| schema_err("gauge values must be numbers"))
-            })
-            .collect::<Result<Vec<_>, _>>()?;
-        let histograms = v
-            .get("histograms")
-            .and_then(JsonValue::as_arr)
-            .ok_or_else(|| schema_err("missing histograms"))?
-            .iter()
-            .map(|h| {
-                let nums = |key: &str| -> Result<Vec<f64>, JsonError> {
-                    h.get(key)
-                        .and_then(JsonValue::as_arr)
-                        .ok_or_else(|| schema_err("histogram missing array field"))?
-                        .iter()
-                        .map(|x| x.as_f64().ok_or_else(|| schema_err("non-numeric bucket")))
-                        .collect()
-                };
-                Ok(HistogramEntry {
-                    name: h
-                        .get("name")
-                        .and_then(JsonValue::as_str)
-                        .ok_or_else(|| schema_err("histogram missing name"))?
-                        .to_string(),
-                    help: h
-                        .get("help")
-                        .and_then(JsonValue::as_str)
-                        .ok_or_else(|| schema_err("histogram missing help"))?
-                        .to_string(),
-                    count: h
-                        .get("count")
-                        .and_then(JsonValue::as_u64)
-                        .ok_or_else(|| schema_err("histogram missing count"))?,
-                    sum: h
-                        .get("sum")
-                        .and_then(JsonValue::as_f64)
-                        .ok_or_else(|| schema_err("histogram missing sum"))?,
-                    min: h.get("min").and_then(JsonValue::as_f64),
-                    max: h.get("max").and_then(JsonValue::as_f64),
-                    p50: h.get("p50").and_then(JsonValue::as_f64),
-                    p90: h.get("p90").and_then(JsonValue::as_f64),
-                    p99: h.get("p99").and_then(JsonValue::as_f64),
-                    bounds: nums("bounds")?,
-                    buckets: nums("buckets")?.into_iter().map(|c| c as u64).collect(),
-                })
-            })
-            .collect::<Result<Vec<_>, JsonError>>()?;
-        Ok(RunReport { name, meta, spans, counters, gauges, histograms })
     }
 
     /// The human-readable summary table (the CLI's `--trace` output).
@@ -499,61 +375,6 @@ impl TelemetryFrame {
     pub fn to_jsonl_line(&self) -> String {
         self.to_json().to_compact()
     }
-
-    /// Parses one frame from its JSON text (either form).
-    ///
-    /// # Errors
-    ///
-    /// [`JsonError`] on malformed JSON or a frame that does not match the
-    /// schema.
-    pub fn from_json(text: &str) -> Result<TelemetryFrame, JsonError> {
-        let v = JsonValue::parse(text)?;
-        let schema_err = |message: &str| JsonError { offset: 0, message: message.to_string() };
-        let version = v
-            .get("schema_version")
-            .and_then(JsonValue::as_u64)
-            .ok_or_else(|| schema_err("missing schema_version"))?;
-        if version != SCHEMA_VERSION {
-            return Err(schema_err(&format!("unsupported schema_version {version}")));
-        }
-        let seq = v
-            .get("seq")
-            .and_then(JsonValue::as_u64)
-            .ok_or_else(|| schema_err("missing seq"))?;
-        let tick = v
-            .get("tick")
-            .and_then(JsonValue::as_u64)
-            .ok_or_else(|| schema_err("missing tick"))?;
-        let counters = v
-            .get("counters")
-            .and_then(JsonValue::as_obj)
-            .ok_or_else(|| schema_err("missing counters"))?
-            .iter()
-            .map(|(k, val)| {
-                val.as_u64()
-                    .map(|n| (k.clone(), n))
-                    .ok_or_else(|| schema_err("counter deltas must be non-negative integers"))
-            })
-            .collect::<Result<Vec<_>, _>>()?;
-        let gauges = v
-            .get("gauges")
-            .and_then(JsonValue::as_obj)
-            .ok_or_else(|| schema_err("missing gauges"))?
-            .iter()
-            .map(|(k, val)| {
-                val.as_f64()
-                    .map(|n| (k.clone(), n))
-                    .ok_or_else(|| schema_err("gauge values must be numbers"))
-            })
-            .collect::<Result<Vec<_>, _>>()?;
-        let health = match v.get("health") {
-            Some(h) => {
-                Some(HealthReport::from_json(h).ok_or_else(|| schema_err("malformed health"))?)
-            }
-            None => None,
-        };
-        Ok(TelemetryFrame { seq, tick, counters, gauges, health })
-    }
 }
 
 fn depth_of(path: &str) -> usize {
@@ -625,11 +446,56 @@ mod tests {
         RunReport::from_recorder("sense", &rec).with_meta("log", "trace.jsonl")
     }
 
+    /// The report a JSON document holds, read back field by field through
+    /// [`JsonValue::parse`].
+    fn read_report(text: &str) -> RunReport {
+        let v = JsonValue::parse(text).unwrap();
+        assert_eq!(v.get("schema_version").and_then(JsonValue::as_u64), Some(SCHEMA_VERSION));
+        let arr = |v: &JsonValue, k: &str| v.get(k).and_then(JsonValue::as_arr).unwrap().to_vec();
+        let obj = |k: &str| v.get(k).and_then(JsonValue::as_obj).unwrap().to_vec();
+        let text = |v: &JsonValue, k: &str| v.get(k).and_then(JsonValue::as_str).unwrap().into();
+        let int = |v: &JsonValue, k: &str| v.get(k).and_then(JsonValue::as_u64).unwrap();
+        let num = |v: &JsonValue, k: &str| v.get(k).and_then(JsonValue::as_f64);
+        let nums = |v: &JsonValue, k: &str| -> Vec<f64> {
+            arr(v, k).iter().map(|x| x.as_f64().unwrap()).collect()
+        };
+        RunReport {
+            name: text(&v, "name"),
+            meta: obj("meta").into_iter().map(|(k, s)| (k, s.as_str().unwrap().into())).collect(),
+            spans: arr(&v, "spans")
+                .iter()
+                .map(|s| SpanEntry {
+                    path: text(s, "path"),
+                    count: int(s, "count"),
+                    total_ns: int(s, "total_ns"),
+                })
+                .collect(),
+            counters: obj("counters").into_iter().map(|(k, n)| (k, n.as_u64().unwrap())).collect(),
+            gauges: obj("gauges").into_iter().map(|(k, n)| (k, n.as_f64().unwrap())).collect(),
+            histograms: arr(&v, "histograms")
+                .iter()
+                .map(|h| HistogramEntry {
+                    name: text(h, "name"),
+                    help: text(h, "help"),
+                    count: int(h, "count"),
+                    sum: num(h, "sum").unwrap(),
+                    min: num(h, "min"),
+                    max: num(h, "max"),
+                    p50: num(h, "p50"),
+                    p90: num(h, "p90"),
+                    p99: num(h, "p99"),
+                    bounds: nums(h, "bounds"),
+                    buckets: nums(h, "buckets").into_iter().map(|c| c as u64).collect(),
+                })
+                .collect(),
+        }
+    }
+
     #[test]
     fn json_round_trips_exactly() {
         let report = sample_report();
         let text = report.to_json().to_pretty();
-        let back = RunReport::from_json(&text).unwrap();
+        let back = read_report(&text);
         assert_eq!(back, report);
         // And the document itself is stable under a second pass.
         assert_eq!(back.to_json().to_pretty(), text);
@@ -648,25 +514,14 @@ mod tests {
     }
 
     #[test]
-    fn version_mismatch_is_rejected() {
-        // A future version, and v1 (whose histograms had no `help`).
-        for version in [999.0, 1.0] {
-            let mut report_json = sample_report().to_json();
-            if let JsonValue::Obj(pairs) = &mut report_json {
-                pairs[0].1 = JsonValue::Num(version);
-            }
-            let err = RunReport::from_json(&report_json.to_pretty()).unwrap_err();
-            assert!(err.message.contains("schema_version"));
-        }
-    }
-
-    #[test]
     fn empty_histogram_min_max_round_trip_as_null() {
         let ((), rec) = recorder::observe(DEFS, || {});
         let report = RunReport::from_recorder("idle", &rec);
         assert_eq!(report.histograms[0].min, None);
-        let back = RunReport::from_json(&report.to_json().to_pretty()).unwrap();
-        assert_eq!(back, report);
+        let text = report.to_json().to_pretty();
+        let histograms = JsonValue::parse(&text).unwrap().get("histograms").cloned().unwrap();
+        assert_eq!(histograms.as_arr().unwrap()[0].get("min"), Some(&JsonValue::Null));
+        assert_eq!(read_report(&text), report);
     }
 
     #[test]
@@ -688,8 +543,23 @@ mod tests {
         let h = &report.histograms[0];
         assert_eq!(h.help, "solve latency");
         assert!(h.p50.is_some() && h.p90.is_some() && h.p99.is_some());
-        let back = RunReport::from_json(&report.to_json().to_pretty()).unwrap();
-        assert_eq!(back, report);
+        assert_eq!(read_report(&report.to_json().to_pretty()), report);
+    }
+
+    /// The frame a JSON line holds, read back field by field through
+    /// [`JsonValue::parse`].
+    fn read_frame(line: &str) -> TelemetryFrame {
+        let v = JsonValue::parse(line).unwrap();
+        assert_eq!(v.get("schema_version").and_then(JsonValue::as_u64), Some(SCHEMA_VERSION));
+        let int = |k: &str| v.get(k).and_then(JsonValue::as_u64).unwrap();
+        let obj = |k: &str| v.get(k).and_then(JsonValue::as_obj).unwrap().to_vec();
+        TelemetryFrame {
+            seq: int("seq"),
+            tick: int("tick"),
+            counters: obj("counters").into_iter().map(|(k, n)| (k, n.as_u64().unwrap())).collect(),
+            gauges: obj("gauges").into_iter().map(|(k, n)| (k, n.as_f64().unwrap())).collect(),
+            health: v.get("health").map(crate::health::tests::read_health),
+        }
     }
 
     #[test]
@@ -723,12 +593,12 @@ mod tests {
         assert!(line.contains("\"s.windows\":7"));
         assert!(!line.contains("s.lat"), "histograms are excluded from frames");
         assert!(line.contains("\"verdict\":\"degraded\""));
-        assert_eq!(TelemetryFrame::from_json(&line).unwrap(), frame);
+        assert_eq!(read_frame(&line), frame);
 
         // Health-less frames omit the key entirely and still round-trip.
         let bare = TelemetryFrame::from_delta(0, 100, &reg, None);
         assert!(!bare.to_jsonl_line().contains("health"));
-        assert_eq!(TelemetryFrame::from_json(&bare.to_jsonl_line()).unwrap(), bare);
+        assert_eq!(read_frame(&bare.to_jsonl_line()), bare);
     }
 
     #[test]

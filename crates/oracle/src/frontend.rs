@@ -15,7 +15,7 @@
 
 use rfp_dsp::linfit::{FitError, LineFit};
 use rfp_dsp::preprocess::{ChannelObservation, PreprocessConfig, PreprocessError, RawRead};
-use rfp_dsp::robust::{RobustFit, RobustFitConfig};
+use rfp_dsp::robust::RobustFit;
 use rfp_dsp::stats;
 use rfp_geom::angle;
 
@@ -125,12 +125,14 @@ pub fn ols(xs: &[f64], ys: &[f64]) -> Result<LineFit, FitError> {
     weighted_ols(xs, ys, &w)
 }
 
-/// Pre-rework [`rfp_dsp::linfit::weighted_ols`]: materializes the residual
-/// vector for its diagnostics.
+/// Pre-rework weighted least squares (the library's former
+/// `weighted_ols`), which [`ols`] runs with unit weights: materializes the
+/// residual vector for its diagnostics.
 ///
 /// # Errors
 ///
-/// As the optimized version.
+/// As [`ols`], plus [`FitError::BadWeights`] when a weight is negative or
+/// all weights are zero.
 pub fn weighted_ols(xs: &[f64], ys: &[f64], weights: &[f64]) -> Result<LineFit, FitError> {
     if xs.len() != ys.len() || xs.len() != weights.len() {
         return Err(FitError::LengthMismatch);
@@ -219,32 +221,38 @@ pub fn theil_sen(xs: &[f64], ys: &[f64]) -> Result<LineFit, FitError> {
     Ok(LineFit { slope, intercept, r_squared, residual_std, n: xs.len() })
 }
 
+/// The robust fit's residual threshold, in scale units.
+const THRESHOLD: f64 = 2.5;
+/// The robust fit's floor on the residual scale, radians.
+const SCALE_FLOOR: f64 = 0.012;
+/// The robust fit's maximum reject-refit rounds.
+const MAX_ITERATIONS: usize = 5;
+/// The fraction of the points no rejection round drops below.
+const MIN_INLIER_FRACTION: f64 = 0.5;
+
 /// Pre-rework [`rfp_dsp::robust::robust_line_fit`]: refits the inlier
 /// subset from scratch each rejection round through freshly collected
-/// sub-slices.
+/// sub-slices. It runs at the paper's configuration, the optimized
+/// version's one.
 ///
 /// # Errors
 ///
 /// As the optimized version.
-pub fn robust_line_fit(
-    xs: &[f64],
-    ys: &[f64],
-    config: &RobustFitConfig,
-) -> Result<RobustFit, FitError> {
+pub fn robust_line_fit(xs: &[f64], ys: &[f64]) -> Result<RobustFit, FitError> {
     let mut current = theil_sen(xs, ys)?;
     let n = xs.len();
-    let min_inliers = ((n as f64 * config.min_inlier_fraction).ceil() as usize).max(2);
+    let min_inliers = ((n as f64 * MIN_INLIER_FRACTION).ceil() as usize).max(2);
     let mut inliers = vec![true; n];
     let mut iterations = 0;
 
-    for _ in 0..config.max_iterations {
+    for _ in 0..MAX_ITERATIONS {
         iterations += 1;
         let residuals: Vec<f64> =
             xs.iter().zip(ys).map(|(&x, &y)| y - current.predict(x)).collect();
         let abs_res: Vec<f64> = residuals.iter().map(|r| r.abs()).collect();
         let scale = (stats::mad(&residuals).unwrap_or(0.0) * stats::MAD_TO_SIGMA)
-            .max(config.scale_floor);
-        let cutoff = config.threshold * scale;
+            .max(SCALE_FLOOR);
+        let cutoff = THRESHOLD * scale;
 
         let mut order: Vec<usize> = (0..n).collect();
         order.sort_by(|&a, &b| abs_res[a].partial_cmp(&abs_res[b]).expect("finite"));
