@@ -9,7 +9,8 @@
 //! central-difference sweeps (2 per parameter per iteration) to
 //! `residual_evals` — exactly the cost the fused analytic evaluation
 //! removes — and the seed accounting ([`PruneStats`]) shows how many
-//! multi-start seeds each configuration actually refined.
+//! multi-start seeds each configuration actually refined, and how many
+//! stage-1 candidates it dropped as duplicates of a kept basin.
 //!
 //! Three configurations per dimension:
 //!
@@ -238,13 +239,14 @@ fn print_rows(label: &str, rows: &[(&str, Profile)]) {
     report::section(label);
     for (name, p) in rows {
         println!(
-            "  {name:<10} p50 {:>9.1} µs   residual evals {:>6}   jacobian evals {:>5}   iterations {:>5}   seeds {:>3}/{:<3}",
+            "  {name:<10} p50 {:>9.1} µs   residual evals {:>6}   jacobian evals {:>5}   iterations {:>5}   seeds {:>3}/{:<3}   stage-1 duplicates {:>2}",
             p.p50_us,
             p.stats.residual_evals,
             p.stats.jacobian_evals,
             p.stats.iterations,
             p.prune.seeds_refined,
             p.prune.seeds_total,
+            p.prune.stage1_duplicates,
         );
     }
 }

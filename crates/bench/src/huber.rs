@@ -18,6 +18,11 @@ use rfp_dsp::linfit::{self, FitError};
 ///
 /// Propagates [`FitError`] from the underlying weighted fits.
 ///
+/// # Panics
+///
+/// When `delta` is not positive (or is NaN): every weight must be
+/// positive for a finite residual.
+///
 /// # Example
 ///
 /// ```
@@ -35,6 +40,7 @@ pub fn huber_line_fit(
     delta: f64,
     iterations: usize,
 ) -> Result<(f64, f64), FitError> {
+    assert!(delta > 0.0, "Huber delta must be positive, got {delta}");
     let (mut slope, mut intercept) = linfit::ols_line(xs, ys)?;
     let mut weights = Vec::with_capacity(xs.len());
     for _ in 0..iterations {
@@ -64,12 +70,14 @@ pub fn huber_line_fit(
 ///
 /// # Errors
 ///
-/// [`FitError::BadWeights`] when every weight is zero,
+/// [`FitError::NonFinite`] when the weights do not sum to a positive
+/// value, which the Huber weights of a positive `delta` do only when every
+/// residual is infinite or some residual is NaN;
 /// [`FitError::DegenerateX`] when the weighted abscissae have no spread.
 fn weighted_line(xs: &[f64], ys: &[f64], weights: &[f64]) -> Result<(f64, f64), FitError> {
     let wsum: f64 = weights.iter().sum();
-    if wsum <= 0.0 {
-        return Err(FitError::BadWeights);
+    if wsum.is_nan() || wsum <= 0.0 {
+        return Err(FitError::NonFinite);
     }
     let xbar = xs.iter().zip(weights).map(|(x, w)| x * w).sum::<f64>() / wsum;
     let ybar = ys.iter().zip(weights).map(|(y, w)| y * w).sum::<f64>() / wsum;

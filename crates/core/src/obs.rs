@@ -170,6 +170,10 @@ metrics! {
         "solver.scan_exact",
         "scan directions whose cost the orientation scans evaluated exactly"
     ),
+    SOLVER_STAGE1_DUPLICATES: counter(
+        "solver.stage1_duplicates",
+        "stage-1 candidates dropped as duplicates of a kept one's basin"
+    ),
 }
 
 #[cfg(feature = "obs")]

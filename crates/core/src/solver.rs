@@ -87,6 +87,10 @@ const PLATEAU_REL_TOL: f64 = 0.5;
 /// refinement and an orientation scan — a value the scan itself could
 /// reach). Teleporting tags fail the gate and fall back to the full scan.
 const WARM_GATE_REL_TOL: f64 = 0.25;
+/// Stage-1 candidates closer than this (metres) to a kept one are
+/// duplicates of its basin: they get no orientation scan and no joint
+/// refinements.
+const STAGE1_DEDUP_M: f64 = 0.10;
 
 /// Work counters of the LM cores, for profiling (see the `solver_profile`
 /// bench). Counters accumulate monotonically per workspace; snapshot them
@@ -138,6 +142,9 @@ pub struct PruneStats {
     pub warm_start_hits: u64,
     /// Warm-start attempts rejected by the gate (fell back to the scan).
     pub warm_start_misses: u64,
+    /// Admissible stage-1 candidates skipped as duplicates: within the
+    /// dedup radius (10 cm) of a candidate already kept for the scan.
+    pub stage1_duplicates: u64,
 }
 
 impl PruneStats {
@@ -155,6 +162,7 @@ impl PruneStats {
             seeds_refined: self.seeds_refined - earlier.seeds_refined,
             warm_start_hits: self.warm_start_hits - earlier.warm_start_hits,
             warm_start_misses: self.warm_start_misses - earlier.warm_start_misses,
+            stage1_duplicates: self.stage1_duplicates - earlier.stage1_duplicates,
         }
     }
 }
@@ -187,12 +195,10 @@ pub(crate) trait SceneDim<const J: usize, const S: usize> {
     /// Stage-1 beam: at most this many coarse-ranked position seeds
     /// receive LM refinement.
     const BEAM: usize;
-    /// How many distinct admissible stage-1 candidates reach the scan.
+    /// How many distinct admissible stage-1 candidates reach the scan;
+    /// candidates within the module's dedup radius of a kept one are not
+    /// distinct.
     const STAGE1_KEEP: usize;
-    /// Stage-1 candidates closer than this (metres) to a kept one are
-    /// duplicates; `0` keeps every candidate, as distances are never
-    /// negative.
-    const STAGE1_DEDUP_M: f64;
     /// Scan directions per stage-1 candidate that receive a joint
     /// refinement.
     const SHORTLIST: usize;
@@ -759,7 +765,7 @@ pub(crate) fn solve<D: SceneDim<J, S>, const J: usize, const S: usize>(
     }
     let _solve_span = obs::timed_span(D::SPANS.0, &[obs::id::SOLVE_LATENCY_US]);
     let before = obs::active().then(|| (workspace.stats(), workspace.step_stats()));
-    let (p, cost, seeds_refined, warm_hit) =
+    let (p, cost, seeds_refined, duplicates, warm_hit) =
         search(observations, seeds, workspace, warm, gate);
     let seeds_total = seeds.position_starts.len() as u64;
     let warm_miss = warm.is_some() && !warm_hit;
@@ -768,6 +774,7 @@ pub(crate) fn solve<D: SceneDim<J, S>, const J: usize, const S: usize>(
     prune.seeds_refined += seeds_refined;
     prune.warm_start_hits += u64::from(warm_hit);
     prune.warm_start_misses += u64::from(warm_miss);
+    prune.stage1_duplicates += duplicates;
     if let Some((stats, steps)) = before {
         let work = workspace.stats().since(stats);
         let step_work = workspace.step_stats().since(steps);
@@ -786,6 +793,7 @@ pub(crate) fn solve<D: SceneDim<J, S>, const J: usize, const S: usize>(
             (obs::id::SOLVER_WARM_MISSES, u64::from(warm_miss)),
             (obs::id::SOLVER_SCAN_SEEDS, workspace.scan.seeds),
             (obs::id::SOLVER_SCAN_EXACT, workspace.scan.exact),
+            (obs::id::SOLVER_STAGE1_DUPLICATES, duplicates),
         ]);
     }
     Ok(D::estimate(observations, &p, cost, &mut workspace.joint))
@@ -793,14 +801,15 @@ pub(crate) fn solve<D: SceneDim<J, S>, const J: usize, const S: usize>(
 
 /// The warm-start gate and the staged multi-start behind [`solve`]:
 /// returns the winning joint parameters, their cost, the number of seeds
-/// stage 1 refined and whether the warm-start gate accepted the prior.
+/// stage 1 refined, the number of stage-1 candidates it dropped as
+/// duplicates and whether the warm-start gate accepted the prior.
 fn search<D: SceneDim<J, S>, const J: usize, const S: usize>(
     observations: &[AntennaObservation],
     seeds: &Seeds<D>,
     workspace: &mut Workspace<J, S>,
     warm: Option<&D::Warm>,
     mut gate: Option<&mut WarmGate>,
-) -> ([f64; J], f64, u64, bool) {
+) -> ([f64; J], f64, u64, u64, bool) {
     let Workspace {
         joint,
         slope,
@@ -898,7 +907,7 @@ fn search<D: SceneDim<J, S>, const J: usize, const S: usize>(
             accept = in_region && gate_ok(floor);
         }
         if accept {
-            return (p, cost, seeds_refined, true);
+            return (p, cost, seeds_refined, 0, true);
         }
         // Confirmed gate miss: the scan below recomputes the optimum from
         // scratch, so drop the cached floor and re-anchor next warm solve.
@@ -939,12 +948,15 @@ fn search<D: SceneDim<J, S>, const J: usize, const S: usize>(
     #[allow(clippy::drop_non_drop)] // ends the span early; inert unit guard without `obs`
     drop(stage1_span);
     // Move the best distinct admissible candidates to the front, in cost
-    // order. With exactly 4 antennas in 3-D the slope system is exactly
-    // determined, so several zero-cost candidates can exist (mirror
-    // images, spurious intersections) that only the intercept equations
-    // tell apart — hence a wide, deduplicated keep there. The overall
-    // best, still at index 0 when nothing was kept, is the backup.
-    let mut kept = 0usize;
+    // order. Beam seeds mostly refine into one basin (on every measured
+    // 2-D solve the refined seeds landed under 1e-9 m apart), and a
+    // duplicate's scan and joint refinements would only re-derive the
+    // kept candidate's answer. With exactly 4 antennas in 3-D the slope
+    // system is exactly determined, so several zero-cost candidates can
+    // exist (mirror images, spurious intersections) that only the
+    // intercept equations tell apart — hence a wider keep there. The
+    // overall best, still at index 0 when nothing was kept, is the backup.
+    let (mut kept, mut duplicates) = (0usize, 0u64);
     for i in 0..position_candidates.len() {
         let p = position_candidates[i].0;
         if !admissible(&p) {
@@ -953,8 +965,10 @@ fn search<D: SceneDim<J, S>, const J: usize, const S: usize>(
         let pos = position::<S>(&p);
         let duplicate = position_candidates[..kept]
             .iter()
-            .any(|(q, _, _)| position::<S>(q).distance(pos) < D::STAGE1_DEDUP_M);
-        if !duplicate {
+            .any(|(q, _, _)| position::<S>(q).distance(pos) < STAGE1_DEDUP_M);
+        if duplicate {
+            duplicates += 1;
+        } else {
             position_candidates.swap(kept, i);
             kept += 1;
             if kept == D::STAGE1_KEEP {
@@ -997,7 +1011,7 @@ fn search<D: SceneDim<J, S>, const J: usize, const S: usize>(
 
     let (best_idx, _) = best_inside.or(best_any).expect("at least one start");
     let (p, cost) = refined.swap_remove(best_idx);
-    (p, cost, seeds_refined, false)
+    (p, cost, seeds_refined, duplicates, false)
 }
 
 /// The position coordinates leading a parameter vector whose dimension
@@ -1463,7 +1477,6 @@ impl SceneDim<5, 3> for Planar {
     const MAX_ITERATIONS: usize = 60;
     const BEAM: usize = 8;
     const STAGE1_KEEP: usize = 2;
-    const STAGE1_DEDUP_M: f64 = 0.0;
     const SHORTLIST: usize = 4;
     const SPANS: (&'static str, &'static str) = ("solve_2d", "alpha_scan");
     const COUNTERS: [usize; 4] = [

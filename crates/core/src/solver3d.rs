@@ -388,7 +388,6 @@ impl SceneDim<7, 4> for Spatial {
     const MAX_ITERATIONS: usize = 80;
     const BEAM: usize = 16;
     const STAGE1_KEEP: usize = 6;
-    const STAGE1_DEDUP_M: f64 = 0.10;
     const SHORTLIST: usize = 3;
     const SPANS: (&'static str, &'static str) = ("solve_3d", "dipole_scan");
     const COUNTERS: [usize; 4] = [

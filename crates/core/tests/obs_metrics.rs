@@ -220,6 +220,21 @@ fn counters_are_consistent_with_results() {
     assert!((4 * ok..=exact.min(48 * ok)).contains(&seeds), "{seeds} seeds in {ok} solves");
 }
 
+/// A cold 2-D solve refines two beam seeds into one basin, keeps the
+/// first and counts the second as a stage-1 duplicate.
+#[test]
+fn cold_solve_counts_its_stage1_duplicate() {
+    let scene = Scene::standard_2d();
+    let prism = standard_prism(&scene);
+    let tag = SimTag::with_seeded_diversity(5)
+        .with_motion(Motion::planar_static(Vec2::new(0.4, 1.6), 1.1));
+    let reads = scene.survey(&tag, 17).per_antenna;
+    let (result, rec) = rfp_obs::recorder::observe(obs::METRICS, || prism.sense(&reads));
+    assert!(result.is_ok(), "{result:?}");
+    assert_eq!(rec.metrics.counter(obs::id::SOLVER_SEEDS_REFINED), 2);
+    assert_eq!(rec.metrics.counter(obs::id::SOLVER_STAGE1_DUPLICATES), 1);
+}
+
 /// A run report produced from a real observed run survives a JSON
 /// round-trip byte-exactly (the current schema, v2): the parsed document
 /// is the one written, and holds the report's name, meta, spans and

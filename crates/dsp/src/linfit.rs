@@ -49,12 +49,10 @@ impl LineFit {
 pub enum FitError {
     /// Fewer than two points (or two distinct x values) were supplied.
     TooFewPoints,
-    /// `xs` and `ys` (or `weights`) have different lengths.
+    /// `xs` and `ys` have different lengths.
     LengthMismatch,
     /// All x values coincide; the slope is undefined.
     DegenerateX,
-    /// A weight was negative or all weights were zero.
-    BadWeights,
     /// A non-finite value broke the fit: the least-squares sums
     /// overflowed, or a NaN (a NaN input, or one that ∞ − ∞ or 0 · ∞ made)
     /// reached a Theil–Sen or residual median.
@@ -67,7 +65,6 @@ impl std::fmt::Display for FitError {
             FitError::TooFewPoints => write!(f, "need at least two points to fit a line"),
             FitError::LengthMismatch => write!(f, "input slices have different lengths"),
             FitError::DegenerateX => write!(f, "all x values coincide; slope undefined"),
-            FitError::BadWeights => write!(f, "weights must be non-negative with positive sum"),
             FitError::NonFinite => write!(f, "a non-finite value broke the fit"),
         }
     }

@@ -738,6 +738,34 @@ mod tests {
         pool
     }
 
+    /// `pool` plus a copy of its first window whose residuals about their
+    /// least-squares line are halved until the robust fit certifies it.
+    fn with_certifying_copy(mut pool: Vec<Columns>) -> Vec<Columns> {
+        let (xs, ys) = pool[0].clone();
+        let (slope, intercept) = linfit::ols_line(&xs, &ys).expect("a fit window");
+        let (mut ws, config) = (FitWorkspace::default(), RobustFitConfig::default());
+        let mut scale = 1.0;
+        loop {
+            let shrunk: Vec<f64> = xs
+                .iter()
+                .zip(&ys)
+                .map(|(&x, &y)| {
+                    let line = slope * x + intercept;
+                    line + scale * (y - line)
+                })
+                .collect();
+            let t = tallied(|| {
+                assert!(robust_line_fit_with(&mut ws, &xs, &shrunk, &config).is_ok());
+            });
+            if t.certified == 1 {
+                pool.push((xs, shrunk));
+                return pool;
+            }
+            scale *= 0.5;
+            assert!(scale > 1e-12, "the shrunk copy never certifies");
+        }
+    }
+
     /// Pin: certified fits equal the previous kernel bit for bit — the fit,
     /// iteration and inlier counts, mask and error variant — on standard
     /// and cluttered survey windows, bare and material-attached, on the
@@ -746,19 +774,24 @@ mod tests {
     /// pattern is scaled until the pilot or the narrower band's bound
     /// straddles the floor cutoff (at it, and 1e-12 either side), and on
     /// hostile windows. Every pool runs both the certified and the full
-    /// path, and the edge lines certify exactly when a covering band's
+    /// path by construction: it holds a copy of one window shrunk onto its
+    /// line until it certifies, and every window also runs with one
+    /// channel off. The edge lines certify exactly when a covering band's
     /// bound is within the cutoff, both outcomes present.
     #[test]
     fn certified_fits_match_the_reference_bit_for_bit() {
         let standard = Scene::standard_2d();
         let cluttered =
             Scene::six_antenna_3d().with_environment(MultipathEnvironment::cluttered(6, 6));
+        let windows = |scene: &Scene, tags: u64, planar: bool, attached: bool| {
+            with_certifying_copy(batch_columns(&scene_windows(scene, tags, planar, attached)))
+        };
         let pools: [(&str, Vec<Columns>); 5] = [
-            ("standard", batch_columns(&scene_windows(&standard, 24, true, false))),
-            ("standard attached", batch_columns(&scene_windows(&standard, 24, true, true))),
-            ("cluttered", batch_columns(&scene_windows(&cluttered, 16, false, false))),
-            ("cluttered attached", batch_columns(&scene_windows(&cluttered, 16, false, true))),
-            ("streaming", streaming_columns(3)),
+            ("standard", windows(&standard, 24, true, false)),
+            ("standard attached", windows(&standard, 24, true, true)),
+            ("cluttered", windows(&cluttered, 16, false, false)),
+            ("cluttered attached", windows(&cluttered, 16, false, true)),
+            ("streaming", with_certifying_copy(streaming_columns(3))),
         ];
         let mut ws = FitWorkspace::default();
         for (label, pool) in &pools {

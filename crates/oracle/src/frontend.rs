@@ -131,8 +131,12 @@ pub fn ols(xs: &[f64], ys: &[f64]) -> Result<LineFit, FitError> {
 ///
 /// # Errors
 ///
-/// As [`ols`], plus [`FitError::BadWeights`] when a weight is negative or
-/// all weights are zero.
+/// As [`ols`].
+///
+/// # Panics
+///
+/// When a weight is negative or NaN, or the weights do not sum to a
+/// positive value.
 pub fn weighted_ols(xs: &[f64], ys: &[f64], weights: &[f64]) -> Result<LineFit, FitError> {
     if xs.len() != ys.len() || xs.len() != weights.len() {
         return Err(FitError::LengthMismatch);
@@ -140,13 +144,9 @@ pub fn weighted_ols(xs: &[f64], ys: &[f64], weights: &[f64]) -> Result<LineFit, 
     if xs.len() < 2 {
         return Err(FitError::TooFewPoints);
     }
-    if weights.iter().any(|&w| w < 0.0) {
-        return Err(FitError::BadWeights);
-    }
+    assert!(weights.iter().all(|&w| w >= 0.0), "negative or NaN weight");
     let wsum: f64 = weights.iter().sum();
-    if wsum <= 0.0 {
-        return Err(FitError::BadWeights);
-    }
+    assert!(wsum > 0.0, "weights must have a positive sum");
     let xbar = xs.iter().zip(weights).map(|(x, w)| x * w).sum::<f64>() / wsum;
     let ybar = ys.iter().zip(weights).map(|(y, w)| y * w).sum::<f64>() / wsum;
     let mut sxx = 0.0;

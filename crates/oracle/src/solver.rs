@@ -26,7 +26,12 @@
 //! ([`Reference2DConfig`], [`Reference3DConfig`]: the fields, defaults
 //! and `exhaustive()` the facade's `SolverConfig` and `Solver3DConfig`
 //! had before the facade's values became constants), so the tests can
-//! still reach the refine-everything scan.
+//! still reach the refine-everything scan, and that the 2-D keep loop
+//! skips an admissible stage-1 candidate within
+//! [`Reference2DConfig::stage1_dedup_m`] of a kept one, as the 3-D keep
+//! loop always has and the facade's 2-D solve does (a radius of 0 keeps
+//! the earlier 2-D solve, which kept every candidate). The arithmetic is
+//! unchanged.
 //!
 //! Do not "improve" this module — its value is that it does not change.
 
@@ -67,6 +72,10 @@ pub struct Reference2DConfig {
     pub early_exit_rel_tol: f64,
     /// Warm-start validation gate tolerance against the coarse-scan floor.
     pub warm_gate_rel_tol: f64,
+    /// Stage-1 candidates closer than this (metres) to a kept one are
+    /// duplicates and reach neither the scan nor the joint refinements;
+    /// `0` keeps every candidate, as distances are never negative.
+    pub stage1_dedup_m: f64,
 }
 
 impl Default for Reference2DConfig {
@@ -82,13 +91,15 @@ impl Default for Reference2DConfig {
             refine_top_k: Some(8),
             early_exit_rel_tol: 0.5,
             warm_gate_rel_tol: 0.25,
+            stage1_dedup_m: 0.10,
         }
     }
 }
 
 impl Reference2DConfig {
     /// Refine every multi-start seed with no early exit: the pre-pruning
-    /// scan.
+    /// scan. It widens the beam, not the keep: the dedup radius stays the
+    /// default.
     #[must_use]
     pub fn exhaustive() -> Self {
         Reference2DConfig {
@@ -817,12 +828,21 @@ pub fn solve_2d_reference(
             a.1.partial_cmp(&b.1).expect("finite costs").then_with(|| a.2.cmp(&b.2))
         });
     }
-    // Keep the best in-region candidates by index (the overall best, at
-    // index 0 after the sort, is the backup if none stayed inside).
+    // Keep the best distinct in-region candidates by index (the overall
+    // best, at index 0 after the sort, is the backup if none stayed
+    // inside).
     let mut stage1 = [0usize; 2];
     let mut stage1_len = 0usize;
     for (i, (p, _, _)) in position_candidates.iter().enumerate() {
-        if admissible.contains(Vec2::new(p[0], p[1])) {
+        let pos = Vec2::new(p[0], p[1]);
+        if !admissible.contains(pos) {
+            continue;
+        }
+        let duplicate = stage1[..stage1_len].iter().any(|&j| {
+            let q = &position_candidates[j].0;
+            Vec2::new(q[0], q[1]).distance(pos) < config.stage1_dedup_m
+        });
+        if !duplicate {
             stage1[stage1_len] = i;
             stage1_len += 1;
             if stage1_len == stage1.len() {
